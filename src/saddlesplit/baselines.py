@@ -15,7 +15,6 @@ import numpy as np
 
 from saddlesplit.accounting import OracleLedger, RunResult
 from saddlesplit.evaluation import restricted_gap
-from saddlesplit.metrics import ProductMetric
 
 _DIVERGENCE_NORM = 1e8
 
@@ -66,7 +65,6 @@ def extragradient_run(problem, params, ledger=None, domain=None):
     if ledger is None:
         ledger = OracleLedger(("x", "y"), costs=p.costs)
     ax, ay = default_scaling(p, params.d_hat)
-    metric = ProductMetric([(p.metric_x, ax), (p.metric_y, ay)])
     ox = ledger.bind("x", p.grad_x)
     oy = ledger.bind("y", p.grad_y)
 

@@ -25,7 +25,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,8 +43,8 @@ from saddlesplit.hard_instances import (
 )
 from saddlesplit.metrics import ProductMetric, ScaledMetric
 from saddlesplit.problems import (
-    SaddleProblem, VipProblem, instance_from_section, load_instance,
-    make_bilinear, random_polymatrix, save_instance,
+    VipProblem, instance_from_section, load_instance, make_bilinear,
+    random_polymatrix, save_instance,
 )
 
 SOLVERS = ("decoupled", "extragradient", "local_gda")
@@ -68,7 +67,6 @@ class ExperimentConfig:
     seed: int = 0
     check_bounds: bool = False
     out_dir: str = "results"
-    jobs: int = 1
     solver_params: dict = field(default_factory=dict)
     name: str = "experiment"
 
@@ -224,12 +222,13 @@ def run_cell(instance_id, problem, solver, eps, params, check_bounds,
              clock=time.perf_counter):
     ledger = OracleLedger(_agents_of(problem), costs=problem.costs)
     t0 = clock()
-    status, gap = "", None
+    status, gap, invariant_broken = "", None, False
     try:
         result = _dispatch(problem, solver, eps, params, ledger)
         status, gap = result.status, result.gap
     except Exception as exc:                      # recorded, run continues
         status = f"error: {exc}"
+        invariant_broken = isinstance(exc, AssertionError)
     wall_ms = int(round((clock() - t0) * 1000.0))
 
     bound_comm = bound_oracle = None
@@ -237,9 +236,12 @@ def run_cell(instance_id, problem, solver, eps, params, check_bounds,
     if check_bounds:
         bound_comm, bound_oracle = _bounds_for(problem, solver, eps, params)
         # A run that stops without the target accuracy violates the bound
-        # just as surely as one that overruns the counts; only errored runs
-        # (incomplete ledgers) stay unassessed.
-        if bound_comm is not None and not status.startswith("error"):
+        # just as surely as one that overruns the counts, and a solver
+        # invariant that broke (AssertionError) fails it outright; other
+        # errored runs (incomplete ledgers) stay unassessed.
+        if invariant_broken:
+            compliant = "false"
+        elif bound_comm is not None and not status.startswith("error"):
             ok = status in _GOOD_STATUSES and ledger.round <= bound_comm + 1e-9
             if bound_oracle is not None:
                 ok = ok and ledger.weighted_cost() <= bound_oracle + 1e-9
@@ -256,22 +258,12 @@ def run_cell(instance_id, problem, solver, eps, params, check_bounds,
 
 def run_experiment(config, clock=time.perf_counter):
     """Execute the full grid; rows come back sorted by (instance, solver, eps)."""
-    cells = [(iid, prob, solver, eps)
-             for iid, prob in config.instances
-             for solver in config.solvers
-             for eps in config.epsilons]
-
-    def work(cell):
-        iid, prob, solver, eps = cell
-        return run_cell(iid, prob, solver, eps,
-                        config.solver_params.get(solver, {}),
-                        config.check_bounds, clock)
-
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            rows = list(pool.map(work, cells))
-    else:
-        rows = [work(c) for c in cells]
+    rows = [run_cell(iid, prob, solver, eps,
+                     config.solver_params.get(solver, {}),
+                     config.check_bounds, clock)
+            for iid, prob in config.instances
+            for solver in config.solvers
+            for eps in config.epsilons]
     rows.sort(key=lambda r: (r.instance_id, r.solver, r.epsilon))
     return rows
 
@@ -284,7 +276,7 @@ def _fmt(v):
     if v is None:
         return ""
     if isinstance(v, float):
-        return repr(v)
+        return repr(float(v))       # NumPy 2 scalars repr as np.float64(...)
     return str(v)
 
 
@@ -531,8 +523,6 @@ def _cmd_run(args):
         return 2
     if args.check_bounds:
         config.check_bounds = True
-    if args.jobs is not None:
-        config.jobs = max(1, args.jobs)
     out_dir = args.out if args.out is not None else config.out_dir
     rows = run_experiment(config)
     paths = emit_outputs(rows, out_dir)
@@ -595,7 +585,6 @@ def build_parser():
     run_p.add_argument("--config", required=True, help="experiment INI file")
     run_p.add_argument("--out", default=None, help="output directory")
     run_p.add_argument("--seed", type=int, default=None)
-    run_p.add_argument("--jobs", type=int, default=None)
     run_p.add_argument("--check-bounds", action="store_true")
     run_p.set_defaults(func=_cmd_run)
 

@@ -19,6 +19,13 @@ staged accelerated gradient method with restarts for blocks whose operator
 is a gradient, and an anchored extragradient loop for general monotone
 blocks.  Neither touches a remote oracle, which is what keeps the round
 count independent of the single-agent conditioning.
+
+Drivers.  One private core runs a block problem with coupling matrix
+``L``.  A two-agent saddle problem is the two-block case with operator
+``V = (grad_x f, -grad_y f)`` and ``L = [[L_x, L_xy], [L_xy, L_y]]``, so
+`decoupled_saddle_run` only binds its oracles and supplies its round cap
+and gap; `decoupled_vi_run` does the same for a block VI.  Blocks that no
+other block depends on are solved once locally and frozen.
 """
 
 import math
@@ -110,11 +117,6 @@ def anchor_weight(v_psi, anchor, z_plus, metric, lam):
     return a
 
 
-def sp_coupling(L_xy, alpha_x, alpha_y):
-    """Scaled coupling constant of a two-agent saddle problem."""
-    return L_xy / math.sqrt(alpha_x * alpha_y)
-
-
 def vip_coupling(L, alphas, D):
     """Scaled coupling constant of a block VIP (cross terms only).
 
@@ -162,10 +164,22 @@ def agd_schedule(L, xi):
     return AgdSchedule(stages=tau, sigmas=sigmas, counts=counts)
 
 
-def _solve_constant_operator(task, counter):
+def _counting_operator(task):
+    """``task.operator`` with a query counter and a finiteness check."""
+    counter = [0]
+
+    def op(w):
+        counter[0] += 1
+        out = np.asarray(task.operator(w), dtype=float)
+        if not np.all(np.isfinite(out)):
+            raise FloatingPointError("operator returned nonfinite values")
+        return out
+    return op, counter
+
+
+def _solve_constant_operator(task, op, counter):
     """Constant-operator fast path: one probe fixes the whole subproblem."""
-    c = np.asarray(task.operator(task.anchor), dtype=float)
-    counter[0] += 1
+    c = op(task.anchor)
     w = argmin_linear(task.psi, task.metric, c, fallback=task.anchor)
     # Optimality of the linear-plus-composite problem gives -c in the
     # subdifferential exactly, so the residual vanishes.
@@ -197,17 +211,9 @@ def residual_agd(task, xi):
     stage plan runs to completion, which guarantees the target on its own.
     """
     metric, psi, v = task.metric, task.psi, task.anchor
-    counter = [0]
-
-    def op(w):
-        counter[0] += 1
-        out = np.asarray(task.operator(w), dtype=float)
-        if not np.all(np.isfinite(out)):
-            raise FloatingPointError("operator returned nonfinite values")
-        return out
-
+    op, counter = _counting_operator(task)
     if task.lipschitz == 0.0:
-        return _solve_constant_operator(task, counter)
+        return _solve_constant_operator(task, op, counter)
 
     mu_quad = psi.quad.mu if isinstance(psi, RegularizedTerm) else (
         psi.mu if isinstance(psi, QuadraticReg) else 0.0)
@@ -295,17 +301,9 @@ def anchored_eg(task, xi=None):
     metric, psi, v = task.metric, task.psi, task.anchor
     if task.delta is None:
         raise ValueError("the anchored loop needs a relative target delta")
-    counter = [0]
-
-    def op(w):
-        counter[0] += 1
-        out = np.asarray(task.operator(w), dtype=float)
-        if not np.all(np.isfinite(out)):
-            raise FloatingPointError("operator returned nonfinite values")
-        return out
-
+    op, counter = _counting_operator(task)
     if task.lipschitz == 0.0:
-        return _solve_constant_operator(task, counter)
+        return _solve_constant_operator(task, op, counter)
     if xi is None:
         xi = 2.0 * task.delta / 3.0
     if task.strong > 0:
@@ -347,7 +345,7 @@ def anchored_eg(task, xi=None):
 # ---------------------------------------------------------------------------
 
 def split_prox_step(operators, psis, metrics, alphas, anchors, lam,
-                    lipschitz, inner_flags, strongs=None):
+                    lipschitz, inner_flags):
     """One decoupled solve of the regularised inclusion.
 
     Each block minimises its own model with the remote blocks frozen at the
@@ -364,8 +362,7 @@ def split_prox_step(operators, psis, metrics, alphas, anchors, lam,
         reg = RegularizedTerm(QuadraticReg(mu, anchors[i]), psis[i])
         task = BlockTask(operator=operators[i], psi=reg, anchor=anchors[i],
                          metric=metrics[i], lipschitz=lipschitz[i],
-                         strong=mu if strongs is None else mu + strongs[i],
-                         delta=mu / 2.0)
+                         strong=mu, delta=mu / 2.0)
         if inner_flags[i]:
             res = residual_agd(task, xi=mu / 3.0)
         else:
@@ -426,7 +423,7 @@ def _prox_point_loop(metric, psis, metrics, v_parts, lam, inner_step,
             candidate = [z.copy() for z in z_parts]
             round_candidates.append([c.copy() for c in candidate])
             status = "solution_found"
-            gap = gap_fn(candidate) if gap_fn is not None else None
+            gap = gap_fn(candidate)
             break
 
         ok, lhs, rhs = scaled_prox_check(V_joint, sub_joint, z_joint,
@@ -456,13 +453,13 @@ def _prox_point_loop(metric, psis, metrics, v_parts, lam, inner_step,
                     f"{telescope_lhs} > {budget}")
 
         round_candidates.append([c.copy() for c in candidate])
-        if gap_fn is not None and iteration % gap_stride == 0:
+        if iteration % gap_stride == 0:
             gap = gap_fn(candidate)
             if gap.value <= epsilon:
                 status = "converged"
                 break
 
-    if status == "budget_exhausted" and gap_fn is not None:
+    if status == "budget_exhausted":
         gap = gap_fn(candidate)
         if gap.value <= epsilon:
             status = "converged"
@@ -486,220 +483,149 @@ class DecoupledParams:
     gap_stride: int = 1
 
 
+def _decoupled_run(oracles, psis, metrics, z0, L, d_hat, gradient, params,
+                   max_rounds, ledger, reference, gap_fn):
+    """The decoupled solver on a block problem; both drivers call this.
+
+    ``oracles[i]`` is block ``i``'s ledger-bound operator on the list of all
+    blocks and ``L`` the block Lipschitz matrix.  Scalings ``alpha_i =
+    sum_{j != i} L_ij Dhat_j / Dhat_i`` balance the cross-coupling; blocks
+    with ``alpha_i = 0`` are solved locally once and frozen.  Blocks with
+    ``gradient[i]`` use the staged accelerated engine, the rest the
+    anchored extragradient loop.  ``reference`` (a known solution or None)
+    arms the telescoping check; ``gap_fn`` maps a full candidate to a gap.
+    """
+    K = len(oracles)
+    alphas = [sum(L[i][j] * d_hat[j] for j in range(K) if j != i) / d_hat[i]
+              for i in range(K)]
+    active = [i for i in range(K) if alphas[i] > 0]
+    for i in range(K):
+        if alphas[i] == 0.0 and any(L[j][i] != 0.0 for j in range(K)
+                                    if j != i):
+            raise ValueError(
+                f"block {i} has no outgoing coupling but others depend on "
+                "it; freezing it would change their subproblems")
+
+    def block_operator(i, base):
+        """Block ``i``'s operator with the other blocks fixed at `base`."""
+        def op(w):
+            return oracles[i](base[:i] + (w,) + base[i + 1:])
+        return op
+
+    full = [b.copy() for b in z0]
+    for i in range(K):
+        if i in active:
+            continue
+        # Fully decoupled block: its operator ignores the others, so one
+        # local solve pins it for the rest of the run.  The residual target
+        # eps / (4 Dhat_i^2) bounds its gap contribution over the
+        # restriction ball by eps / 2.
+        task = BlockTask(operator=block_operator(i, tuple(full)), psi=psis[i],
+                         anchor=z0[i], metric=metrics[i],
+                         lipschitz=float(L[i][i]))
+        full[i] = residual_agd(
+            task, xi=params.epsilon / (4.0 * d_hat[i] * d_hat[i])).point
+
+    if not active:
+        ledger.end_round()
+        ledger.end_round()
+        candidate = tuple(full)
+        gap = gap_fn(candidate)
+        status = ("local_solve" if gap.value <= params.epsilon
+                  else "budget_exhausted")
+        return RunResult(status=status, candidate=candidate, gap=gap,
+                         rounds=ledger.round, ledger=ledger,
+                         round_candidates=[candidate, candidate],
+                         info={"local": True, "alpha": alphas})
+
+    def full_point(parts):
+        """All blocks: the frozen ones plus `parts` for the active ones."""
+        for pos, i in enumerate(active):
+            full[i] = parts[pos]
+        return tuple(full)
+
+    act_alphas = [alphas[i] for i in active]
+    act_psis = [psis[i] for i in active]
+    act_metrics = [metrics[i] for i in active]
+    coupling = vip_coupling([[float(L[i][j]) for j in active] for i in active],
+                            act_alphas, [d_hat[i] for i in active])
+    if params.lam < 2.0 * coupling - 1e-9:
+        raise ValueError("lam is below twice the scaled coupling constant")
+
+    def inner_step(v, lam):
+        anchor = full_point(v)
+        return split_prox_step(
+            [block_operator(i, anchor) for i in active], act_psis,
+            act_metrics, act_alphas, v, lam, [float(L[i][i]) for i in active],
+            inner_flags=[gradient[i] for i in active])
+
+    def query_joint(z):
+        point = full_point(z)
+        return [oracles[i](point) for i in active]
+
+    out = _prox_point_loop(
+        ProductMetric([(metrics[i], alphas[i]) for i in active]), act_psis,
+        act_metrics, [z0[i] for i in active], params.lam, inner_step,
+        query_joint, ledger, lambda c: gap_fn(full_point(c)), params.epsilon,
+        max_rounds, params.gap_stride,
+        reference=None if reference is None else [reference[i] for i in active])
+    return RunResult(
+        status=out["status"], candidate=full_point(out["candidate"]),
+        gap=out["gap"], rounds=ledger.round, ledger=ledger,
+        round_candidates=[full_point(c) for c in out["round_candidates"]],
+        info={"alpha": alphas, "lam": params.lam, "coupling": coupling,
+              "a_history": out["a_history"], "iterations": out["iterations"],
+              "frozen_blocks": [i for i in range(K) if i not in active],
+              "telescope_lhs": out["telescope_lhs"]})
+
+
 def decoupled_saddle_run(problem, params, ledger=None, domain=None):
     """Decoupled solver for two-agent saddle problems.
 
-    Scalings ``alpha_x = L_xy Dhat_y / Dhat_x`` (and symmetrically) make
-    the scaled coupling constant equal to one, so the default ``lam = 2``
-    meets the weak-coupling requirement with equality.  When the agents do
-    not interact at all (``L_xy = 0``) the run degenerates to one local
-    solve per agent and a single exchange; see `_local_saddle_solve`.
+    The two-block case of `_decoupled_run`: the scalings reduce to
+    ``alpha_x = L_xy Dhat_y / Dhat_x`` (and symmetrically), which make the
+    scaled coupling constant equal to one, so the default ``lam = 2`` meets
+    the weak-coupling requirement with equality.  When the agents do not
+    interact at all (``L_xy = 0``) the run is one local solve per agent and
+    a single exchange.  The ledger records the raw ``y`` responses.
     """
     p = problem
     if ledger is None:
         ledger = OracleLedger(("x", "y"), costs=p.costs)
     d_hat = params.d_hat if params.d_hat is not None else (p.D_x, p.D_y)
-    if p.L_xy == 0.0:
-        return _local_saddle_solve(p, params, ledger, domain, d_hat)
-    ax = p.L_xy * d_hat[1] / d_hat[0]
-    ay = p.L_xy * d_hat[0] / d_hat[1]
-    lam = params.lam
-    if lam < 2.0 * sp_coupling(p.L_xy, ax, ay) - 1e-12:
-        raise ValueError("lam is below twice the scaled coupling constant")
-    metric = ProductMetric([(p.metric_x, ax), (p.metric_y, ay)])
-    ox = ledger.bind("x", p.grad_x)
-    oy = ledger.bind("y", p.grad_y)
-
-    def inner_step(v, lam_t):
-        def op_x(w):
-            return ox((w, v[1]))
-
-        def op_y(w):
-            return p.vy_from_raw(oy((v[0], w)))
-
-        return split_prox_step(
-            [op_x, op_y], [p.psi_x, p.psi_y], [p.metric_x, p.metric_y],
-            [ax, ay], v, lam_t, [p.L_x, p.L_y], inner_flags=[True, True])
-
-    def query_joint(z):
-        zt = (z[0], z[1])
-        return [ox(zt), p.vy_from_raw(oy(zt))]
-
-    def gap_fn(cand):
-        return restricted_gap(p, (cand[0], cand[1]), domain)
-
     theta = theta_factor(p.D_x, p.D_y, d_hat[0], d_hat[1])
     max_rounds = params.max_rounds
     if max_rounds is None:
         max_rounds = math.ceil(
             2.0 + 2.0 * theta * p.L_xy * p.D_x * p.D_y / params.epsilon) + 2
-
-    ref = list(p.saddle) if p.saddle is not None else None
-    out = _prox_point_loop(
-        metric, [p.psi_x, p.psi_y], [p.metric_x, p.metric_y],
-        list(p.z0), lam, inner_step, query_joint, ledger, gap_fn,
-        params.epsilon, max_rounds, params.gap_stride, reference=ref)
-    return RunResult(
-        status=out["status"], candidate=(out["candidate"][0],
-                                         out["candidate"][1]),
-        gap=out["gap"], rounds=ledger.round, ledger=ledger,
-        round_candidates=[(c[0], c[1]) for c in out["round_candidates"]],
-        info={"alpha": (ax, ay), "lam": lam, "a_history": out["a_history"],
-              "iterations": out["iterations"], "theta": theta,
-              "telescope_lhs": out["telescope_lhs"]})
-
-
-def _local_saddle_solve(p, params, ledger, domain, d_hat):
-    """Fully decoupled case: each agent minimises its own side locally.
-
-    The residual target ``xi_i = eps / (4 Dhat_i^2)`` turns a stationarity
-    residual into a gap contribution of at most ``eps / 2`` per agent over
-    the restriction ball.  Two rounds: one of local work, one exchange.
-    """
-    ox = ledger.bind("x", p.grad_x)
     oy = ledger.bind("y", p.grad_y)
-    results = []
-    for side, oracle, psi, metric, L, v0, dh in (
-            ("x", lambda w: ox((w, p.y0)), p.psi_x, p.metric_x, p.L_x,
-             p.x0, d_hat[0]),
-            ("y", lambda w: p.vy_from_raw(oy((p.x0, w))), p.psi_y,
-             p.metric_y, p.L_y, p.y0, d_hat[1])):
-        task = BlockTask(operator=oracle, psi=psi, anchor=v0, metric=metric,
-                         lipschitz=L, strong=0.0, delta=None)
-        if L == 0.0:
-            res = _solve_constant_operator(task, [0])
-        else:
-            res = residual_agd(task, xi=params.epsilon / (4.0 * dh * dh))
-        results.append(res)
-    ledger.end_round()
-    candidate = (results[0].point, results[1].point)
-    ledger.end_round()
-    gap = restricted_gap(p, candidate, domain)
-    status = "local_solve" if gap.value <= params.epsilon else "budget_exhausted"
-    return RunResult(status=status, candidate=candidate, gap=gap,
-                     rounds=ledger.round, ledger=ledger,
-                     round_candidates=[candidate, candidate],
-                     info={"local": True,
-                           "inner_queries": [r.queries for r in results]})
+    res = _decoupled_run(
+        [ledger.bind("x", p.grad_x), lambda z: p.vy_from_raw(oy(z))],
+        [p.psi_x, p.psi_y], [p.metric_x, p.metric_y], p.z0,
+        [[p.L_x, p.L_xy], [p.L_xy, p.L_y]], d_hat, [True, True], params,
+        max_rounds, ledger, p.saddle, lambda c: restricted_gap(p, c, domain))
+    res.info.update(alpha=tuple(res.info["alpha"]), theta=theta)
+    return res
 
 
 def decoupled_vi_run(problem, params, ledger=None, domain=None):
     """Decoupled solver for block variational inequalities.
 
-    Scalings ``alpha_i = sum_{j != i} L_ij Dhat_j / Dhat_i`` balance the
-    cross-coupling; blocks with ``alpha_i = 0`` are solved locally once and
-    frozen.  Gradient blocks use the staged accelerated engine, the rest
-    the anchored extragradient loop.
+    See `_decoupled_run`; the default round cap is
+    ``2 + 2 sum_{i != j} L_ij D_i D_j / eps`` plus two.
     """
     p = problem
-    K = p.K
-    agents = tuple(str(i + 1) for i in range(K))
+    agents = tuple(str(i + 1) for i in range(p.K))
     if ledger is None:
         ledger = OracleLedger(agents, costs=p.costs)
-    d_hat = params.d_hat if params.d_hat is not None else list(p.D)
-    alphas_all = [sum(p.L[i, j] * d_hat[j] for j in range(K) if j != i)
-                  / d_hat[i] for i in range(K)]
-    active = [i for i in range(K) if alphas_all[i] > 0]
-    for i in range(K):
-        if alphas_all[i] == 0.0 and any(p.L[j, i] != 0.0 for j in range(K)
-                                        if j != i):
-            raise ValueError(
-                f"block {i} has no outgoing coupling but others depend on "
-                "it; freezing it would change their subproblems")
-    frozen = {}
-    oracles = [ledger.bind(agents[i], p.operators[i]) for i in range(K)]
-
-    z_work = [b.copy() for b in p.z0]
-    for i in range(K):
-        if i in active:
-            continue
-        # Fully decoupled block: its operator ignores the others, so one
-        # local solve pins it for the rest of the run.
-        def op_i(w, i=i):
-            probe = [q.copy() for q in z_work]
-            probe[i] = w
-            return oracles[i](probe)
-        task = BlockTask(operator=op_i, psi=p.psis[i], anchor=p.z0[i],
-                         metric=p.metrics[i], lipschitz=float(p.L[i, i]),
-                         strong=0.0, delta=None)
-        if task.lipschitz == 0.0:
-            res = _solve_constant_operator(task, [0])
-        else:
-            res = residual_agd(
-                task, xi=params.epsilon / (4.0 * d_hat[i] * d_hat[i]))
-        frozen[i] = res.point
-        z_work[i] = res.point
-
-    if not active:
-        ledger.end_round()
-        ledger.end_round()
-        candidate = [z_work[i].copy() for i in range(K)]
-        gap = restricted_gap(p, candidate, domain)
-        status = ("local_solve" if gap.value <= params.epsilon
-                  else "budget_exhausted")
-        return RunResult(status=status, candidate=candidate, gap=gap,
-                         rounds=ledger.round, ledger=ledger,
-                         round_candidates=[candidate],
-                         info={"local": True})
-
-    act_alphas = [alphas_all[i] for i in active]
-    act_metrics = [p.metrics[i] for i in active]
-    act_psis = [p.psis[i] for i in active]
-    Lsub = [[float(p.L[i, j]) for j in active] for i in active]
-    Dsub = [d_hat[i] for i in active]
-    coupling = vip_coupling(Lsub, act_alphas, Dsub)
-    lam = params.lam if params.lam is not None else 2.0 * coupling
-    if lam < 2.0 * coupling - 1e-9:
-        raise ValueError("lam is below twice the scaled coupling constant")
-    metric = ProductMetric([(p.metrics[i], alphas_all[i]) for i in active])
-
-    def full_point(parts_active):
-        full = [frozen[i].copy() if i in frozen else None for i in range(K)]
-        for pos, i in enumerate(active):
-            full[i] = parts_active[pos]
-        return full
-
-    def inner_step(v, lam_t):
-        anchor_full = full_point(v)
-
-        def make_op(pos, i):
-            def op(w):
-                probe = [q.copy() for q in anchor_full]
-                probe[i] = w
-                return oracles[i](probe)
-            return op
-
-        ops = [make_op(pos, i) for pos, i in enumerate(active)]
-        return split_prox_step(
-            ops, act_psis, act_metrics, act_alphas, v, lam_t,
-            [float(p.L[i, i]) for i in active],
-            inner_flags=[p.block_is_gradient[i] for i in active])
-
-    def query_joint(z):
-        full = full_point(z)
-        return [oracles[i](full) for i in active]
-
-    def gap_fn(cand):
-        return restricted_gap(p, full_point(cand), domain)
-
-    cross = sum(p.L[i, j] * p.D[i] * p.D[j]
-                for i in range(K) for j in range(K) if i != j)
     max_rounds = params.max_rounds
     if max_rounds is None:
+        cross = sum(p.L[i, j] * p.D[i] * p.D[j]
+                    for i in range(p.K) for j in range(p.K) if i != j)
         max_rounds = math.ceil(2.0 + 2.0 * cross / params.epsilon) + 2
-
-    ref = None
-    if p.solution is not None:
-        ref = [p.solution[i] for i in active]
-    out = _prox_point_loop(
-        metric, act_psis, act_metrics, [p.z0[i] for i in active], lam,
-        inner_step, query_joint, ledger, gap_fn, params.epsilon, max_rounds,
-        params.gap_stride, reference=ref)
-    return RunResult(
-        status=out["status"], candidate=full_point(out["candidate"]),
-        gap=out["gap"], rounds=ledger.round, ledger=ledger,
-        round_candidates=[full_point(c) for c in out["round_candidates"]],
-        info={"alpha": alphas_all, "lam": lam, "coupling": coupling,
-              "a_history": out["a_history"], "iterations": out["iterations"],
-              "frozen_blocks": sorted(frozen),
-              "telescope_lhs": out["telescope_lhs"]})
+    return _decoupled_run(
+        [ledger.bind(a, op) for a, op in zip(agents, p.operators)], p.psis,
+        p.metrics, p.z0, p.L,
+        params.d_hat if params.d_hat is not None else list(p.D),
+        p.block_is_gradient, params, max_rounds, ledger, p.solution,
+        lambda c: restricted_gap(p, c, domain))

@@ -15,13 +15,11 @@ maximisation and flagged as such.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from saddlesplit.problems import (
-    BallIndicator, SaddleProblem, VipProblem, ZeroTerm, spectral_norm,
-)
+from saddlesplit.problems import BallIndicator, VipProblem, spectral_norm
 
 
 @dataclass
@@ -56,7 +54,7 @@ def _linear_ball_max(metric, center, radius, g):
     return float(np.dot(g, center)) + radius * dual, arg
 
 
-def _pga_extreme(value_fn, grad_fn, metric, center, radius, psi, lipschitz,
+def _pga_extreme(grad_fn, metric, center, radius, psi, lipschitz,
                  steps, maximize=True):
     """Projected-gradient ascent/descent for the inner problem of the gap."""
     w = center.copy()
@@ -93,7 +91,7 @@ def restricted_gap(problem, candidate, domain=None, steps=500):
     Parameters
     ----------
     problem : SaddleProblem or VipProblem
-    candidate : (x, y) tuple for saddle problems, list of blocks for VIPs.
+    candidate : sequence of blocks, ``(x, y)`` for saddle problems.
     domain : DomainSpec, optional
         Defaults to balls of radius ``D_i`` around the start point.
     steps : int
@@ -150,9 +148,9 @@ def _saddle_gap(p, candidate, domain, steps):
     def grad_x_of(x):
         return p.grad_x((x, ybar))
 
-    yhat = _pga_extreme(None, grad_y_of, p.metric_y, yc, ry, p.psi_y, p.L_y,
+    yhat = _pga_extreme(grad_y_of, p.metric_y, yc, ry, p.psi_y, p.L_y,
                         steps, maximize=True)
-    xhat = _pga_extreme(None, grad_x_of, p.metric_x, xc, rx, p.psi_x, p.L_x,
+    xhat = _pga_extreme(grad_x_of, p.metric_x, xc, rx, p.psi_x, p.L_x,
                         steps, maximize=False)
 
     def upper_at(y):

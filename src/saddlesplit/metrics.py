@@ -74,6 +74,11 @@ class ScaledMetric:
 class ProductMetric:
     """Weighted product of block metrics: ``||z||^2 = sum_i alpha_i ||z_i||_i^2``.
 
+    The product of diagonal metrics is itself diagonal, with weights
+    ``concat(alpha_i * P_i)``; it is stored that way, together with the
+    block offsets, so every call is one vector operation on the joint
+    vector.
+
     Parameters
     ----------
     blocks : sequence of (ScaledMetric, float)
@@ -83,31 +88,30 @@ class ProductMetric:
     def __init__(self, blocks):
         if not blocks:
             raise ValueError("a product metric needs at least one block")
-        self.metrics = []
-        self.alphas = []
-        for metric, alpha in blocks:
-            if alpha <= 0:
-                raise ValueError("block weights alpha_i must be positive")
-            self.metrics.append(metric)
-            self.alphas.append(float(alpha))
-        self.dims = [m.dim for m in self.metrics]
+        if any(alpha <= 0 for _, alpha in blocks):
+            raise ValueError("block weights alpha_i must be positive")
+        self.weights = np.concatenate([float(alpha) * metric.weights
+                                       for metric, alpha in blocks])
+        self.dims = [metric.dim for metric, _ in blocks]
         self.offsets = np.concatenate([[0], np.cumsum(self.dims)])
 
-    @property
-    def dim(self):
-        return int(self.offsets[-1])
+    # The single-block diagonal arithmetic, applied to the joint weights;
+    # `_check` is the one shape check per call.
+    dim = ScaledMetric.dim
+    _check = ScaledMetric._check
+    inner = ScaledMetric.inner
+    norm = ScaledMetric.norm
+    dual_norm = ScaledMetric.dual_norm
+    apply = ScaledMetric.apply
+    apply_inv = ScaledMetric.apply_inv
 
     @property
     def n_blocks(self):
-        return len(self.metrics)
+        return len(self.dims)
 
     def split(self, z):
         """Split a joint vector into per-block views."""
-        z = np.asarray(z, dtype=float)
-        if z.shape != (self.dim,):
-            raise ValueError(
-                f"vector of shape {z.shape} does not match joint dimension {self.dim}"
-            )
+        z = self._check(z)
         return [z[self.offsets[i]:self.offsets[i + 1]] for i in range(self.n_blocks)]
 
     def join(self, parts):
@@ -118,33 +122,6 @@ class ProductMetric:
             if np.asarray(part).shape != (d,):
                 raise ValueError("block dimension mismatch in join")
         return np.concatenate([np.asarray(p, dtype=float) for p in parts])
-
-    def norm(self, z):
-        parts = self.split(z)
-        s = 0.0
-        for m, a, p in zip(self.metrics, self.alphas, parts):
-            s += a * m.norm(p) ** 2
-        return float(np.sqrt(s))
-
-    def dual_norm(self, g):
-        parts = self.split(g)
-        s = 0.0
-        for m, a, p in zip(self.metrics, self.alphas, parts):
-            s += m.dual_norm(p) ** 2 / a
-        return float(np.sqrt(s))
-
-    def inner(self, u, v):
-        us, vs = self.split(u), self.split(v)
-        return float(sum(a * m.inner(x, y)
-                         for m, a, x, y in zip(self.metrics, self.alphas, us, vs)))
-
-    def apply(self, z):
-        return self.join([a * m.apply(p)
-                          for m, a, p in zip(self.metrics, self.alphas, self.split(z))])
-
-    def apply_inv(self, g):
-        return self.join([m.apply_inv(p) / a
-                          for m, a, p in zip(self.metrics, self.alphas, self.split(g))])
 
 
 def identity_product(dims, alphas=None):

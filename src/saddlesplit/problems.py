@@ -17,7 +17,7 @@ term; those four operations are everything the solvers need.
 
 import ast
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -568,8 +568,12 @@ def make_polymatrix(dims, blocks, b=None, D=None, costs=None, psis=None,
     if b is None:
         b = [np.zeros(d) for d in dims]
     b = [np.asarray(bi, dtype=float) for bi in b]
-    L = np.array([[spectral_norm(mats[i][j]) for j in range(K)]
-                  for i in range(K)])
+    # ||A_ji|| = ||-A_ij^T||: one power iteration per skew pair, mirrored,
+    # keeps L exactly symmetric.
+    L = np.zeros((K, K))
+    for i in range(K):
+        for j in range(i, K):
+            L[i, j] = L[j, i] = spectral_norm(mats[i][j])
 
     def make_op(i):
         def op(parts):

@@ -11,8 +11,7 @@ from saddlesplit.accounting import OracleLedger
 from saddlesplit.decoupled import (
     BlockTask, DecoupledParams, agd_schedule, anchor_weight, anchored_eg,
     decoupled_saddle_run, decoupled_vi_run, relative_residual_check,
-    residual_agd, scaled_prox_check, sp_coupling, split_prox_step,
-    vip_coupling,
+    residual_agd, scaled_prox_check, split_prox_step, vip_coupling,
 )
 from saddlesplit.metrics import ProductMetric, ScaledMetric
 from saddlesplit.problems import (
@@ -221,7 +220,9 @@ def test_anchored_eg_constant_operator():
 
 
 def test_coupling_constants():
-    assert np.isclose(sp_coupling(3.0, 1.0, 9.0), 1.0)
+    # Saddle scalings alpha = L_xy Dhat_other / Dhat_own give coupling one.
+    assert np.isclose(vip_coupling([[0.0, 3.0], [3.0, 0.0]], [1.0, 9.0],
+                                   [3.0, 1.0]), 1.0)
     rng = np.random.default_rng(3)
     K = 4
     L = np.abs(rng.normal(size=(K, K)))
@@ -287,6 +288,7 @@ def test_saddle_local_solve():
     assert res.status == "local_solve"
     assert res.rounds == 2
     assert res.gap.value <= 1e-3
+    assert len(res.round_candidates) == res.rounds
     assert abs(res.candidate[0][0] - 1.0) < 1e-3
 
 
@@ -322,6 +324,7 @@ def test_vip_all_blocks_local():
     res = decoupled_vi_run(p, DecoupledParams(epsilon=0.01))
     assert res.status == "local_solve"
     assert res.rounds == 2
+    assert len(res.round_candidates) == res.rounds
     assert abs(res.candidate[0][0] - 0.5) < 0.01
     assert abs(res.candidate[1][0] - 0.5) < 0.01
 
@@ -359,3 +362,37 @@ def test_saddle_run_rejects_small_lam():
     p = make_strongly_convex_concave(1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         decoupled_saddle_run(p, DecoupledParams(epsilon=0.1, lam=1.0))
+
+
+def test_saddle_and_vi_drivers_share_one_core():
+    # The scsc saddle written as a two-block polymatrix VI, started at the
+    # same point, must take the same steps: same rounds, same per-agent
+    # queries, same candidates after every round.
+    sp = make_strongly_convex_concave(1.0, 1.0, 1.0, n=2)
+    vp = make_polymatrix((2, 2), [[np.eye(2), np.eye(2)],
+                                  [-np.eye(2), np.eye(2)]])
+    vp = dataclasses.replace(vp, z0=list(sp.z0))
+    params = DecoupledParams(epsilon=1e-9, max_rounds=8)
+    sres = decoupled_saddle_run(sp, params)
+    vres = decoupled_vi_run(vp, params)
+    assert sres.rounds == vres.rounds == 8
+    assert list(sres.ledger.queries().values()) == \
+        list(vres.ledger.queries().values())
+    assert len(sres.round_candidates) == len(vres.round_candidates)
+    for sc, vc in zip(sres.round_candidates, vres.round_candidates):
+        for a, b in zip(sc, vc):
+            assert np.allclose(a, b, rtol=0.0, atol=1e-12)
+
+
+def test_polymatrix_lipschitz_matrix_symmetric():
+    # Seed-5 draws of the 3 x 100 polymatrix benchmark instances: separate
+    # power iterations on A_ij and A_ji = -A_ij^T used to leave L slightly
+    # asymmetric, pushing the scaled coupling above one so the default
+    # lam = 2 was rejected.
+    rng = np.random.default_rng(5)
+    for _ in range(2):
+        p = random_polymatrix(3, (100, 100, 100), rng, diag=0.5)
+        assert np.array_equal(p.L, p.L.T)
+        res = decoupled_vi_run(p, DecoupledParams(epsilon=0.1, max_rounds=2))
+        assert res.rounds == 2
+        assert 2.0 * res.info["coupling"] <= res.info["lam"] + 1e-9

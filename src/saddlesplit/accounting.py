@@ -17,6 +17,25 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def _snapshot(point):
+    """An independent copy of a query point.
+
+    Arrays, and tuples or lists of arrays (block points), are copied array
+    by array, which is several times cheaper than `copy.deepcopy`; anything
+    else is deep-copied.
+    """
+    if isinstance(point, np.ndarray):
+        return point.copy()
+    if type(point) in (tuple, list):
+        blocks = []
+        for b in point:
+            if not isinstance(b, np.ndarray):
+                return copy.deepcopy(point)
+            blocks.append(b.copy())
+        return type(point)(blocks)
+    return copy.deepcopy(point)
+
+
 class OracleLedger:
     """Query/round bookkeeping for a set of named agents.
 
@@ -51,7 +70,7 @@ class OracleLedger:
             raise KeyError(f"unknown agent {agent!r}")
         self._counts[agent] += 1
         self._open[agent].append(
-            (copy.deepcopy(point), np.array(response, dtype=float, copy=True)))
+            (_snapshot(point), np.array(response, dtype=float, copy=True)))
 
     def end_round(self):
         """Close the current round; queries after this land in the next one."""

@@ -498,6 +498,19 @@ def _verify_battery():
                 return False
         return True
 
+    def chain_sparse_products():
+        # At k = 100 the chain (202 x 201, 402 nonzeros) takes the
+        # nonzero-triplet products; they must match the dense ones.
+        st = make_hard_saddle("xy", 1.0, 1.0, 100).structure
+        A = st["A"]
+        for _ in range(5):
+            x, y = rng.normal(size=A.shape[1]), rng.normal(size=A.shape[0])
+            for got, want in ((st["matvec"](x), A @ x),
+                              (st["rmatvec"](y), A.T @ y)):
+                if np.linalg.norm(got - want) > 1e-12 * np.linalg.norm(want):
+                    return False
+        return True
+
     checks = [
         ("metric duality", metric_duality),
         ("ledger bookkeeping and span membership", ledger_bookkeeping),
@@ -506,6 +519,7 @@ def _verify_battery():
         ("krylov residual closed form", krylov_closed_form),
         ("restricted gap nonnegativity", gap_nonnegative),
         ("split step joint criterion", split_meets_joint_check),
+        ("chain nonzero products match dense products", chain_sparse_products),
     ]
     for name, fn in checks:
         yield name, bool(fn())

@@ -407,7 +407,7 @@ def _prox_point_loop(metric, psis, metrics, v_parts, lam, inner_step,
     while ledger.round < max_rounds:
         z_parts, sub_parts, diags = inner_step(v, lam)
         ledger.end_round()
-        round_candidates.append([c.copy() for c in candidate])
+        round_candidates.append(candidate)
         V_parts = query_joint(z_parts)
         ledger.end_round()
         iteration += 1
@@ -421,7 +421,7 @@ def _prox_point_loop(metric, psis, metrics, v_parts, lam, inner_step,
         dual = metric.dual_norm(v_psi)
         if dual <= _ZERO_OPERATOR_TOL:
             candidate = [z.copy() for z in z_parts]
-            round_candidates.append([c.copy() for c in candidate])
+            round_candidates.append(candidate)
             status = "solution_found"
             gap = gap_fn(candidate)
             break
@@ -452,7 +452,7 @@ def _prox_point_loop(metric, psis, metrics, v_parts, lam, inner_step,
                     f"telescoped progress inequality violated: "
                     f"{telescope_lhs} > {budget}")
 
-        round_candidates.append([c.copy() for c in candidate])
+        round_candidates.append(candidate)
         if iteration % gap_stride == 0:
             gap = gap_fn(candidate)
             if gap.value <= epsilon:

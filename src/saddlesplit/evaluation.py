@@ -116,26 +116,24 @@ def _saddle_gap(p, candidate, domain, steps):
     kind = st.get("kind")
 
     if kind == "bilinear":
-        A, b = st["A"], st["b"]
-        gy = A @ xbar - b                      # gradient of y -> f(xbar, y)
+        b = st["b"]
+        gy = st["matvec"](xbar) - b            # gradient of y -> f(xbar, y)
         max_side, _ = _linear_ball_max(p.metric_y, yc, ry, gy)
-        gx = A.T @ ybar                        # gradient of x -> f(x, ybar)
+        gx = st["rmatvec"](ybar)               # gradient of x -> f(x, ybar)
         # min over the x-ball of <gx, x> - <b, ybar>
         min_side = -_linear_ball_max(p.metric_x, xc, rx, -gx)[0] - float(b @ ybar)
         return GapResult(max_side - min_side, True, "bilinear-closed-form")
 
     if kind in ("quadratic_x", "quadratic_y"):
-        A, b = st["A"], st["b"]
         w = xbar if kind == "quadratic_x" else ybar
         center, radius, metric = ((xc, rx, p.metric_x) if kind == "quadratic_x"
                                   else (yc, ry, p.metric_y))
         ws = p.saddle[0] if kind == "quadratic_x" else p.saddle[1]
-        residual_at_best = np.linalg.norm(A @ ws - b)
-        if (metric.norm(ws - center) <= radius + 1e-9
-                and residual_at_best <= 1e-9 * (1.0 + np.linalg.norm(b))):
+        if st["consistent"] and metric.norm(ws - center) <= radius + 1e-9:
             # The inner extreme attains zero residual inside the ball, so
             # only the candidate's own residual remains.
-            return GapResult(0.5 * float(np.linalg.norm(A @ w - b) ** 2), True,
+            resid = st["matvec"](w) - st["b"]
+            return GapResult(0.5 * float(np.linalg.norm(resid) ** 2), True,
                              "quadratic-closed-form")
         # fall through to the generic estimator
 

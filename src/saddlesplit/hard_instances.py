@@ -181,9 +181,8 @@ def make_hard_saddle(kind, L, D, k, D_other=1.0, name=None):
         name = f"hard_{kind}"
     if kind == "xy":
         inst = make_hard_instance(L, D, k)
-        prob = make_bilinear(inst.A, inst.b, D_x=D, D_y=D_other, name=name)
-        prob.saddle = (inst.v_star.copy(), np.zeros(inst.A.shape[0]))
-        return prob
+        return make_bilinear(inst.A, inst.b, D_x=D, D_y=D_other, name=name,
+                             x_star=inst.v_star)
     if kind in ("x", "y"):
         inst = make_hard_instance(np.sqrt(L), D, k)
         side_D = {"D_x": D, "D_y": D_other} if kind == "x" else \

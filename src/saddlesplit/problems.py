@@ -24,6 +24,8 @@ import numpy as np
 from saddlesplit.metrics import ScaledMetric
 
 _INF = float("inf")
+# A matrix takes the nonzero-triplet products when nnz * this <= m * n.
+_SPARSE_PRODUCT_RATIO = 64
 
 
 # ---------------------------------------------------------------------------
@@ -397,11 +399,38 @@ def spectral_norm(A, iters=500, tol=1e-12):
 # saddle generators
 # ---------------------------------------------------------------------------
 
-def make_bilinear(A, b=None, D_x=1.0, D_y=1.0, costs=(1.0, 1.0), name="bilinear"):
+def _matrix_products(A):
+    """``(x -> A @ x, y -> A.T @ y)`` with the kernel picked once for `A`.
+
+    Matrices with at most one nonzero in 64 entries (the chain instances of
+    :mod:`saddlesplit.hard_instances`) multiply through their stored nonzero
+    triplets in ``O(nnz)``; denser ones keep the BLAS product, which is
+    faster there.
+    """
+    m, n = A.shape
+    rows, cols = np.nonzero(A)
+    if _SPARSE_PRODUCT_RATIO * rows.size > m * n:
+        return (lambda x: A @ x), (lambda y: A.T @ y)
+    vals = A[rows, cols]
+
+    def matvec(x):
+        return np.bincount(rows, weights=vals * np.asarray(x)[cols],
+                           minlength=m)
+
+    def rmatvec(y):
+        return np.bincount(cols, weights=vals * np.asarray(y)[rows],
+                           minlength=n)
+
+    return matvec, rmatvec
+
+
+def make_bilinear(A, b=None, D_x=1.0, D_y=1.0, costs=(1.0, 1.0), name="bilinear",
+                  x_star=None):
     """Bilinear saddle ``f(x, y) = <A x - b, y>`` with zero composite terms.
 
     Starts at the origin.  The saddle point ``(x*, 0)`` is attached when the
-    linear system ``A x = b`` is consistent.
+    linear system ``A x = b`` is consistent; a known solution `x_star`
+    skips the least-squares solve that would find it.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     m, n = A.shape
@@ -410,20 +439,26 @@ def make_bilinear(A, b=None, D_x=1.0, D_y=1.0, costs=(1.0, 1.0), name="bilinear"
     b = np.asarray(b, dtype=float)
     if b.shape != (m,):
         raise ValueError("right-hand side does not match the row dimension")
+    matvec, rmatvec = _matrix_products(A)
 
     def grad_x(z):
-        return A.T @ z[1]
+        return rmatvec(z[1])
 
     def grad_y(z):
-        return A @ z[0] - b
+        return matvec(z[0]) - b
 
     def f_value(z):
-        return float(np.dot(A @ z[0] - b, z[1]))
+        return float(np.dot(matvec(z[0]) - b, z[1]))
 
     saddle = None
-    xs, res, _, _ = np.linalg.lstsq(A, b, rcond=None)
-    if np.linalg.norm(A @ xs - b) <= 1e-10 * (1.0 + np.linalg.norm(b)):
-        saddle = (xs, np.zeros(m))
+    if x_star is not None:
+        saddle = (np.array(x_star, dtype=float), np.zeros(m))
+        if saddle[0].shape != (n,):
+            raise ValueError("x_star does not match the column dimension")
+    else:
+        xs, _, _, _ = np.linalg.lstsq(A, b, rcond=None)
+        if np.linalg.norm(A @ xs - b) <= 1e-10 * (1.0 + np.linalg.norm(b)):
+            saddle = (xs, np.zeros(m))
     return SaddleProblem(
         grad_x=grad_x, grad_y=grad_y, grad_y_sign=1,
         psi_x=ZeroTerm(), psi_y=ZeroTerm(),
@@ -431,7 +466,8 @@ def make_bilinear(A, b=None, D_x=1.0, D_y=1.0, costs=(1.0, 1.0), name="bilinear"
         L_x=0.0, L_y=0.0, L_xy=spectral_norm(A),
         D_x=D_x, D_y=D_y, costs=costs, saddle=saddle,
         f_value=f_value,
-        structure={"kind": "bilinear", "A": A, "b": b}, name=name)
+        structure={"kind": "bilinear", "A": A, "b": b,
+                   "matvec": matvec, "rmatvec": rmatvec}, name=name)
 
 
 def make_quadratic(A, b=None, side="x", other_dim=1, D_x=1.0, D_y=1.0,
@@ -452,18 +488,31 @@ def make_quadratic(A, b=None, side="x", other_dim=1, D_x=1.0, D_y=1.0,
         raise ValueError("side must be 'x' or 'y'")
     L_own = spectral_norm(A) ** 2
     ws, _, _, _ = np.linalg.lstsq(A, b, rcond=None)
+    matvec, rmatvec = _matrix_products(A)
+    structure = {
+        "kind": f"quadratic_{side}", "A": A, "b": b, "other_dim": other_dim,
+        "matvec": matvec,
+        # Whether the minimiser ``ws`` attains zero residual.
+        "consistent": bool(np.linalg.norm(matvec(ws) - b)
+                           <= 1e-9 * (1.0 + np.linalg.norm(b)))}
     if name is None:
         name = f"quadratic_{side}"
 
+    def descent_grad(w):
+        return rmatvec(matvec(w) - b)
+
+    def half_residual(w):
+        return 0.5 * float(np.linalg.norm(matvec(w) - b) ** 2)
+
     if side == "x":
         def grad_x(z):
-            return A.T @ (A @ z[0] - b)
+            return descent_grad(z[0])
 
         def grad_y(z):
             return np.zeros(other_dim)
 
         def f_value(z):
-            return 0.5 * float(np.linalg.norm(A @ z[0] - b) ** 2)
+            return half_residual(z[0])
 
         return SaddleProblem(
             grad_x=grad_x, grad_y=grad_y, grad_y_sign=1,
@@ -472,8 +521,7 @@ def make_quadratic(A, b=None, side="x", other_dim=1, D_x=1.0, D_y=1.0,
             L_x=L_own, L_y=0.0, L_xy=0.0,
             D_x=D_x, D_y=D_y, costs=costs,
             saddle=(ws, np.zeros(other_dim)), f_value=f_value,
-            structure={"kind": "quadratic_x", "A": A, "b": b,
-                       "other_dim": other_dim}, name=name)
+            structure=structure, name=name)
 
     def grad_x_(z):
         return np.zeros(other_dim)
@@ -481,10 +529,10 @@ def make_quadratic(A, b=None, side="x", other_dim=1, D_x=1.0, D_y=1.0,
     def grad_y_(z):
         # Raw response is the descent gradient of the inner convex problem,
         # i.e. -grad_y f; hence grad_y_sign = -1 below.
-        return A.T @ (A @ z[1] - b)
+        return descent_grad(z[1])
 
     def f_value_(z):
-        return -0.5 * float(np.linalg.norm(A @ z[1] - b) ** 2)
+        return -half_residual(z[1])
 
     return SaddleProblem(
         grad_x=grad_x_, grad_y=grad_y_, grad_y_sign=-1,
@@ -493,8 +541,7 @@ def make_quadratic(A, b=None, side="x", other_dim=1, D_x=1.0, D_y=1.0,
         L_x=0.0, L_y=L_own, L_xy=0.0,
         D_x=D_x, D_y=D_y, costs=costs,
         saddle=(np.zeros(other_dim), ws), f_value=f_value_,
-        structure={"kind": "quadratic_y", "A": A, "b": b,
-                   "other_dim": other_dim}, name=name)
+        structure=structure, name=name)
 
 
 def make_strongly_convex_concave(mu_x, mu_y, coupling, n=1, D_x=1.0, D_y=1.0,

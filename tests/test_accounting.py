@@ -90,3 +90,22 @@ def test_span_check_empty_history():
     assert ok and res == 0.0
     ok2, _ = span_check(led, "x", np.ones(2), np.zeros(2), m)
     assert not ok2
+
+
+def test_recorded_points_are_independent_copies():
+    led = OracleLedger(("x",))
+    oracle = led.bind("x", lambda z: z[0] + z[1])
+    x, y = np.array([1.0, 2.0]), np.array([3.0, 4.0])
+    oracle((x, y))
+    x[:] = -1.0
+    y[:] = -1.0
+    (point, response), = led.trace("x")
+    assert isinstance(point, tuple)
+    assert np.array_equal(point[0], [1.0, 2.0])
+    assert np.array_equal(point[1], [3.0, 4.0])
+    assert np.array_equal(response, [4.0, 6.0])
+
+    ints = OracleLedger(("a",))
+    ints.record("a", [0, 1], np.zeros(1))
+    ints.record("a", 7, np.zeros(1))
+    assert [p for p, _ in ints.trace("a")] == [[0, 1], 7]

@@ -396,3 +396,28 @@ def test_polymatrix_lipschitz_matrix_symmetric():
         res = decoupled_vi_run(p, DecoupledParams(epsilon=0.1, max_rounds=2))
         assert res.rounds == 2
         assert 2.0 * res.info["coupling"] <= res.info["lam"] + 1e-9
+
+
+def test_round_candidates_shared_not_copied(monkeypatch):
+    """The candidate closing one iteration is the one retained after the
+    next solve round: the same arrays, with the values seen at gap time."""
+    from saddlesplit import decoupled
+    from saddlesplit.evaluation import restricted_gap
+    from saddlesplit.hard_instances import make_hard_saddle
+
+    seen = []
+
+    def gap(problem, candidate, domain=None):
+        seen.append([np.array(b) for b in candidate])
+        return restricted_gap(problem, candidate, domain)
+
+    monkeypatch.setattr(decoupled, "restricted_gap", gap)
+    p = make_hard_saddle("xy", 1.0, 1.0, 20)
+    res = decoupled_saddle_run(p, DecoupledParams(epsilon=0.05))
+    rc = res.round_candidates
+    iterations = res.info["iterations"]
+    assert iterations >= 3 and len(rc) == 2 * iterations
+    for t in range(iterations - 1):
+        assert all(a is b for a, b in zip(rc[2 * t + 1], rc[2 * t + 2]))
+    for t in range(iterations):
+        assert all(np.array_equal(a, b) for a, b in zip(rc[2 * t + 1], seen[t]))

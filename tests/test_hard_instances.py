@@ -126,3 +126,29 @@ def test_residual_floor_on_fixed_instance():
                 x /= nrm
             gap = restricted_gap(prob, (x, np.zeros(inst.A.shape[0])))
             assert gap.value >= floor - 1e-9
+
+
+def test_chain_saddle_skips_least_squares(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("least-squares solve on the chain instance")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    p = make_hard_saddle("xy", 1, 1, 500)
+    assert np.array_equal(p.saddle[0], make_hard_instance(1, 1, 500).v_star)
+    assert np.array_equal(p.saddle[1], np.zeros(1002))
+
+
+def test_chain_gap_matches_dense_formula():
+    p = make_hard_saddle("xy", 1.0, 1.0, 500)
+    A, b = p.structure["A"], p.structure["b"]
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        x, y = rng.normal(size=1001), rng.normal(size=1002)
+        x /= 2.0 * np.linalg.norm(x)
+        y /= 2.0 * np.linalg.norm(y)
+        g = restricted_gap(p, (x, y))
+        # max_y <Ax - b, y> - min_x (<A^T y, x> - <b, y>) over unit balls
+        want = (np.linalg.norm(A @ x - b) + np.linalg.norm(A.T @ y)
+                + float(b @ y))
+        assert g.exact
+        assert g.value == pytest.approx(want, rel=1e-12)

@@ -10,6 +10,7 @@ from saddlesplit.problems import (
     make_bilinear, make_quadratic, make_strongly_convex_concave,
     make_polymatrix, random_polymatrix, save_instance, load_instance,
 )
+from saddlesplit.hard_instances import make_hard_saddle
 
 I1 = ScaledMetric(1)
 I2 = ScaledMetric(2)
@@ -225,3 +226,32 @@ def test_instance_roundtrip(tmp_path, build):
         assert np.allclose(p.grad_y(z), q.grad_y(z), atol=1e-12)
         assert q.grad_y_sign == p.grad_y_sign
         assert (q.L_x, q.L_y, q.L_xy) == pytest.approx((p.L_x, p.L_y, p.L_xy))
+
+
+def test_matrix_products_match_dense_on_both_kernels():
+    rng = np.random.default_rng(11)
+    chain = make_hard_saddle("xy", 1.0, 1.0, 500)      # nonzero-triplet kernel
+    dense = make_bilinear(rng.normal(size=(30, 20)))    # BLAS kernel
+    quad = make_quadratic(rng.normal(size=(30, 20)), rng.normal(size=30))
+    for p in (chain, dense, quad):
+        A = p.structure["A"]
+        m, n = A.shape
+        for _ in range(3):
+            x, y = rng.normal(size=n), rng.normal(size=m)
+            got = p.structure["matvec"](x)
+            assert np.linalg.norm(got - A @ x) <= 1e-12 * np.linalg.norm(A @ x)
+            if "rmatvec" in p.structure:
+                got = p.structure["rmatvec"](y)
+                assert (np.linalg.norm(got - A.T @ y)
+                        <= 1e-12 * np.linalg.norm(A.T @ y))
+    x, y = rng.normal(size=1001), rng.normal(size=1002)
+    A, b = chain.structure["A"], chain.structure["b"]
+    assert np.allclose(chain.grad_x((x, y)), A.T @ y, rtol=1e-12, atol=1e-14)
+    assert np.allclose(chain.grad_y((x, y)), A @ x - b, rtol=1e-12, atol=1e-14)
+
+
+def test_bilinear_known_solution():
+    p = make_bilinear(np.eye(2), np.array([1.0, 2.0]), x_star=[1.0, 2.0])
+    assert np.array_equal(p.saddle[0], [1.0, 2.0])
+    with pytest.raises(ValueError):
+        make_bilinear(np.eye(2), x_star=np.zeros(3))

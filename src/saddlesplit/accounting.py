@@ -168,9 +168,8 @@ class RunResult:
         Final joint candidate.
     gap : object or None
         Last gap evaluation (a `GapResult`), when a gap oracle was supplied.
-    rounds : int
-        Communication rounds used.
     ledger : OracleLedger
+        The run's ledger; `rounds` reads its completed rounds.
     round_candidates : list of ndarray
         Candidate available after each completed round; entry ``t`` is the
         candidate after round ``t + 1``.
@@ -180,10 +179,14 @@ class RunResult:
     status: str
     candidate: np.ndarray
     gap: object
-    rounds: int
     ledger: OracleLedger
     round_candidates: list = field(default_factory=list)
     info: dict = field(default_factory=dict)
+
+    @property
+    def rounds(self):
+        """Communication rounds used, as counted by the ledger."""
+        return self.ledger.round
 
     @property
     def converged(self):

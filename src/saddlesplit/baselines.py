@@ -111,8 +111,9 @@ def extragradient_run(problem, params, ledger=None, domain=None):
             break
     if status == "budget_exhausted":
         gap = restricted_gap(p, candidate, domain)
-    return RunResult(status=status,
-                     candidate=candidate, gap=gap, rounds=ledger.round,
+        if gap.value <= params.epsilon:
+            status = "converged"
+    return RunResult(status=status, candidate=candidate, gap=gap,
                      ledger=ledger, round_candidates=round_candidates,
                      info={"alpha": (ax, ay), "eta": params.eta})
 
@@ -163,8 +164,9 @@ def local_gda_run(problem, params, ledger=None, domain=None):
                 break
     if status == "budget_exhausted":
         gap = restricted_gap(p, candidate, domain)
+        if gap.value <= params.epsilon:
+            status = "converged"
     return RunResult(status=status, candidate=candidate, gap=gap,
-                     rounds=ledger.round, ledger=ledger,
-                     round_candidates=round_candidates,
+                     ledger=ledger, round_candidates=round_candidates,
                      info={"eta": (eta_x, eta_y),
                            "steps_per_round": params.steps_per_round})

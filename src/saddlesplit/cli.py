@@ -99,8 +99,7 @@ def _literal(sec, key, where):
         raise ConfigError(f"bad literal for {key!r} in [{where}]: {exc}")
 
 
-def parse_config(path, seed=None):
-    """Parse an experiment file; `seed` overrides the config's own seed."""
+def _read_ini(path):
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     cp = configparser.ConfigParser()
@@ -109,6 +108,34 @@ def parse_config(path, seed=None):
             cp.read_file(fh)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}")
+    return cp
+
+
+def _build_instance(sec, iid, base, rng):
+    """The instance an ``[instance...]`` section declares.
+
+    ``file =`` paths resolve against `base` (the config's directory);
+    ``kind = random_polymatrix`` draws from `rng`; anything else is inline.
+    """
+    try:
+        if "file" in sec:
+            return load_instance(os.path.join(base, sec["file"]))
+        if sec.get("kind") == "random_polymatrix":
+            dims = tuple(_literal(sec, "dims", sec.name))
+            return random_polymatrix(
+                len(dims), dims, rng,
+                coupling=_literal(sec, "coupling", sec.name)
+                if "coupling" in sec else 1.0,
+                diag=_literal(sec, "diag", sec.name) if "diag" in sec else 0.0,
+                name=iid)
+        return instance_from_section(sec)
+    except (KeyError, ValueError, OSError) as exc:
+        raise ConfigError(f"cannot build instance [{sec.name}]: {exc}")
+
+
+def parse_config(path, seed=None):
+    """Parse an experiment file; `seed` overrides the config's own seed."""
+    cp = _read_ini(path)
     if "experiment" not in cp:
         raise ConfigError("missing [experiment] section")
     exp = cp["experiment"]
@@ -138,26 +165,7 @@ def parse_config(path, seed=None):
         sec = cp[section]
         iid = section.split(".", 1)[1] if "." in section else \
             sec.get("name", "instance")
-        try:
-            if "file" in sec:
-                ref = sec["file"]
-                if not os.path.isabs(ref):
-                    ref = os.path.join(base, ref)
-                problem = load_instance(ref)
-            elif sec.get("kind") == "random_polymatrix":
-                dims = tuple(_literal(sec, "dims", section))
-                problem = random_polymatrix(
-                    len(dims), dims, rng,
-                    coupling=_literal(sec, "coupling", section)
-                    if "coupling" in sec else 1.0,
-                    diag=_literal(sec, "diag", section)
-                    if "diag" in sec else 0.0,
-                    name=iid)
-            else:
-                problem = instance_from_section(sec)
-        except (KeyError, ValueError, OSError) as exc:
-            raise ConfigError(f"cannot build instance [{section}]: {exc}")
-        instances.append((iid, problem))
+        instances.append((iid, _build_instance(sec, iid, base, rng)))
     if not instances:
         raise ConfigError("config declares no [instance] sections")
 
@@ -571,15 +579,16 @@ def _cmd_verify(_args):
 
 def _cmd_bounds(args):
     try:
-        if not os.path.exists(args.config):
-            raise ConfigError(f"config file not found: {args.config}")
-        cp = configparser.ConfigParser()
-        with open(args.config) as fh:
-            cp.read_file(fh)
+        cp = _read_ini(args.config)
         if "instance" not in cp:
             raise ConfigError("missing [instance] section")
-        problem = instance_from_section(cp["instance"])
-    except (ConfigError, KeyError, ValueError) as exc:
+        sec = cp["instance"]
+        # The instance `run` would build: same file resolution, same seed.
+        problem = _build_instance(
+            sec, sec.get("name", "instance"),
+            os.path.dirname(os.path.abspath(args.config)),
+            np.random.default_rng(cp.getint("experiment", "seed", fallback=0)))
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     d_hat = tuple(ast.literal_eval(args.d_hat)) if args.d_hat else None

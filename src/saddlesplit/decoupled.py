@@ -20,12 +20,14 @@ is a gradient, and an anchored extragradient loop for general monotone
 blocks.  Neither touches a remote oracle, which is what keeps the round
 count independent of the single-agent conditioning.
 
-Drivers.  One private core runs a block problem with coupling matrix
-``L``.  A two-agent saddle problem is the two-block case with operator
-``V = (grad_x f, -grad_y f)`` and ``L = [[L_x, L_xy], [L_xy, L_y]]``, so
-`decoupled_saddle_run` only binds its oracles and supplies its round cap
-and gap; `decoupled_vi_run` does the same for a block VI.  Blocks that no
-other block depends on are solved once locally and frozen.
+Drivers.  One private function runs a block problem with coupling matrix
+``L``: scalings, frozen blocks, outer loop and `RunResult`.  A two-agent
+saddle problem is the two-block case with ``V = (grad_x f, -grad_y f)``
+and ``L = [[L_x, L_xy], [L_xy, L_y]]``; `decoupled_saddle_run` binds its
+oracles and `decoupled_vi_run` those of a block VI.  The default round cap
+is the `complexity_bounds` round bound (the one ``run --check-bounds``
+applies) rounded up, plus two.  Blocks that no other block depends on are
+solved once locally and frozen.
 """
 
 import math
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from saddlesplit.accounting import OracleLedger, RunResult
-from saddlesplit.evaluation import restricted_gap, theta_factor
+from saddlesplit.evaluation import complexity_bounds, restricted_gap
 from saddlesplit.metrics import ProductMetric
 from saddlesplit.problems import (
     QuadraticReg, RegularizedTerm, ZeroTerm, argmin_linear,
@@ -383,94 +385,6 @@ def split_prox_step(operators, psis, metrics, alphas, anchors, lam,
 
 
 # ---------------------------------------------------------------------------
-# outer loop
-# ---------------------------------------------------------------------------
-
-def _prox_point_loop(metric, psis, metrics, v_parts, lam, inner_step,
-                     query_joint, ledger, gap_fn, epsilon, max_rounds,
-                     gap_stride=1, reference=None):
-    """Shared outer loop; see the module docstring for the iteration."""
-    join = metric.join
-    v = [p.copy() for p in v_parts]
-    acc = [np.zeros_like(p) for p in v_parts]
-    a_sum = 0.0
-    candidate = [p.copy() for p in v_parts]
-    round_candidates = []
-    gap = None
-    status = "budget_exhausted"
-    telescope_lhs = 0.0
-    v0_joint = join(v)
-    ref_joint = join(reference) if reference is not None else None
-    a_history = []
-    iteration = 0
-
-    while ledger.round < max_rounds:
-        z_parts, sub_parts, diags = inner_step(v, lam)
-        ledger.end_round()
-        round_candidates.append(candidate)
-        V_parts = query_joint(z_parts)
-        ledger.end_round()
-        iteration += 1
-
-        z_joint = join(z_parts)
-        v_joint = join(v)
-        V_joint = join(V_parts)
-        sub_joint = join(sub_parts)
-        v_psi = V_joint + sub_joint
-
-        dual = metric.dual_norm(v_psi)
-        if dual <= _ZERO_OPERATOR_TOL:
-            candidate = [z.copy() for z in z_parts]
-            round_candidates.append(candidate)
-            status = "solution_found"
-            gap = gap_fn(candidate)
-            break
-
-        ok, lhs, rhs = scaled_prox_check(V_joint, sub_joint, z_joint,
-                                         v_joint, lam, metric)
-        if not ok:
-            raise AssertionError(
-                f"scaled-prox criterion violated: {lhs} > {rhs}")
-
-        a = anchor_weight(v_psi, v_joint, z_joint, metric, lam)
-        a_history.append(a)
-        a_sum += a
-        acc = [ai + a * zi for ai, zi in zip(acc, z_parts)]
-        candidate = [ai / a_sum for ai in acc]
-
-        half = v_joint - a * metric.apply_inv(v_psi)
-        half_parts = metric.split(half)
-        v = [psis[i].project_domain(metrics[i], half_parts[i])
-             for i in range(len(v))]
-
-        if ref_joint is not None:
-            telescope_lhs += a * float(np.dot(v_psi, z_joint - ref_joint))
-            budget = (0.5 * metric.norm(v0_joint - ref_joint) ** 2
-                      - 0.5 * metric.norm(join(v) - ref_joint) ** 2)
-            if telescope_lhs > budget + 1e-8:
-                raise AssertionError(
-                    f"telescoped progress inequality violated: "
-                    f"{telescope_lhs} > {budget}")
-
-        round_candidates.append(candidate)
-        if iteration % gap_stride == 0:
-            gap = gap_fn(candidate)
-            if gap.value <= epsilon:
-                status = "converged"
-                break
-
-    if status == "budget_exhausted":
-        gap = gap_fn(candidate)
-        if gap.value <= epsilon:
-            status = "converged"
-    return {
-        "status": status, "candidate": candidate, "gap": gap,
-        "round_candidates": round_candidates, "a_history": a_history,
-        "iterations": iteration, "telescope_lhs": telescope_lhs,
-    }
-
-
-# ---------------------------------------------------------------------------
 # drivers
 # ---------------------------------------------------------------------------
 
@@ -483,19 +397,23 @@ class DecoupledParams:
     gap_stride: int = 1
 
 
-def _decoupled_run(oracles, psis, metrics, z0, L, d_hat, gradient, params,
-                   max_rounds, ledger, reference, gap_fn):
+def _decoupled_run(problem, oracles, psis, metrics, L, d_hat, gradient,
+                   params, comm_bound, ledger, reference, domain):
     """The decoupled solver on a block problem; both drivers call this.
 
-    ``oracles[i]`` is block ``i``'s ledger-bound operator on the list of all
-    blocks and ``L`` the block Lipschitz matrix.  Scalings ``alpha_i =
+    ``oracles[i]`` is block ``i``'s ledger-bound operator on the tuple of
+    all blocks and ``L`` the block Lipschitz matrix.  Scalings ``alpha_i =
     sum_{j != i} L_ij Dhat_j / Dhat_i`` balance the cross-coupling; blocks
     with ``alpha_i = 0`` are solved locally once and frozen.  Blocks with
     ``gradient[i]`` use the staged accelerated engine, the rest the
-    anchored extragradient loop.  ``reference`` (a known solution or None)
-    arms the telescoping check; ``gap_fn`` maps a full candidate to a gap.
+    anchored extragradient loop.  ``comm_bound`` sets the default round
+    cap and ``reference`` (a known solution or None) arms the telescoping
+    check.  Candidates are full-block tuples scored by `restricted_gap`.
     """
     K = len(oracles)
+    eps = params.epsilon
+    max_rounds = (math.ceil(comm_bound) + 2 if params.max_rounds is None
+                  else params.max_rounds)
     alphas = [sum(L[i][j] * d_hat[j] for j in range(K) if j != i) / d_hat[i]
               for i in range(K)]
     active = [i for i in range(K) if alphas[i] > 0]
@@ -512,7 +430,7 @@ def _decoupled_run(oracles, psis, metrics, z0, L, d_hat, gradient, params,
             return oracles[i](base[:i] + (w,) + base[i + 1:])
         return op
 
-    full = [b.copy() for b in z0]
+    full = [b.copy() for b in problem.z0]
     for i in range(K):
         if i in active:
             continue
@@ -521,21 +439,18 @@ def _decoupled_run(oracles, psis, metrics, z0, L, d_hat, gradient, params,
         # eps / (4 Dhat_i^2) bounds its gap contribution over the
         # restriction ball by eps / 2.
         task = BlockTask(operator=block_operator(i, tuple(full)), psi=psis[i],
-                         anchor=z0[i], metric=metrics[i],
+                         anchor=full[i], metric=metrics[i],
                          lipschitz=float(L[i][i]))
-        full[i] = residual_agd(
-            task, xi=params.epsilon / (4.0 * d_hat[i] * d_hat[i])).point
+        full[i] = residual_agd(task, xi=eps / (4.0 * d_hat[i] * d_hat[i])).point
 
     if not active:
         ledger.end_round()
         ledger.end_round()
         candidate = tuple(full)
-        gap = gap_fn(candidate)
-        status = ("local_solve" if gap.value <= params.epsilon
-                  else "budget_exhausted")
+        gap = restricted_gap(problem, candidate, domain)
+        status = "local_solve" if gap.value <= eps else "budget_exhausted"
         return RunResult(status=status, candidate=candidate, gap=gap,
-                         rounds=ledger.round, ledger=ledger,
-                         round_candidates=[candidate, candidate],
+                         ledger=ledger, round_candidates=[candidate, candidate],
                          info={"local": True, "alpha": alphas})
 
     def full_point(parts):
@@ -547,36 +462,91 @@ def _decoupled_run(oracles, psis, metrics, z0, L, d_hat, gradient, params,
     act_alphas = [alphas[i] for i in active]
     act_psis = [psis[i] for i in active]
     act_metrics = [metrics[i] for i in active]
+    act_lips = [float(L[i][i]) for i in active]
     coupling = vip_coupling([[float(L[i][j]) for j in active] for i in active],
                             act_alphas, [d_hat[i] for i in active])
-    if params.lam < 2.0 * coupling - 1e-9:
+    lam = params.lam
+    if lam < 2.0 * coupling - 1e-9:
         raise ValueError("lam is below twice the scaled coupling constant")
 
-    def inner_step(v, lam):
+    # The outer loop; see the module docstring for the iteration.
+    metric = ProductMetric(list(zip(act_metrics, act_alphas)))
+    v = [full[i].copy() for i in active]
+    v0_joint = metric.join(v)
+    ref_joint = (None if reference is None
+                 else metric.join([reference[i] for i in active]))
+    acc = [np.zeros_like(p) for p in v]
+    a_sum = telescope_lhs = 0.0
+    a_history = []
+    candidate = tuple(full)
+    round_candidates = []
+    gap, status = None, "budget_exhausted"
+    while ledger.round < max_rounds:
         anchor = full_point(v)
-        return split_prox_step(
+        z_parts, sub_parts, _ = split_prox_step(
             [block_operator(i, anchor) for i in active], act_psis,
-            act_metrics, act_alphas, v, lam, [float(L[i][i]) for i in active],
+            act_metrics, act_alphas, v, lam, act_lips,
             inner_flags=[gradient[i] for i in active])
+        ledger.end_round()
+        round_candidates.append(candidate)
+        point = full_point(z_parts)
+        V_joint = metric.join([oracles[i](point) for i in active])
+        ledger.end_round()
 
-    def query_joint(z):
-        point = full_point(z)
-        return [oracles[i](point) for i in active]
+        z_joint = metric.join(z_parts)
+        v_joint = metric.join(v)
+        sub_joint = metric.join(sub_parts)
+        v_psi = V_joint + sub_joint
 
-    out = _prox_point_loop(
-        ProductMetric([(metrics[i], alphas[i]) for i in active]), act_psis,
-        act_metrics, [z0[i] for i in active], params.lam, inner_step,
-        query_joint, ledger, lambda c: gap_fn(full_point(c)), params.epsilon,
-        max_rounds, params.gap_stride,
-        reference=None if reference is None else [reference[i] for i in active])
+        if metric.dual_norm(v_psi) <= _ZERO_OPERATOR_TOL:
+            candidate, status = point, "solution_found"
+            round_candidates.append(candidate)
+            gap = restricted_gap(problem, candidate, domain)
+            break
+
+        ok, lhs, rhs = scaled_prox_check(V_joint, sub_joint, z_joint,
+                                         v_joint, lam, metric)
+        if not ok:
+            raise AssertionError(
+                f"scaled-prox criterion violated: {lhs} > {rhs}")
+
+        a = anchor_weight(v_psi, v_joint, z_joint, metric, lam)
+        a_history.append(a)
+        a_sum += a
+        acc = [ai + a * zi for ai, zi in zip(acc, z_parts)]
+        candidate = full_point([ai / a_sum for ai in acc])
+
+        half_parts = metric.split(v_joint - a * metric.apply_inv(v_psi))
+        v = [psi.project_domain(m, h)
+             for psi, m, h in zip(act_psis, act_metrics, half_parts)]
+
+        if ref_joint is not None:
+            telescope_lhs += a * float(np.dot(v_psi, z_joint - ref_joint))
+            budget = (0.5 * metric.norm(v0_joint - ref_joint) ** 2
+                      - 0.5 * metric.norm(metric.join(v) - ref_joint) ** 2)
+            if telescope_lhs > budget + 1e-8:
+                raise AssertionError(
+                    f"telescoped progress inequality violated: "
+                    f"{telescope_lhs} > {budget}")
+
+        round_candidates.append(candidate)
+        if (ledger.round // 2) % params.gap_stride == 0:
+            gap = restricted_gap(problem, candidate, domain)
+            if gap.value <= eps:
+                status = "converged"
+                break
+
+    if status == "budget_exhausted":
+        gap = restricted_gap(problem, candidate, domain)
+        if gap.value <= eps:
+            status = "converged"
     return RunResult(
-        status=out["status"], candidate=full_point(out["candidate"]),
-        gap=out["gap"], rounds=ledger.round, ledger=ledger,
-        round_candidates=[full_point(c) for c in out["round_candidates"]],
-        info={"alpha": alphas, "lam": params.lam, "coupling": coupling,
-              "a_history": out["a_history"], "iterations": out["iterations"],
+        status=status, candidate=candidate, gap=gap, ledger=ledger,
+        round_candidates=round_candidates,
+        info={"alpha": alphas, "lam": lam, "coupling": coupling,
+              "a_history": a_history, "iterations": ledger.round // 2,
               "frozen_blocks": [i for i in range(K) if i not in active],
-              "telescope_lhs": out["telescope_lhs"]})
+              "telescope_lhs": telescope_lhs})
 
 
 def decoupled_saddle_run(problem, params, ledger=None, domain=None):
@@ -587,45 +557,39 @@ def decoupled_saddle_run(problem, params, ledger=None, domain=None):
     scaled coupling constant equal to one, so the default ``lam = 2`` meets
     the weak-coupling requirement with equality.  When the agents do not
     interact at all (``L_xy = 0``) the run is one local solve per agent and
-    a single exchange.  The ledger records the raw ``y`` responses.
+    a single exchange.  The ledger records the raw ``y`` responses.  The
+    default round cap comes from ``dmsp_comm``, and ``info["theta"]`` is
+    the diameter factor of the same report.
     """
     p = problem
     if ledger is None:
         ledger = OracleLedger(("x", "y"), costs=p.costs)
     d_hat = params.d_hat if params.d_hat is not None else (p.D_x, p.D_y)
-    theta = theta_factor(p.D_x, p.D_y, d_hat[0], d_hat[1])
-    max_rounds = params.max_rounds
-    if max_rounds is None:
-        max_rounds = math.ceil(
-            2.0 + 2.0 * theta * p.L_xy * p.D_x * p.D_y / params.epsilon) + 2
+    report = complexity_bounds(p, params.epsilon, d_hat=d_hat)
     oy = ledger.bind("y", p.grad_y)
     res = _decoupled_run(
-        [ledger.bind("x", p.grad_x), lambda z: p.vy_from_raw(oy(z))],
-        [p.psi_x, p.psi_y], [p.metric_x, p.metric_y], p.z0,
+        p, [ledger.bind("x", p.grad_x), lambda z: p.vy_from_raw(oy(z))],
+        [p.psi_x, p.psi_y], [p.metric_x, p.metric_y],
         [[p.L_x, p.L_xy], [p.L_xy, p.L_y]], d_hat, [True, True], params,
-        max_rounds, ledger, p.saddle, lambda c: restricted_gap(p, c, domain))
-    res.info.update(alpha=tuple(res.info["alpha"]), theta=theta)
+        report.dmsp_comm, ledger, p.saddle, domain)
+    res.info.update(alpha=tuple(res.info["alpha"]), theta=report.theta)
     return res
 
 
 def decoupled_vi_run(problem, params, ledger=None, domain=None):
     """Decoupled solver for block variational inequalities.
 
-    See `_decoupled_run`; the default round cap is
-    ``2 + 2 sum_{i != j} L_ij D_i D_j / eps`` plus two.
+    See `_decoupled_run`; the default round cap comes from ``dmvip_comm``,
+    ``2 + 2 sum_{i != j} L_ij D_i D_j / eps``.
     """
     p = problem
     agents = tuple(str(i + 1) for i in range(p.K))
     if ledger is None:
         ledger = OracleLedger(agents, costs=p.costs)
-    max_rounds = params.max_rounds
-    if max_rounds is None:
-        cross = sum(p.L[i, j] * p.D[i] * p.D[j]
-                    for i in range(p.K) for j in range(p.K) if i != j)
-        max_rounds = math.ceil(2.0 + 2.0 * cross / params.epsilon) + 2
     return _decoupled_run(
-        [ledger.bind(a, op) for a, op in zip(agents, p.operators)], p.psis,
-        p.metrics, p.z0, p.L,
+        p, [ledger.bind(a, op) for a, op in zip(agents, p.operators)], p.psis,
+        p.metrics, p.L,
         params.d_hat if params.d_hat is not None else list(p.D),
-        p.block_is_gradient, params, max_rounds, ledger, p.solution,
-        lambda c: restricted_gap(p, c, domain))
+        p.block_is_gradient, params,
+        complexity_bounds(p, params.epsilon).dmvip_comm, ledger, p.solution,
+        domain)

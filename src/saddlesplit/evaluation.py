@@ -175,11 +175,14 @@ def _vip_gap(p, candidate, domain, steps):
     st = p.structure or {}
     if st.get("kind") != "polymatrix":
         raise ValueError("weak-gap estimation needs affine operator structure")
-    mats, b = st["blocks"], st["b"]
-    dims = p.dims
-    offs = np.concatenate([[0], np.cumsum(dims)])
-    Abar = np.block(mats)
-    bflat = np.concatenate(b)
+    if "Abar" not in st:
+        # Built on the first call, not by the generator, so hand-built
+        # polymatrix structures are cached too.
+        st["Abar"] = np.block(st["blocks"])
+        st["lip"] = 2.0 * spectral_norm(st["Abar"])
+    Abar, lip = st["Abar"], st["lip"]
+    offs = np.concatenate([[0], np.cumsum(p.dims)])
+    bflat = np.concatenate(st["b"])
     zbar = np.concatenate([np.asarray(c, dtype=float) for c in candidate])
 
     def split(z):
@@ -189,8 +192,6 @@ def _vip_gap(p, candidate, domain, steps):
     # concave whenever the diagonal blocks are PSD.
     def grad(zflat):
         return Abar.T @ (zbar - zflat) - (Abar @ zflat - bflat)
-
-    lip = 2.0 * spectral_norm(Abar)
 
     z = np.concatenate([domain.block(i)[0] for i in range(p.K)])
     for _ in range(steps):
@@ -290,13 +291,13 @@ def complexity_bounds(problem, eps, d_hat=None, costs=None):
     if isinstance(problem, VipProblem):
         K = problem.K
         L, D = problem.L, list(problem.D)
-        cross = sum(L[i, j] * D[i] * D[j]
-                    for i in range(K) for j in range(K) if i != j)
+        cross = float(sum(L[i, j] * D[i] * D[j]
+                          for i in range(K) for j in range(K) if i != j))
         return BoundsReport(
             dmvip_comm=2.0 + 2.0 * cross / eps,
-            A_terms=[D[i] * sum(L[i, j] * D[j] for j in range(K) if j != i)
-                     for i in range(K)],
-            B_terms=[L[i, i] * D[i] ** 2 for i in range(K)],
+            A_terms=[float(D[i] * sum(L[i, j] * D[j] for j in range(K)
+                                      if j != i)) for i in range(K)],
+            B_terms=[float(L[i, i] * D[i] ** 2) for i in range(K)],
         )
 
     p = problem

@@ -373,17 +373,19 @@ def spectral_norm(A, iters=500, tol=1e-12):
     """Largest singular value of `A` by power iteration on ``A^T A``.
 
     Deterministic: the start vector is fixed, so repeated calls agree to
-    the last bit.
+    the last bit.  Products go through `_matrix_products`, so a sparse
+    chain matrix costs ``O(nnz)`` per iteration, as in its oracles.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if A.size == 0 or not np.any(A):
         return 0.0
+    matvec, rmatvec = _matrix_products(A)
     n = A.shape[1]
     v = np.ones(n) + 1e-3 * np.arange(n)
     v /= np.linalg.norm(v)
     prev = 0.0
     for _ in range(iters):
-        w = A.T @ (A @ v)
+        w = rmatvec(matvec(v))
         nrm = np.linalg.norm(w)
         if nrm == 0.0:
             return 0.0

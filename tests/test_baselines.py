@@ -90,3 +90,23 @@ def test_gda_steps_per_round_accounting():
     assert res.rounds == 3
     assert res.ledger.queries("x") == 12
     assert res.ledger.queries("y") == 12
+
+
+def test_eg_final_gap_within_eps_converges():
+    # The stride skips every in-loop gap check, so only the final gap of
+    # the exhausted budget can show that the target was met.
+    p = make_bilinear(np.array([[1.0]]), b=np.array([0.6]))
+    res = extragradient_run(p, ExtragradientParams(
+        epsilon=0.1, gap_stride=1000, max_rounds=200))
+    assert res.rounds == 200
+    assert res.gap.value <= 0.1
+    assert res.status == "converged"
+
+
+def test_gda_final_gap_within_eps_converges():
+    p = make_strongly_convex_concave(1.0, 1.0, 0.5, n=1)
+    res = local_gda_run(p, LocalGdaParams(epsilon=0.1, gap_stride=1000,
+                                          max_rounds=50))
+    assert res.rounds == 50
+    assert res.gap.value <= 0.1
+    assert res.status == "converged"

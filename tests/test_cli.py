@@ -1,5 +1,6 @@
 """End-to-end tests for the experiment runner CLI."""
 
+import ast
 import os
 
 import numpy as np
@@ -313,3 +314,67 @@ b = [0.0]
     out = capsys.readouterr().out
     assert "dmsp_comm = 42.0" in out
     assert "theta = 2.0" in out
+
+
+def test_eg_final_gap_meets_bound(tmp_path):
+    # Twenty rounds fit eg_comm = 20 at eps = 0.1 exactly; the stride skips
+    # the in-loop gap checks, and the final gap still meets eps.
+    text = SP_CONFIG.replace(
+        "epsilons = [0.2, 0.1, 0.05]",
+        "epsilons = [0.1]\ncheck_bounds = true") + (
+        "\n[solver.extragradient]\ngap_stride = 1000\nmax_rounds = 20\n")
+    path = _write(tmp_path, text)
+    rows = cli.run_experiment(cli.parse_config(path), clock=lambda: 0.0)
+    eg = next(r for r in rows if r.solver == "extragradient")
+    assert eg.rounds == 20 and eg.rounds <= eg.bound_comm
+    assert eg.weighted_cost <= eg.bound_oracle
+    assert eg.gap <= 0.1
+    assert (eg.status, eg.compliant) == ("converged", "true")
+    assert cli.main(["run", "--config", path,
+                     "--out", str(tmp_path / "out")]) == 0
+
+
+def test_bounds_follows_file_reference(tmp_path, capsys):
+    inst = _write(tmp_path, "[instance]\nkind = bilinear\n"
+                  "a = [[2.0, 0.5]]\nb = [1.0]\n", "inst.ini")
+    assert cli.main(["bounds", "--config", inst, "--epsilon", "0.1"]) == 0
+    direct = capsys.readouterr().out
+    os.makedirs(tmp_path / "cfg")
+    ref = _write(tmp_path, "[instance]\nfile = ../inst.ini\n", "cfg/ref.ini")
+    assert cli.main(["bounds", "--config", ref, "--epsilon", "0.1"]) == 0
+    assert capsys.readouterr().out == direct
+    assert "dmsp_comm" in direct
+
+
+POLY_INSTANCE = """
+[instance]
+kind = random_polymatrix
+dims = [3, 3, 2]
+diag = 0.5
+"""
+
+
+@pytest.mark.parametrize("experiment", ["", "[experiment]\nseed = 4\n"])
+def test_bounds_random_polymatrix(tmp_path, capsys, experiment):
+    # `bounds` draws the instance `run` draws: the config's seed, else 0.
+    path = _write(tmp_path, experiment + POLY_INSTANCE, "poly.ini")
+    assert cli.main(["bounds", "--config", path, "--epsilon", "0.1"]) == 0
+    out = capsys.readouterr().out
+    config = cli.parse_config(_write(
+        tmp_path, (experiment or "[experiment]\n") + POLY_INSTANCE, "exp.ini"))
+    want = cli.complexity_bounds(config.instances[0][1], 0.1).dmvip_comm
+    assert f"dmvip_comm = {want!r}" in out
+
+
+def test_bounds_lines_parse(tmp_path, capsys):
+    path = _write(tmp_path, "[instance]\nkind = polymatrix\ndims = [1, 1]\n"
+                  "a_0_0 = [[0.5]]\na_0_1 = [[1.0]]\na_1_0 = [[-1.0]]\n"
+                  "b_0 = [0.6]\nb_1 = [0.3]\n", "poly.ini")
+    assert cli.main(["bounds", "--config", path, "--epsilon", "0.1"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert {ln.split(" = ", 1)[0] for ln in lines} == {
+        "dmvip_comm", "A_terms", "B_terms"}
+    for ln in lines:
+        value = ast.literal_eval(ln.split(" = ", 1)[1])
+        assert all(isinstance(v, float) for v in
+                   (value if isinstance(value, list) else [value]))

@@ -16,8 +16,8 @@ from saddlesplit.decoupled import (
 from saddlesplit.metrics import ProductMetric, ScaledMetric
 from saddlesplit.problems import (
     BallIndicator, QuadraticReg, RegularizedTerm, VipProblem, ZeroTerm,
-    make_polymatrix, make_quadratic, make_strongly_convex_concave,
-    random_polymatrix,
+    make_bilinear, make_polymatrix, make_quadratic,
+    make_strongly_convex_concave, random_polymatrix,
 )
 
 ID1 = ScaledMetric(1)
@@ -421,3 +421,27 @@ def test_round_candidates_shared_not_copied(monkeypatch):
         assert all(a is b for a, b in zip(rc[2 * t + 1], rc[2 * t + 2]))
     for t in range(iterations):
         assert all(np.array_equal(a, b) for a, b in zip(rc[2 * t + 1], seen[t]))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_bilinear(np.array([[1.0]]), b=np.array([0.6])),
+    lambda: make_polymatrix((1, 1), [[None, [[1.0]]], [[[-1.0]], None]],
+                            b=[[0.6], [0.3]]),
+])
+def test_default_cap_is_comm_bound_plus_two(build, monkeypatch):
+    # With a gap that never closes, the run stops at the default cap, which
+    # is the bound `run --check-bounds` uses, rounded up, plus two.
+    from saddlesplit import decoupled
+    from saddlesplit.evaluation import GapResult, complexity_bounds
+    monkeypatch.setattr(decoupled, "restricted_gap",
+                        lambda *a, **k: GapResult(math.inf, False, "never"))
+    p = build()
+    report = complexity_bounds(p, 0.5)
+    if isinstance(p, VipProblem):
+        res, bound = decoupled_vi_run(p, DecoupledParams(0.5)), report.dmvip_comm
+    else:
+        res, bound = (decoupled_saddle_run(p, DecoupledParams(0.5)),
+                      report.dmsp_comm)
+        assert res.info["theta"] == report.theta
+    assert res.status == "budget_exhausted"
+    assert res.rounds == res.ledger.round == math.ceil(bound) + 2 == 12

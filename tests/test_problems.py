@@ -255,3 +255,22 @@ def test_bilinear_known_solution():
     assert np.array_equal(p.saddle[0], [1.0, 2.0])
     with pytest.raises(ValueError):
         make_bilinear(np.eye(2), x_star=np.zeros(3))
+
+
+def test_spectral_norm_uses_matrix_products(monkeypatch):
+    # The chain matrix takes the nonzero-triplet kernel in its power
+    # iteration too; the result matches the dense kernel bit for bit.
+    from saddlesplit import problems
+    A = make_hard_saddle("xy", 1.0, 1.0, 500).structure["A"]
+    matrix_products = problems._matrix_products
+    picked = []
+
+    def products(M):
+        picked.append(M.shape)
+        return matrix_products(M)
+
+    monkeypatch.setattr(problems, "_matrix_products", products)
+    sparse = spectral_norm(A)
+    assert picked == [A.shape]
+    monkeypatch.setattr(problems, "_SPARSE_PRODUCT_RATIO", A.size + 1)
+    assert spectral_norm(A) == sparse

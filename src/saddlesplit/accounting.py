@@ -2,16 +2,19 @@
 
 Each agent owns one first-order oracle.  Inside a communication round agents
 may only query their own oracle; information merges at round boundaries.
-The ledger records every (point, response) pair per agent per round, counts
-queries ``N_i``, counts completed rounds ``T``, and exposes the weighted
-cost ``sum_i c_i N_i``.
+The ledger counts queries ``N_i`` per agent, overall and per completed
+round, counts completed rounds ``T``, and exposes the weighted cost
+``sum_i c_i N_i``.  Only with ``capture="full"`` does it also keep every
+(point, response) pair per agent per round; the solvers then keep their
+per-round candidates as well.
 
-`span_check` verifies the gradient-span discipline: any point an agent can
-form must sit in the affine span of its origin and the preconditioned
-responses it has seen so far.
+`span_check` verifies the gradient-span discipline on a full-capture
+ledger: any point an agent can form must sit in the affine span of its
+origin and the preconditioned responses it has seen so far.
 """
 
 import copy
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +39,9 @@ def _snapshot(point):
     return copy.deepcopy(point)
 
 
+CAPTURE_LEVELS = ("counts", "full")
+
+
 class OracleLedger:
     """Query/round bookkeeping for a set of named agents.
 
@@ -45,9 +51,14 @@ class OracleLedger:
         Agent names, e.g. ``("x", "y")`` or ``("1", "2", "3")``.
     costs : sequence of float, optional
         Per-query cost ``c_i`` of each agent's oracle.  Defaults to ones.
+    capture : {"counts", "full"}
+        ``"counts"`` (the default) keeps query counts only: overall and per
+        completed round.  ``"full"`` also keeps an independent copy of every
+        (point, response) pair, which `trace`, `responses` and `span_check`
+        read, and makes the solvers keep their per-round candidates.
     """
 
-    def __init__(self, agents, costs=None):
+    def __init__(self, agents, costs=None, capture="counts"):
         self.agents = tuple(agents)
         if len(set(self.agents)) != len(self.agents):
             raise ValueError("agent names must be distinct")
@@ -58,9 +69,17 @@ class OracleLedger:
         self.costs = {a: float(c) for a, c in zip(self.agents, costs)}
         if any(c < 0 for c in self.costs.values()):
             raise ValueError("oracle costs must be nonnegative")
+        if capture not in CAPTURE_LEVELS:
+            raise ValueError(f"capture must be one of {CAPTURE_LEVELS}, "
+                             f"got {capture!r}")
+        self.capture = capture
         self._counts = {a: 0 for a in self.agents}
-        self._closed = []          # list of dicts: agent -> [(point, response)]
-        self._open = {a: [] for a in self.agents}
+        self._rounds = 0
+        # Per agent, its query count at the end of each closed round.
+        self._round_ends = {a: array("q") for a in self.agents}
+        if capture == "full":
+            self._closed = []      # list of dicts: agent -> [(point, response)]
+            self._open = {a: [] for a in self.agents}
 
     # -- recording ---------------------------------------------------------
 
@@ -69,13 +88,18 @@ class OracleLedger:
         if agent not in self._counts:
             raise KeyError(f"unknown agent {agent!r}")
         self._counts[agent] += 1
-        self._open[agent].append(
-            (_snapshot(point), np.array(response, dtype=float, copy=True)))
+        if self.capture == "full":
+            self._open[agent].append(
+                (_snapshot(point), np.array(response, dtype=float, copy=True)))
 
     def end_round(self):
         """Close the current round; queries after this land in the next one."""
-        self._closed.append(self._open)
-        self._open = {a: [] for a in self.agents}
+        self._rounds += 1
+        for a, ends in self._round_ends.items():
+            ends.append(self._counts[a])
+        if self.capture == "full":
+            self._closed.append(self._open)
+            self._open = {a: [] for a in self.agents}
 
     def bind(self, agent, fn):
         """Wrap `fn` so every call is recorded under `agent`."""
@@ -90,12 +114,17 @@ class OracleLedger:
     @property
     def round(self):
         """Number of completed rounds."""
-        return len(self._closed)
+        return self._rounds
 
     def queries(self, agent=None):
         if agent is None:
             return dict(self._counts)
         return self._counts[agent]
+
+    def round_queries(self, agent):
+        """Queries by `agent` in each closed round, oldest first."""
+        ends = self._round_ends[agent]
+        return [n - prev for prev, n in zip((0, *ends), ends)]
 
     def weighted_cost(self):
         """Total cost ``sum_i c_i N_i``."""
@@ -103,6 +132,8 @@ class OracleLedger:
 
     def trace(self, agent, through_round=None, include_open=True):
         """All (point, response) pairs recorded by `agent`.
+
+        Needs ``capture="full"``; raises `ValueError` otherwise.
 
         Parameters
         ----------
@@ -114,6 +145,10 @@ class OracleLedger:
             Whether queries of the still-open round are visible.  True for
             the agent's own view, False for what remote agents have seen.
         """
+        if self.capture != "full":
+            raise ValueError(
+                'this ledger keeps counts only; construct it with '
+                'capture="full" to read recorded points and responses')
         if through_round is None:
             through_round = len(self._closed)
         out = []
@@ -133,7 +168,8 @@ def span_check(ledger, agent, candidate, origin, metric,
 
     The responses visible to `agent` (its own oracle answers through the
     given round) are mapped through the inverse block metric and a least
-    squares fit of ``candidate - origin`` against them is formed.
+    squares fit of ``candidate - origin`` against them is formed.  Needs a
+    ledger built with ``capture="full"``; raises `ValueError` otherwise.
 
     Returns
     -------
@@ -172,7 +208,8 @@ class RunResult:
         The run's ledger; `rounds` reads its completed rounds.
     round_candidates : list of ndarray
         Candidate available after each completed round; entry ``t`` is the
-        candidate after round ``t + 1``.
+        candidate after round ``t + 1``.  Empty unless the run's ledger was
+        built with ``capture="full"``.
     info : dict
         Solver-specific extras (step sizes, inner-iteration stats, ...).
     """

@@ -59,7 +59,8 @@ def extragradient_run(problem, params, ledger=None, domain=None):
 
     Each iteration queries both oracles at the current anchor, takes a
     prox step, queries at the trial point, and re-steps from the anchor;
-    candidates are the eta-weighted ergodic averages of the trial points.
+    candidates are the eta-weighted ergodic averages of the trial points;
+    the per-round ones are kept only on a ``capture="full"`` ledger.
     """
     p = problem
     if ledger is None:
@@ -81,6 +82,7 @@ def extragradient_run(problem, params, ledger=None, domain=None):
                           eta / ay)
         return (wx, wy)
 
+    keep_candidates = ledger.capture == "full"
     v = p.z0
     weight = 0.0
     acc = (np.zeros(p.nx), np.zeros(p.ny))
@@ -91,7 +93,8 @@ def extragradient_run(problem, params, ledger=None, domain=None):
     while ledger.round < params.max_rounds:
         Vv = query(v)
         ledger.end_round()
-        round_candidates.append(candidate)   # first half-iteration: retained
+        if keep_candidates:                  # first half-iteration: retained
+            round_candidates.append(candidate)
         z = prox_from(v, Vv, params.eta)
         Vz = query(z)
         ledger.end_round()
@@ -99,7 +102,8 @@ def extragradient_run(problem, params, ledger=None, domain=None):
         weight += params.eta
         acc = (acc[0] + params.eta * z[0], acc[1] + params.eta * z[1])
         candidate = (acc[0] / weight, acc[1] / weight)
-        round_candidates.append(candidate)
+        if keep_candidates:
+            round_candidates.append(candidate)
         it = ledger.round // 2
         if it % params.gap_stride == 0:
             gap = restricted_gap(p, candidate, domain)
@@ -124,7 +128,8 @@ def local_gda_run(problem, params, ledger=None, domain=None):
     Per round each agent receives the other's last-round iterate, then takes
     ``steps_per_round`` gradient steps on its own variable (descent in x,
     ascent in y).  Divergence (iterate norm above 1e8) ends the run with a
-    "diverged" status.
+    "diverged" status.  The per-round candidates are kept only on a
+    ``capture="full"`` ledger.
     """
     p = problem
     if ledger is None:
@@ -136,6 +141,7 @@ def local_gda_run(problem, params, ledger=None, domain=None):
     ox = ledger.bind("x", p.grad_x)
     oy = ledger.bind("y", p.grad_y)
 
+    keep_candidates = ledger.capture == "full"
     x, y = p.z0
     candidate = p.z0
     round_candidates = []
@@ -152,7 +158,8 @@ def local_gda_run(problem, params, ledger=None, domain=None):
             y = p.psi_y.prox(p.metric_y, y, eta_y)
         ledger.end_round()
         candidate = (x.copy(), y.copy())
-        round_candidates.append(candidate)
+        if keep_candidates:
+            round_candidates.append(candidate)
         norm = max(np.linalg.norm(x), np.linalg.norm(y))
         if not np.isfinite(norm) or norm > _DIVERGENCE_NORM:
             status = "diverged"

@@ -133,6 +133,27 @@ def _build_instance(sec, iid, base, rng):
         raise ConfigError(f"cannot build instance [{sec.name}]: {exc}")
 
 
+def _config_instances(cp, path, seed):
+    """``(id, problem)`` for each ``[instance]``/``[instance.<id>]`` section.
+
+    Sections are built in file order from one rng seeded with `seed`, so
+    `run` and `bounds` draw the same random instances from one config.
+    """
+    rng = np.random.default_rng(seed)
+    base = os.path.dirname(os.path.abspath(path))
+    instances = []
+    for section in cp.sections():
+        if section != "instance" and not section.startswith("instance."):
+            continue
+        sec = cp[section]
+        iid = section.split(".", 1)[1] if "." in section else \
+            sec.get("name", "instance")
+        instances.append((iid, _build_instance(sec, iid, base, rng)))
+    if not instances:
+        raise ConfigError("config declares no [instance] sections")
+    return instances
+
+
 def parse_config(path, seed=None):
     """Parse an experiment file; `seed` overrides the config's own seed."""
     cp = _read_ini(path)
@@ -156,18 +177,7 @@ def parse_config(path, seed=None):
     out_dir = exp.get("out", "results")
     name = exp.get("name", "experiment")
 
-    rng = np.random.default_rng(seed)
-    base = os.path.dirname(os.path.abspath(path))
-    instances = []
-    for section in cp.sections():
-        if section != "instance" and not section.startswith("instance."):
-            continue
-        sec = cp[section]
-        iid = section.split(".", 1)[1] if "." in section else \
-            sec.get("name", "instance")
-        instances.append((iid, _build_instance(sec, iid, base, rng)))
-    if not instances:
-        raise ConfigError("config declares no [instance] sections")
+    instances = _config_instances(cp, path, seed)
 
     solver_params = {}
     for section in cp.sections():
@@ -432,7 +442,7 @@ def _verify_battery():
         return True
 
     def ledger_bookkeeping():
-        led = OracleLedger(("x", "y"), costs=(2.0, 3.0))
+        led = OracleLedger(("x", "y"), costs=(2.0, 3.0), capture="full")
         fx = led.bind("x", lambda p: np.ones(2))
         fx(np.zeros(2))
         led.end_round()
@@ -580,21 +590,19 @@ def _cmd_verify(_args):
 def _cmd_bounds(args):
     try:
         cp = _read_ini(args.config)
-        if "instance" not in cp:
-            raise ConfigError("missing [instance] section")
-        sec = cp["instance"]
-        # The instance `run` would build: same file resolution, same seed.
-        problem = _build_instance(
-            sec, sec.get("name", "instance"),
-            os.path.dirname(os.path.abspath(args.config)),
-            np.random.default_rng(cp.getint("experiment", "seed", fallback=0)))
+        # The instances `run` would build: same file resolution, same seed.
+        instances = _config_instances(
+            cp, args.config, cp.getint("experiment", "seed", fallback=0))
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     d_hat = tuple(ast.literal_eval(args.d_hat)) if args.d_hat else None
-    report = complexity_bounds(problem, args.epsilon, d_hat=d_hat)
-    for key, value in report.as_dict().items():
-        print(f"{key} = {value}")
+    for iid, problem in instances:
+        if len(instances) > 1:
+            print(f"[{iid}]")
+        report = complexity_bounds(problem, args.epsilon, d_hat=d_hat)
+        for key, value in report.as_dict().items():
+            print(f"{key} = {value}")
     return 0
 
 

@@ -408,10 +408,12 @@ def _decoupled_run(problem, oracles, psis, metrics, L, d_hat, gradient,
     ``gradient[i]`` use the staged accelerated engine, the rest the
     anchored extragradient loop.  ``comm_bound`` sets the default round
     cap and ``reference`` (a known solution or None) arms the telescoping
-    check.  Candidates are full-block tuples scored by `restricted_gap`.
+    check.  Candidates are full-block tuples scored by `restricted_gap`;
+    the per-round ones are kept only on a ``capture="full"`` ledger.
     """
     K = len(oracles)
     eps = params.epsilon
+    keep_candidates = ledger.capture == "full"
     max_rounds = (math.ceil(comm_bound) + 2 if params.max_rounds is None
                   else params.max_rounds)
     alphas = [sum(L[i][j] * d_hat[j] for j in range(K) if j != i) / d_hat[i]
@@ -450,7 +452,9 @@ def _decoupled_run(problem, oracles, psis, metrics, L, d_hat, gradient,
         gap = restricted_gap(problem, candidate, domain)
         status = "local_solve" if gap.value <= eps else "budget_exhausted"
         return RunResult(status=status, candidate=candidate, gap=gap,
-                         ledger=ledger, round_candidates=[candidate, candidate],
+                         ledger=ledger,
+                         round_candidates=[candidate, candidate]
+                         if keep_candidates else [],
                          info={"local": True, "alpha": alphas})
 
     def full_point(parts):
@@ -488,7 +492,8 @@ def _decoupled_run(problem, oracles, psis, metrics, L, d_hat, gradient,
             act_metrics, act_alphas, v, lam, act_lips,
             inner_flags=[gradient[i] for i in active])
         ledger.end_round()
-        round_candidates.append(candidate)
+        if keep_candidates:
+            round_candidates.append(candidate)
         point = full_point(z_parts)
         V_joint = metric.join([oracles[i](point) for i in active])
         ledger.end_round()
@@ -500,7 +505,8 @@ def _decoupled_run(problem, oracles, psis, metrics, L, d_hat, gradient,
 
         if metric.dual_norm(v_psi) <= _ZERO_OPERATOR_TOL:
             candidate, status = point, "solution_found"
-            round_candidates.append(candidate)
+            if keep_candidates:
+                round_candidates.append(candidate)
             gap = restricted_gap(problem, candidate, domain)
             break
 
@@ -529,7 +535,8 @@ def _decoupled_run(problem, oracles, psis, metrics, L, d_hat, gradient,
                     f"telescoped progress inequality violated: "
                     f"{telescope_lhs} > {budget}")
 
-        round_candidates.append(candidate)
+        if keep_candidates:
+            round_candidates.append(candidate)
         if (ledger.round // 2) % params.gap_stride == 0:
             gap = restricted_gap(problem, candidate, domain)
             if gap.value <= eps:

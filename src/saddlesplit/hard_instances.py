@@ -82,10 +82,12 @@ def make_hard_instance(L, D, k, m=None, n=None):
         n = p
     if not (1 <= k <= (min(m - 1, n) - 1) / 2):
         raise ValueError("order k does not fit the requested dimensions")
-    B, _ = chain_matrices(p)
     gamma = D * np.sqrt(6.0 * (p + 1) / (p * (2.0 * p + 1.0)))
+    # (L/2) B written diagonal by diagonal: no dense integer B on the way.
     A = np.zeros((m, n))
-    A[:p + 1, :p] = 0.5 * L * B
+    j = np.arange(p)
+    A[j, j] = 0.5 * L
+    A[j + 1, j] = -0.5 * L
     u = np.full(p + 1, -1.0 / (p + 1))
     u[0] = p / (p + 1.0)
     b = np.zeros(m)

@@ -320,6 +320,11 @@ def test_criterion_07_chain_construction():
 _HARD = {}
 
 
+def _full_ledger(p):
+    """A ledger that makes the solver keep its per-round candidates."""
+    return OracleLedger(("x", "y"), costs=p.costs, capture="full")
+
+
 def hard_runs():
     """Both solvers on the order-10 coupled chain instance, run once."""
     if not _HARD:
@@ -327,8 +332,10 @@ def hard_runs():
         eps = p.L_xy * p.D_x * p.D_y / 30.0
         _HARD["problem"] = p
         _HARD["eps"] = eps
-        _HARD["dm"] = decoupled_saddle_run(p, DecoupledParams(epsilon=eps))
-        _HARD["eg"] = extragradient_run(p, ExtragradientParams(epsilon=eps))
+        _HARD["dm"] = decoupled_saddle_run(
+            p, DecoupledParams(epsilon=eps), ledger=_full_ledger(p))
+        _HARD["eg"] = extragradient_run(
+            p, ExtragradientParams(epsilon=eps), ledger=_full_ledger(p))
     return _HARD
 
 
@@ -413,7 +420,8 @@ def test_criterion_11_eg_bound_and_ordering():
 def test_criterion_12_local_gda():
     weak = make_strongly_convex_concave(1.0, 1.0, 0.1)
     res = local_gda_run(weak, LocalGdaParams(epsilon=1e-7, eta_x=0.5,
-                                             eta_y=0.5, max_rounds=40))
+                                             eta_y=0.5, max_rounds=40),
+                        ledger=_full_ledger(weak))
     dists = [math.hypot(np.linalg.norm(weak.x0), np.linalg.norm(weak.y0))]
     for cand in res.round_candidates:
         dists.append(math.hypot(np.linalg.norm(cand[0]),

@@ -1,12 +1,18 @@
 import numpy as np
 import pytest
 
+from saddlesplit.accounting import OracleLedger
 from saddlesplit.baselines import (
     ExtragradientParams, LocalGdaParams, default_scaling,
     extragradient_run, local_gda_run,
 )
 from saddlesplit.problems import make_bilinear, make_strongly_convex_concave
 from saddlesplit.evaluation import complexity_bounds
+
+
+def _full_ledger(p):
+    """A ledger that makes the solver keep its per-round candidates."""
+    return OracleLedger(("x", "y"), costs=p.costs, capture="full")
 
 
 def _unit_bilinear_from_one():
@@ -21,7 +27,7 @@ def test_eg_first_iterations_frozen():
     p = _unit_bilinear_from_one()
     assert default_scaling(p) == pytest.approx((1.0, 1.0))
     params = ExtragradientParams(epsilon=-1.0, max_rounds=4)
-    res = extragradient_run(p, params)
+    res = extragradient_run(p, params, ledger=_full_ledger(p))
     # round 1 retains the start, round 2 yields the first trial point
     assert np.allclose(res.round_candidates[0][0], [1.0])
     z1 = res.round_candidates[1]
@@ -59,7 +65,7 @@ def test_eg_meets_round_bound():
 def test_gda_first_round_frozen():
     p = make_strongly_convex_concave(1.0, 1.0, 0.1, n=1)
     params = LocalGdaParams(epsilon=-1.0, eta_x=0.5, eta_y=0.5, max_rounds=1)
-    res = local_gda_run(p, params)
+    res = local_gda_run(p, params, ledger=_full_ledger(p))
     x1, y1 = res.round_candidates[0]
     assert x1[0] == pytest.approx(0.45, abs=1e-12)
     assert y1[0] == pytest.approx(0.55, abs=1e-12)
@@ -68,7 +74,8 @@ def test_gda_first_round_frozen():
 
 def test_gda_converges_weak_coupling():
     p = make_strongly_convex_concave(1.0, 1.0, 0.1, n=1)
-    res = local_gda_run(p, LocalGdaParams(epsilon=1e-6, eta_x=0.5, eta_y=0.5))
+    res = local_gda_run(p, LocalGdaParams(epsilon=1e-6, eta_x=0.5, eta_y=0.5),
+                        ledger=_full_ledger(p))
     assert res.status == "converged"
     # distance to the saddle decreases geometrically
     dists = [np.hypot(c[0][0], c[1][0]) for c in res.round_candidates[:10]]

@@ -378,3 +378,33 @@ def test_bounds_lines_parse(tmp_path, capsys):
         value = ast.literal_eval(ln.split(" = ", 1)[1])
         assert all(isinstance(v, float) for v in
                    (value if isinstance(value, list) else [value]))
+
+
+BILINEAR_BODY = "kind = bilinear\na = [[1.0]]\nb = [0.0]\n"
+
+
+def test_bounds_on_named_instance_section(tmp_path, capsys):
+    # `run` configs name their sections [instance.<id>]; a lone one prints
+    # the same block a lone [instance] section does.
+    path = _write(tmp_path, "[instance]\n" + BILINEAR_BODY, "plain.ini")
+    assert cli.main(["bounds", "--config", path, "--epsilon", "0.1"]) == 0
+    plain = capsys.readouterr().out
+    path = _write(tmp_path, "[instance.a]\n" + BILINEAR_BODY, "named.ini")
+    assert cli.main(["bounds", "--config", path, "--epsilon", "0.1"]) == 0
+    assert capsys.readouterr().out == plain
+    assert "dmsp_comm = 42.0" in plain
+
+
+def test_bounds_prints_every_instance(tmp_path, capsys):
+    text = ("[experiment]\nseed = 4\n\n[instance.a]\n" + BILINEAR_BODY
+            + "\n[instance.poly]" + POLY_INSTANCE.split("[instance]", 1)[1])
+    path = _write(tmp_path, text, "two.ini")
+    assert cli.main(["bounds", "--config", path, "--epsilon", "0.1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "[a]" and "dmsp_comm = 42.0" in lines
+    poly = lines.index("[poly]")
+    assert all(not ln.startswith("[") for ln in lines[1:poly])
+    # The polymatrix block is the instance `run` draws from this config.
+    want = cli.complexity_bounds(
+        cli.parse_config(path).instances[1][1], 0.1).dmvip_comm
+    assert f"dmvip_comm = {want!r}" in lines[poly + 1:]

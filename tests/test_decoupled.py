@@ -284,7 +284,9 @@ def test_saddle_run_converges():
 
 def test_saddle_local_solve():
     p = make_quadratic(np.array([[1.0]]), np.array([1.0]), side="x")
-    res = decoupled_saddle_run(p, DecoupledParams(epsilon=1e-3))
+    res = decoupled_saddle_run(
+        p, DecoupledParams(epsilon=1e-3),
+        ledger=OracleLedger(("x", "y"), costs=p.costs, capture="full"))
     assert res.status == "local_solve"
     assert res.rounds == 2
     assert res.gap.value <= 1e-3
@@ -321,7 +323,9 @@ def test_vip_frozen_uncoupled_block():
 def test_vip_all_blocks_local():
     blocks = [[[[1.0]], None], [None, [[2.0]]]]
     p = make_polymatrix((1, 1), blocks, b=[[0.5], [1.0]])
-    res = decoupled_vi_run(p, DecoupledParams(epsilon=0.01))
+    res = decoupled_vi_run(
+        p, DecoupledParams(epsilon=0.01),
+        ledger=OracleLedger(("1", "2"), costs=p.costs, capture="full"))
     assert res.status == "local_solve"
     assert res.rounds == 2
     assert len(res.round_candidates) == res.rounds
@@ -373,8 +377,12 @@ def test_saddle_and_vi_drivers_share_one_core():
                                   [-np.eye(2), np.eye(2)]])
     vp = dataclasses.replace(vp, z0=list(sp.z0))
     params = DecoupledParams(epsilon=1e-9, max_rounds=8)
-    sres = decoupled_saddle_run(sp, params)
-    vres = decoupled_vi_run(vp, params)
+    sres = decoupled_saddle_run(
+        sp, params,
+        ledger=OracleLedger(("x", "y"), costs=sp.costs, capture="full"))
+    vres = decoupled_vi_run(
+        vp, params,
+        ledger=OracleLedger(("1", "2"), costs=vp.costs, capture="full"))
     assert sres.rounds == vres.rounds == 8
     assert list(sres.ledger.queries().values()) == \
         list(vres.ledger.queries().values())
@@ -413,7 +421,9 @@ def test_round_candidates_shared_not_copied(monkeypatch):
 
     monkeypatch.setattr(decoupled, "restricted_gap", gap)
     p = make_hard_saddle("xy", 1.0, 1.0, 20)
-    res = decoupled_saddle_run(p, DecoupledParams(epsilon=0.05))
+    res = decoupled_saddle_run(
+        p, DecoupledParams(epsilon=0.05),
+        ledger=OracleLedger(("x", "y"), costs=p.costs, capture="full"))
     rc = res.round_candidates
     iterations = res.info["iterations"]
     assert iterations >= 3 and len(rc) == 2 * iterations

@@ -9,6 +9,7 @@ communication-saving heuristic and diverges on strongly coupled instances,
 which the runner reports rather than hides.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,7 +111,7 @@ def extragradient_run(problem, params, ledger=None, domain=None):
             if gap.value <= params.epsilon:
                 status = "converged"
                 break
-        if not all(np.all(np.isfinite(b)) for b in v):
+        if not (np.isfinite(v[0]).all() and np.isfinite(v[1]).all()):
             status = "diverged"
             break
     if status == "budget_exhausted":
@@ -148,7 +149,8 @@ def local_gda_run(problem, params, ledger=None, domain=None):
     gap = None
     status = "budget_exhausted"
     while ledger.round < params.max_rounds:
-        x_frozen, y_frozen = x.copy(), y.copy()
+        # x and y are rebound, never written in place, so no copies.
+        x_frozen, y_frozen = x, y
         for _ in range(params.steps_per_round):
             gx = ox((x, y_frozen))
             x = x - eta_x * p.metric_x.apply_inv(gx)
@@ -157,10 +159,10 @@ def local_gda_run(problem, params, ledger=None, domain=None):
             y = y + eta_y * p.metric_y.apply_inv(p.ascent_y_from_raw(gy_raw))
             y = p.psi_y.prox(p.metric_y, y, eta_y)
         ledger.end_round()
-        candidate = (x.copy(), y.copy())
+        candidate = (x, y)
         if keep_candidates:
             round_candidates.append(candidate)
-        norm = max(np.linalg.norm(x), np.linalg.norm(y))
+        norm = max(math.sqrt(x @ x), math.sqrt(y @ y))
         if not np.isfinite(norm) or norm > _DIVERGENCE_NORM:
             status = "diverged"
             break

@@ -21,6 +21,7 @@ them.
 import argparse
 import ast
 import configparser
+import dataclasses
 import math
 import os
 import sys
@@ -47,7 +48,12 @@ from saddlesplit.problems import (
     random_polymatrix, save_instance,
 )
 
-SOLVERS = ("decoupled", "extragradient", "local_gda")
+# Each solver's parameter dataclass; its fields (but `epsilon`, which the
+# grid sets) are the keys a ``[solver.<name>]`` section may hold.
+SOLVER_PARAMS = {"decoupled": DecoupledParams,
+                 "extragradient": ExtragradientParams,
+                 "local_gda": LocalGdaParams}
+SOLVERS = tuple(SOLVER_PARAMS)
 _GOOD_STATUSES = ("converged", "solution_found", "local_solve")
 
 CSV_HEAD = ("instance_id", "solver", "epsilon", "rounds")
@@ -91,6 +97,10 @@ class ResultRow:
 # ---------------------------------------------------------------------------
 # config parsing
 # ---------------------------------------------------------------------------
+
+def _is_real(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
 
 def _literal(sec, key, where):
     try:
@@ -164,6 +174,8 @@ def parse_config(path, seed=None):
         else [0.1]
     if not isinstance(epsilons, (list, tuple)) or not epsilons:
         raise ConfigError("epsilons must be a nonempty list")
+    if not all(_is_real(e) for e in epsilons):
+        raise ConfigError(f"epsilon grid entries must be numbers: {epsilons!r}")
     if any(e <= 0 for e in epsilons):
         raise ConfigError("epsilon grid entries must be positive")
     solvers = [s.strip() for s in exp.get("solvers", "decoupled").split(",")
@@ -186,6 +198,13 @@ def parse_config(path, seed=None):
         sname = section.split(".", 1)[1]
         if sname not in SOLVERS:
             raise ConfigError(f"parameters for unknown solver {sname!r}")
+        known = [f.name for f in dataclasses.fields(SOLVER_PARAMS[sname])
+                 if f.name != "epsilon"]
+        for k in cp[section]:
+            if k not in known:
+                raise ConfigError(
+                    f"unknown parameter {k!r} in [{section}]; "
+                    f"available: {', '.join(known)}")
         solver_params[sname] = {k: _literal(cp[section], k, section)
                                 for k in cp[section]}
 
@@ -206,20 +225,15 @@ def _agents_of(problem):
 
 
 def _dispatch(problem, solver, eps, params, ledger):
-    kw = dict(params)
-    kw.pop("d_hat", None)
-    if solver == "decoupled":
-        p = DecoupledParams(epsilon=eps, d_hat=params.get("d_hat"), **kw)
-        if isinstance(problem, VipProblem):
-            return decoupled_vi_run(problem, p, ledger=ledger)
-        return decoupled_saddle_run(problem, p, ledger=ledger)
-    if isinstance(problem, VipProblem):
+    is_vi = isinstance(problem, VipProblem)
+    if is_vi and solver != "decoupled":
         raise ValueError(f"solver {solver!r} handles saddle problems only")
-    if solver == "extragradient":
-        p = ExtragradientParams(epsilon=eps, d_hat=params.get("d_hat"), **kw)
-        return extragradient_run(problem, p, ledger=ledger)
-    p = LocalGdaParams(epsilon=eps, **kw)
-    return local_gda_run(problem, p, ledger=ledger)
+    p = SOLVER_PARAMS[solver](epsilon=eps, **params)
+    if solver == "decoupled":
+        run = decoupled_vi_run if is_vi else decoupled_saddle_run
+    else:
+        run = extragradient_run if solver == "extragradient" else local_gda_run
+    return run(problem, p, ledger=ledger)
 
 
 def _bounds_for(problem, solver, eps, params):
@@ -596,14 +610,33 @@ def _cmd_bounds(args):
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    d_hat = tuple(ast.literal_eval(args.d_hat)) if args.d_hat else None
-    for iid, problem in instances:
-        if len(instances) > 1:
+    try:
+        d_hat = _parse_d_hat(args.d_hat)
+        # Every report before any output: a bad argument prints nothing.
+        reports = [(iid, complexity_bounds(problem, args.epsilon, d_hat=d_hat))
+                   for iid, problem in instances]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    for iid, report in reports:
+        if len(reports) > 1:
             print(f"[{iid}]")
-        report = complexity_bounds(problem, args.epsilon, d_hat=d_hat)
         for key, value in report.as_dict().items():
             print(f"{key} = {value}")
     return 0
+
+
+def _parse_d_hat(text):
+    """``--d-hat`` as a pair of numbers, or None; ValueError otherwise."""
+    if not text:
+        return None
+    try:
+        d_hat = tuple(ast.literal_eval(text))
+    except (ValueError, SyntaxError, TypeError):
+        d_hat = None
+    if d_hat is None or len(d_hat) != 2 or not all(map(_is_real, d_hat)):
+        raise ValueError(f"--d-hat must be a pair of numbers, got {text!r}")
+    return d_hat
 
 
 def build_parser():

@@ -173,7 +173,7 @@ def _counting_operator(task):
     def op(w):
         counter[0] += 1
         out = np.asarray(task.operator(w), dtype=float)
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise FloatingPointError("operator returned nonfinite values")
         return out
     return op, counter
@@ -261,7 +261,7 @@ def residual_agd(task, xi):
             model_grad = g_y + sigma * metric.apply(y - w_tilde)
             x_next = psi.prox(metric, y - metric.apply_inv(model_grad) / Lk,
                               1.0 / Lk)
-            if not np.all(np.isfinite(x_next)):
+            if not np.isfinite(x_next).all():
                 raise FloatingPointError("inner iterate became nonfinite")
             sub = -model_grad - Lk * metric.apply(x_next - y)
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
@@ -335,7 +335,7 @@ def anchored_eg(task, xi=None):
                                     residual=r, operator_value=g_u,
                                     exit="residual", info={"iterations": t + 1})
         w = psi.prox(metric, w_tilde - eta * metric.apply_inv(g_u), eta)
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             raise FloatingPointError("inner iterate became nonfinite")
         t += 1
     raise RuntimeError("anchored extragradient hit its query cap without "

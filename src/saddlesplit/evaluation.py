@@ -106,12 +106,38 @@ def restricted_gap(problem, candidate, domain=None, steps=500):
     return _saddle_gap(problem, candidate, domain, steps)
 
 
+def _minimiser_in_ball(p, side, domain):
+    """Whether block `side`'s saddle component lies in that block's gap ball.
+
+    The default-domain answer is computed once per instance and cached on
+    its structure, keyed by the very objects it was computed from, so an
+    instance copied or edited with another start point, radius, metric or
+    saddle recomputes it.  An explicit `domain` is tested on every call.
+    """
+    ws, metric = p.saddle[side], (p.metric_x, p.metric_y)[side]
+    if domain is not None:
+        center, radius = domain.block(side)
+        return metric.norm(ws - center) <= radius + 1e-9
+    center, radius = (p.x0, p.D_x) if side == 0 else (p.y0, p.D_y)
+    c = p.structure.get("default_ball_test")
+    if not (c and c[0] is ws and c[1] is metric and c[2] is center
+            and c[3] is radius):
+        inside = metric.norm(ws - np.asarray(center, dtype=float)) \
+            <= float(radius) + 1e-9
+        c = p.structure["default_ball_test"] = (ws, metric, center, radius,
+                                                inside)
+    return c[4]
+
+
 def _saddle_gap(p, candidate, domain, steps):
     xbar = np.asarray(candidate[0], dtype=float)
     ybar = np.asarray(candidate[1], dtype=float)
     if domain is None:
-        domain = p.default_domain()
-    (xc, rx), (yc, ry) = domain.block(0), domain.block(1)
+        # The default balls, read off the instance without a DomainSpec.
+        xc, rx = np.asarray(p.x0, dtype=float), float(p.D_x)
+        yc, ry = np.asarray(p.y0, dtype=float), float(p.D_y)
+    else:
+        (xc, rx), (yc, ry) = domain.block(0), domain.block(1)
     st = p.structure or {}
     kind = st.get("kind")
 
@@ -125,15 +151,12 @@ def _saddle_gap(p, candidate, domain, steps):
         return GapResult(max_side - min_side, True, "bilinear-closed-form")
 
     if kind in ("quadratic_x", "quadratic_y"):
-        w = xbar if kind == "quadratic_x" else ybar
-        center, radius, metric = ((xc, rx, p.metric_x) if kind == "quadratic_x"
-                                  else (yc, ry, p.metric_y))
-        ws = p.saddle[0] if kind == "quadratic_x" else p.saddle[1]
-        if st["consistent"] and metric.norm(ws - center) <= radius + 1e-9:
+        side = 0 if kind == "quadratic_x" else 1
+        if st["consistent"] and _minimiser_in_ball(p, side, domain):
             # The inner extreme attains zero residual inside the ball, so
             # only the candidate's own residual remains.
-            resid = st["matvec"](w) - st["b"]
-            return GapResult(0.5 * float(np.linalg.norm(resid) ** 2), True,
+            resid = st["matvec"]((xbar, ybar)[side]) - st["b"]
+            return GapResult(0.5 * float(math.sqrt(resid @ resid) ** 2), True,
                              "quadratic-closed-form")
         # fall through to the generic estimator
 

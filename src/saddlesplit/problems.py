@@ -306,11 +306,13 @@ class SaddleProblem:
         return -self.grad_y_sign * np.asarray(self.grad_y(z), dtype=float)
 
     def vy_from_raw(self, raw):
-        return -self.grad_y_sign * np.asarray(raw, dtype=float)
+        raw = np.asarray(raw, dtype=float)
+        return -raw if self.grad_y_sign == 1 else raw
 
     def ascent_y_from_raw(self, raw):
         """``grad_y f`` recovered from a raw oracle response."""
-        return self.grad_y_sign * np.asarray(raw, dtype=float)
+        raw = np.asarray(raw, dtype=float)
+        return raw if self.grad_y_sign == 1 else -raw
 
     def default_domain(self):
         return DomainSpec([self.x0, self.y0], [self.D_x, self.D_y])

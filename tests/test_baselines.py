@@ -117,3 +117,24 @@ def test_gda_final_gap_within_eps_converges():
     assert res.rounds == 50
     assert res.gap.value <= 0.1
     assert res.status == "converged"
+
+
+@pytest.mark.parametrize("block", [0, 1])
+def test_eg_nonfinite_iterate_diverges(block):
+    # One agent answers its second query (at the trial point) with NaN, so
+    # only that block of the new anchor is nonfinite; either block alone
+    # must end the run as diverged after the first iteration.
+    p = _unit_bilinear_from_one()
+    clean, calls = (p.grad_x, p.grad_y)[block], [0]
+
+    def poisoned(z):
+        calls[0] += 1
+        return np.full(1, np.nan) if calls[0] == 2 else clean(z)
+    if block == 0:
+        p.grad_x = poisoned
+    else:
+        p.grad_y = poisoned
+    params = ExtragradientParams(epsilon=1e-9, max_rounds=20, gap_stride=1000)
+    res = extragradient_run(p, params)
+    assert res.status == "diverged"
+    assert res.rounds == 2

@@ -408,3 +408,65 @@ def test_bounds_prints_every_instance(tmp_path, capsys):
     want = cli.complexity_bounds(
         cli.parse_config(path).instances[1][1], 0.1).dmvip_comm
     assert f"dmvip_comm = {want!r}" in lines[poly + 1:]
+
+
+def test_unknown_solver_key_rejected(tmp_path, capsys):
+    # A misspelt key used to surface as an unassessed `error:` row.
+    path = _write(tmp_path, SP_CONFIG + "\n[solver.decoupled]\ngap_strid = 3\n")
+    with pytest.raises(cli.ConfigError, match="gap_strid"):
+        cli.parse_config(path)
+    assert cli.main(["run", "--config", path, "--check-bounds",
+                     "--out", str(tmp_path / "out")]) == 2
+    assert "gap_strid" in capsys.readouterr().err
+    # `epsilon` comes from the grid, and local GDA takes no d_hat.
+    for section, key in (("decoupled", "epsilon = 0.1"),
+                         ("local_gda", "d_hat = (1.0, 1.0)")):
+        path = _write(tmp_path, SP_CONFIG + f"\n[solver.{section}]\n{key}\n")
+        with pytest.raises(cli.ConfigError):
+            cli.parse_config(path)
+
+
+def test_solver_keys_reach_their_params(tmp_path):
+    text = SP_CONFIG + ("\n[solver.decoupled]\nlam = 3.0\nd_hat = (1.0, 2.0)\n"
+                        "\n[solver.local_gda]\neta_x = 0.1\nsteps_per_round = 2\n")
+    config = cli.parse_config(_write(tmp_path, text))
+    assert config.solver_params == {
+        "decoupled": {"lam": 3.0, "d_hat": (1.0, 2.0)},
+        "local_gda": {"eta_x": 0.1, "steps_per_round": 2}}
+
+
+@pytest.mark.parametrize("epsilons", ["['a', 0.1]", "[0.1, None]",
+                                      "[True]", "[0.1, [0.2]]", "[1j]"])
+def test_non_numeric_epsilons_rejected(tmp_path, epsilons):
+    text = f"[experiment]\nepsilons = {epsilons}\n\n[instance]\n" + \
+        "kind = bilinear\na = [[1.0]]\nb = [0.0]\n"
+    path = _write(tmp_path, text)
+    with pytest.raises(cli.ConfigError, match="numbers"):
+        cli.parse_config(path)
+    assert cli.main(["run", "--config", path,
+                     "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("extra", [
+    ["--d-hat", "foo"],
+    ["--d-hat", "(1.0,)"],
+    ["--d-hat", "(0.0, 1.0)"],
+    ["--d-hat", "(-1.0, 1.0)"],
+    ["--d-hat", "5"],
+    ["--d-hat", "('a', 1.0)"],
+    ["--epsilon", "0"],
+])
+def test_bounds_argument_errors_exit_2(tmp_path, capsys, extra):
+    path = _write(tmp_path, "[instance]\n" + BILINEAR_BODY, "inst.ini")
+    argv = ["bounds", "--config", path, "--epsilon", "0.1"] + extra
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_bounds_accepts_a_d_hat_pair(tmp_path, capsys):
+    path = _write(tmp_path, "[instance]\n" + BILINEAR_BODY, "inst.ini")
+    assert cli.main(["bounds", "--config", path, "--epsilon", "0.1",
+                     "--d-hat", "(1.0, 3.0)"]) == 0
+    assert "theta = " in capsys.readouterr().out

@@ -455,3 +455,40 @@ def test_default_cap_is_comm_bound_plus_two(build, monkeypatch):
         assert res.info["theta"] == report.theta
     assert res.status == "budget_exhausted"
     assert res.rounds == res.ledger.round == math.ceil(bound) + 2 == 12
+
+
+def _nan_once(n, value):
+    """A constant operator whose `n`-th answer is NaN."""
+    calls = [0]
+
+    def op(w):
+        calls[0] += 1
+        return np.full(value.shape, np.nan) if calls[0] == n else value
+    return op
+
+
+@pytest.mark.parametrize("engine", ["residual_agd", "anchored_eg"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_inner_engines_reject_nonfinite_operator(engine, n):
+    # One NaN answer, at the anchor or at the first in-loop query, raises
+    # although every later answer is finite.
+    task = BlockTask(operator=_nan_once(n, np.array([0.5, -0.5])),
+                     psi=ZeroTerm(), anchor=np.array([1.0, -1.0]), metric=ID2,
+                     lipschitz=1.0, delta=0.5)
+    with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
+        residual_agd(task, xi=0.01) if engine == "residual_agd" \
+            else anchored_eg(task)
+
+
+@pytest.mark.parametrize("engine", ["residual_agd", "anchored_eg"])
+def test_inner_engines_reject_nonfinite_iterate(engine):
+    # A finite but huge operator value over a tiny Lipschitz bound
+    # overflows the first prox step; the iterate check must catch it.  (A
+    # zero relative target keeps anchored_eg from accepting the step.)
+    task = BlockTask(operator=lambda w: np.array([1e308]), psi=ZeroTerm(),
+                     anchor=np.zeros(1), metric=ID1, lipschitz=1e-300,
+                     delta=0.0)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(FloatingPointError, match="iterate"):
+        residual_agd(task, xi=0.5) if engine == "residual_agd" \
+            else anchored_eg(task)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from saddlesplit.evaluation import (
     GapResult, complexity_bounds, restricted_gap, theta_factor,
 )
 from saddlesplit.problems import (
-    make_bilinear, make_quadratic, make_strongly_convex_concave,
+    DomainSpec, make_bilinear, make_quadratic, make_strongly_convex_concave,
     random_polymatrix,
 )
 
@@ -169,3 +171,44 @@ def test_vip_gap_builds_constants_once(monkeypatch):
     second = restricted_gap(p, [0.5 * np.ones(2) for _ in range(3)])
     assert calls == [(6, 6)]
     assert first == second
+
+
+# -- cached default-ball test of the quadratic closed form -------------------
+
+def _quadratic_with_inner_minimiser():
+    # ws = (0.3, -0.4) solves A x = b and lies in the default unit ball.
+    A = np.array([[2.0, 0.0], [0.0, 1.0]])
+    return make_quadratic(A, A @ np.array([0.3, -0.4]), side="x")
+
+
+def test_explicit_domain_excluding_minimiser_is_estimated():
+    p = _quadratic_with_inner_minimiser()
+    cand = (np.array([0.1, 0.2]), np.zeros(1))
+    default = restricted_gap(p, cand)
+    assert default.exact and "default_ball_test" in p.structure
+    # A ball around (2, 2) of radius 0.5 excludes ws: the closed form no
+    # longer applies, although the default-domain answer is cached.
+    far = DomainSpec([np.array([2.0, 2.0]), np.zeros(1)], [0.5, 1.0])
+    g = restricted_gap(p, cand, far)
+    assert not g.exact and g.method == "pga-estimate"
+    assert restricted_gap(p, cand) == default
+
+
+def test_explicit_domain_containing_minimiser_matches_default():
+    p = _quadratic_with_inner_minimiser()
+    cand = (np.array([0.1, 0.2]), np.zeros(1))
+    default = restricted_gap(p, cand)
+    near = DomainSpec([np.zeros(2), np.zeros(1)], [1.0, 1.0])
+    assert restricted_gap(p, cand, near) == default
+    assert default.exact
+
+
+def test_default_ball_test_follows_edited_instance():
+    # A copy with a start point far from ws shares the structure dict but
+    # not the cached answer.
+    p = _quadratic_with_inner_minimiser()
+    cand = (np.array([0.1, 0.2]), np.zeros(1))
+    assert restricted_gap(p, cand).exact
+    moved = dataclasses.replace(p, x0=np.array([5.0, 5.0]))
+    assert not restricted_gap(moved, cand).exact
+    assert restricted_gap(p, cand).exact

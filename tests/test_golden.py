@@ -1,0 +1,74 @@
+"""Golden-bytes guard: a small grid's results.csv must not change by a bit.
+
+Hot-loop refactors (fewer NumPy calls, cached constants, dropped copies)
+must leave every round, query count, status and gap digit as it was.  The
+fixture was written by the code before such a refactor; to regenerate it
+after a deliberate change of results, run this module as a script:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import os
+
+from saddlesplit import cli
+
+FIXTURE = os.path.join(os.path.dirname(__file__), "data", "golden_results.csv")
+
+# Both chain side instances (local solves), the bilinear chain and one scsc
+# instance, whose gap takes the projected-gradient path.
+GOLDEN_CONFIG = """
+[experiment]
+epsilons = [0.05, 0.02]
+solvers = decoupled, extragradient, local_gda
+seed = 1
+check_bounds = true
+
+[instance.hard_x]
+kind = hard_x
+L = 100.0
+D = 1.0
+k = 5
+
+[instance.hard_y]
+kind = hard_y
+L = 100.0
+D = 1.0
+k = 5
+
+[instance.hard_xy]
+kind = hard_xy
+L = 1.0
+D = 1.0
+k = 20
+
+[instance.scsc]
+kind = scsc
+mu_x = 1.0
+mu_y = 1.0
+coupling = 1.0
+n = 2
+"""
+
+
+def golden_csv(tmp_dir):
+    path = os.path.join(tmp_dir, "golden.ini")
+    with open(path, "w") as fh:
+        fh.write(GOLDEN_CONFIG)
+    rows = cli.run_experiment(cli.parse_config(path), clock=lambda: 0.0)
+    return cli.rows_to_csv(rows)
+
+
+def test_results_csv_matches_fixture(tmp_path):
+    with open(FIXTURE) as fh:
+        want = fh.read()
+    assert golden_csv(str(tmp_path)) == want
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        text = golden_csv(tmp)
+    with open(FIXTURE, "w") as fh:
+        fh.write(text)
+    print(f"wrote {FIXTURE}")

@@ -70,3 +70,29 @@ def test_dual_of_applied_equals_primal(z, pw, alpha):
     m = ProductMetric([(ScaledMetric(np.array(pw)), alpha)])
     z = np.array(z)
     assert m.dual_norm(m.apply(z)) == pytest.approx(m.norm(z), rel=1e-9, abs=1e-12)
+
+
+def test_shape_check_kept_for_every_input_type():
+    # float64 vectors skip the re-wrap, everything else is converted; both
+    # routes still go through the shape check.
+    for m in (ScaledMetric(3), identity_product([1, 2])):
+        for bad in ([1.0, 2.0], 3, np.ones(2, dtype=np.float32),
+                    np.ones((3, 1)), np.float64(1.0)):
+            for method in (m.norm, m.dual_norm, m.apply, m.apply_inv):
+                with pytest.raises(ValueError):
+                    method(bad)
+        z = np.array([1.0, -2.0, 0.5])
+        for same in (list(z), z.astype(np.float32), np.array([1, -2, 0.5])):
+            assert m.norm(same) == m.norm(z)
+            assert type(m.norm(same)) is float
+            assert type(m.dual_norm(same)) is float
+
+
+def test_norms_are_python_floats_of_the_dot_product():
+    rng = np.random.default_rng(3)
+    w = rng.uniform(0.5, 2.0, 5)
+    m = ScaledMetric(w)
+    z = rng.standard_normal(5)
+    assert m.norm(z) == float(np.sqrt(np.dot(w * z, z)))
+    assert m.dual_norm(z) == float(np.sqrt(np.dot(z / w, z)))
+    assert m.norm(np.full(5, np.nan)) != m.norm(np.full(5, np.nan))

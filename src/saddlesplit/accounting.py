@@ -5,8 +5,8 @@ may only query their own oracle; information merges at round boundaries.
 The ledger counts queries ``N_i`` per agent, overall and per completed
 round, counts completed rounds ``T``, and exposes the weighted cost
 ``sum_i c_i N_i``.  Only with ``capture="full"`` does it also keep every
-(point, response) pair per agent per round; the solvers then keep their
-per-round candidates as well.
+(point, response) pair per agent per round, and the candidate each solver
+hands to `OracleLedger.keep` after each round.
 
 `span_check` verifies the gradient-span discipline on a full-capture
 ledger: any point an agent can form must sit in the affine span of its
@@ -19,27 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-
-def _snapshot(point):
-    """An independent copy of a query point.
-
-    Arrays, and tuples or lists of arrays (block points), are copied array
-    by array, which is several times cheaper than `copy.deepcopy`; anything
-    else is deep-copied.
-    """
-    if isinstance(point, np.ndarray):
-        return point.copy()
-    if type(point) in (tuple, list):
-        blocks = []
-        for b in point:
-            if not isinstance(b, np.ndarray):
-                return copy.deepcopy(point)
-            blocks.append(b.copy())
-        return type(point)(blocks)
-    return copy.deepcopy(point)
-
-
 CAPTURE_LEVELS = ("counts", "full")
+# Statuses of a run that reached its target accuracy.
+GOOD_STATUSES = ("converged", "solution_found", "local_solve")
 
 
 class OracleLedger:
@@ -55,7 +37,7 @@ class OracleLedger:
         ``"counts"`` (the default) keeps query counts only: overall and per
         completed round.  ``"full"`` also keeps an independent copy of every
         (point, response) pair, which `trace`, `responses` and `span_check`
-        read, and makes the solvers keep their per-round candidates.
+        read, and the per-round candidates passed to `keep`.
     """
 
     def __init__(self, agents, costs=None, capture="counts"):
@@ -80,6 +62,7 @@ class OracleLedger:
         if capture == "full":
             self._closed = []      # list of dicts: agent -> [(point, response)]
             self._open = {a: [] for a in self.agents}
+            self._kept = []
 
     # -- recording ---------------------------------------------------------
 
@@ -90,7 +73,8 @@ class OracleLedger:
         self._counts[agent] += 1
         if self.capture == "full":
             self._open[agent].append(
-                (_snapshot(point), np.array(response, dtype=float, copy=True)))
+                (copy.deepcopy(point),
+                 np.array(response, dtype=float, copy=True)))
 
     def end_round(self):
         """Close the current round; queries after this land in the next one."""
@@ -100,6 +84,15 @@ class OracleLedger:
         if self.capture == "full":
             self._closed.append(self._open)
             self._open = {a: [] for a in self.agents}
+
+    def keep(self, candidate):
+        """Keep `candidate` as the candidate after the last closed round.
+
+        A ``capture="full"`` ledger stores the object itself, uncopied; a
+        counts ledger stores nothing.
+        """
+        if self.capture == "full":
+            self._kept.append(candidate)
 
     def bind(self, agent, fn):
         """Wrap `fn` so every call is recorded under `agent`."""
@@ -161,6 +154,11 @@ class OracleLedger:
     def responses(self, agent, through_round=None, include_open=True):
         return [r for _, r in self.trace(agent, through_round, include_open)]
 
+    def kept(self):
+        """The candidates passed to `keep`, oldest first; empty on a counts
+        ledger."""
+        return list(self._kept) if self.capture == "full" else []
+
 
 def span_check(ledger, agent, candidate, origin, metric,
                through_round=None, include_open=True, tol=1e-8):
@@ -205,11 +203,8 @@ class RunResult:
     gap : object or None
         Last gap evaluation (a `GapResult`), when a gap oracle was supplied.
     ledger : OracleLedger
-        The run's ledger; `rounds` reads its completed rounds.
-    round_candidates : list of ndarray
-        Candidate available after each completed round; entry ``t`` is the
-        candidate after round ``t + 1``.  Empty unless the run's ledger was
-        built with ``capture="full"``.
+        The run's ledger; `rounds` reads its completed rounds and
+        `round_candidates` the candidates it kept.
     info : dict
         Solver-specific extras (step sizes, inner-iteration stats, ...).
     """
@@ -217,7 +212,6 @@ class RunResult:
     candidate: np.ndarray
     gap: object
     ledger: OracleLedger
-    round_candidates: list = field(default_factory=list)
     info: dict = field(default_factory=dict)
 
     @property
@@ -226,5 +220,12 @@ class RunResult:
         return self.ledger.round
 
     @property
+    def round_candidates(self):
+        """Candidate available after each completed round, as kept by the
+        ledger; entry ``t`` is the candidate after round ``t + 1``.  Empty
+        unless the ledger was built with ``capture="full"``."""
+        return self.ledger.kept()
+
+    @property
     def converged(self):
-        return self.status in ("converged", "solution_found", "local_solve")
+        return self.status in GOOD_STATUSES

@@ -60,12 +60,12 @@ def extragradient_run(problem, params, ledger=None, domain=None):
 
     Each iteration queries both oracles at the current anchor, takes a
     prox step, queries at the trial point, and re-steps from the anchor;
-    candidates are the eta-weighted ergodic averages of the trial points;
-    the per-round ones are kept only on a ``capture="full"`` ledger.
+    candidates are the eta-weighted ergodic averages of the trial points,
+    handed to the ledger after every round.
     """
     p = problem
     if ledger is None:
-        ledger = OracleLedger(("x", "y"), costs=p.costs)
+        ledger = OracleLedger(p.agents, costs=p.costs)
     ax, ay = default_scaling(p, params.d_hat)
     ox = ledger.bind("x", p.grad_x)
     oy = ledger.bind("y", p.grad_y)
@@ -83,19 +83,16 @@ def extragradient_run(problem, params, ledger=None, domain=None):
                           eta / ay)
         return (wx, wy)
 
-    keep_candidates = ledger.capture == "full"
     v = p.z0
     weight = 0.0
     acc = (np.zeros(p.nx), np.zeros(p.ny))
     candidate = p.z0
-    round_candidates = []
     gap = None
     status = "budget_exhausted"
     while ledger.round < params.max_rounds:
         Vv = query(v)
         ledger.end_round()
-        if keep_candidates:                  # first half-iteration: retained
-            round_candidates.append(candidate)
+        ledger.keep(candidate)               # first half-iteration: retained
         z = prox_from(v, Vv, params.eta)
         Vz = query(z)
         ledger.end_round()
@@ -103,8 +100,7 @@ def extragradient_run(problem, params, ledger=None, domain=None):
         weight += params.eta
         acc = (acc[0] + params.eta * z[0], acc[1] + params.eta * z[1])
         candidate = (acc[0] / weight, acc[1] / weight)
-        if keep_candidates:
-            round_candidates.append(candidate)
+        ledger.keep(candidate)
         it = ledger.round // 2
         if it % params.gap_stride == 0:
             gap = restricted_gap(p, candidate, domain)
@@ -119,7 +115,7 @@ def extragradient_run(problem, params, ledger=None, domain=None):
         if gap.value <= params.epsilon:
             status = "converged"
     return RunResult(status=status, candidate=candidate, gap=gap,
-                     ledger=ledger, round_candidates=round_candidates,
+                     ledger=ledger,
                      info={"alpha": (ax, ay), "eta": params.eta})
 
 
@@ -129,12 +125,11 @@ def local_gda_run(problem, params, ledger=None, domain=None):
     Per round each agent receives the other's last-round iterate, then takes
     ``steps_per_round`` gradient steps on its own variable (descent in x,
     ascent in y).  Divergence (iterate norm above 1e8) ends the run with a
-    "diverged" status.  The per-round candidates are kept only on a
-    ``capture="full"`` ledger.
+    "diverged" status.  Each round's candidate goes to the ledger.
     """
     p = problem
     if ledger is None:
-        ledger = OracleLedger(("x", "y"), costs=p.costs)
+        ledger = OracleLedger(p.agents, costs=p.costs)
     Lx_tot = p.L_x + p.L_xy
     Ly_tot = p.L_y + p.L_xy
     eta_x = params.eta_x if params.eta_x is not None else 1.0 / (2.0 * max(Lx_tot, 1e-12))
@@ -142,10 +137,8 @@ def local_gda_run(problem, params, ledger=None, domain=None):
     ox = ledger.bind("x", p.grad_x)
     oy = ledger.bind("y", p.grad_y)
 
-    keep_candidates = ledger.capture == "full"
     x, y = p.z0
     candidate = p.z0
-    round_candidates = []
     gap = None
     status = "budget_exhausted"
     while ledger.round < params.max_rounds:
@@ -160,10 +153,11 @@ def local_gda_run(problem, params, ledger=None, domain=None):
             y = p.psi_y.prox(p.metric_y, y, eta_y)
         ledger.end_round()
         candidate = (x, y)
-        if keep_candidates:
-            round_candidates.append(candidate)
-        norm = max(math.sqrt(x @ x), math.sqrt(y @ y))
-        if not np.isfinite(norm) or norm > _DIVERGENCE_NORM:
+        ledger.keep(candidate)
+        # Each norm is tested on its own: max(nx, nan) is nx.
+        nx, ny = math.sqrt(x @ x), math.sqrt(y @ y)
+        if not (math.isfinite(nx) and math.isfinite(ny)) \
+                or max(nx, ny) > _DIVERGENCE_NORM:
             status = "diverged"
             break
         if ledger.round % params.gap_stride == 0:
@@ -176,6 +170,6 @@ def local_gda_run(problem, params, ledger=None, domain=None):
         if gap.value <= params.epsilon:
             status = "converged"
     return RunResult(status=status, candidate=candidate, gap=gap,
-                     ledger=ledger, round_candidates=round_candidates,
+                     ledger=ledger,
                      info={"eta": (eta_x, eta_y),
                            "steps_per_round": params.steps_per_round})

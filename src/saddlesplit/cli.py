@@ -5,7 +5,7 @@ Subcommands
 run           execute an (instance x solver x epsilon) grid from a config
               file, with per-run oracle ledgers, and write a CSV table plus
               one SVG plot (rounds against 1/epsilon) per instance.
-hard-instance emit a worst-case chain construction as an instance file.
+hard-instance emit a worst-case chain construction as a recipe file.
 verify        run a built-in battery of invariant checks.
 bounds        print the closed-form complexity bounds for an instance.
 
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from saddlesplit.accounting import OracleLedger, span_check
+from saddlesplit.accounting import GOOD_STATUSES, OracleLedger, span_check
 from saddlesplit.baselines import (
     ExtragradientParams, LocalGdaParams, extragradient_run, local_gda_run,
 )
@@ -45,7 +45,7 @@ from saddlesplit.hard_instances import (
 from saddlesplit.metrics import ProductMetric, ScaledMetric
 from saddlesplit.problems import (
     VipProblem, instance_from_section, load_instance, make_bilinear,
-    random_polymatrix, save_instance,
+    random_polymatrix,
 )
 
 # Each solver's parameter dataclass; its fields (but `epsilon`, which the
@@ -54,7 +54,6 @@ SOLVER_PARAMS = {"decoupled": DecoupledParams,
                  "extragradient": ExtragradientParams,
                  "local_gda": LocalGdaParams}
 SOLVERS = tuple(SOLVER_PARAMS)
-_GOOD_STATUSES = ("converged", "solution_found", "local_solve")
 
 CSV_HEAD = ("instance_id", "solver", "epsilon", "rounds")
 CSV_TAIL = ("weighted_cost", "gap", "gap_exact", "bound_comm",
@@ -218,12 +217,6 @@ def parse_config(path, seed=None):
 # running the grid
 # ---------------------------------------------------------------------------
 
-def _agents_of(problem):
-    if isinstance(problem, VipProblem):
-        return tuple(str(i + 1) for i in range(problem.K))
-    return ("x", "y")
-
-
 def _dispatch(problem, solver, eps, params, ledger):
     is_vi = isinstance(problem, VipProblem)
     if is_vi and solver != "decoupled":
@@ -252,7 +245,7 @@ def _bounds_for(problem, solver, eps, params):
 
 def run_cell(instance_id, problem, solver, eps, params, check_bounds,
              clock=time.perf_counter):
-    ledger = OracleLedger(_agents_of(problem), costs=problem.costs)
+    ledger = OracleLedger(problem.agents, costs=problem.costs)
     t0 = clock()
     status, gap, invariant_broken = "", None, False
     try:
@@ -274,7 +267,7 @@ def run_cell(instance_id, problem, solver, eps, params, check_bounds,
         if invariant_broken:
             compliant = "false"
         elif bound_comm is not None and not status.startswith("error"):
-            ok = status in _GOOD_STATUSES and ledger.round <= bound_comm + 1e-9
+            ok = status in GOOD_STATUSES and ledger.round <= bound_comm + 1e-9
             if bound_oracle is not None:
                 ok = ok and ledger.weighted_cost() <= bound_oracle + 1e-9
             compliant = "true" if ok else "false"
@@ -587,7 +580,12 @@ def _cmd_hard_instance(args):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    save_instance(problem, args.out)
+    # The recipe, not the matrix: `load_instance` rebuilds the same chain.
+    cp = configparser.ConfigParser()
+    cp["instance"] = {"kind": f"hard_{args.kind}", "name": problem.name,
+                      "L": repr(args.L), "D": repr(args.D), "k": repr(args.k)}
+    with open(args.out, "w") as fh:
+        cp.write(fh)
     print(f"wrote {args.out} (kind={args.kind}, L={args.L}, D={args.D}, "
           f"k={args.k})")
     return 0

@@ -408,12 +408,11 @@ def _decoupled_run(problem, oracles, psis, metrics, L, d_hat, gradient,
     ``gradient[i]`` use the staged accelerated engine, the rest the
     anchored extragradient loop.  ``comm_bound`` sets the default round
     cap and ``reference`` (a known solution or None) arms the telescoping
-    check.  Candidates are full-block tuples scored by `restricted_gap`;
-    the per-round ones are kept only on a ``capture="full"`` ledger.
+    check.  Candidates are full-block tuples scored by `restricted_gap`
+    and handed to the ledger after every round.
     """
     K = len(oracles)
     eps = params.epsilon
-    keep_candidates = ledger.capture == "full"
     max_rounds = (math.ceil(comm_bound) + 2 if params.max_rounds is None
                   else params.max_rounds)
     alphas = [sum(L[i][j] * d_hat[j] for j in range(K) if j != i) / d_hat[i]
@@ -446,16 +445,14 @@ def _decoupled_run(problem, oracles, psis, metrics, L, d_hat, gradient,
         full[i] = residual_agd(task, xi=eps / (4.0 * d_hat[i] * d_hat[i])).point
 
     if not active:
-        ledger.end_round()
-        ledger.end_round()
         candidate = tuple(full)
+        for _ in range(2):
+            ledger.end_round()
+            ledger.keep(candidate)
         gap = restricted_gap(problem, candidate, domain)
         status = "local_solve" if gap.value <= eps else "budget_exhausted"
         return RunResult(status=status, candidate=candidate, gap=gap,
-                         ledger=ledger,
-                         round_candidates=[candidate, candidate]
-                         if keep_candidates else [],
-                         info={"local": True, "alpha": alphas})
+                         ledger=ledger, info={"local": True, "alpha": alphas})
 
     def full_point(parts):
         """All blocks: the frozen ones plus `parts` for the active ones."""
@@ -483,7 +480,6 @@ def _decoupled_run(problem, oracles, psis, metrics, L, d_hat, gradient,
     a_sum = telescope_lhs = 0.0
     a_history = []
     candidate = tuple(full)
-    round_candidates = []
     gap, status = None, "budget_exhausted"
     while ledger.round < max_rounds:
         anchor = full_point(v)
@@ -492,8 +488,7 @@ def _decoupled_run(problem, oracles, psis, metrics, L, d_hat, gradient,
             act_metrics, act_alphas, v, lam, act_lips,
             inner_flags=[gradient[i] for i in active])
         ledger.end_round()
-        if keep_candidates:
-            round_candidates.append(candidate)
+        ledger.keep(candidate)
         point = full_point(z_parts)
         V_joint = metric.join([oracles[i](point) for i in active])
         ledger.end_round()
@@ -505,8 +500,7 @@ def _decoupled_run(problem, oracles, psis, metrics, L, d_hat, gradient,
 
         if metric.dual_norm(v_psi) <= _ZERO_OPERATOR_TOL:
             candidate, status = point, "solution_found"
-            if keep_candidates:
-                round_candidates.append(candidate)
+            ledger.keep(candidate)
             gap = restricted_gap(problem, candidate, domain)
             break
 
@@ -535,8 +529,7 @@ def _decoupled_run(problem, oracles, psis, metrics, L, d_hat, gradient,
                     f"telescoped progress inequality violated: "
                     f"{telescope_lhs} > {budget}")
 
-        if keep_candidates:
-            round_candidates.append(candidate)
+        ledger.keep(candidate)
         if (ledger.round // 2) % params.gap_stride == 0:
             gap = restricted_gap(problem, candidate, domain)
             if gap.value <= eps:
@@ -549,7 +542,6 @@ def _decoupled_run(problem, oracles, psis, metrics, L, d_hat, gradient,
             status = "converged"
     return RunResult(
         status=status, candidate=candidate, gap=gap, ledger=ledger,
-        round_candidates=round_candidates,
         info={"alpha": alphas, "lam": lam, "coupling": coupling,
               "a_history": a_history, "iterations": ledger.round // 2,
               "frozen_blocks": [i for i in range(K) if i not in active],
@@ -570,7 +562,7 @@ def decoupled_saddle_run(problem, params, ledger=None, domain=None):
     """
     p = problem
     if ledger is None:
-        ledger = OracleLedger(("x", "y"), costs=p.costs)
+        ledger = OracleLedger(p.agents, costs=p.costs)
     d_hat = params.d_hat if params.d_hat is not None else (p.D_x, p.D_y)
     report = complexity_bounds(p, params.epsilon, d_hat=d_hat)
     oy = ledger.bind("y", p.grad_y)
@@ -590,12 +582,11 @@ def decoupled_vi_run(problem, params, ledger=None, domain=None):
     ``2 + 2 sum_{i != j} L_ij D_i D_j / eps``.
     """
     p = problem
-    agents = tuple(str(i + 1) for i in range(p.K))
     if ledger is None:
-        ledger = OracleLedger(agents, costs=p.costs)
+        ledger = OracleLedger(p.agents, costs=p.costs)
     return _decoupled_run(
-        p, [ledger.bind(a, op) for a, op in zip(agents, p.operators)], p.psis,
-        p.metrics, p.L,
+        p, [ledger.bind(a, op) for a, op in zip(p.agents, p.operators)],
+        p.psis, p.metrics, p.L,
         params.d_hat if params.d_hat is not None else list(p.D),
         p.block_is_gradient, params,
         complexity_bounds(p, params.epsilon).dmvip_comm, ledger, p.solution,

@@ -15,11 +15,17 @@ maximisation and flagged as such.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from saddlesplit.problems import BallIndicator, VipProblem, spectral_norm
+
+# Iterations of the projected-gradient gap estimator (estimated paths only).
+PGA_STEPS = 500
+# Bounds that are order-only (leading expression times the log factors, no
+# hidden constants); never used in compliance checks.
+ORDER_ONLY = ("cat_eg_comm", "catcat_comm")
 
 
 @dataclass
@@ -55,11 +61,11 @@ def _linear_ball_max(metric, center, radius, g):
 
 
 def _pga_extreme(grad_fn, metric, center, radius, psi, lipschitz,
-                 steps, maximize=True):
+                 maximize=True):
     """Projected-gradient ascent/descent for the inner problem of the gap."""
     w = center.copy()
     sign = 1.0 if maximize else -1.0
-    for k in range(steps):
+    for _ in range(PGA_STEPS):
         g = np.asarray(grad_fn(w), dtype=float)
         if lipschitz > 1e-14:
             step = 1.0 / lipschitz
@@ -85,7 +91,7 @@ def _psi_value(psi, metric, w):
 # restricted gap
 # ---------------------------------------------------------------------------
 
-def restricted_gap(problem, candidate, domain=None, steps=500):
+def restricted_gap(problem, candidate, domain=None):
     """Restricted duality gap of a candidate.
 
     Parameters
@@ -94,16 +100,14 @@ def restricted_gap(problem, candidate, domain=None, steps=500):
     candidate : sequence of blocks, ``(x, y)`` for saddle problems.
     domain : DomainSpec, optional
         Defaults to balls of radius ``D_i`` around the start point.
-    steps : int
-        Iterations of the projected-gradient estimator (estimated paths only).
 
     Returns
     -------
     GapResult
     """
     if isinstance(problem, VipProblem):
-        return _vip_gap(problem, candidate, domain, steps)
-    return _saddle_gap(problem, candidate, domain, steps)
+        return _vip_gap(problem, candidate, domain)
+    return _saddle_gap(problem, candidate, domain)
 
 
 def _minimiser_in_ball(p, side, domain):
@@ -129,7 +133,7 @@ def _minimiser_in_ball(p, side, domain):
     return c[4]
 
 
-def _saddle_gap(p, candidate, domain, steps):
+def _saddle_gap(p, candidate, domain):
     xbar = np.asarray(candidate[0], dtype=float)
     ybar = np.asarray(candidate[1], dtype=float)
     if domain is None:
@@ -170,9 +174,9 @@ def _saddle_gap(p, candidate, domain, steps):
         return p.grad_x((x, ybar))
 
     yhat = _pga_extreme(grad_y_of, p.metric_y, yc, ry, p.psi_y, p.L_y,
-                        steps, maximize=True)
+                        maximize=True)
     xhat = _pga_extreme(grad_x_of, p.metric_x, xc, rx, p.psi_x, p.L_x,
-                        steps, maximize=False)
+                        maximize=False)
 
     def upper_at(y):
         return (p.f_value((xbar, y)) + _psi_value(p.psi_x, p.metric_x, xbar)
@@ -192,7 +196,7 @@ def _saddle_gap(p, candidate, domain, steps):
     return GapResult(hi - lo, False, "pga-estimate")
 
 
-def _vip_gap(p, candidate, domain, steps):
+def _vip_gap(p, candidate, domain):
     if domain is None:
         domain = p.default_domain()
     st = p.structure or {}
@@ -217,7 +221,7 @@ def _vip_gap(p, candidate, domain, steps):
         return Abar.T @ (zbar - zflat) - (Abar @ zflat - bflat)
 
     z = np.concatenate([domain.block(i)[0] for i in range(p.K)])
-    for _ in range(steps):
+    for _ in range(PGA_STEPS):
         step = 1.0 / lip if lip > 1e-14 else 1.0
         z = z + step * grad(z)
         parts = split(z)
@@ -264,9 +268,7 @@ class BoundsReport:
 
     Saddle instances fill the two-agent entries, VIPs fill `dmvip_comm`
     plus the per-block conditioning terms ``A_i`` and ``B_i``.  The two
-    catalyst-style entries are order-only (leading expression times the log
-    factors at the given accuracy, no hidden constants); they are flagged in
-    `order_only` and never used in compliance checks.
+    catalyst-style entries are order-only; see `ORDER_ONLY`.
     """
     theta: float = None
     dmsp_comm: float = None
@@ -280,19 +282,14 @@ class BoundsReport:
     lower_oracle: float = None
     A_terms: list = None
     B_terms: list = None
-    order_only: tuple = ("cat_eg_comm", "catcat_comm")
 
     def as_dict(self):
+        """The entries that apply, in declaration order; lists are copied."""
         out = {}
-        for k in ("theta", "dmsp_comm", "dmsp_oracle", "eg_comm", "eg_oracle",
-                  "dmvip_comm", "cat_eg_comm", "catcat_comm", "lower_comm",
-                  "lower_oracle"):
-            v = getattr(self, k)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if v is not None:
-                out[k] = v
-        if self.A_terms is not None:
-            out["A_terms"] = list(self.A_terms)
-            out["B_terms"] = list(self.B_terms)
+                out[f.name] = list(v) if isinstance(v, list) else v
         return out
 
 

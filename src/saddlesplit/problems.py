@@ -251,7 +251,10 @@ class SaddleProblem:
     ``y``-agent; its relation to the true partial gradient is fixed by
     ``grad_y_sign``:  ``grad_y_sign * grad_y(z) == \\nabla_y f(z)``.
     The monotone operator is then ``V = (grad_x, -grad_y_sign * grad_y)``.
+    ``agents`` names the two agents for an `OracleLedger`.
     """
+    agents = ("x", "y")
+
     grad_x: object
     grad_y: object
     psi_x: CompositeTerm
@@ -358,6 +361,11 @@ class VipProblem:
     @property
     def K(self):
         return len(self.operators)
+
+    @property
+    def agents(self):
+        """Agent names for an `OracleLedger`: ``("1", ..., "K")``."""
+        return tuple(str(i + 1) for i in range(self.K))
 
     @property
     def dims(self):

@@ -165,6 +165,26 @@ def test_counts_ledger_retains_no_points():
     assert grown < 64 * 1024, grown
 
 
+def test_keep_holds_candidates_only_on_full_ledger():
+    counts = OracleLedger(("x",))
+    candidate = (np.zeros(3), np.ones(3))
+    alive = weakref.ref(candidate[0])
+    counts.end_round()
+    counts.keep(candidate)
+    del candidate
+    gc.collect()
+    assert alive() is None
+    assert counts.kept() == []
+
+    full = OracleLedger(("x",), capture="full")
+    kept = [np.arange(2.0), (np.zeros(1), np.ones(1)), np.arange(2.0)]
+    for c in kept:
+        full.end_round()
+        full.keep(c)
+    assert len(full.kept()) == len(kept)
+    assert all(got is want for got, want in zip(full.kept(), kept))
+
+
 def test_counts_ledger_refuses_point_reads():
     led = OracleLedger(("x",))
     led.record("x", np.zeros(2), np.ones(2))

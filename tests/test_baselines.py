@@ -138,3 +138,23 @@ def test_eg_nonfinite_iterate_diverges(block):
     res = extragradient_run(p, params)
     assert res.status == "diverged"
     assert res.rounds == 2
+
+
+@pytest.mark.parametrize("block", [0, 1])
+def test_local_gda_nonfinite_iterate_diverges(block):
+    # One agent answers its second query with NaN, so only that agent's
+    # iterate after round 2 is nonfinite; either side alone must end the
+    # run as diverged at that same round.
+    p = make_bilinear(np.array([[1.0]]), b=np.array([0.5]))
+    clean, calls = (p.grad_x, p.grad_y)[block], [0]
+
+    def poisoned(z):
+        calls[0] += 1
+        return np.full(1, np.nan) if calls[0] == 2 else clean(z)
+    if block == 0:
+        p.grad_x = poisoned
+    else:
+        p.grad_y = poisoned
+    res = local_gda_run(p, LocalGdaParams(epsilon=1e-6, max_rounds=50))
+    assert res.status == "diverged"
+    assert res.rounds == 2

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from saddlesplit import cli
+from saddlesplit.hard_instances import make_hard_saddle
 from saddlesplit.problems import load_instance
 
 SP_CONFIG = """
@@ -293,6 +294,21 @@ def test_hard_instance_subcommand(tmp_path, capsys):
     assert problem.saddle is not None
     assert cli.main(["hard-instance", "--kind", "xy", "--k", "0",
                      "--out", out]) == 2
+
+
+def test_hard_instance_writes_the_recipe(tmp_path):
+    # The chain is rebuilt from (kind, L, D, k), not written out dense.
+    out = tmp_path / "hard.ini"
+    assert cli.main(["hard-instance", "--kind", "xy", "--k", "500",
+                     "--L", "2.0", "--out", str(out)]) == 0
+    assert out.stat().st_size < 1024
+    got = load_instance(str(out))
+    want = make_hard_saddle("xy", L=2.0, D=1.0, k=500)
+    for key in ("A", "b"):
+        assert np.array_equal(got.structure[key], want.structure[key])
+    for g, w in zip(got.saddle, want.saddle):
+        assert np.array_equal(g, w)
+    assert got.name == want.name
 
 
 def test_verify_subcommand(capsys):

@@ -62,7 +62,7 @@ def test_estimator_agrees_with_closed_form():
     # Route through the generic estimator by hiding the structure tag.
     q = make_bilinear(A, p.structure["b"])
     q.structure = None
-    est = restricted_gap(q, cand, steps=500)
+    est = restricted_gap(q, cand)
     assert not est.exact
     assert est.value == pytest.approx(exact.value, rel=1e-4)
 

@@ -1,4 +1,4 @@
-"""Golden-bytes guard: a small grid's results.csv must not change by a bit.
+"""Golden-bytes guard: small grids' results.csv must not change by a bit.
 
 Hot-loop refactors (fewer NumPy calls, cached constants, dropped copies)
 must leave every round, query count, status and gap digit as it was.  The
@@ -13,6 +13,8 @@ import os
 from saddlesplit import cli
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "golden_results.csv")
+VI_FIXTURE = os.path.join(os.path.dirname(__file__), "data",
+                          "golden_vi_results.csv")
 
 # Both chain side instances (local solves), the bilinear chain and one scsc
 # instance, whose gap takes the projected-gradient path.
@@ -49,11 +51,26 @@ coupling = 1.0
 n = 2
 """
 
+# The VI path: three coupled blocks of dim 5 drawn from the seed, solved by
+# the decoupled driver with K = 3 agents.
+GOLDEN_VI_CONFIG = """
+[experiment]
+epsilons = [0.1, 0.05]
+solvers = decoupled
+seed = 1
+check_bounds = true
 
-def golden_csv(tmp_dir):
+[instance.polymatrix]
+kind = random_polymatrix
+dims = (5, 5, 5)
+diag = 0.5
+"""
+
+
+def golden_csv(tmp_dir, config=GOLDEN_CONFIG):
     path = os.path.join(tmp_dir, "golden.ini")
     with open(path, "w") as fh:
-        fh.write(GOLDEN_CONFIG)
+        fh.write(config)
     rows = cli.run_experiment(cli.parse_config(path), clock=lambda: 0.0)
     return cli.rows_to_csv(rows)
 
@@ -64,11 +81,19 @@ def test_results_csv_matches_fixture(tmp_path):
     assert golden_csv(str(tmp_path)) == want
 
 
+def test_vi_results_csv_matches_fixture(tmp_path):
+    with open(VI_FIXTURE) as fh:
+        want = fh.read()
+    assert golden_csv(str(tmp_path), GOLDEN_VI_CONFIG) == want
+
+
 if __name__ == "__main__":
     import tempfile
 
-    with tempfile.TemporaryDirectory() as tmp:
-        text = golden_csv(tmp)
-    with open(FIXTURE, "w") as fh:
-        fh.write(text)
-    print(f"wrote {FIXTURE}")
+    for fixture, config in ((FIXTURE, GOLDEN_CONFIG),
+                            (VI_FIXTURE, GOLDEN_VI_CONFIG)):
+        with tempfile.TemporaryDirectory() as tmp:
+            text = golden_csv(tmp, config)
+        with open(fixture, "w") as fh:
+            fh.write(text)
+        print(f"wrote {fixture}")

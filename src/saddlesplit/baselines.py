@@ -67,8 +67,8 @@ def extragradient_run(problem, params, ledger=None, domain=None):
     if ledger is None:
         ledger = OracleLedger(p.agents, costs=p.costs)
     ax, ay = default_scaling(p, params.d_hat)
-    ox = ledger.bind("x", p.grad_x)
-    oy = ledger.bind("y", p.grad_y)
+    ox, oy = (ledger.bind(a, g)
+              for a, g in zip(p.agents, (p.grad_x, p.grad_y)))
 
     def query(z):
         return ox(z), p.vy_from_raw(oy(z))
@@ -134,8 +134,8 @@ def local_gda_run(problem, params, ledger=None, domain=None):
     Ly_tot = p.L_y + p.L_xy
     eta_x = params.eta_x if params.eta_x is not None else 1.0 / (2.0 * max(Lx_tot, 1e-12))
     eta_y = params.eta_y if params.eta_y is not None else 1.0 / (2.0 * max(Ly_tot, 1e-12))
-    ox = ledger.bind("x", p.grad_x)
-    oy = ledger.bind("y", p.grad_y)
+    ox, oy = (ledger.bind(a, g)
+              for a, g in zip(p.agents, (p.grad_x, p.grad_y)))
 
     x, y = p.z0
     candidate = p.z0

@@ -45,7 +45,7 @@ from saddlesplit.hard_instances import (
 from saddlesplit.metrics import ProductMetric, ScaledMetric
 from saddlesplit.problems import (
     VipProblem, instance_from_section, load_instance, make_bilinear,
-    random_polymatrix,
+    random_polymatrix, save_instance,
 )
 
 # Each solver's parameter dataclass; its fields (but `epsilon`, which the
@@ -580,12 +580,7 @@ def _cmd_hard_instance(args):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # The recipe, not the matrix: `load_instance` rebuilds the same chain.
-    cp = configparser.ConfigParser()
-    cp["instance"] = {"kind": f"hard_{args.kind}", "name": problem.name,
-                      "L": repr(args.L), "D": repr(args.D), "k": repr(args.k)}
-    with open(args.out, "w") as fh:
-        cp.write(fh)
+    save_instance(problem, args.out)
     print(f"wrote {args.out} (kind={args.kind}, L={args.L}, D={args.D}, "
           f"k={args.k})")
     return 0

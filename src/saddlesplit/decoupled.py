@@ -565,9 +565,10 @@ def decoupled_saddle_run(problem, params, ledger=None, domain=None):
         ledger = OracleLedger(p.agents, costs=p.costs)
     d_hat = params.d_hat if params.d_hat is not None else (p.D_x, p.D_y)
     report = complexity_bounds(p, params.epsilon, d_hat=d_hat)
-    oy = ledger.bind("y", p.grad_y)
+    ox, oy = (ledger.bind(a, g)
+              for a, g in zip(p.agents, (p.grad_x, p.grad_y)))
     res = _decoupled_run(
-        p, [ledger.bind("x", p.grad_x), lambda z: p.vy_from_raw(oy(z))],
+        p, [ox, lambda z: p.vy_from_raw(oy(z))],
         [p.psi_x, p.psi_y], [p.metric_x, p.metric_y],
         [[p.L_x, p.L_xy], [p.L_xy, p.L_y]], d_hat, [True, True], params,
         report.dmsp_comm, ledger, p.saddle, domain)

@@ -23,9 +23,6 @@ from saddlesplit.problems import BallIndicator, VipProblem, spectral_norm
 
 # Iterations of the projected-gradient gap estimator (estimated paths only).
 PGA_STEPS = 500
-# Bounds that are order-only (leading expression times the log factors, no
-# hidden constants); never used in compliance checks.
-ORDER_ONLY = ("cat_eg_comm", "catcat_comm")
 
 
 @dataclass
@@ -268,7 +265,9 @@ class BoundsReport:
 
     Saddle instances fill the two-agent entries, VIPs fill `dmvip_comm`
     plus the per-block conditioning terms ``A_i`` and ``B_i``.  The two
-    catalyst-style entries are order-only; see `ORDER_ONLY`.
+    catalyst-style entries, `cat_eg_comm` and `catcat_comm`, are order-only
+    (leading expression times the log factors at the given accuracy, no
+    hidden constants) and never used in compliance checks.
     """
     theta: float = None
     dmsp_comm: float = None

@@ -177,17 +177,24 @@ def make_hard_saddle(kind, L, D, k, D_other=1.0, name=None):
     ``kind='xy'`` couples the two agents bilinearly with ``L_xy <= L``;
     ``kind='x'`` (resp. ``'y'``) gives the single-agent least-squares
     problem with ``L_x <= L`` (the chain is built at scale ``sqrt(L)`` so
-    the squared norm matches).
+    the squared norm matches).  The arguments are kept as
+    ``structure["recipe"]``, which `save_instance` writes instead of the
+    matrix.
     """
     if name is None:
         name = f"hard_{kind}"
     if kind == "xy":
         inst = make_hard_instance(L, D, k)
-        return make_bilinear(inst.A, inst.b, D_x=D, D_y=D_other, name=name,
-                             x_star=inst.v_star)
-    if kind in ("x", "y"):
+        p = make_bilinear(inst.A, inst.b, D_x=D, D_y=D_other, name=name,
+                          x_star=inst.v_star)
+    elif kind in ("x", "y"):
         inst = make_hard_instance(np.sqrt(L), D, k)
         side_D = {"D_x": D, "D_y": D_other} if kind == "x" else \
                  {"D_x": D_other, "D_y": D}
-        return make_quadratic(inst.A, inst.b, side=kind, name=name, **side_D)
-    raise ValueError("kind must be 'xy', 'x', or 'y'")
+        p = make_quadratic(inst.A, inst.b, side=kind, name=name, **side_D)
+    else:
+        raise ValueError("kind must be 'xy', 'x', or 'y'")
+    p.structure["recipe"] = {"kind": f"hard_{kind}", "L": float(L),
+                             "D": float(D), "k": int(k),
+                             "D_other": float(D_other)}
+    return p

@@ -715,16 +715,22 @@ def save_instance(problem, path):
 
     Only instances produced by the generators in this module or in
     :mod:`saddlesplit.hard_instances` can be saved; hand-built oracle
-    closures have no portable representation.
+    closures have no portable representation.  Chain instances are written
+    as their recipe (``kind = hard_<kind>``, ``L``, ``D``, ``k``,
+    ``D_other``), which `load_instance` rebuilds bit for bit.
     """
     st = problem.structure if getattr(problem, "structure", None) else None
     if st is None or "kind" not in st:
         raise ValueError("instance carries no serialisable structure")
+    recipe = st.get("recipe")
+    kind = recipe["kind"] if recipe else st["kind"]
     cp = configparser.ConfigParser()
-    cp["instance"] = {"kind": st["kind"], "name": problem.name}
+    cp["instance"] = {"kind": kind, "name": problem.name}
     sec = cp["instance"]
-    kind = st["kind"]
-    if kind == "bilinear":
+    if recipe:
+        for key in ("L", "D", "k", "D_other"):
+            sec[key] = repr(recipe[key])
+    elif kind == "bilinear":
         sec["A"] = _fmt_array(st["A"])
         sec["b"] = _fmt_array(st["b"])
         sec["D_x"], sec["D_y"] = repr(problem.D_x), repr(problem.D_y)

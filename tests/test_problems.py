@@ -228,6 +228,22 @@ def test_instance_roundtrip(tmp_path, build):
         assert (q.L_x, q.L_y, q.L_xy) == pytest.approx((p.L_x, p.L_y, p.L_xy))
 
 
+@pytest.mark.parametrize("kind", ["xy", "x", "y"])
+def test_chain_instance_saved_as_recipe(tmp_path, kind):
+    p = make_hard_saddle(kind, L=4.0, D=2.0, k=50, D_other=3.0)
+    path = tmp_path / "chain.ini"
+    save_instance(p, path)
+    assert path.stat().st_size < 1024
+    assert f"kind = hard_{kind}" in path.read_text()
+    q = load_instance(path)
+    for key in ("A", "b"):
+        assert np.array_equal(q.structure[key], p.structure[key])
+    for got, want in zip(q.saddle, p.saddle):
+        assert np.array_equal(got, want)
+    assert (q.name, q.D_x, q.D_y) == (p.name, p.D_x, p.D_y)
+    assert (q.L_x, q.L_y, q.L_xy) == (p.L_x, p.L_y, p.L_xy)
+
+
 def test_matrix_products_match_dense_on_both_kernels():
     rng = np.random.default_rng(11)
     chain = make_hard_saddle("xy", 1.0, 1.0, 500)      # nonzero-triplet kernel

@@ -16,6 +16,8 @@ import numpy as np
 
 from saddlesplit.accounting import OracleLedger, RunResult
 from saddlesplit.evaluation import restricted_gap
+from saddlesplit.metrics import ProductMetric
+from saddlesplit.problems import ZeroTerm
 
 _DIVERGENCE_NORM = 1e8
 
@@ -55,13 +57,42 @@ def default_scaling(problem, d_hat=None):
     return max(ax, 1e-12), max(ay, 1e-12)
 
 
+def _joint_space(p, step_x, step_y):
+    """The flat (x, y) metric, block views, and the joint prox step.
+
+    The metric's weights are ``concat(P_x, P_y)`` exactly, so the step
+    ``v - steps * metric.apply_inv(V)`` with per-coordinate `steps` does
+    the same arithmetic, element for element, as two block steps.  A
+    block's prox runs only when its term is not `ZeroTerm` (whose prox is
+    the identity), in place on the fresh step output.
+    """
+    nx = p.nx
+    metric = ProductMetric([(p.metric_x, 1.0), (p.metric_y, 1.0)])
+    steps = np.concatenate((np.full(nx, step_x), np.full(p.ny, step_y)))
+    proxes = [term for term in ((slice(None, nx), p.psi_x, p.metric_x, step_x),
+                                (slice(nx, None), p.psi_y, p.metric_y, step_y))
+              if type(term[1]) is not ZeroTerm]
+
+    def blocks(v):
+        return (v[:nx], v[nx:])
+
+    def step(v, V):
+        w = v - steps * metric.apply_inv(V)
+        for part, psi, block_metric, block_step in proxes:
+            w[part] = psi.prox(block_metric, w[part], block_step)
+        return w
+    return metric, blocks, step
+
+
 def extragradient_run(problem, params, ledger=None, domain=None):
     """Run extragradient on a saddle problem until the gap closes.
 
     Each iteration queries both oracles at the current anchor, takes a
     prox step, queries at the trial point, and re-steps from the anchor;
     candidates are the eta-weighted ergodic averages of the trial points,
-    handed to the ledger after every round.
+    handed to the ledger after every round.  Anchor, trial point, sum and
+    candidate are joint (x, y) vectors; the blocks are views into them,
+    and no array is written once a view of it has been handed out.
     """
     p = problem
     if ledger is None:
@@ -69,37 +100,31 @@ def extragradient_run(problem, params, ledger=None, domain=None):
     ax, ay = default_scaling(p, params.d_hat)
     ox, oy = (ledger.bind(a, g)
               for a, g in zip(p.agents, (p.grad_x, p.grad_y)))
+    eta = params.eta
+    metric, blocks, step = _joint_space(p, eta / ax, eta / ay)
 
-    def query(z):
-        return ox(z), p.vy_from_raw(oy(z))
+    def query(v):
+        z = blocks(v)
+        return metric.join((ox(z), p.vy_from_raw(oy(z))))
 
-    def prox_from(v, V, eta):
-        # blockwise: argmin <eta V_i, w> + (alpha_i / 2)|w - v_i|_i^2 + eta psi_i
-        wx = p.psi_x.prox(p.metric_x,
-                          v[0] - (eta / ax) * p.metric_x.apply_inv(V[0]),
-                          eta / ax)
-        wy = p.psi_y.prox(p.metric_y,
-                          v[1] - (eta / ay) * p.metric_y.apply_inv(V[1]),
-                          eta / ay)
-        return (wx, wy)
-
-    v = p.z0
+    v = np.concatenate(p.z0)
     weight = 0.0
-    acc = (np.zeros(p.nx), np.zeros(p.ny))
-    candidate = p.z0
+    acc = np.zeros(v.size)
+    candidate = blocks(v)
     gap = None
     status = "budget_exhausted"
     while ledger.round < params.max_rounds:
         Vv = query(v)
         ledger.end_round()
         ledger.keep(candidate)               # first half-iteration: retained
-        z = prox_from(v, Vv, params.eta)
+        # blockwise: argmin <eta V_i, w> + (alpha_i / 2)|w - v_i|_i^2 + eta psi_i
+        z = step(v, Vv)
         Vz = query(z)
         ledger.end_round()
-        v = prox_from(v, Vz, params.eta)
-        weight += params.eta
-        acc = (acc[0] + params.eta * z[0], acc[1] + params.eta * z[1])
-        candidate = (acc[0] / weight, acc[1] / weight)
+        v = step(v, Vz)
+        weight += eta
+        acc = acc + eta * z
+        candidate = blocks(acc / weight)
         ledger.keep(candidate)
         it = ledger.round // 2
         if it % params.gap_stride == 0:
@@ -107,7 +132,7 @@ def extragradient_run(problem, params, ledger=None, domain=None):
             if gap.value <= params.epsilon:
                 status = "converged"
                 break
-        if not (np.isfinite(v[0]).all() and np.isfinite(v[1]).all()):
+        if not np.isfinite(v).all():
             status = "diverged"
             break
     if status == "budget_exhausted":
@@ -125,7 +150,9 @@ def local_gda_run(problem, params, ledger=None, domain=None):
     Per round each agent receives the other's last-round iterate, then takes
     ``steps_per_round`` gradient steps on its own variable (descent in x,
     ascent in y).  Divergence (iterate norm above 1e8) ends the run with a
-    "diverged" status.  Each round's candidate goes to the ledger.
+    "diverged" status.  Each round's candidate goes to the ledger.  The
+    iterate is one joint (x, y) vector: the y ascent step is the descent
+    step on ``V_y = -grad_y f``, which gives the same bits.
     """
     p = problem
     if ledger is None:
@@ -136,21 +163,19 @@ def local_gda_run(problem, params, ledger=None, domain=None):
     eta_y = params.eta_y if params.eta_y is not None else 1.0 / (2.0 * max(Ly_tot, 1e-12))
     ox, oy = (ledger.bind(a, g)
               for a, g in zip(p.agents, (p.grad_x, p.grad_y)))
+    metric, blocks, step = _joint_space(p, eta_x, eta_y)
 
-    x, y = p.z0
-    candidate = p.z0
+    v = np.concatenate(p.z0)
+    x, y = candidate = blocks(v)
     gap = None
     status = "budget_exhausted"
     while ledger.round < params.max_rounds:
-        # x and y are rebound, never written in place, so no copies.
+        # v is rebound, never written once its views are out, so no copies.
         x_frozen, y_frozen = x, y
         for _ in range(params.steps_per_round):
-            gx = ox((x, y_frozen))
-            x = x - eta_x * p.metric_x.apply_inv(gx)
-            x = p.psi_x.prox(p.metric_x, x, eta_x)
-            gy_raw = oy((x_frozen, y))
-            y = y + eta_y * p.metric_y.apply_inv(p.ascent_y_from_raw(gy_raw))
-            y = p.psi_y.prox(p.metric_y, y, eta_y)
+            v = step(v, metric.join((ox((x, y_frozen)),
+                                     p.vy_from_raw(oy((x_frozen, y))))))
+            x, y = blocks(v)
         ledger.end_round()
         candidate = (x, y)
         ledger.keep(candidate)

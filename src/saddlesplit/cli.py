@@ -22,6 +22,7 @@ import argparse
 import ast
 import configparser
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -124,7 +125,8 @@ def _build_instance(sec, iid, base, rng):
     """The instance an ``[instance...]`` section declares.
 
     ``file =`` paths resolve against `base` (the config's directory);
-    ``kind = random_polymatrix`` draws from `rng`; anything else is inline.
+    ``kind = random_polymatrix`` draws from the generator `rng()` returns;
+    anything else is inline.
     """
     try:
         if "file" in sec:
@@ -132,7 +134,7 @@ def _build_instance(sec, iid, base, rng):
         if sec.get("kind") == "random_polymatrix":
             dims = tuple(_literal(sec, "dims", sec.name))
             return random_polymatrix(
-                len(dims), dims, rng,
+                len(dims), dims, rng(),
                 coupling=_literal(sec, "coupling", sec.name)
                 if "coupling" in sec else 1.0,
                 diag=_literal(sec, "diag", sec.name) if "diag" in sec else 0.0,
@@ -146,9 +148,12 @@ def _config_instances(cp, path, seed):
     """``(id, problem)`` for each ``[instance]``/``[instance.<id>]`` section.
 
     Sections are built in file order from one rng seeded with `seed`, so
-    `run` and `bounds` draw the same random instances from one config.
+    `run` and `bounds` draw the same random instances from one config.  The
+    rng is made at the first random section, so a config without one never
+    imports ``numpy.random``.  An id may not hold a comma or a line break,
+    which would break the CSV row it names.
     """
-    rng = np.random.default_rng(seed)
+    rng = functools.cache(lambda: np.random.default_rng(seed))
     base = os.path.dirname(os.path.abspath(path))
     instances = []
     for section in cp.sections():
@@ -157,6 +162,9 @@ def _config_instances(cp, path, seed):
         sec = cp[section]
         iid = section.split(".", 1)[1] if "." in section else \
             sec.get("name", "instance")
+        if any(c in iid for c in ",\r\n"):
+            raise ConfigError(f"instance id {iid!r} in [{section}] may not "
+                              "contain a comma or a line break")
         instances.append((iid, _build_instance(sec, iid, base, rng)))
     if not instances:
         raise ConfigError("config declares no [instance] sections")
@@ -335,7 +343,14 @@ def read_results(path):
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     header = lines[0].split(",")
-    return [dict(zip(header, ln.split(","))) for ln in lines[1:]]
+    rows = []
+    for number, ln in enumerate(lines[1:], start=2):
+        fields = ln.split(",")
+        if len(fields) != len(header):
+            raise ValueError(f"{path}: row {number} has {len(fields)} fields, "
+                             f"the header {len(header)}")
+        rows.append(dict(zip(header, fields)))
+    return rows
 
 
 _PALETTE = ("#1b6ca8", "#c84b31", "#3a7d44", "#8d5fd3", "#c49b0b")

@@ -263,13 +263,15 @@ def residual_agd(task, xi):
                               1.0 / Lk)
             if not np.isfinite(x_next).all():
                 raise FloatingPointError("inner iterate became nonfinite")
-            sub = -model_grad - Lk * metric.apply(x_next - y)
+            probe = i + 1 == next_check or i == plan.counts[k] - 1
+            if probe:
+                # The prox optimality condition's subgradient at x_next.
+                sub = -model_grad - Lk * metric.apply(x_next - y)
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             y = x_next + ((t - 1.0) / t_next) * (x_next - x)
             x, t = x_next, t_next
             g_y = None
-            last = i == plan.counts[k] - 1
-            if i + 1 == next_check or last:
+            if probe:
                 next_check *= 2
                 g_x = op(x)
                 r = metric.dual_norm(g_x + sub)

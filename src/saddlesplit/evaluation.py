@@ -51,10 +51,8 @@ def _ball_project(metric, center, radius, v, psi=None):
 
 
 def _linear_ball_max(metric, center, radius, g):
-    """max over the metric ball of <g, .> ; returns (value, argmax)."""
-    dual = metric.dual_norm(g)
-    arg = center if dual == 0 else center + radius * metric.apply_inv(g) / dual
-    return float(np.dot(g, center)) + radius * dual, arg
+    """max over the metric ball of <g, .>."""
+    return float(np.dot(g, center)) + radius * metric.dual_norm(g)
 
 
 def _pga_extreme(grad_fn, metric, center, radius, psi, lipschitz,
@@ -133,23 +131,8 @@ def _minimiser_in_ball(p, side, domain):
 def _saddle_gap(p, candidate, domain):
     xbar = np.asarray(candidate[0], dtype=float)
     ybar = np.asarray(candidate[1], dtype=float)
-    if domain is None:
-        # The default balls, read off the instance without a DomainSpec.
-        xc, rx = np.asarray(p.x0, dtype=float), float(p.D_x)
-        yc, ry = np.asarray(p.y0, dtype=float), float(p.D_y)
-    else:
-        (xc, rx), (yc, ry) = domain.block(0), domain.block(1)
     st = p.structure or {}
     kind = st.get("kind")
-
-    if kind == "bilinear":
-        b = st["b"]
-        gy = st["matvec"](xbar) - b            # gradient of y -> f(xbar, y)
-        max_side, _ = _linear_ball_max(p.metric_y, yc, ry, gy)
-        gx = st["rmatvec"](ybar)               # gradient of x -> f(x, ybar)
-        # min over the x-ball of <gx, x> - <b, ybar>
-        min_side = -_linear_ball_max(p.metric_x, xc, rx, -gx)[0] - float(b @ ybar)
-        return GapResult(max_side - min_side, True, "bilinear-closed-form")
 
     if kind in ("quadratic_x", "quadratic_y"):
         side = 0 if kind == "quadratic_x" else 1
@@ -160,6 +143,22 @@ def _saddle_gap(p, candidate, domain):
             return GapResult(0.5 * float(math.sqrt(resid @ resid) ** 2), True,
                              "quadratic-closed-form")
         # fall through to the generic estimator
+
+    if domain is None:
+        # The default balls, read off the instance without a DomainSpec.
+        xc, rx = np.asarray(p.x0, dtype=float), float(p.D_x)
+        yc, ry = np.asarray(p.y0, dtype=float), float(p.D_y)
+    else:
+        (xc, rx), (yc, ry) = domain.block(0), domain.block(1)
+
+    if kind == "bilinear":
+        b = st["b"]
+        gy = st["matvec"](xbar) - b            # gradient of y -> f(xbar, y)
+        max_side = _linear_ball_max(p.metric_y, yc, ry, gy)
+        gx = st["rmatvec"](ybar)               # gradient of x -> f(x, ybar)
+        # min over the x-ball of <gx, x> - <b, ybar>
+        min_side = -_linear_ball_max(p.metric_x, xc, rx, -gx) - float(b @ ybar)
+        return GapResult(max_side - min_side, True, "bilinear-closed-form")
 
     if p.f_value is None:
         raise ValueError("gap estimation requires function values on the instance")

@@ -129,9 +129,10 @@ class ProductMetric:
         if len(parts) != self.n_blocks:
             raise ValueError("wrong number of blocks")
         for part, d in zip(parts, self.dims):
-            if np.asarray(part).shape != (d,):
+            shape = part.shape if type(part) is np.ndarray else np.shape(part)
+            if shape != (d,):
                 raise ValueError("block dimension mismatch in join")
-        return np.concatenate([np.asarray(p, dtype=float) for p in parts])
+        return np.concatenate(parts, dtype=float)
 
 
 def identity_product(dims, alphas=None):

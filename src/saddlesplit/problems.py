@@ -412,7 +412,7 @@ def spectral_norm(A, iters=500, tol=1e-12):
 # ---------------------------------------------------------------------------
 
 def _matrix_products(A):
-    """``(x -> A @ x, y -> A.T @ y)`` with the kernel picked once for `A`.
+    """``(x -> A x, y -> A^T y)`` with the kernel picked once for `A`.
 
     Matrices with at most one nonzero in 64 entries (the chain instances of
     :mod:`saddlesplit.hard_instances`) multiply through their stored nonzero
@@ -422,7 +422,7 @@ def _matrix_products(A):
     m, n = A.shape
     rows, cols = np.nonzero(A)
     if _SPARSE_PRODUCT_RATIO * rows.size > m * n:
-        return (lambda x: A @ x), (lambda y: A.T @ y)
+        return A.dot, A.T.dot
     vals = A[rows, cols]
 
     def matvec(x):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,10 @@ from saddlesplit.baselines import (
     ExtragradientParams, LocalGdaParams, default_scaling,
     extragradient_run, local_gda_run,
 )
-from saddlesplit.problems import make_bilinear, make_strongly_convex_concave
+from saddlesplit.metrics import ScaledMetric
+from saddlesplit.problems import (
+    BallIndicator, make_bilinear, make_strongly_convex_concave,
+)
 from saddlesplit.evaluation import complexity_bounds
 
 
@@ -158,3 +163,64 @@ def test_local_gda_nonfinite_iterate_diverges(block):
     res = local_gda_run(p, LocalGdaParams(epsilon=1e-6, max_rounds=50))
     assert res.status == "diverged"
     assert res.rounds == 2
+
+
+def _ball_bilinear():
+    # Both blocks carry a ball term that binds, in non-unit diagonal
+    # metrics: the prox branch of each step is taken, unlike on any bench
+    # or golden instance (all of which have zero composite terms).
+    p = make_bilinear(np.array([[1.0, 0.4, 0.0], [-0.3, 0.8, 0.5]]),
+                      b=np.array([0.3, -0.2]))
+    return dataclasses.replace(
+        p, psi_x=BallIndicator(np.zeros(3), 0.25),
+        psi_y=BallIndicator(np.zeros(2), 0.2),
+        metric_x=ScaledMetric([2.0, 0.5, 1.25]),
+        metric_y=ScaledMetric([1.5, 3.0]))
+
+
+# Status, rounds, gap and candidate of each run, to the bit, as computed
+# with a separate step per block: the joint (x, y) step must do the same
+# arithmetic element for element.
+_PINNED = {
+    "extragradient": (
+        "budget_exhausted", 300, "0x1.7e259f6eb7798p-3",
+        (["0x1.5aed43b32572ap-3", "0x1.94bb159836b4fp-8",
+          "-0x1.d7aec32b5f243p-5"],
+         ["-0x1.132b9907d5aacp-3", "0x1.0ca8a8cb82122p-4"])),
+    "local_gda": (
+        "budget_exhausted", 40, "0x1.7bef5941fbf63p-3",
+        (["0x1.5d8aa70f2f501p-3", "0x1.7378d66229ea8p-8",
+          "-0x1.dc39734ce4dc7p-5"],
+         ["-0x1.13144a3a2b991p-3", "0x1.0cff0e7d0dce4p-4"])),
+}
+
+
+def _run_pinned(solver, problem):
+    if solver == "extragradient":
+        return extragradient_run(
+            problem, ExtragradientParams(epsilon=1e-3, max_rounds=300))
+    return local_gda_run(problem, LocalGdaParams(
+        epsilon=1e-3, steps_per_round=2, max_rounds=40))
+
+
+@pytest.mark.parametrize("solver", sorted(_PINNED))
+def test_prox_branch_results_pinned(solver):
+    res = _run_pinned(solver, _ball_bilinear())
+    status, rounds, gap, candidate = _PINNED[solver]
+    assert res.status == status
+    assert res.rounds == rounds
+    assert res.gap.value.hex() == gap
+    assert [[float(v).hex() for v in block]
+            for block in res.candidate] == [list(b) for b in candidate]
+
+
+@pytest.mark.parametrize("solver", sorted(_PINNED))
+@pytest.mark.parametrize("block", [0, 1])
+def test_wrong_length_oracle_response_raises(solver, block):
+    p = _ball_bilinear()
+    if block == 0:
+        p.grad_x = lambda z: np.zeros(4)
+    else:
+        p.grad_y = lambda z: np.zeros(3)
+    with pytest.raises(ValueError):
+        _run_pinned(solver, p)

@@ -2,6 +2,8 @@
 
 import ast
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -486,3 +488,49 @@ def test_bounds_accepts_a_d_hat_pair(tmp_path, capsys):
     assert cli.main(["bounds", "--config", path, "--epsilon", "0.1",
                      "--d-hat", "(1.0, 3.0)"]) == 0
     assert "theta = " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("header", ["[instance.a,b]",
+                                    "[instance]\nname = a\n  b"],
+                         ids=["comma", "line-break"])
+def test_instance_id_that_breaks_a_csv_row_rejected(tmp_path, header):
+    # `[instance.a,b]` used to write a results row with one field too many,
+    # which read back as instance_id='a', solver='b'.
+    text = ("[experiment]\nepsilons = [0.1]\n\n" + header
+            + "\nkind = scsc\nmu_x = 1.0\nmu_y = 1.0\ncoupling = 1.0\nn = 1\n")
+    path = _write(tmp_path, text)
+    with pytest.raises(cli.ConfigError, match="comma or a line break"):
+        cli.parse_config(path)
+    assert cli.main(["run", "--config", path,
+                     "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_read_results_rejects_a_row_of_the_wrong_width(tmp_path):
+    config = cli.parse_config(_write(tmp_path, SP_CONFIG))
+    rows = cli.run_experiment(config, clock=lambda: 0.0)
+    lines = cli.rows_to_csv(rows).splitlines()
+    for bad in (lines[1] + ",extra", lines[1].rsplit(",", 1)[0]):
+        path = tmp_path / "results.csv"
+        path.write_text("\n".join([lines[0], bad] + lines[2:]) + "\n")
+        with pytest.raises(ValueError, match="row 2 has"):
+            cli.read_results(str(path))
+
+
+def test_config_without_random_instances_skips_numpy_random(tmp_path):
+    # Only a `kind = random_polymatrix` section makes the seeded rng, so
+    # parsing this config never imports numpy.random (about 10 ms and 5 MB
+    # in every fresh process that parses one).
+    text = BOUNDS_CONFIG + "\n[instance.chain]\nkind = hard_xy\nL = 1.0\n" \
+        "D = 1.0\nk = 5\n"
+    path = _write(tmp_path, text)
+    code = ("import sys\nfrom saddlesplit import cli\n"
+            f"config = cli.parse_config({path!r})\n"
+            "assert [i for i, _ in config.instances] == ['strong', 'chain']\n"
+            "print('numpy.random' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+    assert callable(cli.random_polymatrix)

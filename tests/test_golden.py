@@ -15,6 +15,8 @@ from saddlesplit import cli
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "golden_results.csv")
 VI_FIXTURE = os.path.join(os.path.dirname(__file__), "data",
                           "golden_vi_results.csv")
+CHAIN_FIXTURE = os.path.join(os.path.dirname(__file__), "data",
+                             "golden_chain_results.csv")
 
 # Both chain side instances (local solves), the bilinear chain and one scsc
 # instance, whose gap takes the projected-gradient path.
@@ -67,6 +69,24 @@ diag = 0.5
 """
 
 
+# The nonzero-triplet product kernel: at k = 63 the bilinear chain (128 x
+# 127, 254 nonzeros) is the smallest with 64 * nnz <= m * n, so its oracles
+# and gaps leave the BLAS path that the k = 20 chain above takes.
+GOLDEN_CHAIN_CONFIG = """
+[experiment]
+epsilons = [0.05, 0.02]
+solvers = decoupled, extragradient, local_gda
+seed = 1
+check_bounds = true
+
+[instance.hard_xy_sparse]
+kind = hard_xy
+L = 1.0
+D = 1.0
+k = 63
+"""
+
+
 def golden_csv(tmp_dir, config=GOLDEN_CONFIG):
     path = os.path.join(tmp_dir, "golden.ini")
     with open(path, "w") as fh:
@@ -87,11 +107,18 @@ def test_vi_results_csv_matches_fixture(tmp_path):
     assert golden_csv(str(tmp_path), GOLDEN_VI_CONFIG) == want
 
 
+def test_chain_triplet_results_csv_matches_fixture(tmp_path):
+    with open(CHAIN_FIXTURE) as fh:
+        want = fh.read()
+    assert golden_csv(str(tmp_path), GOLDEN_CHAIN_CONFIG) == want
+
+
 if __name__ == "__main__":
     import tempfile
 
     for fixture, config in ((FIXTURE, GOLDEN_CONFIG),
-                            (VI_FIXTURE, GOLDEN_VI_CONFIG)):
+                            (VI_FIXTURE, GOLDEN_VI_CONFIG),
+                            (CHAIN_FIXTURE, GOLDEN_CHAIN_CONFIG)):
         with tempfile.TemporaryDirectory() as tmp:
             text = golden_csv(tmp, config)
         with open(fixture, "w") as fh:

@@ -151,11 +151,13 @@ def _config_instances(cp, path, seed):
     `run` and `bounds` draw the same random instances from one config.  The
     rng is made at the first random section, so a config without one never
     imports ``numpy.random``.  An id may not hold a comma or a line break,
-    which would break the CSV row it names.
+    which would break the CSV row it names, and no two ids may share the
+    plot file `svg_stem` names.
     """
     rng = functools.cache(lambda: np.random.default_rng(seed))
     base = os.path.dirname(os.path.abspath(path))
     instances = []
+    id_of_stem = {}
     for section in cp.sections():
         if section != "instance" and not section.startswith("instance."):
             continue
@@ -165,6 +167,11 @@ def _config_instances(cp, path, seed):
         if any(c in iid for c in ",\r\n"):
             raise ConfigError(f"instance id {iid!r} in [{section}] may not "
                               "contain a comma or a line break")
+        stem = svg_stem(iid)
+        if stem in id_of_stem:
+            raise ConfigError(f"instance ids {id_of_stem[stem]!r} and {iid!r} "
+                              f"would both write {stem}.svg")
+        id_of_stem[stem] = iid
         instances.append((iid, _build_instance(sec, iid, base, rng)))
     if not instances:
         raise ConfigError("config declares no [instance] sections")
@@ -425,6 +432,12 @@ def _svg_plot(instance_id, rows):
     return "\n".join(parts) + "\n"
 
 
+def svg_stem(instance_id):
+    """File stem of `instance_id`'s plot: characters other than letters,
+    digits, ``-`` and ``_`` become ``_``."""
+    return "".join(c if c.isalnum() or c in "-_" else "_" for c in instance_id)
+
+
 def emit_outputs(rows, directory):
     """Write results.csv and one SVG per instance; returns the paths."""
     os.makedirs(directory, exist_ok=True)
@@ -437,8 +450,7 @@ def emit_outputs(rows, directory):
     for r in rows:
         by_instance.setdefault(r.instance_id, []).append(r)
     for iid in sorted(by_instance):
-        safe = "".join(c if c.isalnum() or c in "-_" else "_" for c in iid)
-        svg_path = os.path.join(directory, f"{safe}.svg")
+        svg_path = os.path.join(directory, f"{svg_stem(iid)}.svg")
         with open(svg_path, "w") as fh:
             fh.write(_svg_plot(iid, by_instance[iid]))
         paths.append(svg_path)
@@ -539,16 +551,21 @@ def _verify_battery():
         return True
 
     def chain_sparse_products():
-        # At k = 100 the chain (202 x 201, 402 nonzeros) takes the
-        # nonzero-triplet products; they must match the dense ones.
-        st = make_hard_saddle("xy", 1.0, 1.0, 100).structure
-        A = st["A"]
-        for _ in range(5):
-            x, y = rng.normal(size=A.shape[1]), rng.normal(size=A.shape[0])
-            for got, want in ((st["matvec"](x), A @ x),
-                              (st["rmatvec"](y), A.T @ y)):
-                if np.linalg.norm(got - want) > 1e-12 * np.linalg.norm(want):
-                    return False
+        # At k = 100 each chain kind (202 x 201, 402 nonzeros) takes the
+        # nonzero-triplet products and keeps no dense matrix; its products
+        # must match the dense ones.
+        for kind in ("xy", "x", "y"):
+            st = make_hard_saddle(kind, 1.0, 1.0, 100).structure
+            if isinstance(st["A"], np.ndarray):
+                return False
+            A = np.asarray(st["A"])
+            for _ in range(5):
+                x, y = rng.normal(size=A.shape[1]), rng.normal(size=A.shape[0])
+                for got, want in ((st["matvec"](x), A @ x),
+                                  (st["rmatvec"](y), A.T @ y)):
+                    if (np.linalg.norm(got - want)
+                            > 1e-12 * np.linalg.norm(want)):
+                        return False
         return True
 
     checks = [

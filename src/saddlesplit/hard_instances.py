@@ -13,14 +13,16 @@ puts the minimiser at distance exactly ``D`` while ``||A|| <= L``.
 
 The same matrix drives three instance flavours: a pure least-squares problem
 for either single agent (kind ``x`` / ``y``) and a bilinear coupling (kind
-``xy``) whose restricted gap inherits the residual lower bound.
+``xy``) whose restricted gap inherits the residual lower bound.  The saddle
+instances keep the matrix as its ``2p`` nonzero triplets, so a chain costs
+``O(k)`` memory to build; only `make_hard_instance` scatters it dense.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from saddlesplit.problems import make_bilinear, make_quadratic
+from saddlesplit.problems import TripletMatrix, make_bilinear, make_quadratic
 
 
 def chain_matrices(p):
@@ -60,21 +62,19 @@ class HardInstance:
         return self.A.shape
 
 
-def make_hard_instance(L, D, k, m=None, n=None):
-    """Build the order-``2k+1`` chain instance at scale ``(L, D)``.
+def _check_scales(**scales):
+    for name, value in scales.items():
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(
+                f"scale {name} must be finite and positive, got {value!r}")
 
-    Parameters
-    ----------
-    L, D : float
-        Target operator-norm bound and distance of the minimiser.
-    k : int
-        Number of Krylov steps the construction defeats.  Requires
-        ``1 <= k <= (min(m - 1, n) - 1) / 2``.
-    m, n : int, optional
-        Ambient dimensions; default to the minimal ``(p + 1, p)``.
-    """
-    if L <= 0 or D <= 0:
-        raise ValueError("scales L and D must be positive")
+
+def _chain(L, D, k, m=None, n=None):
+    """``(p, gamma, A, b, v_star)`` of the chain instance, with ``A`` as
+    the `TripletMatrix` of ``(L/2) B`` padded to ``m x n``."""
+    _check_scales(L=L, D=D)
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValueError(f"order k must be an integer, got {k!r}")
     p = 2 * k + 1
     if m is None:
         m = p + 1
@@ -83,19 +83,41 @@ def make_hard_instance(L, D, k, m=None, n=None):
     if not (1 <= k <= (min(m - 1, n) - 1) / 2):
         raise ValueError("order k does not fit the requested dimensions")
     gamma = D * np.sqrt(6.0 * (p + 1) / (p * (2.0 * p + 1.0)))
-    # (L/2) B written diagonal by diagonal: no dense integer B on the way.
-    A = np.zeros((m, n))
+    # The 2p nonzeros in row-major order: (j, j) = L/2, then (j + 1, j) =
+    # -L/2, for j = 0, ..., p - 1.
     j = np.arange(p)
-    A[j, j] = 0.5 * L
-    A[j + 1, j] = -0.5 * L
+    rows, cols, vals = (np.empty(2 * p, dtype=j.dtype),
+                        np.empty(2 * p, dtype=j.dtype), np.empty(2 * p))
+    rows[0::2], rows[1::2] = j, j + 1
+    cols[0::2] = cols[1::2] = j
+    vals[0::2], vals[1::2] = 0.5 * L, -0.5 * L
+    A = TripletMatrix((m, n), rows, cols, vals)
     u = np.full(p + 1, -1.0 / (p + 1))
     u[0] = p / (p + 1.0)
     b = np.zeros(m)
     b[:p + 1] = gamma * 0.5 * L * u
     v = np.zeros(n)
-    v[:p] = gamma * (p - np.arange(p)) / (p + 1.0)
-    return HardInstance(L=float(L), D=float(D), k=k, p=p, A=A, b=b,
-                        gamma=float(gamma), v_star=v)
+    v[:p] = gamma * (p - j) / (p + 1.0)
+    return p, gamma, A, b, v
+
+
+def make_hard_instance(L, D, k, m=None, n=None):
+    """Build the order-``2k+1`` chain instance at scale ``(L, D)``.
+
+    Parameters
+    ----------
+    L, D : float
+        Target operator-norm bound and distance of the minimiser; both
+        finite and positive.
+    k : int
+        Number of Krylov steps the construction defeats; an integer with
+        ``1 <= k <= (min(m - 1, n) - 1) / 2``.
+    m, n : int, optional
+        Ambient dimensions; default to the minimal ``(p + 1, p)``.
+    """
+    p, gamma, A, b, v = _chain(L, D, k, m, n)
+    return HardInstance(L=float(L), D=float(D), k=k, p=p, A=np.asarray(A),
+                        b=b, gamma=float(gamma), v_star=v)
 
 
 # ---------------------------------------------------------------------------
@@ -177,21 +199,23 @@ def make_hard_saddle(kind, L, D, k, D_other=1.0, name=None):
     ``kind='xy'`` couples the two agents bilinearly with ``L_xy <= L``;
     ``kind='x'`` (resp. ``'y'``) gives the single-agent least-squares
     problem with ``L_x <= L`` (the chain is built at scale ``sqrt(L)`` so
-    the squared norm matches).  The arguments are kept as
-    ``structure["recipe"]``, which `save_instance` writes instead of the
-    matrix.
+    the squared norm matches).  The scales ``L``, ``D`` and ``D_other``
+    must be finite and positive.  The builders get the chain's triplets
+    and its known solution, so no dense matrix and no least-squares solve
+    is made.  The arguments are kept as ``structure["recipe"]``, which
+    `save_instance` writes instead of the matrix.
     """
+    _check_scales(L=L, D=D, D_other=D_other)
     if name is None:
         name = f"hard_{kind}"
     if kind == "xy":
-        inst = make_hard_instance(L, D, k)
-        p = make_bilinear(inst.A, inst.b, D_x=D, D_y=D_other, name=name,
-                          x_star=inst.v_star)
+        _, _, A, b, v = _chain(L, D, k)
+        p = make_bilinear(A, b, D_x=D, D_y=D_other, name=name, x_star=v)
     elif kind in ("x", "y"):
-        inst = make_hard_instance(np.sqrt(L), D, k)
+        _, _, A, b, v = _chain(np.sqrt(L), D, k)
         side_D = {"D_x": D, "D_y": D_other} if kind == "x" else \
                  {"D_x": D_other, "D_y": D}
-        p = make_quadratic(inst.A, inst.b, side=kind, name=name, **side_D)
+        p = make_quadratic(A, b, side=kind, name=name, x_star=v, **side_D)
     else:
         raise ValueError("kind must be 'xy', 'x', or 'y'")
     p.structure["recipe"] = {"kind": f"hard_{kind}", "L": float(L),

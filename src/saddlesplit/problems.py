@@ -376,18 +376,104 @@ class VipProblem:
 
 
 # ---------------------------------------------------------------------------
-# spectral norm (deterministic power iteration)
+# matrices and their products
 # ---------------------------------------------------------------------------
+
+@dataclass
+class TripletMatrix:
+    """A sparse matrix kept as its nonzero ``(row, col, value)`` triplets.
+
+    ``rows``, ``cols`` and ``vals`` list the nonzeros in row-major order,
+    the order ``np.nonzero`` gives, so products over the triplets sum in
+    the same order as those over a dense scan and agree bit for bit.  The
+    type has no arithmetic: `_matrix_products` multiplies through it, and
+    ``np.asarray`` gives the dense matrix (so ``A @ x`` on NumPy vectors
+    is the dense product).
+    """
+    shape: tuple
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+    @property
+    def size(self):
+        """Entries of the dense form, as ``ndarray.size``."""
+        return self.shape[0] * self.shape[1]
+
+    @property
+    def nbytes(self):
+        """Bytes of the stored triplets."""
+        return self.rows.nbytes + self.cols.nbytes + self.vals.nbytes
+
+    @property
+    def T(self):
+        """The transpose, its triplets again in row-major order."""
+        order = np.lexsort((self.rows, self.cols))
+        return TripletMatrix(self.shape[::-1], self.cols[order],
+                             self.rows[order], self.vals[order])
+
+    def __array__(self, dtype=None, copy=None):
+        A = np.zeros(self.shape)
+        A[self.rows, self.cols] = self.vals
+        return A if dtype is None else A.astype(dtype, copy=False)
+
+
+def _product_operand(A):
+    """`A` in the form its products multiply through.
+
+    Matrices with at most one nonzero in `_SPARSE_PRODUCT_RATIO` entries
+    (the chain instances of :mod:`saddlesplit.hard_instances`) become
+    `TripletMatrix`, multiplied in ``O(nnz)``; denser ones are dense
+    float arrays for the BLAS product, which is faster there.  Triplets
+    are densified only in that case, which the ratio limits to small
+    matrices.
+    """
+    if isinstance(A, TripletMatrix):
+        if _SPARSE_PRODUCT_RATIO * A.vals.size > A.size:
+            return np.asarray(A)
+        return A
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    rows, cols = np.nonzero(A)
+    if _SPARSE_PRODUCT_RATIO * rows.size > A.size:
+        return A
+    return TripletMatrix(A.shape, rows, cols, A[rows, cols])
+
+
+def _matrix_products(A):
+    """``(x -> A x, y -> A^T y)`` with the kernel picked once for `A`.
+
+    `A` is a dense array or a `TripletMatrix`; `_product_operand` picks
+    the kernel.
+    """
+    A = _product_operand(A)
+    if isinstance(A, np.ndarray):
+        return A.dot, A.T.dot
+    (m, n), rows, cols, vals = A.shape, A.rows, A.cols, A.vals
+
+    def matvec(x):
+        return np.bincount(rows, weights=vals * np.asarray(x)[cols],
+                           minlength=m)
+
+    def rmatvec(y):
+        return np.bincount(cols, weights=vals * np.asarray(y)[rows],
+                           minlength=n)
+
+    return matvec, rmatvec
+
 
 def spectral_norm(A, iters=500, tol=1e-12):
     """Largest singular value of `A` by power iteration on ``A^T A``.
 
     Deterministic: the start vector is fixed, so repeated calls agree to
-    the last bit.  Products go through `_matrix_products`, so a sparse
-    chain matrix costs ``O(nnz)`` per iteration, as in its oracles.
+    the last bit.  `A` is a dense array or a `TripletMatrix`; products go
+    through `_matrix_products`, so a sparse chain matrix costs ``O(nnz)``
+    per iteration, as in its oracles.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    if A.size == 0 or not np.any(A):
+    if isinstance(A, TripletMatrix):
+        values = A.vals
+    else:
+        A = values = np.atleast_2d(np.asarray(A, dtype=float))
+    if A.size == 0 or not np.any(values):
         return 0.0
     matvec, rmatvec = _matrix_products(A)
     n = A.shape[1]
@@ -411,40 +497,17 @@ def spectral_norm(A, iters=500, tol=1e-12):
 # saddle generators
 # ---------------------------------------------------------------------------
 
-def _matrix_products(A):
-    """``(x -> A x, y -> A^T y)`` with the kernel picked once for `A`.
-
-    Matrices with at most one nonzero in 64 entries (the chain instances of
-    :mod:`saddlesplit.hard_instances`) multiply through their stored nonzero
-    triplets in ``O(nnz)``; denser ones keep the BLAS product, which is
-    faster there.
-    """
-    m, n = A.shape
-    rows, cols = np.nonzero(A)
-    if _SPARSE_PRODUCT_RATIO * rows.size > m * n:
-        return A.dot, A.T.dot
-    vals = A[rows, cols]
-
-    def matvec(x):
-        return np.bincount(rows, weights=vals * np.asarray(x)[cols],
-                           minlength=m)
-
-    def rmatvec(y):
-        return np.bincount(cols, weights=vals * np.asarray(y)[rows],
-                           minlength=n)
-
-    return matvec, rmatvec
-
-
 def make_bilinear(A, b=None, D_x=1.0, D_y=1.0, costs=(1.0, 1.0), name="bilinear",
                   x_star=None):
     """Bilinear saddle ``f(x, y) = <A x - b, y>`` with zero composite terms.
 
     Starts at the origin.  The saddle point ``(x*, 0)`` is attached when the
     linear system ``A x = b`` is consistent; a known solution `x_star`
-    skips the least-squares solve that would find it.
+    skips the least-squares solve that would find it.  `A` is a dense
+    array or a `TripletMatrix`; ``structure["A"]`` keeps it in the form
+    its products multiply through (see `_product_operand`).
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
+    A = _product_operand(A)
     m, n = A.shape
     if b is None:
         b = np.zeros(m)
@@ -468,8 +531,9 @@ def make_bilinear(A, b=None, D_x=1.0, D_y=1.0, costs=(1.0, 1.0), name="bilinear"
         if saddle[0].shape != (n,):
             raise ValueError("x_star does not match the column dimension")
     else:
-        xs, _, _, _ = np.linalg.lstsq(A, b, rcond=None)
-        if np.linalg.norm(A @ xs - b) <= 1e-10 * (1.0 + np.linalg.norm(b)):
+        dense = np.asarray(A)
+        xs, _, _, _ = np.linalg.lstsq(dense, b, rcond=None)
+        if np.linalg.norm(dense @ xs - b) <= 1e-10 * (1.0 + np.linalg.norm(b)):
             saddle = (xs, np.zeros(m))
     return SaddleProblem(
         grad_x=grad_x, grad_y=grad_y, grad_y_sign=1,
@@ -483,15 +547,17 @@ def make_bilinear(A, b=None, D_x=1.0, D_y=1.0, costs=(1.0, 1.0), name="bilinear"
 
 
 def make_quadratic(A, b=None, side="x", other_dim=1, D_x=1.0, D_y=1.0,
-                   costs=(1.0, 1.0), name=None):
+                   costs=(1.0, 1.0), name=None, x_star=None):
     """One-sided quadratic saddle.
 
     ``side='x'`` gives ``f = 0.5 * ||A x - b||^2`` (the y-agent is inert);
     ``side='y'`` gives ``f = -0.5 * ||A y - b||^2``.  In both cases the
     active agent's oracle returns ``A^T (A w - b)``, the gradient of the
-    convex function it is minimising.
+    convex function it is minimising.  The active block of the saddle is
+    a least-squares minimiser; a known one, `x_star`, skips the solve that
+    would find it.  `A` is kept as in `make_bilinear`.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
+    A = _product_operand(A)
     m, n = A.shape
     if b is None:
         b = np.zeros(m)
@@ -499,11 +565,16 @@ def make_quadratic(A, b=None, side="x", other_dim=1, D_x=1.0, D_y=1.0,
     if side not in ("x", "y"):
         raise ValueError("side must be 'x' or 'y'")
     L_own = spectral_norm(A) ** 2
-    ws, _, _, _ = np.linalg.lstsq(A, b, rcond=None)
+    if x_star is not None:
+        ws = np.array(x_star, dtype=float)
+        if ws.shape != (n,):
+            raise ValueError("x_star does not match the column dimension")
+    else:
+        ws, _, _, _ = np.linalg.lstsq(np.asarray(A), b, rcond=None)
     matvec, rmatvec = _matrix_products(A)
     structure = {
         "kind": f"quadratic_{side}", "A": A, "b": b, "other_dim": other_dim,
-        "matvec": matvec,
+        "matvec": matvec, "rmatvec": rmatvec,
         # Whether the minimiser ``ws`` attains zero residual.
         "consistent": bool(np.linalg.norm(matvec(ws) - b)
                            <= 1e-9 * (1.0 + np.linalg.norm(b)))}

@@ -240,6 +240,10 @@ def test_config_errors(tmp_path):
     no_instance = "[experiment]\nepsilons = [0.1]\n"
     with pytest.raises(cli.ConfigError):
         cli.parse_config(_write(tmp_path, no_instance, "bad3.ini"))
+    # A fractional chain order used to escape as a TypeError traceback.
+    half_k = "[experiment]\nepsilons = [0.1]\n\n[instance]\nkind = hard_xy\nL = 1.0\nD = 1.0\nk = 2.5\n"
+    with pytest.raises(cli.ConfigError, match="must be an integer"):
+        cli.parse_config(_write(tmp_path, half_k, "bad4.ini"))
 
 
 def test_main_exit_codes(tmp_path):
@@ -296,6 +300,18 @@ def test_hard_instance_subcommand(tmp_path, capsys):
     assert problem.saddle is not None
     assert cli.main(["hard-instance", "--kind", "xy", "--k", "0",
                      "--out", out]) == 2
+
+
+@pytest.mark.parametrize("scale", [["--L", "nan"], ["--L", "inf"],
+                                   ["--D", "inf"]], ids=" ".join)
+def test_hard_instance_rejects_bad_scales(tmp_path, capsys, scale):
+    # `--L nan` used to write a file that `run` could not read, `--L inf`
+    # to die inside LAPACK and `--D inf` to write a file.
+    out = tmp_path / "hard.ini"
+    assert cli.main(["hard-instance", "--k", "3", "--out", str(out)]
+                    + scale) == 2
+    assert capsys.readouterr().err.startswith("error: scale")
+    assert not out.exists()
 
 
 def test_hard_instance_writes_the_recipe(tmp_path):
@@ -500,6 +516,19 @@ def test_instance_id_that_breaks_a_csv_row_rejected(tmp_path, header):
             + "\nkind = scsc\nmu_x = 1.0\nmu_y = 1.0\ncoupling = 1.0\nn = 1\n")
     path = _write(tmp_path, text)
     with pytest.raises(cli.ConfigError, match="comma or a line break"):
+        cli.parse_config(path)
+    assert cli.main(["run", "--config", path,
+                     "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_instance_ids_sharing_a_plot_file_rejected(tmp_path):
+    # Both ids map to a_b.svg: the second plot used to replace the first.
+    scsc = "kind = scsc\nmu_x = 1.0\nmu_y = 1.0\ncoupling = 1.0\nn = 1\n"
+    text = ("[experiment]\nepsilons = [0.1]\n\n[instance.a b]\n" + scsc
+            + "\n[instance.a_b]\n" + scsc)
+    path = _write(tmp_path, text)
+    with pytest.raises(cli.ConfigError, match="'a b' and 'a_b'.*a_b.svg"):
         cli.parse_config(path)
     assert cli.main(["run", "--config", path,
                      "--out", str(tmp_path / "out")]) == 2

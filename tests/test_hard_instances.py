@@ -1,11 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from saddlesplit.hard_instances import (
-    chain_matrices, krylov_basis, krylov_min_residual, make_hard_instance,
-    make_hard_saddle, subspace_residual,
+    _chain, chain_matrices, krylov_basis, krylov_min_residual,
+    make_hard_instance, make_hard_saddle, subspace_residual,
 )
 from saddlesplit.evaluation import restricted_gap
+from saddlesplit.problems import (
+    _matrix_products, make_bilinear, make_quadratic, spectral_norm,
+)
 
 
 def test_chain_factorization_exact():
@@ -38,6 +43,22 @@ def test_precondition_violation():
         make_hard_instance(1.0, 1.0, 3, m=4, n=3)
     with pytest.raises(ValueError):
         make_hard_instance(-1.0, 1.0, 1)
+    with pytest.raises(ValueError, match="must be an integer"):
+        make_hard_instance(1.0, 1.0, 2.5)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("scale", ["L", "D", "D_other"])
+def test_bad_scales_rejected(scale, bad):
+    # NaN used to build an instance with L = nan, and infinity one whose
+    # spectral norm failed inside LAPACK.
+    scales = {"L": 1.0, "D": 1.0, "D_other": 1.0, scale: bad}
+    with pytest.raises(ValueError, match=f"scale {scale} must be finite"):
+        make_hard_saddle("x", k=3, **scales)
+    if scale != "D_other":
+        del scales["D_other"]
+        with pytest.raises(ValueError, match=f"scale {scale} must be finite"):
+            make_hard_instance(k=3, **scales)
 
 
 def test_krylov_spans_leading_coordinates():
@@ -133,9 +154,66 @@ def test_chain_saddle_skips_least_squares(monkeypatch):
         raise AssertionError("least-squares solve on the chain instance")
 
     monkeypatch.setattr(np.linalg, "lstsq", refuse)
-    p = make_hard_saddle("xy", 1, 1, 500)
-    assert np.array_equal(p.saddle[0], make_hard_instance(1, 1, 500).v_star)
-    assert np.array_equal(p.saddle[1], np.zeros(1002))
+    v_star = make_hard_instance(1, 1, 500).v_star
+    for kind, active, inert_dim in (("xy", 0, 1002), ("x", 0, 1), ("y", 1, 1)):
+        p = make_hard_saddle(kind, 1, 1, 500)
+        assert np.array_equal(p.saddle[active], v_star)
+        assert np.array_equal(p.saddle[1 - active], np.zeros(inert_dim))
+
+
+@pytest.mark.parametrize("k, limit", [(500, 1e6), (5000, 5e6)])
+def test_chain_saddle_never_builds_the_dense_matrix(k, limit):
+    # The dense chain is 8 MB at k = 500 and 800 MB at k = 5000; its
+    # triplets and vectors take O(k).
+    tracemalloc.start()
+    try:
+        make_hard_saddle("xy", 1, 1, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit
+
+
+@pytest.mark.parametrize("pad", [0, 3], ids=["default", "padded"])
+@pytest.mark.parametrize("k", [5, 50, 63, 100, 500])
+@pytest.mark.parametrize("kind", ["xy", "x", "y"])
+def test_chain_triplets_multiply_as_the_dense_matrix(kind, k, pad):
+    # k = 63 sits on the kernel threshold (nnz * 64 == m * n, triplets);
+    # k <= 50 takes the BLAS kernel, so the builders keep a dense array.
+    p = 2 * k + 1
+    m, n = p + 1 + pad, p + pad
+    L, D = 4.0, 1.5
+    scale = L if kind == "xy" else np.sqrt(L)
+    dense = make_hard_instance(scale, D, k, m, n).A
+    if pad == 0:
+        prob = make_hard_saddle(kind, L, D, k, D_other=D)
+    else:
+        _, _, A, b, v = _chain(scale, D, k, m, n)
+        assert np.array_equal(np.asarray(A), dense)
+        prob = (make_bilinear(A, b, D_x=D, D_y=D, x_star=v) if kind == "xy"
+                else make_quadratic(A, b, side=kind, D_x=D, D_y=D, x_star=v))
+    st = prob.structure
+    assert isinstance(st["A"], np.ndarray) == (k <= 50)
+    assert np.array_equal(np.asarray(st["A"]), dense)
+    matvec, rmatvec = _matrix_products(dense)
+    rng = np.random.default_rng(k + pad)
+    for _ in range(2):
+        x, y = rng.normal(size=n), rng.normal(size=m)
+        assert np.array_equal(st["matvec"](x), matvec(x))
+        assert np.array_equal(st["rmatvec"](y), rmatvec(y))
+    norm = spectral_norm(dense)
+    want = {"xy": (0.0, 0.0, norm), "x": (norm ** 2, 0.0, 0.0),
+            "y": (0.0, norm ** 2, 0.0)}[kind]
+    assert (prob.L_x, prob.L_y, prob.L_xy) == want
+    if kind != "xy":
+        # The least-squares path on the dense matrix decides the same
+        # consistency and default-ball tests, so the same closed-form gap.
+        ref = make_quadratic(dense, st["b"], side=kind, D_x=D, D_y=D)
+        assert st["consistent"] == ref.structure["consistent"]
+        cand = (rng.normal(size=prob.nx), rng.normal(size=prob.ny))
+        got, want = restricted_gap(prob, cand), restricted_gap(ref, cand)
+        assert got.method == want.method == "quadratic-closed-form"
+        assert got.value == want.value
 
 
 def test_chain_gap_matches_dense_formula():

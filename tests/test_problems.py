@@ -9,6 +9,7 @@ from saddlesplit.problems import (
     prox_composite, argmin_linear, spectral_norm,
     make_bilinear, make_quadratic, make_strongly_convex_concave,
     make_polymatrix, random_polymatrix, save_instance, load_instance,
+    TripletMatrix, _product_operand,
 )
 from saddlesplit.hard_instances import make_hard_saddle
 
@@ -264,6 +265,33 @@ def test_matrix_products_match_dense_on_both_kernels():
     A, b = chain.structure["A"], chain.structure["b"]
     assert np.allclose(chain.grad_x((x, y)), A.T @ y, rtol=1e-12, atol=1e-14)
     assert np.allclose(chain.grad_y((x, y)), A @ x - b, rtol=1e-12, atol=1e-14)
+
+
+def test_triplet_matrix_is_the_row_major_nonzero_scan():
+    rng = np.random.default_rng(5)
+    dense = np.where(rng.random((40, 30)) < 0.01, rng.normal(size=(40, 30)),
+                     0.0)
+    A = _product_operand(dense)
+    assert isinstance(A, TripletMatrix)
+    assert np.array_equal(np.asarray(A), dense)
+    assert A.size == dense.size and A.nbytes == 24 * np.count_nonzero(dense)
+    for got, want in ((A, dense), (A.T, dense.T)):
+        rows, cols = np.nonzero(want)
+        assert got.shape == want.shape
+        assert np.array_equal(got.rows, rows)
+        assert np.array_equal(got.cols, cols)
+        assert np.array_equal(got.vals, want[rows, cols])
+    x = rng.normal(size=30)
+    assert np.array_equal(A @ x, dense @ x)
+    # A denser matrix goes to BLAS: triplets are densified, dense is kept.
+    full = rng.normal(size=(4, 3))
+    assert _product_operand(full) is full
+    B = _product_operand(_product_operand(np.eye(100)))
+    assert type(B) is TripletMatrix and np.array_equal(np.asarray(B),
+                                                        np.eye(100))
+    C = TripletMatrix((2, 2), np.array([0, 1]), np.array([0, 1]),
+                      np.array([1.0, 2.0]))
+    assert np.array_equal(_product_operand(C), np.diag([1.0, 2.0]))
 
 
 def test_bilinear_known_solution():

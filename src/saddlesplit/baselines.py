@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from saddlesplit.accounting import OracleLedger, RunResult
-from saddlesplit.evaluation import restricted_gap
-from saddlesplit.metrics import ProductMetric
+from saddlesplit.evaluation import GapTest, restricted_gap
+from saddlesplit.metrics import all_finite
 from saddlesplit.problems import ZeroTerm
 
 _DIVERGENCE_NORM = 1e8
@@ -58,17 +58,22 @@ def default_scaling(problem, d_hat=None):
 
 
 def _joint_space(p, step_x, step_y):
-    """The flat (x, y) metric, block views, and the joint prox step.
+    """Block views, joint response and prox step of a joint (x, y) iterate.
 
-    The metric's weights are ``concat(P_x, P_y)`` exactly, so the step
-    ``v - steps * metric.apply_inv(V)`` with per-coordinate `steps` does
-    the same arithmetic, element for element, as two block steps.  A
-    block's prox runs only when its term is not `ZeroTerm` (whose prox is
-    the identity), in place on the fresh step output.
+    ``respond(gx, gy)`` checks the raw oracle responses against their
+    blocks and concatenates them.  ``step(v, G)`` takes that raw joint
+    response and returns ``v - steps * (G / weights)``: the weights are
+    ``concat(P_x, P_y)``, and the y steps carry the sign that turns the
+    raw y response into ``V_y = -grad_y_sign * gy``.  IEEE rounding is
+    symmetric in sign, so this is the arithmetic, element for element
+    and bit for bit, of the two block steps ``v_i - step_i P_i^{-1} V_i``.
+    A block's prox runs only when its term is not `ZeroTerm` (whose prox
+    is the identity), in place on the fresh step output.
     """
-    nx = p.nx
-    metric = ProductMetric([(p.metric_x, 1.0), (p.metric_y, 1.0)])
-    steps = np.concatenate((np.full(nx, step_x), np.full(p.ny, step_y)))
+    nx, ny = p.nx, p.ny
+    weights = np.concatenate((p.metric_x.weights, p.metric_y.weights))
+    steps = np.concatenate((np.full(nx, step_x), np.full(
+        ny, -step_y if p.grad_y_sign == 1 else step_y)))
     proxes = [term for term in ((slice(None, nx), p.psi_x, p.metric_x, step_x),
                                 (slice(nx, None), p.psi_y, p.metric_y, step_y))
               if type(term[1]) is not ZeroTerm]
@@ -76,12 +81,21 @@ def _joint_space(p, step_x, step_y):
     def blocks(v):
         return (v[:nx], v[nx:])
 
-    def step(v, V):
-        w = v - steps * metric.apply_inv(V)
+    def respond(gx, gy):
+        if _shape(gx) != (nx,) or _shape(gy) != (ny,):
+            raise ValueError("oracle response does not match its block")
+        return np.concatenate((gx, gy), dtype=float)
+
+    def step(v, G):
+        w = v - steps * (G / weights)
         for part, psi, block_metric, block_step in proxes:
             w[part] = psi.prox(block_metric, w[part], block_step)
         return w
-    return metric, blocks, step
+    return blocks, respond, step
+
+
+def _shape(a):
+    return a.shape if type(a) is np.ndarray else np.shape(a)
 
 
 def extragradient_run(problem, params, ledger=None, domain=None):
@@ -101,44 +115,38 @@ def extragradient_run(problem, params, ledger=None, domain=None):
     ox, oy = (ledger.bind(a, g)
               for a, g in zip(p.agents, (p.grad_x, p.grad_y)))
     eta = params.eta
-    metric, blocks, step = _joint_space(p, eta / ax, eta / ay)
+    blocks, respond, step = _joint_space(p, eta / ax, eta / ay)
+    stop = GapTest(p, params.epsilon, domain, restricted_gap)
 
     def query(v):
         z = blocks(v)
-        return metric.join((ox(z), p.vy_from_raw(oy(z))))
+        return respond(ox(z), oy(z))
 
     v = np.concatenate(p.z0)
     weight = 0.0
     acc = np.zeros(v.size)
     candidate = blocks(v)
-    gap = None
     status = "budget_exhausted"
     while ledger.round < params.max_rounds:
-        Vv = query(v)
+        Gv = query(v)
         ledger.end_round()
         ledger.keep(candidate)               # first half-iteration: retained
         # blockwise: argmin <eta V_i, w> + (alpha_i / 2)|w - v_i|_i^2 + eta psi_i
-        z = step(v, Vv)
-        Vz = query(z)
+        z = step(v, Gv)
+        Gz = query(z)
         ledger.end_round()
-        v = step(v, Vz)
+        v = step(v, Gz)
         weight += eta
         acc = acc + eta * z
         candidate = blocks(acc / weight)
         ledger.keep(candidate)
-        it = ledger.round // 2
-        if it % params.gap_stride == 0:
-            gap = restricted_gap(p, candidate, domain)
-            if gap.value <= params.epsilon:
-                status = "converged"
-                break
-        if not np.isfinite(v).all():
+        if (ledger.round // 2) % params.gap_stride == 0 and stop(candidate):
+            status = "converged"
+            break
+        if not all_finite(v):
             status = "diverged"
             break
-    if status == "budget_exhausted":
-        gap = restricted_gap(p, candidate, domain)
-        if gap.value <= params.epsilon:
-            status = "converged"
+    gap, status = stop.finish(candidate, status)
     return RunResult(status=status, candidate=candidate, gap=gap,
                      ledger=ledger,
                      info={"alpha": (ax, ay), "eta": params.eta})
@@ -163,18 +171,17 @@ def local_gda_run(problem, params, ledger=None, domain=None):
     eta_y = params.eta_y if params.eta_y is not None else 1.0 / (2.0 * max(Ly_tot, 1e-12))
     ox, oy = (ledger.bind(a, g)
               for a, g in zip(p.agents, (p.grad_x, p.grad_y)))
-    metric, blocks, step = _joint_space(p, eta_x, eta_y)
+    blocks, respond, step = _joint_space(p, eta_x, eta_y)
+    stop = GapTest(p, params.epsilon, domain, restricted_gap)
 
     v = np.concatenate(p.z0)
     x, y = candidate = blocks(v)
-    gap = None
     status = "budget_exhausted"
     while ledger.round < params.max_rounds:
         # v is rebound, never written once its views are out, so no copies.
         x_frozen, y_frozen = x, y
         for _ in range(params.steps_per_round):
-            v = step(v, metric.join((ox((x, y_frozen)),
-                                     p.vy_from_raw(oy((x_frozen, y))))))
+            v = step(v, respond(ox((x, y_frozen)), oy((x_frozen, y))))
             x, y = blocks(v)
         ledger.end_round()
         candidate = (x, y)
@@ -185,15 +192,10 @@ def local_gda_run(problem, params, ledger=None, domain=None):
                 or max(nx, ny) > _DIVERGENCE_NORM:
             status = "diverged"
             break
-        if ledger.round % params.gap_stride == 0:
-            gap = restricted_gap(p, candidate, domain)
-            if gap.value <= params.epsilon:
-                status = "converged"
-                break
-    if status == "budget_exhausted":
-        gap = restricted_gap(p, candidate, domain)
-        if gap.value <= params.epsilon:
+        if ledger.round % params.gap_stride == 0 and stop(candidate):
             status = "converged"
+            break
+    gap, status = stop.finish(candidate, status)
     return RunResult(status=status, candidate=candidate, gap=gap,
                      ledger=ledger,
                      info={"eta": (eta_x, eta_y),

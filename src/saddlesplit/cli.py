@@ -150,32 +150,43 @@ def _config_instances(cp, path, seed):
     Sections are built in file order from one rng seeded with `seed`, so
     `run` and `bounds` draw the same random instances from one config.  The
     rng is made at the first random section, so a config without one never
-    imports ``numpy.random``.  An id may not hold a comma or a line break,
-    which would break the CSV row it names, and no two ids may share the
-    plot file `svg_stem` names.
+    imports ``numpy.random``.  The ids pass `check_instance_ids` before
+    any instance is built.
     """
     rng = functools.cache(lambda: np.random.default_rng(seed))
     base = os.path.dirname(os.path.abspath(path))
-    instances = []
-    id_of_stem = {}
-    for section in cp.sections():
-        if section != "instance" and not section.startswith("instance."):
-            continue
-        sec = cp[section]
-        iid = section.split(".", 1)[1] if "." in section else \
-            sec.get("name", "instance")
-        if any(c in iid for c in ",\r\n"):
-            raise ConfigError(f"instance id {iid!r} in [{section}] may not "
-                              "contain a comma or a line break")
-        stem = svg_stem(iid)
-        if stem in id_of_stem:
-            raise ConfigError(f"instance ids {id_of_stem[stem]!r} and {iid!r} "
-                              f"would both write {stem}.svg")
-        id_of_stem[stem] = iid
-        instances.append((iid, _build_instance(sec, iid, base, rng)))
+    sections = [cp[name] for name in cp.sections()
+                if name == "instance" or name.startswith("instance.")]
+    ids = [sec.name.split(".", 1)[1] if "." in sec.name
+           else sec.get("name", "instance") for sec in sections]
+    try:
+        check_instance_ids(ids)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    instances = [(iid, _build_instance(sec, iid, base, rng))
+                 for iid, sec in zip(ids, sections)]
     if not instances:
         raise ConfigError("config declares no [instance] sections")
     return instances
+
+
+def check_instance_ids(ids):
+    """Raise ValueError unless every id can name its own CSV rows and plot.
+
+    An id may not hold a comma or a line break, which would break the CSV
+    row it names, and no two of the distinct instances `ids` lists may
+    share the plot file `svg_stem` names.
+    """
+    id_of_stem = {}
+    for iid in ids:
+        if any(c in iid for c in ",\r\n"):
+            raise ValueError(f"instance id {iid!r} may not contain a comma "
+                             "or a line break")
+        stem = svg_stem(iid)
+        if stem in id_of_stem:
+            raise ValueError(f"instance ids {id_of_stem[stem]!r} and {iid!r} "
+                             f"would both write {stem}.svg")
+        id_of_stem[stem] = iid
 
 
 def parse_config(path, seed=None):
@@ -439,16 +450,21 @@ def svg_stem(instance_id):
 
 
 def emit_outputs(rows, directory):
-    """Write results.csv and one SVG per instance; returns the paths."""
+    """Write results.csv and one SVG per instance; returns the paths.
+
+    Raises ValueError, before any file is written, when the rows' instance
+    ids fail `check_instance_ids`.
+    """
+    by_instance = {}
+    for r in rows:
+        by_instance.setdefault(r.instance_id, []).append(r)
+    check_instance_ids(by_instance)
     os.makedirs(directory, exist_ok=True)
     paths = []
     csv_path = os.path.join(directory, "results.csv")
     with open(csv_path, "w") as fh:
         fh.write(rows_to_csv(rows))
     paths.append(csv_path)
-    by_instance = {}
-    for r in rows:
-        by_instance.setdefault(r.instance_id, []).append(r)
     for iid in sorted(by_instance):
         svg_path = os.path.join(directory, f"{svg_stem(iid)}.svg")
         with open(svg_path, "w") as fh:

@@ -36,8 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from saddlesplit.accounting import OracleLedger, RunResult
-from saddlesplit.evaluation import complexity_bounds, restricted_gap
-from saddlesplit.metrics import ProductMetric
+from saddlesplit.evaluation import GapTest, complexity_bounds, restricted_gap
+from saddlesplit.metrics import ProductMetric, all_finite
 from saddlesplit.problems import (
     QuadraticReg, RegularizedTerm, ZeroTerm, argmin_linear,
 )
@@ -173,7 +173,7 @@ def _counting_operator(task):
     def op(w):
         counter[0] += 1
         out = np.asarray(task.operator(w), dtype=float)
-        if not np.isfinite(out).all():
+        if not all_finite(out):
             raise FloatingPointError("operator returned nonfinite values")
         return out
     return op, counter
@@ -261,7 +261,7 @@ def residual_agd(task, xi):
             model_grad = g_y + sigma * metric.apply(y - w_tilde)
             x_next = psi.prox(metric, y - metric.apply_inv(model_grad) / Lk,
                               1.0 / Lk)
-            if not np.isfinite(x_next).all():
+            if not all_finite(x_next):
                 raise FloatingPointError("inner iterate became nonfinite")
             probe = i + 1 == next_check or i == plan.counts[k] - 1
             if probe:
@@ -337,7 +337,7 @@ def anchored_eg(task, xi=None):
                                     residual=r, operator_value=g_u,
                                     exit="residual", info={"iterations": t + 1})
         w = psi.prox(metric, w_tilde - eta * metric.apply_inv(g_u), eta)
-        if not np.isfinite(w).all():
+        if not all_finite(w):
             raise FloatingPointError("inner iterate became nonfinite")
         t += 1
     raise RuntimeError("anchored extragradient hit its query cap without "
@@ -410,7 +410,7 @@ def _decoupled_run(problem, oracles, psis, metrics, L, d_hat, gradient,
     ``gradient[i]`` use the staged accelerated engine, the rest the
     anchored extragradient loop.  ``comm_bound`` sets the default round
     cap and ``reference`` (a known solution or None) arms the telescoping
-    check.  Candidates are full-block tuples scored by `restricted_gap`
+    check.  Candidates are full-block tuples scored by a `GapTest`
     and handed to the ledger after every round.
     """
     K = len(oracles)
@@ -482,7 +482,8 @@ def _decoupled_run(problem, oracles, psis, metrics, L, d_hat, gradient,
     a_sum = telescope_lhs = 0.0
     a_history = []
     candidate = tuple(full)
-    gap, status = None, "budget_exhausted"
+    stop = GapTest(problem, eps, domain, restricted_gap)
+    status = "budget_exhausted"
     while ledger.round < max_rounds:
         anchor = full_point(v)
         z_parts, sub_parts, _ = split_prox_step(
@@ -503,7 +504,6 @@ def _decoupled_run(problem, oracles, psis, metrics, L, d_hat, gradient,
         if metric.dual_norm(v_psi) <= _ZERO_OPERATOR_TOL:
             candidate, status = point, "solution_found"
             ledger.keep(candidate)
-            gap = restricted_gap(problem, candidate, domain)
             break
 
         ok, lhs, rhs = scaled_prox_check(V_joint, sub_joint, z_joint,
@@ -532,16 +532,11 @@ def _decoupled_run(problem, oracles, psis, metrics, L, d_hat, gradient,
                     f"{telescope_lhs} > {budget}")
 
         ledger.keep(candidate)
-        if (ledger.round // 2) % params.gap_stride == 0:
-            gap = restricted_gap(problem, candidate, domain)
-            if gap.value <= eps:
-                status = "converged"
-                break
-
-    if status == "budget_exhausted":
-        gap = restricted_gap(problem, candidate, domain)
-        if gap.value <= eps:
+        if (ledger.round // 2) % params.gap_stride == 0 and stop(candidate):
             status = "converged"
+            break
+
+    gap, status = stop.finish(candidate, status)
     return RunResult(
         status=status, candidate=candidate, gap=gap, ledger=ledger,
         info={"alpha": alphas, "lam": lam, "coupling": coupling,

@@ -12,6 +12,16 @@ the start point.  For variational inequalities the weak restricted gap
 is used.  Bilinear and one-sided quadratic instances admit exact closed
 forms; everything else is estimated by projected-gradient inner
 maximisation and flagged as such.
+
+Solvers stop through `GapTest`, which answers "is the gap of this
+candidate at most epsilon" for one run.  On the exact closed forms
+(bilinear, and the quadratic kinds where their closed form applies) it
+keeps the last evaluated candidate and its value, and answers "no"
+without evaluating whenever a Lipschitz bound from that candidate proves
+that the closed form would exceed epsilon.  That is all it certifies:
+every "yes" and every reported gap is a `restricted_gap` evaluation, at
+the same candidate as when every candidate is evaluated, so statuses and
+gaps are unchanged.  Estimated gaps and VIs are evaluated on every call.
 """
 
 import math
@@ -19,10 +29,19 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from saddlesplit.problems import BallIndicator, VipProblem, spectral_norm
+from saddlesplit.problems import (
+    BallIndicator, TripletMatrix, VipProblem, spectral_norm,
+)
 
 # Iterations of the projected-gradient gap estimator (estimated paths only).
 PGA_STEPS = 500
+# Relative margin of `GapTest`'s bounds.  It covers the rounding of the
+# closed forms and of the bounds themselves, about n * 1.1e-16 relative
+# for sums of n terms, for any n up to about 10^7.  Lipschitz constants
+# are padded by twice the margin: once for their own rounding, once for
+# the rounding of the closed form at the candidate.
+_ROUNDING_MARGIN = 1e-8
+_LIPSCHITZ_PAD = 1.0 + 2.0 * _ROUNDING_MARGIN
 
 
 @dataclass
@@ -105,32 +124,44 @@ def restricted_gap(problem, candidate, domain=None):
     return _saddle_gap(problem, candidate, domain)
 
 
+def _cached(st, key, sources, compute):
+    """``compute()``, cached in ``st[key]`` with the objects it was
+    computed from, compared by identity, so that an instance copied or
+    edited with other ones recomputes it."""
+    c = st.get(key)
+    if not (c and all(a is b for a, b in zip(c[0], sources))):
+        c = st[key] = (sources, compute())
+    return c[1]
+
+
 def _minimiser_in_ball(p, side, domain):
     """Whether block `side`'s saddle component lies in that block's gap ball.
 
     The default-domain answer is computed once per instance and cached on
-    its structure, keyed by the very objects it was computed from, so an
-    instance copied or edited with another start point, radius, metric or
-    saddle recomputes it.  An explicit `domain` is tested on every call.
+    its structure, keyed by the start point, radius, metric and saddle it
+    was computed from.  An explicit `domain` is tested on every call.
     """
     ws, metric = p.saddle[side], (p.metric_x, p.metric_y)[side]
     if domain is not None:
         center, radius = domain.block(side)
         return metric.norm(ws - center) <= radius + 1e-9
     center, radius = (p.x0, p.D_x) if side == 0 else (p.y0, p.D_y)
-    c = p.structure.get("default_ball_test")
-    if not (c and c[0] is ws and c[1] is metric and c[2] is center
-            and c[3] is radius):
-        inside = metric.norm(ws - np.asarray(center, dtype=float)) \
-            <= float(radius) + 1e-9
-        c = p.structure["default_ball_test"] = (ws, metric, center, radius,
-                                                inside)
-    return c[4]
+    return _cached(p.structure, "default_ball_test",
+                   (ws, metric, center, radius),
+                   lambda: metric.norm(ws - np.asarray(center, dtype=float))
+                   <= float(radius) + 1e-9)
+
+
+def _gap_balls(p, domain):
+    """``((x_c, r_x), (y_c, r_y))``: the restriction balls of a saddle gap."""
+    if domain is None:
+        # The default balls, read off the instance without a DomainSpec.
+        return ((np.asarray(p.x0, dtype=float), float(p.D_x)),
+                (np.asarray(p.y0, dtype=float), float(p.D_y)))
+    return domain.block(0), domain.block(1)
 
 
 def _saddle_gap(p, candidate, domain):
-    xbar = np.asarray(candidate[0], dtype=float)
-    ybar = np.asarray(candidate[1], dtype=float)
     st = p.structure or {}
     kind = st.get("kind")
 
@@ -139,17 +170,15 @@ def _saddle_gap(p, candidate, domain):
         if st["consistent"] and _minimiser_in_ball(p, side, domain):
             # The inner extreme attains zero residual inside the ball, so
             # only the candidate's own residual remains.
-            resid = st["matvec"]((xbar, ybar)[side]) - st["b"]
+            resid = st["matvec"](np.asarray(candidate[side], dtype=float)) \
+                - st["b"]
             return GapResult(0.5 * float(math.sqrt(resid @ resid) ** 2), True,
                              "quadratic-closed-form")
         # fall through to the generic estimator
 
-    if domain is None:
-        # The default balls, read off the instance without a DomainSpec.
-        xc, rx = np.asarray(p.x0, dtype=float), float(p.D_x)
-        yc, ry = np.asarray(p.y0, dtype=float), float(p.D_y)
-    else:
-        (xc, rx), (yc, ry) = domain.block(0), domain.block(1)
+    xbar = np.asarray(candidate[0], dtype=float)
+    ybar = np.asarray(candidate[1], dtype=float)
+    (xc, rx), (yc, ry) = _gap_balls(p, domain)
 
     if kind == "bilinear":
         b = st["b"]
@@ -240,6 +269,180 @@ def _vip_gap(p, candidate, domain):
            <= domain.block(i)[1] + 1e-9 for i in range(p.K)):
         best = max(best, objective(zbar))
     return GapResult(best, False, "vip-pga-estimate")
+
+
+# ---------------------------------------------------------------------------
+# certified stop test
+# ---------------------------------------------------------------------------
+
+def _norm_bound(A, row_scale=None, col_scale=None):
+    """Upper bound on the spectral norm of ``diag(row_scale) A diag(col_scale)``.
+
+    ``||M||_2 <= sqrt(||M||_1 ||M||_inf)``, from the largest absolute
+    column and row sums of the scaled entries (or nonzero triplets).  It
+    also bounds ``|| |M| ||_2``.
+    """
+    if isinstance(A, TripletMatrix):
+        v = np.abs(A.vals)
+        if row_scale is not None:
+            v = v * row_scale[A.rows]
+        if col_scale is not None:
+            v = v * col_scale[A.cols]
+        row_sums = np.bincount(A.rows, weights=v, minlength=A.shape[0])
+        col_sums = np.bincount(A.cols, weights=v, minlength=A.shape[1])
+    else:
+        M = np.abs(A)
+        if row_scale is not None:
+            M = M * row_scale[:, None]
+        if col_scale is not None:
+            M = M * col_scale
+        row_sums, col_sums = M.sum(axis=1), M.sum(axis=0)
+    return math.sqrt(row_sums.max() * col_sums.max())
+
+
+def _euclid(v):
+    return math.sqrt(v @ v)
+
+
+def _bilinear_bound(p, eps, domain):
+    """Anchor maker for the bilinear closed form.
+
+    The closed form is Lipschitz in each block: with ``x_c, r_x, y_c, r_y``
+    the gap balls and ``P`` the metric weights, it moves by at most
+    ``l_x ||x - x_s|| + l_y ||y - y_s||`` (Euclidean norms), where
+    ``l_x = ||A|| ||y_c|| + r_y ||P_y^{-1/2} A||`` and
+    ``l_y = ||A|| ||x_c|| + r_x ||A P_x^{-1/2}|| + ||b||``.  Its terms are
+    at most ``l_x ||x|| + l_y ||y|| + c_0`` in size, which bounds the
+    rounding of both evaluations.
+    """
+    st = p.structure
+    A, b = st["A"], st["b"]
+    wx, wy = p.metric_x.weights, p.metric_y.weights
+    nA, nAy, nAx = _cached(st, "gap_norm_bounds", (A, wx, wy), lambda: (
+        _norm_bound(A), _norm_bound(A, row_scale=1.0 / np.sqrt(wy)),
+        _norm_bound(A, col_scale=1.0 / np.sqrt(wx))))
+    (xc, rx), (yc, ry) = _gap_balls(p, domain)
+    nb = _euclid(b)
+    lx = _LIPSCHITZ_PAD * (nA * _euclid(yc) + ry * nAy)
+    ly = _LIPSCHITZ_PAD * (nA * _euclid(xc) + rx * nAx + nb)
+    c0 = nb * _euclid(yc) + ry * p.metric_y.dual_norm(b)
+
+    def anchor(candidate, value):
+        xs = np.asarray(candidate[0], dtype=float)
+        ys = np.asarray(candidate[1], dtype=float)
+        size = lx * _euclid(xs) + ly * _euclid(ys) + c0
+        budget = value - eps - 2.0 * _ROUNDING_MARGIN * size
+        if not (budget > 0.0 and math.isfinite(budget)):
+            return None
+
+        def exceeds(c):
+            dx, dy = c[0] - xs, c[1] - ys
+            return lx * math.sqrt(dx @ dx) + ly * math.sqrt(dy @ dy) < budget
+        return exceeds
+    return anchor
+
+
+def _quadratic_bound(p, eps, domain):
+    """Anchor maker for the one-sided quadratic closed form.
+
+    Its value is ``||A w - b||^2 / 2`` on the active block ``w``, and the
+    residual norm moves by at most ``||A|| ||w - w_s||``.
+    """
+    st = p.structure
+    side = 0 if st["kind"] == "quadratic_x" else 1
+    A, b = st["A"], st["b"]
+    nA = _LIPSCHITZ_PAD * _cached(st, "gap_norm_bound", (A,),
+                                  lambda: _norm_bound(A))
+    nb = _euclid(b)
+    target = (1.0 + _ROUNDING_MARGIN) * math.sqrt(2.0 * eps)
+
+    def anchor(candidate, value):
+        ws = np.asarray(candidate[side], dtype=float)
+        budget = (math.sqrt(2.0 * value) - target
+                  - 2.0 * _ROUNDING_MARGIN * (nA * _euclid(ws) + nb))
+        if not (budget > 0.0 and math.isfinite(budget)):
+            return None
+
+        def exceeds(c):
+            d = c[side] - ws
+            return nA * math.sqrt(d @ d) < budget
+        return exceeds
+    return anchor
+
+
+# The closed forms `GapTest` bounds: kind -> (method, anchor maker).
+_CERTIFIED = {
+    "bilinear": ("bilinear-closed-form", _bilinear_bound),
+    "quadratic_x": ("quadratic-closed-form", _quadratic_bound),
+    "quadratic_y": ("quadratic-closed-form", _quadratic_bound),
+}
+
+
+class GapTest:
+    """The stop test ``gap <= epsilon`` of one run.
+
+    ``test(candidate)`` scores a candidate and is True when its gap is at
+    most `epsilon`.  After each evaluation by a closed form listed in
+    `_CERTIFIED`, the test keeps that candidate and its value.  Later
+    candidates for which the closed form's Lipschitz bound from there
+    already exceeds `epsilon` are answered False without being evaluated.
+    Estimated gaps, and every VI, are evaluated on every call.
+
+    `evaluate` is the gap function, called as ``evaluate(problem,
+    candidate, domain)``; solvers pass the `restricted_gap` name of their
+    own module, so patches of that name see every evaluation.
+    """
+
+    def __init__(self, problem, epsilon, domain=None, evaluate=None):
+        self.problem, self.epsilon, self.domain = problem, epsilon, domain
+        self.evaluate = restricted_gap if evaluate is None else evaluate
+        kind = (None if isinstance(problem, VipProblem)
+                else (problem.structure or {}).get("kind"))
+        self._method, anchor_maker = _CERTIFIED.get(kind, (None, None))
+        self._anchor_at = (anchor_maker(problem, epsilon, domain)
+                           if anchor_maker else None)
+        self._exceeds = None     # bound from the last evaluated candidate
+        self._scored = self._evaluated = self._result = None
+
+    def __call__(self, candidate):
+        self._scored = candidate
+        if self._exceeds is not None and self._exceeds(candidate):
+            return False
+        return self.gap(candidate).value <= self.epsilon
+
+    def gap(self, candidate=None):
+        """The `GapResult` of `candidate`, by default the last scored one.
+
+        Evaluated unless it is the last evaluated candidate; None when no
+        candidate is given and none has been scored.
+        """
+        if candidate is None:
+            candidate = self._scored
+            if candidate is None:
+                return None
+        if candidate is self._evaluated:
+            return self._result
+        result = self.evaluate(self.problem, candidate, self.domain)
+        self._evaluated, self._result = candidate, result
+        self._exceeds = None
+        if self._method is not None and result.method == self._method:
+            self._exceeds = self._anchor_at(candidate, result.value)
+        return result
+
+    def finish(self, candidate, status):
+        """``(gap, status)`` at the exit of a run that returns `candidate`.
+
+        A ``"diverged"`` run reports the gap of the last scored candidate
+        (None if none was); every other exit reports that of `candidate`,
+        and a ``"budget_exhausted"`` run whose final gap is at most
+        epsilon has converged.
+        """
+        if status == "diverged":
+            return self.gap(), status
+        gap = self.gap(candidate)
+        if status == "budget_exhausted" and gap.value <= self.epsilon:
+            status = "converged"
+        return gap, status
 
 
 # ---------------------------------------------------------------------------

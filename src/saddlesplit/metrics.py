@@ -16,13 +16,34 @@ The metrics sit in the solvers' innermost loops, so each call is kept to
 as few NumPy dispatches as the arithmetic needs: float64 vectors pass the
 shape check without being re-wrapped, and norms are one dot product and a
 correctly rounded square root.  Every shape check is still made.
+`all_finite` is the loops' finiteness test in the same spirit.
 """
 
+import functools
 import math
 
 import numpy as np
 
 _FLOAT64 = np.dtype(float)
+
+
+@functools.lru_cache(maxsize=64)
+def _zeros(n):
+    z = np.zeros(n)
+    z.flags.writeable = False
+    return z
+
+
+def all_finite(v):
+    """Whether every entry of the float vector `v` is finite.
+
+    Gives the answer of ``np.isfinite(v).all()`` in one dot product:
+    ``0 * x`` is NaN exactly when ``x`` is infinite or NaN, and a NaN
+    term makes the sum NaN.  On an infinite entry NumPy reports the
+    invalid ``0 * inf`` under its ``invalid`` error state (a warning by
+    default), as it does for the overflow that made the entry.
+    """
+    return not math.isnan(v.dot(_zeros(v.size)))
 
 
 class ScaledMetric:

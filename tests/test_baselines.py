@@ -224,3 +224,52 @@ def test_wrong_length_oracle_response_raises(solver, block):
         p.grad_y = lambda z: np.zeros(3)
     with pytest.raises(ValueError):
         _run_pinned(solver, p)
+
+
+# -- certified stop test -----------------------------------------------------
+
+def _counted_gaps(monkeypatch, ledger=None):
+    """Spy on the baselines' gap evaluations: each call's candidate, and
+    the round count of `ledger` at the call."""
+    from saddlesplit import baselines
+    from saddlesplit.evaluation import restricted_gap
+    calls = []
+
+    def counted(problem, candidate, domain=None):
+        calls.append((candidate, ledger.round if ledger else None))
+        return restricted_gap(problem, candidate, domain)
+
+    monkeypatch.setattr(baselines, "restricted_gap", counted)
+    return calls
+
+
+def test_extragradient_stop_test_traffic(monkeypatch):
+    # The k = 50 quadratic chain of the benchmark: the run scores all 6882
+    # iteration candidates but evaluates under a tenth of them, and stops
+    # where, and with the gap bits, it did with every one evaluated.
+    from saddlesplit.hard_instances import make_hard_saddle
+    calls = _counted_gaps(monkeypatch)
+    p = make_hard_saddle("x", 100.0, 1.0, 50)
+    res = extragradient_run(p, ExtragradientParams(epsilon=0.002))
+    assert res.status == "converged"
+    assert res.rounds == 13764
+    assert res.gap.value.hex() == "0x1.061e73911cd93p-9"
+    assert len(calls) < 0.1 * (res.rounds // 2)
+
+
+def test_local_gda_divergence_reports_previous_candidate(monkeypatch):
+    # Simultaneous steps spiral out of f = (x - 0.5) y.  The divergence
+    # exit reports the gap of the previous round's candidate, which the
+    # stop test had skipped, so it is evaluated once, at exit.
+    from saddlesplit.evaluation import restricted_gap
+    p = make_bilinear(np.array([[1.0]]), b=np.array([0.5]))
+    ledger = _full_ledger(p)
+    calls = _counted_gaps(monkeypatch, ledger)
+    res = local_gda_run(p, LocalGdaParams(epsilon=1e-3, eta_x=0.5,
+                                          eta_y=0.5), ledger=ledger)
+    assert res.status == "diverged" and res.rounds == 172
+    previous = res.round_candidates[-2]
+    assert [r for c, r in calls if c is previous] == [172]
+    assert len(calls) < res.rounds
+    assert res.gap == restricted_gap(p, previous)
+    assert res.gap.value.hex() == "0x1.42949e2e579ecp+27"

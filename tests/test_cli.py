@@ -535,6 +535,27 @@ def test_instance_ids_sharing_a_plot_file_rejected(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def _row(instance_id):
+    return cli.ResultRow(
+        instance_id=instance_id, solver="decoupled", epsilon=0.1, rounds=4,
+        queries={"x": 2, "y": 2}, weighted_cost=4.0, gap=0.05,
+        gap_exact=True, bound_comm=None, bound_oracle=None, compliant="",
+        wall_ms=0, status="converged")
+
+
+@pytest.mark.parametrize("ids, match", [
+    (["a b", "a_b"], "'a b' and 'a_b'.*a_b.svg"),
+    (["a,b"], "comma or a line break"),
+], ids=["shared-plot", "comma"])
+def test_emit_outputs_rejects_ids_before_writing(tmp_path, ids, match):
+    # Library callers that skip parse_config get the same id check, and
+    # nothing is written: two plots used to land in one file.
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=match):
+        cli.emit_outputs([_row(iid) for iid in ids], str(out))
+    assert not out.exists()
+
+
 def test_read_results_rejects_a_row_of_the_wrong_width(tmp_path):
     config = cli.parse_config(_write(tmp_path, SP_CONFIG))
     rows = cli.run_experiment(config, clock=lambda: 0.0)

@@ -408,18 +408,21 @@ def test_polymatrix_lipschitz_matrix_symmetric():
 
 def test_round_candidates_shared_not_copied(monkeypatch):
     """The candidate closing one iteration is the one retained after the
-    next solve round: the same arrays, with the values seen at gap time."""
+    next solve round: the same arrays, with the values the stop test saw.
+    (The stop test scores every iteration's candidate but evaluates the
+    gap only where its bound cannot rule the target out, so the spy sits
+    on its input.)"""
     from saddlesplit import decoupled
-    from saddlesplit.evaluation import restricted_gap
     from saddlesplit.hard_instances import make_hard_saddle
 
     seen = []
 
-    def gap(problem, candidate, domain=None):
-        seen.append([np.array(b) for b in candidate])
-        return restricted_gap(problem, candidate, domain)
+    class SpyTest(decoupled.GapTest):
+        def __call__(self, candidate):
+            seen.append([np.array(b) for b in candidate])
+            return super().__call__(candidate)
 
-    monkeypatch.setattr(decoupled, "restricted_gap", gap)
+    monkeypatch.setattr(decoupled, "GapTest", SpyTest)
     p = make_hard_saddle("xy", 1.0, 1.0, 20)
     res = decoupled_saddle_run(
         p, DecoupledParams(epsilon=0.05),

@@ -2,13 +2,16 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from saddlesplit.evaluation import (
-    GapResult, complexity_bounds, restricted_gap, theta_factor,
+    GapResult, GapTest, complexity_bounds, restricted_gap, theta_factor,
 )
+from saddlesplit.metrics import ScaledMetric
 from saddlesplit.problems import (
-    DomainSpec, make_bilinear, make_quadratic, make_strongly_convex_concave,
-    random_polymatrix,
+    DomainSpec, TripletMatrix, make_bilinear, make_quadratic,
+    make_strongly_convex_concave, random_polymatrix,
 )
 
 
@@ -212,3 +215,165 @@ def test_default_ball_test_follows_edited_instance():
     moved = dataclasses.replace(p, x0=np.array([5.0, 5.0]))
     assert not restricted_gap(moved, cand).exact
     assert restricted_gap(p, cand).exact
+
+
+# -- certified stop test -----------------------------------------------------
+
+def _random_matrix(rng, m, n, triplets):
+    """A dense Gaussian matrix, or a sparse one kept as triplets."""
+    if not triplets:
+        return rng.standard_normal((m, n))
+    # At most one nonzero in 64 entries keeps the triplet products.
+    flat = np.sort(rng.choice(m * n, size=(m * n) // 64, replace=False))
+    return TripletMatrix((m, n), flat // n, flat % n,
+                         rng.standard_normal(flat.size))
+
+
+def _stop_test_instance(rng, kind, triplets, explicit_domain):
+    """A closed-form instance with non-unit diagonal metrics and its domain.
+
+    The right-hand side is consistent, so the walk target (the saddle)
+    has gap zero and the walks cross every epsilon.
+    """
+    m, n = (40, 30) if triplets else (6, 4)
+    A = _random_matrix(rng, m, n, triplets)
+    # Norm 0.3: inside the default unit ball for metric weights up to 5.
+    x_true = rng.standard_normal(n)
+    x_true *= 0.3 / np.linalg.norm(x_true)
+    b = np.asarray(A) @ x_true
+    if kind == "bilinear":
+        p = make_bilinear(A, b, D_x=2.0, D_y=0.5)
+    else:
+        p = make_quadratic(A, b, side=kind[-1], other_dim=3)
+    p = dataclasses.replace(
+        p, metric_x=ScaledMetric(rng.uniform(0.2, 5.0, p.nx)),
+        metric_y=ScaledMetric(rng.uniform(0.2, 5.0, p.ny)))
+    domain = None
+    if explicit_domain:
+        # Balls around points near the saddle that still contain it.
+        centers, radii = [], []
+        for ws, metric in zip(p.saddle, (p.metric_x, p.metric_y)):
+            c = ws + 0.2 * rng.standard_normal(ws.size)
+            centers.append(c)
+            radii.append(metric.norm(ws - c) + rng.uniform(0.1, 2.0))
+        domain = DomainSpec(centers, radii)
+    return p, domain
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["bilinear", "quadratic_x", "quadratic_y"]),
+       triplets=st.booleans(), explicit_domain=st.booleans(),
+       eps_share=st.floats(1e-4, 0.9), log_pull=st.floats(-3.0, -0.5),
+       log_noise=st.floats(-4.0, -0.3))
+def test_gap_test_skips_only_candidates_above_epsilon(
+        seed, kind, triplets, explicit_domain, eps_share, log_pull,
+        log_noise):
+    rng = np.random.default_rng(seed)
+    p, domain = _stop_test_instance(rng, kind, triplets, explicit_domain)
+    start = tuple(ws + rng.standard_normal(ws.size) for ws in p.saddle)
+    first = restricted_gap(p, start, domain)
+    assert first.exact
+    eps = eps_share * first.value
+    evaluated = []
+
+    def spy(problem, candidate, dom):
+        evaluated.append(candidate)
+        return restricted_gap(problem, candidate, dom)
+
+    test = GapTest(p, eps, domain, spy)
+    c, pull, noise = start, 10.0 ** log_pull, 10.0 ** log_noise
+    for _ in range(40):
+        want = restricted_gap(p, c, domain)
+        before = len(evaluated)
+        assert test(c) == (want.value <= eps)
+        if len(evaluated) == before and not (evaluated and evaluated[-1] is c):
+            assert want.value > eps         # skipped, not a repeat
+        # A pull towards the saddle plus shrinking noise, at scales from
+        # steps the bound rules out for many rounds to steps it never
+        # does; now and then the candidate repeats.
+        if rng.random() < 0.9:
+            c = tuple(ci + pull * (ws - ci) + noise * rng.standard_normal(ci.size)
+                      for ci, ws in zip(c, p.saddle))
+            noise *= 0.9
+    want = restricted_gap(p, c, domain)
+    assert test.gap(c).value.hex() == want.value.hex()
+
+
+def _bilinear_walk(p, steps=60):
+    c = (np.ones(p.nx), np.ones(p.ny))
+    for k in range(steps):
+        yield c
+        c = (c[0] * 0.999, c[1] * 0.999)
+
+
+def test_gap_test_skips_near_candidates_and_reports_exact_gaps():
+    p = make_bilinear(np.array([[1.0, 0.5], [0.0, 2.0]]), np.array([0.1, 0.2]))
+    calls = []
+
+    def spy(problem, candidate, domain):
+        calls.append(candidate)
+        return restricted_gap(problem, candidate, domain)
+
+    test = GapTest(p, 1e-3, None, spy)
+    walk = list(_bilinear_walk(p))
+    assert not any(test(c) for c in walk)
+    assert len(calls) < len(walk) // 4
+    # The last scored candidate is evaluated on request, once.
+    assert test.gap() == restricted_gap(p, walk[-1])
+    assert test.gap() == restricted_gap(p, walk[-1])
+    assert calls[-1] is walk[-1]
+    assert sum(c is walk[-1] for c in calls) == 1
+
+
+def test_gap_test_evaluates_estimated_kinds_and_vis_every_time():
+    scsc = make_strongly_convex_concave(1.0, 1.0, 1.0, n=2)
+    poly = random_polymatrix(2, [2, 2], np.random.default_rng(3))
+    for p, walk in ((scsc, [(0.9 * k * np.ones(2), np.ones(2))
+                            for k in range(5)]),
+                    (poly, [[0.9 * k * np.ones(2), np.ones(2)]
+                            for k in range(5)])):
+        calls = []
+
+        def spy(problem, candidate, domain):
+            calls.append(candidate)
+            return restricted_gap(problem, candidate, domain)
+
+        test = GapTest(p, 1e-9, None, spy)
+        for c in walk:
+            assert not test(c)
+        assert len(calls) == len(walk)
+        assert all(a is b for a, b in zip(calls, walk))
+
+
+def test_gap_test_ignores_evaluations_other_than_its_closed_form():
+    # A gap function that is not the closed form (here, a stub) gives no
+    # anchor: every scored candidate is evaluated.
+    p = make_bilinear(np.array([[1.0]]), np.array([0.5]))
+    calls = []
+
+    def stub(problem, candidate, domain):
+        calls.append(candidate)
+        return GapResult(10.0, False, "stub")
+
+    test = GapTest(p, 0.1, None, stub)
+    walk = list(_bilinear_walk(p, steps=5))
+    assert not any(test(c) for c in walk)
+    assert len(calls) == len(walk)
+    assert all(a is b for a, b in zip(calls, walk))
+    assert test.gap() == GapResult(10.0, False, "stub") and len(calls) == 5
+    assert GapTest(p, 0.1).gap() is None
+
+
+@pytest.mark.parametrize("triplets", [False, True])
+def test_norm_bound_is_an_upper_bound(triplets):
+    from saddlesplit.evaluation import _norm_bound
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        A = _random_matrix(rng, 40, 30, triplets)
+        r, c = rng.uniform(0.1, 3.0, 40), rng.uniform(0.1, 3.0, 30)
+        dense = np.asarray(A)
+        for rs, cs in ((None, None), (r, None), (None, c), (r, c)):
+            M = dense * (1.0 if rs is None else rs[:, None]) \
+                * (1.0 if cs is None else cs)
+            assert _norm_bound(A, rs, cs) >= np.linalg.norm(M, 2)

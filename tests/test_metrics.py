@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from saddlesplit.metrics import ScaledMetric, ProductMetric, identity_product
+from saddlesplit.metrics import (
+    ScaledMetric, ProductMetric, all_finite, identity_product,
+)
 
 
 def test_single_block_zero_vector():
@@ -96,3 +98,31 @@ def test_norms_are_python_floats_of_the_dot_product():
     assert m.norm(z) == float(np.sqrt(np.dot(w * z, z)))
     assert m.dual_norm(z) == float(np.sqrt(np.dot(z / w, z)))
     assert m.norm(np.full(5, np.nan)) != m.norm(np.full(5, np.nan))
+
+
+# -- finiteness test ---------------------------------------------------------
+
+_EDGE_VALUES = [np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324, -5e-324,
+                2.2250738585072014e-308, 1.7e308, -1.7e308, 1.0, -1.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(_EDGE_VALUES),
+                          st.floats(allow_nan=True, allow_infinity=True)),
+                min_size=0, max_size=40))
+def test_all_finite_matches_isfinite(values):
+    v = np.array(values, dtype=float)
+    with np.errstate(invalid="ignore"):
+        assert all_finite(v) == bool(np.isfinite(v).all())
+
+
+def test_all_finite_on_long_vectors():
+    # Long enough for the blocked dot kernels; one bad entry anywhere.
+    v = np.full(1001, 1.7e308)
+    assert all_finite(v)
+    for bad in (np.inf, -np.inf, np.nan):
+        for pos in (0, 500, 1000):
+            w = v.copy()
+            w[pos] = bad
+            with np.errstate(invalid="ignore"):
+                assert not all_finite(w)

@@ -41,7 +41,8 @@ from saddlesplit.decoupled import (
 )
 from saddlesplit.evaluation import complexity_bounds, restricted_gap, theta_factor
 from saddlesplit.hard_instances import (
-    chain_matrices, krylov_min_residual, make_hard_instance, make_hard_saddle,
+    krylov_basis, krylov_index, krylov_min_residual, make_hard_saddle,
+    residual_floor,
 )
 from saddlesplit.metrics import ProductMetric, ScaledMetric
 from saddlesplit.problems import (
@@ -209,8 +210,14 @@ def parse_config(path, seed=None):
         if s not in SOLVERS:
             raise ConfigError(
                 f"unknown solver {s!r}; available: {', '.join(SOLVERS)}")
-    seed = int(exp.get("seed", "0")) if seed is None else int(seed)
-    check_bounds = exp.getboolean("check_bounds", fallback=False)
+    try:
+        seed = int(exp.get("seed", "0") if seed is None else seed)
+    except ValueError as exc:
+        raise ConfigError(f"seed must be an integer: {exc}") from None
+    try:
+        check_bounds = exp.getboolean("check_bounds", fallback=False)
+    except ValueError as exc:
+        raise ConfigError(f"check_bounds must be a boolean: {exc}") from None
     out_dir = exp.get("out", "results")
     name = exp.get("name", "experiment")
 
@@ -360,6 +367,8 @@ def read_results(path):
     """Parse a results.csv back into a list of field dictionaries."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    if not lines:
+        raise ValueError(f"{path}: no header line")
     header = lines[0].split(",")
     rows = []
     for number, ln in enumerate(lines[1:], start=2):
@@ -514,25 +523,30 @@ def _verify_battery():
                 return False
         return True
 
-    def chain_identity():
-        for p in (3, 7, 21):
-            B, M = chain_matrices(p)
-            if not np.array_equal(B.T @ B, M):
-                return False
+    def krylov_index_closed_form():
+        # A random point of the brute-force order-j Krylov space of either
+        # side has closed-form Krylov index exactly j.
+        st = make_hard_saddle("xy", 1.0, 1.0, 10).structure
+        A, b = st["A"], st["b"]
+        for side in ("x", "y"):
+            for j in range(7):
+                Q = krylov_basis(A, b, j, side=side)
+                v = Q @ rng.normal(size=Q.shape[1])
+                cand = ((v, np.zeros(b.size)) if side == "x"
+                        else (np.zeros(b.size - 1), v))
+                if Q.shape[1] != j or krylov_index(cand, b) != j:
+                    return False
         return True
 
     def krylov_closed_form():
-        inst = make_hard_instance(L=1.0, D=1.0, k=5)
-        for k in range(1, 6):
-            got = krylov_min_residual(inst, k)
-            p = inst.p
-            want = inst.L ** 2 * inst.gamma ** 2 * (
-                (p - k) ** 2 / ((k + 1) * (p + 1) ** 2)
-                + (p - k) / (p + 1) ** 2) / 8.0
-            if not np.isclose(got, want, rtol=1e-9):
+        prob = make_hard_saddle("xy", 1.0, 1.0, 5)
+        st = prob.structure
+        for j in range(1, 6):
+            if not np.isclose(krylov_min_residual(st["A"], st["b"], j),
+                              residual_floor(1.0, 1.0, 5, j), rtol=1e-9):
                 return False
-        resid = np.linalg.norm(inst.A @ inst.v_star - inst.b)
-        return resid <= 1e-10 * (1 + np.linalg.norm(inst.b))
+        resid = np.linalg.norm(st["matvec"](prob.saddle[0]) - st["b"])
+        return resid <= 1e-10 * (1 + np.linalg.norm(st["b"]))
 
     def gap_nonnegative():
         prob = make_bilinear(np.array([[1.0, 0.3], [0.0, 0.8]]),
@@ -588,7 +602,7 @@ def _verify_battery():
         ("metric duality", metric_duality),
         ("ledger bookkeeping and span membership", ledger_bookkeeping),
         ("theta factor lower bound", theta_properties),
-        ("chain factorization integer identity", chain_identity),
+        ("krylov index closed form", krylov_index_closed_form),
         ("krylov residual closed form", krylov_closed_form),
         ("restricted gap nonnegativity", gap_nonnegative),
         ("split step joint criterion", split_meets_joint_check),

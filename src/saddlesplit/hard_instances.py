@@ -13,53 +13,19 @@ puts the minimiser at distance exactly ``D`` while ``||A|| <= L``.
 
 The same matrix drives three instance flavours: a pure least-squares problem
 for either single agent (kind ``x`` / ``y``) and a bilinear coupling (kind
-``xy``) whose restricted gap inherits the residual lower bound.  The saddle
-instances keep the matrix as its ``2p`` nonzero triplets, so a chain costs
-``O(k)`` memory to build; only `make_hard_instance` scatters it dense.
-"""
+``xy``) whose restricted gap inherits the residual lower bound.  The matrix
+is kept as its ``2p`` nonzero triplets, so a chain costs ``O(k)`` memory;
+``np.asarray`` of the triplets gives the dense matrix on demand.
 
-from dataclasses import dataclass
+Its Krylov spaces have closed forms, which `krylov_index` and
+`residual_floor` evaluate in ``O(p)``; `krylov_basis` and
+`krylov_min_residual` are the brute-force reference for small orders.
+"""
 
 import numpy as np
 
-from saddlesplit.problems import TripletMatrix, make_bilinear, make_quadratic
-
-
-def chain_matrices(p):
-    """Return ``(B, M)`` with ``B`` the (p+1) x p difference chain and
-    ``M = B^T B`` tridiagonal; both in exact integer arithmetic."""
-    if p < 1:
-        raise ValueError("chain order must be at least 1")
-    B = np.zeros((p + 1, p), dtype=np.int64)
-    for j in range(p):
-        B[j, j] = 1
-        B[j + 1, j] = -1
-    M = (2 * np.eye(p, dtype=np.int64)
-         - np.eye(p, k=1, dtype=np.int64)
-         - np.eye(p, k=-1, dtype=np.int64))
-    return B, M
-
-
-@dataclass
-class HardInstance:
-    """Scaled chain least-squares data.
-
-    ``A`` is ``(L/2) * B`` padded to ``m x n``; ``b`` points along the
-    vector that makes ``A^T b`` a multiple of the first basis vector, so
-    Krylov spaces grow one coordinate per application of ``A^T A``.
-    """
-    L: float
-    D: float
-    k: int
-    p: int
-    A: np.ndarray
-    b: np.ndarray
-    gamma: float
-    v_star: np.ndarray
-
-    @property
-    def shape(self):
-        return self.A.shape
+from saddlesplit.problems import (TripletMatrix, _matrix_products,
+                                  make_bilinear, make_quadratic)
 
 
 def _check_scales(**scales):
@@ -69,20 +35,22 @@ def _check_scales(**scales):
                 f"scale {name} must be finite and positive, got {value!r}")
 
 
-def _chain(L, D, k, m=None, n=None):
-    """``(p, gamma, A, b, v_star)`` of the chain instance, with ``A`` as
-    the `TripletMatrix` of ``(L/2) B`` padded to ``m x n``."""
+def _order(L, D, k):
+    """``(p, gamma)`` of the order-``k`` chain at scale ``(L, D)``, after
+    checking the arguments."""
     _check_scales(L=L, D=D)
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
         raise ValueError(f"order k must be an integer, got {k!r}")
+    if k < 1:
+        raise ValueError(f"order k must be at least 1, got {k}")
     p = 2 * k + 1
-    if m is None:
-        m = p + 1
-    if n is None:
-        n = p
-    if not (1 <= k <= (min(m - 1, n) - 1) / 2):
-        raise ValueError("order k does not fit the requested dimensions")
-    gamma = D * np.sqrt(6.0 * (p + 1) / (p * (2.0 * p + 1.0)))
+    return p, D * np.sqrt(6.0 * (p + 1) / (p * (2.0 * p + 1.0)))
+
+
+def _chain(L, D, k):
+    """``(p, gamma, A, b, v_star)`` of the chain instance, with ``A`` as
+    the `TripletMatrix` of ``(L/2) B``."""
+    p, gamma = _order(L, D, k)
     # The 2p nonzeros in row-major order: (j, j) = L/2, then (j + 1, j) =
     # -L/2, for j = 0, ..., p - 1.
     j = np.arange(p)
@@ -91,66 +59,80 @@ def _chain(L, D, k, m=None, n=None):
     rows[0::2], rows[1::2] = j, j + 1
     cols[0::2] = cols[1::2] = j
     vals[0::2], vals[1::2] = 0.5 * L, -0.5 * L
-    A = TripletMatrix((m, n), rows, cols, vals)
+    A = TripletMatrix((p + 1, p), rows, cols, vals)
     u = np.full(p + 1, -1.0 / (p + 1))
     u[0] = p / (p + 1.0)
-    b = np.zeros(m)
-    b[:p + 1] = gamma * 0.5 * L * u
-    v = np.zeros(n)
-    v[:p] = gamma * (p - j) / (p + 1.0)
+    b = gamma * 0.5 * L * u
+    v = gamma * (p - j) / (p + 1.0)
     return p, gamma, A, b, v
 
 
-def make_hard_instance(L, D, k, m=None, n=None):
-    """Build the order-``2k+1`` chain instance at scale ``(L, D)``.
+# ---------------------------------------------------------------------------
+# Krylov spaces: closed forms and the brute-force reference
+# ---------------------------------------------------------------------------
 
-    Parameters
-    ----------
-    L, D : float
-        Target operator-norm bound and distance of the minimiser; both
-        finite and positive.
-    k : int
-        Number of Krylov steps the construction defeats; an integer with
-        ``1 <= k <= (min(m - 1, n) - 1) / 2``.
-    m, n : int, optional
-        Ambient dimensions; default to the minimal ``(p + 1, p)``.
+def krylov_index(candidate, b):
+    """Smallest ``j`` with ``x`` in ``K_j(x)`` and ``y`` in ``K_j(y)`` for
+    ``candidate = (x, y)`` on the chain with right-hand side `b`; None
+    when ``y`` lies in no Krylov space.
+
+    ``K_j(x) = span(e_1, ..., e_j)``, so ``x`` must vanish past index
+    ``j`` exactly.  ``b`` is a multiple of ``e_1 - 1/(p+1)``, so ``K_j(y)``
+    (``{0}`` at ``j = 0``) is ``span{b}`` plus the zero-sum vectors of
+    ``span(e_1, ..., e_j)``: ``y`` minus its ``b``-component must vanish
+    past index ``j`` and sum to zero, both to ``1e-12 ||y||``.
     """
-    p, gamma, A, b, v = _chain(L, D, k, m, n)
-    return HardInstance(L=float(L), D=float(D), k=k, p=p, A=np.asarray(A),
-                        b=b, gamma=float(gamma), v_star=v)
+    x, y = (np.asarray(block, dtype=float) for block in candidate)
+    # The position of the last nonzero after a leading 1 is the index.
+    j = np.flatnonzero(np.r_[1.0, x])[-1]
+    if y.any():
+        r = y - (y[-1] / b[-1]) * b
+        tol = 1e-12 * np.linalg.norm(y)
+        if abs(r.sum()) > tol:
+            return None
+        j = max(j, 1, np.flatnonzero(np.r_[True, np.abs(r) > tol])[-1])
+    return int(j)
 
 
-# ---------------------------------------------------------------------------
-# Krylov tools
-# ---------------------------------------------------------------------------
+def residual_floor(L, D, k, j):
+    """``min over K_j(x) of 0.5 ||A v - b||^2`` on the order-``k`` chain
+    at scale ``(L, D)``, ``0 <= j <= p``: least squares on the first ``j``
+    columns of the chain; ``L^2 gamma^2 / (16 (k+1))`` at ``j = k``."""
+    p, gamma = _order(L, D, k)
+    if not 0 <= j <= p:
+        raise ValueError(f"Krylov order j must lie in [0, {p}], got {j!r}")
+    return (L ** 2 * gamma ** 2 / 8.0
+            * ((p - j) ** 2 / ((j + 1) * (p + 1) ** 2)
+               + (p - j) / (p + 1) ** 2))
+
 
 def krylov_basis(A, b, k, side="x"):
     """Orthonormal basis of the order-``k`` Krylov space.
 
     ``side='x'`` spans ``{A^T b, (A^T A) A^T b, ...}``; ``side='y'`` spans
-    ``{b, (A A^T) b, ...}``.  Built by modified Gram-Schmidt with one
-    re-orthogonalization pass; directions below ``1e-12`` of the largest
-    generator are dropped.
+    ``{b, (A A^T) b, ...}``.  `A` is a dense array or a `TripletMatrix`,
+    multiplied through `problems._matrix_products`.  Built by modified
+    Gram-Schmidt with one re-orthogonalization pass; directions below
+    ``1e-12`` of the largest generator are dropped, so at large ``k``
+    (past about 25 on the unit chain) the basis loses columns.
     """
-    A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
+    matvec, rmatvec = _matrix_products(A)
     if side == "x":
-        w = A.T @ b
+        w = rmatvec(b)
         def advance(v):
-            return A.T @ (A @ v)
+            return rmatvec(matvec(v))
     elif side == "y":
         w = b.copy()
         def advance(v):
-            return A @ (A.T @ v)
+            return matvec(rmatvec(v))
     else:
         raise ValueError("side must be 'x' or 'y'")
     gens = []
     for _ in range(k):
         gens.append(w)
         w = advance(w)
-    if not gens:
-        return np.zeros((A.shape[1] if side == "x" else A.shape[0], 0))
-    scale = max(np.linalg.norm(g) for g in gens)
+    scale = max((np.linalg.norm(g) for g in gens), default=0.0)
     cols = []
     for g in gens:
         r = g.copy()
@@ -162,31 +144,26 @@ def krylov_basis(A, b, k, side="x"):
             continue
         cols.append(r / nrm)
     if not cols:
-        return np.zeros((gens[0].size, 0))
+        return np.zeros((w.size, 0))
     return np.stack(cols, axis=1)
 
 
-def krylov_min_residual(instance, k):
-    """``min_{v in H^k} 0.5 * ||A v - b||^2`` by brute-force least squares.
+def krylov_min_residual(A, b, j):
+    """``min_{v in K_j(x)} 0.5 * ||A v - b||^2`` by brute-force least
+    squares.
 
-    Independent of any solver: restrict to the Krylov basis and solve the
-    small system by orthogonal factorization.
+    Independent of any solver and of the chain's closed forms: restrict
+    to the `krylov_basis` of order `j` and solve the small system by
+    orthogonal factorization.
     """
-    A, b = instance.A, instance.b
-    Q = krylov_basis(A, b, k, side="x")
+    b = np.asarray(b, dtype=float)
+    Q = krylov_basis(A, b, j, side="x")
     if Q.shape[1] == 0:
         return 0.5 * float(np.linalg.norm(b) ** 2)
-    AQ = A @ Q
+    matvec, _ = _matrix_products(A)
+    AQ = np.stack([matvec(q) for q in Q.T], axis=1)
     c, _, _, _ = np.linalg.lstsq(AQ, b, rcond=None)
     return 0.5 * float(np.linalg.norm(AQ @ c - b) ** 2)
-
-
-def subspace_residual(Q, v):
-    """Euclidean distance from `v` to the column space of `Q`."""
-    v = np.asarray(v, dtype=float)
-    if Q.shape[1] == 0:
-        return float(np.linalg.norm(v))
-    return float(np.linalg.norm(v - Q @ (Q.T @ v)))
 
 
 # ---------------------------------------------------------------------------

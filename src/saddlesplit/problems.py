@@ -317,9 +317,6 @@ class SaddleProblem:
         raw = np.asarray(raw, dtype=float)
         return raw if self.grad_y_sign == 1 else -raw
 
-    def default_domain(self):
-        return DomainSpec([self.x0, self.y0], [self.D_x, self.D_y])
-
 
 @dataclass
 class VipProblem:

@@ -246,6 +246,18 @@ def test_config_errors(tmp_path):
         cli.parse_config(_write(tmp_path, half_k, "bad4.ini"))
 
 
+@pytest.mark.parametrize("key, value", [("seed", "abc"),
+                                        ("check_bounds", "maybe")])
+def test_bad_experiment_value_exits_2(tmp_path, capsys, key, value):
+    # Both used to escape parse_config as a bare ValueError traceback.
+    text = SP_CONFIG.replace("seed = 3", f"{key} = {value}")
+    code = cli.main(["run", "--config", _write(tmp_path, text),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+
+
 def test_main_exit_codes(tmp_path):
     path = _write(tmp_path, SP_CONFIG)
     out = str(tmp_path / "run_out")
@@ -332,8 +344,16 @@ def test_hard_instance_writes_the_recipe(tmp_path):
 def test_verify_subcommand(capsys):
     assert cli.main(["verify"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert len(lines) >= 5
-    assert all(ln.startswith("ok") for ln in lines)
+    assert [ln.split(None, 1) for ln in lines] == [["ok", name] for name in (
+        "metric duality",
+        "ledger bookkeeping and span membership",
+        "theta factor lower bound",
+        "krylov index closed form",
+        "krylov residual closed form",
+        "restricted gap nonnegativity",
+        "split step joint criterion",
+        "chain nonzero products match dense products",
+    )]
 
 
 def test_bounds_subcommand(tmp_path, capsys):
@@ -565,6 +585,13 @@ def test_read_results_rejects_a_row_of_the_wrong_width(tmp_path):
         path.write_text("\n".join([lines[0], bad] + lines[2:]) + "\n")
         with pytest.raises(ValueError, match="row 2 has"):
             cli.read_results(str(path))
+
+
+def test_read_results_rejects_an_empty_file(tmp_path):
+    path = tmp_path / "results.csv"
+    path.write_text("\n")
+    with pytest.raises(ValueError, match="results.csv: no header line"):
+        cli.read_results(str(path))
 
 
 def test_config_without_random_instances_skips_numpy_random(tmp_path):

@@ -4,47 +4,57 @@ import numpy as np
 import pytest
 
 from saddlesplit.hard_instances import (
-    _chain, chain_matrices, krylov_basis, krylov_min_residual,
-    make_hard_instance, make_hard_saddle, subspace_residual,
+    _chain, krylov_basis, krylov_index, krylov_min_residual, make_hard_saddle,
+    residual_floor,
 )
 from saddlesplit.evaluation import restricted_gap
 from saddlesplit.problems import (
-    _matrix_products, make_bilinear, make_quadratic, spectral_norm,
+    TripletMatrix, _matrix_products, make_bilinear, make_quadratic,
+    spectral_norm,
 )
 
 
-def test_chain_factorization_exact():
-    for p in (1, 2, 5, 11):
-        B, M = chain_matrices(p)
-        assert B.dtype == np.int64
-        assert np.array_equal(B.T @ B, M)
+def _gamma(D, k):
+    p = 2 * k + 1
+    return D * np.sqrt(6.0 * (p + 1) / (p * (2.0 * p + 1.0)))
+
+
+def test_chain_triplets_are_the_scaled_difference_chain():
+    # The chain's definition: (L/2) B with B the (p+1) x p bidiagonal
+    # matrix of ones on the diagonal and minus ones below it.
+    L = 3.0
+    for k in range(1, 6):
+        p = 2 * k + 1
+        B = np.eye(p + 1, p) - np.eye(p + 1, p, k=-1)
+        assert np.array_equal(np.asarray(_chain(L, 1.0, k)[2]), L / 2 * B)
 
 
 def test_construction_frozen_k1():
-    inst = make_hard_instance(2.0, 1.0, 1)
-    assert inst.p == 3
-    assert inst.A[0, 0] == pytest.approx(1.0)          # (L/2) * 1
-    assert inst.gamma == pytest.approx(np.sqrt(8.0 / 7.0), rel=1e-12)
-    assert np.linalg.norm(inst.v_star) == pytest.approx(1.0, rel=1e-12)
-    assert np.allclose(inst.A @ inst.v_star, inst.b, atol=1e-12)
+    p, gamma, A, b, v = _chain(2.0, 1.0, 1)
+    assert p == 3
+    assert np.asarray(A)[0, 0] == pytest.approx(1.0)   # (L/2) * 1
+    assert gamma == pytest.approx(np.sqrt(8.0 / 7.0), rel=1e-12)
+    assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-12)
+    assert np.allclose(np.asarray(A) @ v, b, atol=1e-12)
 
 
 def test_operator_norm_and_distance():
     for (L, D, k) in [(1.0, 1.0, 1), (0.5, 2.0, 3), (2.0, 0.5, 7)]:
-        inst = make_hard_instance(L, D, k)
-        assert np.linalg.svd(inst.A)[1][0] <= L + 1e-12
-        assert np.linalg.norm(inst.v_star) == pytest.approx(D, rel=1e-12)
+        _, _, A, _, v = _chain(L, D, k)
+        assert np.linalg.svd(np.asarray(A))[1][0] <= L + 1e-12
+        assert np.linalg.norm(v) == pytest.approx(D, rel=1e-12)
 
 
 def test_precondition_violation():
+    with pytest.raises(ValueError, match="at least 1"):
+        make_hard_saddle("xy", 1.0, 1.0, 0)
     with pytest.raises(ValueError):
-        make_hard_instance(1.0, 1.0, 0)
-    with pytest.raises(ValueError):
-        make_hard_instance(1.0, 1.0, 3, m=4, n=3)
-    with pytest.raises(ValueError):
-        make_hard_instance(-1.0, 1.0, 1)
+        make_hard_saddle("xy", -1.0, 1.0, 1)
     with pytest.raises(ValueError, match="must be an integer"):
-        make_hard_instance(1.0, 1.0, 2.5)
+        make_hard_saddle("xy", 1.0, 1.0, 2.5)
+    for j in (-1, 8):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 7\]"):
+            residual_floor(1.0, 1.0, 3, j)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
@@ -58,38 +68,79 @@ def test_bad_scales_rejected(scale, bad):
     if scale != "D_other":
         del scales["D_other"]
         with pytest.raises(ValueError, match=f"scale {scale} must be finite"):
-            make_hard_instance(k=3, **scales)
+            residual_floor(k=3, j=0, **scales)
 
 
 def test_krylov_spans_leading_coordinates():
-    inst = make_hard_instance(1.0, 1.0, 4)
-    eye = np.eye(inst.A.shape[1])
+    st = make_hard_saddle("xy", 1.0, 1.0, 4).structure
+    A, b = st["A"], st["b"]
+    n = b.size - 1
     for k in range(1, 5):
-        Q = krylov_basis(inst.A, inst.b, k, side="x")
+        Q = krylov_basis(A, b, k, side="x")
         assert Q.shape[1] == k
         assert np.allclose(Q.T @ Q, np.eye(k), atol=1e-10)
         # span equals exactly the first k coordinates
-        for j in range(k):
-            assert subspace_residual(Q, eye[:, j]) <= 1e-8
-        assert subspace_residual(Q, eye[:, k]) == pytest.approx(1.0, abs=1e-8)
+        assert np.array_equal(Q[k:], np.zeros((n - k, k)))
+        assert krylov_index((Q[:, -1], np.zeros(n + 1)), b) == k
+
+
+def test_krylov_index_of_the_y_side():
+    # K_j(y) is span{b} plus the zero-sum vectors on the first j entries.
+    b = make_hard_saddle("xy", 1.0, 1.0, 4).structure["b"]
+    zero = np.zeros(b.size - 1)
+    diff = np.zeros(b.size)
+    diff[[2, 3]] = 1.0, -1.0                 # in K_4(y), not in K_3(y)
+    assert krylov_index((zero, np.zeros(b.size)), b) == 0
+    assert krylov_index((zero, -2.0 * b), b) == 1
+    assert krylov_index((zero, 0.5 * b + diff), b) == 4
+    assert krylov_index((zero, np.ones(b.size)), b) is None   # sum != 0
+    x = np.zeros(b.size - 1)
+    x[5] = 1.0
+    assert krylov_index((x, 0.5 * b + diff), b) == 6
 
 
 def test_min_residual_frozen():
-    inst = make_hard_instance(1.0, 1.0, 1)
-    r = krylov_min_residual(inst, 1)
+    st = make_hard_saddle("xy", 1.0, 1.0, 1).structure
+    r = krylov_min_residual(st["A"], st["b"], 1)
     assert r == pytest.approx(1.0 / 28.0, rel=1e-9)
+    assert r == pytest.approx(residual_floor(1.0, 1.0, 1, 1), rel=1e-12)
     assert r >= 3.0 / 128.0
 
 
 def test_min_residual_closed_form_and_monotone():
     for (L, D) in [(1.0, 1.0), (2.0, 0.5), (0.5, 2.0)]:
         for k in (1, 2, 5):
-            inst = make_hard_instance(L, D, k)
-            expected = L ** 2 * inst.gamma ** 2 / (16.0 * (k + 1))
-            assert krylov_min_residual(inst, k) == pytest.approx(expected, rel=1e-9)
+            st = make_hard_saddle("xy", L, D, k).structure
+            expected = L ** 2 * _gamma(D, k) ** 2 / (16.0 * (k + 1))
+            assert residual_floor(L, D, k, k) == pytest.approx(
+                expected, rel=1e-12)
+            # Past j = k + 1 the brute-force basis can drop a direction
+            # (L = 0.5, k = 5 loses one at j = 11).
+            for j in range(0, k + 2):
+                assert krylov_min_residual(st["A"], st["b"], j) == \
+                    pytest.approx(residual_floor(L, D, k, j), rel=1e-9)
             assert expected >= 3.0 * L ** 2 * D ** 2 / (32.0 * (k + 1) ** 2)
-        vals = [krylov_min_residual(inst, j) for j in range(0, inst.p + 1)]
-        assert all(vals[j + 1] <= vals[j] + 1e-12 for j in range(len(vals) - 1))
+        vals = [residual_floor(L, D, k, j) for j in range(0, 2 * k + 2)]
+        assert all(vals[j + 1] <= vals[j] for j in range(len(vals) - 1))
+        assert vals[-1] == 0.0
+
+
+def test_krylov_tools_never_build_the_dense_matrix():
+    # At k = 5000 the dense chain would take 800 MB; the brute-force
+    # residual and the closed-form index multiply through the triplets.
+    _, _, A, b, _ = _chain(1.0, 1.0, 5000)
+    x = np.zeros(A.shape[1])
+    x[:5] = 1.0
+    tracemalloc.start()
+    try:
+        r = krylov_min_residual(A, b, 5)
+        j = krylov_index((x, 0.5 * b), b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
+    assert r == pytest.approx(residual_floor(1.0, 1.0, 5000, 5), rel=1e-9)
+    assert j == 5
 
 
 def test_hard_saddle_xy():
@@ -114,17 +165,17 @@ def test_gap_lower_bound_on_confined_candidates():
     # H^k keeps gap >= L D_x D_y / (3 (k + 1)).
     L = D = 1.0
     for k in (1, 2, 3, 5):
-        inst = make_hard_instance(L, D, k)
         prob = make_hard_saddle("xy", L=L, D=D, k=k)
         floor = L * D * D / (3.0 * (k + 1))
-        Q = krylov_basis(inst.A, inst.b, k, side="x")
+        Q = krylov_basis(prob.structure["A"], prob.structure["b"], k,
+                         side="x")
         rng = np.random.default_rng(k)
         for _ in range(6):
             x = Q @ rng.standard_normal(Q.shape[1])
             nrm = np.linalg.norm(x)
             if nrm > D:
                 x *= D / nrm
-            y = rng.standard_normal(inst.A.shape[0])
+            y = rng.standard_normal(prob.ny)
             y *= min(1.0, 1.0 / np.linalg.norm(y))
             gap = restricted_gap(prob, (x, y))
             assert gap.value >= floor - 1e-9
@@ -132,20 +183,19 @@ def test_gap_lower_bound_on_confined_candidates():
 
 def test_residual_floor_on_fixed_instance():
     # On one fixed instance the exact per-order floor is D_y * sqrt(2 r_j)
-    # with r_j the Krylov-restricted least-squares minimum.
-    inst = make_hard_instance(1.0, 1.0, 5)
+    # with r_j the Krylov-restricted least-squares minimum; K_j(x) is the
+    # span of the first j coordinates.
     prob = make_hard_saddle("xy", L=1.0, D=1.0, k=5)
     rng = np.random.default_rng(0)
     for j in range(0, 5):
-        floor = np.sqrt(2.0 * krylov_min_residual(inst, j))
-        Q = krylov_basis(inst.A, inst.b, j, side="x")
+        floor = np.sqrt(2.0 * residual_floor(1.0, 1.0, 5, j))
         for _ in range(4):
-            x = (Q @ rng.standard_normal(Q.shape[1])
-                 if Q.shape[1] else np.zeros(inst.A.shape[1]))
+            x = np.zeros(prob.nx)
+            x[:j] = rng.standard_normal(j)
             nrm = np.linalg.norm(x)
             if nrm > 1.0:
                 x /= nrm
-            gap = restricted_gap(prob, (x, np.zeros(inst.A.shape[0])))
+            gap = restricted_gap(prob, (x, np.zeros(prob.ny)))
             assert gap.value >= floor - 1e-9
 
 
@@ -154,7 +204,7 @@ def test_chain_saddle_skips_least_squares(monkeypatch):
         raise AssertionError("least-squares solve on the chain instance")
 
     monkeypatch.setattr(np.linalg, "lstsq", refuse)
-    v_star = make_hard_instance(1, 1, 500).v_star
+    v_star = _chain(1, 1, 500)[4]
     for kind, active, inert_dim in (("xy", 0, 1002), ("x", 0, 1), ("y", 1, 1)):
         p = make_hard_saddle(kind, 1, 1, 500)
         assert np.array_equal(p.saddle[active], v_star)
@@ -184,11 +234,17 @@ def test_chain_triplets_multiply_as_the_dense_matrix(kind, k, pad):
     m, n = p + 1 + pad, p + pad
     L, D = 4.0, 1.5
     scale = L if kind == "xy" else np.sqrt(L)
-    dense = make_hard_instance(scale, D, k, m, n).A
+    _, _, chain, b0, v0 = _chain(scale, D, k)
+    dense = np.zeros((m, n))
+    dense[:p + 1, :p] = np.asarray(chain)
     if pad == 0:
         prob = make_hard_saddle(kind, L, D, k, D_other=D)
     else:
-        _, _, A, b, v = _chain(scale, D, k, m, n)
+        # The chain's triplets in a larger matrix, whose trailing rows and
+        # columns hold no nonzero.
+        A = TripletMatrix((m, n), chain.rows, chain.cols, chain.vals)
+        b, v = np.zeros(m), np.zeros(n)
+        b[:p + 1], v[:p] = b0, v0
         assert np.array_equal(np.asarray(A), dense)
         prob = (make_bilinear(A, b, D_x=D, D_y=D, x_star=v) if kind == "xy"
                 else make_quadratic(A, b, side=kind, D_x=D, D_y=D, x_star=v))

@@ -60,11 +60,11 @@ def default_scaling(problem, d_hat=None):
 def _joint_space(p, step_x, step_y):
     """Block views, joint response and prox step of a joint (x, y) iterate.
 
-    ``respond(gx, gy)`` checks the raw oracle responses against their
-    blocks and concatenates them.  ``step(v, G)`` takes that raw joint
-    response and returns ``v - steps * (G / weights)``: the weights are
-    ``concat(P_x, P_y)``, and the y steps carry the sign that turns the
-    raw y response into ``V_y = -grad_y_sign * gy``.  IEEE rounding is
+    ``respond(gx, gy)`` checks the oracle responses (the partial gradients
+    of ``f``) against their blocks and concatenates them.  ``step(v, G)``
+    takes that joint response and returns ``v - steps * (G / weights)``:
+    the weights are ``concat(P_x, P_y)``, and the y steps are ``-step_y``,
+    which turns ``grad_y`` into ``V_y = -grad_y``.  IEEE rounding is
     symmetric in sign, so this is the arithmetic, element for element
     and bit for bit, of the two block steps ``v_i - step_i P_i^{-1} V_i``.
     A block's prox runs only when its term is not `ZeroTerm` (whose prox
@@ -72,8 +72,7 @@ def _joint_space(p, step_x, step_y):
     """
     nx, ny = p.nx, p.ny
     weights = np.concatenate((p.metric_x.weights, p.metric_y.weights))
-    steps = np.concatenate((np.full(nx, step_x), np.full(
-        ny, -step_y if p.grad_y_sign == 1 else step_y)))
+    steps = np.concatenate((np.full(nx, step_x), np.full(ny, -step_y)))
     proxes = [term for term in ((slice(None, nx), p.psi_x, p.metric_x, step_x),
                                 (slice(nx, None), p.psi_y, p.metric_y, step_y))
               if type(term[1]) is not ZeroTerm]

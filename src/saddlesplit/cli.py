@@ -46,8 +46,8 @@ from saddlesplit.hard_instances import (
 )
 from saddlesplit.metrics import ProductMetric, ScaledMetric
 from saddlesplit.problems import (
-    VipProblem, instance_from_section, load_instance, make_bilinear,
-    random_polymatrix, save_instance,
+    VipProblem, check_keys, instance_from_section, load_instance,
+    make_bilinear, random_polymatrix, save_instance,
 )
 
 # Each solver's parameter dataclass; its fields (but `epsilon`, which the
@@ -56,6 +56,9 @@ SOLVER_PARAMS = {"decoupled": DecoupledParams,
                  "extragradient": ExtragradientParams,
                  "local_gda": LocalGdaParams}
 SOLVERS = tuple(SOLVER_PARAMS)
+EXPERIMENT_KEYS = ("epsilons", "solvers", "seed", "check_bounds", "out", "name")
+# Read by ``kind = random_polymatrix``, as well as ``kind`` and ``name``.
+RANDOM_POLYMATRIX_KEYS = ("dims", "coupling", "diag")
 
 CSV_HEAD = ("instance_id", "solver", "epsilon", "rounds")
 CSV_TAIL = ("weighted_cost", "gap", "gap_exact", "bound_comm",
@@ -122,26 +125,35 @@ def _read_ini(path):
     return cp
 
 
+def _check_keys(sec, keys):
+    try:
+        check_keys(sec, keys, f"in [{sec.name}]")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _build_instance(sec, iid, base, rng):
     """The instance an ``[instance...]`` section declares.
 
     ``file =`` paths resolve against `base` (the config's directory);
     ``kind = random_polymatrix`` draws from the generator `rng()` returns;
-    anything else is inline.
+    anything else is inline.  A key the section's kind does not read, or a
+    value its builder rejects, is a `ConfigError`.
     """
     try:
         if "file" in sec:
+            _check_keys(sec, ("file", "kind", "name"))
             return load_instance(os.path.join(base, sec["file"]))
         if sec.get("kind") == "random_polymatrix":
-            dims = tuple(_literal(sec, "dims", sec.name))
-            return random_polymatrix(
-                len(dims), dims, rng(),
-                coupling=_literal(sec, "coupling", sec.name)
-                if "coupling" in sec else 1.0,
-                diag=_literal(sec, "diag", sec.name) if "diag" in sec else 0.0,
-                name=iid)
+            _check_keys(sec, RANDOM_POLYMATRIX_KEYS + ("kind", "name"))
+            kwargs = {key: _literal(sec, key, sec.name)
+                      for key in RANDOM_POLYMATRIX_KEYS if key in sec}
+            dims = tuple(kwargs.pop("dims"))
+            return random_polymatrix(len(dims), dims, rng(), name=iid,
+                                     **kwargs)
         return instance_from_section(sec)
-    except (KeyError, ValueError, OSError) as exc:
+    except (KeyError, ValueError, TypeError, OSError,
+            configparser.Error) as exc:
         raise ConfigError(f"cannot build instance [{sec.name}]: {exc}")
 
 
@@ -190,12 +202,22 @@ def check_instance_ids(ids):
         id_of_stem[stem] = iid
 
 
+def _read_seed(cp, seed=None):
+    """`seed`, else ``[experiment] seed``, else 0, as an integer."""
+    try:
+        return int(cp.get("experiment", "seed", fallback="0")
+                   if seed is None else seed)
+    except ValueError as exc:
+        raise ConfigError(f"seed must be an integer: {exc}") from None
+
+
 def parse_config(path, seed=None):
     """Parse an experiment file; `seed` overrides the config's own seed."""
     cp = _read_ini(path)
     if "experiment" not in cp:
         raise ConfigError("missing [experiment] section")
     exp = cp["experiment"]
+    _check_keys(exp, EXPERIMENT_KEYS)
     epsilons = _literal(exp, "epsilons", "experiment") if "epsilons" in exp \
         else [0.1]
     if not isinstance(epsilons, (list, tuple)) or not epsilons:
@@ -210,10 +232,7 @@ def parse_config(path, seed=None):
         if s not in SOLVERS:
             raise ConfigError(
                 f"unknown solver {s!r}; available: {', '.join(SOLVERS)}")
-    try:
-        seed = int(exp.get("seed", "0") if seed is None else seed)
-    except ValueError as exc:
-        raise ConfigError(f"seed must be an integer: {exc}") from None
+    seed = _read_seed(cp, seed)
     try:
         check_bounds = exp.getboolean("check_bounds", fallback=False)
     except ValueError as exc:
@@ -230,13 +249,8 @@ def parse_config(path, seed=None):
         sname = section.split(".", 1)[1]
         if sname not in SOLVERS:
             raise ConfigError(f"parameters for unknown solver {sname!r}")
-        known = [f.name for f in dataclasses.fields(SOLVER_PARAMS[sname])
-                 if f.name != "epsilon"]
-        for k in cp[section]:
-            if k not in known:
-                raise ConfigError(
-                    f"unknown parameter {k!r} in [{section}]; "
-                    f"available: {', '.join(known)}")
+        _check_keys(cp[section], [f.name for f in dataclasses.fields(
+            SOLVER_PARAMS[sname]) if f.name != "epsilon"])
         solver_params[sname] = {k: _literal(cp[section], k, section)
                                 for k in cp[section]}
 
@@ -659,10 +673,11 @@ def _cmd_verify(_args):
 def _cmd_bounds(args):
     try:
         cp = _read_ini(args.config)
+        if "experiment" in cp:
+            _check_keys(cp["experiment"], EXPERIMENT_KEYS)
         # The instances `run` would build: same file resolution, same seed.
-        instances = _config_instances(
-            cp, args.config, cp.getint("experiment", "seed", fallback=0))
-    except (ConfigError, ValueError) as exc:
+        instances = _config_instances(cp, args.config, _read_seed(cp))
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -553,9 +553,10 @@ def decoupled_saddle_run(problem, params, ledger=None, domain=None):
     scaled coupling constant equal to one, so the default ``lam = 2`` meets
     the weak-coupling requirement with equality.  When the agents do not
     interact at all (``L_xy = 0``) the run is one local solve per agent and
-    a single exchange.  The ledger records the raw ``y`` responses.  The
-    default round cap comes from ``dmsp_comm``, and ``info["theta"]`` is
-    the diameter factor of the same report.
+    a single exchange.  The y block of ``V`` is ``-grad_y``; the ledger
+    records the ``y`` agent's own responses, ``grad_y``.  The default
+    round cap comes from ``dmsp_comm``, and ``info["theta"]`` is the
+    diameter factor of the same report.
     """
     p = problem
     if ledger is None:
@@ -565,7 +566,7 @@ def decoupled_saddle_run(problem, params, ledger=None, domain=None):
     ox, oy = (ledger.bind(a, g)
               for a, g in zip(p.agents, (p.grad_x, p.grad_y)))
     res = _decoupled_run(
-        p, [ox, lambda z: p.vy_from_raw(oy(z))],
+        p, [ox, lambda z: -oy(z)],
         [p.psi_x, p.psi_y], [p.metric_x, p.metric_y],
         [[p.L_x, p.L_xy], [p.L_xy, p.L_y]], d_hat, [True, True], params,
         report.dmsp_comm, ledger, p.saddle, domain)

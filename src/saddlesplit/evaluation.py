@@ -193,7 +193,7 @@ def _saddle_gap(p, candidate, domain):
         raise ValueError("gap estimation requires function values on the instance")
 
     def grad_y_of(y):
-        return p.ascent_y_from_raw(p.grad_y((xbar, y)))
+        return p.grad_y((xbar, y))
 
     def grad_x_of(x):
         return p.grad_x((x, ybar))

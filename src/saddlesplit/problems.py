@@ -17,6 +17,7 @@ term; those four operations are everything the solvers need.
 
 import ast
 import configparser
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,6 +233,12 @@ def argmin_linear(term, metric, cov, fallback=None):
 # problem containers
 # ---------------------------------------------------------------------------
 
+def _check_diameters(*diameters):
+    for D in diameters:
+        if not (math.isfinite(D) and D > 0):
+            raise ValueError(f"diameters must be positive and finite, got {D!r}")
+
+
 @dataclass
 class DomainSpec:
     """Restriction set for gap evaluation: one metric ball per block."""
@@ -246,12 +253,12 @@ class DomainSpec:
 class SaddleProblem:
     """Two-agent saddle problem with per-agent first-order oracles.
 
-    ``grad_x(z)`` returns the partial gradient of ``f`` in ``x`` at
-    ``z = (x, y)``.  ``grad_y(z)`` returns the raw oracle response of the
-    ``y``-agent; its relation to the true partial gradient is fixed by
-    ``grad_y_sign``:  ``grad_y_sign * grad_y(z) == \\nabla_y f(z)``.
-    The monotone operator is then ``V = (grad_x, -grad_y_sign * grad_y)``.
-    ``agents`` names the two agents for an `OracleLedger`.
+    ``grad_x(z)`` and ``grad_y(z)`` return the partial gradients of ``f``
+    in ``x`` and in ``y`` at ``z = (x, y)``, on every instance; the
+    monotone operator is ``V = (grad_x, -grad_y)``, and each solver writes
+    the y sign once, where it forms ``V``.  ``D_x`` and ``D_y`` must be
+    positive and finite.  ``agents`` names the two agents for an
+    `OracleLedger`.
     """
     agents = ("x", "y")
 
@@ -266,7 +273,6 @@ class SaddleProblem:
     L_xy: float
     D_x: float
     D_y: float
-    grad_y_sign: int = 1
     metric_x: ScaledMetric = None
     metric_y: ScaledMetric = None
     costs: tuple = (1.0, 1.0)
@@ -282,8 +288,7 @@ class SaddleProblem:
             self.metric_x = ScaledMetric(self.x0.size)
         if self.metric_y is None:
             self.metric_y = ScaledMetric(self.y0.size)
-        if self.grad_y_sign not in (1, -1):
-            raise ValueError("grad_y_sign must be +1 or -1")
+        _check_diameters(self.D_x, self.D_y)
         for L in (self.L_x, self.L_y, self.L_xy):
             if L < 0:
                 raise ValueError("Lipschitz constants must be nonnegative")
@@ -306,16 +311,7 @@ class SaddleProblem:
 
     def vy(self, z):
         """y-block of the monotone operator (``-grad_y f``)."""
-        return -self.grad_y_sign * np.asarray(self.grad_y(z), dtype=float)
-
-    def vy_from_raw(self, raw):
-        raw = np.asarray(raw, dtype=float)
-        return -raw if self.grad_y_sign == 1 else raw
-
-    def ascent_y_from_raw(self, raw):
-        """``grad_y f`` recovered from a raw oracle response."""
-        raw = np.asarray(raw, dtype=float)
-        return raw if self.grad_y_sign == 1 else -raw
+        return -np.asarray(self.grad_y(z), dtype=float)
 
 
 @dataclass
@@ -348,6 +344,7 @@ class VipProblem:
             raise ValueError("L must be a K x K matrix")
         if np.any(self.L < 0):
             raise ValueError("L entries must be nonnegative")
+        _check_diameters(*self.D)
         if self.metrics is None:
             self.metrics = [ScaledMetric(b.size) for b in self.z0]
         if self.costs is None:
@@ -494,6 +491,28 @@ def spectral_norm(A, iters=500, tol=1e-12):
 # saddle generators
 # ---------------------------------------------------------------------------
 
+def _linear_system(A, b, x_star):
+    """``(A, b, w, matvec, rmatvec)`` for the linear system ``A w = b``.
+
+    `A` becomes the form its products multiply through (see
+    `_product_operand`); `b` defaults to zero and must match the rows;
+    ``w`` is `x_star`, which must match the columns, or else a
+    least-squares solution.
+    """
+    A = _product_operand(A)
+    m, n = A.shape
+    b = np.zeros(m) if b is None else np.asarray(b, dtype=float)
+    if b.shape != (m,):
+        raise ValueError("right-hand side does not match the row dimension")
+    if x_star is None:
+        w = np.linalg.lstsq(np.asarray(A), b, rcond=None)[0]
+    else:
+        w = np.array(x_star, dtype=float)
+        if w.shape != (n,):
+            raise ValueError("x_star does not match the column dimension")
+    return (A, b, w, *_matrix_products(A))
+
+
 def make_bilinear(A, b=None, D_x=1.0, D_y=1.0, costs=(1.0, 1.0), name="bilinear",
                   x_star=None):
     """Bilinear saddle ``f(x, y) = <A x - b, y>`` with zero composite terms.
@@ -504,14 +523,8 @@ def make_bilinear(A, b=None, D_x=1.0, D_y=1.0, costs=(1.0, 1.0), name="bilinear"
     array or a `TripletMatrix`; ``structure["A"]`` keeps it in the form
     its products multiply through (see `_product_operand`).
     """
-    A = _product_operand(A)
+    A, b, xs, matvec, rmatvec = _linear_system(A, b, x_star)
     m, n = A.shape
-    if b is None:
-        b = np.zeros(m)
-    b = np.asarray(b, dtype=float)
-    if b.shape != (m,):
-        raise ValueError("right-hand side does not match the row dimension")
-    matvec, rmatvec = _matrix_products(A)
 
     def grad_x(z):
         return rmatvec(z[1])
@@ -523,17 +536,11 @@ def make_bilinear(A, b=None, D_x=1.0, D_y=1.0, costs=(1.0, 1.0), name="bilinear"
         return float(np.dot(matvec(z[0]) - b, z[1]))
 
     saddle = None
-    if x_star is not None:
-        saddle = (np.array(x_star, dtype=float), np.zeros(m))
-        if saddle[0].shape != (n,):
-            raise ValueError("x_star does not match the column dimension")
-    else:
-        dense = np.asarray(A)
-        xs, _, _, _ = np.linalg.lstsq(dense, b, rcond=None)
-        if np.linalg.norm(dense @ xs - b) <= 1e-10 * (1.0 + np.linalg.norm(b)):
-            saddle = (xs, np.zeros(m))
+    if x_star is not None or np.linalg.norm(np.asarray(A) @ xs - b) \
+            <= 1e-10 * (1.0 + np.linalg.norm(b)):
+        saddle = (xs, np.zeros(m))
     return SaddleProblem(
-        grad_x=grad_x, grad_y=grad_y, grad_y_sign=1,
+        grad_x=grad_x, grad_y=grad_y,
         psi_x=ZeroTerm(), psi_y=ZeroTerm(),
         x0=np.zeros(n), y0=np.zeros(m),
         L_x=0.0, L_y=0.0, L_xy=spectral_norm(A),
@@ -548,80 +555,48 @@ def make_quadratic(A, b=None, side="x", other_dim=1, D_x=1.0, D_y=1.0,
     """One-sided quadratic saddle.
 
     ``side='x'`` gives ``f = 0.5 * ||A x - b||^2`` (the y-agent is inert);
-    ``side='y'`` gives ``f = -0.5 * ||A y - b||^2``.  In both cases the
-    active agent's oracle returns ``A^T (A w - b)``, the gradient of the
-    convex function it is minimising.  The active block of the saddle is
-    a least-squares minimiser; a known one, `x_star`, skips the solve that
-    would find it.  `A` is kept as in `make_bilinear`.
+    ``side='y'`` gives ``f = -0.5 * ||A y - b||^2``.  Both oracles return
+    partial gradients of ``f``: the active one ``A^T (A x - b)`` or
+    ``A^T (b - A y)``, the inert one zeros.  The active block of the
+    saddle is a least-squares minimiser; a known one, `x_star`, skips the
+    solve that would find it.  `A` is kept as in `make_bilinear`.
     """
-    A = _product_operand(A)
-    m, n = A.shape
-    if b is None:
-        b = np.zeros(m)
-    b = np.asarray(b, dtype=float)
     if side not in ("x", "y"):
         raise ValueError("side must be 'x' or 'y'")
-    L_own = spectral_norm(A) ** 2
-    if x_star is not None:
-        ws = np.array(x_star, dtype=float)
-        if ws.shape != (n,):
-            raise ValueError("x_star does not match the column dimension")
-    else:
-        ws, _, _, _ = np.linalg.lstsq(np.asarray(A), b, rcond=None)
-    matvec, rmatvec = _matrix_products(A)
+    A, b, ws, matvec, rmatvec = _linear_system(A, b, x_star)
+    n = A.shape[1]
     structure = {
         "kind": f"quadratic_{side}", "A": A, "b": b, "other_dim": other_dim,
         "matvec": matvec, "rmatvec": rmatvec,
         # Whether the minimiser ``ws`` attains zero residual.
         "consistent": bool(np.linalg.norm(matvec(ws) - b)
                            <= 1e-9 * (1.0 + np.linalg.norm(b)))}
-    if name is None:
-        name = f"quadratic_{side}"
+    own, half = (0, 0.5) if side == "x" else (1, -0.5)
 
-    def descent_grad(w):
-        return rmatvec(matvec(w) - b)
+    def place(active, inert):
+        return (active, inert) if side == "x" else (inert, active)
 
-    def half_residual(w):
-        return 0.5 * float(np.linalg.norm(matvec(w) - b) ** 2)
+    def active(z):
+        # b - A y is -(A y - b) bit for bit: rounding is symmetric in sign.
+        r = matvec(z[own])
+        return rmatvec(r - b if side == "x" else b - r)
 
-    if side == "x":
-        def grad_x(z):
-            return descent_grad(z[0])
-
-        def grad_y(z):
-            return np.zeros(other_dim)
-
-        def f_value(z):
-            return half_residual(z[0])
-
-        return SaddleProblem(
-            grad_x=grad_x, grad_y=grad_y, grad_y_sign=1,
-            psi_x=ZeroTerm(), psi_y=ZeroTerm(),
-            x0=np.zeros(n), y0=np.zeros(other_dim),
-            L_x=L_own, L_y=0.0, L_xy=0.0,
-            D_x=D_x, D_y=D_y, costs=costs,
-            saddle=(ws, np.zeros(other_dim)), f_value=f_value,
-            structure=structure, name=name)
-
-    def grad_x_(z):
+    def inert(z):
         return np.zeros(other_dim)
 
-    def grad_y_(z):
-        # Raw response is the descent gradient of the inner convex problem,
-        # i.e. -grad_y f; hence grad_y_sign = -1 below.
-        return descent_grad(z[1])
+    def f_value(z):
+        return half * float(np.linalg.norm(matvec(z[own]) - b) ** 2)
 
-    def f_value_(z):
-        return -half_residual(z[1])
-
+    grad_x, grad_y = place(active, inert)
+    x0, y0 = place(np.zeros(n), np.zeros(other_dim))
+    L_x, L_y = place(spectral_norm(A) ** 2, 0.0)
     return SaddleProblem(
-        grad_x=grad_x_, grad_y=grad_y_, grad_y_sign=-1,
-        psi_x=ZeroTerm(), psi_y=ZeroTerm(),
-        x0=np.zeros(other_dim), y0=np.zeros(n),
-        L_x=0.0, L_y=L_own, L_xy=0.0,
-        D_x=D_x, D_y=D_y, costs=costs,
-        saddle=(np.zeros(other_dim), ws), f_value=f_value_,
-        structure=structure, name=name)
+        grad_x=grad_x, grad_y=grad_y,
+        psi_x=ZeroTerm(), psi_y=ZeroTerm(), x0=x0, y0=y0,
+        L_x=L_x, L_y=L_y, L_xy=0.0, D_x=D_x, D_y=D_y, costs=costs,
+        saddle=place(ws, np.zeros(other_dim)), f_value=f_value,
+        structure=structure,
+        name=f"quadratic_{side}" if name is None else name)
 
 
 def make_strongly_convex_concave(mu_x, mu_y, coupling, n=1, D_x=1.0, D_y=1.0,
@@ -648,7 +623,7 @@ def make_strongly_convex_concave(mu_x, mu_y, coupling, n=1, D_x=1.0, D_y=1.0,
                      + coupling * x @ y)
 
     return SaddleProblem(
-        grad_x=grad_x, grad_y=grad_y, grad_y_sign=1,
+        grad_x=grad_x, grad_y=grad_y,
         psi_x=ZeroTerm(), psi_y=ZeroTerm(),
         x0=D_x * u, y0=D_y * u,
         L_x=float(mu_x), L_y=float(mu_y), L_xy=float(coupling),
@@ -770,12 +745,10 @@ def random_polymatrix(K, dims, rng, coupling=1.0, diag=0.0, radius=0.8,
 # serialization
 # ---------------------------------------------------------------------------
 
-def _fmt_array(a):
-    return repr(np.asarray(a).tolist())
-
-
-def _parse_array(s):
-    return np.array(ast.literal_eval(s), dtype=float)
+def _fmt(value):
+    """A key's text: the Python literal of `value` (NumPy scalars and
+    arrays, `TripletMatrix` included, as plain numbers and lists)."""
+    return repr(np.asarray(value).tolist())
 
 
 def save_instance(problem, path):
@@ -783,48 +756,30 @@ def save_instance(problem, path):
 
     Only instances produced by the generators in this module or in
     :mod:`saddlesplit.hard_instances` can be saved; hand-built oracle
-    closures have no portable representation.  Chain instances are written
-    as their recipe (``kind = hard_<kind>``, ``L``, ``D``, ``k``,
+    closures have no portable representation.  The file holds the keys
+    `INSTANCE_KEYS` lists for the kind.  Chain instances are written as
+    their recipe (``kind = hard_<kind>``, ``L``, ``D``, ``k``,
     ``D_other``), which `load_instance` rebuilds bit for bit.
     """
     st = problem.structure if getattr(problem, "structure", None) else None
     if st is None or "kind" not in st:
         raise ValueError("instance carries no serialisable structure")
-    recipe = st.get("recipe")
-    kind = recipe["kind"] if recipe else st["kind"]
+    source = st.get("recipe") or st
+    kind = source["kind"]
+    if kind not in INSTANCE_KEYS:
+        raise ValueError(f"unsupported kind {kind!r}")
     cp = configparser.ConfigParser()
     cp["instance"] = {"kind": kind, "name": problem.name}
     sec = cp["instance"]
-    if recipe:
-        for key in ("L", "D", "k", "D_other"):
-            sec[key] = repr(recipe[key])
-    elif kind == "bilinear":
-        sec["A"] = _fmt_array(st["A"])
-        sec["b"] = _fmt_array(st["b"])
-        sec["D_x"], sec["D_y"] = repr(problem.D_x), repr(problem.D_y)
-        sec["costs"] = repr(list(problem.costs))
-    elif kind in ("quadratic_x", "quadratic_y"):
-        sec["A"] = _fmt_array(st["A"])
-        sec["b"] = _fmt_array(st["b"])
-        sec["other_dim"] = repr(st["other_dim"])
-        sec["D_x"], sec["D_y"] = repr(problem.D_x), repr(problem.D_y)
-        sec["costs"] = repr(list(problem.costs))
-    elif kind == "scsc":
-        for k in ("mu_x", "mu_y", "coupling", "n"):
-            sec[k] = repr(st[k])
-        sec["D_x"], sec["D_y"] = repr(problem.D_x), repr(problem.D_y)
-        sec["costs"] = repr(list(problem.costs))
-    elif kind == "polymatrix":
-        sec["dims"] = repr(st["dims"])
-        for i in range(len(st["dims"])):
-            for j in range(len(st["dims"])):
-                if np.any(st["blocks"][i][j]):
-                    sec[f"a_{i}_{j}"] = _fmt_array(st["blocks"][i][j])
-            sec[f"b_{i}"] = _fmt_array(st["b"][i])
-        sec["D"] = repr(list(problem.D))
-        sec["costs"] = repr(list(problem.costs))
-    else:
-        raise ValueError(f"unsupported kind {kind!r}")
+    for key in INSTANCE_KEYS[kind]:
+        sec[key] = _fmt(source[key] if key in source
+                        else getattr(problem, key))
+    if kind == "polymatrix":
+        for i, row in enumerate(st["blocks"]):
+            for j, block in enumerate(row):
+                if np.any(block):
+                    sec[f"a_{i}_{j}"] = _fmt(block)
+            sec[f"b_{i}"] = _fmt(st["b"][i])
     with open(path, "w") as fh:
         cp.write(fh)
 
@@ -837,48 +792,77 @@ def load_instance(path):
     return instance_from_section(cp["instance"])
 
 
+# The keys an instance section of each kind reads, spelled as its
+# generator's keyword arguments.  `instance_from_section` passes the keys
+# a section holds, so a missing one takes the generator's default.  Every
+# section may also hold ``kind`` and ``name``, and a polymatrix section
+# ``a_<i>_<j>`` and ``b_<i>`` for its blocks.
+_SADDLE_KEYS = ("D_x", "D_y", "costs")
+_CHAIN_KEYS = ("L", "D", "k", "D_other")
+INSTANCE_KEYS = {
+    "bilinear": ("A", "b") + _SADDLE_KEYS,
+    "quadratic_x": ("A", "b", "other_dim") + _SADDLE_KEYS,
+    "quadratic_y": ("A", "b", "other_dim") + _SADDLE_KEYS,
+    "scsc": ("mu_x", "mu_y", "coupling", "n") + _SADDLE_KEYS,
+    "polymatrix": ("dims", "D", "costs"),
+    "hard_xy": _CHAIN_KEYS, "hard_x": _CHAIN_KEYS, "hard_y": _CHAIN_KEYS,
+}
+
+
+def _read_key(sec, key):
+    """The Python literal `key` holds in `sec`; ValueError naming `key`.
+
+    Matrices and vectors stay nested lists: the generators convert them.
+    """
+    try:
+        value = ast.literal_eval(sec[key])
+        return tuple(value) if key == "costs" else value
+    except (ValueError, SyntaxError, TypeError) as exc:
+        raise ValueError(f"bad value for {key!r}: {exc}") from None
+
+
+def check_keys(sec, keys, where):
+    """Raise ValueError naming the first key of `sec` that `keys` lacks.
+
+    Keys compare case-insensitively: `configparser` lowercases them.
+    """
+    known = {key.lower() for key in keys}
+    for key in sec:
+        if key.lower() not in known:
+            raise ValueError(f"unknown key {key!r} {where}; "
+                             f"available: {', '.join(keys)}")
+
+
 def instance_from_section(sec):
-    """Build an instance from a mapping in the `save_instance` key format."""
+    """Build an instance from a mapping in the `save_instance` key format.
+
+    A kind reads the keys `INSTANCE_KEYS` lists for it; any other key
+    raises ValueError.
+    """
     kind = sec["kind"]
+    if kind not in INSTANCE_KEYS:
+        raise ValueError(f"unsupported kind {kind!r}")
+    kwargs = {key: _read_key(sec, key)
+              for key in INSTANCE_KEYS[kind] if key in sec}
+    K = len(kwargs["dims"]) if kind == "polymatrix" else 0
+    blocks = [[f"a_{i}_{j}" for j in range(K)] for i in range(K)]
+    rhs = [f"b_{i}" for i in range(K)]
+    check_keys(sec, (*INSTANCE_KEYS[kind], "kind", "name", *sum(blocks, []),
+                     *rhs), f"for kind {kind!r}")
     name = sec.get("name", kind)
-    if kind == "bilinear":
-        return make_bilinear(
-            _parse_array(sec["A"]), _parse_array(sec["b"]),
-            D_x=ast.literal_eval(sec.get("D_x", "1.0")), D_y=ast.literal_eval(sec.get("D_y", "1.0")),
-            costs=tuple(ast.literal_eval(sec.get("costs", "(1.0, 1.0)"))), name=name)
-    if kind in ("quadratic_x", "quadratic_y"):
-        return make_quadratic(
-            _parse_array(sec["A"]), _parse_array(sec["b"]),
-            side=kind[-1], other_dim=ast.literal_eval(sec["other_dim"]),
-            D_x=ast.literal_eval(sec.get("D_x", "1.0")), D_y=ast.literal_eval(sec.get("D_y", "1.0")),
-            costs=tuple(ast.literal_eval(sec.get("costs", "(1.0, 1.0)"))), name=name)
-    if kind == "scsc":
-        return make_strongly_convex_concave(
-            ast.literal_eval(sec["mu_x"]), ast.literal_eval(sec["mu_y"]),
-            ast.literal_eval(sec["coupling"]), n=ast.literal_eval(sec["n"]),
-            D_x=ast.literal_eval(sec.get("D_x", "1.0")), D_y=ast.literal_eval(sec.get("D_y", "1.0")),
-            costs=tuple(ast.literal_eval(sec.get("costs", "(1.0, 1.0)"))), name=name)
     if kind == "polymatrix":
-        dims = ast.literal_eval(sec["dims"])
-        K = len(dims)
-        blocks = [[None] * K for _ in range(K)]
-        for i in range(K):
-            for j in range(K):
-                key = f"a_{i}_{j}"
-                if key in sec:
-                    blocks[i][j] = _parse_array(sec[key])
-        b = [_parse_array(sec[f"b_{i}"]) for i in range(K)]
         return make_polymatrix(
-            dims, blocks, b=b, D=ast.literal_eval(sec.get("D", repr([1.0] * K))),
-            costs=ast.literal_eval(sec.get("costs", repr([1.0] * K))), name=name)
-    if kind in ("hard_xy", "hard_x", "hard_y"):
+            kwargs.pop("dims"),
+            [[_read_key(sec, key) if key in sec else None for key in row]
+             for row in blocks],
+            b=[_read_key(sec, key) for key in rhs], name=name, **kwargs)
+    if kind.startswith("hard_"):
         # Hand-written configs may request the chain construction directly.
         from saddlesplit import hard_instances
-        kwargs = {}
-        if "D_other" in sec:
-            kwargs["D_other"] = ast.literal_eval(sec["D_other"])
-        return hard_instances.make_hard_saddle(
-            kind.split("_", 1)[1],
-            L=ast.literal_eval(sec["L"]), D=ast.literal_eval(sec["D"]),
-            k=ast.literal_eval(sec["k"]), name=name, **kwargs)
-    raise ValueError(f"unsupported kind {kind!r}")
+        return hard_instances.make_hard_saddle(kind[len("hard_"):],
+                                               name=name, **kwargs)
+    if kind.startswith("quadratic_"):
+        return make_quadratic(side=kind[-1], name=name, **kwargs)
+    generator = {"bilinear": make_bilinear,
+                 "scsc": make_strongly_convex_concave}[kind]
+    return generator(name=name, **kwargs)

@@ -107,7 +107,7 @@ def tilted_instance():
         return float(x[0] * y[0] - 0.5 * y[0] ** 2 + 0.3 * y[0])
 
     return SaddleProblem(
-        grad_x=grad_x, grad_y=grad_y, grad_y_sign=1,
+        grad_x=grad_x, grad_y=grad_y,
         psi_x=ZeroTerm(), psi_y=ZeroTerm(),
         x0=np.zeros(1), y0=np.zeros(1),
         L_x=0.0, L_y=1.0, L_xy=1.0, D_x=1.0, D_y=1.0,

@@ -611,3 +611,79 @@ def test_config_without_random_instances_skips_numpy_random(tmp_path):
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
     assert callable(cli.random_polymatrix)
+
+
+def _run_and_bounds(tmp_path, capsys, path):
+    """Exit code and stderr of `run` and of `bounds` on one config."""
+    got = []
+    for argv in (["run", "--config", path, "--check-bounds",
+                  "--out", str(tmp_path / "out")],
+                 ["bounds", "--config", path, "--epsilon", "0.1"]):
+        code = cli.main(argv)
+        got.append((code, capsys.readouterr().err))
+    return got
+
+
+SCSC_SECTION = """
+[instance.s]
+kind = scsc
+mu_x = 1.0
+mu_y = 1.0
+coupling = 1.0
+n = 1
+"""
+
+
+@pytest.mark.parametrize("text, key, section", [
+    ("[experiment]\nepsilon = [0.05]\n" + SCSC_SECTION,
+     "epsilon", "[experiment]"),
+    ("[experiment]\n" + SCSC_SECTION + "Dx = 5.0\n", "dx", "[instance.s]"),
+    ("[experiment]\n[instance.h]\nkind = hard_xy\nL = 1.0\nD = 1.0\nk = 3\n"
+     "costs = (1.0, 100.0)\n", "costs", "[instance.h]"),
+    ("[experiment]\n[instance.f]\nfile = inst.ini\nk = 3\n",
+     "k", "[instance.f]"),
+    ("[experiment]\n[instance.p]\nkind = random_polymatrix\ndims = [2, 2]\n"
+     "dig = 0.5\n", "dig", "[instance.p]"),
+], ids=["experiment", "inline", "chain", "file", "random_polymatrix"])
+def test_unknown_keys_are_config_errors(tmp_path, capsys, text, key,
+                                         section):
+    _write(tmp_path, SCSC_SECTION.replace("[instance.s]", "[instance]"),
+           "inst.ini")
+    path = _write(tmp_path, text)
+    for code, err in _run_and_bounds(tmp_path, capsys, path):
+        assert code == 2
+        assert err.startswith("config error:")
+        assert f"unknown key {key!r}" in err and section in err
+
+
+def test_unknown_solver_key_is_a_config_error(tmp_path, capsys):
+    text = "[experiment]\n" + SCSC_SECTION + "\n[solver.decoupled]\nlamda = 2\n"
+    code = cli.main(["run", "--config", _write(tmp_path, text),
+                     "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("config error:")
+    assert "unknown key 'lamda'" in err and "[solver.decoupled]" in err
+
+
+@pytest.mark.parametrize("line", ["mu_x = 1.0.0", "mu_x = 'abc'", "n = 2.5",
+                                  "costs = 5", "D_x = -1.0", "D_y = 0.0"])
+def test_malformed_instance_values_are_config_errors(tmp_path, capsys, line):
+    # A literal that does not parse, a value of the wrong type and a
+    # diameter that is not positive each stop both commands with exit 2.
+    key = line.split()[0]
+    text = "[experiment]\n" + "\n".join(
+        ln for ln in SCSC_SECTION.splitlines() if not ln.startswith(key)) \
+        + f"\n{line}\n"
+    path = _write(tmp_path, text)
+    for code, err in _run_and_bounds(tmp_path, capsys, path):
+        assert code == 2
+        assert err.startswith("config error: cannot build instance [instance.s]")
+
+
+def test_run_and_bounds_read_the_seed_alike(tmp_path, capsys):
+    text = "[experiment]\nseed = 1.5\n" + SCSC_SECTION
+    (run_code, run_err), (bounds_code, bounds_err) = _run_and_bounds(
+        tmp_path, capsys, _write(tmp_path, text))
+    assert run_code == bounds_code == 2
+    assert run_err == bounds_err
+    assert run_err.startswith("config error: seed must be an integer")

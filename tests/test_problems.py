@@ -119,10 +119,9 @@ def test_bilinear_oracles_frozen():
 def test_quadratic_y_oracle_frozen():
     p = make_quadratic(np.array([[2.0]]), np.zeros(1), side="y")
     z = (np.zeros(1), np.array([1.0]))
-    # raw response A^T(Ay - b) = 4; this equals -grad_y f, so vy = +4
-    assert p.grad_y(z) == pytest.approx(np.array([4.0]))
+    # grad_y f = A^T(b - Ay) = -4, so vy = +4
+    assert p.grad_y(z) == pytest.approx(np.array([-4.0]))
     assert p.vy(z) == pytest.approx(np.array([4.0]))
-    assert p.ascent_y_from_raw(p.grad_y(z)) == pytest.approx(np.array([-4.0]))
     assert p.L_y == pytest.approx(4.0)
 
 
@@ -141,6 +140,61 @@ def test_scsc_oracles_frozen():
     assert p.grad_x(z) == pytest.approx(np.array([1.1]))
     assert p.grad_y(z) == pytest.approx(np.array([-0.9]))  # -mu_y y + c x
     assert p.vy(z) == pytest.approx(np.array([0.9]))
+
+
+_CONVENTION_RNG = np.random.default_rng(17)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_bilinear(_CONVENTION_RNG.standard_normal((3, 2)),
+                          _CONVENTION_RNG.standard_normal(3)),
+    lambda: make_quadratic(_CONVENTION_RNG.standard_normal((4, 3)),
+                           _CONVENTION_RNG.standard_normal(4), side="x"),
+    lambda: make_quadratic(_CONVENTION_RNG.standard_normal((4, 3)),
+                           _CONVENTION_RNG.standard_normal(4), side="y",
+                           other_dim=2),
+    lambda: make_strongly_convex_concave(0.5, 2.0, 1.5, n=3),
+    lambda: make_hard_saddle("xy", 1.0, 1.0, 5),
+    lambda: make_hard_saddle("x", 1.0, 1.0, 5),
+    lambda: make_hard_saddle("y", 1.0, 1.0, 5),
+], ids=["bilinear", "quadratic_x", "quadratic_y", "scsc", "hard_xy",
+        "hard_x", "hard_y"])
+def test_oracles_are_partial_gradients_of_f(build):
+    # Every generator's grad_x and grad_y are the partial gradients of its
+    # f_value, and V = (grad_x, -grad_y): one convention on both sides.
+    p = build()
+    rng = np.random.default_rng(3)
+    h = 1e-6
+    for _ in range(3):
+        z = [rng.standard_normal(p.nx), rng.standard_normal(p.ny)]
+        for block, grad in enumerate((p.grad_x, p.grad_y)):
+            fd = np.empty(z[block].size)
+            for i in range(fd.size):
+                up, down = [w.copy() for w in z], [w.copy() for w in z]
+                up[block][i] += h
+                down[block][i] -= h
+                fd[i] = (p.f_value(up) - p.f_value(down)) / (2 * h)
+            assert np.allclose(grad(z), fd, rtol=1e-6, atol=1e-6)
+        assert np.array_equal(p.vx(z), p.grad_x(z))
+        assert np.array_equal(p.vy(z), -p.grad_y(z))
+
+
+def test_quadratic_rejects_a_right_hand_side_of_the_wrong_length():
+    with pytest.raises(ValueError, match="row dimension"):
+        make_quadratic(np.ones((3, 2)), np.ones(2), side="y")
+    with pytest.raises(ValueError, match="row dimension"):
+        make_quadratic(np.ones((3, 2)), np.ones(4), x_star=np.zeros(2))
+
+
+@pytest.mark.parametrize("D", [0.0, -1.0, float("inf"), float("nan")])
+def test_problems_reject_bad_diameters(D):
+    with pytest.raises(ValueError, match="diameters"):
+        make_strongly_convex_concave(1.0, 1.0, 1.0, D_y=D)
+    with pytest.raises(ValueError, match="diameters"):
+        make_bilinear(np.ones((1, 1)), D_x=D)
+    with pytest.raises(ValueError, match="diameters"):
+        make_polymatrix([1, 1], [[None, [[1.0]]], [[[-1.0]], None]],
+                        D=[1.0, D])
 
 
 def _operator_full(p, z):
@@ -225,7 +279,6 @@ def test_instance_roundtrip(tmp_path, build):
         z = (rng.standard_normal(p.nx), rng.standard_normal(p.ny))
         assert np.allclose(p.grad_x(z), q.grad_x(z), atol=1e-12)
         assert np.allclose(p.grad_y(z), q.grad_y(z), atol=1e-12)
-        assert q.grad_y_sign == p.grad_y_sign
         assert (q.L_x, q.L_y, q.L_xy) == pytest.approx((p.L_x, p.L_y, p.L_xy))
 
 

@@ -34,7 +34,6 @@ class ExtragradientParams:
     d_hat: tuple = None
     eta: float = 1.0
     max_rounds: int = 100000
-    gap_stride: int = 1
 
 
 @dataclass
@@ -44,7 +43,6 @@ class LocalGdaParams:
     eta_y: float = None
     steps_per_round: int = 1
     max_rounds: int = 10000
-    gap_stride: int = 1
 
 
 def default_scaling(problem, d_hat=None):
@@ -97,15 +95,16 @@ def _shape(a):
     return a.shape if type(a) is np.ndarray else np.shape(a)
 
 
-def extragradient_run(problem, params, ledger=None, domain=None):
+def extragradient_run(problem, params, ledger=None):
     """Run extragradient on a saddle problem until the gap closes.
 
     Each iteration queries both oracles at the current anchor, takes a
     prox step, queries at the trial point, and re-steps from the anchor;
     candidates are the eta-weighted ergodic averages of the trial points,
-    handed to the ledger after every round.  Anchor, trial point, sum and
-    candidate are joint (x, y) vectors; the blocks are views into them,
-    and no array is written once a view of it has been handed out.
+    handed to the ledger after every round and scored against the
+    instance's gap set after every iteration.  Anchor, trial point, sum
+    and candidate are joint (x, y) vectors; the blocks are views into
+    them, and no array is written once a view of it has been handed out.
     """
     p = problem
     if ledger is None:
@@ -115,7 +114,7 @@ def extragradient_run(problem, params, ledger=None, domain=None):
               for a, g in zip(p.agents, (p.grad_x, p.grad_y)))
     eta = params.eta
     blocks, respond, step = _joint_space(p, eta / ax, eta / ay)
-    stop = GapTest(p, params.epsilon, domain, restricted_gap)
+    stop = GapTest(p, params.epsilon, restricted_gap)
 
     def query(v):
         z = blocks(v)
@@ -139,25 +138,26 @@ def extragradient_run(problem, params, ledger=None, domain=None):
         acc = acc + eta * z
         candidate = blocks(acc / weight)
         ledger.keep(candidate)
-        if (ledger.round // 2) % params.gap_stride == 0 and stop(candidate):
+        if stop(candidate):
             status = "converged"
             break
         if not all_finite(v):
             status = "diverged"
             break
-    gap, status = stop.finish(candidate, status)
+    gap = stop.finish(candidate, status)
     return RunResult(status=status, candidate=candidate, gap=gap,
                      ledger=ledger,
                      info={"alpha": (ax, ay), "eta": params.eta})
 
 
-def local_gda_run(problem, params, ledger=None, domain=None):
+def local_gda_run(problem, params, ledger=None):
     """Local GDA with one exchange per round and frozen remote iterates.
 
     Per round each agent receives the other's last-round iterate, then takes
     ``steps_per_round`` gradient steps on its own variable (descent in x,
     ascent in y).  Divergence (iterate norm above 1e8) ends the run with a
-    "diverged" status.  Each round's candidate goes to the ledger.  The
+    "diverged" status.  Each round's candidate goes to the ledger and is
+    scored against the instance's gap set.  The
     iterate is one joint (x, y) vector: the y ascent step is the descent
     step on ``V_y = -grad_y f``, which gives the same bits.
     """
@@ -171,7 +171,7 @@ def local_gda_run(problem, params, ledger=None, domain=None):
     ox, oy = (ledger.bind(a, g)
               for a, g in zip(p.agents, (p.grad_x, p.grad_y)))
     blocks, respond, step = _joint_space(p, eta_x, eta_y)
-    stop = GapTest(p, params.epsilon, domain, restricted_gap)
+    stop = GapTest(p, params.epsilon, restricted_gap)
 
     v = np.concatenate(p.z0)
     x, y = candidate = blocks(v)
@@ -191,10 +191,10 @@ def local_gda_run(problem, params, ledger=None, domain=None):
                 or max(nx, ny) > _DIVERGENCE_NORM:
             status = "diverged"
             break
-        if ledger.round % params.gap_stride == 0 and stop(candidate):
+        if stop(candidate):
             status = "converged"
             break
-    gap, status = stop.finish(candidate, status)
+    gap = stop.finish(candidate, status)
     return RunResult(status=status, candidate=candidate, gap=gap,
                      ledger=ledger,
                      info={"eta": (eta_x, eta_y),

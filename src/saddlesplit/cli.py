@@ -46,7 +46,7 @@ from saddlesplit.hard_instances import (
 )
 from saddlesplit.metrics import ProductMetric, ScaledMetric
 from saddlesplit.problems import (
-    VipProblem, check_keys, instance_from_section, load_instance,
+    VipProblem, _read_key, check_keys, instance_from_section, load_instance,
     make_bilinear, random_polymatrix, save_instance,
 )
 
@@ -106,11 +106,13 @@ def _is_real(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _literal(sec, key, where):
+def _literal(sec, key):
+    """`_read_key` (`_parse_d_hat` for ``d_hat``), its error a
+    `ConfigError` naming the section."""
     try:
-        return ast.literal_eval(sec[key])
-    except (ValueError, SyntaxError) as exc:
-        raise ConfigError(f"bad literal for {key!r} in [{where}]: {exc}")
+        return _parse_d_hat(sec[key]) if key == "d_hat" else _read_key(sec, key)
+    except ValueError as exc:
+        raise ConfigError(f"{exc} in [{sec.name}]") from None
 
 
 def _read_ini(path):
@@ -146,7 +148,7 @@ def _build_instance(sec, iid, base, rng):
             return load_instance(os.path.join(base, sec["file"]))
         if sec.get("kind") == "random_polymatrix":
             _check_keys(sec, RANDOM_POLYMATRIX_KEYS + ("kind", "name"))
-            kwargs = {key: _literal(sec, key, sec.name)
+            kwargs = {key: _read_key(sec, key)
                       for key in RANDOM_POLYMATRIX_KEYS if key in sec}
             dims = tuple(kwargs.pop("dims"))
             return random_polymatrix(len(dims), dims, rng(), name=iid,
@@ -203,10 +205,11 @@ def check_instance_ids(ids):
 
 
 def _read_seed(cp, seed=None):
-    """`seed`, else ``[experiment] seed``, else 0, as an integer."""
+    """`seed`, else ``[experiment] seed``, else 0, as an integer; the
+    file's seed is checked either way."""
     try:
-        return int(cp.get("experiment", "seed", fallback="0")
-                   if seed is None else seed)
+        own = int(cp.get("experiment", "seed", fallback="0"))
+        return own if seed is None else int(seed)
     except ValueError as exc:
         raise ConfigError(f"seed must be an integer: {exc}") from None
 
@@ -218,8 +221,7 @@ def parse_config(path, seed=None):
         raise ConfigError("missing [experiment] section")
     exp = cp["experiment"]
     _check_keys(exp, EXPERIMENT_KEYS)
-    epsilons = _literal(exp, "epsilons", "experiment") if "epsilons" in exp \
-        else [0.1]
+    epsilons = _literal(exp, "epsilons") if "epsilons" in exp else [0.1]
     if not isinstance(epsilons, (list, tuple)) or not epsilons:
         raise ConfigError("epsilons must be a nonempty list")
     if not all(_is_real(e) for e in epsilons):
@@ -241,7 +243,14 @@ def parse_config(path, seed=None):
     name = exp.get("name", "experiment")
 
     instances = _config_instances(cp, path, seed)
+    return ExperimentConfig(
+        instances=instances, solvers=solvers, epsilons=list(epsilons),
+        seed=seed, check_bounds=check_bounds, out_dir=out_dir,
+        solver_params=_solver_params(cp), name=name)
 
+
+def _solver_params(cp):
+    """``{solver: {key: value}}`` from the ``[solver.<name>]`` sections."""
     solver_params = {}
     for section in cp.sections():
         if not section.startswith("solver."):
@@ -251,13 +260,9 @@ def parse_config(path, seed=None):
             raise ConfigError(f"parameters for unknown solver {sname!r}")
         _check_keys(cp[section], [f.name for f in dataclasses.fields(
             SOLVER_PARAMS[sname]) if f.name != "epsilon"])
-        solver_params[sname] = {k: _literal(cp[section], k, section)
+        solver_params[sname] = {k: _literal(cp[section], k)
                                 for k in cp[section]}
-
-    return ExperimentConfig(
-        instances=instances, solvers=solvers, epsilons=list(epsilons),
-        seed=seed, check_bounds=check_bounds, out_dir=out_dir,
-        solver_params=solver_params, name=name)
+    return solver_params
 
 
 # ---------------------------------------------------------------------------
@@ -677,6 +682,7 @@ def _cmd_bounds(args):
             _check_keys(cp["experiment"], EXPERIMENT_KEYS)
         # The instances `run` would build: same file resolution, same seed.
         instances = _config_instances(cp, args.config, _read_seed(cp))
+        _solver_params(cp)       # checked as `run` checks them
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -697,15 +703,18 @@ def _cmd_bounds(args):
 
 
 def _parse_d_hat(text):
-    """``--d-hat`` as a pair of numbers, or None; ValueError otherwise."""
+    """``--d-hat`` or a ``d_hat`` key as a pair of positive finite numbers,
+    or None when empty; ValueError otherwise."""
     if not text:
         return None
     try:
         d_hat = tuple(ast.literal_eval(text))
     except (ValueError, SyntaxError, TypeError):
-        d_hat = None
-    if d_hat is None or len(d_hat) != 2 or not all(map(_is_real, d_hat)):
-        raise ValueError(f"--d-hat must be a pair of numbers, got {text!r}")
+        d_hat = ()
+    if len(d_hat) != 2 or not all(_is_real(v) and math.isfinite(v) and v > 0
+                                  for v in d_hat):
+        raise ValueError("d_hat must be a pair of positive finite numbers, "
+                         f"got {text!r}")
     return d_hat
 
 

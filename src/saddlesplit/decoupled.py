@@ -396,11 +396,10 @@ class DecoupledParams:
     d_hat: tuple = None
     lam: float = 2.0
     max_rounds: int = None
-    gap_stride: int = 1
 
 
 def _decoupled_run(problem, oracles, psis, metrics, L, d_hat, gradient,
-                   params, comm_bound, ledger, reference, domain):
+                   params, comm_bound, ledger, reference):
     """The decoupled solver on a block problem; both drivers call this.
 
     ``oracles[i]`` is block ``i``'s ledger-bound operator on the tuple of
@@ -410,8 +409,9 @@ def _decoupled_run(problem, oracles, psis, metrics, L, d_hat, gradient,
     ``gradient[i]`` use the staged accelerated engine, the rest the
     anchored extragradient loop.  ``comm_bound`` sets the default round
     cap and ``reference`` (a known solution or None) arms the telescoping
-    check.  Candidates are full-block tuples scored by a `GapTest`
-    and handed to the ledger after every round.
+    check.  Candidates are full-block tuples handed to the ledger after
+    every round and scored against the problem's gap set after every
+    iteration.
     """
     K = len(oracles)
     eps = params.epsilon
@@ -451,7 +451,7 @@ def _decoupled_run(problem, oracles, psis, metrics, L, d_hat, gradient,
         for _ in range(2):
             ledger.end_round()
             ledger.keep(candidate)
-        gap = restricted_gap(problem, candidate, domain)
+        gap = restricted_gap(problem, candidate)
         status = "local_solve" if gap.value <= eps else "budget_exhausted"
         return RunResult(status=status, candidate=candidate, gap=gap,
                          ledger=ledger, info={"local": True, "alpha": alphas})
@@ -482,7 +482,7 @@ def _decoupled_run(problem, oracles, psis, metrics, L, d_hat, gradient,
     a_sum = telescope_lhs = 0.0
     a_history = []
     candidate = tuple(full)
-    stop = GapTest(problem, eps, domain, restricted_gap)
+    stop = GapTest(problem, eps, restricted_gap)
     status = "budget_exhausted"
     while ledger.round < max_rounds:
         anchor = full_point(v)
@@ -532,11 +532,11 @@ def _decoupled_run(problem, oracles, psis, metrics, L, d_hat, gradient,
                     f"{telescope_lhs} > {budget}")
 
         ledger.keep(candidate)
-        if (ledger.round // 2) % params.gap_stride == 0 and stop(candidate):
+        if stop(candidate):
             status = "converged"
             break
 
-    gap, status = stop.finish(candidate, status)
+    gap = stop.finish(candidate, status)
     return RunResult(
         status=status, candidate=candidate, gap=gap, ledger=ledger,
         info={"alpha": alphas, "lam": lam, "coupling": coupling,
@@ -545,7 +545,7 @@ def _decoupled_run(problem, oracles, psis, metrics, L, d_hat, gradient,
               "telescope_lhs": telescope_lhs})
 
 
-def decoupled_saddle_run(problem, params, ledger=None, domain=None):
+def decoupled_saddle_run(problem, params, ledger=None):
     """Decoupled solver for two-agent saddle problems.
 
     The two-block case of `_decoupled_run`: the scalings reduce to
@@ -556,7 +556,7 @@ def decoupled_saddle_run(problem, params, ledger=None, domain=None):
     a single exchange.  The y block of ``V`` is ``-grad_y``; the ledger
     records the ``y`` agent's own responses, ``grad_y``.  The default
     round cap comes from ``dmsp_comm``, and ``info["theta"]`` is the
-    diameter factor of the same report.
+    diameter factor of the same report.  Gaps are over the instance's gap set.
     """
     p = problem
     if ledger is None:
@@ -569,16 +569,17 @@ def decoupled_saddle_run(problem, params, ledger=None, domain=None):
         p, [ox, lambda z: -oy(z)],
         [p.psi_x, p.psi_y], [p.metric_x, p.metric_y],
         [[p.L_x, p.L_xy], [p.L_xy, p.L_y]], d_hat, [True, True], params,
-        report.dmsp_comm, ledger, p.saddle, domain)
+        report.dmsp_comm, ledger, p.saddle)
     res.info.update(alpha=tuple(res.info["alpha"]), theta=report.theta)
     return res
 
 
-def decoupled_vi_run(problem, params, ledger=None, domain=None):
+def decoupled_vi_run(problem, params, ledger=None):
     """Decoupled solver for block variational inequalities.
 
     See `_decoupled_run`; the default round cap comes from ``dmvip_comm``,
-    ``2 + 2 sum_{i != j} L_ij D_i D_j / eps``.
+    ``2 + 2 sum_{i != j} L_ij D_i D_j / eps``.  Gaps are over the
+    instance's gap set, balls of radius ``D[i]`` around ``z0`` in dom psi.
     """
     p = problem
     if ledger is None:
@@ -588,5 +589,4 @@ def decoupled_vi_run(problem, params, ledger=None, domain=None):
         p.psis, p.metrics, p.L,
         params.d_hat if params.d_hat is not None else list(p.D),
         p.block_is_gradient, params,
-        complexity_bounds(p, params.epsilon).dmvip_comm, ledger, p.solution,
-        domain)
+        complexity_bounds(p, params.epsilon).dmvip_comm, ledger, p.solution)

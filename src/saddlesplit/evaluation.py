@@ -4,19 +4,21 @@ The quality of a candidate is its restricted duality gap
 
     gap(x', y') = max_{(x, y) in B ∩ Q} [ F(x', y) - F(x, y') ],
 
-with ``F = f + psi_x - psi_y`` and ``B`` a product of metric balls around
-the start point.  For variational inequalities the weak restricted gap
+with ``F = f + psi_x - psi_y``, ``Q = dom psi`` and ``B`` the product of
+metric balls of radius ``D_i`` around the start point.  For variational
+inequalities the weak restricted gap
 
     gap(z') = sup_{z in B ∩ Q} <V(z), z' - z> + psi(z') - psi(z)
 
-is used.  Bilinear and one-sided quadratic instances admit exact closed
-forms; everything else is estimated by projected-gradient inner
-maximisation and flagged as such.
+is used.  `_gap_set` decides B ∩ Q, once per instance.  Bilinear and
+one-sided quadratic instances admit closed forms over its balls: exact
+when it leaves no psi over, certified upper bounds (``exact=False``) when
+it leaves indicators.  Everything else is estimated by projected-gradient
+inner maximisation and flagged as such.
 
 Solvers stop through `GapTest`, which answers "is the gap of this
-candidate at most epsilon" for one run.  On the exact closed forms
-(bilinear, and the quadratic kinds where their closed form applies) it
-keeps the last evaluated candidate and its value, and answers "no"
+candidate at most epsilon" for one run.  On the closed forms it keeps
+the last evaluated candidate and its value, and answers "no"
 without evaluating whenever a Lipschitz bound from that candidate proves
 that the closed form would exceed epsilon.  That is all it certifies:
 every "yes" and every reported gap is a `restricted_gap` evaluation, at
@@ -30,7 +32,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from saddlesplit.problems import (
-    BallIndicator, TripletMatrix, VipProblem, spectral_norm,
+    BallIndicator, BoxIndicator, TripletMatrix, VipProblem, ZeroTerm,
+    spectral_norm,
 )
 
 # Iterations of the projected-gradient gap estimator (estimated paths only).
@@ -55,17 +58,13 @@ class GapResult:
 # helpers
 # ---------------------------------------------------------------------------
 
-def _ball_project(metric, center, radius, v, psi=None):
-    """Project onto the metric ball, intersected with dom psi when easy."""
-    if psi is not None and isinstance(psi, BallIndicator) and np.allclose(
-            psi.center, center, atol=1e-12):
-        radius = min(radius, psi.radius)
-        psi = None
+def _ball_project(metric, center, radius, v, psi_left):
+    """Project onto the metric ball, then onto dom `psi_left` unless None."""
     d = np.asarray(v, dtype=float) - center
     nrm = metric.norm(d)
     out = center + (d if nrm <= radius else d * (radius / nrm))
-    if psi is not None:
-        out = psi.project_domain(metric, out)
+    if psi_left is not None:
+        out = psi_left.project_domain(metric, out)
     return out
 
 
@@ -74,7 +73,7 @@ def _linear_ball_max(metric, center, radius, g):
     return float(np.dot(g, center)) + radius * metric.dual_norm(g)
 
 
-def _pga_extreme(grad_fn, metric, center, radius, psi, lipschitz,
+def _pga_extreme(grad_fn, metric, center, radius, psi_left, lipschitz,
                  maximize=True):
     """Projected-gradient ascent/descent for the inner problem of the gap."""
     w = center.copy()
@@ -89,8 +88,8 @@ def _pga_extreme(grad_fn, metric, center, radius, psi, lipschitz,
             if dual <= 1e-15:
                 break
             step = radius / dual
-        w = _ball_project(metric, center, radius, w + sign * step * metric.apply_inv(g),
-                          psi)
+        w = _ball_project(metric, center, radius,
+                          w + sign * step * metric.apply_inv(g), psi_left)
     return w
 
 
@@ -105,23 +104,22 @@ def _psi_value(psi, metric, w):
 # restricted gap
 # ---------------------------------------------------------------------------
 
-def restricted_gap(problem, candidate, domain=None):
-    """Restricted duality gap of a candidate.
+def restricted_gap(problem, candidate):
+    """Restricted duality gap of a candidate over B ∩ dom psi.
 
     Parameters
     ----------
     problem : SaddleProblem or VipProblem
     candidate : sequence of blocks, ``(x, y)`` for saddle problems.
-    domain : DomainSpec, optional
-        Defaults to balls of radius ``D_i`` around the start point.
 
     Returns
     -------
     GapResult
+        ``exact`` only for a closed form with no psi left over by `_gap_set`.
     """
     if isinstance(problem, VipProblem):
-        return _vip_gap(problem, candidate, domain)
-    return _saddle_gap(problem, candidate, domain)
+        return _vip_gap(problem, candidate)
+    return _saddle_gap(problem, candidate)
 
 
 def _cached(st, key, sources, compute):
@@ -134,60 +132,68 @@ def _cached(st, key, sources, compute):
     return c[1]
 
 
-def _minimiser_in_ball(p, side, domain):
-    """Whether block `side`'s saddle component lies in that block's gap ball.
+def _gap_set(p):
+    """The gap set B ∩ dom psi: one ``(center, radius, psi_left)`` per block.
 
-    The default-domain answer is computed once per instance and cached on
-    its structure, keyed by the start point, radius, metric and saddle it
-    was computed from.  An explicit `domain` is tested on every call.
+    ``center`` and ``radius`` are the block's start point and ``D_i``.  A
+    `BallIndicator` whose center equals that start point (to 1e-12,
+    absolute) is merged into the ball, ``radius = min(D_i, psi.radius)``;
+    it and `ZeroTerm` leave ``psi_left = None``, and any other psi is
+    ``psi_left``.  Cached on the structure, keyed by the start points,
+    radii and terms read.
     """
-    ws, metric = p.saddle[side], (p.metric_x, p.metric_y)[side]
-    if domain is not None:
-        center, radius = domain.block(side)
-        return metric.norm(ws - center) <= radius + 1e-9
-    center, radius = (p.x0, p.D_x) if side == 0 else (p.y0, p.D_y)
-    return _cached(p.structure, "default_ball_test",
-                   (ws, metric, center, radius),
-                   lambda: metric.norm(ws - np.asarray(center, dtype=float))
-                   <= float(radius) + 1e-9)
+    if isinstance(p, VipProblem):
+        blocks = list(zip(p.z0, p.D, p.psis))
+    else:
+        blocks = [(p.x0, p.D_x, p.psi_x), (p.y0, p.D_y, p.psi_y)]
+
+    def merged(center, radius, psi):
+        if isinstance(psi, BallIndicator) and np.allclose(
+                psi.center, center, rtol=0.0, atol=1e-12):
+            return center, min(radius, psi.radius), None
+        return center, radius, None if isinstance(psi, ZeroTerm) else psi
+    return _cached(p.structure or {}, "gap_set",
+                   [obj for block in blocks for obj in block],
+                   lambda: [merged(np.asarray(c, dtype=float), float(r), psi)
+                            for c, r, psi in blocks])
 
 
-def _gap_balls(p, domain):
-    """``((x_c, r_x), (y_c, r_y))``: the restriction balls of a saddle gap."""
-    if domain is None:
-        # The default balls, read off the instance without a DomainSpec.
-        return ((np.asarray(p.x0, dtype=float), float(p.D_x)),
-                (np.asarray(p.y0, dtype=float), float(p.D_y)))
-    return domain.block(0), domain.block(1)
-
-
-def _saddle_gap(p, candidate, domain):
+def _saddle_gap(p, candidate):
     st = p.structure or {}
     kind = st.get("kind")
+    (xc, rx, psi_x), (yc, ry, psi_y) = gap_set = _gap_set(p)
+    # B ∩ dom psi lies in the merged balls, so a closed form over them is
+    # an upper bound when only indicators are left over, and exact when none.
+    left = [psi for psi in (psi_x, psi_y) if psi is not None]
+    applies = all(isinstance(psi, (BallIndicator, BoxIndicator))
+                  for psi in left)
+    exact = not left
 
-    if kind in ("quadratic_x", "quadratic_y"):
+    if applies and kind in ("quadratic_x", "quadratic_y"):
         side = 0 if kind == "quadratic_x" else 1
-        if st["consistent"] and _minimiser_in_ball(p, side, domain):
+        center, radius, _ = gap_set[side]
+        metric = (p.metric_x, p.metric_y)[side]
+        if st["consistent"] and \
+                metric.norm(p.saddle[side] - center) <= radius + 1e-9:
             # The inner extreme attains zero residual inside the ball, so
             # only the candidate's own residual remains.
             resid = st["matvec"](np.asarray(candidate[side], dtype=float)) \
                 - st["b"]
-            return GapResult(0.5 * float(math.sqrt(resid @ resid) ** 2), True,
+            return GapResult(0.5 * float(math.sqrt(resid @ resid) ** 2), exact,
                              "quadratic-closed-form")
         # fall through to the generic estimator
 
     xbar = np.asarray(candidate[0], dtype=float)
     ybar = np.asarray(candidate[1], dtype=float)
-    (xc, rx), (yc, ry) = _gap_balls(p, domain)
 
-    if kind == "bilinear":
+    if applies and kind == "bilinear":
         b = st["b"]
         gy = st["matvec"](xbar) - b            # gradient of y -> f(xbar, y)
         max_side = _linear_ball_max(p.metric_y, yc, ry, gy)
         gx = st["rmatvec"](ybar)               # gradient of x -> f(x, ybar)
         # min over the x-ball of <gx, x> - <b, ybar>
         min_side = -_linear_ball_max(p.metric_x, xc, rx, -gx) - float(b @ ybar)
-        return GapResult(max_side - min_side, True, "bilinear-closed-form")
+        return GapResult(max_side - min_side, exact, "bilinear-closed-form")
 
     if p.f_value is None:
         raise ValueError("gap estimation requires function values on the instance")
@@ -198,9 +204,9 @@ def _saddle_gap(p, candidate, domain):
     def grad_x_of(x):
         return p.grad_x((x, ybar))
 
-    yhat = _pga_extreme(grad_y_of, p.metric_y, yc, ry, p.psi_y, p.L_y,
+    yhat = _pga_extreme(grad_y_of, p.metric_y, yc, ry, psi_y, p.L_y,
                         maximize=True)
-    xhat = _pga_extreme(grad_x_of, p.metric_x, xc, rx, p.psi_x, p.L_x,
+    xhat = _pga_extreme(grad_x_of, p.metric_x, xc, rx, psi_x, p.L_x,
                         maximize=False)
 
     def upper_at(y):
@@ -221,9 +227,7 @@ def _saddle_gap(p, candidate, domain):
     return GapResult(hi - lo, False, "pga-estimate")
 
 
-def _vip_gap(p, candidate, domain):
-    if domain is None:
-        domain = p.default_domain()
+def _vip_gap(p, candidate):
     st = p.structure or {}
     if st.get("kind") != "polymatrix":
         raise ValueError("weak-gap estimation needs affine operator structure")
@@ -233,6 +237,7 @@ def _vip_gap(p, candidate, domain):
         st["Abar"] = np.block(st["blocks"])
         st["lip"] = 2.0 * spectral_norm(st["Abar"])
     Abar, lip = st["Abar"], st["lip"]
+    gap_set = _gap_set(p)
     offs = np.concatenate([[0], np.cumsum(p.dims)])
     bflat = np.concatenate(st["b"])
     zbar = np.concatenate([np.asarray(c, dtype=float) for c in candidate])
@@ -245,14 +250,14 @@ def _vip_gap(p, candidate, domain):
     def grad(zflat):
         return Abar.T @ (zbar - zflat) - (Abar @ zflat - bflat)
 
-    z = np.concatenate([domain.block(i)[0] for i in range(p.K)])
+    z = np.concatenate([center for center, _, _ in gap_set])
     for _ in range(PGA_STEPS):
         step = 1.0 / lip if lip > 1e-14 else 1.0
         z = z + step * grad(z)
-        parts = split(z)
-        parts = [_ball_project(p.metrics[i], *domain.block(i), parts[i],
-                               p.psis[i]) for i in range(p.K)]
-        z = np.concatenate(parts)
+        z = np.concatenate([
+            _ball_project(metric, center, radius, w, psi_left)
+            for metric, (center, radius, psi_left), w
+            in zip(p.metrics, gap_set, split(z))])
 
     def objective(zflat):
         parts = split(zflat)
@@ -265,8 +270,9 @@ def _vip_gap(p, candidate, domain):
     best = objective(z)
     # The candidate itself is a valid probe whenever feasible and contributes
     # exactly zero, keeping the estimated sup nonnegative there.
-    if all(p.metrics[i].norm(np.asarray(candidate[i]) - domain.block(i)[0])
-           <= domain.block(i)[1] + 1e-9 for i in range(p.K)):
+    if all(metric.norm(np.asarray(c) - center) <= radius + 1e-9
+           for metric, c, (center, radius, _)
+           in zip(p.metrics, candidate, gap_set)):
         best = max(best, objective(zbar))
     return GapResult(best, False, "vip-pga-estimate")
 
@@ -304,12 +310,12 @@ def _euclid(v):
     return math.sqrt(v @ v)
 
 
-def _bilinear_bound(p, eps, domain):
+def _bilinear_bound(p, eps):
     """Anchor maker for the bilinear closed form.
 
     The closed form is Lipschitz in each block: with ``x_c, r_x, y_c, r_y``
-    the gap balls and ``P`` the metric weights, it moves by at most
-    ``l_x ||x - x_s|| + l_y ||y - y_s||`` (Euclidean norms), where
+    the merged balls of `_gap_set` and ``P`` the metric weights, it moves
+    by at most ``l_x ||x - x_s|| + l_y ||y - y_s||`` (Euclidean norms), where
     ``l_x = ||A|| ||y_c|| + r_y ||P_y^{-1/2} A||`` and
     ``l_y = ||A|| ||x_c|| + r_x ||A P_x^{-1/2}|| + ||b||``.  Its terms are
     at most ``l_x ||x|| + l_y ||y|| + c_0`` in size, which bounds the
@@ -321,7 +327,7 @@ def _bilinear_bound(p, eps, domain):
     nA, nAy, nAx = _cached(st, "gap_norm_bounds", (A, wx, wy), lambda: (
         _norm_bound(A), _norm_bound(A, row_scale=1.0 / np.sqrt(wy)),
         _norm_bound(A, col_scale=1.0 / np.sqrt(wx))))
-    (xc, rx), (yc, ry) = _gap_balls(p, domain)
+    (xc, rx, _), (yc, ry, _) = _gap_set(p)
     nb = _euclid(b)
     lx = _LIPSCHITZ_PAD * (nA * _euclid(yc) + ry * nAy)
     ly = _LIPSCHITZ_PAD * (nA * _euclid(xc) + rx * nAx + nb)
@@ -342,7 +348,7 @@ def _bilinear_bound(p, eps, domain):
     return anchor
 
 
-def _quadratic_bound(p, eps, domain):
+def _quadratic_bound(p, eps):
     """Anchor maker for the one-sided quadratic closed form.
 
     Its value is ``||A w - b||^2 / 2`` on the active block ``w``, and the
@@ -381,25 +387,25 @@ _CERTIFIED = {
 class GapTest:
     """The stop test ``gap <= epsilon`` of one run.
 
-    ``test(candidate)`` scores a candidate and is True when its gap is at
-    most `epsilon`.  After each evaluation by a closed form listed in
-    `_CERTIFIED`, the test keeps that candidate and its value.  Later
-    candidates for which the closed form's Lipschitz bound from there
-    already exceeds `epsilon` are answered False without being evaluated.
-    Estimated gaps, and every VI, are evaluated on every call.
+    ``test(candidate)`` scores a candidate and is True when its gap over
+    the problem's gap set is at most `epsilon`.  After each evaluation by
+    a closed form listed in `_CERTIFIED`, exact or an upper bound, the
+    test keeps that candidate and its value.  Later candidates for which
+    the closed form's Lipschitz bound from there already exceeds
+    `epsilon` are answered False without being evaluated, as evaluating
+    them would.  Estimated gaps, and every VI, are evaluated on every call.
 
     `evaluate` is the gap function, called as ``evaluate(problem,
-    candidate, domain)``; solvers pass the `restricted_gap` name of their
+    candidate)``; solvers pass the `restricted_gap` name of their
     own module, so patches of that name see every evaluation.
     """
 
-    def __init__(self, problem, epsilon, domain=None, evaluate=None):
-        self.problem, self.epsilon, self.domain = problem, epsilon, domain
+    def __init__(self, problem, epsilon, evaluate=None):
+        self.problem, self.epsilon = problem, epsilon
         self.evaluate = restricted_gap if evaluate is None else evaluate
-        kind = (None if isinstance(problem, VipProblem)
-                else (problem.structure or {}).get("kind"))
-        self._method, anchor_maker = _CERTIFIED.get(kind, (None, None))
-        self._anchor_at = (anchor_maker(problem, epsilon, domain)
+        self._method, anchor_maker = _CERTIFIED.get(
+            (problem.structure or {}).get("kind"), (None, None))
+        self._anchor_at = (anchor_maker(problem, epsilon)
                            if anchor_maker else None)
         self._exceeds = None     # bound from the last evaluated candidate
         self._scored = self._evaluated = self._result = None
@@ -422,7 +428,7 @@ class GapTest:
                 return None
         if candidate is self._evaluated:
             return self._result
-        result = self.evaluate(self.problem, candidate, self.domain)
+        result = self.evaluate(self.problem, candidate)
         self._evaluated, self._result = candidate, result
         self._exceeds = None
         if self._method is not None and result.method == self._method:
@@ -430,19 +436,10 @@ class GapTest:
         return result
 
     def finish(self, candidate, status):
-        """``(gap, status)`` at the exit of a run that returns `candidate`.
-
-        A ``"diverged"`` run reports the gap of the last scored candidate
-        (None if none was); every other exit reports that of `candidate`,
-        and a ``"budget_exhausted"`` run whose final gap is at most
-        epsilon has converged.
-        """
-        if status == "diverged":
-            return self.gap(), status
-        gap = self.gap(candidate)
-        if status == "budget_exhausted" and gap.value <= self.epsilon:
-            status = "converged"
-        return gap, status
+        """The `GapResult` a run that exits with `status` reports: that of
+        the last scored candidate (None if none was) when it diverged, else
+        that of the `candidate` it returns."""
+        return self.gap() if status == "diverged" else self.gap(candidate)
 
 
 # ---------------------------------------------------------------------------

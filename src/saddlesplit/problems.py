@@ -240,16 +240,6 @@ def _check_diameters(*diameters):
 
 
 @dataclass
-class DomainSpec:
-    """Restriction set for gap evaluation: one metric ball per block."""
-    centers: list
-    radii: list
-
-    def block(self, i):
-        return np.asarray(self.centers[i], dtype=float), float(self.radii[i])
-
-
-@dataclass
 class SaddleProblem:
     """Two-agent saddle problem with per-agent first-order oracles.
 
@@ -364,9 +354,6 @@ class VipProblem:
     @property
     def dims(self):
         return [b.size for b in self.z0]
-
-    def default_domain(self):
-        return DomainSpec([b.copy() for b in self.z0], list(self.D))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from saddlesplit.metrics import ScaledMetric
 from saddlesplit.problems import (
     BallIndicator, make_bilinear, make_strongly_convex_concave,
 )
-from saddlesplit.evaluation import complexity_bounds
+from saddlesplit.evaluation import complexity_bounds, restricted_gap
 
 
 def _full_ledger(p):
@@ -104,24 +104,21 @@ def test_gda_steps_per_round_accounting():
     assert res.ledger.queries("y") == 12
 
 
-def test_eg_final_gap_within_eps_converges():
-    # The stride skips every in-loop gap check, so only the final gap of
-    # the exhausted budget can show that the target was met.
-    p = make_bilinear(np.array([[1.0]]), b=np.array([0.6]))
-    res = extragradient_run(p, ExtragradientParams(
-        epsilon=0.1, gap_stride=1000, max_rounds=200))
-    assert res.rounds == 200
-    assert res.gap.value <= 0.1
-    assert res.status == "converged"
+def test_eg_budget_exhausted_reports_gap_above_eps():
+    # Every round's candidate is scored, so a run that exhausts its budget
+    # ends at a candidate whose gap is above epsilon.
+    p = make_bilinear(np.array([[1.0, 0.2], [0.0, 1.0]]), np.array([0.4, -0.1]))
+    res = extragradient_run(p, ExtragradientParams(epsilon=1e-6,
+                                                   max_rounds=20))
+    assert (res.status, res.rounds) == ("budget_exhausted", 20)
+    assert res.gap.value > 1e-6
 
 
-def test_gda_final_gap_within_eps_converges():
+def test_gda_budget_exhausted_reports_gap_above_eps():
     p = make_strongly_convex_concave(1.0, 1.0, 0.5, n=1)
-    res = local_gda_run(p, LocalGdaParams(epsilon=0.1, gap_stride=1000,
-                                          max_rounds=50))
-    assert res.rounds == 50
-    assert res.gap.value <= 0.1
-    assert res.status == "converged"
+    res = local_gda_run(p, LocalGdaParams(epsilon=1e-6, max_rounds=5))
+    assert (res.status, res.rounds) == ("budget_exhausted", 5)
+    assert res.gap.value > 1e-6
 
 
 @pytest.mark.parametrize("block", [0, 1])
@@ -139,7 +136,7 @@ def test_eg_nonfinite_iterate_diverges(block):
         p.grad_x = poisoned
     else:
         p.grad_y = poisoned
-    params = ExtragradientParams(epsilon=1e-9, max_rounds=20, gap_stride=1000)
+    params = ExtragradientParams(epsilon=-1.0, max_rounds=20)
     res = extragradient_run(p, params)
     assert res.status == "diverged"
     assert res.rounds == 2
@@ -178,20 +175,37 @@ def _ball_bilinear():
         metric_y=ScaledMetric([1.5, 3.0]))
 
 
+def test_concentric_ball_terms_merge_into_the_gap_set():
+    # Both ball terms are centred on the start point, so the gap set is the
+    # balls of radius 0.25 and 0.2, and the closed form is exact over them:
+    # r_y ||A x - b||_* + r_x ||A^T y||_* + <b, y>, dual norms in P^{-1}.
+    p = _ball_bilinear()
+    A, b = np.asarray(p.structure["A"]), p.structure["b"]
+    x, y = np.array([0.1, 0.05, -0.02]), np.array([-0.1, 0.05])
+    g = restricted_gap(p, (x, y))
+
+    def dual(v, weights):
+        return np.sqrt(np.sum(v * v / np.asarray(weights)))
+    want = (0.2 * dual(A @ x - b, [1.5, 3.0])
+            + 0.25 * dual(A.T @ y, [2.0, 0.5, 1.25]) + b @ y)
+    assert g.exact and g.method == "bilinear-closed-form"
+    assert g.value == pytest.approx(want, rel=1e-12)
+
+
 # Status, rounds, gap and candidate of each run, to the bit, as computed
 # with a separate step per block: the joint (x, y) step must do the same
 # arithmetic element for element.
 _PINNED = {
     "extragradient": (
-        "budget_exhausted", 300, "0x1.7e259f6eb7798p-3",
-        (["0x1.5aed43b32572ap-3", "0x1.94bb159836b4fp-8",
-          "-0x1.d7aec32b5f243p-5"],
-         ["-0x1.132b9907d5aacp-3", "0x1.0ca8a8cb82122p-4"])),
+        "converged", 66, "0x1.04c921bb0ef40p-10",
+        (["0x1.51b03849975e7p-3", "0x1.13da12cc17ef4p-7",
+          "-0x1.c6d5d86bfdd21p-5"],
+         ["-0x1.131e7214a77f4p-3", "0x1.0c3a5e4c92bdap-4"])),
     "local_gda": (
-        "budget_exhausted", 40, "0x1.7bef5941fbf63p-3",
-        (["0x1.5d8aa70f2f501p-3", "0x1.7378d66229ea8p-8",
-          "-0x1.dc39734ce4dc7p-5"],
-         ["-0x1.13144a3a2b991p-3", "0x1.0cff0e7d0dce4p-4"])),
+        "converged", 7, "0x1.8036d58c8c0e0p-11",
+        (["0x1.5a5eb0e15cec0p-3", "-0x1.667accd96d83ap-6",
+          "-0x1.046f809d75e5bp-4"],
+         ["-0x1.ffd61d11c42e9p-4", "0x1.307ad6c7ed49fp-4"])),
 }
 
 
@@ -235,9 +249,9 @@ def _counted_gaps(monkeypatch, ledger=None):
     from saddlesplit.evaluation import restricted_gap
     calls = []
 
-    def counted(problem, candidate, domain=None):
+    def counted(problem, candidate):
         calls.append((candidate, ledger.round if ledger else None))
-        return restricted_gap(problem, candidate, domain)
+        return restricted_gap(problem, candidate)
 
     monkeypatch.setattr(baselines, "restricted_gap", counted)
     return calls

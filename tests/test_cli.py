@@ -271,9 +271,10 @@ def test_main_exit_codes(tmp_path):
 
 
 def test_main_flags_violation(tmp_path):
-    # A huge gap-check stride makes the solver overshoot its round bound, so
-    # the compliance check must fail and the exit code must be 1.
-    text = SP_CONFIG + "\n[solver.decoupled]\ngap_stride = 50\n"
+    # Two rounds leave the gap above epsilon, so the run ends
+    # budget_exhausted, the compliance check must fail and the exit code
+    # must be 1.
+    text = SP_CONFIG + "\n[solver.decoupled]\nmax_rounds = 2\n"
     path = _write(tmp_path, text)
     code = cli.main(["run", "--config", path, "--check-bounds",
                      "--out", str(tmp_path / "viol")])
@@ -371,16 +372,16 @@ b = [0.0]
 
 
 def test_eg_final_gap_meets_bound(tmp_path):
-    # Twenty rounds fit eg_comm = 20 at eps = 0.1 exactly; the stride skips
-    # the in-loop gap checks, and the final gap still meets eps.
+    # eg_comm = 20 at eps = 0.1, and a run capped at twenty rounds
+    # converges within them.
     text = SP_CONFIG.replace(
         "epsilons = [0.2, 0.1, 0.05]",
         "epsilons = [0.1]\ncheck_bounds = true") + (
-        "\n[solver.extragradient]\ngap_stride = 1000\nmax_rounds = 20\n")
+        "\n[solver.extragradient]\nmax_rounds = 20\n")
     path = _write(tmp_path, text)
     rows = cli.run_experiment(cli.parse_config(path), clock=lambda: 0.0)
     eg = next(r for r in rows if r.solver == "extragradient")
-    assert eg.rounds == 20 and eg.rounds <= eg.bound_comm
+    assert eg.rounds <= 20 and eg.rounds <= eg.bound_comm
     assert eg.weighted_cost <= eg.bound_oracle
     assert eg.gap <= 0.1
     assert (eg.status, eg.compliant) == ("converged", "true")
@@ -687,3 +688,24 @@ def test_run_and_bounds_read_the_seed_alike(tmp_path, capsys):
     assert run_code == bounds_code == 2
     assert run_err == bounds_err
     assert run_err.startswith("config error: seed must be an integer")
+    # An overriding `--seed` does not hide the file's bad one.
+    path = _write(tmp_path, text)
+    assert cli.main(["run", "--config", path, "--seed", "2",
+                     "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == run_err
+
+
+@pytest.mark.parametrize("value", ["(1.0, -1.0)", "5", "(1.0, 1e999)"])
+def test_bad_solver_d_hat_is_a_config_error(tmp_path, capsys, value):
+    # With bounds checked, the first two used to escape `run_cell` as a
+    # traceback (exit 1); without, a negative entry gave an error row and
+    # exit 0.
+    text = ("[experiment]\n" + SCSC_SECTION
+            + f"\n[solver.decoupled]\nd_hat = {value}\n")
+    path = _write(tmp_path, text)
+    for code, err in _run_and_bounds(tmp_path, capsys, path):
+        assert code == 2
+        assert err.startswith("config error: d_hat must be a pair of "
+                              "positive finite numbers")
+    assert cli.main(["run", "--config", path,
+                     "--out", str(tmp_path / "out")]) == 2

@@ -252,12 +252,13 @@ def _rotation_reference(v0, iters):
 def test_saddle_rotation_dynamics():
     # f(x, y) = x y started at (1, 1): every step weight is exactly 0.8 and
     # the anchor rotates by [[0.6, -0.8], [0.8, 0.6]] around the saddle.
-    from saddlesplit.problems import DomainSpec, make_bilinear
-    p = make_bilinear(np.array([[1.0]]))
+    # D_x = D_y = 3 keeps alpha = L_xy D_y / D_x = 1, and the ball of radius
+    # 3 around (1, 1) holds the whole orbit.
+    from saddlesplit.problems import make_bilinear
+    p = make_bilinear(np.array([[1.0]]), D_x=3.0, D_y=3.0)
     p = dataclasses.replace(p, x0=np.array([1.0]), y0=np.array([1.0]))
-    domain = DomainSpec([np.zeros(1), np.zeros(1)], [2.0, 2.0])
     res = decoupled_saddle_run(
-        p, DecoupledParams(epsilon=1e-9, max_rounds=8), domain=domain)
+        p, DecoupledParams(epsilon=1e-9, max_rounds=8))
     assert res.status == "budget_exhausted"
     assert res.rounds == 8
     assert len(res.info["a_history"]) == 4

@@ -10,7 +10,7 @@ from saddlesplit.evaluation import (
 )
 from saddlesplit.metrics import ScaledMetric
 from saddlesplit.problems import (
-    DomainSpec, TripletMatrix, make_bilinear, make_quadratic,
+    BallIndicator, BoxIndicator, TripletMatrix, make_bilinear, make_quadratic,
     make_strongly_convex_concave, random_polymatrix,
 )
 
@@ -188,11 +188,11 @@ def test_explicit_domain_excluding_minimiser_is_estimated():
     p = _quadratic_with_inner_minimiser()
     cand = (np.array([0.1, 0.2]), np.zeros(1))
     default = restricted_gap(p, cand)
-    assert default.exact and "default_ball_test" in p.structure
+    assert default.exact and "gap_set" in p.structure
     # A ball around (2, 2) of radius 0.5 excludes ws: the closed form no
-    # longer applies, although the default-domain answer is cached.
-    far = DomainSpec([np.array([2.0, 2.0]), np.zeros(1)], [0.5, 1.0])
-    g = restricted_gap(p, cand, far)
+    # longer applies, although the original ball's gap set is cached.
+    far = dataclasses.replace(p, x0=np.array([2.0, 2.0]), D_x=0.5)
+    g = restricted_gap(far, cand)
     assert not g.exact and g.method == "pga-estimate"
     assert restricted_gap(p, cand) == default
 
@@ -201,8 +201,8 @@ def test_explicit_domain_containing_minimiser_matches_default():
     p = _quadratic_with_inner_minimiser()
     cand = (np.array([0.1, 0.2]), np.zeros(1))
     default = restricted_gap(p, cand)
-    near = DomainSpec([np.zeros(2), np.zeros(1)], [1.0, 1.0])
-    assert restricted_gap(p, cand, near) == default
+    near = dataclasses.replace(p, x0=np.zeros(2), D_x=1.0)
+    assert restricted_gap(near, cand) == default
     assert default.exact
 
 
@@ -217,6 +217,66 @@ def test_default_ball_test_follows_edited_instance():
     assert restricted_gap(p, cand).exact
 
 
+# -- the gap set B ∩ dom psi -------------------------------------------------
+
+def test_binding_ball_term_leaves_quadratic_to_the_estimator():
+    # psi_x's ball of radius 0.1 around the start excludes ws = (0.3, -0.4),
+    # so the closed form, 0.2132 here, no longer gives the gap.
+    p = dataclasses.replace(_quadratic_with_inner_minimiser(),
+                            psi_x=BallIndicator(np.zeros(2), 0.1))
+    xbar = np.array([0.05, 0.02])
+    g = restricted_gap(p, (xbar, np.zeros(1)))
+    # f is convex with its minimiser outside the ball, so its minimum over
+    # the ball lies on the boundary circle.
+    A, b = np.diag([2.0, 1.0]), p.structure["b"]
+    t = np.linspace(0.0, 2.0 * np.pi, 400001)
+    circle = 0.1 * np.stack([np.cos(t), np.sin(t)])
+    brute = 0.5 * (np.sum((A @ xbar - b) ** 2)
+                   - np.min(np.sum((A @ circle - b[:, None]) ** 2, axis=0)))
+    assert brute == pytest.approx(0.0615824, abs=1e-7)
+    assert not g.exact
+    assert abs(g.value - brute) <= 1e-6
+
+
+def test_box_term_gives_a_closed_form_upper_bound():
+    p = make_bilinear(np.array([[1.0, 0.5], [-0.4, 1.0]]),
+                      np.array([0.2, -0.3]))
+    p = dataclasses.replace(p, psi_x=BoxIndicator([-0.3, -0.2], [0.3, 0.4]))
+    xbar, ybar = np.array([0.1, 0.2]), np.array([0.3, -0.2])
+    g = restricted_gap(p, (xbar, ybar))
+    assert not g.exact and g.method == "bilinear-closed-form"
+    # Dense sup over B ∩ dom psi of f(xbar, y) - f(x, ybar), with
+    # f(x, y) = <y, A x - b>: y in the unit disc, x in the box within it.
+    A, b = np.asarray(p.structure["A"]), p.structure["b"]
+    u = np.linspace(-1.0, 1.0, 801)
+    disc = np.stack([m.ravel() for m in np.meshgrid(u, u)])
+    disc = disc[:, np.sum(disc * disc, axis=0) <= 1.0]
+    box = (disc[0] >= -0.3) & (disc[0] <= 0.3) & (disc[1] >= -0.2) \
+        & (disc[1] <= 0.4)
+    brute = (np.max((A @ xbar - b) @ disc)
+             - np.min(ybar @ (A @ disc[:, box]) - b @ ybar))
+    assert g.value >= brute
+
+
+def test_ball_term_off_the_start_point_is_not_merged():
+    p = make_bilinear(np.array([[1.0, 0.5], [0.0, 2.0]]),
+                      np.array([0.1, 0.2]))
+    p = dataclasses.replace(p, x0=np.array([1.0, 1.0]))
+    cand = (np.array([1.1, 0.9]), np.array([0.1, -0.1]))
+    plain = restricted_gap(p, cand)
+    # A center 1e-6 off, relative: left over, so the closed form keeps the
+    # unit ball and is an upper bound.
+    off = dataclasses.replace(
+        p, psi_x=BallIndicator(p.x0 * (1.0 + 1e-6), 0.5))
+    g = restricted_gap(off, cand)
+    assert plain.exact and not g.exact
+    assert g.value == plain.value
+    # Centred on the start point: merged, and exact over the smaller ball.
+    on = dataclasses.replace(p, psi_x=BallIndicator(p.x0, 0.5))
+    assert restricted_gap(on, cand) == restricted_gap(
+        dataclasses.replace(p, D_x=0.5), cand)
+
+
 # -- certified stop test -----------------------------------------------------
 
 def _random_matrix(rng, m, n, triplets):
@@ -229,8 +289,8 @@ def _random_matrix(rng, m, n, triplets):
                          rng.standard_normal(flat.size))
 
 
-def _stop_test_instance(rng, kind, triplets, explicit_domain):
-    """A closed-form instance with non-unit diagonal metrics and its domain.
+def _stop_test_instance(rng, kind, triplets, moved_ball):
+    """A closed-form instance with non-unit diagonal metrics.
 
     The right-hand side is consistent, so the walk target (the saddle)
     has gap zero and the walks cross every epsilon.
@@ -248,43 +308,43 @@ def _stop_test_instance(rng, kind, triplets, explicit_domain):
     p = dataclasses.replace(
         p, metric_x=ScaledMetric(rng.uniform(0.2, 5.0, p.nx)),
         metric_y=ScaledMetric(rng.uniform(0.2, 5.0, p.ny)))
-    domain = None
-    if explicit_domain:
-        # Balls around points near the saddle that still contain it.
+    if moved_ball:
+        # Start points near the saddle, with radii that still contain it.
         centers, radii = [], []
         for ws, metric in zip(p.saddle, (p.metric_x, p.metric_y)):
             c = ws + 0.2 * rng.standard_normal(ws.size)
             centers.append(c)
             radii.append(metric.norm(ws - c) + rng.uniform(0.1, 2.0))
-        domain = DomainSpec(centers, radii)
-    return p, domain
+        p = dataclasses.replace(p, x0=centers[0], y0=centers[1],
+                                D_x=radii[0], D_y=radii[1])
+    return p
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        kind=st.sampled_from(["bilinear", "quadratic_x", "quadratic_y"]),
-       triplets=st.booleans(), explicit_domain=st.booleans(),
+       triplets=st.booleans(), moved_ball=st.booleans(),
        eps_share=st.floats(1e-4, 0.9), log_pull=st.floats(-3.0, -0.5),
        log_noise=st.floats(-4.0, -0.3))
 def test_gap_test_skips_only_candidates_above_epsilon(
-        seed, kind, triplets, explicit_domain, eps_share, log_pull,
+        seed, kind, triplets, moved_ball, eps_share, log_pull,
         log_noise):
     rng = np.random.default_rng(seed)
-    p, domain = _stop_test_instance(rng, kind, triplets, explicit_domain)
+    p = _stop_test_instance(rng, kind, triplets, moved_ball)
     start = tuple(ws + rng.standard_normal(ws.size) for ws in p.saddle)
-    first = restricted_gap(p, start, domain)
+    first = restricted_gap(p, start)
     assert first.exact
     eps = eps_share * first.value
     evaluated = []
 
-    def spy(problem, candidate, dom):
+    def spy(problem, candidate):
         evaluated.append(candidate)
-        return restricted_gap(problem, candidate, dom)
+        return restricted_gap(problem, candidate)
 
-    test = GapTest(p, eps, domain, spy)
+    test = GapTest(p, eps, spy)
     c, pull, noise = start, 10.0 ** log_pull, 10.0 ** log_noise
     for _ in range(40):
-        want = restricted_gap(p, c, domain)
+        want = restricted_gap(p, c)
         before = len(evaluated)
         assert test(c) == (want.value <= eps)
         if len(evaluated) == before and not (evaluated and evaluated[-1] is c):
@@ -296,7 +356,7 @@ def test_gap_test_skips_only_candidates_above_epsilon(
             c = tuple(ci + pull * (ws - ci) + noise * rng.standard_normal(ci.size)
                       for ci, ws in zip(c, p.saddle))
             noise *= 0.9
-    want = restricted_gap(p, c, domain)
+    want = restricted_gap(p, c)
     assert test.gap(c).value.hex() == want.value.hex()
 
 
@@ -311,11 +371,11 @@ def test_gap_test_skips_near_candidates_and_reports_exact_gaps():
     p = make_bilinear(np.array([[1.0, 0.5], [0.0, 2.0]]), np.array([0.1, 0.2]))
     calls = []
 
-    def spy(problem, candidate, domain):
+    def spy(problem, candidate):
         calls.append(candidate)
-        return restricted_gap(problem, candidate, domain)
+        return restricted_gap(problem, candidate)
 
-    test = GapTest(p, 1e-3, None, spy)
+    test = GapTest(p, 1e-3, spy)
     walk = list(_bilinear_walk(p))
     assert not any(test(c) for c in walk)
     assert len(calls) < len(walk) // 4
@@ -335,11 +395,11 @@ def test_gap_test_evaluates_estimated_kinds_and_vis_every_time():
                             for k in range(5)])):
         calls = []
 
-        def spy(problem, candidate, domain):
+        def spy(problem, candidate):
             calls.append(candidate)
-            return restricted_gap(problem, candidate, domain)
+            return restricted_gap(problem, candidate)
 
-        test = GapTest(p, 1e-9, None, spy)
+        test = GapTest(p, 1e-9, spy)
         for c in walk:
             assert not test(c)
         assert len(calls) == len(walk)
@@ -352,11 +412,11 @@ def test_gap_test_ignores_evaluations_other_than_its_closed_form():
     p = make_bilinear(np.array([[1.0]]), np.array([0.5]))
     calls = []
 
-    def stub(problem, candidate, domain):
+    def stub(problem, candidate):
         calls.append(candidate)
         return GapResult(10.0, False, "stub")
 
-    test = GapTest(p, 0.1, None, stub)
+    test = GapTest(p, 0.1, stub)
     walk = list(_bilinear_walk(p, steps=5))
     assert not any(test(c) for c in walk)
     assert len(calls) == len(walk)

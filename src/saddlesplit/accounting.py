@@ -225,7 +225,3 @@ class RunResult:
         ledger; entry ``t`` is the candidate after round ``t + 1``.  Empty
         unless the ledger was built with ``capture="full"``."""
         return self.ledger.kept()
-
-    @property
-    def converged(self):
-        return self.status in GOOD_STATUSES

@@ -246,11 +246,15 @@ def parse_config(path, seed=None):
     return ExperimentConfig(
         instances=instances, solvers=solvers, epsilons=list(epsilons),
         seed=seed, check_bounds=check_bounds, out_dir=out_dir,
-        solver_params=_solver_params(cp), name=name)
+        solver_params=_solver_params(cp, instances), name=name)
 
 
-def _solver_params(cp):
-    """``{solver: {key: value}}`` from the ``[solver.<name>]`` sections."""
+def _solver_params(cp, instances):
+    """``{solver: {key: value}}`` from the ``[solver.<name>]`` sections.
+
+    A ``[solver.decoupled] d_hat`` pair gives one distance estimate per
+    block, so every one of `instances` must have two blocks.
+    """
     solver_params = {}
     for section in cp.sections():
         if not section.startswith("solver."):
@@ -262,6 +266,12 @@ def _solver_params(cp):
             SOLVER_PARAMS[sname]) if f.name != "epsilon"])
         solver_params[sname] = {k: _literal(cp[section], k)
                                 for k in cp[section]}
+    d_hat = solver_params.get("decoupled", {}).get("d_hat")
+    for iid, problem in instances:
+        if d_hat is not None and len(problem.agents) != len(d_hat):
+            raise ConfigError(
+                f"[solver.decoupled] d_hat has {len(d_hat)} entries but "
+                f"instance {iid!r} has {len(problem.agents)} blocks")
     return solver_params
 
 
@@ -583,17 +593,17 @@ def _verify_battery():
         from saddlesplit.problems import ZeroTerm
         one = ScaledMetric(1)
         for _ in range(10):
-            vx, vy = rng.normal(size=2) * 2.0
+            ax, ay = rng.normal(size=2) * 2.0
             c = 0.5 + rng.random()
             z, subs, _ = split_prox_step(
-                [lambda w: np.array([c * vy]), lambda w: np.array([-c * vx])],
+                [lambda w: np.array([c * ay]), lambda w: np.array([-c * ax])],
                 [ZeroTerm(), ZeroTerm()], [one, one], [c, c],
-                [np.array([vx]), np.array([vy])], 2.0, [0.0, 0.0],
+                [np.array([ax]), np.array([ay])], 2.0, [0.0, 0.0],
                 [True, True])
             V = np.array([c * z[1][0], -c * z[0][0]])
             ok, _, _ = scaled_prox_check(
                 V, np.concatenate(subs), np.concatenate(z),
-                np.array([vx, vy]), 2.0,
+                np.array([ax, ay]), 2.0,
                 ProductMetric([(one, c), (one, c)]))
             if not ok:
                 return False
@@ -682,7 +692,7 @@ def _cmd_bounds(args):
             _check_keys(cp["experiment"], EXPERIMENT_KEYS)
         # The instances `run` would build: same file resolution, same seed.
         instances = _config_instances(cp, args.config, _read_seed(cp))
-        _solver_params(cp)       # checked as `run` checks them
+        _solver_params(cp, instances)    # checked as `run` checks them
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

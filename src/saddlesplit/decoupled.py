@@ -144,13 +144,11 @@ def vip_coupling(L, alphas, D):
 
 @dataclass
 class AgdSchedule:
-    stages: int
+    """Stage plan of `residual_agd`: stage ``k`` regularises with
+    ``sigmas[k]`` and runs ``counts[k]`` iterations; the number of stages
+    is ``len(sigmas)`` and the plan's iteration total ``sum(counts)``."""
     sigmas: list
     counts: list
-
-    @property
-    def total(self):
-        return sum(self.counts)
 
 
 def agd_schedule(L, xi):
@@ -163,7 +161,7 @@ def agd_schedule(L, xi):
     tau = 2 + max(0, math.ceil(math.log(3.0 * L / (2.0 * xi), 4.0)))
     sigmas = [4.0 ** (k - 3) * (2.0 * xi / 3.0) for k in range(1, tau + 1)]
     counts = [math.ceil(16.0 * math.sqrt(L / s)) for s in sigmas]
-    return AgdSchedule(stages=tau, sigmas=sigmas, counts=counts)
+    return AgdSchedule(sigmas=sigmas, counts=counts)
 
 
 def _counting_operator(task):
@@ -245,8 +243,7 @@ def residual_agd(task, xi):
     w_tilde = v.copy()
     g_cached = g_anchor           # operator value at w_stage when available
     best = None
-    for k in range(plan.stages):
-        sigma = plan.sigmas[k]
+    for k, (sigma, count) in enumerate(zip(plan.sigmas, plan.counts)):
         gamma = 1.0 if k == 0 else 1.0 - plan.sigmas[k - 1] / sigma
         w_tilde = (1.0 - gamma) * w_tilde + gamma * w_stage
         Lk = task.lipschitz + sigma
@@ -255,7 +252,7 @@ def residual_agd(task, xi):
         t = 1.0
         g_y = g_cached      # operator value at y == w_stage is already known
         next_check = 1
-        for i in range(plan.counts[k]):
+        for i in range(count):
             if g_y is None:
                 g_y = op(y)
             model_grad = g_y + sigma * metric.apply(y - w_tilde)
@@ -263,7 +260,7 @@ def residual_agd(task, xi):
                               1.0 / Lk)
             if not all_finite(x_next):
                 raise FloatingPointError("inner iterate became nonfinite")
-            probe = i + 1 == next_check or i == plan.counts[k] - 1
+            probe = i + 1 == next_check or i == count - 1
             if probe:
                 # The prox optimality condition's subgradient at x_next.
                 sub = -model_grad - Lk * metric.apply(x_next - y)
@@ -409,11 +406,17 @@ def _decoupled_run(problem, oracles, psis, metrics, L, d_hat, gradient,
     ``gradient[i]`` use the staged accelerated engine, the rest the
     anchored extragradient loop.  ``comm_bound`` sets the default round
     cap and ``reference`` (a known solution or None) arms the telescoping
-    check.  Candidates are full-block tuples handed to the ledger after
-    every round and scored against the problem's gap set after every
-    iteration.
+    check; ``d_hat`` has one entry per block.  The anchor, the exchanged
+    values and the ergodic sum are joint vectors over the active blocks
+    (in the `ProductMetric` of their scalings), the blocks are views into
+    them, and no array is written once a view of it has been handed out.
+    Candidates are full-block tuples handed to the ledger after every
+    round and scored against the problem's gap set after every iteration.
     """
     K = len(oracles)
+    if len(d_hat) != K:
+        raise ValueError(f"d_hat has {len(d_hat)} entries but the problem "
+                         f"has {K} blocks")
     eps = params.epsilon
     max_rounds = (math.ceil(comm_bound) + 2 if params.max_rounds is None
                   else params.max_rounds)
@@ -474,58 +477,56 @@ def _decoupled_run(problem, oracles, psis, metrics, L, d_hat, gradient,
 
     # The outer loop; see the module docstring for the iteration.
     metric = ProductMetric(list(zip(act_metrics, act_alphas)))
-    v = [full[i].copy() for i in active]
-    v0_joint = metric.join(v)
-    ref_joint = (None if reference is None
-                 else metric.join([reference[i] for i in active]))
-    acc = [np.zeros_like(p) for p in v]
+    v = metric.join([full[i] for i in active])
+    if reference is not None:
+        ref = metric.join([reference[i] for i in active])
+        budget0 = 0.5 * metric.norm(v - ref) ** 2
+    acc = np.zeros_like(v)
     a_sum = telescope_lhs = 0.0
     a_history = []
     candidate = tuple(full)
     stop = GapTest(problem, eps, restricted_gap)
     status = "budget_exhausted"
     while ledger.round < max_rounds:
-        anchor = full_point(v)
+        v_parts = metric.split(v)
+        anchor = full_point(v_parts)
         z_parts, sub_parts, _ = split_prox_step(
             [block_operator(i, anchor) for i in active], act_psis,
-            act_metrics, act_alphas, v, lam, act_lips,
+            act_metrics, act_alphas, v_parts, lam, act_lips,
             inner_flags=[gradient[i] for i in active])
         ledger.end_round()
         ledger.keep(candidate)
         point = full_point(z_parts)
-        V_joint = metric.join([oracles[i](point) for i in active])
+        V = metric.join([oracles[i](point) for i in active])
         ledger.end_round()
 
-        z_joint = metric.join(z_parts)
-        v_joint = metric.join(v)
-        sub_joint = metric.join(sub_parts)
-        v_psi = V_joint + sub_joint
+        z = metric.join(z_parts)
+        sub = metric.join(sub_parts)
+        v_psi = V + sub
 
         if metric.dual_norm(v_psi) <= _ZERO_OPERATOR_TOL:
             candidate, status = point, "solution_found"
             ledger.keep(candidate)
             break
 
-        ok, lhs, rhs = scaled_prox_check(V_joint, sub_joint, z_joint,
-                                         v_joint, lam, metric)
+        ok, lhs, rhs = scaled_prox_check(V, sub, z, v, lam, metric)
         if not ok:
             raise AssertionError(
                 f"scaled-prox criterion violated: {lhs} > {rhs}")
 
-        a = anchor_weight(v_psi, v_joint, z_joint, metric, lam)
+        a = anchor_weight(v_psi, v, z, metric, lam)
         a_history.append(a)
         a_sum += a
-        acc = [ai + a * zi for ai, zi in zip(acc, z_parts)]
-        candidate = full_point([ai / a_sum for ai in acc])
+        acc = acc + a * z
+        candidate = full_point(metric.split(acc / a_sum))
 
-        half_parts = metric.split(v_joint - a * metric.apply_inv(v_psi))
-        v = [psi.project_domain(m, h)
-             for psi, m, h in zip(act_psis, act_metrics, half_parts)]
+        v = v - a * metric.apply_inv(v_psi)
+        for psi, m, h in zip(act_psis, act_metrics, metric.split(v)):
+            h[:] = psi.project_domain(m, h)
 
-        if ref_joint is not None:
-            telescope_lhs += a * float(np.dot(v_psi, z_joint - ref_joint))
-            budget = (0.5 * metric.norm(v0_joint - ref_joint) ** 2
-                      - 0.5 * metric.norm(metric.join(v) - ref_joint) ** 2)
+        if reference is not None:
+            telescope_lhs += a * float(np.dot(v_psi, z - ref))
+            budget = budget0 - 0.5 * metric.norm(v - ref) ** 2
             if telescope_lhs > budget + 1e-8:
                 raise AssertionError(
                     f"telescoped progress inequality violated: "

@@ -33,7 +33,7 @@ import numpy as np
 
 from saddlesplit.problems import (
     BallIndicator, BoxIndicator, TripletMatrix, VipProblem, ZeroTerm,
-    spectral_norm,
+    ball_project, spectral_norm,
 )
 
 # Iterations of the projected-gradient gap estimator (estimated paths only).
@@ -60,9 +60,7 @@ class GapResult:
 
 def _ball_project(metric, center, radius, v, psi_left):
     """Project onto the metric ball, then onto dom `psi_left` unless None."""
-    d = np.asarray(v, dtype=float) - center
-    nrm = metric.norm(d)
-    out = center + (d if nrm <= radius else d * (radius / nrm))
+    out = ball_project(metric, center, radius, v)
     if psi_left is not None:
         out = psi_left.project_domain(metric, out)
     return out

@@ -108,11 +108,7 @@ class BallIndicator(CompositeTerm):
         return 0.0 if self.contains(metric, w) else _INF
 
     def prox(self, metric, v, step):
-        d = np.asarray(v, dtype=float) - self.center
-        nrm = metric.norm(d)
-        if nrm <= self.radius:
-            return self.center + d
-        return self.center + d * (self.radius / nrm)
+        return ball_project(metric, self.center, self.radius, v)
 
     def subgradient(self, metric, w):
         # Zero belongs to the normal cone at every feasible point.
@@ -190,11 +186,11 @@ class RegularizedTerm(CompositeTerm):
         return self.base.contains(metric, w, tol)
 
 
-def prox_composite(term, metric, v, step):
-    """Functional wrapper around ``term.prox``."""
-    if step <= 0:
-        raise ValueError("prox step must be positive")
-    return term.prox(metric, v, step)
+def ball_project(metric, center, radius, v):
+    """Metric projection of `v` onto the ball ``||w - center||_P <= radius``."""
+    d = np.asarray(v, dtype=float) - center
+    nrm = metric.norm(d)
+    return center + (d if nrm <= radius else d * (radius / nrm))
 
 
 def argmin_linear(term, metric, cov, fallback=None):
@@ -244,11 +240,11 @@ class SaddleProblem:
     """Two-agent saddle problem with per-agent first-order oracles.
 
     ``grad_x(z)`` and ``grad_y(z)`` return the partial gradients of ``f``
-    in ``x`` and in ``y`` at ``z = (x, y)``, on every instance; the
-    monotone operator is ``V = (grad_x, -grad_y)``, and each solver writes
-    the y sign once, where it forms ``V``.  ``D_x`` and ``D_y`` must be
-    positive and finite.  ``agents`` names the two agents for an
-    `OracleLedger`.
+    in ``x`` and in ``y`` at ``z = (x, y)``, on every instance.  The
+    problem has no operator method of its own: the monotone operator is
+    ``V = (grad_x, -grad_y)``, and each solver writes the y sign once,
+    where it forms ``V``.  ``D_x`` and ``D_y`` must be positive and
+    finite.  ``agents`` names the two agents for an `OracleLedger`.
     """
     agents = ("x", "y")
 
@@ -294,14 +290,6 @@ class SaddleProblem:
     @property
     def z0(self):
         return (self.x0.copy(), self.y0.copy())
-
-    def vx(self, z):
-        """x-block of the monotone operator."""
-        return np.asarray(self.grad_x(z), dtype=float)
-
-    def vy(self, z):
-        """y-block of the monotone operator (``-grad_y f``)."""
-        return -np.asarray(self.grad_y(z), dtype=float)
 
 
 @dataclass

@@ -709,3 +709,17 @@ def test_bad_solver_d_hat_is_a_config_error(tmp_path, capsys, value):
                               "positive finite numbers")
     assert cli.main(["run", "--config", path,
                      "--out", str(tmp_path / "out")]) == 2
+
+
+def test_decoupled_d_hat_needs_two_blocks(tmp_path, capsys):
+    # The pair used to reach `decoupled_vi_run` on a 3-block VI, which
+    # wrote an error row with an empty `compliant` and exited 0.
+    section = "\n[solver.decoupled]\nd_hat = (1.0, 1.0)\n"
+    poly = "[experiment]\n[instance.p]\nkind = random_polymatrix\ndims = {}\n"
+    path = _write(tmp_path, poly.format("[2, 2, 2]") + section)
+    for code, err in _run_and_bounds(tmp_path, capsys, path):
+        assert code == 2
+        assert err == ("config error: [solver.decoupled] d_hat has 2 entries "
+                       "but instance 'p' has 3 blocks\n")
+    # A two-block VI takes the pair.
+    cli.parse_config(_write(tmp_path, poly.format("[2, 2]") + section))

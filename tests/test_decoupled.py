@@ -26,16 +26,16 @@ ID2 = ScaledMetric(2)
 
 def test_agd_schedule_frozen():
     plan = agd_schedule(L=1.0, xi=0.5)
-    assert plan.stages == 3
+    assert len(plan.sigmas) == 3
     assert np.allclose(plan.sigmas, [1.0 / 48, 1.0 / 12, 1.0 / 3])
     assert plan.counts == [111, 56, 28]
-    assert plan.total == 195
+    assert sum(plan.counts) == 195
 
 
 def test_agd_schedule_small_ratio():
     # 3L/(2 xi) <= 1 keeps the minimum of two stages.
     plan = agd_schedule(L=1.0, xi=10.0)
-    assert plan.stages == 2
+    assert len(plan.sigmas) == 2
     with pytest.raises(ValueError):
         agd_schedule(1.0, 0.0)
     with pytest.raises(ValueError):
@@ -91,6 +91,24 @@ def test_residual_agd_accuracy_and_budget():
         dist = np.linalg.norm(anchor - target)
         assert res.residual <= xi * dist * (1 + 1e-9)
         assert res.queries <= 34 * math.sqrt(3 * 2.0 / (2 * xi))
+
+
+def test_residual_agd_runs_the_full_stage_plan():
+    # A ball psi is not differentiable and strong = 0 is unknown, so
+    # neither certificate can fire: the run ends with the last stage of the
+    # plan, which alone guarantees the target.
+    Q = np.array([4.0, 2.0, 1.0, 0.5])
+    w_opt = np.array([0.1, -0.2, 0.3, 0.1])        # inside the ball
+    v = np.array([0.4, 0.4, -0.4, 0.4])
+    xi = 0.1
+    task = BlockTask(operator=lambda w: Q * (w - w_opt),
+                     psi=BallIndicator(np.zeros(4), 1.0), anchor=v,
+                     metric=ScaledMetric(4), lipschitz=4.0)
+    res = residual_agd(task, xi=xi)
+    plan = agd_schedule(4.0, xi)
+    assert res.exit == "schedule"
+    assert res.info["stage"] == len(plan.sigmas)
+    assert res.residual <= xi * np.linalg.norm(v - w_opt)
 
 
 def test_relative_residual_check_frozen():
@@ -219,6 +237,28 @@ def test_anchored_eg_constant_operator():
     assert np.allclose(res.point, [-0.5])
 
 
+def test_anchored_eg_returns_the_anchor_of_a_vanishing_operator(
+        monkeypatch):
+    # A polymatrix VI with b = 0 starts at its solution z0 = 0: with the
+    # gradient engine off, each block's anchored loop returns its anchor.
+    from saddlesplit import decoupled
+
+    exits = []
+
+    def spy(task, xi=None):
+        res = anchored_eg(task, xi)
+        exits.append(res.exit)
+        return res
+
+    monkeypatch.setattr(decoupled, "anchored_eg", spy)
+    p = make_polymatrix((1, 2), [[[[1.0]], [[1.0, -0.5]]],
+                                 [[[-1.0], [0.5]], np.eye(2)]])
+    p = dataclasses.replace(p, block_is_gradient=[False, False])
+    res = decoupled_vi_run(p, DecoupledParams(epsilon=0.1))
+    assert exits == ["anchor", "anchor"]
+    assert res.status == "solution_found"
+
+
 def test_coupling_constants():
     # Saddle scalings alpha = L_xy Dhat_other / Dhat_own give coupling one.
     assert np.isclose(vip_coupling([[0.0, 3.0], [3.0, 0.0]], [1.0, 9.0],
@@ -283,6 +323,17 @@ def test_saddle_run_converges():
     assert min(res.info["a_history"]) >= 0.5 - 1e-9
 
 
+def test_saddle_run_starting_at_the_saddle_ends_solution_found():
+    # b = 0 puts the saddle at the origin, where the run starts: the first
+    # exchange finds V + psi' = 0 and ends the run.
+    p = make_bilinear(np.array([[1.0, 0.5], [0.0, 2.0]]), b=np.zeros(2))
+    res = decoupled_saddle_run(p, DecoupledParams(epsilon=0.1))
+    assert res.status == "solution_found"
+    assert res.rounds == 2
+    assert res.ledger.queries() == {"x": 2, "y": 2}
+    assert res.gap.exact and res.gap.value == 0.0
+
+
 def test_saddle_local_solve():
     p = make_quadratic(np.array([[1.0]]), np.array([1.0]), side="x")
     res = decoupled_saddle_run(
@@ -319,6 +370,13 @@ def test_vip_frozen_uncoupled_block():
     assert res.status in ("converged", "solution_found")
     assert abs(res.candidate[2][0] - 0.5) < 0.01
     assert res.gap.value <= 0.02
+
+
+def test_vip_d_hat_of_the_wrong_length_is_rejected():
+    p = random_polymatrix(3, (2, 2, 2), np.random.default_rng(0))
+    with pytest.raises(ValueError, match="d_hat has 2 entries but the "
+                                         "problem has 3 blocks"):
+        decoupled_vi_run(p, DecoupledParams(epsilon=0.1, d_hat=(1.0, 1.0)))
 
 
 def test_vip_all_blocks_local():

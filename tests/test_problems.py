@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from saddlesplit.metrics import ScaledMetric
 from saddlesplit.problems import (
     ZeroTerm, QuadraticReg, BallIndicator, BoxIndicator, RegularizedTerm,
-    prox_composite, argmin_linear, spectral_norm,
+    argmin_linear, spectral_norm,
     make_bilinear, make_quadratic, make_strongly_convex_concave,
     make_polymatrix, random_polymatrix, save_instance, load_instance,
     TripletMatrix, _product_operand,
@@ -22,21 +22,21 @@ I2 = ScaledMetric(2)
 def test_prox_quadratic_frozen():
     # argmin (1/2)(w-2)^2 + (1/2)w^2 = 1
     term = QuadraticReg(1.0, np.zeros(1))
-    assert prox_composite(term, I1, np.array([2.0]), 1.0) == pytest.approx(
+    assert term.prox(I1, np.array([2.0]), 1.0) == pytest.approx(
         np.array([1.0]))
 
 
 def test_prox_ball_frozen():
     term = BallIndicator(np.zeros(2), 1.0)
-    out = prox_composite(term, I2, np.array([2.0, 0.0]), 1.0)
+    out = term.prox(I2, np.array([2.0, 0.0]), 1.0)
     assert np.allclose(out, [1.0, 0.0], atol=1e-12)
-    inside = prox_composite(term, I2, np.array([0.3, 0.1]), 5.0)
+    inside = term.prox(I2, np.array([0.3, 0.1]), 5.0)
     assert np.allclose(inside, [0.3, 0.1], atol=1e-14)
 
 
 def test_prox_box_frozen():
     term = BoxIndicator(np.array([-1.0]), np.array([1.0]))
-    assert prox_composite(term, I1, np.array([2.0]), 1.0) == pytest.approx(
+    assert term.prox(I1, np.array([2.0]), 1.0) == pytest.approx(
         np.array([1.0]))
 
 
@@ -44,13 +44,13 @@ def test_prox_regularized_frozen():
     # argmin (1/2)(w-3)^2 + (w-1)^2 over |w| <= 1 has solution 1.
     term = RegularizedTerm(QuadraticReg(2.0, np.ones(1)),
                            BallIndicator(np.zeros(1), 1.0))
-    assert prox_composite(term, I1, np.array([3.0]), 1.0) == pytest.approx(
+    assert term.prox(I1, np.array([3.0]), 1.0) == pytest.approx(
         np.array([1.0]))
 
 
 def test_prox_zero_is_identity():
     v = np.array([3.0, -1.0])
-    assert np.allclose(prox_composite(ZeroTerm(), I2, v, 0.7), v)
+    assert np.allclose(ZeroTerm().prox(I2, v, 0.7), v)
 
 
 def _prox_objective(term, metric, w, v, step):
@@ -110,8 +110,6 @@ def test_bilinear_oracles_frozen():
     z = (np.array([1.0]), np.array([2.0]))
     assert p.grad_x(z) == pytest.approx(np.array([2.0]))
     assert p.grad_y(z) == pytest.approx(np.array([1.0]))
-    # operator blocks: V = (A^T y, -(A x - b))
-    assert p.vy(z) == pytest.approx(np.array([-1.0]))
     assert p.L_xy == pytest.approx(1.0)
     assert p.L_x == 0.0 and p.L_y == 0.0
 
@@ -119,9 +117,8 @@ def test_bilinear_oracles_frozen():
 def test_quadratic_y_oracle_frozen():
     p = make_quadratic(np.array([[2.0]]), np.zeros(1), side="y")
     z = (np.zeros(1), np.array([1.0]))
-    # grad_y f = A^T(b - Ay) = -4, so vy = +4
+    # grad_y f = A^T(b - Ay) = -4
     assert p.grad_y(z) == pytest.approx(np.array([-4.0]))
-    assert p.vy(z) == pytest.approx(np.array([4.0]))
     assert p.L_y == pytest.approx(4.0)
 
 
@@ -139,7 +136,6 @@ def test_scsc_oracles_frozen():
     z = (np.array([1.0]), np.array([1.0]))
     assert p.grad_x(z) == pytest.approx(np.array([1.1]))
     assert p.grad_y(z) == pytest.approx(np.array([-0.9]))  # -mu_y y + c x
-    assert p.vy(z) == pytest.approx(np.array([0.9]))
 
 
 _CONVENTION_RNG = np.random.default_rng(17)
@@ -161,7 +157,7 @@ _CONVENTION_RNG = np.random.default_rng(17)
         "hard_x", "hard_y"])
 def test_oracles_are_partial_gradients_of_f(build):
     # Every generator's grad_x and grad_y are the partial gradients of its
-    # f_value, and V = (grad_x, -grad_y): one convention on both sides.
+    # f_value: one convention on both sides.
     p = build()
     rng = np.random.default_rng(3)
     h = 1e-6
@@ -175,8 +171,6 @@ def test_oracles_are_partial_gradients_of_f(build):
                 down[block][i] -= h
                 fd[i] = (p.f_value(up) - p.f_value(down)) / (2 * h)
             assert np.allclose(grad(z), fd, rtol=1e-6, atol=1e-6)
-        assert np.array_equal(p.vx(z), p.grad_x(z))
-        assert np.array_equal(p.vy(z), -p.grad_y(z))
 
 
 def test_quadratic_rejects_a_right_hand_side_of_the_wrong_length():
@@ -198,7 +192,7 @@ def test_problems_reject_bad_diameters(D):
 
 
 def _operator_full(p, z):
-    return np.concatenate([p.vx(z), p.vy(z)])
+    return np.concatenate([p.grad_x(z), -p.grad_y(z)])
 
 
 @settings(max_examples=30, deadline=None)

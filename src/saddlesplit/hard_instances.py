@@ -9,7 +9,9 @@ known constant.  Scaling with
 
     gamma = D * sqrt(6 (p+1) / (p (2p+1)))
 
-puts the minimiser at distance exactly ``D`` while ``||A|| <= L``.
+puts the minimiser at distance exactly ``D``.  ``B^T B`` has eigenvalues
+``4 sin^2(pi i / (2 (p+1)))``, ``i = 1, ..., p``, so ``A = (L/2) B`` has the
+exact norm ``L cos(pi / (2 (p+1)))`` (`chain_norm`), just below ``L``.
 
 The same matrix drives three instance flavours: a pure least-squares problem
 for either single agent (kind ``x`` / ``y``) and a bilinear coupling (kind
@@ -45,6 +47,12 @@ def _order(L, D, k):
         raise ValueError(f"order k must be at least 1, got {k}")
     p = 2 * k + 1
     return p, D * np.sqrt(6.0 * (p + 1) / (p * (2.0 * p + 1.0)))
+
+
+def chain_norm(L, k):
+    """``||A|| = L cos(pi / (2 (p+1)))`` of the order-``k`` chain at scale
+    `L`, ``p = 2k + 1``: the largest singular value of ``(L/2) B``."""
+    return float(L * np.cos(np.pi / (2.0 * (2 * k + 2))))
 
 
 def _chain(L, D, k):
@@ -173,26 +181,30 @@ def krylov_min_residual(A, b, j):
 def make_hard_saddle(kind, L, D, k, D_other=1.0, name=None):
     """Saddle instance built on the chain construction.
 
-    ``kind='xy'`` couples the two agents bilinearly with ``L_xy <= L``;
-    ``kind='x'`` (resp. ``'y'``) gives the single-agent least-squares
-    problem with ``L_x <= L`` (the chain is built at scale ``sqrt(L)`` so
-    the squared norm matches).  The scales ``L``, ``D`` and ``D_other``
-    must be finite and positive.  The builders get the chain's triplets
-    and its known solution, so no dense matrix and no least-squares solve
-    is made.  The arguments are kept as ``structure["recipe"]``, which
-    `save_instance` writes instead of the matrix.
+    ``kind='xy'`` couples the two agents bilinearly with ``L_xy = L
+    cos(pi / (2 (p+1)))``; ``kind='x'`` (resp. ``'y'``) gives the
+    single-agent least-squares problem with ``L_x = L cos^2(pi / (2
+    (p+1)))`` (the chain is built at scale ``sqrt(L)`` so the squared norm
+    matches).  The scales ``L``, ``D`` and ``D_other`` must be finite and
+    positive.  The builders get the chain's triplets, its known solution
+    and its `chain_norm`, so no dense matrix, no least-squares solve and
+    no `spectral_norm` call is made.  The arguments are kept as
+    ``structure["recipe"]``, which `save_instance` writes instead of the
+    matrix.
     """
     _check_scales(L=L, D=D, D_other=D_other)
     if name is None:
         name = f"hard_{kind}"
     if kind == "xy":
         _, _, A, b, v = _chain(L, D, k)
-        p = make_bilinear(A, b, D_x=D, D_y=D_other, name=name, x_star=v)
+        p = make_bilinear(A, b, D_x=D, D_y=D_other, name=name, x_star=v,
+                          norm=chain_norm(L, k))
     elif kind in ("x", "y"):
         _, _, A, b, v = _chain(np.sqrt(L), D, k)
         side_D = {"D_x": D, "D_y": D_other} if kind == "x" else \
                  {"D_x": D_other, "D_y": D}
-        p = make_quadratic(A, b, side=kind, name=name, x_star=v, **side_D)
+        p = make_quadratic(A, b, side=kind, name=name, x_star=v,
+                           norm=chain_norm(np.sqrt(L), k), **side_D)
     else:
         raise ValueError("kind must be 'xy', 'x', or 'y'")
     p.structure["recipe"] = {"kind": f"hard_{kind}", "L": float(L),

@@ -430,36 +430,16 @@ def _matrix_products(A):
     return matvec, rmatvec
 
 
-def spectral_norm(A, iters=500, tol=1e-12):
-    """Largest singular value of `A` by power iteration on ``A^T A``.
+def spectral_norm(A):
+    """Largest singular value of `A`, from one LAPACK SVD.
 
-    Deterministic: the start vector is fixed, so repeated calls agree to
-    the last bit.  `A` is a dense array or a `TripletMatrix`; products go
-    through `_matrix_products`, so a sparse chain matrix costs ``O(nnz)``
-    per iteration, as in its oracles.
+    `A` is a dense array or a `TripletMatrix`, which is densified first;
+    the chain instances pass their closed-form norm to the builders
+    instead (see `hard_instances.chain_norm`), so no chain is densified
+    here.
     """
-    if isinstance(A, TripletMatrix):
-        values = A.vals
-    else:
-        A = values = np.atleast_2d(np.asarray(A, dtype=float))
-    if A.size == 0 or not np.any(values):
-        return 0.0
-    matvec, rmatvec = _matrix_products(A)
-    n = A.shape[1]
-    v = np.ones(n) + 1e-3 * np.arange(n)
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    for _ in range(iters):
-        w = rmatvec(matvec(v))
-        nrm = np.linalg.norm(w)
-        if nrm == 0.0:
-            return 0.0
-        v = w / nrm
-        if abs(nrm - prev) <= tol * max(nrm, 1.0):
-            prev = nrm
-            break
-        prev = nrm
-    return float(np.sqrt(prev))
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    return float(np.linalg.norm(A, 2)) if A.size else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -489,12 +469,13 @@ def _linear_system(A, b, x_star):
 
 
 def make_bilinear(A, b=None, D_x=1.0, D_y=1.0, costs=(1.0, 1.0), name="bilinear",
-                  x_star=None):
+                  x_star=None, norm=None):
     """Bilinear saddle ``f(x, y) = <A x - b, y>`` with zero composite terms.
 
     Starts at the origin.  The saddle point ``(x*, 0)`` is attached when the
     linear system ``A x = b`` is consistent; a known solution `x_star`
-    skips the least-squares solve that would find it.  `A` is a dense
+    skips the least-squares solve that would find it.  ``L_xy = ||A||``:
+    a known `norm`, or else `spectral_norm` of `A`.  `A` is a dense
     array or a `TripletMatrix`; ``structure["A"]`` keeps it in the form
     its products multiply through (see `_product_operand`).
     """
@@ -518,7 +499,8 @@ def make_bilinear(A, b=None, D_x=1.0, D_y=1.0, costs=(1.0, 1.0), name="bilinear"
         grad_x=grad_x, grad_y=grad_y,
         psi_x=ZeroTerm(), psi_y=ZeroTerm(),
         x0=np.zeros(n), y0=np.zeros(m),
-        L_x=0.0, L_y=0.0, L_xy=spectral_norm(A),
+        L_x=0.0, L_y=0.0,
+        L_xy=spectral_norm(A) if norm is None else float(norm),
         D_x=D_x, D_y=D_y, costs=costs, saddle=saddle,
         f_value=f_value,
         structure={"kind": "bilinear", "A": A, "b": b,
@@ -526,7 +508,7 @@ def make_bilinear(A, b=None, D_x=1.0, D_y=1.0, costs=(1.0, 1.0), name="bilinear"
 
 
 def make_quadratic(A, b=None, side="x", other_dim=1, D_x=1.0, D_y=1.0,
-                   costs=(1.0, 1.0), name=None, x_star=None):
+                   costs=(1.0, 1.0), name=None, x_star=None, norm=None):
     """One-sided quadratic saddle.
 
     ``side='x'`` gives ``f = 0.5 * ||A x - b||^2`` (the y-agent is inert);
@@ -534,7 +516,8 @@ def make_quadratic(A, b=None, side="x", other_dim=1, D_x=1.0, D_y=1.0,
     partial gradients of ``f``: the active one ``A^T (A x - b)`` or
     ``A^T (b - A y)``, the inert one zeros.  The active block of the
     saddle is a least-squares minimiser; a known one, `x_star`, skips the
-    solve that would find it.  `A` is kept as in `make_bilinear`.
+    solve that would find it.  `norm` and `A` are as in `make_bilinear`;
+    the active agent's constant is ``||A||^2``.
     """
     if side not in ("x", "y"):
         raise ValueError("side must be 'x' or 'y'")
@@ -564,7 +547,9 @@ def make_quadratic(A, b=None, side="x", other_dim=1, D_x=1.0, D_y=1.0,
 
     grad_x, grad_y = place(active, inert)
     x0, y0 = place(np.zeros(n), np.zeros(other_dim))
-    L_x, L_y = place(spectral_norm(A) ** 2, 0.0)
+    if norm is None:
+        norm = spectral_norm(A)
+    L_x, L_y = place(float(norm) ** 2, 0.0)
     return SaddleProblem(
         grad_x=grad_x, grad_y=grad_y,
         psi_x=ZeroTerm(), psi_y=ZeroTerm(), x0=x0, y0=y0,
@@ -645,7 +630,7 @@ def make_polymatrix(dims, blocks, b=None, D=None, costs=None, psis=None,
     if b is None:
         b = [np.zeros(d) for d in dims]
     b = [np.asarray(bi, dtype=float) for bi in b]
-    # ||A_ji|| = ||-A_ij^T||: one power iteration per skew pair, mirrored,
+    # ||A_ji|| = ||-A_ij^T||: one LAPACK norm per skew pair, mirrored,
     # keeps L exactly symmetric.
     L = np.zeros((K, K))
     for i in range(K):
@@ -683,10 +668,10 @@ def random_polymatrix(K, dims, rng, coupling=1.0, diag=0.0, radius=0.8,
                       D=None, name="polymatrix_rand"):
     """Random polymatrix instance with a known interior solution.
 
-    Off-diagonal couplings are scaled to spectral norm about `coupling`;
-    diagonal blocks are PSD with norm `diag`.  A target point with block
-    norms ``radius * D_i`` is drawn and the offsets are chosen so it solves
-    the unconstrained system exactly.
+    Off-diagonal couplings are scaled to spectral norm `coupling` times a
+    uniform draw from ``[0.5, 1]``; diagonal blocks are PSD with norm
+    `diag`.  A target point with block norms ``radius * D_i`` is drawn and
+    the offsets are chosen so it solves the unconstrained system exactly.
     """
     if D is None:
         D = [1.0] * K

@@ -27,8 +27,7 @@ from saddlesplit.hard_instances import (krylov_basis, krylov_index,
 from saddlesplit.metrics import ProductMetric, ScaledMetric
 from saddlesplit.problems import (SaddleProblem, ZeroTerm, make_bilinear,
                                   make_polymatrix,
-                                  make_strongly_convex_concave,
-                                  spectral_norm)
+                                  make_strongly_convex_concave)
 
 COUPLINGS = (0.5, 1.0, 2.0)
 ACCURACIES = (0.2, 0.1, 0.05)
@@ -307,14 +306,31 @@ CHAIN_ORDERS = (10, 200)
 
 @criterion(7, "chain construction delivers exact norms, optimum, and the "
               "k-step residual floor")
-def test_criterion_07_chain_construction():
+def test_criterion_07_chain_construction(monkeypatch):
+    # The norm is exact: the dense SVD's up to k = 10, the closed form
+    # L cos(pi / (2 (p+1))) past it, and no chain is handed to a numerical
+    # norm routine.
+    from saddlesplit import evaluation, problems
+    norm_calls = []
+    dense_norm = problems.spectral_norm
+
+    def counted(A):
+        norm_calls.append(A)
+        return dense_norm(A)
+
+    for mod in (problems, evaluation):
+        monkeypatch.setattr(mod, "spectral_norm", counted)
     cases = [(k, L, D) for k in range(1, 11) for L in COUPLINGS
              for D in COUPLINGS]
     cases.append((200, 1.0, 1.0))       # the chain of criteria 8 and 9
     for k, L, D in cases:
         p = make_hard_saddle("xy", L, D, k)
         A, b, v = p.structure["A"], p.structure["b"], p.saddle[0]
-        assert p.L_xy <= L * (1.0 + 1e-12) + 1e-12
+        if k <= 10:
+            sigma = np.linalg.svd(np.asarray(A), compute_uv=False)[0]
+        else:
+            sigma = L * math.cos(math.pi / (2.0 * (2 * k + 2)))
+        assert abs(p.L_xy - sigma) <= 1e-12 * sigma, (k, L, D)
         feasibility = np.linalg.norm(p.structure["matvec"](v) - b)
         assert feasibility <= 1e-10 * (1.0 + np.linalg.norm(b))
         assert abs(np.linalg.norm(v) - D) <= 1e-10 * D
@@ -336,6 +352,11 @@ def test_criterion_07_chain_construction():
         assert abs(got - want) <= 1e-9 * want, (k, L, D)
         floor = 3.0 * L ** 2 * D ** 2 / (32.0 * (k + 1) ** 2)
         assert want >= floor * (1.0 - 1e-12)
+    k = 5000
+    sigma = math.cos(math.pi / (2.0 * (2 * k + 2)))
+    assert abs(make_hard_saddle("xy", 1.0, 1.0, k).L_xy - sigma) \
+        <= 1e-12 * sigma
+    assert norm_calls == []
 
 
 _HARD = {}

@@ -465,6 +465,21 @@ def test_polymatrix_lipschitz_matrix_symmetric():
         assert 2.0 * res.info["coupling"] <= res.info["lam"] + 1e-9
 
 
+def test_vi_polymatrix_default_lam_passes_on_seeds_1_to_40():
+    # The shape of the vi_polymatrix benchmark's instances.  With exact,
+    # mirrored norms the scaled coupling of the scalings the solver picks
+    # (alpha_i = sum_{j != i} L_ij D_j / D_i) is one up to rounding, so the
+    # default lam = 2 is accepted; no solver is run.
+    for seed in range(1, 41):
+        p = random_polymatrix(3, [100] * 3, np.random.default_rng(seed),
+                              diag=0.5)
+        assert np.array_equal(p.L, p.L.T), seed
+        alphas = [sum(p.L[i, j] * p.D[j] for j in range(3) if j != i)
+                  / p.D[i] for i in range(3)]
+        coupling = vip_coupling(p.L, alphas, p.D)
+        assert 2.0 * coupling <= DecoupledParams.lam + 1e-9, seed
+
+
 def test_round_candidates_shared_not_copied(monkeypatch):
     """The candidate closing one iteration is the one retained after the
     next solve round: the same arrays, with the values the stop test saw.

@@ -162,12 +162,12 @@ def test_vip_gap_builds_constants_once(monkeypatch):
     from saddlesplit import evaluation
     rng = np.random.default_rng(9)
     p = random_polymatrix(3, [2, 2, 2], rng, coupling=1.0, diag=0.4)
-    power_iteration = evaluation.spectral_norm
+    dense_norm = evaluation.spectral_norm
     calls = []
 
     def counted(A):
         calls.append(A.shape)
-        return power_iteration(A)
+        return dense_norm(A)
 
     monkeypatch.setattr(evaluation, "spectral_norm", counted)
     first = restricted_gap(p, [0.5 * np.ones(2) for _ in range(3)])

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from saddlesplit.hard_instances import (
-    _chain, krylov_basis, krylov_index, krylov_min_residual, make_hard_saddle,
-    residual_floor,
+    _chain, chain_norm, krylov_basis, krylov_index, krylov_min_residual,
+    make_hard_saddle, residual_floor,
 )
 from saddlesplit.evaluation import restricted_gap
 from saddlesplit.problems import (
     TripletMatrix, _matrix_products, make_bilinear, make_quadratic,
-    spectral_norm,
 )
 
 
@@ -257,14 +256,20 @@ def test_chain_triplets_multiply_as_the_dense_matrix(kind, k, pad):
         x, y = rng.normal(size=n), rng.normal(size=m)
         assert np.array_equal(st["matvec"](x), matvec(x))
         assert np.array_equal(st["rmatvec"](y), rmatvec(y))
-    norm = spectral_norm(dense)
+    # The chain's closed-form norm; the padded triplets, whose norm comes
+    # from their dense matrix, have the same singular values.
+    norm = chain_norm(scale, k)
     want = {"xy": (0.0, 0.0, norm), "x": (norm ** 2, 0.0, 0.0),
             "y": (0.0, norm ** 2, 0.0)}[kind]
-    assert (prob.L_x, prob.L_y, prob.L_xy) == want
+    got = (prob.L_x, prob.L_y, prob.L_xy)
+    if pad == 0:
+        assert got == want
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
     if kind != "xy":
         # The least-squares path on the dense matrix decides the same
         # consistency and default-ball tests, so the same closed-form gap.
-        ref = make_quadratic(dense, st["b"], side=kind, D_x=D, D_y=D)
+        ref = make_quadratic(dense, st["b"], side=kind, D_x=D, D_y=D,
+                             norm=norm)
         assert st["consistent"] == ref.structure["consistent"]
         cand = (rng.normal(size=prob.nx), rng.normal(size=prob.ny))
         got, want = restricted_gap(prob, cand), restricted_gap(ref, cand)

@@ -244,8 +244,43 @@ def test_spectral_norm_matches_svd():
     rng = np.random.default_rng(3)
     for _ in range(5):
         A = rng.standard_normal((4, 3))
-        assert spectral_norm(A) == pytest.approx(np.linalg.svd(A)[1][0], rel=1e-8)
+        assert spectral_norm(A) == pytest.approx(np.linalg.svd(A)[1][0],
+                                                 rel=1e-12)
     assert spectral_norm(np.zeros((2, 2))) == 0.0
+
+
+def _sigma_max(A):
+    return np.linalg.svd(np.asarray(A), compute_uv=False)[0]
+
+
+def test_dense_constants_match_svd():
+    # Every built-in kind whose constants come from a dense matrix.
+    rng = np.random.default_rng(11)
+    A, b = rng.standard_normal((5, 4)), rng.standard_normal(5)
+    sigma = _sigma_max(A)
+    assert make_bilinear(A, b).L_xy == pytest.approx(sigma, rel=1e-12)
+    assert make_quadratic(A, b, side="x").L_x == pytest.approx(
+        sigma ** 2, rel=1e-12)
+    assert make_quadratic(A, b, side="y").L_y == pytest.approx(
+        sigma ** 2, rel=1e-12)
+    M, S = rng.standard_normal((3, 2)), rng.standard_normal((3, 3))
+    for p in (make_polymatrix([3, 2], [[S @ S.T, M], [-M.T, None]]),
+              random_polymatrix(3, [4, 3, 2], rng, diag=0.5)):
+        want = [[_sigma_max(Aij) for Aij in row]
+                for row in p.structure["blocks"]]
+        assert p.L == pytest.approx(np.array(want), rel=1e-12, abs=0.0)
+    # random_polymatrix scales its diagonal blocks to norm `diag`.
+    assert np.diag(p.L) == pytest.approx(0.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 10, 63])
+@pytest.mark.parametrize("kind", ["xy", "x", "y"])
+def test_chain_constants_match_svd(kind, k):
+    p = make_hard_saddle(kind, 4.0, 1.5, k)
+    sigma = _sigma_max(p.structure["A"])
+    got = {"xy": p.L_xy, "x": p.L_x, "y": p.L_y}[kind]
+    want = sigma if kind == "xy" else sigma ** 2
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 # -- serialization ----------------------------------------------------------
@@ -346,22 +381,3 @@ def test_bilinear_known_solution():
     assert np.array_equal(p.saddle[0], [1.0, 2.0])
     with pytest.raises(ValueError):
         make_bilinear(np.eye(2), x_star=np.zeros(3))
-
-
-def test_spectral_norm_uses_matrix_products(monkeypatch):
-    # The chain matrix takes the nonzero-triplet kernel in its power
-    # iteration too; the result matches the dense kernel bit for bit.
-    from saddlesplit import problems
-    A = make_hard_saddle("xy", 1.0, 1.0, 500).structure["A"]
-    matrix_products = problems._matrix_products
-    picked = []
-
-    def products(M):
-        picked.append(M.shape)
-        return matrix_products(M)
-
-    monkeypatch.setattr(problems, "_matrix_products", products)
-    sparse = spectral_norm(A)
-    assert picked == [A.shape]
-    monkeypatch.setattr(problems, "_SPARSE_PRODUCT_RATIO", A.size + 1)
-    assert spectral_norm(A) == sparse

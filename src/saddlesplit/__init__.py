@@ -7,7 +7,7 @@ The package is organised around a few small pieces:
 * :mod:`saddlesplit.problems` -- composite terms (prox-friendly regularisers and
   indicators), problem containers, instance generators, serialization.
 * :mod:`saddlesplit.accounting` -- oracle ledgers: per-agent query counts,
-  communication rounds, weighted cost, and gradient-span verification.
+  communication rounds, weighted cost, and the candidates kept per round.
 * :mod:`saddlesplit.baselines` -- extragradient and local gradient
   descent-ascent reference solvers.
 * :mod:`saddlesplit.decoupled` -- the anchored proximal-point outer loop with
@@ -20,14 +20,13 @@ The package is organised around a few small pieces:
 """
 
 from saddlesplit.metrics import ScaledMetric, ProductMetric
-from saddlesplit.accounting import OracleLedger, RunResult, span_check
+from saddlesplit.accounting import OracleLedger, RunResult
 
 __all__ = [
     "ScaledMetric",
     "ProductMetric",
     "OracleLedger",
     "RunResult",
-    "span_check",
 ]
 
 __version__ = "0.1.0"

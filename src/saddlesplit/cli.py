@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from saddlesplit.accounting import GOOD_STATUSES, OracleLedger, span_check
+from saddlesplit.accounting import GOOD_STATUSES, OracleLedger
 from saddlesplit.baselines import (
     ExtragradientParams, LocalGdaParams, extragradient_run, local_gda_run,
 )
@@ -226,8 +226,9 @@ def parse_config(path, seed=None):
         raise ConfigError("epsilons must be a nonempty list")
     if not all(_is_real(e) for e in epsilons):
         raise ConfigError(f"epsilon grid entries must be numbers: {epsilons!r}")
-    if any(e <= 0 for e in epsilons):
-        raise ConfigError("epsilon grid entries must be positive")
+    if not all(math.isfinite(e) and e > 0 for e in epsilons):
+        raise ConfigError(
+            f"epsilon grid entries must be positive and finite: {epsilons!r}")
     solvers = [s.strip() for s in exp.get("solvers", "decoupled").split(",")
                if s.strip()]
     for s in solvers:
@@ -530,17 +531,25 @@ def _verify_battery():
         return True
 
     def ledger_bookkeeping():
-        led = OracleLedger(("x", "y"), costs=(2.0, 3.0), capture="full")
+        led = OracleLedger(("x", "y"), costs=(2.0, 3.0), capture="candidates")
         fx = led.bind("x", lambda p: np.ones(2))
+        fy = led.bind("y", lambda p: np.ones(2))
+        kept = [np.zeros(2), np.ones(2)]
         fx(np.zeros(2))
+        fy(np.zeros(2))
         led.end_round()
+        led.keep(kept[0])
+        fx(np.ones(2))
         fx(np.ones(2))
         led.end_round()
-        ok = led.round == 2 and led.queries()["x"] == 2
-        ok = ok and np.isclose(led.weighted_cost(), 4.0)
-        member, _ = span_check(led, "x", np.full(2, 0.5), np.zeros(2),
-                               ScaledMetric(2))
-        return ok and member
+        led.keep(kept[1])
+        fy(np.ones(2))                          # open round: not per-round
+        ok = led.round == 2 and led.queries() == {"x": 3, "y": 2}
+        ok = ok and np.isclose(led.weighted_cost(), 12.0)
+        ok = ok and led.round_queries("x") == [1, 2]
+        ok = ok and led.round_queries("y") == [1, 0]
+        return (ok and len(led.kept()) == 2
+                and all(g is w for g, w in zip(led.kept(), kept)))
 
     def theta_properties():
         if not np.isclose(theta_factor(1, 1, 3, 3), 2.0):
@@ -629,7 +638,8 @@ def _verify_battery():
 
     checks = [
         ("metric duality", metric_duality),
-        ("ledger bookkeeping and span membership", ledger_bookkeeping),
+        ("ledger counts, per-round queries and kept candidates",
+         ledger_bookkeeping),
         ("theta factor lower bound", theta_properties),
         ("krylov index closed form", krylov_index_closed_form),
         ("krylov residual closed form", krylov_closed_form),

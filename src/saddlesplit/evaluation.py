@@ -496,14 +496,14 @@ def complexity_bounds(problem, eps, d_hat=None, costs=None):
     ----------
     problem : SaddleProblem or VipProblem
     eps : float
-        Target accuracy; must be positive.
+        Target accuracy; must be positive and finite.
     d_hat : pair of float, optional
         Diameter estimates (saddle problems only).  Default: true diameters.
     costs : pair/list of float, optional
         Per-query oracle costs; defaults to the instance's.
     """
-    if eps <= 0:
-        raise ValueError("accuracy must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"accuracy must be positive and finite, got {eps!r}")
     if isinstance(problem, VipProblem):
         K = problem.K
         L, D = problem.L, list(problem.D)

@@ -2,7 +2,8 @@
 
 Each test exercises one guarantee at its stated tolerance and reports a
 single pass/fail line, printed in the terminal summary (see conftest.py)
-so the battery reads as a checklist in any capture mode.  Communication
+so the battery reads as a checklist whether or not pytest captures
+output.  Communication
 rounds and query counts always come from a ledger, never from solver-side
 counters.
 """
@@ -364,7 +365,7 @@ _HARD = {}
 
 def _full_ledger(p):
     """A ledger that makes the solver keep its per-round candidates."""
-    return OracleLedger(("x", "y"), costs=p.costs, capture="full")
+    return OracleLedger(("x", "y"), costs=p.costs, capture="candidates")
 
 
 def hard_runs(k):

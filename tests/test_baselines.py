@@ -17,7 +17,7 @@ from saddlesplit.evaluation import complexity_bounds, restricted_gap
 
 def _full_ledger(p):
     """A ledger that makes the solver keep its per-round candidates."""
-    return OracleLedger(("x", "y"), costs=p.costs, capture="full")
+    return OracleLedger(("x", "y"), costs=p.costs, capture="candidates")
 
 
 def _unit_bilinear_from_one():

@@ -347,7 +347,7 @@ def test_verify_subcommand(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert [ln.split(None, 1) for ln in lines] == [["ok", name] for name in (
         "metric duality",
-        "ledger bookkeeping and span membership",
+        "ledger counts, per-round queries and kept candidates",
         "theta factor lower bound",
         "krylov index closed form",
         "krylov residual closed form",
@@ -502,6 +502,19 @@ def test_non_numeric_epsilons_rejected(tmp_path, epsilons):
                      "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("check", [[], ["--check-bounds"]])
+def test_non_finite_epsilons_rejected(tmp_path, capsys, check):
+    text = "[experiment]\nepsilons = [1e999, 0.1]\n\n[instance]\n" + \
+        "kind = bilinear\na = [[1.0]]\nb = [0.0]\n"
+    path = _write(tmp_path, text)
+    with pytest.raises(cli.ConfigError, match="finite"):
+        cli.parse_config(path)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", path, "--out", str(out)] + check) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("extra", [
     ["--d-hat", "foo"],
     ["--d-hat", "(1.0,)"],
@@ -510,6 +523,8 @@ def test_non_numeric_epsilons_rejected(tmp_path, epsilons):
     ["--d-hat", "5"],
     ["--d-hat", "('a', 1.0)"],
     ["--epsilon", "0"],
+    ["--epsilon", "nan"],
+    ["--epsilon", "inf"],
 ])
 def test_bounds_argument_errors_exit_2(tmp_path, capsys, extra):
     path = _write(tmp_path, "[instance]\n" + BILINEAR_BODY, "inst.ini")

@@ -338,7 +338,7 @@ def test_saddle_local_solve():
     p = make_quadratic(np.array([[1.0]]), np.array([1.0]), side="x")
     res = decoupled_saddle_run(
         p, DecoupledParams(epsilon=1e-3),
-        ledger=OracleLedger(("x", "y"), costs=p.costs, capture="full"))
+        ledger=OracleLedger(("x", "y"), costs=p.costs, capture="candidates"))
     assert res.status == "local_solve"
     assert res.rounds == 2
     assert res.gap.value <= 1e-3
@@ -384,7 +384,7 @@ def test_vip_all_blocks_local():
     p = make_polymatrix((1, 1), blocks, b=[[0.5], [1.0]])
     res = decoupled_vi_run(
         p, DecoupledParams(epsilon=0.01),
-        ledger=OracleLedger(("1", "2"), costs=p.costs, capture="full"))
+        ledger=OracleLedger(("1", "2"), costs=p.costs, capture="candidates"))
     assert res.status == "local_solve"
     assert res.rounds == 2
     assert len(res.round_candidates) == res.rounds
@@ -438,10 +438,10 @@ def test_saddle_and_vi_drivers_share_one_core():
     params = DecoupledParams(epsilon=1e-9, max_rounds=8)
     sres = decoupled_saddle_run(
         sp, params,
-        ledger=OracleLedger(("x", "y"), costs=sp.costs, capture="full"))
+        ledger=OracleLedger(("x", "y"), costs=sp.costs, capture="candidates"))
     vres = decoupled_vi_run(
         vp, params,
-        ledger=OracleLedger(("1", "2"), costs=vp.costs, capture="full"))
+        ledger=OracleLedger(("1", "2"), costs=vp.costs, capture="candidates"))
     assert sres.rounds == vres.rounds == 8
     assert list(sres.ledger.queries().values()) == \
         list(vres.ledger.queries().values())
@@ -500,7 +500,7 @@ def test_round_candidates_shared_not_copied(monkeypatch):
     p = make_hard_saddle("xy", 1.0, 1.0, 20)
     res = decoupled_saddle_run(
         p, DecoupledParams(epsilon=0.05),
-        ledger=OracleLedger(("x", "y"), costs=p.costs, capture="full"))
+        ledger=OracleLedger(("x", "y"), costs=p.costs, capture="candidates"))
     rc = res.round_candidates
     iterations = res.info["iterations"]
     assert iterations >= 3 and len(rc) == 2 * iterations

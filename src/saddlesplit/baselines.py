@@ -27,12 +27,11 @@ class ExtragradientParams:
     """Step and scaling choices for the extragradient baseline.
 
     With ``alpha_x = (L_x Dhat_x + L_xy Dhat_y) / Dhat_x`` (and symmetrically
-    for ``y``) the assembled operator is 1-Lipschitz, so the default unit
-    step is admissible.
+    for ``y``) the assembled operator is 1-Lipschitz, so the unit step,
+    which the baseline takes, is admissible.
     """
     epsilon: float
     d_hat: tuple = None
-    eta: float = 1.0
     max_rounds: int = 100000
 
 
@@ -100,7 +99,7 @@ def extragradient_run(problem, params, ledger=None):
 
     Each iteration queries both oracles at the current anchor, takes a
     prox step, queries at the trial point, and re-steps from the anchor;
-    candidates are the eta-weighted ergodic averages of the trial points,
+    candidates are the ergodic averages of the trial points,
     handed to the ledger after every round and scored against the
     instance's gap set after every iteration.  Anchor, trial point, sum
     and candidate are joint (x, y) vectors; the blocks are views into
@@ -112,8 +111,7 @@ def extragradient_run(problem, params, ledger=None):
     ax, ay = default_scaling(p, params.d_hat)
     ox, oy = (ledger.bind(a, g)
               for a, g in zip(p.agents, (p.grad_x, p.grad_y)))
-    eta = params.eta
-    blocks, respond, step = _joint_space(p, eta / ax, eta / ay)
+    blocks, respond, step = _joint_space(p, 1.0 / ax, 1.0 / ay)
     stop = GapTest(p, params.epsilon, restricted_gap)
 
     def query(v):
@@ -129,13 +127,13 @@ def extragradient_run(problem, params, ledger=None):
         Gv = query(v)
         ledger.end_round()
         ledger.keep(candidate)               # first half-iteration: retained
-        # blockwise: argmin <eta V_i, w> + (alpha_i / 2)|w - v_i|_i^2 + eta psi_i
+        # blockwise: argmin <V_i, w> + (alpha_i / 2)|w - v_i|_i^2 + psi_i
         z = step(v, Gv)
         Gz = query(z)
         ledger.end_round()
         v = step(v, Gz)
-        weight += eta
-        acc = acc + eta * z
+        weight += 1.0
+        acc = acc + z
         candidate = blocks(acc / weight)
         ledger.keep(candidate)
         if stop(candidate):
@@ -147,7 +145,7 @@ def extragradient_run(problem, params, ledger=None):
     gap = stop.finish(candidate, status)
     return RunResult(status=status, candidate=candidate, gap=gap,
                      ledger=ledger,
-                     info={"alpha": (ax, ay), "eta": params.eta})
+                     info={"alpha": (ax, ay)})
 
 
 def local_gda_run(problem, params, ledger=None):

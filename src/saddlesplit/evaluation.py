@@ -10,15 +10,17 @@ inequalities the weak restricted gap
 
     gap(z') = sup_{z in B ∩ Q} <V(z), z' - z> + psi(z') - psi(z)
 
-is used.  `_gap_set` decides B ∩ Q, once per instance.  Bilinear and
-one-sided quadratic instances admit closed forms over its balls: exact
-when it leaves no psi over, certified upper bounds (``exact=False``) when
-it leaves indicators.  Everything else is estimated by projected-gradient
-inner maximisation and flagged as such.
+is used.  `_gap_set` decides B ∩ Q, and `_closed_form` decides whether
+a closed form over its balls gives the gap of a saddle instance:
+bilinear and one-sided quadratic ones, exact when no psi is left over,
+certified upper bounds (``exact=False``) when only indicators are.
+Everything else is estimated by projected-gradient inner maximisation
+and flagged as such.  Both are recomputed on every call; the only data
+kept on ``problem.structure`` is the VI's operator matrix and constant.
 
 Solvers stop through `GapTest`, which answers "is the gap of this
-candidate at most epsilon" for one run.  On the closed forms it keeps
-the last evaluated candidate and its value, and answers "no"
+candidate at most epsilon" for one run.  When `_closed_form` applies, it
+keeps the last evaluated candidate and its value, and answers "no"
 without evaluating whenever a Lipschitz bound from that candidate proves
 that the closed form would exceed epsilon.  That is all it certifies:
 every "yes" and every reported gap is a `restricted_gap` evaluation, at
@@ -120,16 +122,6 @@ def restricted_gap(problem, candidate):
     return _saddle_gap(problem, candidate)
 
 
-def _cached(st, key, sources, compute):
-    """``compute()``, cached in ``st[key]`` with the objects it was
-    computed from, compared by identity, so that an instance copied or
-    edited with other ones recomputes it."""
-    c = st.get(key)
-    if not (c and all(a is b for a, b in zip(c[0], sources))):
-        c = st[key] = (sources, compute())
-    return c[1]
-
-
 def _gap_set(p):
     """The gap set B ∩ dom psi: one ``(center, radius, psi_left)`` per block.
 
@@ -137,64 +129,92 @@ def _gap_set(p):
     `BallIndicator` whose center equals that start point (to 1e-12,
     absolute) is merged into the ball, ``radius = min(D_i, psi.radius)``;
     it and `ZeroTerm` leave ``psi_left = None``, and any other psi is
-    ``psi_left``.  Cached on the structure, keyed by the start points,
-    radii and terms read.
+    ``psi_left``.
     """
     if isinstance(p, VipProblem):
-        blocks = list(zip(p.z0, p.D, p.psis))
+        blocks = zip(p.z0, p.D, p.psis)
     else:
         blocks = [(p.x0, p.D_x, p.psi_x), (p.y0, p.D_y, p.psi_y)]
 
     def merged(center, radius, psi):
+        center, radius = np.asarray(center, dtype=float), float(radius)
         if isinstance(psi, BallIndicator) and np.allclose(
                 psi.center, center, rtol=0.0, atol=1e-12):
             return center, min(radius, psi.radius), None
         return center, radius, None if isinstance(psi, ZeroTerm) else psi
-    return _cached(p.structure or {}, "gap_set",
-                   [obj for block in blocks for obj in block],
-                   lambda: [merged(np.asarray(c, dtype=float), float(r), psi)
-                            for c, r, psi in blocks])
+    return [merged(*block) for block in blocks]
+
+
+def _closed_form(p):
+    """The closed form that gives the gap of saddle instance `p`, or None.
+
+    Returns ``(method, exact, value, anchor_maker)``: ``value(xbar,
+    ybar)`` is the form at a candidate, and ``anchor_maker(p, eps)`` is
+    `GapTest`'s Lipschitz anchor maker for it.  ``bilinear`` and
+    ``quadratic_*`` instances have one when every psi `_gap_set` leaves
+    over is a ball or box indicator: B ∩ dom psi then lies in the merged
+    balls, so the form over them is an upper bound, and exact when no psi
+    is left.
+    A ``quadratic_*`` one also needs its system consistent, with the
+    minimiser inside the merged ball.
+    """
+    st = p.structure or {}
+    kind = st.get("kind")
+    if kind not in ("bilinear", "quadratic_x", "quadratic_y"):
+        return None
+    gap_set = _gap_set(p)
+    left = [psi for _, _, psi in gap_set if psi is not None]
+    if not all(isinstance(psi, (BallIndicator, BoxIndicator))
+               for psi in left):
+        return None
+    exact = not left
+    matvec, b = st["matvec"], st["b"]
+
+    if kind == "bilinear":
+        (xc, rx, _), (yc, ry, _) = gap_set
+        rmatvec = st["rmatvec"]
+
+        def bilinear(xbar, ybar):
+            gy = matvec(xbar) - b              # gradient of y -> f(xbar, y)
+            max_side = _linear_ball_max(p.metric_y, yc, ry, gy)
+            gx = rmatvec(ybar)                 # gradient of x -> f(x, ybar)
+            # min over the x-ball of <gx, x> - <b, ybar>
+            min_side = -_linear_ball_max(p.metric_x, xc, rx, -gx) \
+                - float(b @ ybar)
+            return max_side - min_side
+        return "bilinear-closed-form", exact, bilinear, _bilinear_bound
+
+    side = 0 if kind == "quadratic_x" else 1
+    center, radius, _ = gap_set[side]
+    metric = (p.metric_x, p.metric_y)[side]
+    if not (st["consistent"]
+            and metric.norm(p.saddle[side] - center) <= radius + 1e-9):
+        return None
+
+    def quadratic(xbar, ybar):
+        # The inner extreme attains zero residual inside the ball, so
+        # only the candidate's own residual remains.
+        resid = matvec((xbar, ybar)[side]) - b
+        return 0.5 * float(math.sqrt(resid @ resid) ** 2)
+    return "quadratic-closed-form", exact, quadratic, _quadratic_bound
 
 
 def _saddle_gap(p, candidate):
-    st = p.structure or {}
-    kind = st.get("kind")
-    (xc, rx, psi_x), (yc, ry, psi_y) = gap_set = _gap_set(p)
-    # B ∩ dom psi lies in the merged balls, so a closed form over them is
-    # an upper bound when only indicators are left over, and exact when none.
-    left = [psi for psi in (psi_x, psi_y) if psi is not None]
-    applies = all(isinstance(psi, (BallIndicator, BoxIndicator))
-                  for psi in left)
-    exact = not left
-
-    if applies and kind in ("quadratic_x", "quadratic_y"):
-        side = 0 if kind == "quadratic_x" else 1
-        center, radius, _ = gap_set[side]
-        metric = (p.metric_x, p.metric_y)[side]
-        if st["consistent"] and \
-                metric.norm(p.saddle[side] - center) <= radius + 1e-9:
-            # The inner extreme attains zero residual inside the ball, so
-            # only the candidate's own residual remains.
-            resid = st["matvec"](np.asarray(candidate[side], dtype=float)) \
-                - st["b"]
-            return GapResult(0.5 * float(math.sqrt(resid @ resid) ** 2), exact,
-                             "quadratic-closed-form")
-        # fall through to the generic estimator
-
     xbar = np.asarray(candidate[0], dtype=float)
     ybar = np.asarray(candidate[1], dtype=float)
-
-    if applies and kind == "bilinear":
-        b = st["b"]
-        gy = st["matvec"](xbar) - b            # gradient of y -> f(xbar, y)
-        max_side = _linear_ball_max(p.metric_y, yc, ry, gy)
-        gx = st["rmatvec"](ybar)               # gradient of x -> f(x, ybar)
-        # min over the x-ball of <gx, x> - <b, ybar>
-        min_side = -_linear_ball_max(p.metric_x, xc, rx, -gx) - float(b @ ybar)
-        return GapResult(max_side - min_side, exact, "bilinear-closed-form")
+    # Every path scores only candidates in dom psi; zero terms need no test.
+    for psi, metric, w in ((p.psi_x, p.metric_x, xbar),
+                           (p.psi_y, p.metric_y, ybar)):
+        if type(psi) is not ZeroTerm:
+            _psi_value(psi, metric, w)
+    form = _closed_form(p)
+    if form is not None:
+        method, exact, value, _ = form
+        return GapResult(value(xbar, ybar), exact, method)
 
     if p.f_value is None:
         raise ValueError("gap estimation requires function values on the instance")
+    (xc, rx, psi_x), (yc, ry, psi_y) = _gap_set(p)
 
     def grad_y_of(y):
         return p.grad_y((xbar, y))
@@ -319,12 +339,10 @@ def _bilinear_bound(p, eps):
     at most ``l_x ||x|| + l_y ||y|| + c_0`` in size, which bounds the
     rounding of both evaluations.
     """
-    st = p.structure
-    A, b = st["A"], st["b"]
-    wx, wy = p.metric_x.weights, p.metric_y.weights
-    nA, nAy, nAx = _cached(st, "gap_norm_bounds", (A, wx, wy), lambda: (
-        _norm_bound(A), _norm_bound(A, row_scale=1.0 / np.sqrt(wy)),
-        _norm_bound(A, col_scale=1.0 / np.sqrt(wx))))
+    A, b = p.structure["A"], p.structure["b"]
+    nA = _norm_bound(A)
+    nAy = _norm_bound(A, row_scale=1.0 / np.sqrt(p.metric_y.weights))
+    nAx = _norm_bound(A, col_scale=1.0 / np.sqrt(p.metric_x.weights))
     (xc, rx, _), (yc, ry, _) = _gap_set(p)
     nb = _euclid(b)
     lx = _LIPSCHITZ_PAD * (nA * _euclid(yc) + ry * nAy)
@@ -354,10 +372,8 @@ def _quadratic_bound(p, eps):
     """
     st = p.structure
     side = 0 if st["kind"] == "quadratic_x" else 1
-    A, b = st["A"], st["b"]
-    nA = _LIPSCHITZ_PAD * _cached(st, "gap_norm_bound", (A,),
-                                  lambda: _norm_bound(A))
-    nb = _euclid(b)
+    nA = _LIPSCHITZ_PAD * _norm_bound(st["A"])
+    nb = _euclid(st["b"])
     target = (1.0 + _ROUNDING_MARGIN) * math.sqrt(2.0 * eps)
 
     def anchor(candidate, value):
@@ -374,24 +390,16 @@ def _quadratic_bound(p, eps):
     return anchor
 
 
-# The closed forms `GapTest` bounds: kind -> (method, anchor maker).
-_CERTIFIED = {
-    "bilinear": ("bilinear-closed-form", _bilinear_bound),
-    "quadratic_x": ("quadratic-closed-form", _quadratic_bound),
-    "quadratic_y": ("quadratic-closed-form", _quadratic_bound),
-}
-
-
 class GapTest:
     """The stop test ``gap <= epsilon`` of one run.
 
     ``test(candidate)`` scores a candidate and is True when its gap over
-    the problem's gap set is at most `epsilon`.  After each evaluation by
-    a closed form listed in `_CERTIFIED`, exact or an upper bound, the
-    test keeps that candidate and its value.  Later candidates for which
-    the closed form's Lipschitz bound from there already exceeds
-    `epsilon` are answered False without being evaluated, as evaluating
-    them would.  Estimated gaps, and every VI, are evaluated on every call.
+    the problem's gap set is at most `epsilon`.  When `_closed_form` gives
+    the problem's gap, exact or an upper bound, the test keeps each
+    candidate that form evaluated and its value.  Later candidates for
+    which the form's Lipschitz bound from there already exceeds `epsilon`
+    are answered False without being evaluated, as evaluating them would.
+    Estimated gaps, and every VI, are evaluated on every call.
 
     `evaluate` is the gap function, called as ``evaluate(problem,
     candidate)``; solvers pass the `restricted_gap` name of their
@@ -401,10 +409,11 @@ class GapTest:
     def __init__(self, problem, epsilon, evaluate=None):
         self.problem, self.epsilon = problem, epsilon
         self.evaluate = restricted_gap if evaluate is None else evaluate
-        self._method, anchor_maker = _CERTIFIED.get(
-            (problem.structure or {}).get("kind"), (None, None))
-        self._anchor_at = (anchor_maker(problem, epsilon)
-                           if anchor_maker else None)
+        self._method = self._anchor_at = None
+        form = _closed_form(problem)
+        if form is not None:
+            self._method, _, _, anchor_maker = form
+            self._anchor_at = anchor_maker(problem, epsilon)
         self._exceeds = None     # bound from the last evaluated candidate
         self._scored = self._evaluated = self._result = None
 

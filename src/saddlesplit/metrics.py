@@ -157,16 +157,3 @@ class ProductMetric:
                 raise ValueError("block dimension mismatch in join")
         return np.concatenate(parts, dtype=float)
 
-
-def identity_product(dims, alphas=None):
-    """Product metric with identity block metrics.
-
-    Parameters
-    ----------
-    dims : sequence of int
-    alphas : sequence of float, optional
-        Defaults to all ones.
-    """
-    if alphas is None:
-        alphas = [1.0] * len(dims)
-    return ProductMetric([(ScaledMetric(d), a) for d, a in zip(dims, alphas)])

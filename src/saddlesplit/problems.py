@@ -374,13 +374,6 @@ class TripletMatrix:
         """Bytes of the stored triplets."""
         return self.rows.nbytes + self.cols.nbytes + self.vals.nbytes
 
-    @property
-    def T(self):
-        """The transpose, its triplets again in row-major order."""
-        order = np.lexsort((self.rows, self.cols))
-        return TripletMatrix(self.shape[::-1], self.cols[order],
-                             self.rows[order], self.vals[order])
-
     def __array__(self, dtype=None, copy=None):
         A = np.zeros(self.shape)
         A[self.rows, self.cols] = self.vals

@@ -190,6 +190,10 @@ def test_concentric_ball_terms_merge_into_the_gap_set():
             + 0.25 * dual(A.T @ y, [2.0, 0.5, 1.25]) + b @ y)
     assert g.exact and g.method == "bilinear-closed-form"
     assert g.value == pytest.approx(want, rel=1e-12)
+    # x's P-norm is 0.707, outside psi_x's ball of radius 0.25: the closed
+    # form refuses it, as the estimator does.
+    with pytest.raises(ValueError, match="outside dom psi"):
+        restricted_gap(p, ((0.5, 0.0, 0.0), np.zeros(2)))
 
 
 # Status, rounds, gap and candidate of each run, to the bit, as computed

@@ -8,11 +8,15 @@ benchmark run.
 """
 
 import importlib.util
+import json
 from pathlib import Path
+
+import pytest
 
 from saddlesplit import accounting, cli
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
+BENCHMARK = json.loads((BENCH_DIR.parent / "BENCHMARK.json").read_text())
 
 
 def _load(name):
@@ -36,17 +40,20 @@ def test_tracer_installs_and_uninstalls():
             accounting.OracleLedger.record) == originals
 
 
-def test_traced_small_grid_matches_the_ledgers(tmp_path, monkeypatch):
+@pytest.mark.parametrize("workload",
+                         [w["name"] for w in BENCHMARK["workloads"]])
+def test_traced_small_grid_matches_the_ledgers(tmp_path, monkeypatch,
+                                               workload):
     run, workloads = _load("run"), _load("workloads")
     tracer_module = _load("tracer")
     # The bench's cell timer replaces cli.run_cell for good; undo it.
     monkeypatch.setattr(cli, "run_cell", cli.run_cell)
     cfg = tmp_path / "experiment.ini"
-    cfg.write_text(workloads.config_text("chain_closed_form", 1, small=True))
+    cfg.write_text(workloads.config_text(workload, 1, small=True))
     timer = run.CellTimer(cli, None)
     with tracer_module.Tracer() as tracer:
         config = workloads.finish_config(
-            "chain_closed_form", cli.parse_config(str(cfg), seed=1))
+            workload, cli.parse_config(str(cfg), seed=1))
         tracer.register_problems(config.instances)
         traced = run.run_pass(cli, config, timer, tmp_path / "grid")
     run.check_tracer(tracer, traced)

@@ -660,7 +660,10 @@ n = 1
      "k", "[instance.f]"),
     ("[experiment]\n[instance.p]\nkind = random_polymatrix\ndims = [2, 2]\n"
      "dig = 0.5\n", "dig", "[instance.p]"),
-], ids=["experiment", "inline", "chain", "file", "random_polymatrix"])
+    ("[experiment]\n" + SCSC_SECTION + "\n[solver.extragradient]\neta = 0.5\n",
+     "eta", "[solver.extragradient]"),
+], ids=["experiment", "inline", "chain", "file", "random_polymatrix",
+        "extragradient"])
 def test_unknown_keys_are_config_errors(tmp_path, capsys, text, key,
                                          section):
     _write(tmp_path, SCSC_SECTION.replace("[instance.s]", "[instance]"),

@@ -10,8 +10,8 @@ from saddlesplit.evaluation import (
 )
 from saddlesplit.metrics import ScaledMetric
 from saddlesplit.problems import (
-    BallIndicator, BoxIndicator, TripletMatrix, make_bilinear, make_quadratic,
-    make_strongly_convex_concave, random_polymatrix,
+    BallIndicator, BoxIndicator, QuadraticReg, TripletMatrix, make_bilinear,
+    make_quadratic, make_strongly_convex_concave, random_polymatrix,
 )
 
 
@@ -176,7 +176,7 @@ def test_vip_gap_builds_constants_once(monkeypatch):
     assert first == second
 
 
-# -- cached default-ball test of the quadratic closed form -------------------
+# -- default-ball test of the quadratic closed form --------------------------
 
 def _quadratic_with_inner_minimiser():
     # ws = (0.3, -0.4) solves A x = b and lies in the default unit ball.
@@ -188,13 +188,23 @@ def test_explicit_domain_excluding_minimiser_is_estimated():
     p = _quadratic_with_inner_minimiser()
     cand = (np.array([0.1, 0.2]), np.zeros(1))
     default = restricted_gap(p, cand)
-    assert default.exact and "gap_set" in p.structure
+    assert default.exact
     # A ball around (2, 2) of radius 0.5 excludes ws: the closed form no
-    # longer applies, although the original ball's gap set is cached.
+    # longer applies, although the copy shares the original's structure.
     far = dataclasses.replace(p, x0=np.array([2.0, 2.0]), D_x=0.5)
     g = restricted_gap(far, cand)
     assert not g.exact and g.method == "pga-estimate"
     assert restricted_gap(p, cand) == default
+    # Neither a gap nor a stop test keeps anything on a saddle instance.
+    for q in (make_bilinear(np.array([[1.0, 0.5], [0.0, 2.0]])), p,
+              make_strongly_convex_concave(1.0, 1.0, 1.0, n=2)):
+        keys = set(q.structure)
+        walk = list(_bilinear_walk(q, steps=5))
+        restricted_gap(q, walk[0])
+        test = GapTest(q, 1e-9)
+        assert not any(test(c) for c in walk)
+        assert test.finish(walk[-1], "budget_exhausted") is not None
+        assert set(q.structure) == keys
 
 
 def test_explicit_domain_containing_minimiser_matches_default():
@@ -245,6 +255,9 @@ def test_box_term_gives_a_closed_form_upper_bound():
     xbar, ybar = np.array([0.1, 0.2]), np.array([0.3, -0.2])
     g = restricted_gap(p, (xbar, ybar))
     assert not g.exact and g.method == "bilinear-closed-form"
+    # A candidate outside the box is outside dom psi: not scored.
+    with pytest.raises(ValueError, match="outside dom psi"):
+        restricted_gap(p, (np.array([0.5, 0.2]), ybar))
     # Dense sup over B ∩ dom psi of f(xbar, y) - f(x, ybar), with
     # f(x, y) = <y, A x - b>: y in the unit disc, x in the box within it.
     A, b = np.asarray(p.structure["A"]), p.structure["b"]
@@ -386,13 +399,28 @@ def test_gap_test_skips_near_candidates_and_reports_exact_gaps():
     assert sum(c is walk[-1] for c in calls) == 1
 
 
-def test_gap_test_evaluates_estimated_kinds_and_vis_every_time():
+def test_gap_test_evaluates_estimated_kinds_and_vis_every_time(monkeypatch):
+    from saddlesplit import evaluation
     scsc = make_strongly_convex_concave(1.0, 1.0, 1.0, n=2)
     poly = random_polymatrix(2, [2, 2], np.random.default_rng(3))
+    # A closed-form kind whose closed form does not apply: a bilinear
+    # with a non-indicator psi left over, and a quadratic whose
+    # minimiser lies outside the ball.
+    reg = dataclasses.replace(
+        make_bilinear(np.array([[1.0, 0.5], [0.0, 2.0]])),
+        psi_x=QuadraticReg(0.5, np.zeros(2)))
+    far = dataclasses.replace(_quadratic_with_inner_minimiser(),
+                              x0=np.array([2.0, 2.0]), D_x=0.5)
+    # No anchor is built for any of them.
+    monkeypatch.setattr(evaluation, "_norm_bound", None)
     for p, walk in ((scsc, [(0.9 * k * np.ones(2), np.ones(2))
                             for k in range(5)]),
                     (poly, [[0.9 * k * np.ones(2), np.ones(2)]
-                            for k in range(5)])):
+                            for k in range(5)]),
+                    (reg, [(0.9 * k * np.ones(2), np.ones(2))
+                           for k in range(5)]),
+                    (far, [(2.0 + 0.05 * k * np.ones(2), np.ones(1))
+                           for k in range(5)])):
         calls = []
 
         def spy(problem, candidate):

@@ -287,7 +287,7 @@ def test_chain_gap_matches_dense_formula():
         y /= 2.0 * np.linalg.norm(y)
         g = restricted_gap(p, (x, y))
         # max_y <Ax - b, y> - min_x (<A^T y, x> - <b, y>) over unit balls
-        want = (np.linalg.norm(A @ x - b) + np.linalg.norm(A.T @ y)
-                + float(b @ y))
+        want = (np.linalg.norm(A @ x - b)
+                + np.linalg.norm(np.asarray(A).T @ y) + float(b @ y))
         assert g.exact
         assert g.value == pytest.approx(want, rel=1e-12)

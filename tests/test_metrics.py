@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from saddlesplit.metrics import (
-    ScaledMetric, ProductMetric, all_finite, identity_product,
+    ScaledMetric, ProductMetric, all_finite,
 )
 
 
@@ -16,21 +16,21 @@ def test_single_block_zero_vector():
 
 def test_two_block_norm_frozen():
     # alpha = (4, 1), identity block metrics, z = (1, 0) -> norm 2
-    m = identity_product([1, 1], [4.0, 1.0])
+    m = ProductMetric([(ScaledMetric(1), 4.0), (ScaledMetric(1), 1.0)])
     assert m.norm(np.array([1.0, 0.0])) == pytest.approx(2.0, abs=1e-12)
     # alpha = (2, 1), z = (1, 2) -> sqrt(2 + 4) = sqrt(6)
-    m2 = identity_product([1, 1], [2.0, 1.0])
+    m2 = ProductMetric([(ScaledMetric(1), 2.0), (ScaledMetric(1), 1.0)])
     assert m2.norm(np.array([1.0, 2.0])) == pytest.approx(np.sqrt(6.0), rel=1e-12)
 
 
 def test_dual_norm_frozen():
     # single block, alpha = 4, g = 2: dual norm = sqrt(4/4) = 1
-    m = identity_product([1], [4.0])
+    m = ProductMetric([(ScaledMetric(1), 4.0)])
     assert m.dual_norm(np.array([2.0])) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_dimension_mismatch_raises():
-    m = identity_product([2, 3])
+    m = ProductMetric([(ScaledMetric(2), 1.0), (ScaledMetric(3), 1.0)])
     with pytest.raises(ValueError):
         m.norm(np.zeros(4))
     with pytest.raises(ValueError):
@@ -77,7 +77,8 @@ def test_dual_of_applied_equals_primal(z, pw, alpha):
 def test_shape_check_kept_for_every_input_type():
     # float64 vectors skip the re-wrap, everything else is converted; both
     # routes still go through the shape check.
-    for m in (ScaledMetric(3), identity_product([1, 2])):
+    for m in (ScaledMetric(3),
+              ProductMetric([(ScaledMetric(1), 1.0), (ScaledMetric(2), 1.0)])):
         for bad in ([1.0, 2.0], 3, np.ones(2, dtype=np.float32),
                     np.ones((3, 1)), np.float64(1.0)):
             for method in (m.norm, m.dual_norm, m.apply, m.apply_inv):

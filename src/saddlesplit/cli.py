@@ -336,7 +336,7 @@ def run_cell(instance_id, problem, solver, eps, params, check_bounds,
             compliant = "true" if ok else "false"
     return ResultRow(
         instance_id=instance_id, solver=solver, epsilon=float(eps),
-        rounds=ledger.round, queries=dict(ledger.queries()),
+        rounds=ledger.round, queries=ledger.queries(),
         weighted_cost=float(ledger.weighted_cost()),
         gap=None if gap is None else float(gap.value),
         gap_exact=bool(gap.exact) if gap is not None else False,

@@ -27,7 +27,9 @@ and ``L = [[L_x, L_xy], [L_xy, L_y]]``; `decoupled_saddle_run` binds its
 oracles and `decoupled_vi_run` those of a block VI.  The default round cap
 is the `complexity_bounds` round bound (the one ``run --check-bounds``
 applies) rounded up, plus two.  Blocks that no other block depends on are
-solved once locally and frozen.
+solved once locally and frozen.  When every block is frozen, the gap is
+the sum of the blocks' own gaps, and each local solve stops as soon as a
+Frank-Wolfe bound certifies its share ``eps / K``.
 """
 
 import math
@@ -36,7 +38,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from saddlesplit.accounting import OracleLedger, RunResult
-from saddlesplit.evaluation import GapTest, complexity_bounds, restricted_gap
+from saddlesplit.evaluation import (
+    GapTest, _gap_set, complexity_bounds, restricted_gap,
+)
 from saddlesplit.metrics import ProductMetric, all_finite
 from saddlesplit.problems import (
     QuadraticReg, RegularizedTerm, ZeroTerm, argmin_linear,
@@ -195,7 +199,7 @@ def _differentiable(psi):
     return False
 
 
-def residual_agd(task, xi):
+def residual_agd(task, xi, gap_ball=None):
     """Drive the subproblem residual below ``xi * ||v - w_opt||``.
 
     Runs stages of FISTA on increasingly weakly regularised models; a
@@ -206,9 +210,19 @@ def residual_agd(task, xi):
     with a known strong-monotonicity modulus ``mu``, a residual below
     ``xi mu / (mu + xi) * ||w - v||`` suffices; with differentiable ``psi``
     the first query gives ``r0 = ||grad at v||`` and a residual below
-    ``xi r0 / L_total`` suffices.  Certificate probes cost one counted
-    query each and run on a doubling schedule.  If nothing fires, the full
-    stage plan runs to completion, which guarantees the target on its own.
+    ``xi r0 / L_total`` suffices.  Both are tested at probes, and the run
+    returns the first probe that certifies.  With differentiable ``psi``
+    every query at an extrapolated point is a probe for free (``psi'`` is
+    its gradient there).  Probes at the prox outputs cost one counted
+    query each and run on a doubling schedule; they are the only ones a
+    nonsmooth ``psi`` has.  If nothing fires, the full stage plan runs to
+    completion, which guarantees the target on its own.
+
+    ``gap_ball = (c, r, target)`` adds a third exit, ``certificate-gap``,
+    for a block whose operator is monotone and ignores every other block:
+    the first probe ``w`` with ``<g, w - c> + r ||g||_* <= target``,
+    ``g = V(w) + psi'(w)``.  By monotonicity and convexity that bounds the
+    block's share of the gap over the ball ``||. - c|| <= r``.
     """
     metric, psi, v = task.metric, task.psi, task.anchor
     op, counter = _counting_operator(task)
@@ -231,12 +245,24 @@ def residual_agd(task, xi):
     lip_floor = xi * r0 / L_total if smooth_psi else -1.0
     mu = task.strong
 
-    def certified(r, w):
+    def probe(w, g, sub, stage):
+        """The solve's result at `w`; its exit names the certificate that
+        holds there, or ``schedule`` if none does."""
+        v_psi = g + sub
+        r = metric.dual_norm(v_psi)
         if r <= lip_floor:
-            return "certificate-lip"
-        if mu > 0 and r <= (xi * mu / (mu + xi)) * metric.norm(w - v):
-            return "certificate-mu"
-        return None
+            tag = "certificate-lip"
+        elif mu > 0 and r <= (xi * mu / (mu + xi)) * metric.norm(w - v):
+            tag = "certificate-mu"
+        elif gap_ball is not None and (
+                float(np.dot(v_psi, w - gap_ball[0]))
+                + gap_ball[1] * r <= gap_ball[2]):
+            tag = "certificate-gap"
+        else:
+            tag = "schedule"
+        return BlockSolveResult(
+            point=w, subgrad=sub, queries=counter[0], residual=r,
+            operator_value=g, exit=tag, info={"stage": stage})
 
     plan = agd_schedule(task.lipschitz, xi)
     w_stage = v.copy()
@@ -255,30 +281,27 @@ def residual_agd(task, xi):
         for i in range(count):
             if g_y is None:
                 g_y = op(y)
+                if smooth_psi:
+                    at_y = probe(y, g_y, psi.subgradient(metric, y), k + 1)
+                    if at_y.exit != "schedule":
+                        return at_y
             model_grad = g_y + sigma * metric.apply(y - w_tilde)
             x_next = psi.prox(metric, y - metric.apply_inv(model_grad) / Lk,
                               1.0 / Lk)
             if not all_finite(x_next):
                 raise FloatingPointError("inner iterate became nonfinite")
-            probe = i + 1 == next_check or i == count - 1
-            if probe:
+            check = i + 1 == next_check or i == count - 1
+            if check:
                 # The prox optimality condition's subgradient at x_next.
                 sub = -model_grad - Lk * metric.apply(x_next - y)
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             y = x_next + ((t - 1.0) / t_next) * (x_next - x)
             x, t = x_next, t_next
             g_y = None
-            if probe:
+            if check:
                 next_check *= 2
-                g_x = op(x)
-                r = metric.dual_norm(g_x + sub)
-                best = BlockSolveResult(
-                    point=x, subgrad=sub, queries=counter[0], residual=r,
-                    operator_value=g_x, exit="schedule",
-                    info={"stage": k + 1})
-                tag = certified(r, x)
-                if tag is not None:
-                    best.exit = tag
+                best = probe(x, op(x), sub, k + 1)
+                if best.exit != "schedule":
                     return best
         w_stage = x
         g_cached = best.operator_value
@@ -437,17 +460,23 @@ def _decoupled_run(problem, oracles, psis, metrics, L, d_hat, gradient,
         return op
 
     full = [b.copy() for b in problem.z0]
+    # With every block frozen, the gap is the sum of the blocks' own gaps
+    # over their balls, so each block may stop once it certifies eps / K.
+    gap_set = None if active else _gap_set(problem)
     for i in range(K):
         if i in active:
             continue
         # Fully decoupled block: its operator ignores the others, so one
         # local solve pins it for the rest of the run.  The residual target
         # eps / (4 Dhat_i^2) bounds its gap contribution over the
-        # restriction ball by eps / 2.
+        # restriction ball by eps / 2; while other blocks are active it is
+        # the only target, as any gap left here would come out of theirs.
         task = BlockTask(operator=block_operator(i, tuple(full)), psi=psis[i],
                          anchor=full[i], metric=metrics[i],
                          lipschitz=float(L[i][i]))
-        full[i] = residual_agd(task, xi=eps / (4.0 * d_hat[i] * d_hat[i])).point
+        gap_ball = None if gap_set is None else (*gap_set[i][:2], eps / K)
+        full[i] = residual_agd(task, xi=eps / (4.0 * d_hat[i] * d_hat[i]),
+                               gap_ball=gap_ball).point
 
     if not active:
         candidate = tuple(full)

@@ -13,6 +13,7 @@ from saddlesplit.decoupled import (
     decoupled_saddle_run, decoupled_vi_run, relative_residual_check,
     residual_agd, scaled_prox_check, split_prox_step, vip_coupling,
 )
+from saddlesplit.hard_instances import make_hard_saddle
 from saddlesplit.metrics import ProductMetric, ScaledMetric
 from saddlesplit.problems import (
     BallIndicator, QuadraticReg, RegularizedTerm, VipProblem, ZeroTerm,
@@ -108,6 +109,44 @@ def test_residual_agd_runs_the_full_stage_plan():
     plan = agd_schedule(4.0, xi)
     assert res.exit == "schedule"
     assert res.info["stage"] == len(plan.sigmas)
+    assert res.residual <= xi * np.linalg.norm(v - w_opt)
+
+
+@pytest.mark.parametrize("mu, xi", [(0.0, 0.01), (0.0, 0.1), (0.05, 0.05 / 3),
+                                    (0.2, 0.2 / 3)])
+def test_residual_agd_returns_the_first_certifying_query(mu, xi):
+    # With differentiable psi every queried point can certify.  Replay the
+    # certificates on each point the solve queried, with psi' its
+    # gradient: the solve returns the first that passes, and no query
+    # after it.  Doubling probes alone end these runs 2 to 27 queries later.
+    Q = np.diag([4.0, 2.0, 1.0, 0.5, 0.01])
+    w_opt = np.array([0.1, -0.2, 0.3, 0.1, 0.5])
+    v = np.array([0.4, 0.4, -0.4, 0.4, -0.3])
+    metric = ScaledMetric(5)
+    psi = (RegularizedTerm(QuadraticReg(mu, v), ZeroTerm()) if mu > 0
+           else ZeroTerm())
+    queried = []
+
+    def operator(w):
+        queried.append(np.array(w, copy=True))
+        return Q @ (w - w_opt)
+
+    task = BlockTask(operator=operator, psi=psi, anchor=v.copy(),
+                     metric=metric, lipschitz=4.0, strong=mu)
+    res = residual_agd(task, xi=xi)
+
+    def residual(w):
+        return np.linalg.norm(Q @ (w - w_opt) + psi.subgradient(metric, w))
+
+    lip_floor = xi * residual(v) / (4.0 + mu)
+    first = next(
+        j for j, w in enumerate(queried)
+        if residual(w) <= lip_floor
+        or (mu > 0 and residual(w) <= xi * mu / (mu + xi)
+            * np.linalg.norm(w - v)))
+    assert res.exit in ("certificate-lip", "certificate-mu")
+    assert res.queries == len(queried) == first + 1
+    assert np.array_equal(res.point, queried[first])
     assert res.residual <= xi * np.linalg.norm(v - w_opt)
 
 
@@ -346,6 +385,22 @@ def test_saddle_local_solve():
     assert abs(res.candidate[0][0] - 1.0) < 1e-3
 
 
+def test_local_solve_stops_at_its_share_of_the_gap():
+    # Uncoupled agents: each block stops at the first probe whose
+    # Frank-Wolfe bound on its own gap is at most eps / 2.  The residual
+    # target alone took 4109 x-queries here, to a gap of 3.7e-10.
+    p = make_hard_saddle("x", 100.0, 1.0, 50)
+    eps = 0.002
+    res = decoupled_saddle_run(p, DecoupledParams(epsilon=eps))
+    assert res.status == "local_solve"
+    assert res.ledger.queries() == {"x": 439, "y": 1}
+    assert res.gap.exact and res.gap.value <= eps
+    x = res.candidate[0]
+    g = p.grad_x(res.candidate)
+    frank_wolfe = float(g @ (x - p.x0)) + p.D_x * p.metric_x.dual_norm(g)
+    assert res.gap.value <= frank_wolfe <= eps / 2
+
+
 def test_vip_run_converges():
     rng = np.random.default_rng(11)
     p = random_polymatrix(3, (2, 2, 2), rng, coupling=1.0, diag=0.5)
@@ -370,6 +425,27 @@ def test_vip_frozen_uncoupled_block():
     assert res.status in ("converged", "solution_found")
     assert abs(res.candidate[2][0] - 0.5) < 0.01
     assert res.gap.value <= 0.02
+
+
+def test_vip_frozen_block_keeps_its_residual_target_beside_active_blocks():
+    # The frozen block is a least-squares chain: its queries at the
+    # extrapolated points certify its residual target early, and that
+    # target, not a share of eps, keeps the active blocks' rounds as they
+    # were.  Doubling probes alone spent 522 queries at both epsilons.
+    chain = make_hard_saddle("x", 100.0, 1.0, 5).structure
+    A, n = np.asarray(chain["A"]), chain["A"].shape[1]
+    C = np.array([[0.0, 1.0], [-1.0, 0.5]])
+    blocks = [[0.5 * np.eye(2), C, None],
+              [-C.T, 0.5 * np.eye(2), None],
+              [None, None, A.T @ A]]
+    p = make_polymatrix((2, 2, n), blocks,
+                        b=[[0.1, 0.2], [0.3, -0.1], A.T @ chain["b"]])
+    for eps, rounds, frozen_queries in ((0.05, 4, 106), (0.02, 6, 155)):
+        res = decoupled_vi_run(p, DecoupledParams(epsilon=eps))
+        assert res.info["frozen_blocks"] == [2]
+        assert res.status == "converged" and res.gap.value <= eps
+        assert res.rounds == rounds
+        assert res.ledger.queries("3") == frozen_queries
 
 
 def test_vip_d_hat_of_the_wrong_length_is_rejected():
@@ -487,7 +563,6 @@ def test_round_candidates_shared_not_copied(monkeypatch):
     gap only where its bound cannot rule the target out, so the spy sits
     on its input.)"""
     from saddlesplit import decoupled
-    from saddlesplit.hard_instances import make_hard_saddle
 
     seen = []
 

@@ -8,6 +8,7 @@ after a deliberate change of results, run this module as a script:
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import csv
 import os
 
 from saddlesplit import cli
@@ -95,22 +96,48 @@ def golden_csv(tmp_dir, config=GOLDEN_CONFIG):
     return cli.rows_to_csv(rows)
 
 
-def test_results_csv_matches_fixture(tmp_path):
-    with open(FIXTURE) as fh:
+def first_difference(got, want):
+    """Where `got` first departs from the fixture `want`: the row's
+    ``(instance, solver, epsilon)`` and each differing column as
+    ``fixture -> got``."""
+    got_rows = list(csv.reader(got.splitlines()))
+    want_rows = list(csv.reader(want.splitlines()))
+    header = want_rows[0]
+    for g, w in zip(got_rows, want_rows):
+        if g != w:
+            columns = {name: f"{a} -> {b}"
+                       for name, a, b in zip(header, w, g) if a != b}
+            return f"row {tuple(w[:3])} differs: {columns}"
+    return f"the fixture has {len(want_rows)} lines, the run {len(got_rows)}"
+
+
+def assert_matches_fixture(got, fixture):
+    with open(fixture) as fh:
         want = fh.read()
-    assert golden_csv(str(tmp_path)) == want
+    assert got == want, first_difference(got, want)
+
+
+def test_results_csv_matches_fixture(tmp_path):
+    assert_matches_fixture(golden_csv(str(tmp_path)), FIXTURE)
 
 
 def test_vi_results_csv_matches_fixture(tmp_path):
-    with open(VI_FIXTURE) as fh:
-        want = fh.read()
-    assert golden_csv(str(tmp_path), GOLDEN_VI_CONFIG) == want
+    assert_matches_fixture(golden_csv(str(tmp_path), GOLDEN_VI_CONFIG),
+                           VI_FIXTURE)
 
 
 def test_chain_triplet_results_csv_matches_fixture(tmp_path):
-    with open(CHAIN_FIXTURE) as fh:
-        want = fh.read()
-    assert golden_csv(str(tmp_path), GOLDEN_CHAIN_CONFIG) == want
+    assert_matches_fixture(golden_csv(str(tmp_path), GOLDEN_CHAIN_CONFIG),
+                           CHAIN_FIXTURE)
+
+
+def test_first_difference_names_the_row_and_its_columns():
+    want = "instance_id,solver,epsilon,rounds,gap\na,decoupled,0.1,2,0.5\n"
+    got = "instance_id,solver,epsilon,rounds,gap\na,decoupled,0.1,3,0.5\n"
+    assert first_difference(got, want) == \
+        "row ('a', 'decoupled', '0.1') differs: {'rounds': '2 -> 3'}"
+    assert first_difference(want + "b,x,1,1,1\n", want) == \
+        "the fixture has 2 lines, the run 3"
 
 
 if __name__ == "__main__":

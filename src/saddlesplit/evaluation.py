@@ -22,10 +22,14 @@ Solvers stop through `GapTest`, which answers "is the gap of this
 candidate at most epsilon" for one run.  When `_closed_form` applies, it
 keeps the last evaluated candidate and its value, and answers "no"
 without evaluating whenever a Lipschitz bound from that candidate proves
-that the closed form would exceed epsilon.  That is all it certifies:
-every "yes" and every reported gap is a `restricted_gap` evaluation, at
-the same candidate as when every candidate is evaluated, so statuses and
-gaps are unchanged.  Estimated gaps and VIs are evaluated on every call.
+that the closed form would exceed epsilon.  When the gap is estimated
+with no psi left over and identity metrics, it answers "no" whenever the
+estimator's first step already puts the value above epsilon: projected
+gradient with step 1/L never moves back, so the full estimate is at
+least that high.  That is all it certifies: every "yes" and every
+reported gap is a `restricted_gap` evaluation, at the same candidate as
+when every candidate is evaluated, so statuses and gaps are unchanged.
+Other estimated gaps and VIs are evaluated on every call.
 """
 
 import math
@@ -74,11 +78,12 @@ def _linear_ball_max(metric, center, radius, g):
 
 
 def _pga_extreme(grad_fn, metric, center, radius, psi_left, lipschitz,
-                 maximize=True):
-    """Projected-gradient ascent/descent for the inner problem of the gap."""
+                 steps, maximize=True):
+    """`steps` projected-gradient ascent/descent steps from the center for
+    the inner problem of the gap."""
     w = center.copy()
     sign = 1.0 if maximize else -1.0
-    for _ in range(PGA_STEPS):
+    for _ in range(steps):
         g = np.asarray(grad_fn(w), dtype=float)
         if lipschitz > 1e-14:
             step = 1.0 / lipschitz
@@ -199,7 +204,8 @@ def _closed_form(p):
     return "quadratic-closed-form", exact, quadratic, _quadratic_bound
 
 
-def _saddle_gap(p, candidate):
+def _scored_blocks(p, candidate):
+    """The candidate's blocks as float vectors; ValueError outside dom psi."""
     xbar = np.asarray(candidate[0], dtype=float)
     ybar = np.asarray(candidate[1], dtype=float)
     # Every path scores only candidates in dom psi; zero terms need no test.
@@ -207,14 +213,23 @@ def _saddle_gap(p, candidate):
                            (p.psi_y, p.metric_y, ybar)):
         if type(psi) is not ZeroTerm:
             _psi_value(psi, metric, w)
-    form = _closed_form(p)
-    if form is not None:
-        method, exact, value, _ = form
-        return GapResult(value(xbar, ybar), exact, method)
+    return xbar, ybar
 
-    if p.f_value is None:
-        raise ValueError("gap estimation requires function values on the instance")
-    (xc, rx, psi_x), (yc, ry, psi_y) = _gap_set(p)
+
+def _upper_at(p, xbar, y):
+    return (p.f_value((xbar, y)) + _psi_value(p.psi_x, p.metric_x, xbar)
+            - _psi_value(p.psi_y, p.metric_y, y))
+
+
+def _lower_at(p, x, ybar):
+    return (p.f_value((x, ybar)) + _psi_value(p.psi_x, p.metric_x, x)
+            - _psi_value(p.psi_y, p.metric_y, ybar))
+
+
+def _pga_terms(p, xbar, ybar, gap_set, steps):
+    """The estimate's upper and lower terms after `steps` projected-gradient
+    steps on each side: ``F(xbar, yhat)`` and ``F(xhat, ybar)``."""
+    (xc, rx, psi_x), (yc, ry, psi_y) = gap_set
 
     def grad_y_of(y):
         return p.grad_y((xbar, y))
@@ -222,26 +237,31 @@ def _saddle_gap(p, candidate):
     def grad_x_of(x):
         return p.grad_x((x, ybar))
 
-    yhat = _pga_extreme(grad_y_of, p.metric_y, yc, ry, psi_y, p.L_y,
+    yhat = _pga_extreme(grad_y_of, p.metric_y, yc, ry, psi_y, p.L_y, steps,
                         maximize=True)
-    xhat = _pga_extreme(grad_x_of, p.metric_x, xc, rx, psi_x, p.L_x,
+    xhat = _pga_extreme(grad_x_of, p.metric_x, xc, rx, psi_x, p.L_x, steps,
                         maximize=False)
+    return _upper_at(p, xbar, yhat), _lower_at(p, xhat, ybar)
 
-    def upper_at(y):
-        return (p.f_value((xbar, y)) + _psi_value(p.psi_x, p.metric_x, xbar)
-                - _psi_value(p.psi_y, p.metric_y, y))
 
-    def lower_at(x):
-        return (p.f_value((x, ybar)) + _psi_value(p.psi_x, p.metric_x, x)
-                - _psi_value(p.psi_y, p.metric_y, ybar))
+def _saddle_gap(p, candidate):
+    xbar, ybar = _scored_blocks(p, candidate)
+    form = _closed_form(p)
+    if form is not None:
+        method, exact, value, _ = form
+        return GapResult(value(xbar, ybar), exact, method)
 
-    hi, lo = upper_at(yhat), lower_at(xhat)
+    if p.f_value is None:
+        raise ValueError("gap estimation requires function values on the instance")
+    gap_set = _gap_set(p)
+    hi, lo = _pga_terms(p, xbar, ybar, gap_set, PGA_STEPS)
     # Probing the candidate itself keeps the estimate nonnegative whenever
     # the candidate is feasible (the probe pair contributes exactly zero).
+    (xc, rx, _), (yc, ry, _) = gap_set
     if (p.metric_y.norm(ybar - yc) <= ry + 1e-9
             and p.metric_x.norm(xbar - xc) <= rx + 1e-9):
-        hi = max(hi, upper_at(ybar))
-        lo = min(lo, lower_at(xbar))
+        hi = max(hi, _upper_at(p, xbar, ybar))
+        lo = min(lo, _lower_at(p, xbar, ybar))
     return GapResult(hi - lo, False, "pga-estimate")
 
 
@@ -390,6 +410,36 @@ def _quadratic_bound(p, eps):
     return anchor
 
 
+def _first_step_bound(p, eps):
+    """`GapTest`'s bound for the estimated gap of saddle instance `p`, or None.
+
+    For an instance `_closed_form` leaves to the estimator.  With no psi
+    left over by `_gap_set` and identity metrics, each inner problem is an
+    L-smooth objective over a Euclidean ball (``L_y`` and ``L_x``, zero
+    for a linear side, as the estimator itself assumes), and projected
+    gradient with step 1/L never moves it the wrong way (the
+    sufficient-decrease lemma).
+    So the terms after the estimator's first step bound those after
+    `PGA_STEPS` steps, and the candidate probe only widens them: a
+    first-step value above `eps`, by a relative margin of the size of its
+    terms, proves the estimate is above `eps` too.  The bound scores a
+    candidate with the same psi checks as `restricted_gap`.
+    """
+    if isinstance(p, VipProblem) or p.f_value is None:
+        return None
+    gap_set = _gap_set(p)
+    if any(psi is not None for _, _, psi in gap_set) or not all(
+            np.all(m.weights == 1.0) for m in (p.metric_x, p.metric_y)):
+        return None
+
+    def exceeds(candidate):
+        xbar, ybar = _scored_blocks(p, candidate)
+        hi, lo = _pga_terms(p, xbar, ybar, gap_set, 1)
+        budget = hi - lo - eps - _ROUNDING_MARGIN * (abs(hi) + abs(lo))
+        return budget > 0.0 and math.isfinite(budget)
+    return exceeds
+
+
 class GapTest:
     """The stop test ``gap <= epsilon`` of one run.
 
@@ -399,7 +449,12 @@ class GapTest:
     candidate that form evaluated and its value.  Later candidates for
     which the form's Lipschitz bound from there already exceeds `epsilon`
     are answered False without being evaluated, as evaluating them would.
-    Estimated gaps, and every VI, are evaluated on every call.
+    When the gap is estimated and `_first_step_bound` applies, candidates
+    whose first-step bound exceeds `epsilon` are answered False the same
+    way.  Each bound is armed only while the last evaluation came from its
+    own method, so an `evaluate` that returns anything else is called on
+    every candidate.  Other estimated gaps, and every VI, are evaluated on
+    every call.
 
     `evaluate` is the gap function, called as ``evaluate(problem,
     candidate)``; solvers pass the `restricted_gap` name of their
@@ -414,7 +469,11 @@ class GapTest:
         if form is not None:
             self._method, _, _, anchor_maker = form
             self._anchor_at = anchor_maker(problem, epsilon)
-        self._exceeds = None     # bound from the last evaluated candidate
+        elif (bound := _first_step_bound(problem, epsilon)) is not None:
+            # The first-step bound holds from any evaluated candidate.
+            self._method = "pga-estimate"
+            self._anchor_at = lambda candidate, value: bound
+        self._exceeds = None     # bound armed by the last evaluation
         self._scored = self._evaluated = self._result = None
 
     def __call__(self, candidate):

@@ -10,8 +10,9 @@ from saddlesplit.evaluation import (
 )
 from saddlesplit.metrics import ScaledMetric
 from saddlesplit.problems import (
-    BallIndicator, BoxIndicator, QuadraticReg, TripletMatrix, make_bilinear,
-    make_quadratic, make_strongly_convex_concave, random_polymatrix,
+    BallIndicator, BoxIndicator, QuadraticReg, SaddleProblem, TripletMatrix,
+    ZeroTerm, ball_project, make_bilinear, make_quadratic,
+    make_strongly_convex_concave, random_polymatrix,
 )
 
 
@@ -373,6 +374,141 @@ def test_gap_test_skips_only_candidates_above_epsilon(
     assert test.gap(c).value.hex() == want.value.hex()
 
 
+def _logcosh_saddle(rng, n):
+    """A convex-concave saddle that is not quadratic, with identity metrics.
+
+    ``f(x, y) = phi(x - a) - phi(y - b) + c <x - a, y - b>`` with
+    ``phi(u) = sum log cosh u_i``, whose gradient ``tanh`` is
+    1-Lipschitz.  The saddle ``(a, b)`` lies in the unit balls around the
+    start point, the origin.
+    """
+    a, b = (0.6 * rng.uniform(-1.0, 1.0, n) / np.sqrt(n) for _ in range(2))
+    c = rng.uniform(0.0, 2.0)
+
+    def phi(u):
+        return float(np.sum(np.logaddexp(u, -u)) - u.size * np.log(2.0))
+
+    def grad_x(z):
+        return np.tanh(z[0] - a) + c * (z[1] - b)
+
+    def grad_y(z):
+        return -np.tanh(z[1] - b) + c * (z[0] - a)
+
+    def f_value(z):
+        return (phi(z[0] - a) - phi(z[1] - b)
+                + c * float((z[0] - a) @ (z[1] - b)))
+
+    return SaddleProblem(
+        grad_x=grad_x, grad_y=grad_y, psi_x=ZeroTerm(), psi_y=ZeroTerm(),
+        x0=np.zeros(n), y0=np.zeros(n), L_x=1.0, L_y=1.0, L_xy=c,
+        D_x=1.0, D_y=1.0, saddle=(a, b), f_value=f_value, name="logcosh")
+
+
+def _in_domain(p, c):
+    return tuple(psi.project_domain(m, w) for psi, m, w
+                 in zip((p.psi_x, p.psi_y), (p.metric_x, p.metric_y), c))
+
+
+def _estimated_instance(rng, kind):
+    """An instance with an estimated gap and identity metrics, the start of
+    a walk of candidates in dom psi, and the point the walk heads for."""
+    n = int(rng.integers(1, 5))
+    if kind == "quadratic_x":
+        A = rng.standard_normal((n + 2, n))
+        x_true = rng.standard_normal(n)
+        p = make_quadratic(A, A @ x_true, side="x", other_dim=2)
+        # The unit ball around x0 excludes the minimiser x_true; the walk
+        # starts on its far side and heads for the minimiser over the ball.
+        d = rng.standard_normal(n)
+        d /= np.linalg.norm(d)
+        p = dataclasses.replace(p, x0=x_true + rng.uniform(1.2, 3.0) * d)
+        x, step = p.x0.copy(), 1.0 / p.L_x
+        for _ in range(2000):
+            x = ball_project(p.metric_x, p.x0, p.D_x,
+                             x - step * p.grad_x((x, p.y0)))
+        return p, (p.x0 + d, rng.standard_normal(2)), (x, p.y0)
+    if kind == "logcosh":
+        p = _logcosh_saddle(rng, n)
+    else:
+        p = make_strongly_convex_concave(
+            rng.uniform(0.2, 5.0), rng.uniform(0.2, 5.0),
+            rng.uniform(0.0, 3.0), n=n)
+    if kind == "scsc_ball":
+        # Start points near the saddle, larger diameters, and concentric
+        # ball terms that still contain the saddle.
+        x0, y0 = (0.3 * rng.standard_normal(n) for _ in range(2))
+        p = dataclasses.replace(
+            p, x0=x0, y0=y0, D_x=2.0, D_y=2.0,
+            psi_x=BallIndicator(x0, np.linalg.norm(x0) + rng.uniform(0.05, 1.0)),
+            psi_y=BallIndicator(y0, np.linalg.norm(y0) + rng.uniform(0.05, 1.0)))
+    start = _in_domain(p, tuple(w + 3.0 * rng.standard_normal(n)
+                                for w in p.saddle))
+    return p, start, p.saddle
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["scsc", "scsc_ball", "quadratic_x", "logcosh"]),
+       eps_share=st.floats(1e-3, 0.2), log_pull=st.floats(-1.0, -0.3),
+       log_noise=st.floats(-4.0, -1.0))
+def test_gap_test_skips_only_estimates_above_epsilon(
+        seed, kind, eps_share, log_pull, log_noise):
+    rng = np.random.default_rng(seed)
+    p, start, target = _estimated_instance(rng, kind)
+    first = restricted_gap(p, start)
+    assert first.method == "pga-estimate" and first.value > 0.0
+    eps = eps_share * first.value
+    evaluated = []
+
+    def spy(problem, candidate):
+        result = restricted_gap(problem, candidate)
+        evaluated.append((candidate, result))
+        return result
+
+    test = GapTest(p, eps, spy)
+    c, pull, noise = start, 10.0 ** log_pull, 10.0 ** log_noise
+    skips = 0
+    for _ in range(12):
+        before = len(evaluated)
+        decision = test(c)
+        if len(evaluated) > before:
+            assert evaluated[-1][0] is c
+            want = evaluated[-1][1]
+        else:
+            want = restricted_gap(p, c)
+            if not (evaluated and evaluated[-1][0] is c):
+                skips += 1                  # skipped, not a repeat
+                assert want.value > eps
+        assert decision == (want.value <= eps)
+        # A pull towards the target plus shrinking noise, kept in dom
+        # psi; now and then the candidate repeats.
+        if rng.random() < 0.9:
+            c = _in_domain(p, tuple(
+                ci + pull * (wi - ci) + noise * rng.standard_normal(ci.size)
+                for ci, wi in zip(c, target)))
+            noise *= 0.9
+    assert skips >= 1
+    assert test.gap(c).value.hex() == restricted_gap(p, c).value.hex()
+
+
+def test_armed_gap_test_rejects_candidates_outside_dom_psi():
+    p = make_strongly_convex_concave(1.0, 1.0, 1.0, n=2, D_x=2.0)
+    p = dataclasses.replace(p, psi_x=BallIndicator(p.x0, 0.5))
+    calls = []
+
+    def spy(problem, candidate):
+        calls.append(candidate)
+        return restricted_gap(problem, candidate)
+
+    test = GapTest(p, 1e-9, spy)
+    assert not test((p.x0 + 0.1, p.y0))      # evaluated: arms the bound
+    assert not test((p.x0 + 0.2, p.y0))      # ruled out by the bound
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match="outside dom psi"):
+        test((p.x0 + 1.0, p.y0))
+    assert len(calls) == 1
+
+
 def _bilinear_walk(p, steps=60):
     c = (np.ones(p.nx), np.ones(p.ny))
     for k in range(steps):
@@ -400,32 +536,33 @@ def test_gap_test_skips_near_candidates_and_reports_exact_gaps():
 
 
 def test_gap_test_evaluates_estimated_kinds_and_vis_every_time(monkeypatch):
+    # The estimates no bound rules out: a VI, a bilinear with a
+    # non-indicator psi left over (a closed-form kind whose closed form
+    # does not apply), an scsc under non-identity metrics, and an scsc
+    # scored by a gap function that does not return estimates.
     from saddlesplit import evaluation
-    scsc = make_strongly_convex_concave(1.0, 1.0, 1.0, n=2)
     poly = random_polymatrix(2, [2, 2], np.random.default_rng(3))
-    # A closed-form kind whose closed form does not apply: a bilinear
-    # with a non-indicator psi left over, and a quadratic whose
-    # minimiser lies outside the ball.
     reg = dataclasses.replace(
         make_bilinear(np.array([[1.0, 0.5], [0.0, 2.0]])),
         psi_x=QuadraticReg(0.5, np.zeros(2)))
-    far = dataclasses.replace(_quadratic_with_inner_minimiser(),
-                              x0=np.array([2.0, 2.0]), D_x=0.5)
-    # No anchor is built for any of them.
+    scsc = make_strongly_convex_concave(1.0, 1.0, 1.0, n=2)
+    scaled = dataclasses.replace(scsc, metric_x=ScaledMetric([1.0, 2.0]))
+
+    def stub(problem, candidate):
+        return GapResult(1.0, False, "stub")
+
+    # No Lipschitz anchor is built for any of them.
     monkeypatch.setattr(evaluation, "_norm_bound", None)
-    for p, walk in ((scsc, [(0.9 * k * np.ones(2), np.ones(2))
-                            for k in range(5)]),
-                    (poly, [[0.9 * k * np.ones(2), np.ones(2)]
-                            for k in range(5)]),
-                    (reg, [(0.9 * k * np.ones(2), np.ones(2))
-                           for k in range(5)]),
-                    (far, [(2.0 + 0.05 * k * np.ones(2), np.ones(1))
-                           for k in range(5)])):
+    pairs = [(0.9 * k * np.ones(2), np.ones(2)) for k in range(5)]
+    for p, evaluate, walk in (
+            (poly, restricted_gap, [list(c) for c in pairs]),
+            (reg, restricted_gap, pairs), (scaled, restricted_gap, pairs),
+            (scsc, stub, pairs)):
         calls = []
 
         def spy(problem, candidate):
             calls.append(candidate)
-            return restricted_gap(problem, candidate)
+            return evaluate(problem, candidate)
 
         test = GapTest(p, 1e-9, spy)
         for c in walk:

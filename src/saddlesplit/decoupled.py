@@ -18,7 +18,9 @@ strongly-convex model to relative accuracy ``delta_i = alpha_i lam / 2``
 staged accelerated gradient method with restarts for blocks whose operator
 is a gradient, and an anchored extragradient loop for general monotone
 blocks.  Neither touches a remote oracle, which is what keeps the round
-count independent of the single-agent conditioning.
+count independent of the single-agent conditioning.  A solve or exchange
+never pays twice for one point: each solve holds its last answer, and the
+exchange reuses a block's own answer when its point has not moved.
 
 Drivers.  One private function runs a block problem with coupling matrix
 ``L``: scalings, frozen blocks, outer loop and `RunResult`.  A two-agent
@@ -169,14 +171,25 @@ def agd_schedule(L, xi):
 
 
 def _counting_operator(task):
-    """``task.operator`` with a query counter and a finiteness check."""
+    """``task.operator`` with a query counter and a finiteness check.
+
+    It holds the last queried point's bytes and its answer: a query with
+    the same bytes returns that answer without calling ``task.operator``
+    and is not counted, so a solve never pays twice for one point.  Bytes,
+    not ``==``, decide, as ``==`` equates -0.0 and +0.0.
+    """
     counter = [0]
+    last = [None, None]
 
     def op(w):
+        key = np.asarray(w).tobytes()
+        if key == last[0]:
+            return last[1]
         counter[0] += 1
         out = np.asarray(task.operator(w), dtype=float)
         if not all_finite(out):
             raise FloatingPointError("operator returned nonfinite values")
+        last[:] = key, out
         return out
     return op, counter
 
@@ -216,7 +229,10 @@ def residual_agd(task, xi, gap_ball=None):
     its gradient there).  Probes at the prox outputs cost one counted
     query each and run on a doubling schedule; they are the only ones a
     nonsmooth ``psi`` has.  If nothing fires, the full stage plan runs to
-    completion, which guarantees the target on its own.
+    completion, which guarantees the target on its own.  A query at the
+    point just queried (a stalled iterate, or a stage's second iteration
+    with no momentum yet) returns the held answer: a solve never pays
+    twice for one point.
 
     ``gap_ball = (c, r, target)`` adds a third exit, ``certificate-gap``,
     for a block whose operator is monotone and ignores every other block:
@@ -519,14 +535,22 @@ def _decoupled_run(problem, oracles, psis, metrics, L, d_hat, gradient,
     while ledger.round < max_rounds:
         v_parts = metric.split(v)
         anchor = full_point(v_parts)
-        z_parts, sub_parts, _ = split_prox_step(
+        z_parts, sub_parts, diags = split_prox_step(
             [block_operator(i, anchor) for i in active], act_psis,
             act_metrics, act_alphas, v_parts, lam, act_lips,
             inner_flags=[gradient[i] for i in active])
         ledger.end_round()
         ledger.keep(candidate)
         point = full_point(z_parts)
-        V = metric.join([oracles[i](point) for i in active])
+        # Block i's solve took its operator value at `point` itself when
+        # every other active block returned its anchor bit for bit, unless
+        # it exited `constant` (that value was taken at the anchor).
+        moved = [z.tobytes() != h.tobytes() for z, h in zip(z_parts, v_parts)]
+        V = metric.join([
+            res.operator_value
+            if res.exit != "constant" and sum(moved) == moved[pos]
+            else oracles[i](point)
+            for pos, (i, res) in enumerate(zip(active, diags))])
         ledger.end_round()
 
         z = metric.join(z_parts)

@@ -6,6 +6,9 @@ fixture was written by the code before such a refactor; to regenerate it
 after a deliberate change of results, run this module as a script:
 
     PYTHONPATH=src python tests/test_golden.py
+
+It prints every moved row, with ``fixture -> got`` per column, before it
+rewrites a fixture.
 """
 
 import csv
@@ -96,19 +99,29 @@ def golden_csv(tmp_dir, config=GOLDEN_CONFIG):
     return cli.rows_to_csv(rows)
 
 
-def first_difference(got, want):
-    """Where `got` first departs from the fixture `want`: the row's
+def row_differences(got, want):
+    """Every row where `got` departs from the fixture `want`: the row's
     ``(instance, solver, epsilon)`` and each differing column as
-    ``fixture -> got``."""
+    ``fixture -> got``, then the line counts if they differ or no row
+    does."""
     got_rows = list(csv.reader(got.splitlines()))
     want_rows = list(csv.reader(want.splitlines()))
     header = want_rows[0]
+    moved = []
     for g, w in zip(got_rows, want_rows):
         if g != w:
             columns = {name: f"{a} -> {b}"
                        for name, a, b in zip(header, w, g) if a != b}
-            return f"row {tuple(w[:3])} differs: {columns}"
-    return f"the fixture has {len(want_rows)} lines, the run {len(got_rows)}"
+            moved.append(f"row {tuple(w[:3])} differs: {columns}")
+    if len(got_rows) != len(want_rows) or not moved:
+        moved.append(f"the fixture has {len(want_rows)} lines, "
+                     f"the run {len(got_rows)}")
+    return moved
+
+
+def first_difference(got, want):
+    """Where `got` first departs from the fixture `want`."""
+    return row_differences(got, want)[0]
 
 
 def assert_matches_fixture(got, fixture):
@@ -138,6 +151,16 @@ def test_first_difference_names_the_row_and_its_columns():
         "row ('a', 'decoupled', '0.1') differs: {'rounds': '2 -> 3'}"
     assert first_difference(want + "b,x,1,1,1\n", want) == \
         "the fixture has 2 lines, the run 3"
+    # Several rows: the first names the first moved row, and the full list
+    # names every moved row in order.
+    want3 = want + "b,decoupled,0.1,4,0.25\nc,decoupled,0.1,5,0.125\n"
+    got3 = want + "b,decoupled,0.1,4,0.5\nc,decoupled,0.1,6,0.25\n"
+    assert first_difference(got3, want3) == \
+        "row ('b', 'decoupled', '0.1') differs: {'gap': '0.25 -> 0.5'}"
+    assert row_differences(got3, want3) == [
+        "row ('b', 'decoupled', '0.1') differs: {'gap': '0.25 -> 0.5'}",
+        "row ('c', 'decoupled', '0.1') differs: "
+        "{'rounds': '5 -> 6', 'gap': '0.125 -> 0.25'}"]
 
 
 if __name__ == "__main__":
@@ -148,6 +171,12 @@ if __name__ == "__main__":
                             (CHAIN_FIXTURE, GOLDEN_CHAIN_CONFIG)):
         with tempfile.TemporaryDirectory() as tmp:
             text = golden_csv(tmp, config)
+        if os.path.exists(fixture):
+            with open(fixture) as fh:
+                old = fh.read()
+            if text != old:
+                for line in row_differences(text, old):
+                    print(line)
         with open(fixture, "w") as fh:
             fh.write(text)
         print(f"wrote {fixture}")

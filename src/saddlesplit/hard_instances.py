@@ -20,14 +20,14 @@ is kept as its ``2p`` nonzero triplets, so a chain costs ``O(k)`` memory;
 ``np.asarray`` of the triplets gives the dense matrix on demand.
 
 Its Krylov spaces have closed forms, which `krylov_index` and
-`residual_floor` evaluate in ``O(p)``; `krylov_basis` and
-`krylov_min_residual` are the brute-force reference for small orders.
+`residual_floor` evaluate in ``O(p)``.  The brute-force reference they are
+tested against, for small orders, lives with the tests
+(``tests/krylov_reference.py``).
 """
 
 import numpy as np
 
-from saddlesplit.problems import (TripletMatrix, _matrix_products,
-                                  make_bilinear, make_quadratic)
+from saddlesplit.problems import TripletMatrix, make_bilinear, make_quadratic
 
 
 def _check_scales(**scales):
@@ -76,7 +76,7 @@ def _chain(L, D, k):
 
 
 # ---------------------------------------------------------------------------
-# Krylov spaces: closed forms and the brute-force reference
+# Krylov spaces: closed forms
 # ---------------------------------------------------------------------------
 
 def krylov_index(candidate, b):
@@ -112,66 +112,6 @@ def residual_floor(L, D, k, j):
     return (L ** 2 * gamma ** 2 / 8.0
             * ((p - j) ** 2 / ((j + 1) * (p + 1) ** 2)
                + (p - j) / (p + 1) ** 2))
-
-
-def krylov_basis(A, b, k, side="x"):
-    """Orthonormal basis of the order-``k`` Krylov space.
-
-    ``side='x'`` spans ``{A^T b, (A^T A) A^T b, ...}``; ``side='y'`` spans
-    ``{b, (A A^T) b, ...}``.  `A` is a dense array or a `TripletMatrix`,
-    multiplied through `problems._matrix_products`.  Built by modified
-    Gram-Schmidt with one re-orthogonalization pass; directions below
-    ``1e-12`` of the largest generator are dropped, so at large ``k``
-    (past about 25 on the unit chain) the basis loses columns.
-    """
-    b = np.asarray(b, dtype=float)
-    matvec, rmatvec = _matrix_products(A)
-    if side == "x":
-        w = rmatvec(b)
-        def advance(v):
-            return rmatvec(matvec(v))
-    elif side == "y":
-        w = b.copy()
-        def advance(v):
-            return matvec(rmatvec(v))
-    else:
-        raise ValueError("side must be 'x' or 'y'")
-    gens = []
-    for _ in range(k):
-        gens.append(w)
-        w = advance(w)
-    scale = max((np.linalg.norm(g) for g in gens), default=0.0)
-    cols = []
-    for g in gens:
-        r = g.copy()
-        for _ in range(2):          # MGS + re-orthogonalization
-            for q in cols:
-                r = r - (q @ r) * q
-        nrm = np.linalg.norm(r)
-        if scale == 0.0 or nrm <= 1e-12 * scale:
-            continue
-        cols.append(r / nrm)
-    if not cols:
-        return np.zeros((w.size, 0))
-    return np.stack(cols, axis=1)
-
-
-def krylov_min_residual(A, b, j):
-    """``min_{v in K_j(x)} 0.5 * ||A v - b||^2`` by brute-force least
-    squares.
-
-    Independent of any solver and of the chain's closed forms: restrict
-    to the `krylov_basis` of order `j` and solve the small system by
-    orthogonal factorization.
-    """
-    b = np.asarray(b, dtype=float)
-    Q = krylov_basis(A, b, j, side="x")
-    if Q.shape[1] == 0:
-        return 0.5 * float(np.linalg.norm(b) ** 2)
-    matvec, _ = _matrix_products(A)
-    AQ = np.stack([matvec(q) for q in Q.T], axis=1)
-    c, _, _, _ = np.linalg.lstsq(AQ, b, rcond=None)
-    return 0.5 * float(np.linalg.norm(AQ @ c - b) ** 2)
 
 
 # ---------------------------------------------------------------------------

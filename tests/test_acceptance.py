@@ -22,13 +22,14 @@ from saddlesplit.decoupled import (BlockTask, DecoupledParams,
                                    residual_agd, scaled_prox_check,
                                    split_prox_step, vip_coupling)
 from saddlesplit.evaluation import complexity_bounds, restricted_gap
-from saddlesplit.hard_instances import (krylov_basis, krylov_index,
-                                        krylov_min_residual, make_hard_saddle,
+from saddlesplit.hard_instances import (krylov_index, make_hard_saddle,
                                         residual_floor)
 from saddlesplit.metrics import ProductMetric, ScaledMetric
 from saddlesplit.problems import (SaddleProblem, ZeroTerm, make_bilinear,
                                   make_polymatrix,
                                   make_strongly_convex_concave)
+
+from krylov_reference import krylov_basis, krylov_min_residual
 
 COUPLINGS = (0.5, 1.0, 2.0)
 ACCURACIES = (0.2, 0.1, 0.05)

@@ -42,6 +42,21 @@ def test_bind_records_calls():
     out = oracle(np.array([1.0, 2.0]))
     assert np.allclose(out, [2.0, 4.0])
     assert led.queries("x") == 1
+    # Bound oracles of two agents at costs (2, 3) across two rounds; the
+    # open round's query counts in the totals only.
+    led = OracleLedger(("x", "y"), costs=(2.0, 3.0))
+    fx, fy = (led.bind(a, lambda p: np.ones(2)) for a in ("x", "y"))
+    fx(np.zeros(2))
+    fy(np.zeros(2))
+    led.end_round()
+    fx(np.ones(2))
+    fx(np.ones(2))
+    led.end_round()
+    fy(np.ones(2))
+    assert led.round == 2 and led.queries() == {"x": 3, "y": 2}
+    assert led.weighted_cost() == pytest.approx(12.0)
+    assert led.round_queries("x") == [1, 2]
+    assert led.round_queries("y") == [1, 0]
 
 
 def test_unknown_agent_and_bad_costs():

@@ -88,6 +88,19 @@ def test_gda_converges_weak_coupling():
     assert max(ratios) < 1.0
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 6: the gap scores an "
+                   "infeasible candidate like a feasible one")
+def test_gda_converged_candidate_lies_in_the_restriction_ball():
+    # f = x y from (1, 1) with D = 1: the run ends `converged` after 2
+    # rounds at (-0.25, 1.75), outside the x-ball, with an exact gap of 0.
+    p = _unit_bilinear_from_one()
+    res = local_gda_run(p, LocalGdaParams(epsilon=0.05))
+    assert res.status == "converged"
+    x, y = res.candidate
+    assert np.linalg.norm(x - p.x0) <= p.D_x * (1.0 + 1e-12)
+    assert np.linalg.norm(y - p.y0) <= p.D_y * (1.0 + 1e-12)
+
+
 def test_gda_diverges_strong_coupling():
     p = make_strongly_convex_concave(1.0, 1.0, 2.0, n=1)
     res = local_gda_run(p, LocalGdaParams(epsilon=1e-9, eta_x=0.5, eta_y=0.5,

@@ -244,6 +244,17 @@ def test_config_errors(tmp_path):
     half_k = "[experiment]\nepsilons = [0.1]\n\n[instance]\nkind = hard_xy\nL = 1.0\nD = 1.0\nk = 2.5\n"
     with pytest.raises(cli.ConfigError, match="must be an integer"):
         cli.parse_config(_write(tmp_path, half_k, "bad4.ini"))
+    # A repeated epsilon or solver used to write its rows twice and exit 0.
+    body = "\n\n[instance.a]\nkind = bilinear\na = [[1.0]]\nb = [0.0]\n"
+    for grid, match in (("epsilons = [0.1, 0.1]", "epsilon 0.1 is repeated"),
+                        ("solvers = decoupled, decoupled",
+                         "solver 'decoupled' is repeated")):
+        path = _write(tmp_path, f"[experiment]\n{grid}{body}", "bad5.ini")
+        with pytest.raises(cli.ConfigError, match=match):
+            cli.parse_config(path)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", path, "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("key, value", [("seed", "abc"),
@@ -342,19 +353,12 @@ def test_hard_instance_writes_the_recipe(tmp_path):
     assert got.name == want.name
 
 
-def test_verify_subcommand(capsys):
-    assert cli.main(["verify"]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert [ln.split(None, 1) for ln in lines] == [["ok", name] for name in (
-        "metric duality",
-        "ledger counts, per-round queries and kept candidates",
-        "theta factor lower bound",
-        "krylov index closed form",
-        "krylov residual closed form",
-        "restricted gap nonnegativity",
-        "split step joint criterion",
-        "chain nonzero products match dense products",
-    )]
+def test_unknown_subcommand_exits_2(capsys):
+    # The invariant checks live in the test suite, not in a subcommand.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'verify'" in capsys.readouterr().err
 
 
 def test_bounds_subcommand(tmp_path, capsys):
@@ -697,6 +701,32 @@ def test_malformed_instance_values_are_config_errors(tmp_path, capsys, line):
     for code, err in _run_and_bounds(tmp_path, capsys, path):
         assert code == 2
         assert err.startswith("config error: cannot build instance [instance.s]")
+
+
+@pytest.mark.parametrize("section, line, what", [
+    ("decoupled", "max_rounds = 'many'", "a positive integer"),
+    ("decoupled", "max_rounds = 2.0", "a positive integer"),
+    ("decoupled", "max_rounds = None", "a positive integer"),
+    ("extragradient", "max_rounds = 0", "a positive integer"),
+    ("local_gda", "steps_per_round = 0", "a positive integer"),
+    ("local_gda", "steps_per_round = True", "a positive integer"),
+    ("decoupled", "lam = 1e999", "a positive finite number"),
+    ("decoupled", "lam = -2.0", "a positive finite number"),
+    ("local_gda", "eta_x = -1.0", "a positive finite number"),
+    ("local_gda", "eta_y = 'fast'", "a positive finite number"),
+])
+def test_malformed_solver_values_are_config_errors(tmp_path, capsys, section,
+                                                   line, what):
+    # These used to become `error:` rows with exit 0, or (a zero step
+    # count, a negative step) to run.
+    text = "[experiment]\n" + SCSC_SECTION + f"\n[solver.{section}]\n{line}\n"
+    path = _write(tmp_path, text)
+    key = line.split()[0]
+    for code, err in _run_and_bounds(tmp_path, capsys, path):
+        assert code == 2
+        assert err.startswith(f"config error: {key} must be {what}, got ")
+        assert err.endswith(f" in [solver.{section}]\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_and_bounds_read_the_seed_alike(tmp_path, capsys):

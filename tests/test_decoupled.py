@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from saddlesplit.accounting import OracleLedger
 from saddlesplit.decoupled import (
@@ -341,6 +341,8 @@ def test_split_prox_step_curved_blocks():
 
 @settings(deadline=None, max_examples=40)
 @given(st.floats(-3, 3), st.floats(-3, 3), st.floats(0.25, 2.0))
+@example(-5.5, 4.2, 0.6)            # anchors past the drawn range
+@example(6.8, -3.7, 1.4)
 def test_split_prox_passes_joint_check(vx, vy, c):
     # Bilinear coupling c*x*y: split solves are exact, and the joint
     # criterion must hold at lam = 2 with the balanced scalings.

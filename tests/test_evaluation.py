@@ -48,13 +48,17 @@ def test_gap_zero_at_saddle():
 
 def test_gap_nonnegative_feasible():
     rng = np.random.default_rng(2)
-    p = make_bilinear(rng.standard_normal((3, 2)), rng.standard_normal(3))
-    for _ in range(10):
-        x = rng.standard_normal(2)
-        x *= min(1.0, p.D_x / np.linalg.norm(x))
-        y = rng.standard_normal(3)
-        y *= min(1.0, p.D_y / np.linalg.norm(y))
-        assert restricted_gap(p, (x, y)).value >= -1e-10
+    for p, draws in (
+            (make_bilinear(rng.standard_normal((3, 2)),
+                           rng.standard_normal(3)), 10),
+            (make_bilinear(np.array([[1.0, 0.3], [0.0, 0.8]]),
+                           np.array([0.2, -0.1])), 25)):
+        for _ in range(draws):
+            x = rng.standard_normal(p.nx)
+            x *= min(1.0, p.D_x / np.linalg.norm(x))
+            y = rng.standard_normal(p.ny)
+            y *= min(1.0, p.D_y / np.linalg.norm(y))
+            assert restricted_gap(p, (x, y)).value >= -1e-10
 
 
 def test_estimator_agrees_with_closed_form():

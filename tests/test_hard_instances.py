@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from saddlesplit.hard_instances import (
-    _chain, chain_norm, krylov_basis, krylov_index, krylov_min_residual,
-    make_hard_saddle, residual_floor,
+    _chain, chain_norm, krylov_index, make_hard_saddle, residual_floor,
 )
 from saddlesplit.evaluation import restricted_gap
 from saddlesplit.problems import (
     TripletMatrix, _matrix_products, make_bilinear, make_quadratic,
 )
+
+from krylov_reference import krylov_basis, krylov_min_residual
 
 
 def _gamma(D, k):
@@ -81,6 +82,19 @@ def test_krylov_spans_leading_coordinates():
         # span equals exactly the first k coordinates
         assert np.array_equal(Q[k:], np.zeros((n - k, k)))
         assert krylov_index((Q[:, -1], np.zeros(n + 1)), b) == k
+    # On the order-10 chain a random point of either side's order-j basis
+    # has index exactly j.
+    st = make_hard_saddle("xy", 1.0, 1.0, 10).structure
+    A, b = st["A"], st["b"]
+    rng = np.random.default_rng(42)
+    for side in ("x", "y"):
+        for j in range(7):
+            Q = krylov_basis(A, b, j, side=side)
+            assert Q.shape[1] == j
+            v = Q @ rng.normal(size=j)
+            cand = ((v, np.zeros(b.size)) if side == "x"
+                    else (np.zeros(b.size - 1), v))
+            assert krylov_index(cand, b) == j, (side, j)
 
 
 def test_krylov_index_of_the_y_side():

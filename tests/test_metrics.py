@@ -59,19 +59,23 @@ pos3 = st.lists(st.floats(0.1, 10, allow_nan=False), min_size=3, max_size=3)
 @settings(max_examples=50, deadline=None)
 @given(z=vec3, g=vec3, pw=pos3, alpha=st.floats(0.1, 10))
 def test_cauchy_schwarz_duality(z, g, pw, alpha):
-    m = ProductMetric([(ScaledMetric(np.array(pw)), alpha)])
+    w = ScaledMetric(np.array(pw))
     z, g = np.array(z), np.array(g)
     lhs = abs(float(np.dot(g, z)))
-    assert lhs <= m.norm(z) * m.dual_norm(g) + 1e-9
+    # The block metric alone and inside a product.
+    for m in (w, ProductMetric([(w, alpha)])):
+        assert lhs <= m.norm(z) * m.dual_norm(g) + 1e-9
 
 
 @settings(max_examples=50, deadline=None)
 @given(z=vec3, pw=pos3, alpha=st.floats(0.1, 10))
 def test_dual_of_applied_equals_primal(z, pw, alpha):
     # ||P z||_* == ||z|| is the defining compatibility of the two norms.
-    m = ProductMetric([(ScaledMetric(np.array(pw)), alpha)])
+    w = ScaledMetric(np.array(pw))
     z = np.array(z)
-    assert m.dual_norm(m.apply(z)) == pytest.approx(m.norm(z), rel=1e-9, abs=1e-12)
+    for m in (w, ProductMetric([(w, alpha)])):
+        assert m.dual_norm(m.apply(z)) == pytest.approx(m.norm(z), rel=1e-9,
+                                                        abs=1e-12)
 
 
 def test_shape_check_kept_for_every_input_type():

@@ -4,9 +4,9 @@ Each agent owns one first-order oracle.  Inside a communication round agents
 may only query their own oracle; information merges at round boundaries.
 The ledger counts queries ``N_i`` per agent, overall and per completed
 round, counts completed rounds ``T``, and exposes the weighted cost
-``sum_i c_i N_i``.  It never keeps a queried point or response.  Only with
-``capture="candidates"`` does it also keep the candidate each solver hands
-to `OracleLedger.keep` after each round.
+``sum_i c_i N_i``.  It never keeps a queried point or response.  A solver
+closes each round with `OracleLedger.end_round`, passing the candidate
+that round produced; only a ``capture="candidates"`` ledger keeps it.
 """
 
 from array import array
@@ -30,8 +30,8 @@ class OracleLedger:
         Per-query cost ``c_i`` of each agent's oracle.  Defaults to ones.
     capture : {"counts", "candidates"}
         ``"counts"`` (the default) keeps query counts only: overall and per
-        completed round.  ``"candidates"`` also keeps the per-round
-        candidates passed to `keep`.
+        completed round.  ``"candidates"`` also keeps the candidate passed
+        to `end_round` when each round closes.
     """
 
     def __init__(self, agents, costs=None, capture="counts"):
@@ -64,18 +64,13 @@ class OracleLedger:
             raise KeyError(f"unknown agent {agent!r}")
         self._counts[agent] += 1
 
-    def end_round(self):
-        """Close the current round; queries after this land in the next one."""
+    def end_round(self, candidate=None):
+        """Close the current round, which produced `candidate`; queries
+        after this land in the next one.  Only a ``capture="candidates"``
+        ledger keeps `candidate`, uncopied: one per closed round."""
         self._rounds += 1
         for a, ends in self._round_ends.items():
             ends.append(self._counts[a])
-
-    def keep(self, candidate):
-        """Keep `candidate` as the candidate after the last closed round.
-
-        A ``capture="candidates"`` ledger stores the object itself,
-        uncopied; a counts ledger stores nothing.
-        """
         if self.capture == "candidates":
             self._kept.append(candidate)
 
@@ -109,8 +104,8 @@ class OracleLedger:
         return float(sum(self.costs[a] * n for a, n in self._counts.items()))
 
     def kept(self):
-        """The candidates passed to `keep`, oldest first; empty on a counts
-        ledger."""
+        """The candidate of each closed round, oldest first; empty on a
+        counts ledger."""
         return list(self._kept)
 
 
@@ -129,7 +124,7 @@ class RunResult:
         Last gap evaluation (a `GapResult`), when a gap oracle was supplied.
     ledger : OracleLedger
         The run's ledger; `rounds` reads its completed rounds and
-        `round_candidates` the candidates it kept.
+        `round_candidates` the candidates its rounds closed with.
     info : dict
         Solver-specific extras (step sizes, inner-iteration stats, ...).
     """
@@ -146,7 +141,7 @@ class RunResult:
 
     @property
     def round_candidates(self):
-        """Candidate available after each completed round, as kept by the
-        ledger; entry ``t`` is the candidate after round ``t + 1``.  Empty
-        unless the ledger was built with ``capture="candidates"``."""
+        """Candidate of each completed round, as passed to `end_round`;
+        entry ``t`` is the candidate after round ``t + 1``.  Empty unless
+        the ledger was built with ``capture="candidates"``."""
         return self.ledger.kept()

@@ -99,11 +99,12 @@ def extragradient_run(problem, params, ledger=None):
 
     Each iteration queries both oracles at the current anchor, takes a
     prox step, queries at the trial point, and re-steps from the anchor;
-    candidates are the ergodic averages of the trial points,
-    handed to the ledger after every round and scored against the
-    instance's gap set after every iteration.  Anchor, trial point, sum
-    and candidate are joint (x, y) vectors; the blocks are views into
-    them, and no array is written once a view of it has been handed out.
+    candidates are the ergodic averages of the trial points.  Each round
+    closes on the ledger with the candidate it produced, and each
+    iteration's candidate is scored against the instance's gap set.
+    Anchor, trial point, sum and candidate are joint (x, y) vectors; the
+    blocks are views into them, and no array is written once a view of it
+    has been handed out.
     """
     p = problem
     if ledger is None:
@@ -125,17 +126,15 @@ def extragradient_run(problem, params, ledger=None):
     status = "budget_exhausted"
     while ledger.round < params.max_rounds:
         Gv = query(v)
-        ledger.end_round()
-        ledger.keep(candidate)               # first half-iteration: retained
+        ledger.end_round(candidate)          # first half-iteration: retained
         # blockwise: argmin <V_i, w> + (alpha_i / 2)|w - v_i|_i^2 + psi_i
         z = step(v, Gv)
         Gz = query(z)
-        ledger.end_round()
         v = step(v, Gz)
         weight += 1.0
         acc = acc + z
         candidate = blocks(acc / weight)
-        ledger.keep(candidate)
+        ledger.end_round(candidate)          # second half: its new candidate
         if stop(candidate):
             status = "converged"
             break
@@ -154,8 +153,8 @@ def local_gda_run(problem, params, ledger=None):
     Per round each agent receives the other's last-round iterate, then takes
     ``steps_per_round`` gradient steps on its own variable (descent in x,
     ascent in y).  Divergence (iterate norm above 1e8) ends the run with a
-    "diverged" status.  Each round's candidate goes to the ledger and is
-    scored against the instance's gap set.  The
+    "diverged" status.  Each round closes on the ledger with its candidate,
+    which is scored against the instance's gap set.  The
     iterate is one joint (x, y) vector: the y ascent step is the descent
     step on ``V_y = -grad_y f``, which gives the same bits.
     """
@@ -180,9 +179,8 @@ def local_gda_run(problem, params, ledger=None):
         for _ in range(params.steps_per_round):
             v = step(v, respond(ox((x, y_frozen)), oy((x_frozen, y))))
             x, y = blocks(v)
-        ledger.end_round()
         candidate = (x, y)
-        ledger.keep(candidate)
+        ledger.end_round(candidate)
         # Each norm is tested on its own: max(nx, nan) is nx.
         nx, ny = math.sqrt(x @ x), math.sqrt(y @ y)
         if not (math.isfinite(nx) and math.isfinite(ny)) \

@@ -165,9 +165,8 @@ def _build_instance(sec, iid, base, rng):
             _check_keys(sec, RANDOM_POLYMATRIX_KEYS + ("kind", "name"))
             kwargs = {key: _read_key(sec, key)
                       for key in RANDOM_POLYMATRIX_KEYS if key in sec}
-            dims = tuple(kwargs.pop("dims"))
-            return random_polymatrix(len(dims), dims, rng(), name=iid,
-                                     **kwargs)
+            return random_polymatrix(tuple(kwargs.pop("dims")), rng(),
+                                     name=iid, **kwargs)
         return instance_from_section(sec)
     except (KeyError, ValueError, TypeError, OSError,
             configparser.Error) as exc:
@@ -349,13 +348,13 @@ def run_cell(instance_id, problem, solver, eps, params, check_bounds,
     compliant = ""
     if check_bounds:
         bound_comm, bound_oracle = _bounds_for(problem, solver, eps, params)
-        # A run that stops without the target accuracy violates the bound
-        # just as surely as one that overruns the counts, and a solver
-        # invariant that broke (AssertionError) fails it outright; other
-        # errored runs (incomplete ledgers) stay unassessed.
+        # A run that raised or stopped without the target accuracy
+        # violates the bound just as surely as one that overruns the
+        # counts, and a solver invariant that broke (AssertionError) fails
+        # a cell even where no bound applies.
         if invariant_broken:
             compliant = "false"
-        elif bound_comm is not None and not status.startswith("error"):
+        elif bound_comm is not None:
             ok = status in GOOD_STATUSES and ledger.round <= bound_comm + 1e-9
             if bound_oracle is not None:
                 ok = ok and ledger.weighted_cost() <= bound_oracle + 1e-9
@@ -555,6 +554,10 @@ def _cmd_run(args):
     paths = emit_outputs(rows, out_dir)
     for p in paths:
         print(f"wrote {p}")
+    for r in rows:
+        if r.status.startswith("error"):
+            print(f"{r.instance_id}/{r.solver} at epsilon={r.epsilon}: "
+                  f"{r.status}", file=sys.stderr)
     bad = [r for r in rows if r.compliant == "false"]
     for r in bad:
         print(f"bound violation: {r.instance_id}/{r.solver} at "
@@ -565,10 +568,10 @@ def _cmd_run(args):
 def _cmd_hard_instance(args):
     try:
         problem = make_hard_saddle(args.kind, L=args.L, D=args.D, k=args.k)
-    except ValueError as exc:
+        save_instance(problem, args.out)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    save_instance(problem, args.out)
     print(f"wrote {args.out} (kind={args.kind}, L={args.L}, D={args.D}, "
           f"k={args.k})")
     return 0

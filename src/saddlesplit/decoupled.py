@@ -87,8 +87,7 @@ class BlockSolveResult:
     info: dict = field(default_factory=dict)
 
 
-def relative_residual_check(task, point, subgrad, operator_value=None,
-                            slack=_CHECK_SLACK):
+def relative_residual_check(task, point, subgrad, operator_value=None):
     """Relative stationarity: ``||V(w) + psi'(w)||_* <= delta ||w - v||``.
 
     Passing `operator_value` avoids spending an oracle query on the check.
@@ -98,11 +97,10 @@ def relative_residual_check(task, point, subgrad, operator_value=None,
         operator_value = task.operator(point)
     r = task.metric.dual_norm(np.asarray(operator_value) + np.asarray(subgrad))
     thr = task.delta * task.metric.norm(point - task.anchor)
-    return r <= thr + slack, r, thr
+    return r <= thr + _CHECK_SLACK, r, thr
 
 
-def scaled_prox_check(V_value, psi_prime, z_plus, anchor, lam, metric,
-                      slack=_CHECK_SLACK):
+def scaled_prox_check(V_value, psi_prime, z_plus, anchor, lam, metric):
     """Joint relative criterion for the regularised inclusion.
 
     ``||V(z) + psi'(z) + lam P (z - v)||_* <= lam ||z - v||`` in the
@@ -112,7 +110,7 @@ def scaled_prox_check(V_value, psi_prime, z_plus, anchor, lam, metric,
     lhs = metric.dual_norm(np.asarray(V_value) + np.asarray(psi_prime)
                            + lam * metric.apply(np.asarray(z_plus) - anchor))
     rhs = lam * metric.norm(np.asarray(z_plus) - anchor)
-    return lhs <= rhs + slack, lhs, rhs
+    return lhs <= rhs + _CHECK_SLACK, lhs, rhs
 
 
 def anchor_weight(v_psi, anchor, z_plus, metric, lam):
@@ -329,7 +327,7 @@ def residual_agd(task, xi, gap_ball=None):
 # inner engine: anchored extragradient for general monotone blocks
 # ---------------------------------------------------------------------------
 
-def anchored_eg(task, xi=None):
+def anchored_eg(task):
     """Anchored extragradient until the relative-residual criterion holds.
 
     Iterates pull toward the anchor with Halpern weights ``1/(t+2)``; the
@@ -344,8 +342,7 @@ def anchored_eg(task, xi=None):
     op, counter = _counting_operator(task)
     if task.lipschitz == 0.0:
         return _solve_constant_operator(task, op, counter)
-    if xi is None:
-        xi = 2.0 * task.delta / 3.0
+    xi = 2.0 * task.delta / 3.0
     if task.strong > 0:
         factor = min(task.delta, xi * task.strong / (task.strong + xi))
     else:
@@ -449,8 +446,9 @@ def _decoupled_run(problem, oracles, psis, metrics, L, d_hat, gradient,
     values and the ergodic sum are joint vectors over the active blocks
     (in the `ProductMetric` of their scalings), the blocks are views into
     them, and no array is written once a view of it has been handed out.
-    Candidates are full-block tuples handed to the ledger after every
-    round and scored against the problem's gap set after every iteration.
+    Candidates are full-block tuples; each round closes on the ledger with
+    the candidate it produced, and each iteration's candidate is scored
+    against the problem's gap set.
     """
     K = len(oracles)
     if len(d_hat) != K:
@@ -497,8 +495,7 @@ def _decoupled_run(problem, oracles, psis, metrics, L, d_hat, gradient,
     if not active:
         candidate = tuple(full)
         for _ in range(2):
-            ledger.end_round()
-            ledger.keep(candidate)
+            ledger.end_round(candidate)
         gap = restricted_gap(problem, candidate)
         status = "local_solve" if gap.value <= eps else "budget_exhausted"
         return RunResult(status=status, candidate=candidate, gap=gap,
@@ -539,8 +536,7 @@ def _decoupled_run(problem, oracles, psis, metrics, L, d_hat, gradient,
             [block_operator(i, anchor) for i in active], act_psis,
             act_metrics, act_alphas, v_parts, lam, act_lips,
             inner_flags=[gradient[i] for i in active])
-        ledger.end_round()
-        ledger.keep(candidate)
+        ledger.end_round(candidate)
         point = full_point(z_parts)
         # Block i's solve took its operator value at `point` itself when
         # every other active block returned its anchor bit for bit, unless
@@ -551,7 +547,7 @@ def _decoupled_run(problem, oracles, psis, metrics, L, d_hat, gradient,
             if res.exit != "constant" and sum(moved) == moved[pos]
             else oracles[i](point)
             for pos, (i, res) in enumerate(zip(active, diags))])
-        ledger.end_round()
+        # The exchange round closes below, once its candidate exists.
 
         z = metric.join(z_parts)
         sub = metric.join(sub_parts)
@@ -559,7 +555,7 @@ def _decoupled_run(problem, oracles, psis, metrics, L, d_hat, gradient,
 
         if metric.dual_norm(v_psi) <= _ZERO_OPERATOR_TOL:
             candidate, status = point, "solution_found"
-            ledger.keep(candidate)
+            ledger.end_round(candidate)
             break
 
         ok, lhs, rhs = scaled_prox_check(V, sub, z, v, lam, metric)
@@ -585,7 +581,7 @@ def _decoupled_run(problem, oracles, psis, metrics, L, d_hat, gradient,
                     f"telescoped progress inequality violated: "
                     f"{telescope_lhs} > {budget}")
 
-        ledger.keep(candidate)
+        ledger.end_round(candidate)
         if stop(candidate):
             status = "converged"
             break

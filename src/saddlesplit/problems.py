@@ -657,7 +657,7 @@ def make_polymatrix(dims, blocks, b=None, D=None, costs=None, psis=None,
                    "dims": list(dims)}, name=name)
 
 
-def random_polymatrix(K, dims, rng, coupling=1.0, diag=0.0, radius=0.8,
+def random_polymatrix(dims, rng, coupling=1.0, diag=0.0, radius=0.8,
                       D=None, name="polymatrix_rand"):
     """Random polymatrix instance with a known interior solution.
 
@@ -666,6 +666,7 @@ def random_polymatrix(K, dims, rng, coupling=1.0, diag=0.0, radius=0.8,
     `diag`.  A target point with block norms ``radius * D_i`` is drawn and
     the offsets are chosen so it solves the unconstrained system exactly.
     """
+    K = len(dims)
     if D is None:
         D = [1.0] * K
     blocks = [[None] * K for _ in range(K)]

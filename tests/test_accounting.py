@@ -8,7 +8,7 @@ import pytest
 from saddlesplit import cli
 from saddlesplit.accounting import CAPTURE_LEVELS, OracleLedger
 from saddlesplit.hard_instances import make_hard_saddle
-from saddlesplit.problems import random_polymatrix
+from saddlesplit.problems import make_bilinear, random_polymatrix
 
 
 def test_counts_and_weighted_cost_frozen():
@@ -118,24 +118,24 @@ def test_counts_ledger_retains_no_points():
         assert grown < 64 * 1024, (capture, grown)
 
 
-def test_keep_holds_candidates_only_on_full_ledger():
+def test_end_round_keeps_candidates_only_on_full_ledger():
     counts = OracleLedger(("x",))
     candidate = (np.zeros(3), np.ones(3))
     alive = weakref.ref(candidate[0])
-    counts.end_round()
-    counts.keep(candidate)
+    counts.end_round(candidate)
     del candidate
     gc.collect()
     assert alive() is None
-    assert counts.kept() == []
+    assert counts.round == 1 and counts.kept() == []
 
     led = OracleLedger(("x",), capture="candidates")
     kept = [np.arange(2.0), (np.zeros(1), np.ones(1)), np.arange(2.0)]
     for c in kept:
-        led.end_round()
-        led.keep(c)
-    assert len(led.kept()) == len(kept)
+        led.end_round(c)
+    led.end_round()                   # a round closed without a candidate
+    assert led.round == len(led.kept()) == len(kept) + 1
     assert all(got is want for got, want in zip(led.kept(), kept))
+    assert led.kept()[-1] is None
 
 
 def test_counts_ledger_refuses_point_reads():
@@ -150,19 +150,28 @@ def test_counts_ledger_refuses_point_reads():
 def _capture_case(instance):
     if instance == "hard_xy":
         return make_hard_saddle("xy", 1.0, 1.0, 20), ("x", "y")
+    if instance == "hard_x":
+        return make_hard_saddle("x", 100.0, 1.0, 5), ("x", "y")
+    if instance == "bilinear_b0":
+        # b = 0 and a start at the origin: the origin is the saddle point.
+        return make_bilinear(np.array([[1.0, 0.5], [0.0, 2.0]])), ("x", "y")
     rng = np.random.default_rng(7)
-    return (random_polymatrix(3, (2, 2, 2), rng, diag=0.5), ("1", "2", "3"))
+    return (random_polymatrix((2, 2, 2), rng, diag=0.5), ("1", "2", "3"))
 
 
-@pytest.mark.parametrize("instance, solver, eps, params", [
-    ("hard_xy", "decoupled", 1.0 / 60.0, {}),
-    ("hard_xy", "extragradient", 1.0 / 60.0, {}),
-    ("hard_xy", "local_gda", 1.0 / 60.0, {"max_rounds": 60}),
-    ("polymatrix", "decoupled", 0.1, {}),
+@pytest.mark.parametrize("instance, solver, eps, params, status", [
+    ("hard_xy", "decoupled", 1.0 / 60.0, {}, "converged"),
+    ("hard_xy", "extragradient", 1.0 / 60.0, {}, "converged"),
+    ("hard_xy", "local_gda", 1.0 / 60.0, {"max_rounds": 60},
+     "budget_exhausted"),
+    ("polymatrix", "decoupled", 0.1, {}, "converged"),
+    ("hard_x", "decoupled", 0.1, {}, "local_solve"),
+    ("bilinear_b0", "decoupled", 0.1, {}, "solution_found"),
 ], ids=["hard_xy-decoupled", "hard_xy-extragradient", "hard_xy-local_gda",
-        "polymatrix-decoupled"])
-def test_capture_levels_agree(instance, solver, eps, params):
-    """Both capture levels run the same solver steps."""
+        "polymatrix-decoupled", "hard_x-decoupled", "bilinear_b0-decoupled"])
+def test_capture_levels_agree(instance, solver, eps, params, status):
+    """Both capture levels run the same solver steps, and a candidates
+    ledger holds one candidate per round whichever way the run ends."""
     problem, agents = _capture_case(instance)
     results = {}
     for capture in CAPTURE_LEVELS:
@@ -172,6 +181,7 @@ def test_capture_levels_agree(instance, solver, eps, params):
             res.rounds, led.queries(),
             {a: led.round_queries(a) for a in agents},
             res.status, res.gap.value)
+        assert res.status == status
         for a in agents:
             assert sum(led.round_queries(a)) == led.queries(a)
             assert len(led.round_queries(a)) == led.round == res.rounds

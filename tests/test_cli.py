@@ -228,6 +228,23 @@ def test_invariant_failure_fails_bound_check(tmp_path, monkeypatch):
                      "--out", str(tmp_path / "broken")]) == 1
 
 
+def test_solver_error_fails_bound_check(tmp_path, capsys):
+    # lam = 0.5 passes config checks but is below twice this instance's
+    # scaled coupling, so the decoupled run raises a ValueError.
+    path = _write(tmp_path,
+                  BOUNDS_CONFIG + "\n[solver.decoupled]\nlam = 0.5\n")
+    reason = "lam is below twice the scaled coupling constant"
+    rows = cli.run_experiment(cli.parse_config(path), clock=lambda: 0.0)
+    assert all(r.status == f"error: {reason}" for r in rows)
+    assert all(r.compliant == "false" for r in rows)
+    assert cli.main(["run", "--config", path,
+                     "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    for eps in (0.1, 0.2):
+        assert f"strong/decoupled at epsilon={eps}: error: {reason}" in err
+        assert f"bound violation: strong/decoupled at epsilon={eps}" in err
+
+
 def test_config_errors(tmp_path):
     with pytest.raises(cli.ConfigError):
         cli.parse_config(str(tmp_path / "missing.ini"))
@@ -324,6 +341,13 @@ def test_hard_instance_subcommand(tmp_path, capsys):
     assert problem.saddle is not None
     assert cli.main(["hard-instance", "--kind", "xy", "--k", "0",
                      "--out", out]) == 2
+    # An unwritable --out is an error line too, not a traceback.
+    capsys.readouterr()
+    missing = tmp_path / "missing" / "hard.ini"
+    assert cli.main(["hard-instance", "--k", "3", "--out", str(missing)]) == 2
+    printed, err = capsys.readouterr()
+    assert printed == "" and err.startswith("error: ") and str(missing) in err
+    assert not missing.parent.exists()
 
 
 @pytest.mark.parametrize("scale", [["--L", "nan"], ["--L", "inf"],

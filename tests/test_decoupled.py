@@ -396,8 +396,8 @@ def test_anchored_eg_returns_the_anchor_of_a_vanishing_operator(
 
     exits = []
 
-    def spy(task, xi=None):
-        res = anchored_eg(task, xi)
+    def spy(task):
+        res = anchored_eg(task)
         exits.append(res.exit)
         return res
 
@@ -515,7 +515,7 @@ def test_local_solve_stops_at_its_share_of_the_gap():
 
 def test_vip_run_converges():
     rng = np.random.default_rng(11)
-    p = random_polymatrix(3, (2, 2, 2), rng, coupling=1.0, diag=0.5)
+    p = random_polymatrix((2, 2, 2), rng, coupling=1.0, diag=0.5)
     res = decoupled_vi_run(p, DecoupledParams(epsilon=0.05))
     assert res.status == "converged"
     assert res.gap.value <= 0.05
@@ -561,7 +561,7 @@ def test_vip_frozen_block_keeps_its_residual_target_beside_active_blocks():
 
 
 def test_vip_d_hat_of_the_wrong_length_is_rejected():
-    p = random_polymatrix(3, (2, 2, 2), np.random.default_rng(0))
+    p = random_polymatrix((2, 2, 2), np.random.default_rng(0))
     with pytest.raises(ValueError, match="d_hat has 2 entries but the "
                                          "problem has 3 blocks"):
         decoupled_vi_run(p, DecoupledParams(epsilon=0.1, d_hat=(1.0, 1.0)))
@@ -646,7 +646,7 @@ def test_polymatrix_lipschitz_matrix_symmetric():
     # lam = 2 was rejected.
     rng = np.random.default_rng(5)
     for _ in range(2):
-        p = random_polymatrix(3, (100, 100, 100), rng, diag=0.5)
+        p = random_polymatrix((100, 100, 100), rng, diag=0.5)
         assert np.array_equal(p.L, p.L.T)
         res = decoupled_vi_run(p, DecoupledParams(epsilon=0.1, max_rounds=2))
         assert res.rounds == 2
@@ -659,7 +659,7 @@ def test_vi_polymatrix_default_lam_passes_on_seeds_1_to_40():
     # (alpha_i = sum_{j != i} L_ij D_j / D_i) is one up to rounding, so the
     # default lam = 2 is accepted; no solver is run.
     for seed in range(1, 41):
-        p = random_polymatrix(3, [100] * 3, np.random.default_rng(seed),
+        p = random_polymatrix([100] * 3, np.random.default_rng(seed),
                               diag=0.5)
         assert np.array_equal(p.L, p.L.T), seed
         alphas = [sum(p.L[i, j] * p.D[j] for j in range(3) if j != i)

@@ -84,7 +84,7 @@ def test_scsc_gap_estimate_at_saddle():
 
 def test_vip_gap_zero_at_solution_and_positive_away():
     rng = np.random.default_rng(9)
-    p = random_polymatrix(3, [2, 2, 2], rng, coupling=1.0, diag=0.4)
+    p = random_polymatrix([2, 2, 2], rng, coupling=1.0, diag=0.4)
     g0 = restricted_gap(p, p.solution)
     assert abs(g0.value) <= 1e-8
     z = [0.5 * np.ones(2) for _ in range(3)]
@@ -145,7 +145,7 @@ def test_bounds_ordering_and_signs():
 
 def test_vip_bounds_terms():
     rng = np.random.default_rng(3)
-    p = random_polymatrix(3, [2, 2, 2], rng, coupling=1.0)
+    p = random_polymatrix([2, 2, 2], rng, coupling=1.0)
     r = complexity_bounds(p, 0.5)
     K = 3
     cross = sum(p.L[i, j] * p.D[i] * p.D[j]
@@ -166,7 +166,7 @@ def test_bounds_bad_eps():
 def test_vip_gap_builds_constants_once(monkeypatch):
     from saddlesplit import evaluation
     rng = np.random.default_rng(9)
-    p = random_polymatrix(3, [2, 2, 2], rng, coupling=1.0, diag=0.4)
+    p = random_polymatrix([2, 2, 2], rng, coupling=1.0, diag=0.4)
     dense_norm = evaluation.spectral_norm
     calls = []
 
@@ -545,7 +545,7 @@ def test_gap_test_evaluates_estimated_kinds_and_vis_every_time(monkeypatch):
     # does not apply), an scsc under non-identity metrics, and an scsc
     # scored by a gap function that does not return estimates.
     from saddlesplit import evaluation
-    poly = random_polymatrix(2, [2, 2], np.random.default_rng(3))
+    poly = random_polymatrix([2, 2], np.random.default_rng(3))
     reg = dataclasses.replace(
         make_bilinear(np.array([[1.0, 0.5], [0.0, 2.0]])),
         psi_x=QuadraticReg(0.5, np.zeros(2)))

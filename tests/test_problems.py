@@ -226,7 +226,7 @@ def test_polymatrix_validation_errors():
 
 def test_polymatrix_solution_and_monotone():
     rng = np.random.default_rng(7)
-    p = random_polymatrix(3, [2, 3, 2], rng, coupling=1.0, diag=0.5)
+    p = random_polymatrix([2, 3, 2], rng, coupling=1.0, diag=0.5)
     assert p.solution is not None
     # the attached solution solves V(z) = 0
     V = [p.operators[i](p.solution) for i in range(p.K)]
@@ -265,7 +265,7 @@ def test_dense_constants_match_svd():
         sigma ** 2, rel=1e-12)
     M, S = rng.standard_normal((3, 2)), rng.standard_normal((3, 3))
     for p in (make_polymatrix([3, 2], [[S @ S.T, M], [-M.T, None]]),
-              random_polymatrix(3, [4, 3, 2], rng, diag=0.5)):
+              random_polymatrix([4, 3, 2], rng, diag=0.5)):
         want = [[_sigma_max(Aij) for Aij in row]
                 for row in p.structure["blocks"]]
         assert p.L == pytest.approx(np.array(want), rel=1e-12, abs=0.0)
@@ -291,7 +291,7 @@ def test_chain_constants_match_svd(kind, k):
     lambda: make_quadratic(np.array([[1.5, 0.0], [1.0, 2.0]]),
                            np.array([1.0, -1.0]), side="x"),
     lambda: make_strongly_convex_concave(0.7, 1.3, 0.4, n=2, D_x=1.5),
-    lambda: random_polymatrix(2, [2, 2], np.random.default_rng(5), diag=0.3),
+    lambda: random_polymatrix([2, 2], np.random.default_rng(5), diag=0.3),
 ])
 def test_instance_roundtrip(tmp_path, build):
     p = build()

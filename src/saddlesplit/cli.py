@@ -550,8 +550,19 @@ def _cmd_run(args):
     if args.check_bounds:
         config.check_bounds = True
     out_dir = args.out if args.out is not None else config.out_dir
+    try:
+        # Made before the grid runs: a path that cannot be made costs no
+        # solver time.
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     rows = run_experiment(config)
-    paths = emit_outputs(rows, out_dir)
+    try:
+        paths = emit_outputs(rows, out_dir)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     for p in paths:
         print(f"wrote {p}")
     for r in rows:

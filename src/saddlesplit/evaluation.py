@@ -26,9 +26,11 @@ that the closed form would exceed epsilon.  When the gap is estimated
 with no psi left over and identity metrics, it answers "no" whenever the
 estimator's first step already puts the value above epsilon: projected
 gradient with step 1/L never moves back, so the full estimate is at
-least that high.  That is all it certifies: every "yes" and every
-reported gap is a `restricted_gap` evaluation, at the same candidate as
-when every candidate is evaluated, so statuses and gaps are unchanged.
+least that high.  That bound needs no evaluated candidate, so it holds
+from a run's first candidate on.  That is all it certifies: every "yes"
+and every reported gap is a `restricted_gap` evaluation, at the same
+candidate as when every candidate is evaluated, so statuses and gaps are
+unchanged.
 Other estimated gaps and VIs are evaluated on every call.
 """
 
@@ -423,7 +425,8 @@ def _first_step_bound(p, eps):
     `PGA_STEPS` steps, and the candidate probe only widens them: a
     first-step value above `eps`, by a relative margin of the size of its
     terms, proves the estimate is above `eps` too.  The bound scores a
-    candidate with the same psi checks as `restricted_gap`.
+    candidate with the same psi checks as `restricted_gap`.  It needs no
+    evaluated candidate, so `GapTest` arms it before the first one.
     """
     if isinstance(p, VipProblem) or p.f_value is None:
         return None
@@ -451,9 +454,10 @@ class GapTest:
     are answered False without being evaluated, as evaluating them would.
     When the gap is estimated and `_first_step_bound` applies, candidates
     whose first-step bound exceeds `epsilon` are answered False the same
-    way.  Each bound is armed only while the last evaluation came from its
-    own method, so an `evaluate` that returns anything else is called on
-    every candidate.  Other estimated gaps, and every VI, are evaluated on
+    way, from the first candidate on: that bound is armed when the test
+    is built.  An evaluation of any other method disarms a bound until
+    one of its own method re-arms it, so an `evaluate` that never returns
+    that method is called on every candidate after its first call.  Other estimated gaps, and every VI, are evaluated on
     every call.
 
     `evaluate` is the gap function, called as ``evaluate(problem,
@@ -465,15 +469,17 @@ class GapTest:
         self.problem, self.epsilon = problem, epsilon
         self.evaluate = restricted_gap if evaluate is None else evaluate
         self._method = self._anchor_at = None
+        self._exceeds = None     # the bound in force, if any
         form = _closed_form(problem)
         if form is not None:
             self._method, _, _, anchor_maker = form
             self._anchor_at = anchor_maker(problem, epsilon)
         elif (bound := _first_step_bound(problem, epsilon)) is not None:
-            # The first-step bound holds from any evaluated candidate.
+            # The first-step bound needs no evaluated candidate, so it is
+            # armed before the first one and re-armed by every estimate.
             self._method = "pga-estimate"
             self._anchor_at = lambda candidate, value: bound
-        self._exceeds = None     # bound armed by the last evaluation
+            self._exceeds = bound
         self._scored = self._evaluated = self._result = None
 
     def __call__(self, candidate):

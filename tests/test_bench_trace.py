@@ -60,3 +60,9 @@ def test_traced_small_grid_matches_the_ledgers(tmp_path, monkeypatch,
     # Every reported gap was evaluated through a traced name.
     gap_calls = tracer.by_name()["evaluation.restricted_gap"][0]
     assert gap_calls >= sum(r.gap is not None for r in traced["rows"]) > 0
+    # Each inexact gap is evaluated once, for the row that reports it: the
+    # first-step bound rules out every earlier candidate of an estimated
+    # run on `saddle_grid` (18 rows); `chain_closed_form` has only exact
+    # closed forms.
+    estimates = gap_calls - tracer.counts["restricted_gap.exact"]
+    assert estimates == sum(not r.gap_exact for r in traced["rows"])

@@ -332,6 +332,24 @@ file = {ipath.name}
     assert np.isclose(config.instances[0][1].L_xy, 2.0)
 
 
+def test_run_out_that_cannot_be_written_exits_2(tmp_path, capsys, monkeypatch):
+    # A path below a regular file used to run the whole grid, then die in
+    # emit_outputs with a NotADirectoryError traceback and exit 1.
+    path = _write(tmp_path, SP_CONFIG)
+    out = tmp_path / "exp.ini" / "out"
+    with monkeypatch.context() as m:
+        m.setattr(cli, "run_experiment", None)      # the grid never runs
+        assert cli.main(["run", "--config", path, "--out", str(out)]) == 2
+    printed, err = capsys.readouterr()
+    assert printed == "" and err.startswith("error: ") and str(out) in err
+    # A file the grid's outputs cannot be written to fails the same way.
+    (tmp_path / "taken" / "results.csv").mkdir(parents=True)
+    assert cli.main(["run", "--config", path,
+                     "--out", str(tmp_path / "taken")]) == 2
+    printed, err = capsys.readouterr()
+    assert printed == "" and err.startswith("error: ") and "results.csv" in err
+
+
 def test_hard_instance_subcommand(tmp_path, capsys):
     out = str(tmp_path / "hard.ini")
     assert cli.main(["hard-instance", "--kind", "xy", "--k", "2",

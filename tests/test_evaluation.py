@@ -495,6 +495,41 @@ def test_gap_test_skips_only_estimates_above_epsilon(
     assert test.gap(c).value.hex() == restricted_gap(p, c).value.hex()
 
 
+@pytest.mark.parametrize("solver, rounds", [
+    ("extragradient", (6, 10, 14, 20)),
+    ("local_gda", (4, 5, 7, 9)),
+    ("decoupled", (6, 6, 10, 14)),
+])
+def test_estimated_runs_evaluate_only_their_stopping_candidate(
+        monkeypatch, solver, rounds):
+    # The first-step bound is armed before the first candidate, so a run
+    # whose every earlier candidate it rules out calls `restricted_gap`
+    # once, at the candidate it stops on.
+    from saddlesplit import baselines, decoupled
+    module, run, params = {
+        "extragradient": (baselines, baselines.extragradient_run,
+                          baselines.ExtragradientParams),
+        "local_gda": (baselines, baselines.local_gda_run,
+                      baselines.LocalGdaParams),
+        "decoupled": (decoupled, decoupled.decoupled_saddle_run,
+                      decoupled.DecoupledParams),
+    }[solver]
+    p = make_strongly_convex_concave(1, 1, 1, n=4)
+    for eps, want in zip((0.2, 0.1, 0.05, 0.02), rounds):
+        calls = []
+
+        def spy(problem, candidate):
+            calls.append(candidate)
+            return restricted_gap(problem, candidate)
+
+        monkeypatch.setattr(module, "restricted_gap", spy)
+        res = run(p, params(epsilon=eps))
+        assert res.status == "converged" and res.rounds == want
+        assert len(calls) == 1 and calls[0] is res.candidate
+        assert res.gap.value.hex() == \
+            restricted_gap(p, res.candidate).value.hex()
+
+
 def test_armed_gap_test_rejects_candidates_outside_dom_psi():
     p = make_strongly_convex_concave(1.0, 1.0, 1.0, n=2, D_x=2.0)
     p = dataclasses.replace(p, psi_x=BallIndicator(p.x0, 0.5))
@@ -505,8 +540,10 @@ def test_armed_gap_test_rejects_candidates_outside_dom_psi():
         return restricted_gap(problem, candidate)
 
     test = GapTest(p, 1e-9, spy)
-    assert not test((p.x0 + 0.1, p.y0))      # evaluated: arms the bound
-    assert not test((p.x0 + 0.2, p.y0))      # ruled out by the bound
+    assert not test((p.x0 + 0.1, p.y0))      # ruled out by the bound
+    assert calls == []
+    assert test.gap().method == "pga-estimate"   # evaluated: re-arms it
+    assert not test((p.x0 + 0.2, p.y0))      # ruled out again
     assert len(calls) == 1
     with pytest.raises(ValueError, match="outside dom psi"):
         test((p.x0 + 1.0, p.y0))
@@ -543,7 +580,9 @@ def test_gap_test_evaluates_estimated_kinds_and_vis_every_time(monkeypatch):
     # The estimates no bound rules out: a VI, a bilinear with a
     # non-indicator psi left over (a closed-form kind whose closed form
     # does not apply), an scsc under non-identity metrics, and an scsc
-    # scored by a gap function that does not return estimates.
+    # scored by a gap function that does not return estimates.  The last
+    # walk starts at the saddle, which the first-step bound cannot rule
+    # out; the stub's answer there disarms the bound for the rest.
     from saddlesplit import evaluation
     poly = random_polymatrix([2, 2], np.random.default_rng(3))
     reg = dataclasses.replace(
@@ -561,7 +600,7 @@ def test_gap_test_evaluates_estimated_kinds_and_vis_every_time(monkeypatch):
     for p, evaluate, walk in (
             (poly, restricted_gap, [list(c) for c in pairs]),
             (reg, restricted_gap, pairs), (scaled, restricted_gap, pairs),
-            (scsc, stub, pairs)):
+            (scsc, stub, [scsc.saddle] + pairs)):
         calls = []
 
         def spy(problem, candidate):

@@ -292,13 +292,18 @@ def _solver_params(cp, instances):
             if valid is not None and not valid(value):
                 raise ConfigError(f"{key} must be {what}, got {value!r} "
                                   f"in [{section}]")
-    d_hat = solver_params.get("decoupled", {}).get("d_hat")
+    _check_d_hat(solver_params.get("decoupled", {}).get("d_hat"), instances,
+                 "[solver.decoupled] d_hat")
+    return solver_params
+
+
+def _check_d_hat(d_hat, instances, source):
+    """ConfigError, naming `source`, unless `d_hat` fits every instance."""
     for iid, problem in instances:
         if d_hat is not None and len(problem.agents) != len(d_hat):
             raise ConfigError(
-                f"[solver.decoupled] d_hat has {len(d_hat)} entries but "
-                f"instance {iid!r} has {len(problem.agents)} blocks")
-    return solver_params
+                f"{source} has {len(d_hat)} entries but instance {iid!r} "
+                f"has {len(problem.agents)} blocks")
 
 
 # ---------------------------------------------------------------------------
@@ -601,10 +606,11 @@ def _cmd_bounds(args):
         return 2
     try:
         d_hat = _parse_d_hat(args.d_hat)
+        _check_d_hat(d_hat, instances, "--d-hat")
         # Every report before any output: a bad argument prints nothing.
         reports = [(iid, complexity_bounds(problem, args.epsilon, d_hat=d_hat))
                    for iid, problem in instances]
-    except ValueError as exc:
+    except (ValueError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for iid, report in reports:

@@ -437,18 +437,18 @@ def _decoupled_run(problem, oracles, psis, metrics, L, d_hat, gradient,
 
     ``oracles[i]`` is block ``i``'s ledger-bound operator on the tuple of
     all blocks and ``L`` the block Lipschitz matrix.  Scalings ``alpha_i =
-    sum_{j != i} L_ij Dhat_j / Dhat_i`` balance the cross-coupling; blocks
-    with ``alpha_i = 0`` are solved locally once and frozen.  Blocks with
-    ``gradient[i]`` use the staged accelerated engine, the rest the
-    anchored extragradient loop.  ``comm_bound`` sets the default round
-    cap and ``reference`` (a known solution or None) arms the telescoping
-    check; ``d_hat`` has one entry per block.  The anchor, the exchanged
-    values and the ergodic sum are joint vectors over the active blocks
-    (in the `ProductMetric` of their scalings), the blocks are views into
-    them, and no array is written once a view of it has been handed out.
-    Candidates are full-block tuples; each round closes on the ledger with
-    the candidate it produced, and each iteration's candidate is scored
-    against the problem's gap set.
+    sum_{j != i} L_ij Dhat_j / Dhat_i`` balance the cross-coupling.  Blocks
+    with ``gradient[i]`` use the staged accelerated engine, the rest the
+    anchored extragradient loop; those with ``alpha_i = 0`` are solved
+    once by the former and frozen, so they must be gradients.
+    ``comm_bound`` sets the default round cap and ``reference`` (a known
+    solution or None) arms the telescoping check; ``d_hat`` has one entry
+    per block.  The anchor, the exchanged values and the ergodic sum are
+    joint vectors over the active blocks (in the `ProductMetric` of their
+    scalings), the blocks are views into them, and no array is written
+    once a view of it has been handed out.  Candidates are full-block
+    tuples; each round closes on the ledger with the candidate it
+    produced, and each candidate is scored by the run's `GapTest`.
     """
     K = len(oracles)
     if len(d_hat) != K:
@@ -460,12 +460,16 @@ def _decoupled_run(problem, oracles, psis, metrics, L, d_hat, gradient,
     alphas = [sum(L[i][j] * d_hat[j] for j in range(K) if j != i) / d_hat[i]
               for i in range(K)]
     active = [i for i in range(K) if alphas[i] > 0]
-    for i in range(K):
-        if alphas[i] == 0.0 and any(L[j][i] != 0.0 for j in range(K)
-                                    if j != i):
+    frozen = [i for i in range(K) if i not in active]
+    for i in frozen:
+        if any(L[j][i] != 0.0 for j in range(K) if j != i):
             raise ValueError(
                 f"block {i} has no outgoing coupling but others depend on "
                 "it; freezing it would change their subproblems")
+        if not gradient[i]:
+            raise ValueError(
+                f"block {i} is uncoupled but not a gradient; no engine here "
+                "certifies its local solve")
 
     def block_operator(i, base):
         """Block ``i``'s operator with the other blocks fixed at `base`."""
@@ -474,12 +478,11 @@ def _decoupled_run(problem, oracles, psis, metrics, L, d_hat, gradient,
         return op
 
     full = [b.copy() for b in problem.z0]
+    stop = GapTest(problem, eps, restricted_gap)
     # With every block frozen, the gap is the sum of the blocks' own gaps
     # over their balls, so each block may stop once it certifies eps / K.
     gap_set = None if active else _gap_set(problem)
-    for i in range(K):
-        if i in active:
-            continue
+    for i in frozen:
         # Fully decoupled block: its operator ignores the others, so one
         # local solve pins it for the rest of the run.  The residual target
         # eps / (4 Dhat_i^2) bounds its gap contribution over the
@@ -496,10 +499,10 @@ def _decoupled_run(problem, oracles, psis, metrics, L, d_hat, gradient,
         candidate = tuple(full)
         for _ in range(2):
             ledger.end_round(candidate)
-        gap = restricted_gap(problem, candidate)
-        status = "local_solve" if gap.value <= eps else "budget_exhausted"
-        return RunResult(status=status, candidate=candidate, gap=gap,
-                         ledger=ledger, info={"local": True, "alpha": alphas})
+        status = "local_solve" if stop(candidate) else "budget_exhausted"
+        return RunResult(status=status, candidate=candidate,
+                         gap=stop.finish(candidate, status), ledger=ledger,
+                         info={"local": True, "alpha": alphas})
 
     def full_point(parts):
         """All blocks: the frozen ones plus `parts` for the active ones."""
@@ -527,7 +530,6 @@ def _decoupled_run(problem, oracles, psis, metrics, L, d_hat, gradient,
     a_sum = telescope_lhs = 0.0
     a_history = []
     candidate = tuple(full)
-    stop = GapTest(problem, eps, restricted_gap)
     status = "budget_exhausted"
     while ledger.round < max_rounds:
         v_parts = metric.split(v)
@@ -591,7 +593,7 @@ def _decoupled_run(problem, oracles, psis, metrics, L, d_hat, gradient,
         status=status, candidate=candidate, gap=gap, ledger=ledger,
         info={"alpha": alphas, "lam": lam, "coupling": coupling,
               "a_history": a_history, "iterations": ledger.round // 2,
-              "frozen_blocks": [i for i in range(K) if i not in active],
+              "frozen_blocks": frozen,
               "telescope_lhs": telescope_lhs})
 
 

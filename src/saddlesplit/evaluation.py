@@ -10,28 +10,22 @@ inequalities the weak restricted gap
 
     gap(z') = sup_{z in B ∩ Q} <V(z), z' - z> + psi(z') - psi(z)
 
-is used.  `_gap_set` decides B ∩ Q, and `_closed_form` decides whether
-a closed form over its balls gives the gap of a saddle instance:
-bilinear and one-sided quadratic ones, exact when no psi is left over,
-certified upper bounds (``exact=False``) when only indicators are.
-Everything else is estimated by projected-gradient inner maximisation
-and flagged as such.  Both are recomputed on every call; the only data
-kept on ``problem.structure`` is the VI's operator matrix and constant.
+is used.  `_gap_set` decides B ∩ Q, and `_gap_plan` how the gap is
+computed: by a closed form over its balls where `_closed_form` gives one
+(exact when no psi is left over, a certified upper bound, ``exact=False``,
+when only indicators are), else by projected-gradient inner maximisation,
+flagged as an estimate.  `restricted_gap` makes the plan on every call;
+``problem.structure`` keeps only the VI's operator matrix and constant.
 
 Solvers stop through `GapTest`, which answers "is the gap of this
-candidate at most epsilon" for one run.  When `_closed_form` applies, it
-keeps the last evaluated candidate and its value, and answers "no"
-without evaluating whenever a Lipschitz bound from that candidate proves
-that the closed form would exceed epsilon.  When the gap is estimated
-with no psi left over and identity metrics, it answers "no" whenever the
-estimator's first step already puts the value above epsilon: projected
-gradient with step 1/L never moves back, so the full estimate is at
-least that high.  That bound needs no evaluated candidate, so it holds
-from a run's first candidate on.  That is all it certifies: every "yes"
-and every reported gap is a `restricted_gap` evaluation, at the same
-candidate as when every candidate is evaluated, so statuses and gaps are
-unchanged.
-Other estimated gaps and VIs are evaluated on every call.
+candidate at most epsilon" for one run with the bound of the same plan.
+A closed form's bound answers "no" whenever a Lipschitz bound from the
+last evaluated candidate proves the form above epsilon; a saddle
+estimate's, with no psi left over and identity metrics, whenever the
+estimator's first step does (projected gradient with step 1/L never
+moves back).  That is all a bound certifies: every "yes" and every
+reported gap is a `restricted_gap` evaluation, at the same candidate as
+when every candidate is evaluated, so statuses and gaps are unchanged.
 """
 
 import math
@@ -124,9 +118,22 @@ def restricted_gap(problem, candidate):
     GapResult
         ``exact`` only for a closed form with no psi left over by `_gap_set`.
     """
-    if isinstance(problem, VipProblem):
-        return _vip_gap(problem, candidate)
-    return _saddle_gap(problem, candidate)
+    method, exact, value, _ = _gap_plan(problem)
+    return GapResult(value(candidate), exact, method)
+
+
+def _gap_plan(p):
+    """``(method, exact, value, bound_maker)``: how the gap of `p` is computed.
+
+    ``value(candidate)`` is the gap.  ``bound_maker(p, eps)`` (or None)
+    makes `GapTest`'s anchor or None: ``anchor(candidate, value)``, asked
+    after each evaluation and, with no candidate, when the test is built,
+    returns a predicate proving a gap above ``eps``, or None.
+    """
+    if isinstance(p, VipProblem):
+        return "vip-pga-estimate", False, lambda c: _vip_gap(p, c), None
+    return _closed_form(p) or (
+        "pga-estimate", False, lambda c: _saddle_gap(p, c), _first_step_bound)
 
 
 def _gap_set(p):
@@ -155,13 +162,11 @@ def _gap_set(p):
 def _closed_form(p):
     """The closed form that gives the gap of saddle instance `p`, or None.
 
-    Returns ``(method, exact, value, anchor_maker)``: ``value(xbar,
-    ybar)`` is the form at a candidate, and ``anchor_maker(p, eps)`` is
-    `GapTest`'s Lipschitz anchor maker for it.  ``bilinear`` and
-    ``quadratic_*`` instances have one when every psi `_gap_set` leaves
-    over is a ball or box indicator: B ∩ dom psi then lies in the merged
-    balls, so the form over them is an upper bound, and exact when no psi
-    is left.
+    Returns its `_gap_plan` entry, with a Lipschitz anchor maker.
+    ``bilinear`` and ``quadratic_*`` instances have one when every psi
+    `_gap_set` leaves over is a ball or box indicator: B ∩ dom psi then
+    lies in the merged balls, so the form over them is an upper bound,
+    and exact when no psi is left.
     A ``quadratic_*`` one also needs its system consistent, with the
     minimiser inside the merged ball.
     """
@@ -181,7 +186,8 @@ def _closed_form(p):
         (xc, rx, _), (yc, ry, _) = gap_set
         rmatvec = st["rmatvec"]
 
-        def bilinear(xbar, ybar):
+        def bilinear(candidate):
+            xbar, ybar = _scored_blocks(p, candidate)
             gy = matvec(xbar) - b              # gradient of y -> f(xbar, y)
             max_side = _linear_ball_max(p.metric_y, yc, ry, gy)
             gx = rmatvec(ybar)                 # gradient of x -> f(x, ybar)
@@ -198,10 +204,10 @@ def _closed_form(p):
             and metric.norm(p.saddle[side] - center) <= radius + 1e-9):
         return None
 
-    def quadratic(xbar, ybar):
+    def quadratic(candidate):
         # The inner extreme attains zero residual inside the ball, so
         # only the candidate's own residual remains.
-        resid = matvec((xbar, ybar)[side]) - b
+        resid = matvec(_scored_blocks(p, candidate)[side]) - b
         return 0.5 * float(math.sqrt(resid @ resid) ** 2)
     return "quadratic-closed-form", exact, quadratic, _quadratic_bound
 
@@ -218,41 +224,24 @@ def _scored_blocks(p, candidate):
     return xbar, ybar
 
 
-def _upper_at(p, xbar, y):
-    return (p.f_value((xbar, y)) + _psi_value(p.psi_x, p.metric_x, xbar)
+def _F_at(p, x, y):
+    return (p.f_value((x, y)) + _psi_value(p.psi_x, p.metric_x, x)
             - _psi_value(p.psi_y, p.metric_y, y))
-
-
-def _lower_at(p, x, ybar):
-    return (p.f_value((x, ybar)) + _psi_value(p.psi_x, p.metric_x, x)
-            - _psi_value(p.psi_y, p.metric_y, ybar))
 
 
 def _pga_terms(p, xbar, ybar, gap_set, steps):
     """The estimate's upper and lower terms after `steps` projected-gradient
     steps on each side: ``F(xbar, yhat)`` and ``F(xhat, ybar)``."""
     (xc, rx, psi_x), (yc, ry, psi_y) = gap_set
-
-    def grad_y_of(y):
-        return p.grad_y((xbar, y))
-
-    def grad_x_of(x):
-        return p.grad_x((x, ybar))
-
-    yhat = _pga_extreme(grad_y_of, p.metric_y, yc, ry, psi_y, p.L_y, steps,
+    yhat = _pga_extreme(lambda y: p.grad_y((xbar, y)), p.metric_y, yc, ry, psi_y, p.L_y, steps,
                         maximize=True)
-    xhat = _pga_extreme(grad_x_of, p.metric_x, xc, rx, psi_x, p.L_x, steps,
+    xhat = _pga_extreme(lambda x: p.grad_x((x, ybar)), p.metric_x, xc, rx, psi_x, p.L_x, steps,
                         maximize=False)
-    return _upper_at(p, xbar, yhat), _lower_at(p, xhat, ybar)
+    return _F_at(p, xbar, yhat), _F_at(p, xhat, ybar)
 
 
 def _saddle_gap(p, candidate):
     xbar, ybar = _scored_blocks(p, candidate)
-    form = _closed_form(p)
-    if form is not None:
-        method, exact, value, _ = form
-        return GapResult(value(xbar, ybar), exact, method)
-
     if p.f_value is None:
         raise ValueError("gap estimation requires function values on the instance")
     gap_set = _gap_set(p)
@@ -262,9 +251,9 @@ def _saddle_gap(p, candidate):
     (xc, rx, _), (yc, ry, _) = gap_set
     if (p.metric_y.norm(ybar - yc) <= ry + 1e-9
             and p.metric_x.norm(xbar - xc) <= rx + 1e-9):
-        hi = max(hi, _upper_at(p, xbar, ybar))
-        lo = min(lo, _lower_at(p, xbar, ybar))
-    return GapResult(hi - lo, False, "pga-estimate")
+        at_candidate = _F_at(p, xbar, ybar)
+        hi, lo = max(hi, at_candidate), min(lo, at_candidate)
+    return hi - lo
 
 
 def _vip_gap(p, candidate):
@@ -314,7 +303,7 @@ def _vip_gap(p, candidate):
            for metric, c, (center, radius, _)
            in zip(p.metrics, candidate, gap_set)):
         best = max(best, objective(zbar))
-    return GapResult(best, False, "vip-pga-estimate")
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +360,9 @@ def _bilinear_bound(p, eps):
     ly = _LIPSCHITZ_PAD * (nA * _euclid(xc) + rx * nAx + nb)
     c0 = nb * _euclid(yc) + ry * p.metric_y.dual_norm(b)
 
-    def anchor(candidate, value):
+    def anchor(candidate=None, value=None):
+        if candidate is None:
+            return None
         xs = np.asarray(candidate[0], dtype=float)
         ys = np.asarray(candidate[1], dtype=float)
         size = lx * _euclid(xs) + ly * _euclid(ys) + c0
@@ -398,7 +389,9 @@ def _quadratic_bound(p, eps):
     nb = _euclid(st["b"])
     target = (1.0 + _ROUNDING_MARGIN) * math.sqrt(2.0 * eps)
 
-    def anchor(candidate, value):
+    def anchor(candidate=None, value=None):
+        if candidate is None:
+            return None
         ws = np.asarray(candidate[side], dtype=float)
         budget = (math.sqrt(2.0 * value) - target
                   - 2.0 * _ROUNDING_MARGIN * (nA * _euclid(ws) + nb))
@@ -413,26 +406,25 @@ def _quadratic_bound(p, eps):
 
 
 def _first_step_bound(p, eps):
-    """`GapTest`'s bound for the estimated gap of saddle instance `p`, or None.
+    """Anchor maker for the estimated gap of saddle instance `p`, or None.
 
     For an instance `_closed_form` leaves to the estimator.  With no psi
     left over by `_gap_set` and identity metrics, each inner problem is an
     L-smooth objective over a Euclidean ball (``L_y`` and ``L_x``, zero
     for a linear side, as the estimator itself assumes), and projected
     gradient with step 1/L never moves it the wrong way (the
-    sufficient-decrease lemma).
-    So the terms after the estimator's first step bound those after
-    `PGA_STEPS` steps, and the candidate probe only widens them: a
-    first-step value above `eps`, by a relative margin of the size of its
-    terms, proves the estimate is above `eps` too.  The bound scores a
-    candidate with the same psi checks as `restricted_gap`.  It needs no
-    evaluated candidate, so `GapTest` arms it before the first one.
+    sufficient-decrease lemma).  So the terms after the estimator's first
+    step bound those after `PGA_STEPS` steps, and the candidate probe
+    only widens them: a first-step value above `eps`, by a relative
+    margin of the size of its terms, proves the estimate is above `eps`
+    too.  The bound scores a candidate with the same psi checks as
+    `restricted_gap`.  It needs no evaluated candidate: the anchor
+    returns it with or without one.
     """
-    if isinstance(p, VipProblem) or p.f_value is None:
-        return None
     gap_set = _gap_set(p)
-    if any(psi is not None for _, _, psi in gap_set) or not all(
-            np.all(m.weights == 1.0) for m in (p.metric_x, p.metric_y)):
+    if p.f_value is None or any(psi is not None for _, _, psi in gap_set) \
+            or not all(np.all(m.weights == 1.0)
+                       for m in (p.metric_x, p.metric_y)):
         return None
 
     def exceeds(candidate):
@@ -440,25 +432,21 @@ def _first_step_bound(p, eps):
         hi, lo = _pga_terms(p, xbar, ybar, gap_set, 1)
         budget = hi - lo - eps - _ROUNDING_MARGIN * (abs(hi) + abs(lo))
         return budget > 0.0 and math.isfinite(budget)
-    return exceeds
+    return lambda candidate=None, value=None: exceeds
 
 
 class GapTest:
     """The stop test ``gap <= epsilon`` of one run.
 
     ``test(candidate)`` scores a candidate and is True when its gap over
-    the problem's gap set is at most `epsilon`.  When `_closed_form` gives
-    the problem's gap, exact or an upper bound, the test keeps each
-    candidate that form evaluated and its value.  Later candidates for
-    which the form's Lipschitz bound from there already exceeds `epsilon`
-    are answered False without being evaluated, as evaluating them would.
-    When the gap is estimated and `_first_step_bound` applies, candidates
-    whose first-step bound exceeds `epsilon` are answered False the same
-    way, from the first candidate on: that bound is armed when the test
-    is built.  An evaluation of any other method disarms a bound until
-    one of its own method re-arms it, so an `evaluate` that never returns
-    that method is called on every candidate after its first call.  Other estimated gaps, and every VI, are evaluated on
-    every call.
+    the problem's gap set is at most `epsilon`.  Candidates the bound of
+    the problem's `_gap_plan` proves above `epsilon` are answered False
+    without being evaluated, as evaluating them would: for a closed form,
+    those near the last candidate it evaluated; for a saddle estimate,
+    those whose first-step bound exceeds `epsilon`, from the first
+    candidate on.  An evaluation of another method than the plan's
+    disarms the bound until one of the plan's re-arms it.  Gaps with no
+    bound, every VI's among them, are evaluated on every call.
 
     `evaluate` is the gap function, called as ``evaluate(problem,
     candidate)``; solvers pass the `restricted_gap` name of their
@@ -468,18 +456,10 @@ class GapTest:
     def __init__(self, problem, epsilon, evaluate=None):
         self.problem, self.epsilon = problem, epsilon
         self.evaluate = restricted_gap if evaluate is None else evaluate
-        self._method = self._anchor_at = None
-        self._exceeds = None     # the bound in force, if any
-        form = _closed_form(problem)
-        if form is not None:
-            self._method, _, _, anchor_maker = form
-            self._anchor_at = anchor_maker(problem, epsilon)
-        elif (bound := _first_step_bound(problem, epsilon)) is not None:
-            # The first-step bound needs no evaluated candidate, so it is
-            # armed before the first one and re-armed by every estimate.
-            self._method = "pga-estimate"
-            self._anchor_at = lambda candidate, value: bound
-            self._exceeds = bound
+        self._method, _, _, bound_maker = _gap_plan(problem)
+        self._anchor_at = bound_maker and bound_maker(problem, epsilon)
+        # The bound in force, if any; one that needs no candidate is armed now.
+        self._exceeds = self._anchor_at and self._anchor_at()
         self._scored = self._evaluated = self._result = None
 
     def __call__(self, candidate):
@@ -494,16 +474,15 @@ class GapTest:
         Evaluated unless it is the last evaluated candidate; None when no
         candidate is given and none has been scored.
         """
+        candidate = self._scored if candidate is None else candidate
         if candidate is None:
-            candidate = self._scored
-            if candidate is None:
-                return None
+            return None
         if candidate is self._evaluated:
             return self._result
         result = self.evaluate(self.problem, candidate)
         self._evaluated, self._result = candidate, result
         self._exceeds = None
-        if self._method is not None and result.method == self._method:
+        if self._anchor_at and result.method == self._method:
             self._exceeds = self._anchor_at(candidate, result.value)
         return result
 

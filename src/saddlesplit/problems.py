@@ -34,10 +34,15 @@ _SPARSE_PRODUCT_RATIO = 64
 # ---------------------------------------------------------------------------
 
 class CompositeTerm:
-    """Interface for the nonsmooth part of one block."""
+    """Interface for the nonsmooth part of one block.
+
+    Every term defines `prox`; the rest default to the indicator of the
+    set `contains` accepts: value 0 in it and infinity outside, the zero
+    subgradient, and the prox at step 1 as domain projection.
+    """
 
     def value(self, metric, w):
-        raise NotImplementedError
+        return 0.0 if self.contains(metric, w) else _INF
 
     def prox(self, metric, v, step):
         """``argmin_w  psi(w) + 1/(2*step) * ||w - v||_P^2`` (exact)."""
@@ -45,29 +50,20 @@ class CompositeTerm:
 
     def subgradient(self, metric, w):
         """A canonical element of the subdifferential at `w`."""
-        raise NotImplementedError
+        return np.zeros_like(np.asarray(w, dtype=float))
 
     def project_domain(self, metric, v):
         """Metric projection of `v` onto the domain."""
-        raise NotImplementedError
+        return self.prox(metric, v, 1.0)
 
     def contains(self, metric, w, tol=1e-9):
         return True
 
 
 class ZeroTerm(CompositeTerm):
-    """psi = 0."""
-
-    def value(self, metric, w):
-        return 0.0
+    """psi = 0, the indicator of the whole space."""
 
     def prox(self, metric, v, step):
-        return np.array(v, dtype=float, copy=True)
-
-    def subgradient(self, metric, w):
-        return np.zeros_like(np.asarray(w, dtype=float))
-
-    def project_domain(self, metric, v):
         return np.array(v, dtype=float, copy=True)
 
 
@@ -104,18 +100,8 @@ class BallIndicator(CompositeTerm):
         self.center = np.asarray(center, dtype=float)
         self.radius = float(radius)
 
-    def value(self, metric, w):
-        return 0.0 if self.contains(metric, w) else _INF
-
     def prox(self, metric, v, step):
         return ball_project(metric, self.center, self.radius, v)
-
-    def subgradient(self, metric, w):
-        # Zero belongs to the normal cone at every feasible point.
-        return np.zeros_like(np.asarray(w, dtype=float))
-
-    def project_domain(self, metric, v):
-        return self.prox(metric, v, 1.0)
 
     def contains(self, metric, w, tol=1e-9):
         return metric.norm(np.asarray(w) - self.center) <= self.radius + tol * (
@@ -131,18 +117,9 @@ class BoxIndicator(CompositeTerm):
         if np.any(self.lower > self.upper):
             raise ValueError("box bounds are inconsistent")
 
-    def value(self, metric, w):
-        return 0.0 if self.contains(metric, w) else _INF
-
     def prox(self, metric, v, step):
         # Exact for diagonal metrics.
         return np.clip(np.asarray(v, dtype=float), self.lower, self.upper)
-
-    def subgradient(self, metric, w):
-        return np.zeros_like(np.asarray(w, dtype=float))
-
-    def project_domain(self, metric, v):
-        return self.prox(metric, v, 1.0)
 
     def contains(self, metric, w, tol=1e-9):
         w = np.asarray(w, dtype=float)
@@ -229,10 +206,15 @@ def argmin_linear(term, metric, cov, fallback=None):
 # problem containers
 # ---------------------------------------------------------------------------
 
-def _check_diameters(*diameters):
+def _check_agents(diameters, costs):
+    """Positive finite diameters and one finite nonnegative cost each."""
     for D in diameters:
         if not (math.isfinite(D) and D > 0):
             raise ValueError(f"diameters must be positive and finite, got {D!r}")
+    if len(costs) != len(diameters) or not all(
+            math.isfinite(c) and c >= 0 for c in costs):
+        raise ValueError(f"costs must be {len(diameters)} finite nonnegative "
+                         f"numbers, one per agent, got {costs!r}")
 
 
 @dataclass
@@ -244,7 +226,8 @@ class SaddleProblem:
     problem has no operator method of its own: the monotone operator is
     ``V = (grad_x, -grad_y)``, and each solver writes the y sign once,
     where it forms ``V``.  ``D_x`` and ``D_y`` must be positive and
-    finite.  ``agents`` names the two agents for an `OracleLedger`.
+    finite, ``costs`` finite and nonnegative.  ``agents`` names the two
+    agents for an `OracleLedger`.
     """
     agents = ("x", "y")
 
@@ -274,7 +257,7 @@ class SaddleProblem:
             self.metric_x = ScaledMetric(self.x0.size)
         if self.metric_y is None:
             self.metric_y = ScaledMetric(self.y0.size)
-        _check_diameters(self.D_x, self.D_y)
+        _check_agents((self.D_x, self.D_y), self.costs)
         for L in (self.L_x, self.L_y, self.L_xy):
             if L < 0:
                 raise ValueError("Lipschitz constants must be nonnegative")
@@ -322,11 +305,11 @@ class VipProblem:
             raise ValueError("L must be a K x K matrix")
         if np.any(self.L < 0):
             raise ValueError("L entries must be nonnegative")
-        _check_diameters(*self.D)
         if self.metrics is None:
             self.metrics = [ScaledMetric(b.size) for b in self.z0]
         if self.costs is None:
             self.costs = [1.0] * K
+        _check_agents(self.D, self.costs)
         if self.block_is_gradient is None:
             self.block_is_gradient = [False] * K
 
@@ -713,7 +696,9 @@ def save_instance(problem, path):
     closures have no portable representation.  The file holds the keys
     `INSTANCE_KEYS` lists for the kind.  Chain instances are written as
     their recipe (``kind = hard_<kind>``, ``L``, ``D``, ``k``,
-    ``D_other``), which `load_instance` rebuilds bit for bit.
+    ``D_other``), which `load_instance` rebuilds bit for bit.  A field
+    the file cannot hold (a nonzero psi, metric weights other than ones,
+    a VI block that is not a gradient) raises ValueError naming it.
     """
     st = problem.structure if getattr(problem, "structure", None) else None
     if st is None or "kind" not in st:
@@ -722,6 +707,16 @@ def save_instance(problem, path):
     kind = source["kind"]
     if kind not in INSTANCE_KEYS:
         raise ValueError(f"unsupported kind {kind!r}")
+    vi = isinstance(problem, VipProblem)
+    psis = problem.psis if vi else (problem.psi_x, problem.psi_y)
+    metrics = problem.metrics if vi else (problem.metric_x, problem.metric_y)
+    if not all(type(t) is ZeroTerm for t in psis):
+        raise ValueError("an instance file cannot hold a nonzero psi")
+    if not all(np.all(m.weights == 1.0) for m in metrics):
+        raise ValueError("an instance file cannot hold non-unit metric weights")
+    if vi and not all(problem.block_is_gradient):
+        raise ValueError(
+            "an instance file cannot hold a block_is_gradient entry False")
     cp = configparser.ConfigParser()
     cp["instance"] = {"kind": kind, "name": problem.name}
     sec = cp["instance"]

@@ -272,6 +272,18 @@ def test_config_errors(tmp_path):
         out = tmp_path / "out"
         assert cli.main(["run", "--config", path, "--out", str(out)]) == 2
         assert not out.exists()
+    # Bad costs used to make `--out` and then raise in `run_cell` (exit 1);
+    # `bounds` printed dmsp_oracle = 0.0, or a bare unpacking error.
+    for costs in ("[-1.0, 1.0]", "[1.0]", "[1.0, 1e999]"):
+        path = _write(tmp_path, "[experiment]\nepsilons = [0.1]\n\n"
+                      "[instance]\nkind = scsc\nmu_x = 1.0\nmu_y = 1.0\n"
+                      f"coupling = 1.0\ncosts = {costs}\n", "bad6.ini")
+        with pytest.raises(cli.ConfigError, match="costs must be 2 finite"):
+            cli.parse_config(path)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", path, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert cli.main(["bounds", "--config", path, "--epsilon", "0.1"]) == 2
 
 
 @pytest.mark.parametrize("key, value", [("seed", "abc"),
@@ -813,3 +825,16 @@ def test_decoupled_d_hat_needs_two_blocks(tmp_path, capsys):
                        "but instance 'p' has 3 blocks\n")
     # A two-block VI takes the pair.
     cli.parse_config(_write(tmp_path, poly.format("[2, 2]") + section))
+
+
+def test_bounds_d_hat_needs_one_entry_per_block(tmp_path, capsys):
+    # `--d-hat` used to print dmvip_comm for a 3-block VI and exit 0.
+    poly = "[experiment]\n[instance.p]\nkind = random_polymatrix\ndims = {}\n"
+    argv = ["bounds", "--epsilon", "0.1", "--d-hat", "(2.0, 3.0)", "--config"]
+    assert cli.main(argv + [_write(tmp_path, poly.format("[2, 2, 2]"))]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: --d-hat has 2 entries but instance 'p' has 3 "
+                   "blocks\n")
+    assert cli.main(argv + [_write(tmp_path, poly.format("[2, 2]"))]) == 0
+    assert "dmvip_comm = " in capsys.readouterr().out

@@ -609,6 +609,27 @@ def test_vip_non_gradient_block():
     assert res.gap.value <= 0.05
 
 
+def test_uncoupled_block_that_is_not_a_gradient_is_refused():
+    # Block 0 is the rotation R z - c, uncoupled (L = I) and flagged as no
+    # gradient; its solution (0.2, 0.3) lies in the ball.  Frozen blocks are
+    # solved by the accelerated engine, which used to end this run
+    # budget_exhausted after 53 queries, with a gap of 3.0e16.
+    R = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    c = np.array([0.3, -0.2])
+    zero = np.zeros((2, 2))
+    p = VipProblem(
+        operators=[lambda z: R @ z[0] - c, lambda z: z[1]],
+        psis=[ZeroTerm(), ZeroTerm()], z0=[np.zeros(2), np.zeros(2)],
+        L=np.eye(2), D=(1.0, 1.0), block_is_gradient=[False, True],
+        structure={"kind": "polymatrix", "blocks": [[R, zero], [zero, np.eye(2)]],
+                   "b": [c, np.zeros(2)], "dims": [2, 2]})
+    ledger = OracleLedger(p.agents)
+    with pytest.raises(ValueError, match="block 0 is uncoupled but not a "
+                                         "gradient"):
+        decoupled_vi_run(p, DecoupledParams(epsilon=0.1), ledger=ledger)
+    assert ledger.weighted_cost() == 0
+
+
 def test_saddle_run_rejects_small_lam():
     p = make_strongly_convex_concave(1.0, 1.0, 1.0)
     with pytest.raises(ValueError):

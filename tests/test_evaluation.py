@@ -119,6 +119,11 @@ def test_bounds_frozen_values():
     assert r.dmsp_comm == pytest.approx(42.0)
     assert r.lower_comm == pytest.approx(2.0 / 0.3 - 2.0)
     assert r.theta == pytest.approx(2.0)
+    # L = D = 1 and log(1/eps) = 2.302585...: (1/eps) log^2, (1/eps) log^3
+    # and (2/9)/eps - 4/3.
+    assert r.cat_eg_comm == pytest.approx(53.01898110478399)
+    assert r.catcat_comm == pytest.approx(122.08071553760861)
+    assert r.lower_oracle == pytest.approx(8.0 / 9.0)
 
 
 def test_eg_bound_frozen():

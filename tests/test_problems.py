@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -309,6 +311,31 @@ def test_instance_roundtrip(tmp_path, build):
         assert np.allclose(p.grad_x(z), q.grad_x(z), atol=1e-12)
         assert np.allclose(p.grad_y(z), q.grad_y(z), atol=1e-12)
         assert (q.L_x, q.L_y, q.L_xy) == pytest.approx((p.L_x, p.L_y, p.L_xy))
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: dataclasses.replace(
+        make_bilinear(np.array([[1.0, 0.5], [0.0, 2.0]])),
+        psi_x=BallIndicator(np.zeros(2), 0.5)), "nonzero psi"),
+    (lambda: dataclasses.replace(
+        make_bilinear(np.array([[1.0, 0.5], [0.0, 2.0]])),
+        metric_y=ScaledMetric([2.0, 3.0])), "non-unit metric weights"),
+    (lambda: dataclasses.replace(
+        random_polymatrix([2, 2], np.random.default_rng(5)),
+        psis=[BoxIndicator(-np.ones(2), np.ones(2)), ZeroTerm()]),
+     "nonzero psi"),
+    (lambda: dataclasses.replace(
+        random_polymatrix([2, 2, 2], np.random.default_rng(5)),
+        block_is_gradient=[False] * 3), "block_is_gradient"),
+], ids=["psi_x", "metric_y", "psis", "block_is_gradient"])
+def test_save_instance_refuses_a_field_it_cannot_write(tmp_path, build,
+                                                       match):
+    # Each used to save and load back as ZeroTerm, unit weights or all-True
+    # gradient flags, without a word.
+    path = tmp_path / "inst.ini"
+    with pytest.raises(ValueError, match=match):
+        save_instance(build(), path)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("kind", ["xy", "x", "y"])

@@ -75,7 +75,11 @@ class OracleLedger:
             self._kept.append(candidate)
 
     def bind(self, agent, fn):
-        """Wrap `fn` so every call is recorded under `agent`."""
+        """Wrap `fn` so every call is recorded under `agent`.
+
+        Only ``self.record`` is used, so a baseline trajectory binds its
+        oracles through here to record each call on several ledgers.
+        """
         def recorded(point):
             response = fn(point)
             self.record(agent, point, response)

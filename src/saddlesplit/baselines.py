@@ -7,6 +7,14 @@ GDA exchanges the latest iterates each round, then performs a fixed number
 of gradient steps against the frozen remote point; it is the classic
 communication-saving heuristic and diverges on strongly coupled instances,
 which the runner reports rather than hides.
+
+Both read epsilon only in their stop test, so one trajectory can serve
+several accuracies, each a `Row` with its own ledger and stop test; a
+single-epsilon run is the one-row case.  `cli.run_experiment` runs the
+baseline rows of one (instance, solver) as one trajectory, and a shared
+row's ``wall_ms`` is the time from the trajectory's start to the row's
+close.  Decoupled rows still run one by one, as their epsilon also sets
+the inner tolerance and the frozen-block share.
 """
 
 import math
@@ -94,7 +102,105 @@ def _shape(a):
     return a.shape if type(a) is np.ndarray else np.shape(a)
 
 
-def extragradient_run(problem, params, ledger=None):
+@dataclass(eq=False)
+class Row:
+    """One accuracy that a baseline trajectory serves.
+
+    The row has its own `ledger` and `GapTest`, so it sees what a run at
+    its `epsilon` alone would.  When it closes, `outcome` becomes that
+    run's `RunResult`, or the exception it raises in its own stop test or
+    final gap, and `on_close(row)` is called.  Any other exception
+    propagates and leaves the open rows without an outcome.
+    """
+    epsilon: float
+    ledger: OracleLedger
+    on_close: object = None
+    outcome: object = None
+
+
+class _Trajectory:
+    """The rows one baseline run serves, and which of them are still open.
+
+    Without `rows`, a single row at ``params.epsilon`` on `ledger` (a new
+    one if None), whose outcome `close` returns or raises.  The ledgers of
+    the open rows stay in step: every query and every round closes on
+    each of them.
+    """
+
+    def __init__(self, problem, params, ledger, rows, info):
+        self._single = None
+        if rows is None:
+            if ledger is None:
+                ledger = OracleLedger(problem.agents, costs=problem.costs)
+            self._single = Row(params.epsilon, ledger)
+            rows = [self._single]
+        self.info = info
+        self.open = [(row, GapTest(problem, row.epsilon, restricted_gap))
+                     for row in rows]
+
+    def bind(self, agent, fn):
+        """`fn`, each call recorded on every open row's ledger.
+
+        `OracleLedger.bind` is looked up when the run starts, so a wrapper
+        installed there sees each oracle computation once.
+        """
+        return OracleLedger.bind(self, agent, fn)
+
+    def record(self, agent, point, response):
+        for row, _ in self.open:
+            row.ledger.record(agent, point, response)
+
+    def end_round(self, candidate):
+        for row, _ in self.open:
+            row.ledger.end_round(candidate)
+
+    @property
+    def round(self):
+        """Closed rounds of the open rows."""
+        return self.open[0][0].ledger.round
+
+    def stop(self, candidate):
+        """Close, as converged, each open row whose stop test passes."""
+        for entry in list(self.open):
+            try:
+                passed = entry[1](candidate)
+            except Exception as exc:     # the row's own run raises it here
+                self._settle(entry, exc)
+            else:
+                if passed:
+                    self._finish(entry, "converged", candidate)
+
+    def close(self, status, candidate):
+        """Close every open row with `status`; the single row's outcome."""
+        for entry in list(self.open):
+            self._finish(entry, status, candidate)
+        if self._single is None:
+            return None
+        outcome = self._single.outcome
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    def _finish(self, entry, status, candidate):
+        row, test = entry
+        try:
+            gap = test.finish(candidate, status)
+        except Exception as exc:         # the row's own run raises it here
+            self._settle(entry, exc)
+        else:
+            self._settle(entry, RunResult(
+                status=status, candidate=candidate, gap=gap,
+                ledger=row.ledger, info=dict(self.info)))
+
+    def _settle(self, entry, outcome):
+        self.open.remove(entry)
+        row = entry[0]
+        row.outcome = outcome
+        if row.on_close is not None:
+            row.on_close(row)
+
+
+def extragradient_run(problem, params, ledger=None, rows=None):
     """Run extragradient on a saddle problem until the gap closes.
 
     Each iteration queries both oracles at the current anchor, takes a
@@ -104,16 +210,16 @@ def extragradient_run(problem, params, ledger=None):
     iteration's candidate is scored against the instance's gap set.
     Anchor, trial point, sum and candidate are joint (x, y) vectors; the
     blocks are views into them, and no array is written once a view of it
-    has been handed out.
+    has been handed out.  With `rows` (`Row`s) in place of
+    ``params.epsilon`` and `ledger`, one trajectory serves every row and
+    the call returns None.
     """
     p = problem
-    if ledger is None:
-        ledger = OracleLedger(p.agents, costs=p.costs)
     ax, ay = default_scaling(p, params.d_hat)
-    ox, oy = (ledger.bind(a, g)
+    trajectory = _Trajectory(p, params, ledger, rows, {"alpha": (ax, ay)})
+    ox, oy = (trajectory.bind(a, g)
               for a, g in zip(p.agents, (p.grad_x, p.grad_y)))
     blocks, respond, step = _joint_space(p, 1.0 / ax, 1.0 / ay)
-    stop = GapTest(p, params.epsilon, restricted_gap)
 
     def query(v):
         z = blocks(v)
@@ -124,9 +230,9 @@ def extragradient_run(problem, params, ledger=None):
     acc = np.zeros(v.size)
     candidate = blocks(v)
     status = "budget_exhausted"
-    while ledger.round < params.max_rounds:
+    while trajectory.open and trajectory.round < params.max_rounds:
         Gv = query(v)
-        ledger.end_round(candidate)          # first half-iteration: retained
+        trajectory.end_round(candidate)      # first half-iteration: retained
         # blockwise: argmin <V_i, w> + (alpha_i / 2)|w - v_i|_i^2 + psi_i
         z = step(v, Gv)
         Gz = query(z)
@@ -134,20 +240,15 @@ def extragradient_run(problem, params, ledger=None):
         weight += 1.0
         acc = acc + z
         candidate = blocks(acc / weight)
-        ledger.end_round(candidate)          # second half: its new candidate
-        if stop(candidate):
-            status = "converged"
-            break
+        trajectory.end_round(candidate)      # second half: its new candidate
+        trajectory.stop(candidate)
         if not all_finite(v):
             status = "diverged"
             break
-    gap = stop.finish(candidate, status)
-    return RunResult(status=status, candidate=candidate, gap=gap,
-                     ledger=ledger,
-                     info={"alpha": (ax, ay)})
+    return trajectory.close(status, candidate)
 
 
-def local_gda_run(problem, params, ledger=None):
+def local_gda_run(problem, params, ledger=None, rows=None):
     """Local GDA with one exchange per round and frozen remote iterates.
 
     Per round each agent receives the other's last-round iterate, then takes
@@ -156,42 +257,38 @@ def local_gda_run(problem, params, ledger=None):
     "diverged" status.  Each round closes on the ledger with its candidate,
     which is scored against the instance's gap set.  The
     iterate is one joint (x, y) vector: the y ascent step is the descent
-    step on ``V_y = -grad_y f``, which gives the same bits.
+    step on ``V_y = -grad_y f``, which gives the same bits.  With `rows`
+    (`Row`s) in place of ``params.epsilon`` and `ledger`, one trajectory
+    serves every row and the call returns None.
     """
     p = problem
-    if ledger is None:
-        ledger = OracleLedger(p.agents, costs=p.costs)
     Lx_tot = p.L_x + p.L_xy
     Ly_tot = p.L_y + p.L_xy
     eta_x = params.eta_x if params.eta_x is not None else 1.0 / (2.0 * max(Lx_tot, 1e-12))
     eta_y = params.eta_y if params.eta_y is not None else 1.0 / (2.0 * max(Ly_tot, 1e-12))
-    ox, oy = (ledger.bind(a, g)
+    trajectory = _Trajectory(p, params, ledger, rows,
+                             {"eta": (eta_x, eta_y),
+                              "steps_per_round": params.steps_per_round})
+    ox, oy = (trajectory.bind(a, g)
               for a, g in zip(p.agents, (p.grad_x, p.grad_y)))
     blocks, respond, step = _joint_space(p, eta_x, eta_y)
-    stop = GapTest(p, params.epsilon, restricted_gap)
 
     v = np.concatenate(p.z0)
     x, y = candidate = blocks(v)
     status = "budget_exhausted"
-    while ledger.round < params.max_rounds:
+    while trajectory.open and trajectory.round < params.max_rounds:
         # v is rebound, never written once its views are out, so no copies.
         x_frozen, y_frozen = x, y
         for _ in range(params.steps_per_round):
             v = step(v, respond(ox((x, y_frozen)), oy((x_frozen, y))))
             x, y = blocks(v)
         candidate = (x, y)
-        ledger.end_round(candidate)
+        trajectory.end_round(candidate)
         # Each norm is tested on its own: max(nx, nan) is nx.
         nx, ny = math.sqrt(x @ x), math.sqrt(y @ y)
         if not (math.isfinite(nx) and math.isfinite(ny)) \
                 or max(nx, ny) > _DIVERGENCE_NORM:
             status = "diverged"
             break
-        if stop(candidate):
-            status = "converged"
-            break
-    gap = stop.finish(candidate, status)
-    return RunResult(status=status, candidate=candidate, gap=gap,
-                     ledger=ledger,
-                     info={"eta": (eta_x, eta_y),
-                           "steps_per_round": params.steps_per_round})
+        trajectory.stop(candidate)
+    return trajectory.close(status, candidate)

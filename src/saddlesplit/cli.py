@@ -20,6 +20,7 @@ them.
 import argparse
 import ast
 import configparser
+import contextvars
 import dataclasses
 import functools
 import math
@@ -32,7 +33,8 @@ import numpy as np
 
 from saddlesplit.accounting import GOOD_STATUSES, OracleLedger
 from saddlesplit.baselines import (
-    ExtragradientParams, LocalGdaParams, extragradient_run, local_gda_run,
+    ExtragradientParams, LocalGdaParams, Row, extragradient_run,
+    local_gda_run,
 )
 from saddlesplit.decoupled import (
     DecoupledParams, decoupled_saddle_run, decoupled_vi_run,
@@ -52,6 +54,10 @@ SOLVER_PARAMS = {"decoupled": DecoupledParams,
                  "extragradient": ExtragradientParams,
                  "local_gda": LocalGdaParams}
 SOLVERS = tuple(SOLVER_PARAMS)
+# Solvers that read epsilon only in their stop test, so that one trajectory
+# serves a grid's every epsilon (see `baselines.Row`).  The decoupled
+# method also sets its inner tolerance and frozen-block share from it.
+SHARED_SOLVERS = ("extragradient", "local_gda")
 EXPERIMENT_KEYS = ("epsilons", "solvers", "seed", "check_bounds", "out", "name")
 # Read by ``kind = random_polymatrix``, as well as ``kind`` and ``name``.
 RANDOM_POLYMATRIX_KEYS = ("dims", "coupling", "diag")
@@ -310,16 +316,21 @@ def _check_d_hat(d_hat, instances, source):
 # running the grid
 # ---------------------------------------------------------------------------
 
-def _dispatch(problem, solver, eps, params, ledger):
+def _dispatch(problem, solver, eps, params, ledger, rows=None):
+    """Run `solver` on `problem` at accuracy `eps`, recording on `ledger`.
+
+    Given `rows`, a baseline serves each `baselines.Row` with one
+    trajectory instead, and `eps` and `ledger` go unread.
+    """
     is_vi = isinstance(problem, VipProblem)
     if is_vi and solver != "decoupled":
         raise ValueError(f"solver {solver!r} handles saddle problems only")
     p = SOLVER_PARAMS[solver](epsilon=eps, **params)
     if solver == "decoupled":
         run = decoupled_vi_run if is_vi else decoupled_saddle_run
-    else:
-        run = extragradient_run if solver == "extragradient" else local_gda_run
-    return run(problem, p, ledger=ledger)
+        return run(problem, p, ledger=ledger)
+    run = extragradient_run if solver == "extragradient" else local_gda_run
+    return run(problem, p, ledger=ledger, rows=rows)
 
 
 def _bounds_for(problem, solver, eps, params):
@@ -336,18 +347,64 @@ def _bounds_for(problem, solver, eps, params):
     return report.eg_comm, report.eg_oracle
 
 
+class _SharedRows:
+    """The rows of one (instance, `SHARED_SOLVERS` solver) of a grid.
+
+    One trajectory serves them all.  It runs when the first row is asked
+    for, and a row's wall time runs from its start to the row's close.
+    An exception that escapes it closes every row still open.
+    """
+
+    def __init__(self, problem, solver, epsilons, params, clock):
+        self._problem, self._solver, self._params = problem, solver, params
+        self._clock, self._t0, self._wall = clock, None, {}
+        self._rows = {eps: Row(eps, OracleLedger(problem.agents,
+                                                 costs=problem.costs),
+                               on_close=self._closed)
+                      for eps in epsilons}
+
+    def _closed(self, row):
+        self._wall[row.epsilon] = self._clock() - self._t0
+
+    def take(self, eps):
+        """``(ledger, outcome, wall seconds)`` of the row at `eps`."""
+        if self._t0 is None:
+            self._t0 = self._clock()
+            rows = list(self._rows.values())
+            try:
+                _dispatch(self._problem, self._solver, None, self._params,
+                          None, rows=rows)
+            except Exception as exc:                  # recorded, run continues
+                for row in rows:
+                    if row.outcome is None:
+                        row.outcome = exc
+                        self._closed(row)
+        row = self._rows.pop(eps)
+        return row.ledger, row.outcome, self._wall[eps]
+
+
+# The `_SharedRows` of the grid `run_experiment` is running, by (instance
+# id, solver); set and reset by each call, so no grid sees another's.
+_SHARED = contextvars.ContextVar("saddlesplit_shared_rows", default={})
+
+
 def run_cell(instance_id, problem, solver, eps, params, check_bounds,
              clock=time.perf_counter):
-    ledger = OracleLedger(problem.agents, costs=problem.costs)
-    t0 = clock()
-    status, gap, invariant_broken = "", None, False
-    try:
-        result = _dispatch(problem, solver, eps, params, ledger)
-        status, gap = result.status, result.gap
-    except Exception as exc:                      # recorded, run continues
-        status = f"error: {exc}"
-        invariant_broken = isinstance(exc, AssertionError)
-    wall_ms = int(round((clock() - t0) * 1000.0))
+    shared = _SHARED.get().get((instance_id, solver))
+    if shared is not None:
+        ledger, outcome, wall_s = shared.take(eps)
+    else:
+        ledger = OracleLedger(problem.agents, costs=problem.costs)
+        t0 = clock()
+        try:
+            outcome = _dispatch(problem, solver, eps, params, ledger)
+        except Exception as exc:                  # recorded, run continues
+            outcome = exc
+        wall_s = clock() - t0
+    failed = isinstance(outcome, Exception)
+    status = f"error: {outcome}" if failed else outcome.status
+    gap = None if failed else outcome.gap
+    wall_ms = int(round(wall_s * 1000.0))
 
     bound_comm = bound_oracle = None
     compliant = ""
@@ -357,7 +414,7 @@ def run_cell(instance_id, problem, solver, eps, params, check_bounds,
         # violates the bound just as surely as one that overruns the
         # counts, and a solver invariant that broke (AssertionError) fails
         # a cell even where no bound applies.
-        if invariant_broken:
+        if isinstance(outcome, AssertionError):
             compliant = "false"
         elif bound_comm is not None:
             ok = status in GOOD_STATUSES and ledger.round <= bound_comm + 1e-9
@@ -375,13 +432,27 @@ def run_cell(instance_id, problem, solver, eps, params, check_bounds,
 
 
 def run_experiment(config, clock=time.perf_counter):
-    """Execute the full grid; rows come back sorted by (instance, solver, eps)."""
-    rows = [run_cell(iid, prob, solver, eps,
-                     config.solver_params.get(solver, {}),
-                     config.check_bounds, clock)
-            for iid, prob in config.instances
-            for solver in config.solvers
-            for eps in config.epsilons]
+    """Execute the full grid; rows come back sorted by (instance, solver, eps).
+
+    `run_cell` is called once per row.  The rows of one instance and one
+    baseline (`SHARED_SOLVERS`) share one trajectory, which runs at the
+    first of them, and a shared row's ``wall_ms`` is the time from that
+    start to the row's close.  Decoupled rows still run one by one: their
+    epsilon also sets the inner tolerance and the frozen-block share.
+    """
+    cells = [(iid, prob, solver, config.solver_params.get(solver, {}))
+             for iid, prob in config.instances for solver in config.solvers]
+    token = _SHARED.set({
+        (iid, solver): _SharedRows(prob, solver, config.epsilons, params,
+                                   clock)
+        for iid, prob, solver, params in cells if solver in SHARED_SOLVERS})
+    try:
+        rows = [run_cell(iid, prob, solver, eps, params, config.check_bounds,
+                         clock)
+                for iid, prob, solver, params in cells
+                for eps in config.epsilons]
+    finally:
+        _SHARED.reset(token)
     rows.sort(key=lambda r: (r.instance_id, r.solver, r.epsilon))
     return rows
 

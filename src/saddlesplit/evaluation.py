@@ -128,9 +128,14 @@ def _gap_plan(p):
     ``value(candidate)`` is the gap.  ``bound_maker(p, eps)`` (or None)
     makes `GapTest`'s anchor or None: ``anchor(candidate, value)``, asked
     after each evaluation and, with no candidate, when the test is built,
-    returns a predicate proving a gap above ``eps``, or None.
+    returns a predicate proving a gap above ``eps``, or None.  A VI
+    without polymatrix ``structure`` has no plan: ValueError, raised when
+    a run builds its `GapTest`, before it spends any query.
     """
     if isinstance(p, VipProblem):
+        if (p.structure or {}).get("kind") != "polymatrix":
+            raise ValueError("weak-gap estimation needs affine operator "
+                             "structure")
         return "vip-pga-estimate", False, lambda c: _vip_gap(p, c), None
     return _closed_form(p) or (
         "pga-estimate", False, lambda c: _saddle_gap(p, c), _first_step_bound)
@@ -257,9 +262,7 @@ def _saddle_gap(p, candidate):
 
 
 def _vip_gap(p, candidate):
-    st = p.structure or {}
-    if st.get("kind") != "polymatrix":
-        raise ValueError("weak-gap estimation needs affine operator structure")
+    st = p.structure
     if "Abar" not in st:
         # Built on the first call, not by the generator, so hand-built
         # polymatrix structures are cached too.

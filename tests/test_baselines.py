@@ -5,9 +5,10 @@ import pytest
 
 from saddlesplit.accounting import OracleLedger
 from saddlesplit.baselines import (
-    ExtragradientParams, LocalGdaParams, default_scaling,
+    ExtragradientParams, LocalGdaParams, Row, default_scaling,
     extragradient_run, local_gda_run,
 )
+from saddlesplit.hard_instances import make_hard_saddle
 from saddlesplit.metrics import ScaledMetric
 from saddlesplit.problems import (
     BallIndicator, make_bilinear, make_strongly_convex_concave,
@@ -304,3 +305,74 @@ def test_local_gda_divergence_reports_previous_candidate(monkeypatch):
     assert len(calls) < res.rounds
     assert res.gap == restricted_gap(p, previous)
     assert res.gap.value.hex() == "0x1.42949e2e579ecp+27"
+
+
+# -- one trajectory for several accuracies -----------------------------------
+
+_RUNS = {"extragradient": (extragradient_run, ExtragradientParams),
+         "local_gda": (local_gda_run, LocalGdaParams)}
+_PROBE = {
+    "hard_x": lambda: make_hard_saddle("x", 100.0, 1.0, 50),
+    "hard_xy": lambda: make_hard_saddle("xy", 1.0, 1.0, 500),
+    "scsc": lambda: make_strongly_convex_concave(1.0, 1.0, 1.0, n=4),
+}
+_LADDER = (0.05, 0.02, 0.01, 0.005)
+
+
+def _fingerprint(res):
+    """Everything a run reports, to the bit."""
+    led = res.ledger
+    gap = None if res.gap is None else (res.gap.value.hex(), res.gap.exact,
+                                        res.gap.method)
+    return (res.status, res.rounds,
+            {a: led.round_queries(a) for a in led.agents},
+            led.weighted_cost(),
+            [np.asarray(b, dtype=float).tobytes() for b in res.candidate], gap)
+
+
+def _shared(run, params, p, ladder):
+    rows = [Row(eps, OracleLedger(p.agents, costs=p.costs)) for eps in ladder]
+    assert run(p, params(epsilon=None), rows=rows) is None
+    return rows
+
+
+@pytest.mark.parametrize("solver", sorted(_RUNS))
+@pytest.mark.parametrize("instance", sorted(_PROBE))
+def test_shared_rows_equal_their_standalone_runs(instance, solver):
+    # Each row of one trajectory reports what a run at its epsilon alone
+    # does: status, rounds, queries per agent and round, cost, candidate
+    # and gap.  Local GDA on hard_xy converges at round 1 for 0.05 and
+    # diverges at round 228 for every smaller epsilon.
+    run, params = _RUNS[solver]
+    p = _PROBE[instance]()
+    rows = _shared(run, params, p, _LADDER)
+    for row in rows:
+        assert _fingerprint(row.outcome) == \
+            _fingerprint(run(p, params(epsilon=row.epsilon)))
+    if (instance, solver) == ("hard_xy", "local_gda"):
+        assert [(row.outcome.status, row.outcome.rounds) for row in rows] \
+            == [("converged", 1)] + [("diverged", 228)] * 3
+
+
+def test_a_row_whose_own_gap_raises_closes_alone(monkeypatch):
+    # The gap raises at the candidate the 0.05 run stops on.  The 0.02 run
+    # scores that candidate too, but its first-step bound rules it out
+    # unevaluated, so on its own it runs on; in the shared trajectory too.
+    from saddlesplit import baselines
+    p = make_strongly_convex_concave(1.0, 1.0, 1.0, n=4)
+    first = extragradient_run(p, ExtragradientParams(epsilon=0.05))
+    poisoned = [b.tobytes() for b in first.candidate]
+
+    def gap(problem, candidate):
+        if [np.asarray(b).tobytes() for b in candidate] == poisoned:
+            raise FloatingPointError("gap failed")
+        return restricted_gap(problem, candidate)
+
+    monkeypatch.setattr(baselines, "restricted_gap", gap)
+    rows = _shared(extragradient_run, ExtragradientParams, p, (0.05, 0.02))
+    with pytest.raises(FloatingPointError, match="gap failed"):
+        extragradient_run(p, ExtragradientParams(epsilon=0.05))
+    assert isinstance(rows[0].outcome, FloatingPointError)
+    assert rows[0].ledger.round == first.rounds
+    assert _fingerprint(rows[1].outcome) == _fingerprint(
+        extragradient_run(p, ExtragradientParams(epsilon=0.02)))

@@ -66,3 +66,35 @@ def test_traced_small_grid_matches_the_ledgers(tmp_path, monkeypatch,
     # closed forms.
     estimates = gap_calls - tracer.counts["restricted_gap.exact"]
     assert estimates == sum(not r.gap_exact for r in traced["rows"])
+
+
+@pytest.mark.parametrize("workload",
+                         [w["name"] for w in BENCHMARK["workloads"]])
+def test_traced_oracle_computes_each_shared_point_once(tmp_path, monkeypatch,
+                                                       workload):
+    # The rows of one (instance, baseline) share one trajectory, whose
+    # longest row records every query it made; decoupled rows run alone.
+    # So the oracle computes that row's queries per group, plus each
+    # decoupled row's, and no point twice.
+    run, workloads = _load("run"), _load("workloads")
+    tracer_module = _load("tracer")
+    monkeypatch.setattr(cli, "run_cell", cli.run_cell)
+    cfg = tmp_path / "experiment.ini"
+    cfg.write_text(workloads.config_text(workload, 1, small=True))
+    timer = run.CellTimer(cli, None)
+    with tracer_module.Tracer() as tracer:
+        config = workloads.finish_config(
+            workload, cli.parse_config(str(cfg), seed=1))
+        tracer.register_problems(config.instances)
+        traced = run.run_pass(cli, config, timer, tmp_path / "grid")
+    longest, alone = {}, 0
+    for row in traced["rows"]:
+        queries = sum(row.queries.values())
+        if row.solver in cli.SHARED_SOLVERS:
+            group = (row.instance_id, row.solver)
+            longest[group] = max(longest.get(group, 0), queries)
+        else:
+            alone += queries
+    assert longest and alone
+    assert tracer.by_name()["problems.oracle"][0] == \
+        sum(longest.values()) + alone

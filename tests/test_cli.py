@@ -1,6 +1,8 @@
 """End-to-end tests for the experiment runner CLI."""
 
 import ast
+import dataclasses
+import itertools
 import os
 import subprocess
 import sys
@@ -243,6 +245,50 @@ def test_solver_error_fails_bound_check(tmp_path, capsys):
     for eps in (0.1, 0.2):
         assert f"strong/decoupled at epsilon={eps}: error: {reason}" in err
         assert f"bound violation: strong/decoupled at epsilon={eps}" in err
+
+
+def _oracle_fails_at(call):
+    """The k = 10 hard_x chain (L = 10), whose x oracle raises on its
+    `call`-th call; each instance counts its own calls.  Its gap is a
+    closed form that calls no oracle."""
+    p = make_hard_saddle("x", 10.0, 1.0, 10)
+    calls = itertools.count(1)
+
+    def grad_x(z):
+        if next(calls) == call:
+            raise FloatingPointError("oracle failed")
+        return p.grad_x(z)
+    return dataclasses.replace(p, grad_x=grad_x)
+
+
+# Both baselines take one x query per round; their rows close at rounds
+# (28, 126, 306, 590) and (12, 52, 126, 239) for epsilon 0.05, 0.02, 0.01
+# and 0.005.
+@pytest.mark.parametrize("solver, call", [("extragradient", 200),
+                                          ("local_gda", 100)])
+def test_an_oracle_failure_closes_only_the_open_rows(solver, call):
+    def grid(epsilons, clock):
+        config = cli.ExperimentConfig(
+            instances=[("chain", _oracle_fails_at(call))], solvers=[solver],
+            epsilons=epsilons, check_bounds=True)
+        return cli.run_experiment(config, clock=clock)
+
+    ticks = itertools.count()
+    rows = grid([0.05, 0.02, 0.01, 0.005], lambda: next(ticks))
+    # One trajectory: the rows that closed before the raise keep their
+    # converged rows, and the raise closes every row still open.
+    assert [(r.epsilon, r.status) for r in rows] == [
+        (0.005, "error: oracle failed"), (0.01, "error: oracle failed"),
+        (0.02, "converged"), (0.05, "converged")]
+    # Each from the start of the trajectory (tick 0) to its own close.
+    assert [r.wall_ms for r in rows] == [4000, 3000, 2000, 1000]
+    pinned = grid([0.05, 0.02, 0.01, 0.005], lambda: 0.0)
+    for row in pinned:
+        alone = cli.run_cell("chain", _oracle_fails_at(call), solver,
+                             row.epsilon, {}, True, clock=lambda: 0.0)
+        assert row == alone
+    assert cli.rows_to_csv(grid([0.005, 0.01, 0.02, 0.05], lambda: 0.0)) \
+        == cli.rows_to_csv(pinned)
 
 
 def test_config_errors(tmp_path):

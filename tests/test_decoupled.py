@@ -630,6 +630,20 @@ def test_uncoupled_block_that_is_not_a_gradient_is_refused():
     assert ledger.weighted_cost() == 0
 
 
+def test_vi_without_operator_structure_is_refused_before_any_query():
+    # Two uncoupled gradient blocks and no `structure`: the weak-gap
+    # estimate cannot run, and the run used to find out at its first gap
+    # evaluation, after 2 + 1 queries on the frozen solves.
+    p = VipProblem(
+        operators=[lambda z: z[0] - 0.3, lambda z: z[1]],
+        psis=[ZeroTerm(), ZeroTerm()], z0=[np.zeros(2), np.zeros(2)],
+        L=np.eye(2), D=(1.0, 1.0), block_is_gradient=[True, True])
+    ledger = OracleLedger(p.agents)
+    with pytest.raises(ValueError, match="needs affine operator structure"):
+        decoupled_vi_run(p, DecoupledParams(epsilon=0.1), ledger=ledger)
+    assert ledger.queries() == {a: 0 for a in p.agents}
+
+
 def test_saddle_run_rejects_small_lam():
     p = make_strongly_convex_concave(1.0, 1.0, 1.0)
     with pytest.raises(ValueError):

@@ -10,11 +10,11 @@ which the runner reports rather than hides.
 
 Both read epsilon only in their stop test, so one trajectory can serve
 several accuracies, each a `Row` with its own ledger and stop test; a
-single-epsilon run is the one-row case.  `cli.run_experiment` runs the
-baseline rows of one (instance, solver) as one trajectory, and a shared
-row's ``wall_ms`` is the time from the trajectory's start to the row's
-close.  Decoupled rows still run one by one, as their epsilon also sets
-the inner tolerance and the frozen-block share.
+single-epsilon run is the one-row case.  `cli.run_experiment` groups the
+rows of one (instance, solver) explicitly, matched by position; a shared
+row's ``wall_ms`` is the time from the trajectory's start to its close.
+Decoupled rows still run one by one, as their epsilon also sets the
+inner tolerance and the frozen-block share.
 """
 
 import math
@@ -104,7 +104,7 @@ def _shape(a):
 
 @dataclass(eq=False)
 class Row:
-    """One accuracy that a baseline trajectory serves.
+    """One accuracy that a baseline trajectory serves, known by position.
 
     The row has its own `ledger` and `GapTest`, so it sees what a run at
     its `epsilon` alone would.  When it closes, `outcome` becomes that

@@ -20,7 +20,6 @@ them.
 import argparse
 import ast
 import configparser
-import contextvars
 import dataclasses
 import functools
 import math
@@ -347,60 +346,52 @@ def _bounds_for(problem, solver, eps, params):
     return report.eg_comm, report.eg_oracle
 
 
-class _SharedRows:
-    """The rows of one (instance, `SHARED_SOLVERS` solver) of a grid.
+def _runs(problem, solver, epsilons, params, clock):
+    """Yield ``(ledger, outcome, wall seconds)`` for each of `epsilons`.
 
-    One trajectory serves them all.  It runs when the first row is asked
-    for, and a row's wall time runs from its start to the row's close.
-    An exception that escapes it closes every row still open.
+    A `SHARED_SOLVERS` solver serves all with one trajectory at the first
+    `next`, timing each row from its start to the row's close; an escaping
+    exception closes every open row.  Others run one row per `next`.
     """
-
-    def __init__(self, problem, solver, epsilons, params, clock):
-        self._problem, self._solver, self._params = problem, solver, params
-        self._clock, self._t0, self._wall = clock, None, {}
-        self._rows = {eps: Row(eps, OracleLedger(problem.agents,
-                                                 costs=problem.costs),
-                               on_close=self._closed)
-                      for eps in epsilons}
-
-    def _closed(self, row):
-        self._wall[row.epsilon] = self._clock() - self._t0
-
-    def take(self, eps):
-        """``(ledger, outcome, wall seconds)`` of the row at `eps`."""
-        if self._t0 is None:
-            self._t0 = self._clock()
-            rows = list(self._rows.values())
+    new_ledger = functools.partial(OracleLedger, problem.agents,
+                                   costs=problem.costs)
+    if solver not in SHARED_SOLVERS:
+        for eps in epsilons:
+            ledger, t0 = new_ledger(), clock()
             try:
-                _dispatch(self._problem, self._solver, None, self._params,
-                          None, rows=rows)
+                outcome = _dispatch(problem, solver, eps, params, ledger)
             except Exception as exc:                  # recorded, run continues
-                for row in rows:
-                    if row.outcome is None:
-                        row.outcome = exc
-                        self._closed(row)
-        row = self._rows.pop(eps)
-        return row.ledger, row.outcome, self._wall[eps]
+                outcome = exc
+            yield ledger, outcome, clock() - t0
+        return
+    wall = {}
 
+    def closed(row):        # wall -> row -> closed: a cycle until popped
+        wall[row] = clock() - t0
 
-# The `_SharedRows` of the grid `run_experiment` is running, by (instance
-# id, solver); set and reset by each call, so no grid sees another's.
-_SHARED = contextvars.ContextVar("saddlesplit_shared_rows", default={})
+    rows = [Row(eps, new_ledger(), on_close=closed) for eps in epsilons]
+    t0 = clock()
+    try:
+        _dispatch(problem, solver, None, params, None, rows=rows)
+    except Exception as exc:                          # recorded, run continues
+        for row in rows:
+            if row.outcome is None:
+                row.outcome = exc
+                closed(row)
+    for row in rows:
+        yield row.ledger, row.outcome, wall.pop(row)
 
 
 def run_cell(instance_id, problem, solver, eps, params, check_bounds,
-             clock=time.perf_counter):
-    shared = _SHARED.get().get((instance_id, solver))
-    if shared is not None:
-        ledger, outcome, wall_s = shared.take(eps)
-    else:
-        ledger = OracleLedger(problem.agents, costs=problem.costs)
-        t0 = clock()
-        try:
-            outcome = _dispatch(problem, solver, eps, params, ledger)
-        except Exception as exc:                  # recorded, run continues
-            outcome = exc
-        wall_s = clock() - t0
+             clock=time.perf_counter, runs=None):
+    """The `ResultRow` of `solver` on `problem` at accuracy `eps`.
+
+    It depends only on the arguments.  Alone, the cell is a group of one;
+    a grid passes `runs`, its group's `_runs`, and gets the row that this
+    call alone would make (wall time aside).
+    """
+    ledger, outcome, wall_s = next(
+        runs or _runs(problem, solver, [eps], params, clock))
     failed = isinstance(outcome, Exception)
     status = f"error: {outcome}" if failed else outcome.status
     gap = None if failed else outcome.gap
@@ -434,25 +425,20 @@ def run_cell(instance_id, problem, solver, eps, params, check_bounds,
 def run_experiment(config, clock=time.perf_counter):
     """Execute the full grid; rows come back sorted by (instance, solver, eps).
 
-    `run_cell` is called once per row.  The rows of one instance and one
-    baseline (`SHARED_SOLVERS`) share one trajectory, which runs at the
-    first of them, and a shared row's ``wall_ms`` is the time from that
-    start to the row's close.  Decoupled rows still run one by one: their
-    epsilon also sets the inner tolerance and the frozen-block share.
+    `run_cell` is called once per row, with its (instance, solver) group's
+    `_runs`, which serves the rows by position.  A baseline group
+    (`SHARED_SOLVERS`) runs one trajectory for all its rows, timed from its
+    start (see `_runs`); decoupled rows run one by one, as their epsilon
+    also sets the inner tolerance and the frozen-block share.
     """
-    cells = [(iid, prob, solver, config.solver_params.get(solver, {}))
-             for iid, prob in config.instances for solver in config.solvers]
-    token = _SHARED.set({
-        (iid, solver): _SharedRows(prob, solver, config.epsilons, params,
-                                   clock)
-        for iid, prob, solver, params in cells if solver in SHARED_SOLVERS})
-    try:
-        rows = [run_cell(iid, prob, solver, eps, params, config.check_bounds,
-                         clock)
-                for iid, prob, solver, params in cells
-                for eps in config.epsilons]
-    finally:
-        _SHARED.reset(token)
+    rows = []
+    for iid, prob in config.instances:
+        for solver in config.solvers:
+            params = config.solver_params.get(solver, {})
+            runs = _runs(prob, solver, config.epsilons, params, clock)
+            rows += [run_cell(iid, prob, solver, eps, params,
+                              config.check_bounds, clock, runs=runs)
+                     for eps in config.epsilons]
     rows.sort(key=lambda r: (r.instance_id, r.solver, r.epsilon))
     return rows
 

@@ -98,3 +98,24 @@ def test_traced_oracle_computes_each_shared_point_once(tmp_path, monkeypatch,
     assert longest and alone
     assert tracer.by_name()["problems.oracle"][0] == \
         sum(longest.values()) + alone
+
+
+@pytest.mark.parametrize("workload", ["saddle_grid", "chain_closed_form"])
+def test_every_grid_row_equals_its_standalone_cell(tmp_path, workload):
+    # Every solver and instance kind of the small grids: a row depends on
+    # its cell alone, wherever the grid shares a trajectory.
+    workloads = _load("workloads")
+    cfg = tmp_path / "experiment.ini"
+    cfg.write_text(workloads.config_text(workload, 1, small=True))
+    config = workloads.finish_config(
+        workload, cli.parse_config(str(cfg), seed=1))
+    rows = cli.run_experiment(config, clock=lambda: 0.0)
+    problems = dict(config.instances)
+    assert len(rows) == len(problems) * len(config.solvers) \
+        * len(config.epsilons)
+    for row in rows:
+        alone = cli.run_cell(row.instance_id, problems[row.instance_id],
+                             row.solver, row.epsilon,
+                             config.solver_params.get(row.solver, {}),
+                             config.check_bounds, clock=lambda: 0.0)
+        assert row == alone

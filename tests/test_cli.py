@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import gc
 import itertools
 import os
 import subprocess
@@ -11,8 +12,9 @@ import numpy as np
 import pytest
 
 from saddlesplit import cli
+from saddlesplit.accounting import OracleLedger
 from saddlesplit.hard_instances import make_hard_saddle
-from saddlesplit.problems import load_instance
+from saddlesplit.problems import load_instance, make_strongly_convex_concave
 
 SP_CONFIG = """
 [experiment]
@@ -289,6 +291,77 @@ def test_an_oracle_failure_closes_only_the_open_rows(solver, call):
         assert row == alone
     assert cli.rows_to_csv(grid([0.005, 0.01, 0.02, 0.05], lambda: 0.0)) \
         == cli.rows_to_csv(pinned)
+
+
+def _alone(iid, problem, solver, eps):
+    """The pinned-clock row `run_cell` makes for one cell on its own."""
+    return cli.run_cell(iid, problem, solver, eps, {}, True,
+                        clock=lambda: 0.0)
+
+
+def test_repeated_epsilons_and_instance_ids_get_rows_of_their_own():
+    # A hand-built config skips `parse_config`'s checks.  Grid rows are
+    # matched to their group by position, so a repeated epsilon and two
+    # instances that share an id each get the row a run alone would give;
+    # both used to raise KeyError: 0.1 for a baseline.
+    instances = [("a", make_strongly_convex_concave(1.0, 1.0, 1.0, n=2)),
+                 ("a", make_strongly_convex_concave(1.0, 1.0, 2.0, n=2))]
+    config = cli.ExperimentConfig(instances=instances,
+                                  solvers=list(cli.SOLVERS),
+                                  epsilons=[0.1, 0.2, 0.1], check_bounds=True)
+    rows = cli.run_experiment(config, clock=lambda: 0.0)
+    expected = sorted((_alone(iid, problem, solver, eps)
+                       for iid, problem in instances for solver in cli.SOLVERS
+                       for eps in config.epsilons),
+                      key=lambda r: (r.instance_id, r.solver, r.epsilon))
+    assert rows == expected
+    # The two instances' rows differ, so a swap would show.
+    assert _alone("a", instances[0][1], "extragradient", 0.1) \
+        != _alone("a", instances[1][1], "extragradient", 0.1)
+
+
+def test_a_cell_run_inside_a_grid_gets_its_own_row(monkeypatch):
+    # A `run_cell` wrapper, like the benchmark's cell timer, that also runs
+    # one cell of its own: the grid's instance id on another problem.  It
+    # used to take the grid's row, and the grid then died with
+    # KeyError: 0.05.
+    grid_problem = make_strongly_convex_concave(1.0, 1.0, 1.0, n=2)
+    other = make_strongly_convex_concave(1.0, 1.0, 2.0, n=2)
+    config = cli.ExperimentConfig(instances=[("s", grid_problem)],
+                                  solvers=["extragradient"],
+                                  epsilons=[0.1, 0.05], check_bounds=True)
+    before = cli.run_experiment(config, clock=lambda: 0.0)
+    run_cell, inner = cli.run_cell, []
+
+    def wrapped(instance_id, *args, **kwargs):
+        if not inner:
+            inner.append(run_cell(instance_id, other, "extragradient", 0.05,
+                                  {}, True, clock=lambda: 0.0))
+        return run_cell(instance_id, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_cell", wrapped)
+    assert cli.run_experiment(config, clock=lambda: 0.0) == before
+    assert inner == [_alone("s", other, "extragradient", 0.05)]
+    assert inner[0] != before[0]
+
+
+def test_a_grid_frees_its_ledgers_without_the_cycle_collector():
+    # A ledger keeps every response it records, so a reference cycle
+    # through one holds that memory until a collection runs: over a few
+    # passes of the benchmark's chain grid, about 2 MB more peak RSS.
+    config = cli.ExperimentConfig(
+        instances=[("s", make_strongly_convex_concave(1.0, 1.0, 1.0, n=2))],
+        solvers=list(cli.SOLVERS), epsilons=[0.1, 0.05])
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        cli.run_experiment(config, clock=lambda: 0.0)
+        gc.collect()
+        cyclic = [o for o in gc.garbage if isinstance(o, OracleLedger)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert cyclic == []
 
 
 def test_config_errors(tmp_path):

@@ -9,12 +9,12 @@ communication-saving heuristic and diverges on strongly coupled instances,
 which the runner reports rather than hides.
 
 Both read epsilon only in their stop test, so one trajectory can serve
-several accuracies, each a `Row` with its own ledger and stop test; a
-single-epsilon run is the one-row case.  `cli.run_experiment` groups the
+several accuracies, each a `Row` with its own ledger; a single-epsilon run
+is the one-row case.  One `GapTest`, at the largest accuracy still open,
+scores each candidate once for every row.  The decoupled solver runs its
+rows through the same `_Trajectory`.  `cli.run_experiment` groups the
 rows of one (instance, solver) explicitly, matched by position; a shared
 row's ``wall_ms`` is the time from the trajectory's start to its close.
-Decoupled rows still run one by one, as their epsilon also sets the
-inner tolerance and the frozen-block share.
 """
 
 import math
@@ -104,30 +104,41 @@ def _shape(a):
 
 @dataclass(eq=False)
 class Row:
-    """One accuracy that a baseline trajectory serves, known by position.
+    """One accuracy that a solver trajectory serves, known by position.
 
-    The row has its own `ledger` and `GapTest`, so it sees what a run at
-    its `epsilon` alone would.  When it closes, `outcome` becomes that
-    run's `RunResult`, or the exception it raises in its own stop test or
-    final gap, and `on_close(row)` is called.  Any other exception
-    propagates and leaves the open rows without an outcome.
+    The row has its own `ledger`, so it sees what a run at its `epsilon`
+    alone would.  When it closes, `outcome` becomes that run's
+    `RunResult`, or the exception it raises in its own stop test or final
+    gap, and `on_close(row)` is called.  Any other exception propagates
+    and leaves the open rows without an outcome.
     """
     epsilon: float
     ledger: OracleLedger
     on_close: object = None
     outcome: object = None
 
+    def close(self, outcome):
+        """Settle the row with `outcome` and call `on_close`."""
+        self.outcome = outcome
+        if self.on_close is not None:
+            self.on_close(self)
+
 
 class _Trajectory:
-    """The rows one baseline run serves, and which of them are still open.
+    """The rows one solver run serves, and which of them are still open.
 
     Without `rows`, a single row at ``params.epsilon`` on `ledger` (a new
     one if None), whose outcome `close` returns or raises.  The ledgers of
     the open rows stay in step: every query and every round closes on
-    each of them.
+    each of them.  ``test(epsilon)`` makes the run's one `GapTest`, kept at
+    the largest open epsilon.  ``cap(epsilon)`` is a row's round cap,
+    ``params.max_rounds`` without it; a row whose cap raises is closed with
+    that exception before the run starts (a single row raises it).
+    ``info(ledger)`` is the ``info`` of the result on a row's `ledger`,
+    taken when the row closes.
     """
 
-    def __init__(self, problem, params, ledger, rows, info):
+    def __init__(self, problem, params, ledger, rows, test, info, cap=None):
         self._single = None
         if rows is None:
             if ledger is None:
@@ -135,8 +146,19 @@ class _Trajectory:
             self._single = Row(params.epsilon, ledger)
             rows = [self._single]
         self.info = info
-        self.open = [(row, GapTest(problem, row.epsilon, restricted_gap))
-                     for row in rows]
+        self.open, self._caps = [], {}
+        for row in rows:
+            try:
+                self._caps[row] = (params.max_rounds if cap is None
+                                   else cap(row.epsilon))
+            except Exception as exc:     # the row's own run raises it here
+                if self._single is not None:
+                    raise
+                row.close(exc)
+            else:
+                self.open.append(row)
+        self.test = (test(max(r.epsilon for r in self.open)) if self.open
+                     else None)
 
     def bind(self, agent, fn):
         """`fn`, each call recorded on every open row's ledger.
@@ -147,33 +169,48 @@ class _Trajectory:
         return OracleLedger.bind(self, agent, fn)
 
     def record(self, agent, point, response):
-        for row, _ in self.open:
+        for row in self.open:
             row.ledger.record(agent, point, response)
 
     def end_round(self, candidate):
-        for row, _ in self.open:
+        for row in self.open:
             row.ledger.end_round(candidate)
 
-    @property
-    def round(self):
-        """Closed rounds of the open rows."""
-        return self.open[0][0].ledger.round
+    def running(self, candidate):
+        """Close, as budget_exhausted at `candidate`, each open row whose
+        cap its rounds have reached; whether any row is still open."""
+        for row in list(self.open):
+            if row.ledger.round >= self._caps[row]:
+                self._finish(row, "budget_exhausted", candidate)
+        return bool(self.open)
 
-    def stop(self, candidate):
-        """Close, as converged, each open row whose stop test passes."""
-        for entry in list(self.open):
-            try:
-                passed = entry[1](candidate)
-            except Exception as exc:     # the row's own run raises it here
-                self._settle(entry, exc)
-            else:
-                if passed:
-                    self._finish(entry, "converged", candidate)
+    def stop(self, candidate, status="converged"):
+        """Close, with `status`, each open row whose stop test passes.
+
+        The test scores `candidate` once, at the largest open epsilon, and
+        one evaluation, if its bound asks for one, decides every row.  If
+        that evaluation raises, the rows that the bound in force rules the
+        candidate out for at their own epsilon run on; the others close
+        with the exception, as their own runs would.  An exception of the
+        bound itself, which every row's run would raise, propagates.
+        """
+        try:
+            passed = self.test(candidate)
+        except Exception as exc:
+            for row in list(self.open):
+                if not self.test.rules_out(candidate, row.epsilon):
+                    self._settle(row, exc)
+            return
+        if passed:
+            value = self.test.gap().value
+            for row in list(self.open):
+                if value <= row.epsilon:
+                    self._finish(row, status, candidate)
 
     def close(self, status, candidate):
         """Close every open row with `status`; the single row's outcome."""
-        for entry in list(self.open):
-            self._finish(entry, status, candidate)
+        for row in list(self.open):
+            self._finish(row, status, candidate)
         if self._single is None:
             return None
         outcome = self._single.outcome
@@ -181,23 +218,21 @@ class _Trajectory:
             raise outcome
         return outcome
 
-    def _finish(self, entry, status, candidate):
-        row, test = entry
+    def _finish(self, row, status, candidate):
         try:
-            gap = test.finish(candidate, status)
+            gap = self.test.finish(candidate, status)
         except Exception as exc:         # the row's own run raises it here
-            self._settle(entry, exc)
+            self._settle(row, exc)
         else:
-            self._settle(entry, RunResult(
+            self._settle(row, RunResult(
                 status=status, candidate=candidate, gap=gap,
-                ledger=row.ledger, info=dict(self.info)))
+                ledger=row.ledger, info=self.info(row.ledger)))
 
-    def _settle(self, entry, outcome):
-        self.open.remove(entry)
-        row = entry[0]
-        row.outcome = outcome
-        if row.on_close is not None:
-            row.on_close(row)
+    def _settle(self, row, outcome):
+        self.open.remove(row)
+        if self.open:
+            self.test.retarget(max(r.epsilon for r in self.open))
+        row.close(outcome)
 
 
 def extragradient_run(problem, params, ledger=None, rows=None):
@@ -216,7 +251,9 @@ def extragradient_run(problem, params, ledger=None, rows=None):
     """
     p = problem
     ax, ay = default_scaling(p, params.d_hat)
-    trajectory = _Trajectory(p, params, ledger, rows, {"alpha": (ax, ay)})
+    trajectory = _Trajectory(p, params, ledger, rows,
+                             lambda eps: GapTest(p, eps, restricted_gap),
+                             lambda ledger: {"alpha": (ax, ay)})
     ox, oy = (trajectory.bind(a, g)
               for a, g in zip(p.agents, (p.grad_x, p.grad_y)))
     blocks, respond, step = _joint_space(p, 1.0 / ax, 1.0 / ay)
@@ -230,7 +267,7 @@ def extragradient_run(problem, params, ledger=None, rows=None):
     acc = np.zeros(v.size)
     candidate = blocks(v)
     status = "budget_exhausted"
-    while trajectory.open and trajectory.round < params.max_rounds:
+    while trajectory.running(candidate):
         Gv = query(v)
         trajectory.end_round(candidate)      # first half-iteration: retained
         # blockwise: argmin <V_i, w> + (alpha_i / 2)|w - v_i|_i^2 + psi_i
@@ -267,8 +304,10 @@ def local_gda_run(problem, params, ledger=None, rows=None):
     eta_x = params.eta_x if params.eta_x is not None else 1.0 / (2.0 * max(Lx_tot, 1e-12))
     eta_y = params.eta_y if params.eta_y is not None else 1.0 / (2.0 * max(Ly_tot, 1e-12))
     trajectory = _Trajectory(p, params, ledger, rows,
-                             {"eta": (eta_x, eta_y),
-                              "steps_per_round": params.steps_per_round})
+                             lambda eps: GapTest(p, eps, restricted_gap),
+                             lambda ledger: {
+                                 "eta": (eta_x, eta_y),
+                                 "steps_per_round": params.steps_per_round})
     ox, oy = (trajectory.bind(a, g)
               for a, g in zip(p.agents, (p.grad_x, p.grad_y)))
     blocks, respond, step = _joint_space(p, eta_x, eta_y)
@@ -276,7 +315,7 @@ def local_gda_run(problem, params, ledger=None, rows=None):
     v = np.concatenate(p.z0)
     x, y = candidate = blocks(v)
     status = "budget_exhausted"
-    while trajectory.open and trajectory.round < params.max_rounds:
+    while trajectory.running(candidate):
         # v is rebound, never written once its views are out, so no copies.
         x_frozen, y_frozen = x, y
         for _ in range(params.steps_per_round):

@@ -53,10 +53,6 @@ SOLVER_PARAMS = {"decoupled": DecoupledParams,
                  "extragradient": ExtragradientParams,
                  "local_gda": LocalGdaParams}
 SOLVERS = tuple(SOLVER_PARAMS)
-# Solvers that read epsilon only in their stop test, so that one trajectory
-# serves a grid's every epsilon (see `baselines.Row`).  The decoupled
-# method also sets its inner tolerance and frozen-block share from it.
-SHARED_SOLVERS = ("extragradient", "local_gda")
 EXPERIMENT_KEYS = ("epsilons", "solvers", "seed", "check_bounds", "out", "name")
 # Read by ``kind = random_polymatrix``, as well as ``kind`` and ``name``.
 RANDOM_POLYMATRIX_KEYS = ("dims", "coupling", "diag")
@@ -318,8 +314,8 @@ def _check_d_hat(d_hat, instances, source):
 def _dispatch(problem, solver, eps, params, ledger, rows=None):
     """Run `solver` on `problem` at accuracy `eps`, recording on `ledger`.
 
-    Given `rows`, a baseline serves each `baselines.Row` with one
-    trajectory instead, and `eps` and `ledger` go unread.
+    Given `rows`, the solver serves each `baselines.Row` instead, and
+    `eps` and `ledger` go unread.
     """
     is_vi = isinstance(problem, VipProblem)
     if is_vi and solver != "decoupled":
@@ -327,8 +323,8 @@ def _dispatch(problem, solver, eps, params, ledger, rows=None):
     p = SOLVER_PARAMS[solver](epsilon=eps, **params)
     if solver == "decoupled":
         run = decoupled_vi_run if is_vi else decoupled_saddle_run
-        return run(problem, p, ledger=ledger)
-    run = extragradient_run if solver == "extragradient" else local_gda_run
+    else:
+        run = extragradient_run if solver == "extragradient" else local_gda_run
     return run(problem, p, ledger=ledger, rows=rows)
 
 
@@ -349,35 +345,24 @@ def _bounds_for(problem, solver, eps, params):
 def _runs(problem, solver, epsilons, params, clock):
     """Yield ``(ledger, outcome, wall seconds)`` for each of `epsilons`.
 
-    A `SHARED_SOLVERS` solver serves all with one trajectory at the first
-    `next`, timing each row from its start to the row's close; an escaping
-    exception closes every open row.  Others run one row per `next`.
+    The solver serves all of them at the first `next` (see
+    `baselines.Row`), and each row is timed from the run's start to the
+    row's close; an escaping exception closes every open row.
     """
-    new_ledger = functools.partial(OracleLedger, problem.agents,
-                                   costs=problem.costs)
-    if solver not in SHARED_SOLVERS:
-        for eps in epsilons:
-            ledger, t0 = new_ledger(), clock()
-            try:
-                outcome = _dispatch(problem, solver, eps, params, ledger)
-            except Exception as exc:                  # recorded, run continues
-                outcome = exc
-            yield ledger, outcome, clock() - t0
-        return
     wall = {}
 
     def closed(row):        # wall -> row -> closed: a cycle until popped
         wall[row] = clock() - t0
 
-    rows = [Row(eps, new_ledger(), on_close=closed) for eps in epsilons]
+    rows = [Row(eps, OracleLedger(problem.agents, costs=problem.costs),
+                on_close=closed) for eps in epsilons]
     t0 = clock()
     try:
         _dispatch(problem, solver, None, params, None, rows=rows)
     except Exception as exc:                          # recorded, run continues
         for row in rows:
             if row.outcome is None:
-                row.outcome = exc
-                closed(row)
+                row.close(exc)
     for row in rows:
         yield row.ledger, row.outcome, wall.pop(row)
 
@@ -426,10 +411,8 @@ def run_experiment(config, clock=time.perf_counter):
     """Execute the full grid; rows come back sorted by (instance, solver, eps).
 
     `run_cell` is called once per row, with its (instance, solver) group's
-    `_runs`, which serves the rows by position.  A baseline group
-    (`SHARED_SOLVERS`) runs one trajectory for all its rows, timed from its
-    start (see `_runs`); decoupled rows run one by one, as their epsilon
-    also sets the inner tolerance and the frozen-block share.
+    `_runs`, which serves the rows by position: one solver call serves
+    them all, and each row is timed from its start (see `_runs`).
     """
     rows = []
     for iid, prob in config.instances:

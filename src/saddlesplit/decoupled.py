@@ -23,7 +23,7 @@ never pays twice for one point: each solve holds its last answer, and the
 exchange reuses a block's own answer when its point has not moved.
 
 Drivers.  One private function runs a block problem with coupling matrix
-``L``: scalings, frozen blocks, outer loop and `RunResult`.  A two-agent
+``L``: scalings, frozen blocks, outer loop and `RunResult`s.  A two-agent
 saddle problem is the two-block case with ``V = (grad_x f, -grad_y f)``
 and ``L = [[L_x, L_xy], [L_xy, L_y]]``; `decoupled_saddle_run` binds its
 oracles and `decoupled_vi_run` those of a block VI.  The default round cap
@@ -31,17 +31,21 @@ is the `complexity_bounds` round bound (the one ``run --check-bounds``
 applies) rounded up, plus two.  Blocks that no other block depends on are
 solved once locally and frozen.  When every block is frozen, the gap is
 the sum of the blocks' own gaps, and each local solve stops as soon as a
-Frank-Wolfe bound certifies its share ``eps / K``.
+Frank-Wolfe bound certifies its share ``eps / K``.  Without frozen blocks,
+one run serves several accuracies, as the baselines' trajectories do
+(`baselines.Row`): the inner tolerances of active blocks depend on lam,
+not on epsilon.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from saddlesplit.accounting import OracleLedger, RunResult
+from saddlesplit.baselines import _Trajectory
 from saddlesplit.evaluation import (
-    GapTest, _gap_set, complexity_bounds, restricted_gap,
+    GapTest, _gap_set, complexity_bounds, restricted_gap, theta_factor,
 )
 from saddlesplit.metrics import ProductMetric, all_finite
 from saddlesplit.problems import (
@@ -431,32 +435,39 @@ class DecoupledParams:
     max_rounds: int = None
 
 
-def _decoupled_run(problem, oracles, psis, metrics, L, d_hat, gradient,
-                   params, comm_bound, ledger, reference):
+def _decoupled_run(problem, bind, psis, metrics, L, d_hat, gradient,
+                   params, comm_bound, ledger, rows, reference, info):
     """The decoupled solver on a block problem; both drivers call this.
 
-    ``oracles[i]`` is block ``i``'s ledger-bound operator on the tuple of
-    all blocks and ``L`` the block Lipschitz matrix.  Scalings ``alpha_i =
-    sum_{j != i} L_ij Dhat_j / Dhat_i`` balance the cross-coupling.  Blocks
-    with ``gradient[i]`` use the staged accelerated engine, the rest the
+    ``bind(sink)`` gives the oracles: block ``i``'s operator on the tuple
+    of all blocks, its queries recorded through ``sink.bind``.  ``L`` is
+    the block Lipschitz matrix.  Scalings ``alpha_i = sum_{j != i} L_ij
+    Dhat_j / Dhat_i`` balance the cross-coupling.  Blocks with
+    ``gradient[i]`` use the staged accelerated engine, the rest the
     anchored extragradient loop; those with ``alpha_i = 0`` are solved
     once by the former and frozen, so they must be gradients.
-    ``comm_bound`` sets the default round cap and ``reference`` (a known
-    solution or None) arms the telescoping check; ``d_hat`` has one entry
-    per block.  The anchor, the exchanged values and the ergodic sum are
-    joint vectors over the active blocks (in the `ProductMetric` of their
-    scalings), the blocks are views into them, and no array is written
-    once a view of it has been handed out.  Candidates are full-block
-    tuples; each round closes on the ledger with the candidate it
-    produced, and each candidate is scored by the run's `GapTest`.
+    ``comm_bound(eps)`` sets the default round cap and ``reference`` (a
+    known solution or None) arms the telescoping check; ``d_hat`` has one
+    entry per block, and `info` holds entries added to every ``info``.
+    The anchor, the exchanged values and the ergodic sum are joint vectors
+    over the active blocks (in the `ProductMetric` of their scalings), the
+    blocks are views into them, and no array is written once a view of it
+    has been handed out.  Candidates are full-block tuples; each round
+    closes on the ledger with the candidate it produced, and each
+    candidate is scored by the run's `GapTest`.
+
+    With `rows` (`baselines.Row`s) in place of ``params.epsilon`` and
+    `ledger`, the call returns None.  With no frozen block, epsilon
+    reaches the run only in its stop test and its default cap, so one
+    trajectory serves every row: each closes at its own cap, with the
+    ``info`` of the run at its close.  A frozen block's local solve
+    depends on epsilon, so then the rows run one by one, each a run of its
+    own, whose exception is its outcome.
     """
-    K = len(oracles)
+    K = len(psis)
     if len(d_hat) != K:
         raise ValueError(f"d_hat has {len(d_hat)} entries but the problem "
                          f"has {K} blocks")
-    eps = params.epsilon
-    max_rounds = (math.ceil(comm_bound) + 2 if params.max_rounds is None
-                  else params.max_rounds)
     alphas = [sum(L[i][j] * d_hat[j] for j in range(K) if j != i) / d_hat[i]
               for i in range(K)]
     active = [i for i in range(K) if alphas[i] > 0]
@@ -470,6 +481,35 @@ def _decoupled_run(problem, oracles, psis, metrics, L, d_hat, gradient,
             raise ValueError(
                 f"block {i} is uncoupled but not a gradient; no engine here "
                 "certifies its local solve")
+    if frozen and rows is not None:
+        for row in rows:
+            try:
+                outcome = _decoupled_run(
+                    problem, bind, psis, metrics, L, d_hat, gradient,
+                    dataclasses.replace(params, epsilon=row.epsilon),
+                    comm_bound, row.ledger, None, reference, info)
+            except Exception as exc:         # the row's own run raises it
+                outcome = exc
+            row.close(outcome)
+        return None
+
+    def cap(eps):
+        bound = comm_bound(eps)             # refuses a bad eps either way
+        return (math.ceil(bound) + 2 if params.max_rounds is None
+                else params.max_rounds)
+
+    def run_info(ledger):
+        if not active:
+            return {"local": True, "alpha": tuple(alphas), **info}
+        return {"alpha": tuple(alphas), "lam": lam, "coupling": coupling,
+                "a_history": list(a_history),
+                "iterations": ledger.round // 2, "frozen_blocks": frozen,
+                "telescope_lhs": telescope_lhs, **info}
+
+    trajectory = _Trajectory(problem, params, ledger, rows,
+                             lambda eps: GapTest(problem, eps, restricted_gap),
+                             run_info, cap)
+    oracles = bind(trajectory)
 
     def block_operator(i, base):
         """Block ``i``'s operator with the other blocks fixed at `base`."""
@@ -478,7 +518,7 @@ def _decoupled_run(problem, oracles, psis, metrics, L, d_hat, gradient,
         return op
 
     full = [b.copy() for b in problem.z0]
-    stop = GapTest(problem, eps, restricted_gap)
+    eps = params.epsilon
     # With every block frozen, the gap is the sum of the blocks' own gaps
     # over their balls, so each block may stop once it certifies eps / K.
     gap_set = None if active else _gap_set(problem)
@@ -498,11 +538,9 @@ def _decoupled_run(problem, oracles, psis, metrics, L, d_hat, gradient,
     if not active:
         candidate = tuple(full)
         for _ in range(2):
-            ledger.end_round(candidate)
-        status = "local_solve" if stop(candidate) else "budget_exhausted"
-        return RunResult(status=status, candidate=candidate,
-                         gap=stop.finish(candidate, status), ledger=ledger,
-                         info={"local": True, "alpha": alphas})
+            trajectory.end_round(candidate)
+        trajectory.stop(candidate, "local_solve")
+        return trajectory.close("budget_exhausted", candidate)
 
     def full_point(parts):
         """All blocks: the frozen ones plus `parts` for the active ones."""
@@ -531,14 +569,14 @@ def _decoupled_run(problem, oracles, psis, metrics, L, d_hat, gradient,
     a_history = []
     candidate = tuple(full)
     status = "budget_exhausted"
-    while ledger.round < max_rounds:
+    while trajectory.running(candidate):
         v_parts = metric.split(v)
         anchor = full_point(v_parts)
         z_parts, sub_parts, diags = split_prox_step(
             [block_operator(i, anchor) for i in active], act_psis,
             act_metrics, act_alphas, v_parts, lam, act_lips,
             inner_flags=[gradient[i] for i in active])
-        ledger.end_round(candidate)
+        trajectory.end_round(candidate)
         point = full_point(z_parts)
         # Block i's solve took its operator value at `point` itself when
         # every other active block returned its anchor bit for bit, unless
@@ -557,7 +595,7 @@ def _decoupled_run(problem, oracles, psis, metrics, L, d_hat, gradient,
 
         if metric.dual_norm(v_psi) <= _ZERO_OPERATOR_TOL:
             candidate, status = point, "solution_found"
-            ledger.end_round(candidate)
+            trajectory.end_round(candidate)
             break
 
         ok, lhs, rhs = scaled_prox_check(V, sub, z, v, lam, metric)
@@ -583,21 +621,12 @@ def _decoupled_run(problem, oracles, psis, metrics, L, d_hat, gradient,
                     f"telescoped progress inequality violated: "
                     f"{telescope_lhs} > {budget}")
 
-        ledger.end_round(candidate)
-        if stop(candidate):
-            status = "converged"
-            break
-
-    gap = stop.finish(candidate, status)
-    return RunResult(
-        status=status, candidate=candidate, gap=gap, ledger=ledger,
-        info={"alpha": alphas, "lam": lam, "coupling": coupling,
-              "a_history": a_history, "iterations": ledger.round // 2,
-              "frozen_blocks": frozen,
-              "telescope_lhs": telescope_lhs})
+        trajectory.end_round(candidate)
+        trajectory.stop(candidate)
+    return trajectory.close(status, candidate)
 
 
-def decoupled_saddle_run(problem, params, ledger=None):
+def decoupled_saddle_run(problem, params, ledger=None, rows=None):
     """Decoupled solver for two-agent saddle problems.
 
     The two-block case of `_decoupled_run`: the scalings reduce to
@@ -608,37 +637,40 @@ def decoupled_saddle_run(problem, params, ledger=None):
     a single exchange.  The y block of ``V`` is ``-grad_y``; the ledger
     records the ``y`` agent's own responses, ``grad_y``.  The default
     round cap comes from ``dmsp_comm``, and ``info["theta"]`` is the
-    diameter factor of the same report.  Gaps are over the instance's gap set.
+    diameter factor of the same report.  Gaps are over the instance's gap
+    set.  With `rows` (`baselines.Row`s) in place of ``params.epsilon``
+    and `ledger`, one run serves every row and the call returns None.
     """
     p = problem
-    if ledger is None:
-        ledger = OracleLedger(p.agents, costs=p.costs)
     d_hat = params.d_hat if params.d_hat is not None else (p.D_x, p.D_y)
-    report = complexity_bounds(p, params.epsilon, d_hat=d_hat)
-    ox, oy = (ledger.bind(a, g)
-              for a, g in zip(p.agents, (p.grad_x, p.grad_y)))
-    res = _decoupled_run(
-        p, [ox, lambda z: -oy(z)],
-        [p.psi_x, p.psi_y], [p.metric_x, p.metric_y],
+
+    def oracles(sink):
+        ox, oy = (sink.bind(a, g)
+                  for a, g in zip(p.agents, (p.grad_x, p.grad_y)))
+        return [ox, lambda z: -oy(z)]
+    return _decoupled_run(
+        p, oracles, [p.psi_x, p.psi_y], [p.metric_x, p.metric_y],
         [[p.L_x, p.L_xy], [p.L_xy, p.L_y]], d_hat, [True, True], params,
-        report.dmsp_comm, ledger, p.saddle)
-    res.info.update(alpha=tuple(res.info["alpha"]), theta=report.theta)
-    return res
+        lambda eps: complexity_bounds(p, eps, d_hat=d_hat).dmsp_comm,
+        ledger, rows, p.saddle,
+        {"theta": theta_factor(p.D_x, p.D_y, d_hat[0], d_hat[1])})
 
 
-def decoupled_vi_run(problem, params, ledger=None):
+def decoupled_vi_run(problem, params, ledger=None, rows=None):
     """Decoupled solver for block variational inequalities.
 
     See `_decoupled_run`; the default round cap comes from ``dmvip_comm``,
     ``2 + 2 sum_{i != j} L_ij D_i D_j / eps``.  Gaps are over the
     instance's gap set, balls of radius ``D[i]`` around ``z0`` in dom psi.
+    With `rows` (`baselines.Row`s) in place of ``params.epsilon`` and
+    `ledger`, one run serves every row and the call returns None.
     """
     p = problem
-    if ledger is None:
-        ledger = OracleLedger(p.agents, costs=p.costs)
     return _decoupled_run(
-        p, [ledger.bind(a, op) for a, op in zip(p.agents, p.operators)],
+        p, lambda sink: [sink.bind(a, op)
+                         for a, op in zip(p.agents, p.operators)],
         p.psis, p.metrics, p.L,
         params.d_hat if params.d_hat is not None else list(p.D),
         p.block_is_gradient, params,
-        complexity_bounds(p, params.epsilon).dmvip_comm, ledger, p.solution)
+        lambda eps: complexity_bounds(p, eps).dmvip_comm, ledger, rows,
+        p.solution, {})

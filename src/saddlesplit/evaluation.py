@@ -18,14 +18,16 @@ flagged as an estimate.  `restricted_gap` makes the plan on every call;
 ``problem.structure`` keeps only the VI's operator matrix and constant.
 
 Solvers stop through `GapTest`, which answers "is the gap of this
-candidate at most epsilon" for one run with the bound of the same plan.
+candidate at most epsilon" for one trajectory with the bound of the same
+plan, at the largest accuracy the trajectory still serves.
 A closed form's bound answers "no" whenever a Lipschitz bound from the
 last evaluated candidate proves the form above epsilon; a saddle
 estimate's, with no psi left over and identity metrics, whenever the
 estimator's first step does (projected gradient with step 1/L never
 moves back).  That is all a bound certifies: every "yes" and every
 reported gap is a `restricted_gap` evaluation, at the same candidate as
-when every candidate is evaluated, so statuses and gaps are unchanged.
+when every candidate is evaluated for every accuracy, so statuses and
+gaps are unchanged.
 """
 
 import math
@@ -76,21 +78,33 @@ def _linear_ball_max(metric, center, radius, g):
 def _pga_extreme(grad_fn, metric, center, radius, psi_left, lipschitz,
                  steps, maximize=True):
     """`steps` projected-gradient ascent/descent steps from the center for
-    the inner problem of the gap."""
+    the inner problem of the gap.
+
+    Each step is ``metric.apply_inv`` and `ball_project`'s arithmetic,
+    operation for operation, on the metric's weights, with one shape check
+    of the gradient per step in place of theirs on every call.
+    """
+    weights = metric.weights
     w = center.copy()
     sign = 1.0 if maximize else -1.0
     for _ in range(steps):
         g = np.asarray(grad_fn(w), dtype=float)
+        if g.shape != weights.shape:
+            raise ValueError(f"gradient of shape {g.shape} does not match "
+                             f"metric dimension {weights.size}")
         if lipschitz > 1e-14:
             step = 1.0 / lipschitz
         else:
             # Linear inner objective: one radius-length move reaches the face.
-            dual = metric.dual_norm(g)
+            dual = math.sqrt((g / weights) @ g)
             if dual <= 1e-15:
                 break
             step = radius / dual
-        w = _ball_project(metric, center, radius,
-                          w + sign * step * metric.apply_inv(g), psi_left)
+        d = (w + sign * step * (g / weights)) - center
+        nrm = math.sqrt((weights * d) @ d)
+        w = center + (d if nrm <= radius else d * (radius / nrm))
+        if psi_left is not None:
+            w = psi_left.project_domain(metric, w)
     return w
 
 
@@ -125,8 +139,8 @@ def restricted_gap(problem, candidate):
 def _gap_plan(p):
     """``(method, exact, value, bound_maker)``: how the gap of `p` is computed.
 
-    ``value(candidate)`` is the gap.  ``bound_maker(p, eps)`` (or None)
-    makes `GapTest`'s anchor or None: ``anchor(candidate, value)``, asked
+    ``value(candidate)`` is the gap.  ``bound_maker(p)`` (or None) makes
+    `GapTest`'s anchor or None: ``anchor(eps, candidate, value)``, asked
     after each evaluation and, with no candidate, when the test is built,
     returns a predicate proving a gap above ``eps``, or None.  A VI
     without polymatrix ``structure`` has no plan: ValueError, raised when
@@ -342,7 +356,7 @@ def _euclid(v):
     return math.sqrt(v @ v)
 
 
-def _bilinear_bound(p, eps):
+def _bilinear_bound(p):
     """Anchor maker for the bilinear closed form.
 
     The closed form is Lipschitz in each block: with ``x_c, r_x, y_c, r_y``
@@ -363,7 +377,7 @@ def _bilinear_bound(p, eps):
     ly = _LIPSCHITZ_PAD * (nA * _euclid(xc) + rx * nAx + nb)
     c0 = nb * _euclid(yc) + ry * p.metric_y.dual_norm(b)
 
-    def anchor(candidate=None, value=None):
+    def anchor(eps, candidate=None, value=None):
         if candidate is None:
             return None
         xs = np.asarray(candidate[0], dtype=float)
@@ -380,7 +394,7 @@ def _bilinear_bound(p, eps):
     return anchor
 
 
-def _quadratic_bound(p, eps):
+def _quadratic_bound(p):
     """Anchor maker for the one-sided quadratic closed form.
 
     Its value is ``||A w - b||^2 / 2`` on the active block ``w``, and the
@@ -390,11 +404,11 @@ def _quadratic_bound(p, eps):
     side = 0 if st["kind"] == "quadratic_x" else 1
     nA = _LIPSCHITZ_PAD * _norm_bound(st["A"])
     nb = _euclid(st["b"])
-    target = (1.0 + _ROUNDING_MARGIN) * math.sqrt(2.0 * eps)
 
-    def anchor(candidate=None, value=None):
+    def anchor(eps, candidate=None, value=None):
         if candidate is None:
             return None
+        target = (1.0 + _ROUNDING_MARGIN) * math.sqrt(2.0 * eps)
         ws = np.asarray(candidate[side], dtype=float)
         budget = (math.sqrt(2.0 * value) - target
                   - 2.0 * _ROUNDING_MARGIN * (nA * _euclid(ws) + nb))
@@ -408,7 +422,7 @@ def _quadratic_bound(p, eps):
     return anchor
 
 
-def _first_step_bound(p, eps):
+def _first_step_bound(p):
     """Anchor maker for the estimated gap of saddle instance `p`, or None.
 
     For an instance `_closed_form` leaves to the estimator.  With no psi
@@ -430,16 +444,18 @@ def _first_step_bound(p, eps):
                        for m in (p.metric_x, p.metric_y)):
         return None
 
-    def exceeds(candidate):
-        xbar, ybar = _scored_blocks(p, candidate)
-        hi, lo = _pga_terms(p, xbar, ybar, gap_set, 1)
-        budget = hi - lo - eps - _ROUNDING_MARGIN * (abs(hi) + abs(lo))
-        return budget > 0.0 and math.isfinite(budget)
-    return lambda candidate=None, value=None: exceeds
+    def anchor(eps, candidate=None, value=None):
+        def exceeds(c):
+            xbar, ybar = _scored_blocks(p, c)
+            hi, lo = _pga_terms(p, xbar, ybar, gap_set, 1)
+            budget = hi - lo - eps - _ROUNDING_MARGIN * (abs(hi) + abs(lo))
+            return budget > 0.0 and math.isfinite(budget)
+        return exceeds
+    return anchor
 
 
 class GapTest:
-    """The stop test ``gap <= epsilon`` of one run.
+    """The stop test ``gap <= epsilon`` of one trajectory.
 
     ``test(candidate)`` scores a candidate and is True when its gap over
     the problem's gap set is at most `epsilon`.  Candidates the bound of
@@ -451,23 +467,49 @@ class GapTest:
     disarms the bound until one of the plan's re-arms it.  Gaps with no
     bound, every VI's among them, are evaluated on every call.
 
+    A trajectory that serves several accuracies keeps one test at the
+    largest one still open, and `retarget`s it as rows close.  A candidate
+    the bound rules out there is above every smaller accuracy too; one it
+    does not is evaluated once, and `gap` serves that result to every
+    row.  `rules_out` asks the bound in force at another accuracy.
+
     `evaluate` is the gap function, called as ``evaluate(problem,
     candidate)``; solvers pass the `restricted_gap` name of their
     own module, so patches of that name see every evaluation.
     """
 
     def __init__(self, problem, epsilon, evaluate=None):
-        self.problem, self.epsilon = problem, epsilon
+        self.problem = problem
         self.evaluate = restricted_gap if evaluate is None else evaluate
         self._method, _, _, bound_maker = _gap_plan(problem)
-        self._anchor_at = bound_maker and bound_maker(problem, epsilon)
-        # The bound in force, if any; one that needs no candidate is armed now.
-        self._exceeds = self._anchor_at and self._anchor_at()
+        self._anchor = bound_maker and bound_maker(problem)
+        # The evaluation the bound is anchored at: () before any, so a
+        # bound that needs none is armed now; None after one of another
+        # method than the plan's.
+        self._at = ()
         self._scored = self._evaluated = self._result = None
+        self.retarget(epsilon)
+
+    def retarget(self, epsilon):
+        """Test against `epsilon` from now on."""
+        self.epsilon = epsilon
+        self._exceeds = self._bound(epsilon)
+
+    def _bound(self, epsilon):
+        """The bound in force at `epsilon`: a predicate, or None."""
+        if self._anchor is None or self._at is None:
+            return None
+        return self._anchor(epsilon, *self._at)
+
+    def rules_out(self, candidate, epsilon=None):
+        """Whether the bound in force proves the gap of `candidate` above
+        `epsilon`, by default the test's own."""
+        exceeds = self._exceeds if epsilon is None else self._bound(epsilon)
+        return exceeds is not None and exceeds(candidate)
 
     def __call__(self, candidate):
         self._scored = candidate
-        if self._exceeds is not None and self._exceeds(candidate):
+        if self.rules_out(candidate):
             return False
         return self.gap(candidate).value <= self.epsilon
 
@@ -484,9 +526,9 @@ class GapTest:
             return self._result
         result = self.evaluate(self.problem, candidate)
         self._evaluated, self._result = candidate, result
-        self._exceeds = None
-        if self._anchor_at and result.method == self._method:
-            self._exceeds = self._anchor_at(candidate, result.value)
+        self._at = ((candidate, result.value)
+                    if result.method == self._method else None)
+        self._exceeds = self._bound(self.epsilon)
         return result
 
     def finish(self, candidate, status):

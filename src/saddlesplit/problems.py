@@ -217,6 +217,14 @@ def _check_agents(diameters, costs):
                          f"numbers, one per agent, got {costs!r}")
 
 
+def _check_starts(agents, psis, metrics, starts):
+    """Each agent's start block in the domain of its psi."""
+    for agent, psi, metric, w in zip(agents, psis, metrics, starts):
+        if not math.isfinite(psi.value(metric, w)):
+            raise ValueError(f"the start of agent {agent} lies outside "
+                             "dom psi")
+
+
 @dataclass
 class SaddleProblem:
     """Two-agent saddle problem with per-agent first-order oracles.
@@ -226,7 +234,8 @@ class SaddleProblem:
     problem has no operator method of its own: the monotone operator is
     ``V = (grad_x, -grad_y)``, and each solver writes the y sign once,
     where it forms ``V``.  ``D_x`` and ``D_y`` must be positive and
-    finite, ``costs`` finite and nonnegative.  ``agents`` names the two
+    finite, ``costs`` finite and nonnegative, and each start block in the
+    domain of its psi (ValueError otherwise).  ``agents`` names the two
     agents for an `OracleLedger`.
     """
     agents = ("x", "y")
@@ -261,6 +270,8 @@ class SaddleProblem:
         for L in (self.L_x, self.L_y, self.L_xy):
             if L < 0:
                 raise ValueError("Lipschitz constants must be nonnegative")
+        _check_starts(self.agents, (self.psi_x, self.psi_y),
+                      (self.metric_x, self.metric_y), (self.x0, self.y0))
 
     @property
     def nx(self):
@@ -282,6 +293,7 @@ class VipProblem:
     ``operators[i]`` maps a list of block vectors to the i-th operator
     block.  ``L[i][j]`` bounds the variation of block ``i`` against block
     ``j``; ``D[i]`` is the radius of the restriction ball of block ``i``.
+    Each block of ``z0`` must lie in the domain of its psi.
     """
     operators: list
     psis: list
@@ -310,6 +322,7 @@ class VipProblem:
         if self.costs is None:
             self.costs = [1.0] * K
         _check_agents(self.D, self.costs)
+        _check_starts(self.agents, self.psis, self.metrics, self.z0)
         if self.block_is_gradient is None:
             self.block_is_gradient = [False] * K
 

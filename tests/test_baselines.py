@@ -8,10 +8,14 @@ from saddlesplit.baselines import (
     ExtragradientParams, LocalGdaParams, Row, default_scaling,
     extragradient_run, local_gda_run,
 )
+from saddlesplit.decoupled import (
+    DecoupledParams, decoupled_saddle_run, decoupled_vi_run,
+)
 from saddlesplit.hard_instances import make_hard_saddle
 from saddlesplit.metrics import ScaledMetric
 from saddlesplit.problems import (
-    BallIndicator, make_bilinear, make_strongly_convex_concave,
+    BallIndicator, VipProblem, make_bilinear, make_strongly_convex_concave,
+    random_polymatrix,
 )
 from saddlesplit.evaluation import complexity_bounds, restricted_gap
 
@@ -309,14 +313,27 @@ def test_local_gda_divergence_reports_previous_candidate(monkeypatch):
 
 # -- one trajectory for several accuracies -----------------------------------
 
+def _decoupled(p, params, rows=None):
+    run = decoupled_vi_run if isinstance(p, VipProblem) else decoupled_saddle_run
+    return run(p, params, rows=rows)
+
+
 _RUNS = {"extragradient": (extragradient_run, ExtragradientParams),
-         "local_gda": (local_gda_run, LocalGdaParams)}
+         "local_gda": (local_gda_run, LocalGdaParams),
+         "decoupled": (_decoupled, DecoupledParams)}
+# hard_x has no coupling (L_xy = 0), so the decoupled method freezes both
+# blocks; poly3 is a 3-block VI, for the decoupled method only.
 _PROBE = {
     "hard_x": lambda: make_hard_saddle("x", 100.0, 1.0, 50),
     "hard_xy": lambda: make_hard_saddle("xy", 1.0, 1.0, 500),
     "scsc": lambda: make_strongly_convex_concave(1.0, 1.0, 1.0, n=4),
+    "poly3": lambda: random_polymatrix([2, 2, 2], np.random.default_rng(3),
+                                       diag=1.0),
 }
 _LADDER = (0.05, 0.02, 0.01, 0.005)
+# Each VI gap is estimated at every candidate; a coarser ladder keeps the
+# test short.
+_LADDERS = {"poly3": (0.2, 0.1, 0.05, 0.02)}
 
 
 def _fingerprint(res):
@@ -327,7 +344,8 @@ def _fingerprint(res):
     return (res.status, res.rounds,
             {a: led.round_queries(a) for a in led.agents},
             led.weighted_cost(),
-            [np.asarray(b, dtype=float).tobytes() for b in res.candidate], gap)
+            [np.asarray(b, dtype=float).tobytes() for b in res.candidate], gap,
+            res.info)
 
 
 def _shared(run, params, p, ladder):
@@ -336,22 +354,51 @@ def _shared(run, params, p, ladder):
     return rows
 
 
-@pytest.mark.parametrize("solver", sorted(_RUNS))
-@pytest.mark.parametrize("instance", sorted(_PROBE))
+@pytest.mark.parametrize("instance, solver", [
+    (instance, solver) for instance in sorted(_PROBE)
+    for solver in sorted(_RUNS)
+    if solver == "decoupled" or instance != "poly3"])
 def test_shared_rows_equal_their_standalone_runs(instance, solver):
     # Each row of one trajectory reports what a run at its epsilon alone
-    # does: status, rounds, queries per agent and round, cost, candidate
-    # and gap.  Local GDA on hard_xy converges at round 1 for 0.05 and
-    # diverges at round 228 for every smaller epsilon.
+    # does: status, rounds, queries per agent and round, cost, candidate,
+    # gap and info.  Local GDA on hard_xy converges at round 1 for 0.05
+    # and diverges at round 228 for every smaller epsilon.
     run, params = _RUNS[solver]
     p = _PROBE[instance]()
-    rows = _shared(run, params, p, _LADDER)
+    rows = _shared(run, params, p, _LADDERS.get(instance, _LADDER))
     for row in rows:
         assert _fingerprint(row.outcome) == \
             _fingerprint(run(p, params(epsilon=row.epsilon)))
     if (instance, solver) == ("hard_xy", "local_gda"):
         assert [(row.outcome.status, row.outcome.rounds) for row in rows] \
             == [("converged", 1)] + [("diverged", 228)] * 3
+    if (instance, solver) == ("hard_x", "decoupled"):
+        assert [row.outcome.status for row in rows] == ["local_solve"] * 4
+
+
+def test_a_decoupled_row_closes_at_its_own_cap(monkeypatch):
+    # The 0.05 row's default cap, ceil(5) + 2 = 7 rounds, is reached after
+    # 8 (rounds come in pairs), before it converges (at 10 uncapped); the
+    # rows at smaller epsilon run on to their own stops.
+    from saddlesplit import decoupled
+    bounds = decoupled.complexity_bounds
+
+    def capped(p, eps, **kwargs):
+        report = bounds(p, eps, **kwargs)
+        if eps == 0.05:
+            report.dmsp_comm = 5.0
+        return report
+
+    monkeypatch.setattr(decoupled, "complexity_bounds", capped)
+    p = _PROBE["scsc"]()
+    rows = _shared(_decoupled, DecoupledParams, p, _LADDER)
+    for row in rows:
+        assert _fingerprint(row.outcome) == _fingerprint(
+            decoupled_saddle_run(p, DecoupledParams(epsilon=row.epsilon)))
+    assert [(row.outcome.status, row.outcome.rounds) for row in rows] == [
+        ("budget_exhausted", 8), ("converged", 14), ("converged", 18),
+        ("converged", 26)]
+    assert len(rows[0].outcome.info["a_history"]) == 4
 
 
 def test_a_row_whose_own_gap_raises_closes_alone(monkeypatch):

@@ -60,22 +60,25 @@ def test_traced_small_grid_matches_the_ledgers(tmp_path, monkeypatch,
     # Every reported gap was evaluated through a traced name.
     gap_calls = tracer.by_name()["evaluation.restricted_gap"][0]
     assert gap_calls >= sum(r.gap is not None for r in traced["rows"]) > 0
-    # Each inexact gap is evaluated once, for the row that reports it: the
-    # first-step bound rules out every earlier candidate of an estimated
-    # run on `saddle_grid` (18 rows); `chain_closed_form` has only exact
-    # closed forms.
+    # Each inexact gap is evaluated once, for every row of its trajectory
+    # that reports it: the first-step bound rules out every earlier
+    # candidate of an estimated trajectory on `saddle_grid`, and rows that
+    # stop on one candidate share its evaluation; `chain_closed_form` has
+    # only exact closed forms.
     estimates = gap_calls - tracer.counts["restricted_gap.exact"]
-    assert estimates == sum(not r.gap_exact for r in traced["rows"])
+    assert estimates == len({(r.instance_id, r.solver, r.rounds)
+                             for r in traced["rows"] if not r.gap_exact})
 
 
 @pytest.mark.parametrize("workload",
                          [w["name"] for w in BENCHMARK["workloads"]])
 def test_traced_oracle_computes_each_shared_point_once(tmp_path, monkeypatch,
                                                        workload):
-    # The rows of one (instance, baseline) share one trajectory, whose
-    # longest row records every query it made; decoupled rows run alone.
-    # So the oracle computes that row's queries per group, plus each
-    # decoupled row's, and no point twice.
+    # The rows of one (instance, solver) share one trajectory, whose
+    # longest row records every query it made, unless the solver is the
+    # decoupled one and the instance has a frozen block (L_xy = 0): then
+    # each row runs alone.  So the oracle computes that row's queries per
+    # shared group, plus each lone row's, and no point twice.
     run, workloads = _load("run"), _load("workloads")
     tracer_module = _load("tracer")
     monkeypatch.setattr(cli, "run_cell", cli.run_cell)
@@ -87,15 +90,17 @@ def test_traced_oracle_computes_each_shared_point_once(tmp_path, monkeypatch,
             workload, cli.parse_config(str(cfg), seed=1))
         tracer.register_problems(config.instances)
         traced = run.run_pass(cli, config, timer, tmp_path / "grid")
+    problems = dict(config.instances)
     longest, alone = {}, 0
     for row in traced["rows"]:
         queries = sum(row.queries.values())
-        if row.solver in cli.SHARED_SOLVERS:
+        if row.solver == "decoupled" \
+                and problems[row.instance_id].L_xy == 0.0:
+            alone += queries
+        else:
             group = (row.instance_id, row.solver)
             longest[group] = max(longest.get(group, 0), queries)
-        else:
-            alone += queries
-    assert longest and alone
+    assert longest and bool(alone) == (workload == "chain_closed_form")
     assert tracer.by_name()["problems.oracle"][0] == \
         sum(longest.values()) + alone
 

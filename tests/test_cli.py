@@ -320,6 +320,23 @@ def test_repeated_epsilons_and_instance_ids_get_rows_of_their_own():
         != _alone("a", instances[1][1], "extragradient", 0.1)
 
 
+def test_a_decoupled_row_whose_epsilon_is_refused_fails_alone():
+    # A hand-built grid with epsilon 0: the decoupled solver refuses it as
+    # it sets that row's round cap, before the shared run starts, and the
+    # other rows of the trajectory run on as they would alone.
+    problem = make_strongly_convex_concave(1.0, 1.0, 1.0, n=2)
+    config = cli.ExperimentConfig(instances=[("s", problem)],
+                                  solvers=["decoupled"],
+                                  epsilons=[0.1, 0.0, 0.05])
+    rows = cli.run_experiment(config, clock=lambda: 0.0)
+    assert rows == [cli.run_cell("s", problem, "decoupled", eps, {}, False,
+                                 clock=lambda: 0.0)
+                    for eps in (0.0, 0.05, 0.1)]
+    assert [r.status for r in rows] == [
+        "error: accuracy must be positive and finite, got 0.0",
+        "converged", "converged"]
+
+
 def test_a_cell_run_inside_a_grid_gets_its_own_row(monkeypatch):
     # A `run_cell` wrapper, like the benchmark's cell timer, that also runs
     # one cell of its own: the grid's instance id on another problem.  It

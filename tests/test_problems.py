@@ -193,6 +193,22 @@ def test_problems_reject_bad_diameters(D):
                         D=[1.0, D])
 
 
+def test_problems_reject_a_start_outside_dom_psi():
+    # z0 = 0.5 outside the box [-0.3, 0.3]: no solver may run from it.
+    p = make_strongly_convex_concave(1.0, 1.0, 1.0, n=2)
+    start, box = np.full(2, 0.5), BoxIndicator(np.full(2, -0.3),
+                                               np.full(2, 0.3))
+    with pytest.raises(ValueError, match="start of agent x lies outside"):
+        dataclasses.replace(p, x0=start, psi_x=box)
+    with pytest.raises(ValueError, match="start of agent y lies outside"):
+        dataclasses.replace(p, y0=start, psi_y=BallIndicator(np.zeros(2), 0.3))
+    dataclasses.replace(p, x0=np.full(2, 0.3), psi_x=box)   # on the face
+    poly = make_polymatrix([2, 2], [[None, np.eye(2)], [-np.eye(2), None]])
+    with pytest.raises(ValueError, match="start of agent 2 lies outside"):
+        dataclasses.replace(poly, z0=[np.zeros(2), start],
+                            psis=[ZeroTerm(), box])
+
+
 def _operator_full(p, z):
     return np.concatenate([p.grad_x(z), -p.grad_y(z)])
 

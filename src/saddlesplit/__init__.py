@@ -7,7 +7,8 @@ The package is organised around a few small pieces:
 * :mod:`saddlesplit.problems` -- composite terms (prox-friendly regularisers and
   indicators), problem containers, instance generators, serialization.
 * :mod:`saddlesplit.accounting` -- oracle ledgers: per-agent query counts,
-  communication rounds, weighted cost, and the candidates kept per round.
+  communication rounds, weighted cost, and the candidates kept per round;
+  the rows (one per accuracy) that one solver trajectory serves.
 * :mod:`saddlesplit.baselines` -- extragradient and local gradient
   descent-ascent reference solvers.
 * :mod:`saddlesplit.decoupled` -- the anchored proximal-point outer loop with

@@ -7,6 +7,9 @@ round, counts completed rounds ``T``, and exposes the weighted cost
 ``sum_i c_i N_i``.  It never keeps a queried point or response.  A solver
 closes each round with `OracleLedger.end_round`, passing the candidate
 that round produced; only a ``capture="candidates"`` ledger keeps it.
+
+A `Trajectory` lets one solver run serve several accuracies, each a `Row`
+on a ledger of its own.
 """
 
 from array import array
@@ -149,3 +152,125 @@ class RunResult:
         entry ``t`` is the candidate after round ``t + 1``.  Empty unless
         the ledger was built with ``capture="candidates"``."""
         return self.ledger.kept()
+
+
+@dataclass(eq=False)
+class Row:
+    """One accuracy that a solver trajectory serves, known by position.
+
+    The row has its own `ledger`, so it sees what a run at its `epsilon`
+    alone would.  When it closes, `outcome` becomes that run's
+    `RunResult`, or an exception, and `on_close(row)` is called.  The
+    contract of a row:
+
+    - whenever nothing raises, in the trajectory or in the row's own
+      run, its outcome equals that run's;
+    - an epsilon that its own round cap refuses closes only this row,
+      with that exception, before the trajectory starts;
+    - any other exception (an oracle's, an invariant check's, the stop
+      test's or a final gap's) propagates out of the solver and leaves
+      the open rows without an outcome; `cli` closes every one of them
+      with it.
+
+    Rows that the decoupled solver runs one by one (a frozen block) are
+    each a run of their own, exception included.
+    """
+    epsilon: float
+    ledger: OracleLedger
+    on_close: object = None
+    outcome: object = None
+
+    def close(self, outcome):
+        """Settle the row with `outcome` and call `on_close`."""
+        self.outcome = outcome
+        if self.on_close is not None:
+            self.on_close(self)
+
+
+class Trajectory:
+    """The rows one solver run serves, and which of them are still open.
+
+    Without `rows`, a single row at ``params.epsilon`` on `ledger` (a new
+    one if None), whose outcome `close` returns.  The ledgers of the open
+    rows stay in step: every query and every round closes on each of
+    them.  ``test(epsilon)`` makes the run's one stop test (a `GapTest`),
+    kept at the largest open epsilon.  ``cap(epsilon)`` is a row's round
+    cap, ``params.max_rounds`` without it; a row whose cap raises is
+    closed with that exception before the run starts (a single row
+    raises it).  ``info(ledger)`` is the ``info`` of the result on a
+    row's `ledger`, taken when the row closes.  See `Row` for what a row
+    reports.
+    """
+
+    def __init__(self, problem, params, ledger, rows, test, info, cap=None):
+        self._single = None
+        if rows is None:
+            if ledger is None:
+                ledger = OracleLedger(problem.agents, costs=problem.costs)
+            self._single = Row(params.epsilon, ledger)
+            rows = [self._single]
+        self.info = info
+        self.open, self._caps = [], {}
+        for row in rows:
+            try:
+                self._caps[row] = (params.max_rounds if cap is None
+                                   else cap(row.epsilon))
+            except Exception as exc:     # the row's own run raises it here
+                if self._single is not None:
+                    raise
+                row.close(exc)
+            else:
+                self.open.append(row)
+        self.test = (test(max(r.epsilon for r in self.open)) if self.open
+                     else None)
+
+    def bind(self, agent, fn):
+        """`fn`, each call recorded on every open row's ledger.
+
+        `OracleLedger.bind` is looked up when the run starts, so a wrapper
+        installed there sees each oracle computation once.
+        """
+        return OracleLedger.bind(self, agent, fn)
+
+    def record(self, agent, point, response):
+        for row in self.open:
+            row.ledger.record(agent, point, response)
+
+    def end_round(self, candidate):
+        for row in self.open:
+            row.ledger.end_round(candidate)
+
+    def running(self, candidate):
+        """Close, as budget_exhausted at `candidate`, each open row whose
+        cap its rounds have reached; whether any row is still open."""
+        for row in list(self.open):
+            if row.ledger.round >= self._caps[row]:
+                self._finish(row, "budget_exhausted", candidate)
+        return bool(self.open)
+
+    def stop(self, candidate, status="converged"):
+        """Close, with `status`, each open row whose stop test passes.
+
+        The test scores `candidate` once, at the largest open epsilon, and
+        one evaluation, if its bound asks for one, decides every row.
+        """
+        if self.test(candidate):
+            value = self.test.gap().value
+            for row in list(self.open):
+                if value <= row.epsilon:
+                    self._finish(row, status, candidate)
+
+    def close(self, status, candidate):
+        """Close every open row with `status`; the single row's outcome."""
+        for row in list(self.open):
+            self._finish(row, status, candidate)
+        return None if self._single is None else self._single.outcome
+
+    def _finish(self, row, status, candidate):
+        result = RunResult(status=status, candidate=candidate,
+                           gap=self.test.finish(candidate, status),
+                           ledger=row.ledger, info=self.info(row.ledger))
+        self.open.remove(row)
+        if self.open:
+            self.test.retarget(max(r.epsilon for r in self.open))
+        row.close(result)

@@ -8,13 +8,10 @@ of gradient steps against the frozen remote point; it is the classic
 communication-saving heuristic and diverges on strongly coupled instances,
 which the runner reports rather than hides.
 
-Both read epsilon only in their stop test, so one trajectory can serve
-several accuracies, each a `Row` with its own ledger; a single-epsilon run
-is the one-row case.  One `GapTest`, at the largest accuracy still open,
-scores each candidate once for every row.  The decoupled solver runs its
-rows through the same `_Trajectory`.  `cli.run_experiment` groups the
-rows of one (instance, solver) explicitly, matched by position; a shared
-row's ``wall_ms`` is the time from the trajectory's start to its close.
+Both read epsilon only in their stop test, so one `Trajectory` can serve
+several accuracies, each an `accounting.Row` with its own ledger; a
+single-epsilon run is the one-row case.  One `GapTest`, at the largest
+accuracy still open, scores each candidate once for every row.
 """
 
 import math
@@ -22,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from saddlesplit.accounting import OracleLedger, RunResult
+from saddlesplit.accounting import Trajectory
 from saddlesplit.evaluation import GapTest, restricted_gap
 from saddlesplit.metrics import all_finite
 from saddlesplit.problems import ZeroTerm
@@ -102,139 +99,6 @@ def _shape(a):
     return a.shape if type(a) is np.ndarray else np.shape(a)
 
 
-@dataclass(eq=False)
-class Row:
-    """One accuracy that a solver trajectory serves, known by position.
-
-    The row has its own `ledger`, so it sees what a run at its `epsilon`
-    alone would.  When it closes, `outcome` becomes that run's
-    `RunResult`, or the exception it raises in its own stop test or final
-    gap, and `on_close(row)` is called.  Any other exception propagates
-    and leaves the open rows without an outcome.
-    """
-    epsilon: float
-    ledger: OracleLedger
-    on_close: object = None
-    outcome: object = None
-
-    def close(self, outcome):
-        """Settle the row with `outcome` and call `on_close`."""
-        self.outcome = outcome
-        if self.on_close is not None:
-            self.on_close(self)
-
-
-class _Trajectory:
-    """The rows one solver run serves, and which of them are still open.
-
-    Without `rows`, a single row at ``params.epsilon`` on `ledger` (a new
-    one if None), whose outcome `close` returns or raises.  The ledgers of
-    the open rows stay in step: every query and every round closes on
-    each of them.  ``test(epsilon)`` makes the run's one `GapTest`, kept at
-    the largest open epsilon.  ``cap(epsilon)`` is a row's round cap,
-    ``params.max_rounds`` without it; a row whose cap raises is closed with
-    that exception before the run starts (a single row raises it).
-    ``info(ledger)`` is the ``info`` of the result on a row's `ledger`,
-    taken when the row closes.
-    """
-
-    def __init__(self, problem, params, ledger, rows, test, info, cap=None):
-        self._single = None
-        if rows is None:
-            if ledger is None:
-                ledger = OracleLedger(problem.agents, costs=problem.costs)
-            self._single = Row(params.epsilon, ledger)
-            rows = [self._single]
-        self.info = info
-        self.open, self._caps = [], {}
-        for row in rows:
-            try:
-                self._caps[row] = (params.max_rounds if cap is None
-                                   else cap(row.epsilon))
-            except Exception as exc:     # the row's own run raises it here
-                if self._single is not None:
-                    raise
-                row.close(exc)
-            else:
-                self.open.append(row)
-        self.test = (test(max(r.epsilon for r in self.open)) if self.open
-                     else None)
-
-    def bind(self, agent, fn):
-        """`fn`, each call recorded on every open row's ledger.
-
-        `OracleLedger.bind` is looked up when the run starts, so a wrapper
-        installed there sees each oracle computation once.
-        """
-        return OracleLedger.bind(self, agent, fn)
-
-    def record(self, agent, point, response):
-        for row in self.open:
-            row.ledger.record(agent, point, response)
-
-    def end_round(self, candidate):
-        for row in self.open:
-            row.ledger.end_round(candidate)
-
-    def running(self, candidate):
-        """Close, as budget_exhausted at `candidate`, each open row whose
-        cap its rounds have reached; whether any row is still open."""
-        for row in list(self.open):
-            if row.ledger.round >= self._caps[row]:
-                self._finish(row, "budget_exhausted", candidate)
-        return bool(self.open)
-
-    def stop(self, candidate, status="converged"):
-        """Close, with `status`, each open row whose stop test passes.
-
-        The test scores `candidate` once, at the largest open epsilon, and
-        one evaluation, if its bound asks for one, decides every row.  If
-        that evaluation raises, the rows that the bound in force rules the
-        candidate out for at their own epsilon run on; the others close
-        with the exception, as their own runs would.  An exception of the
-        bound itself, which every row's run would raise, propagates.
-        """
-        try:
-            passed = self.test(candidate)
-        except Exception as exc:
-            for row in list(self.open):
-                if not self.test.rules_out(candidate, row.epsilon):
-                    self._settle(row, exc)
-            return
-        if passed:
-            value = self.test.gap().value
-            for row in list(self.open):
-                if value <= row.epsilon:
-                    self._finish(row, status, candidate)
-
-    def close(self, status, candidate):
-        """Close every open row with `status`; the single row's outcome."""
-        for row in list(self.open):
-            self._finish(row, status, candidate)
-        if self._single is None:
-            return None
-        outcome = self._single.outcome
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
-
-    def _finish(self, row, status, candidate):
-        try:
-            gap = self.test.finish(candidate, status)
-        except Exception as exc:         # the row's own run raises it here
-            self._settle(row, exc)
-        else:
-            self._settle(row, RunResult(
-                status=status, candidate=candidate, gap=gap,
-                ledger=row.ledger, info=self.info(row.ledger)))
-
-    def _settle(self, row, outcome):
-        self.open.remove(row)
-        if self.open:
-            self.test.retarget(max(r.epsilon for r in self.open))
-        row.close(outcome)
-
-
 def extragradient_run(problem, params, ledger=None, rows=None):
     """Run extragradient on a saddle problem until the gap closes.
 
@@ -245,13 +109,13 @@ def extragradient_run(problem, params, ledger=None, rows=None):
     iteration's candidate is scored against the instance's gap set.
     Anchor, trial point, sum and candidate are joint (x, y) vectors; the
     blocks are views into them, and no array is written once a view of it
-    has been handed out.  With `rows` (`Row`s) in place of
+    has been handed out.  With `rows` (`accounting.Row`s) in place of
     ``params.epsilon`` and `ledger`, one trajectory serves every row and
     the call returns None.
     """
     p = problem
     ax, ay = default_scaling(p, params.d_hat)
-    trajectory = _Trajectory(p, params, ledger, rows,
+    trajectory = Trajectory(p, params, ledger, rows,
                              lambda eps: GapTest(p, eps, restricted_gap),
                              lambda ledger: {"alpha": (ax, ay)})
     ox, oy = (trajectory.bind(a, g)
@@ -295,15 +159,15 @@ def local_gda_run(problem, params, ledger=None, rows=None):
     which is scored against the instance's gap set.  The
     iterate is one joint (x, y) vector: the y ascent step is the descent
     step on ``V_y = -grad_y f``, which gives the same bits.  With `rows`
-    (`Row`s) in place of ``params.epsilon`` and `ledger`, one trajectory
-    serves every row and the call returns None.
+    (`accounting.Row`s) in place of ``params.epsilon`` and `ledger`, one
+    trajectory serves every row and the call returns None.
     """
     p = problem
     Lx_tot = p.L_x + p.L_xy
     Ly_tot = p.L_y + p.L_xy
     eta_x = params.eta_x if params.eta_x is not None else 1.0 / (2.0 * max(Lx_tot, 1e-12))
     eta_y = params.eta_y if params.eta_y is not None else 1.0 / (2.0 * max(Ly_tot, 1e-12))
-    trajectory = _Trajectory(p, params, ledger, rows,
+    trajectory = Trajectory(p, params, ledger, rows,
                              lambda eps: GapTest(p, eps, restricted_gap),
                              lambda ledger: {
                                  "eta": (eta_x, eta_y),

@@ -30,10 +30,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from saddlesplit.accounting import GOOD_STATUSES, OracleLedger
+from saddlesplit.accounting import GOOD_STATUSES, OracleLedger, Row
 from saddlesplit.baselines import (
-    ExtragradientParams, LocalGdaParams, Row, extragradient_run,
-    local_gda_run,
+    ExtragradientParams, LocalGdaParams, extragradient_run, local_gda_run,
 )
 from saddlesplit.decoupled import (
     DecoupledParams, decoupled_saddle_run, decoupled_vi_run,
@@ -311,21 +310,17 @@ def _check_d_hat(d_hat, instances, source):
 # running the grid
 # ---------------------------------------------------------------------------
 
-def _dispatch(problem, solver, eps, params, ledger, rows=None):
-    """Run `solver` on `problem` at accuracy `eps`, recording on `ledger`.
-
-    Given `rows`, the solver serves each `baselines.Row` instead, and
-    `eps` and `ledger` go unread.
-    """
+def _dispatch(problem, solver, params, rows):
+    """Run `solver` on `problem` to serve each of `rows` (`Row`s)."""
     is_vi = isinstance(problem, VipProblem)
     if is_vi and solver != "decoupled":
         raise ValueError(f"solver {solver!r} handles saddle problems only")
-    p = SOLVER_PARAMS[solver](epsilon=eps, **params)
+    p = SOLVER_PARAMS[solver](epsilon=None, **params)
     if solver == "decoupled":
         run = decoupled_vi_run if is_vi else decoupled_saddle_run
     else:
         run = extragradient_run if solver == "extragradient" else local_gda_run
-    return run(problem, p, ledger=ledger, rows=rows)
+    run(problem, p, rows=rows)
 
 
 def _bounds_for(problem, solver, eps, params):
@@ -345,9 +340,9 @@ def _bounds_for(problem, solver, eps, params):
 def _runs(problem, solver, epsilons, params, clock):
     """Yield ``(ledger, outcome, wall seconds)`` for each of `epsilons`.
 
-    The solver serves all of them at the first `next` (see
-    `baselines.Row`), and each row is timed from the run's start to the
-    row's close; an escaping exception closes every open row.
+    The solver serves all of them at the first `next`, as `Row` states,
+    and each row is timed from the run's start to the row's close; an
+    exception out of the solver closes every row still open.
     """
     wall = {}
 
@@ -358,7 +353,7 @@ def _runs(problem, solver, epsilons, params, clock):
                 on_close=closed) for eps in epsilons]
     t0 = clock()
     try:
-        _dispatch(problem, solver, None, params, None, rows=rows)
+        _dispatch(problem, solver, params, rows)
     except Exception as exc:                          # recorded, run continues
         for row in rows:
             if row.outcome is None:

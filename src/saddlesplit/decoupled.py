@@ -33,7 +33,7 @@ solved once locally and frozen.  When every block is frozen, the gap is
 the sum of the blocks' own gaps, and each local solve stops as soon as a
 Frank-Wolfe bound certifies its share ``eps / K``.  Without frozen blocks,
 one run serves several accuracies, as the baselines' trajectories do
-(`baselines.Row`): the inner tolerances of active blocks depend on lam,
+(`accounting.Row`): the inner tolerances of active blocks depend on lam,
 not on epsilon.
 """
 
@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from saddlesplit.baselines import _Trajectory
+from saddlesplit.accounting import Trajectory
 from saddlesplit.evaluation import (
     GapTest, _gap_set, complexity_bounds, restricted_gap, theta_factor,
 )
@@ -456,7 +456,7 @@ def _decoupled_run(problem, bind, psis, metrics, L, d_hat, gradient,
     closes on the ledger with the candidate it produced, and each
     candidate is scored by the run's `GapTest`.
 
-    With `rows` (`baselines.Row`s) in place of ``params.epsilon`` and
+    With `rows` (`accounting.Row`s) in place of ``params.epsilon`` and
     `ledger`, the call returns None.  With no frozen block, epsilon
     reaches the run only in its stop test and its default cap, so one
     trajectory serves every row: each closes at its own cap, with the
@@ -506,7 +506,7 @@ def _decoupled_run(problem, bind, psis, metrics, L, d_hat, gradient,
                 "iterations": ledger.round // 2, "frozen_blocks": frozen,
                 "telescope_lhs": telescope_lhs, **info}
 
-    trajectory = _Trajectory(problem, params, ledger, rows,
+    trajectory = Trajectory(problem, params, ledger, rows,
                              lambda eps: GapTest(problem, eps, restricted_gap),
                              run_info, cap)
     oracles = bind(trajectory)
@@ -638,7 +638,7 @@ def decoupled_saddle_run(problem, params, ledger=None, rows=None):
     records the ``y`` agent's own responses, ``grad_y``.  The default
     round cap comes from ``dmsp_comm``, and ``info["theta"]`` is the
     diameter factor of the same report.  Gaps are over the instance's gap
-    set.  With `rows` (`baselines.Row`s) in place of ``params.epsilon``
+    set.  With `rows` (`accounting.Row`s) in place of ``params.epsilon``
     and `ledger`, one run serves every row and the call returns None.
     """
     p = problem
@@ -662,7 +662,7 @@ def decoupled_vi_run(problem, params, ledger=None, rows=None):
     See `_decoupled_run`; the default round cap comes from ``dmvip_comm``,
     ``2 + 2 sum_{i != j} L_ij D_i D_j / eps``.  Gaps are over the
     instance's gap set, balls of radius ``D[i]`` around ``z0`` in dom psi.
-    With `rows` (`baselines.Row`s) in place of ``params.epsilon`` and
+    With `rows` (`accounting.Row`s) in place of ``params.epsilon`` and
     `ledger`, one run serves every row and the call returns None.
     """
     p = problem

@@ -143,15 +143,20 @@ def _gap_plan(p):
     `GapTest`'s anchor or None: ``anchor(eps, candidate, value)``, asked
     after each evaluation and, with no candidate, when the test is built,
     returns a predicate proving a gap above ``eps``, or None.  A VI
-    without polymatrix ``structure`` has no plan: ValueError, raised when
-    a run builds its `GapTest`, before it spends any query.
+    without polymatrix ``structure`` and an estimated saddle without
+    ``f_value`` have no plan: ValueError, raised when a run builds its
+    `GapTest`, before it spends any query.
     """
     if isinstance(p, VipProblem):
         if (p.structure or {}).get("kind") != "polymatrix":
             raise ValueError("weak-gap estimation needs affine operator "
                              "structure")
         return "vip-pga-estimate", False, lambda c: _vip_gap(p, c), None
-    return _closed_form(p) or (
+    plan = _closed_form(p)
+    if plan is None and p.f_value is None:
+        raise ValueError("gap estimation requires function values on the "
+                         "instance")
+    return plan or (
         "pga-estimate", False, lambda c: _saddle_gap(p, c), _first_step_bound)
 
 
@@ -261,8 +266,6 @@ def _pga_terms(p, xbar, ybar, gap_set, steps):
 
 def _saddle_gap(p, candidate):
     xbar, ybar = _scored_blocks(p, candidate)
-    if p.f_value is None:
-        raise ValueError("gap estimation requires function values on the instance")
     gap_set = _gap_set(p)
     hi, lo = _pga_terms(p, xbar, ybar, gap_set, PGA_STEPS)
     # Probing the candidate itself keeps the estimate nonnegative whenever
@@ -439,7 +442,7 @@ def _first_step_bound(p):
     returns it with or without one.
     """
     gap_set = _gap_set(p)
-    if p.f_value is None or any(psi is not None for _, _, psi in gap_set) \
+    if any(psi is not None for _, _, psi in gap_set) \
             or not all(np.all(m.weights == 1.0)
                        for m in (p.metric_x, p.metric_y)):
         return None
@@ -471,7 +474,7 @@ class GapTest:
     largest one still open, and `retarget`s it as rows close.  A candidate
     the bound rules out there is above every smaller accuracy too; one it
     does not is evaluated once, and `gap` serves that result to every
-    row.  `rules_out` asks the bound in force at another accuracy.
+    row.
 
     `evaluate` is the gap function, called as ``evaluate(problem,
     candidate)``; solvers pass the `restricted_gap` name of their
@@ -493,23 +496,17 @@ class GapTest:
     def retarget(self, epsilon):
         """Test against `epsilon` from now on."""
         self.epsilon = epsilon
-        self._exceeds = self._bound(epsilon)
+        self._arm()
 
-    def _bound(self, epsilon):
-        """The bound in force at `epsilon`: a predicate, or None."""
-        if self._anchor is None or self._at is None:
-            return None
-        return self._anchor(epsilon, *self._at)
-
-    def rules_out(self, candidate, epsilon=None):
-        """Whether the bound in force proves the gap of `candidate` above
-        `epsilon`, by default the test's own."""
-        exceeds = self._exceeds if epsilon is None else self._bound(epsilon)
-        return exceeds is not None and exceeds(candidate)
+    def _arm(self):
+        """Arm the bound in force at the test's epsilon: a predicate proving
+        a gap above it, or None."""
+        self._exceeds = (None if self._anchor is None or self._at is None
+                         else self._anchor(self.epsilon, *self._at))
 
     def __call__(self, candidate):
         self._scored = candidate
-        if self.rules_out(candidate):
+        if self._exceeds is not None and self._exceeds(candidate):
             return False
         return self.gap(candidate).value <= self.epsilon
 
@@ -528,7 +525,7 @@ class GapTest:
         self._evaluated, self._result = candidate, result
         self._at = ((candidate, result.value)
                     if result.method == self._method else None)
-        self._exceeds = self._bound(self.epsilon)
+        self._arm()
         return result
 
     def finish(self, candidate, status):
@@ -587,7 +584,7 @@ class BoundsReport:
         return out
 
 
-def complexity_bounds(problem, eps, d_hat=None, costs=None):
+def complexity_bounds(problem, eps, d_hat=None):
     """Evaluate every closed-form bound applicable to `problem` at `eps`.
 
     Parameters
@@ -597,8 +594,6 @@ def complexity_bounds(problem, eps, d_hat=None, costs=None):
         Target accuracy; must be positive and finite.
     d_hat : pair of float, optional
         Diameter estimates (saddle problems only).  Default: true diameters.
-    costs : pair/list of float, optional
-        Per-query oracle costs; defaults to the instance's.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"accuracy must be positive and finite, got {eps!r}")
@@ -617,9 +612,7 @@ def complexity_bounds(problem, eps, d_hat=None, costs=None):
     p = problem
     if d_hat is None:
         d_hat = (p.D_x, p.D_y)
-    if costs is None:
-        costs = p.costs
-    cx, cy = costs
+    cx, cy = p.costs
     th = theta_factor(p.D_x, p.D_y, d_hat[0], d_hat[1])
     cross = p.L_xy * p.D_x * p.D_y
     quad_x = p.L_x * p.D_x ** 2

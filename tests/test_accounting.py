@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from saddlesplit import cli
-from saddlesplit.accounting import CAPTURE_LEVELS, OracleLedger
+from saddlesplit.accounting import CAPTURE_LEVELS, OracleLedger, Row
 from saddlesplit.hard_instances import make_hard_saddle
 from saddlesplit.problems import make_bilinear, random_polymatrix
 
@@ -171,12 +171,15 @@ def _capture_case(instance):
         "polymatrix-decoupled", "hard_x-decoupled", "bilinear_b0-decoupled"])
 def test_capture_levels_agree(instance, solver, eps, params, status):
     """Both capture levels run the same solver steps, and a candidates
-    ledger holds one candidate per round whichever way the run ends."""
+    ledger holds one candidate per round whichever way the run ends.
+    Each cell runs as a one-row group."""
     problem, agents = _capture_case(instance)
     results = {}
     for capture in CAPTURE_LEVELS:
         led = OracleLedger(agents, costs=problem.costs, capture=capture)
-        res = cli._dispatch(problem, solver, eps, params, led)
+        row = Row(eps, led)
+        cli._dispatch(problem, solver, params, [row])
+        res = row.outcome
         results[capture] = (
             res.rounds, led.queries(),
             {a: led.round_queries(a) for a in agents},

@@ -3,10 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from saddlesplit.accounting import OracleLedger
+from saddlesplit.accounting import OracleLedger, Row, RunResult
 from saddlesplit.baselines import (
-    ExtragradientParams, LocalGdaParams, Row, default_scaling,
-    extragradient_run, local_gda_run,
+    ExtragradientParams, LocalGdaParams, default_scaling, extragradient_run,
+    local_gda_run,
 )
 from saddlesplit.decoupled import (
     DecoupledParams, decoupled_saddle_run, decoupled_vi_run,
@@ -401,25 +401,81 @@ def test_a_decoupled_row_closes_at_its_own_cap(monkeypatch):
     assert len(rows[0].outcome.info["a_history"]) == 4
 
 
-def test_a_row_whose_own_gap_raises_closes_alone(monkeypatch):
-    # The gap raises at the candidate the 0.05 run stops on.  The 0.02 run
-    # scores that candidate too, but its first-step bound rules it out
-    # unevaluated, so on its own it runs on; in the shared trajectory too.
-    from saddlesplit import baselines
-    p = make_strongly_convex_concave(1.0, 1.0, 1.0, n=4)
-    first = extragradient_run(p, ExtragradientParams(epsilon=0.05))
-    poisoned = [b.tobytes() for b in first.candidate]
+def _candidate_bytes(candidate):
+    return [np.asarray(b, dtype=float).tobytes() for b in candidate]
 
+
+def _gap_failing_at(poisoned):
+    """`restricted_gap`, raising FloatingPointError at the candidate whose
+    block bytes are `poisoned`."""
     def gap(problem, candidate):
-        if [np.asarray(b).tobytes() for b in candidate] == poisoned:
+        if _candidate_bytes(candidate) == poisoned:
             raise FloatingPointError("gap failed")
         return restricted_gap(problem, candidate)
+    return gap
 
-    monkeypatch.setattr(baselines, "restricted_gap", gap)
-    rows = _shared(extragradient_run, ExtragradientParams, p, (0.05, 0.02))
+
+def test_a_gap_failure_closes_every_open_row(monkeypatch):
+    # The gap raises at the candidate the 0.05 run stops on.  The 0.02 run
+    # scores that candidate too, but its first-step bound rules it out
+    # unevaluated, so on its own it converges.  The shared trajectory
+    # evaluates it for the 0.05 row, and the exception closes both rows.
+    from saddlesplit import baselines, cli
+    p = make_strongly_convex_concave(1.0, 1.0, 1.0, n=4)
+    first = extragradient_run(p, ExtragradientParams(epsilon=0.05))
+    monkeypatch.setattr(baselines, "restricted_gap",
+                        _gap_failing_at(_candidate_bytes(first.candidate)))
     with pytest.raises(FloatingPointError, match="gap failed"):
         extragradient_run(p, ExtragradientParams(epsilon=0.05))
-    assert isinstance(rows[0].outcome, FloatingPointError)
-    assert rows[0].ledger.round == first.rounds
-    assert _fingerprint(rows[1].outcome) == _fingerprint(
-        extragradient_run(p, ExtragradientParams(epsilon=0.02)))
+    assert extragradient_run(
+        p, ExtragradientParams(epsilon=0.02)).status == "converged"
+    with pytest.raises(FloatingPointError, match="gap failed"):
+        _shared(extragradient_run, ExtragradientParams, p, (0.05, 0.02))
+    for ledger, outcome, _ in cli._runs(p, "extragradient", (0.05, 0.02),
+                                        {}, lambda: 0.0):
+        assert isinstance(outcome, FloatingPointError)
+        assert ledger.round == first.rounds
+
+
+@pytest.mark.parametrize("solver", ["extragradient", "local_gda"])
+def test_no_shared_row_outlives_a_gap_failure_of_its_own_run(monkeypatch,
+                                                             solver):
+    # Each of the first five candidates a standalone 0.01 run evaluates is
+    # poisoned in turn.  A row of the shared trajectory may report a
+    # `RunResult` only where its own run does not raise; rows used to
+    # run on when their own bound ruled the failing candidate out, and
+    # extragradient's 0.05 row converged at round 36 while its own run
+    # raised.
+    from saddlesplit import baselines, cli
+    run, params = _RUNS[solver]
+    p = make_hard_saddle("xy", 1.0, 1.0, 10)
+    ladder = (0.1, 0.05, 0.02, 0.01)
+    evaluated = []
+
+    def recorded(problem, candidate):
+        if _candidate_bytes(candidate) not in evaluated:
+            evaluated.append(_candidate_bytes(candidate))
+        return restricted_gap(problem, candidate)
+
+    monkeypatch.setattr(baselines, "restricted_gap", recorded)
+    run(p, params(epsilon=0.01))
+    for k, poisoned in enumerate(evaluated[:5]):
+        monkeypatch.setattr(baselines, "restricted_gap",
+                            _gap_failing_at(poisoned))
+        runs = cli._runs(p, solver, ladder, {}, lambda: 0.0)
+        for eps, (_, outcome, _) in zip(ladder, runs):
+            try:
+                run(p, params(epsilon=eps))
+            except FloatingPointError:
+                assert not isinstance(outcome, RunResult), (k, eps)
+
+
+def test_an_estimated_saddle_without_values_is_refused_before_any_query():
+    # The first-step bound and the estimate need f; the run used to find
+    # out at its first gap evaluation, after two queries per agent.
+    p = dataclasses.replace(make_strongly_convex_concave(1.0, 1.0, 1.0, n=2),
+                            f_value=None)
+    ledger = OracleLedger(p.agents)
+    with pytest.raises(ValueError, match="requires function values"):
+        extragradient_run(p, ExtragradientParams(epsilon=0.1), ledger=ledger)
+    assert ledger.queries() == {a: 0 for a in p.agents}

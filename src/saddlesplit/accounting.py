@@ -210,19 +210,30 @@ class Trajectory:
             self._single = Row(params.epsilon, ledger)
             rows = [self._single]
         self.info = info
-        self.open, self._caps = [], {}
+        # Per open row, the trajectory's own round count at which the
+        # row's ledger reaches its cap.
+        self.open, self._ends = [], {}
+        self._round = 0
         for row in rows:
             try:
-                self._caps[row] = (params.max_rounds if cap is None
-                                   else cap(row.epsilon))
+                cap_rounds = (params.max_rounds if cap is None
+                              else cap(row.epsilon))
             except Exception as exc:     # the row's own run raises it here
                 if self._single is not None:
                     raise
                 row.close(exc)
             else:
                 self.open.append(row)
+                self._ends[row] = cap_rounds - row.ledger.round
+        self._refresh()
         self.test = (test(max(r.epsilon for r in self.open)) if self.open
                      else None)
+
+    def _refresh(self):
+        """Cache the open rows' ledgers and the first round one row ends."""
+        self._ledgers = tuple(row.ledger for row in self.open)
+        self._next_end = min((self._ends[row] for row in self.open),
+                             default=0)
 
     def bind(self, agent, fn):
         """`fn`, each call recorded on every open row's ledger.
@@ -233,19 +244,21 @@ class Trajectory:
         return OracleLedger.bind(self, agent, fn)
 
     def record(self, agent, point, response):
-        for row in self.open:
-            row.ledger.record(agent, point, response)
+        for ledger in self._ledgers:
+            ledger.record(agent, point, response)
 
     def end_round(self, candidate):
-        for row in self.open:
-            row.ledger.end_round(candidate)
+        self._round += 1
+        for ledger in self._ledgers:
+            ledger.end_round(candidate)
 
     def running(self, candidate):
         """Close, as budget_exhausted at `candidate`, each open row whose
         cap its rounds have reached; whether any row is still open."""
-        for row in list(self.open):
-            if row.ledger.round >= self._caps[row]:
-                self._finish(row, "budget_exhausted", candidate)
+        if self._round >= self._next_end:
+            for row in list(self.open):
+                if self._round >= self._ends[row]:
+                    self._finish(row, "budget_exhausted", candidate)
         return bool(self.open)
 
     def stop(self, candidate, status="converged"):
@@ -271,6 +284,7 @@ class Trajectory:
                            gap=self.test.finish(candidate, status),
                            ledger=row.ledger, info=self.info(row.ledger))
         self.open.remove(row)
+        self._refresh()
         if self.open:
             self.test.retarget(max(r.epsilon for r in self.open))
         row.close(result)

@@ -25,6 +25,9 @@ from saddlesplit.metrics import all_finite
 from saddlesplit.problems import ZeroTerm
 
 _DIVERGENCE_NORM = 1e8
+# A joint |v|^2 below this keeps both block norms below the divergence
+# norm, with room for the rounding of either sum.
+_SAFE_SQUARED_NORM = 0.5 * _DIVERGENCE_NORM ** 2
 
 
 @dataclass
@@ -69,11 +72,14 @@ def _joint_space(p, step_x, step_y):
     which turns ``grad_y`` into ``V_y = -grad_y``.  IEEE rounding is
     symmetric in sign, so this is the arithmetic, element for element
     and bit for bit, of the two block steps ``v_i - step_i P_i^{-1} V_i``.
+    With identity metrics the division is skipped, as ``G / 1.0`` is ``G``
+    bit for bit.
     A block's prox runs only when its term is not `ZeroTerm` (whose prox
     is the identity), in place on the fresh step output.
     """
     nx, ny = p.nx, p.ny
     weights = np.concatenate((p.metric_x.weights, p.metric_y.weights))
+    identity = p.metric_x.identity and p.metric_y.identity
     steps = np.concatenate((np.full(nx, step_x), np.full(ny, -step_y)))
     proxes = [term for term in ((slice(None, nx), p.psi_x, p.metric_x, step_x),
                                 (slice(nx, None), p.psi_y, p.metric_y, step_y))
@@ -88,7 +94,7 @@ def _joint_space(p, step_x, step_y):
         return np.concatenate((gx, gy), dtype=float)
 
     def step(v, G):
-        w = v - steps * (G / weights)
+        w = v - steps * (G if identity else G / weights)
         for part, psi, block_metric, block_step in proxes:
             w[part] = psi.prox(block_metric, w[part], block_step)
         return w
@@ -139,7 +145,7 @@ def extragradient_run(problem, params, ledger=None, rows=None):
         Gz = query(z)
         v = step(v, Gz)
         weight += 1.0
-        acc = acc + z
+        acc += z
         candidate = blocks(acc / weight)
         trajectory.end_round(candidate)      # second half: its new candidate
         trajectory.stop(candidate)
@@ -187,11 +193,13 @@ def local_gda_run(problem, params, ledger=None, rows=None):
             x, y = blocks(v)
         candidate = (x, y)
         trajectory.end_round(candidate)
-        # Each norm is tested on its own: max(nx, nan) is nx.
-        nx, ny = math.sqrt(x @ x), math.sqrt(y @ y)
-        if not (math.isfinite(nx) and math.isfinite(ny)) \
-                or max(nx, ny) > _DIVERGENCE_NORM:
-            status = "diverged"
-            break
+        # NaN and infinity fall through to the block test.
+        if not v.dot(v) < _SAFE_SQUARED_NORM:
+            # Each norm is tested on its own: max(nx, nan) is nx.
+            nx, ny = math.sqrt(x.dot(x)), math.sqrt(y.dot(y))
+            if not (math.isfinite(nx) and math.isfinite(ny)) \
+                    or max(nx, ny) > _DIVERGENCE_NORM:
+                status = "diverged"
+                break
         trajectory.stop(candidate)
     return trajectory.close(status, candidate)

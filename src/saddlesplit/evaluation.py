@@ -72,7 +72,7 @@ def _ball_project(metric, center, radius, v, psi_left):
 
 def _linear_ball_max(metric, center, radius, g):
     """max over the metric ball of <g, .>."""
-    return float(np.dot(g, center)) + radius * metric.dual_norm(g)
+    return float(g.dot(center)) + radius * metric.dual_norm(g)
 
 
 def _pga_extreme(grad_fn, metric, center, radius, psi_left, lipschitz,
@@ -81,10 +81,11 @@ def _pga_extreme(grad_fn, metric, center, radius, psi_left, lipschitz,
     the inner problem of the gap.
 
     Each step is ``metric.apply_inv`` and `ball_project`'s arithmetic,
-    operation for operation, on the metric's weights, with one shape check
-    of the gradient per step in place of theirs on every call.
+    operation for operation, on the metric's weights (skipped, bit for bit,
+    on an identity metric), with one shape check of the gradient per step
+    in place of theirs on every call.
     """
-    weights = metric.weights
+    weights, identity = metric.weights, metric.identity
     w = center.copy()
     sign = 1.0 if maximize else -1.0
     for _ in range(steps):
@@ -92,16 +93,17 @@ def _pga_extreme(grad_fn, metric, center, radius, psi_left, lipschitz,
         if g.shape != weights.shape:
             raise ValueError(f"gradient of shape {g.shape} does not match "
                              f"metric dimension {weights.size}")
+        u = g if identity else g / weights
         if lipschitz > 1e-14:
             step = 1.0 / lipschitz
         else:
             # Linear inner objective: one radius-length move reaches the face.
-            dual = math.sqrt((g / weights) @ g)
+            dual = math.sqrt(u.dot(g))
             if dual <= 1e-15:
                 break
             step = radius / dual
-        d = (w + sign * step * (g / weights)) - center
-        nrm = math.sqrt((weights * d) @ d)
+        d = (w + sign * step * u) - center
+        nrm = math.sqrt((d if identity else weights * d).dot(d))
         w = center + (d if nrm <= radius else d * (radius / nrm))
         if psi_left is not None:
             w = psi_left.project_domain(metric, w)
@@ -217,7 +219,7 @@ def _closed_form(p):
             gx = rmatvec(ybar)                 # gradient of x -> f(x, ybar)
             # min over the x-ball of <gx, x> - <b, ybar>
             min_side = -_linear_ball_max(p.metric_x, xc, rx, -gx) \
-                - float(b @ ybar)
+                - float(b.dot(ybar))
             return max_side - min_side
         return "bilinear-closed-form", exact, bilinear, _bilinear_bound
 
@@ -232,7 +234,7 @@ def _closed_form(p):
         # The inner extreme attains zero residual inside the ball, so
         # only the candidate's own residual remains.
         resid = matvec(_scored_blocks(p, candidate)[side]) - b
-        return 0.5 * float(math.sqrt(resid @ resid) ** 2)
+        return 0.5 * float(math.sqrt(resid.dot(resid)) ** 2)
     return "quadratic-closed-form", exact, quadratic, _quadratic_bound
 
 
@@ -356,7 +358,7 @@ def _norm_bound(A, row_scale=None, col_scale=None):
 
 
 def _euclid(v):
-    return math.sqrt(v @ v)
+    return math.sqrt(v.dot(v))
 
 
 def _bilinear_bound(p):
@@ -392,7 +394,8 @@ def _bilinear_bound(p):
 
         def exceeds(c):
             dx, dy = c[0] - xs, c[1] - ys
-            return lx * math.sqrt(dx @ dx) + ly * math.sqrt(dy @ dy) < budget
+            return lx * math.sqrt(dx.dot(dx)) + ly * math.sqrt(dy.dot(dy)) \
+                < budget
         return exceeds
     return anchor
 
@@ -420,7 +423,7 @@ def _quadratic_bound(p):
 
         def exceeds(c):
             d = c[side] - ws
-            return nA * math.sqrt(d @ d) < budget
+            return nA * math.sqrt(d.dot(d)) < budget
         return exceeds
     return anchor
 
@@ -443,8 +446,7 @@ def _first_step_bound(p):
     """
     gap_set = _gap_set(p)
     if any(psi is not None for _, _, psi in gap_set) \
-            or not all(np.all(m.weights == 1.0)
-                       for m in (p.metric_x, p.metric_y)):
+            or not (p.metric_x.identity and p.metric_y.identity):
         return None
 
     def anchor(eps, candidate=None, value=None):

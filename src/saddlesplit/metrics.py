@@ -14,9 +14,20 @@ the package stays closed-form.
 
 The metrics sit in the solvers' innermost loops, so each call is kept to
 as few NumPy dispatches as the arithmetic needs: float64 vectors pass the
-shape check without being re-wrapped, and norms are one dot product and a
-correctly rounded square root.  Every shape check is still made.
-`all_finite` is the loops' finiteness test in the same spirit.
+shape check without being re-wrapped, and norms are one dot product
+(``ndarray.dot``, the same BLAS ``ddot`` as ``@`` without matmul's
+dispatch) and a correctly rounded square root.  Every shape check is
+still made.  `all_finite` is the loops' finiteness test in the same
+spirit.
+
+A metric decides once, when it is built, whether its weights are all
+ones (`identity`); its weights are a read-only copy, so that decision
+cannot go stale.  On the identity path the norms, and the solvers and gap
+estimator that read `identity`, skip the multiply or divide by the
+weights.  This is exact: in IEEE 754 arithmetic ``x * 1.0`` and
+``x / 1.0`` give back ``x`` bit for bit, -0.0, subnormals, infinities and
+quiet NaNs included, so every result is the one the weighted arithmetic
+gives.
 """
 
 import functools
@@ -52,19 +63,22 @@ class ScaledMetric:
     Parameters
     ----------
     weights : array_like or int
-        Diagonal of ``P``.  Passing an integer ``n`` gives the identity
+        Diagonal of ``P``, positive and finite; the metric keeps a
+        read-only copy.  Passing an integer ``n`` gives the identity
         metric on ``R^n``.
     """
 
     def __init__(self, weights):
         if np.isscalar(weights) and isinstance(weights, (int, np.integer)):
             weights = np.ones(weights)
-        w = np.asarray(weights, dtype=float)
+        w = np.array(weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("metric weights must form a nonempty vector")
-        if not np.all(w > 0):
-            raise ValueError("metric weights must be strictly positive")
+        if not np.all((w > 0) & (w < np.inf)):        # NaN fails both
+            raise ValueError("metric weights must be positive and finite")
+        w.flags.writeable = False
         self.weights = w
+        self.identity = bool(np.all(w == 1.0))
 
     @property
     def dim(self):
@@ -88,12 +102,12 @@ class ScaledMetric:
     def norm(self, u):
         """Primal norm ``sqrt(<P u, u>)``."""
         u = self._check(u)
-        return math.sqrt((self.weights * u) @ u)
+        return math.sqrt((u if self.identity else self.weights * u).dot(u))
 
     def dual_norm(self, g):
         """Dual norm ``sqrt(<g, P^{-1} g>)``."""
         g = self._check(g)
-        return math.sqrt((g / self.weights) @ g)
+        return math.sqrt((g if self.identity else g / self.weights).dot(g))
 
     def apply(self, u):
         """Map a primal vector to its covector, ``u -> P u``."""
@@ -115,16 +129,22 @@ class ProductMetric:
     Parameters
     ----------
     blocks : sequence of (ScaledMetric, float)
-        Per-block metric and positive weight ``alpha_i``.
+        Per-block metric and positive weight ``alpha_i``; the joint
+        weights ``alpha_i * P_i`` must be finite.
     """
 
     def __init__(self, blocks):
         if not blocks:
             raise ValueError("a product metric needs at least one block")
-        if any(alpha <= 0 for _, alpha in blocks):
-            raise ValueError("block weights alpha_i must be positive")
-        self.weights = np.concatenate([float(alpha) * metric.weights
-                                       for metric, alpha in blocks])
+        with np.errstate(over="ignore"):
+            w = np.concatenate([float(alpha) * metric.weights
+                                for metric, alpha in blocks])
+        if not np.all((w > 0) & (w < np.inf)):        # NaN fails both
+            raise ValueError("block weights alpha_i * P_i must be positive "
+                             "and finite")
+        w.flags.writeable = False
+        self.weights = w
+        self.identity = bool(np.all(w == 1.0))
         self.dims = [metric.dim for metric, _ in blocks]
         self.offsets = np.concatenate([[0], np.cumsum(self.dims)])
 

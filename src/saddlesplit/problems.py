@@ -528,8 +528,12 @@ def make_quadratic(A, b=None, side="x", other_dim=1, D_x=1.0, D_y=1.0,
         r = matvec(z[own])
         return rmatvec(r - b if side == "x" else b - r)
 
+    # One read-only zero vector serves every inert query.
+    zero = np.zeros(other_dim)
+    zero.flags.writeable = False
+
     def inert(z):
-        return np.zeros(other_dim)
+        return zero
 
     def f_value(z):
         return half * float(np.linalg.norm(matvec(z[own]) - b) ** 2)
@@ -725,7 +729,7 @@ def save_instance(problem, path):
     metrics = problem.metrics if vi else (problem.metric_x, problem.metric_y)
     if not all(type(t) is ZeroTerm for t in psis):
         raise ValueError("an instance file cannot hold a nonzero psi")
-    if not all(np.all(m.weights == 1.0) for m in metrics):
+    if not all(m.identity for m in metrics):
         raise ValueError("an instance file cannot hold non-unit metric weights")
     if vi and not all(problem.block_is_gradient):
         raise ValueError(

@@ -49,6 +49,17 @@ def test_eg_first_iterations_frozen():
     assert np.allclose(z2bar[1], [1.0], atol=1e-12)
 
 
+def test_a_ledger_handed_in_counts_its_earlier_rounds_against_the_cap():
+    p = _unit_bilinear_from_one()
+    ledger = OracleLedger(("x", "y"), costs=p.costs)
+    ledger.end_round()
+    ledger.end_round()
+    res = local_gda_run(p, LocalGdaParams(epsilon=-1.0, eta_x=0.1, eta_y=0.1,
+                                          max_rounds=5), ledger=ledger)
+    assert res.status == "budget_exhausted" and res.rounds == 5
+    assert ledger.queries() == {"x": 3, "y": 3}
+
+
 def test_eg_accounting_shape():
     p = make_bilinear(np.array([[1.0, 0.2], [0.0, 1.0]]), np.array([0.4, -0.1]))
     res = extragradient_run(p, ExtragradientParams(epsilon=1e-2))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,8 @@ from hypothesis import strategies as st
 from saddlesplit.metrics import (
     ScaledMetric, ProductMetric, all_finite,
 )
+from saddlesplit.evaluation import _pga_extreme
+from saddlesplit.problems import ball_project
 
 
 def test_single_block_zero_vector():
@@ -131,3 +135,104 @@ def test_all_finite_on_long_vectors():
             w[pos] = bad
             with np.errstate(invalid="ignore"):
                 assert not all_finite(w)
+
+
+# -- weight checks -----------------------------------------------------------
+
+def test_weights_must_be_finite():
+    # An infinite weight would drop its coordinate from the dual norm.
+    for bad in ([1.0, np.inf], [np.nan, 1.0]):
+        with pytest.raises(ValueError):
+            ScaledMetric(bad)
+
+
+def test_block_weights_must_be_finite():
+    for block in ((ScaledMetric(2), np.nan), (ScaledMetric(2), np.inf),
+                  (ScaledMetric([1e300, 1.0]), 1e10)):   # overflows to inf
+        with pytest.raises(ValueError):
+            ProductMetric([block])
+
+
+def test_metric_keeps_a_read_only_copy_of_its_weights():
+    w = np.ones(2)
+    m = ScaledMetric(w)
+    w[0] = 4.0
+    assert m.identity and m.norm(np.array([1.0, 0.0])) == 1.0
+    for metric in (m, ProductMetric([(m, 1.0)])):
+        with pytest.raises(ValueError):
+            metric.weights[0] = 4.0
+
+
+def test_identity_is_decided_from_the_weights():
+    assert ScaledMetric(3).identity and ScaledMetric([1.0, 1.0]).identity
+    assert not ScaledMetric([1.0, 2.0]).identity
+    assert ProductMetric([(ScaledMetric(2), 1.0), (ScaledMetric(1), 1.0)]).identity
+    assert not ProductMetric([(ScaledMetric(2), 2.0)]).identity
+    assert ProductMetric([(ScaledMetric([0.5]), 2.0)]).identity
+
+
+# -- the identity path is the weighted arithmetic, bit for bit ---------------
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_EDGE_VALUES),
+                          st.sampled_from(_EDGE_VALUES)),
+                min_size=1, max_size=12),
+       st.sampled_from([1.0, 0.5, 1e-300, 1e300]))
+def test_identity_path_matches_the_weighted_arithmetic(pairs, radius):
+    u = np.array([a for a, _ in pairs])
+    c = np.array([b for _, b in pairs])
+    ones = np.ones(u.size)
+    m = ScaledMetric(u.size)
+    assert m.identity
+    with np.errstate(all="ignore"):
+        assert _bits(m.norm(u)) == _bits(math.sqrt((ones * u) @ u))
+        assert _bits(m.dual_norm(u)) == _bits(math.sqrt((u / ones) @ u))
+        assert _bits(m.apply(u)) == _bits(ones * u)
+        assert _bits(m.apply_inv(u)) == _bits(u / ones)
+        d = u - c
+        nrm = math.sqrt((ones * d) @ d)
+        want = c + (d if nrm <= radius else d * (radius / nrm))
+        assert _bits(ball_project(m, c, radius, u)) == _bits(want)
+
+
+class _UnitWeights:
+    """Unit weights with the identity path off: the weighted arithmetic."""
+    identity = False
+
+    def __init__(self, n):
+        self.weights = np.ones(n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_EDGE_VALUES),
+                          st.sampled_from(_EDGE_VALUES)),
+                min_size=1, max_size=6),
+       st.sampled_from([0.0, 1.0, 3.0]), st.booleans())
+def test_pga_identity_path_matches_the_weighted_arithmetic(pairs, lipschitz,
+                                                           maximize):
+    g = np.array([a for a, _ in pairs])
+    center = np.array([b for _, b in pairs])
+
+    def grad(w):
+        return g - 0.5 * w
+    with np.errstate(all="ignore"):
+        got, want = (_pga_extreme(grad, metric, center, 1.0, None, lipschitz,
+                                  4, maximize)
+                     for metric in (ScaledMetric(g.size), _UnitWeights(g.size)))
+    assert _bits(got) == _bits(want)
+
+
+def test_ndarray_dot_is_matmul_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3, 7, 16, 31, 64, 101, 255, 1002):
+        a = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+        b = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+        for s in (slice(None), slice(1, None), slice(None, None, 2),
+                  slice(1, None, 3)):
+            x, y = a[s], b[s]
+            assert _bits(x.dot(y)) == _bits(x @ y)
+            assert _bits(x.dot(x)) == _bits(x @ x)

@@ -170,7 +170,9 @@ class Row:
     - any other exception (an oracle's, an invariant check's, the stop
       test's or a final gap's) propagates out of the solver and leaves
       the open rows without an outcome; `cli` closes every one of them
-      with it.
+      with it.  The row's stop test asks for exactly the gap
+      evaluations of its own run, so a row whose own run raises in a
+      gap evaluation never reports a `RunResult`.
 
     Rows that the decoupled solver runs one by one (a frozen block) are
     each a run of their own, exception included.
@@ -193,13 +195,14 @@ class Trajectory:
     Without `rows`, a single row at ``params.epsilon`` on `ledger` (a new
     one if None), whose outcome `close` returns.  The ledgers of the open
     rows stay in step: every query and every round closes on each of
-    them.  ``test(epsilon)`` makes the run's one stop test (a `GapTest`),
-    kept at the largest open epsilon.  ``cap(epsilon)`` is a row's round
-    cap, ``params.max_rounds`` without it; a row whose cap raises is
-    closed with that exception before the run starts (a single row
-    raises it).  ``info(ledger)`` is the ``info`` of the result on a
-    row's `ledger`, taken when the row closes.  See `Row` for what a row
-    reports.
+    them.  ``test(epsilon)`` makes a row's stop test (a `GapTest`): the
+    first open row's, whose `GapTest.at` makes the others', so each row
+    keeps the test its own run would and a candidate is evaluated once
+    for every row that asks.  ``cap(epsilon)`` is a row's round cap,
+    ``params.max_rounds`` without it; a row whose cap raises is closed
+    with that exception before the run starts (a single row raises it).
+    ``info(ledger)`` is the ``info`` of the result on a row's `ledger`,
+    taken when the row closes.  See `Row` for what a row reports.
     """
 
     def __init__(self, problem, params, ledger, rows, test, info, cap=None):
@@ -225,13 +228,16 @@ class Trajectory:
             else:
                 self.open.append(row)
                 self._ends[row] = cap_rounds - row.ledger.round
+        tests = [test(self.open[0].epsilon)] if self.open else []
+        tests += [tests[0].at(row.epsilon) for row in self.open[1:]]
+        self._tests = dict(zip(self.open, tests))
         self._refresh()
-        self.test = (test(max(r.epsilon for r in self.open)) if self.open
-                     else None)
 
     def _refresh(self):
-        """Cache the open rows' ledgers and the first round one row ends."""
+        """Cache the open rows' ledgers and tests, and the first round one
+        row ends."""
         self._ledgers = tuple(row.ledger for row in self.open)
+        self._open_tests = tuple((row, self._tests[row]) for row in self.open)
         self._next_end = min((self._ends[row] for row in self.open),
                              default=0)
 
@@ -264,14 +270,11 @@ class Trajectory:
     def stop(self, candidate, status="converged"):
         """Close, with `status`, each open row whose stop test passes.
 
-        The test scores `candidate` once, at the largest open epsilon, and
-        one evaluation, if its bound asks for one, decides every row.
+        Each row's test scores `candidate`, in row order.
         """
-        if self.test(candidate):
-            value = self.test.gap().value
-            for row in list(self.open):
-                if value <= row.epsilon:
-                    self._finish(row, status, candidate)
+        for row, test in self._open_tests:
+            if test(candidate):
+                self._finish(row, status, candidate)
 
     def close(self, status, candidate):
         """Close every open row with `status`; the single row's outcome."""
@@ -281,10 +284,8 @@ class Trajectory:
 
     def _finish(self, row, status, candidate):
         result = RunResult(status=status, candidate=candidate,
-                           gap=self.test.finish(candidate, status),
+                           gap=self._tests.pop(row).finish(candidate, status),
                            ledger=row.ledger, info=self.info(row.ledger))
         self.open.remove(row)
         self._refresh()
-        if self.open:
-            self.test.retarget(max(r.epsilon for r in self.open))
         row.close(result)

@@ -10,8 +10,8 @@ which the runner reports rather than hides.
 
 Both read epsilon only in their stop test, so one `Trajectory` can serve
 several accuracies, each an `accounting.Row` with its own ledger; a
-single-epsilon run is the one-row case.  One `GapTest`, at the largest
-accuracy still open, scores each candidate once for every row.
+single-epsilon run is the one-row case.  Each row scores each candidate
+with a `GapTest` of its own, as its run alone would.
 """
 
 import math

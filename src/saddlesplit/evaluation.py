@@ -18,18 +18,20 @@ flagged as an estimate.  `restricted_gap` makes the plan on every call;
 ``problem.structure`` keeps only the VI's operator matrix and constant.
 
 Solvers stop through `GapTest`, which answers "is the gap of this
-candidate at most epsilon" for one trajectory with the bound of the same
-plan, at the largest accuracy the trajectory still serves.
-A closed form's bound answers "no" whenever a Lipschitz bound from the
-last evaluated candidate proves the form above epsilon; a saddle
-estimate's, with no psi left over and identity metrics, whenever the
-estimator's first step does (projected gradient with step 1/L never
-moves back).  That is all a bound certifies: every "yes" and every
-reported gap is a `restricted_gap` evaluation, at the same candidate as
-when every candidate is evaluated for every accuracy, so statuses and
-gaps are unchanged.
+candidate at most epsilon" for one run, with the bound of the same plan;
+a trajectory that serves several accuracies keeps one test per row.
+A closed form's bound is its witness: the maximisers of the form at the
+last candidate the test evaluated give an affine minorant of the form,
+and the bound answers "no" wherever that minorant, less a rounding
+margin, stays above epsilon.  A saddle estimate's, with no psi left over
+and identity metrics, answers "no" whenever the estimator's first step
+does (projected gradient with step 1/L never moves back).  That is all a
+bound certifies: every "yes" and every reported gap is a
+`restricted_gap` evaluation, at the same candidate as when every
+candidate is evaluated, so statuses and gaps are unchanged.
 """
 
+import copy
 import math
 from dataclasses import dataclass, fields
 
@@ -44,11 +46,8 @@ from saddlesplit.problems import (
 PGA_STEPS = 500
 # Relative margin of `GapTest`'s bounds.  It covers the rounding of the
 # closed forms and of the bounds themselves, about n * 1.1e-16 relative
-# for sums of n terms, for any n up to about 10^7.  Lipschitz constants
-# are padded by twice the margin: once for their own rounding, once for
-# the rounding of the closed form at the candidate.
+# for sums of n terms, for any n up to about 10^7.
 _ROUNDING_MARGIN = 1e-8
-_LIPSCHITZ_PAD = 1.0 + 2.0 * _ROUNDING_MARGIN
 
 
 @dataclass
@@ -142,9 +141,11 @@ def _gap_plan(p):
     """``(method, exact, value, bound_maker)``: how the gap of `p` is computed.
 
     ``value(candidate)`` is the gap.  ``bound_maker(p)`` (or None) makes
-    `GapTest`'s anchor or None: ``anchor(eps, candidate, value)``, asked
-    after each evaluation and, with no candidate, when the test is built,
-    returns a predicate proving a gap above ``eps``, or None.  A VI
+    `GapTest`'s anchor or None: ``anchor(candidate)``, asked after each
+    evaluation and, with no candidate, when the test is built, returns a
+    bound or None.  ``bound(c)`` is a number below the gap of ``c`` in dom
+    psi as ``value`` computes it (or NaN), so ``bound(c) > eps`` proves
+    that gap above ``eps``.  A VI
     without polymatrix ``structure`` and an estimated saddle without
     ``f_value`` have no plan: ValueError, raised when a run builds its
     `GapTest`, before it spends any query.
@@ -188,7 +189,7 @@ def _gap_set(p):
 def _closed_form(p):
     """The closed form that gives the gap of saddle instance `p`, or None.
 
-    Returns its `_gap_plan` entry, with a Lipschitz anchor maker.
+    Returns its `_gap_plan` entry, with a witness anchor maker.
     ``bilinear`` and ``quadratic_*`` instances have one when every psi
     `_gap_set` leaves over is a ball or box indicator: B ∩ dom psi then
     lies in the merged balls, so the form over them is an upper bound,
@@ -221,7 +222,7 @@ def _closed_form(p):
             min_side = -_linear_ball_max(p.metric_x, xc, rx, -gx) \
                 - float(b.dot(ybar))
             return max_side - min_side
-        return "bilinear-closed-form", exact, bilinear, _bilinear_bound
+        return "bilinear-closed-form", exact, bilinear, _bilinear_witness
 
     side = 0 if kind == "quadratic_x" else 1
     center, radius, _ = gap_set[side]
@@ -235,7 +236,7 @@ def _closed_form(p):
         # only the candidate's own residual remains.
         resid = matvec(_scored_blocks(p, candidate)[side]) - b
         return 0.5 * float(math.sqrt(resid.dot(resid)) ** 2)
-    return "quadratic-closed-form", exact, quadratic, _quadratic_bound
+    return "quadratic-closed-form", exact, quadratic, _quadratic_witness
 
 
 def _scored_blocks(p, candidate):
@@ -361,70 +362,142 @@ def _euclid(v):
     return math.sqrt(v.dot(v))
 
 
-def _bilinear_bound(p):
-    """Anchor maker for the bilinear closed form.
+def _last_of(make):
+    """`make`, remembering its last candidate: consecutive calls with one
+    candidate object compute ``make(candidate)`` once."""
+    last = value = None
 
-    The closed form is Lipschitz in each block: with ``x_c, r_x, y_c, r_y``
-    the merged balls of `_gap_set` and ``P`` the metric weights, it moves
-    by at most ``l_x ||x - x_s|| + l_y ||y - y_s||`` (Euclidean norms), where
-    ``l_x = ||A|| ||y_c|| + r_y ||P_y^{-1/2} A||`` and
-    ``l_y = ||A|| ||x_c|| + r_x ||A P_x^{-1/2}|| + ||b||``.  Its terms are
-    at most ``l_x ||x|| + l_y ||y|| + c_0`` in size, which bounds the
-    rounding of both evaluations.
+    def cached(candidate):
+        nonlocal last, value
+        if candidate is not last:
+            value = make(candidate)
+            last = candidate
+        return value
+    return cached
+
+
+def _bilinear_witness(p):
+    """Anchor maker for the bilinear closed form: the form's own maximisers.
+
+    At ``c = (x, y)`` the form is ``max_{y' in B_y} <A x - b, y'>
+    - min_{x' in B_x} <A^T y, x'> + <b, y>`` over the merged balls of
+    `_gap_set` (centers ``x_c, y_c``, radii ``r_x, r_y``, metric weights
+    ``P``).  At an evaluated candidate ``s`` the extremes are attained at
+    ``yhat = y_c + r_y P_y^{-1} g_y / ||g_y||_*`` for ``g_y = A x_s - b``
+    and ``xhat = x_c - r_x P_x^{-1} g_x / ||g_x||_*`` for ``g_x = A^T y_s``
+    (the center for a zero gradient).  Held at those points, they give the
+    affine minorant
+
+        l(c) = <A^T yhat, x> + <b - A xhat, y> - <b, yhat>
+
+    of the form at every candidate, equal to it at ``s``.
+
+    A "no" must hold for the form as computed.  With Euclidean norms and
+    ``size(c) = l_x ||x|| + l_y ||y|| + c_0``, where ``l_x = ||A|| ||y_c||
+    + r_y ||P_y^{-1/2} A||``, ``l_y = ||A|| ||x_c|| + r_x ||A P_x^{-1/2}||
+    + ||b||`` and ``c_0 = ||b|| ||y_c|| + r_y ||b||_*`` (`_norm_bound`s,
+    which also bound the absolute matrices), ``size(c)`` bounds the terms
+    of the form at ``c`` and of ``l(c)``.  Each of four roundings then
+    moves the comparison by at most ``_ROUNDING_MARGIN size(c)``: the
+    form's at ``c``; the computed ``yhat`` and ``xhat``, which may leave
+    their balls by a rounding; forming ``A^T yhat``, ``b - A xhat`` and
+    ``<b, yhat>``; and the dot products of ``l(c)``.  So the anchor's
+    ``l(c) - 4 _ROUNDING_MARGIN size(c)``, computed, is below the
+    computed form; its own rounding fits in the margin's slack.  The
+    margin's two dot products are computed once per candidate for every
+    witness.
     """
-    A, b = p.structure["A"], p.structure["b"]
-    nA = _norm_bound(A)
+    st = p.structure
+    A, b, matvec, rmatvec = st["A"], st["b"], st["matvec"], st["rmatvec"]
+    (xc, rx, _), (yc, ry, _) = _gap_set(p)
+    nA, nb = _norm_bound(A), _euclid(b)
     nAy = _norm_bound(A, row_scale=1.0 / np.sqrt(p.metric_y.weights))
     nAx = _norm_bound(A, col_scale=1.0 / np.sqrt(p.metric_x.weights))
-    (xc, rx, _), (yc, ry, _) = _gap_set(p)
-    nb = _euclid(b)
-    lx = _LIPSCHITZ_PAD * (nA * _euclid(yc) + ry * nAy)
-    ly = _LIPSCHITZ_PAD * (nA * _euclid(xc) + rx * nAx + nb)
-    c0 = nb * _euclid(yc) + ry * p.metric_y.dual_norm(b)
+    scale = 4.0 * _ROUNDING_MARGIN
+    mx = scale * (nA * _euclid(yc) + ry * nAy)
+    my = scale * (nA * _euclid(xc) + rx * nAx + nb)
+    m0 = scale * (nb * _euclid(yc) + ry * p.metric_y.dual_norm(b))
+    sqrt = math.sqrt
+    # The last candidate a witness saw and its margin, shared by all.
+    last = margin = None
 
-    def anchor(eps, candidate=None, value=None):
-        if candidate is None:
-            return None
-        xs = np.asarray(candidate[0], dtype=float)
-        ys = np.asarray(candidate[1], dtype=float)
-        size = lx * _euclid(xs) + ly * _euclid(ys) + c0
-        budget = value - eps - 2.0 * _ROUNDING_MARGIN * size
-        if not (budget > 0.0 and math.isfinite(budget)):
-            return None
+    def extreme(metric, center, radius, g):
+        """The maximiser of ``<g, .>`` over the metric ball."""
+        dual = metric.dual_norm(g)
+        if not dual > 0.0:
+            return center
+        return center + (radius / dual) * metric.apply_inv(g)
 
-        def exceeds(c):
-            dx, dy = c[0] - xs, c[1] - ys
-            return lx * math.sqrt(dx.dot(dx)) + ly * math.sqrt(dy.dot(dy)) \
-                < budget
-        return exceeds
+    @_last_of
+    def witness(s):
+        xs, ys = (np.asarray(w, dtype=float) for w in s)
+        yhat = extreme(p.metric_y, yc, ry, matvec(xs) - b)
+        xhat = extreme(p.metric_x, xc, rx, -rmatvec(ys))
+        sx, sy, by = rmatvec(yhat), b - matvec(xhat), float(b.dot(yhat))
+
+        def lower(c):
+            nonlocal last, margin
+            x, y = c
+            if c is not last:
+                margin = mx * sqrt(x.dot(x)) + my * sqrt(y.dot(y)) + m0
+                last = c
+            return sx.dot(x) + sy.dot(y) - by - margin
+        return lower
+
+    def anchor(candidate=None):
+        return None if candidate is None else witness(candidate)
     return anchor
 
 
-def _quadratic_bound(p):
-    """Anchor maker for the one-sided quadratic closed form.
+def _quadratic_witness(p):
+    """Anchor maker for the one-sided quadratic closed form: the residual
+    direction.
 
-    Its value is ``||A w - b||^2 / 2`` on the active block ``w``, and the
-    residual norm moves by at most ``||A|| ||w - w_s||``.
+    The form is ``||r||^2 / 2`` with ``r = A w - b`` on the active block
+    ``w`` (Euclidean), and ``||r||`` is the maximum of ``<u, r>`` over unit
+    vectors ``u``.  At an evaluated candidate with residual ``r_s`` it is
+    attained at ``u = r_s / ||r_s||``, so ``l(w) = <A^T u, w> - <u, b>`` is
+    an affine minorant of the residual norm at every candidate.  As in
+    `_bilinear_witness`, four roundings (the residual's at ``w``, the
+    length of the computed ``u``, forming ``A^T u`` and ``<u, b>``, and the
+    dot product of ``l(w)``) each move it by at most ``_ROUNDING_MARGIN
+    (||A|| ||w|| + ||b||)``, so ``t = l(w) - 4 _ROUNDING_MARGIN (||A||
+    ||w|| + ||b||)`` is below the computed residual norm, and squaring and
+    halving that lose a relative ``_ROUNDING_MARGIN`` at most: the
+    anchor's ``(1 - _ROUNDING_MARGIN) t^2 / 2`` for ``t > 0`` is below the
+    computed form.  The margin is computed once per candidate for every
+    witness.
     """
     st = p.structure
     side = 0 if st["kind"] == "quadratic_x" else 1
-    nA = _LIPSCHITZ_PAD * _norm_bound(st["A"])
-    nb = _euclid(st["b"])
+    matvec, rmatvec, b = st["matvec"], st["rmatvec"], st["b"]
+    scale = 4.0 * _ROUNDING_MARGIN
+    mw, m0 = scale * _norm_bound(st["A"]), scale * _euclid(b)
+    half, sqrt, below = 0.5 * (1.0 - _ROUNDING_MARGIN), math.sqrt, -math.inf
+    # The last candidate a witness saw and its margin, shared by all.
+    last = margin = None
 
-    def anchor(eps, candidate=None, value=None):
-        if candidate is None:
+    @_last_of
+    def witness(s):
+        r = matvec(np.asarray(s[side], dtype=float)) - b
+        norm = _euclid(r)
+        if not (norm > 0.0 and math.isfinite(norm)):
             return None
-        target = (1.0 + _ROUNDING_MARGIN) * math.sqrt(2.0 * eps)
-        ws = np.asarray(candidate[side], dtype=float)
-        budget = (math.sqrt(2.0 * value) - target
-                  - 2.0 * _ROUNDING_MARGIN * (nA * _euclid(ws) + nb))
-        if not (budget > 0.0 and math.isfinite(budget)):
-            return None
+        u = r / norm
+        su, ub = rmatvec(u), float(u.dot(b))
 
-        def exceeds(c):
-            d = c[side] - ws
-            return nA * math.sqrt(d.dot(d)) < budget
-        return exceeds
+        def lower(c):
+            nonlocal last, margin
+            w = c[side]
+            if c is not last:
+                margin = mw * sqrt(w.dot(w)) + m0
+                last = c
+            t = su.dot(w) - ub - margin
+            return half * t * t if t > 0.0 else below
+        return lower
+
+    def anchor(candidate=None):
+        return None if candidate is None else witness(candidate)
     return anchor
 
 
@@ -438,45 +511,68 @@ def _first_step_bound(p):
     gradient with step 1/L never moves it the wrong way (the
     sufficient-decrease lemma).  So the terms after the estimator's first
     step bound those after `PGA_STEPS` steps, and the candidate probe
-    only widens them: a first-step value above `eps`, by a relative
-    margin of the size of its terms, proves the estimate is above `eps`
-    too.  The bound scores a candidate with the same psi checks as
-    `restricted_gap`.  It needs no evaluated candidate: the anchor
-    returns it with or without one.
+    only widens them: the first-step value, less a relative margin of the
+    size of its terms, is below the estimate.  The bound scores a
+    candidate with the same psi checks as `restricted_gap`.  It needs no
+    evaluated candidate: the anchor returns it with or without one, and
+    it is computed once per candidate for every accuracy.
     """
     gap_set = _gap_set(p)
     if any(psi is not None for _, _, psi in gap_set) \
             or not (p.metric_x.identity and p.metric_y.identity):
         return None
 
-    def anchor(eps, candidate=None, value=None):
-        def exceeds(c):
-            xbar, ybar = _scored_blocks(p, c)
-            hi, lo = _pga_terms(p, xbar, ybar, gap_set, 1)
-            budget = hi - lo - eps - _ROUNDING_MARGIN * (abs(hi) + abs(lo))
-            return budget > 0.0 and math.isfinite(budget)
-        return exceeds
+    @_last_of
+    def lower(c):
+        xbar, ybar = _scored_blocks(p, c)
+        hi, lo = _pga_terms(p, xbar, ybar, gap_set, 1)
+        return hi - lo - _ROUNDING_MARGIN * (abs(hi) + abs(lo))
+
+    def anchor(candidate=None):
+        return lower
     return anchor
 
 
+class _Evaluations:
+    """The gap evaluations of one trajectory, which its rows' tests share.
+
+    It makes the plan's bound maker once, and keeps the last candidate it
+    evaluated with its result, so tests that ask for one candidate in turn
+    evaluate it once.
+    """
+
+    def __init__(self, problem, evaluate):
+        self.problem, self.evaluate = problem, evaluate
+        self.method, _, _, bound_maker = _gap_plan(problem)
+        self.anchor = bound_maker and bound_maker(problem)
+        self.candidate = self.result = None
+
+    def __call__(self, candidate):
+        if candidate is not self.candidate:
+            self.result = self.evaluate(self.problem, candidate)
+            self.candidate = candidate
+        return self.result
+
+
 class GapTest:
-    """The stop test ``gap <= epsilon`` of one trajectory.
+    """The stop test ``gap <= epsilon`` of one run.
 
     ``test(candidate)`` scores a candidate and is True when its gap over
     the problem's gap set is at most `epsilon`.  Candidates the bound of
     the problem's `_gap_plan` proves above `epsilon` are answered False
     without being evaluated, as evaluating them would: for a closed form,
-    those near the last candidate it evaluated; for a saddle estimate,
-    those whose first-step bound exceeds `epsilon`, from the first
-    candidate on.  An evaluation of another method than the plan's
-    disarms the bound until one of the plan's re-arms it.  Gaps with no
-    bound, every VI's among them, are evaluated on every call.
+    those where the witness of the last candidate this test evaluated,
+    less its margin, exceeds `epsilon`; for a saddle estimate, those whose
+    first-step bound exceeds `epsilon`, from the first candidate on.  An
+    evaluation of another method than the plan's disarms the bound until
+    one of the plan's re-arms it.  Gaps with no bound, every VI's among
+    them, are evaluated on every call.
 
-    A trajectory that serves several accuracies keeps one test at the
-    largest one still open, and `retarget`s it as rows close.  A candidate
-    the bound rules out there is above every smaller accuracy too; one it
-    does not is evaluated once, and `gap` serves that result to every
-    row.
+    A trajectory that serves several accuracies gives each row a test of
+    its own, made by `at`, so each asks for exactly the evaluations, and
+    keeps exactly the anchor, of its row's own run.  The tests share one
+    bound maker and their evaluations: a candidate several of them ask
+    for in turn is evaluated once.
 
     `evaluate` is the gap function, called as ``evaluate(problem,
     candidate)``; solvers pass the `restricted_gap` name of their
@@ -484,49 +580,56 @@ class GapTest:
     """
 
     def __init__(self, problem, epsilon, evaluate=None):
-        self.problem = problem
-        self.evaluate = restricted_gap if evaluate is None else evaluate
-        self._method, _, _, bound_maker = _gap_plan(problem)
-        self._anchor = bound_maker and bound_maker(problem)
+        self._evaluations = _Evaluations(
+            problem, restricted_gap if evaluate is None else evaluate)
+        self._start(epsilon)
+
+    def _start(self, epsilon):
+        self.epsilon = epsilon
         # The evaluation the bound is anchored at: () before any, so a
         # bound that needs none is armed now; None after one of another
         # method than the plan's.
         self._at = ()
         self._scored = self._evaluated = self._result = None
-        self.retarget(epsilon)
-
-    def retarget(self, epsilon):
-        """Test against `epsilon` from now on."""
-        self.epsilon = epsilon
         self._arm()
 
+    def at(self, epsilon):
+        """A new test at `epsilon` that shares this one's bound maker and
+        evaluations; it starts as a test made by the constructor does."""
+        twin = copy.copy(self)
+        twin._start(epsilon)
+        return twin
+
     def _arm(self):
-        """Arm the bound in force at the test's epsilon: a predicate proving
-        a gap above it, or None."""
-        self._exceeds = (None if self._anchor is None or self._at is None
-                         else self._anchor(self.epsilon, *self._at))
+        """Arm the bound in force: a lower bound on the computed gap of a
+        candidate, or None."""
+        anchor = self._evaluations.anchor
+        self._lower = (None if anchor is None or self._at is None
+                       else anchor(*self._at))
 
     def __call__(self, candidate):
         self._scored = candidate
-        if self._exceeds is not None and self._exceeds(candidate):
+        lower = self._lower
+        if lower is not None and lower(candidate) > self.epsilon:
             return False
         return self.gap(candidate).value <= self.epsilon
 
     def gap(self, candidate=None):
         """The `GapResult` of `candidate`, by default the last scored one.
 
-        Evaluated unless it is the last evaluated candidate; None when no
-        candidate is given and none has been scored.
+        Evaluated unless it is the last candidate this test, or the tests
+        that share its evaluations, evaluated; None when no candidate is
+        given and none has been scored.
         """
         candidate = self._scored if candidate is None else candidate
         if candidate is None:
             return None
         if candidate is self._evaluated:
             return self._result
-        result = self.evaluate(self.problem, candidate)
+        result = self._evaluations(candidate)
         self._evaluated, self._result = candidate, result
-        self._at = ((candidate, result.value)
-                    if result.method == self._method else None)
+        self._at = ((candidate,)
+                    if result.method == self._evaluations.method else None)
         self._arm()
         return result
 

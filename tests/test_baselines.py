@@ -448,37 +448,70 @@ def test_a_gap_failure_closes_every_open_row(monkeypatch):
         assert ledger.round == first.rounds
 
 
-@pytest.mark.parametrize("solver", ["extragradient", "local_gda"])
+@pytest.mark.parametrize("solver", ["extragradient", "local_gda",
+                                    "decoupled"])
 def test_no_shared_row_outlives_a_gap_failure_of_its_own_run(monkeypatch,
                                                              solver):
-    # Each of the first five candidates a standalone 0.01 run evaluates is
-    # poisoned in turn.  A row of the shared trajectory may report a
-    # `RunResult` only where its own run does not raise; rows used to
-    # run on when their own bound ruled the failing candidate out, and
-    # extragradient's 0.05 row converged at round 36 while its own run
-    # raised.
-    from saddlesplit import baselines, cli
+    # Each distinct candidate that the standalone runs of the ladder
+    # evaluate is poisoned in turn.  A row of the shared trajectory may
+    # report a `RunResult` only where its own run does not raise.  A run
+    # raises exactly when its unpoisoned run evaluates the poisoned
+    # candidate, as it runs unchanged up to that evaluation, so each
+    # standalone run is made once.  Rows used to run on when the shared
+    # test's anchor ruled the failing candidate out: local GDA's rows did
+    # in 297 of 832 cases.
+    from saddlesplit import baselines, cli, decoupled
+    module = decoupled if solver == "decoupled" else baselines
     run, params = _RUNS[solver]
     p = make_hard_saddle("xy", 1.0, 1.0, 10)
     ladder = (0.1, 0.05, 0.02, 0.01)
+    evaluated = {}
+
+    def recording(eps):
+        seen = evaluated.setdefault(eps, set())
+
+        def gap(problem, candidate):
+            seen.add(tuple(_candidate_bytes(candidate)))
+            return restricted_gap(problem, candidate)
+        return gap
+
+    for eps in ladder:
+        monkeypatch.setattr(module, "restricted_gap", recording(eps))
+        run(p, params(epsilon=eps))
+    for poisoned in sorted(set().union(*evaluated.values())):
+        monkeypatch.setattr(module, "restricted_gap",
+                            _gap_failing_at(list(poisoned)))
+        runs = cli._runs(p, solver, ladder, {}, lambda: 0.0)
+        for eps, (_, outcome, _) in zip(ladder, runs):
+            if poisoned in evaluated[eps]:
+                assert not isinstance(outcome, RunResult), eps
+
+
+def test_a_frozen_decoupled_row_closes_with_its_own_exception(monkeypatch):
+    # hard_x has no coupling, so the decoupled method freezes both blocks
+    # and runs the rows one by one, each a run of its own.  The gap raises
+    # at the candidate the 0.01 run evaluates: that row closes with the
+    # exception, and every other row reports what its run alone does.
+    from saddlesplit import decoupled
+    p = make_hard_saddle("x", 100.0, 1.0, 5)
     evaluated = []
 
     def recorded(problem, candidate):
-        if _candidate_bytes(candidate) not in evaluated:
-            evaluated.append(_candidate_bytes(candidate))
+        evaluated.append(_candidate_bytes(candidate))
         return restricted_gap(problem, candidate)
 
-    monkeypatch.setattr(baselines, "restricted_gap", recorded)
-    run(p, params(epsilon=0.01))
-    for k, poisoned in enumerate(evaluated[:5]):
-        monkeypatch.setattr(baselines, "restricted_gap",
-                            _gap_failing_at(poisoned))
-        runs = cli._runs(p, solver, ladder, {}, lambda: 0.0)
-        for eps, (_, outcome, _) in zip(ladder, runs):
-            try:
-                run(p, params(epsilon=eps))
-            except FloatingPointError:
-                assert not isinstance(outcome, RunResult), (k, eps)
+    monkeypatch.setattr(decoupled, "restricted_gap", recorded)
+    assert decoupled_saddle_run(
+        p, DecoupledParams(epsilon=0.01)).status == "local_solve"
+    monkeypatch.setattr(decoupled, "restricted_gap",
+                        _gap_failing_at(evaluated[-1]))
+    rows = _shared(_decoupled, DecoupledParams, p, _LADDER)
+    assert [row.epsilon for row in rows
+            if isinstance(row.outcome, FloatingPointError)] == [0.01]
+    for row in rows:
+        if row.epsilon != 0.01:
+            assert _fingerprint(row.outcome) == _fingerprint(
+                decoupled_saddle_run(p, DecoupledParams(epsilon=row.epsilon)))
 
 
 def test_an_estimated_saddle_without_values_is_refused_before_any_query():

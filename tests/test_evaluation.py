@@ -312,14 +312,19 @@ def _random_matrix(rng, m, n, triplets):
                          rng.standard_normal(flat.size))
 
 
-def _stop_test_instance(rng, kind, triplets, moved_ball):
+def _stop_test_instance(rng, kind, triplets, moved_ball, singular=False):
     """A closed-form instance with non-unit diagonal metrics.
 
     The right-hand side is consistent, so the walk target (the saddle)
-    has gap zero and the walks cross every epsilon.
+    has gap zero and the walks cross every epsilon.  A `singular` dense
+    instance repeats a column, so that a quadratic form has a null
+    direction (`_null_direction`); a bilinear's y side and a sparse
+    quadratic have one anyway.
     """
     m, n = (40, 30) if triplets else (6, 4)
     A = _random_matrix(rng, m, n, triplets)
+    if singular and not triplets:
+        A[:, -1] = A[:, 0]
     # Norm 0.3: inside the default unit ball for metric weights up to 5.
     x_true = rng.standard_normal(n)
     x_true *= 0.3 / np.linalg.norm(x_true)
@@ -343,21 +348,115 @@ def _stop_test_instance(rng, kind, triplets, moved_ball):
     return p
 
 
+def _null_direction(p):
+    """``(side, u)``: a unit block direction along which the closed form of
+    a `_stop_test_instance(..., singular=True)` is flat in exact arithmetic:
+    ``A^T u = 0`` on a bilinear's y side (so ``<b, u> = 0``, as ``b`` is in
+    the range of ``A``), ``A u = 0`` on a quadratic's active side."""
+    st = p.structure
+    M = np.asarray(st["A"])
+    if st["kind"] == "bilinear":
+        return 1, np.linalg.svd(M)[0][:, -1]
+    return (0 if st["kind"] == "quadratic_x" else 1), np.linalg.svd(M)[2][-1]
+
+
+def _stop_test_walk(rng, p, mode, start, pull, noise):
+    """40 candidates from `start`; now and then one repeats.
+
+    ``walk``: a pull towards the saddle plus shrinking noise, at scales
+    from steps the bound rules out for many rounds to steps it never
+    does.  ``near``: `start` moved by a relative 1e-16 to 1e-9, so every
+    gap is about the first one.  ``far``: `start` moved by 1e6 to 1e8
+    along a null direction of the form, where its terms cancel, with
+    ``near`` candidates between.
+    """
+    c = start
+    side, u = _null_direction(p) if mode == "far" else (None, None)
+    for _ in range(40):
+        yield c
+        if rng.random() >= 0.9:
+            continue
+        if mode == "walk":
+            c = tuple(ci + pull * (ws - ci) + noise * rng.standard_normal(ci.size)
+                      for ci, ws in zip(c, p.saddle))
+            noise *= 0.9
+        elif mode == "far" and rng.random() < 0.7:
+            c = list(start)
+            c[side] = c[side] + rng.choice([-1.0, 1.0]) \
+                * 10.0 ** rng.uniform(6.0, 8.0) * u
+            c = tuple(c)
+        else:
+            c = tuple(w + 10.0 ** rng.uniform(-16.0, -9.0) * np.linalg.norm(w)
+                      * rng.standard_normal(w.size) for w in start)
+
+
+def _candidate_key(candidate):
+    return b"".join(np.asarray(w, dtype=float).tobytes() for w in candidate)
+
+
+def _outcome_key(ledger, outcome):
+    if isinstance(outcome, Exception):
+        return ledger.round, repr(outcome)
+    gap = outcome.gap and outcome.gap.value.hex()
+    return outcome.status, ledger.round, gap, _candidate_key(outcome.candidate)
+
+
+def _assert_rows_evaluate_as_their_runs(p, solver, ladder):
+    """Each row of one trajectory through `cli._runs` reports what its run
+    alone reports, and the trajectory evaluates exactly the candidates
+    that those runs evaluate."""
+    from saddlesplit import baselines, cli, decoupled
+    seen = set()
+
+    def spy(problem, candidate):
+        seen.add(_candidate_key(candidate))
+        return restricted_gap(problem, candidate)
+
+    def served(epsilons):
+        seen.clear()
+        runs = cli._runs(p, solver, epsilons, {"max_rounds": 100},
+                         lambda: 0.0)
+        return [_outcome_key(ledger, outcome) for ledger, outcome, _ in runs]
+
+    # Under these metrics the decoupled method's frozen-block solves can
+    # overflow and raise; such rows must raise alike, so numpy's overflow
+    # warnings are silenced here.
+    with pytest.MonkeyPatch.context() as patch, \
+            np.errstate(over="ignore", invalid="ignore"):
+        patch.setattr(decoupled if solver == "decoupled" else baselines,
+                      "restricted_gap", spy)
+        shared = served(ladder)
+        shared_seen, own_seen = set(seen), set()
+        for eps, row in zip(ladder, shared):
+            assert [row] == served([eps]), eps
+            own_seen |= seen
+    assert shared_seen == own_seen
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        kind=st.sampled_from(["bilinear", "quadratic_x", "quadratic_y"]),
        triplets=st.booleans(), moved_ball=st.booleans(),
+       mode=st.sampled_from(["walk", "near", "far"]),
        eps_share=st.floats(1e-4, 0.9), log_pull=st.floats(-3.0, -0.5),
-       log_noise=st.floats(-4.0, -0.3))
+       log_noise=st.floats(-4.0, -0.3), log_offset=st.floats(-16.0, -9.0),
+       solver=st.sampled_from(["extragradient", "local_gda", "decoupled"]))
 def test_gap_test_skips_only_candidates_above_epsilon(
-        seed, kind, triplets, moved_ball, eps_share, log_pull,
-        log_noise):
+        seed, kind, triplets, moved_ball, mode, eps_share, log_pull,
+        log_noise, log_offset, solver):
+    # The stop test answers every candidate of a walk as evaluating it
+    # would, and skips only candidates whose computed gap is above
+    # epsilon; in the ``near`` and ``far`` walks epsilon is within a
+    # relative 1e-16 to 1e-9 of the first gap.  Then the tests of a ladder
+    # of accuracies, one per row, evaluate what the rows' own runs do.
     rng = np.random.default_rng(seed)
-    p = _stop_test_instance(rng, kind, triplets, moved_ball)
+    p = _stop_test_instance(rng, kind, triplets, moved_ball,
+                            singular=mode == "far")
     start = tuple(ws + rng.standard_normal(ws.size) for ws in p.saddle)
     first = restricted_gap(p, start)
     assert first.exact
-    eps = eps_share * first.value
+    eps = eps_share * first.value if mode == "walk" else \
+        first.value * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** log_offset)
     evaluated = []
 
     def spy(problem, candidate):
@@ -365,22 +464,17 @@ def test_gap_test_skips_only_candidates_above_epsilon(
         return restricted_gap(problem, candidate)
 
     test = GapTest(p, eps, spy)
-    c, pull, noise = start, 10.0 ** log_pull, 10.0 ** log_noise
-    for _ in range(40):
+    for c in _stop_test_walk(rng, p, mode, start, 10.0 ** log_pull,
+                             10.0 ** log_noise):
         want = restricted_gap(p, c)
         before = len(evaluated)
         assert test(c) == (want.value <= eps)
         if len(evaluated) == before and not (evaluated and evaluated[-1] is c):
             assert want.value > eps         # skipped, not a repeat
-        # A pull towards the saddle plus shrinking noise, at scales from
-        # steps the bound rules out for many rounds to steps it never
-        # does; now and then the candidate repeats.
-        if rng.random() < 0.9:
-            c = tuple(ci + pull * (ws - ci) + noise * rng.standard_normal(ci.size)
-                      for ci, ws in zip(c, p.saddle))
-            noise *= 0.9
     want = restricted_gap(p, c)
     assert test.gap(c).value.hex() == want.value.hex()
+    _assert_rows_evaluate_as_their_runs(
+        p, solver, [share * first.value for share in (0.3, 0.1, 0.03, 0.01)])
 
 
 def _logcosh_saddle(rng, n):
@@ -599,8 +693,12 @@ def test_gap_test_evaluates_estimated_kinds_and_vis_every_time(monkeypatch):
     def stub(problem, candidate):
         return GapResult(1.0, False, "stub")
 
-    # No Lipschitz anchor is built for any of them.
-    monkeypatch.setattr(evaluation, "_norm_bound", None)
+    # No witness anchor is made for any of them.
+    def no_witness(problem):
+        raise AssertionError("a witness was made")
+
+    for maker in ("_bilinear_witness", "_quadratic_witness"):
+        monkeypatch.setattr(evaluation, maker, no_witness)
     pairs = [(0.9 * k * np.ones(2), np.ones(2)) for k in range(5)]
     for p, evaluate, walk in (
             (poly, restricted_gap, [list(c) for c in pairs]),

@@ -9,10 +9,18 @@ after a deliberate change of results, run this module as a script:
 
 It prints every moved row, with ``fixture -> got`` per column, before it
 rewrites a fixture.
+
+Two fixtures hold the full benchmark grids, ``saddle_grid`` and
+``chain_closed_form`` at seed 1, from the configs `bench/workloads.py`
+writes, so a performance change is checked on the bytes it is measured
+on.
 """
 
 import csv
+import importlib.util
 import os
+
+import pytest
 
 from saddlesplit import cli
 
@@ -21,6 +29,23 @@ VI_FIXTURE = os.path.join(os.path.dirname(__file__), "data",
                           "golden_vi_results.csv")
 CHAIN_FIXTURE = os.path.join(os.path.dirname(__file__), "data",
                              "golden_chain_results.csv")
+BENCH_WORKLOADS = ("saddle_grid", "chain_closed_form")
+
+
+def bench_fixture(workload):
+    return os.path.join(os.path.dirname(__file__), "data",
+                        f"golden_bench_{workload}.csv")
+
+
+def bench_config(workload):
+    """The benchmark's experiment file for `workload` at seed 1."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
+                        "workloads.py")
+    spec = importlib.util.spec_from_file_location(
+        "saddlesplit_bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.config_text(workload, 1)
 
 # Both chain side instances (local solves), the bilinear chain and one scsc
 # instance, whose gap takes the projected-gradient path.
@@ -144,6 +169,12 @@ def test_chain_triplet_results_csv_matches_fixture(tmp_path):
                            CHAIN_FIXTURE)
 
 
+@pytest.mark.parametrize("workload", BENCH_WORKLOADS)
+def test_bench_grid_results_csv_matches_fixture(tmp_path, workload):
+    assert_matches_fixture(golden_csv(str(tmp_path), bench_config(workload)),
+                           bench_fixture(workload))
+
+
 def test_first_difference_names_the_row_and_its_columns():
     want = "instance_id,solver,epsilon,rounds,gap\na,decoupled,0.1,2,0.5\n"
     got = "instance_id,solver,epsilon,rounds,gap\na,decoupled,0.1,3,0.5\n"
@@ -168,7 +199,9 @@ if __name__ == "__main__":
 
     for fixture, config in ((FIXTURE, GOLDEN_CONFIG),
                             (VI_FIXTURE, GOLDEN_VI_CONFIG),
-                            (CHAIN_FIXTURE, GOLDEN_CHAIN_CONFIG)):
+                            (CHAIN_FIXTURE, GOLDEN_CHAIN_CONFIG),
+                            *((bench_fixture(w), bench_config(w))
+                              for w in BENCH_WORKLOADS)):
         with tempfile.TemporaryDirectory() as tmp:
             text = golden_csv(tmp, config)
         if os.path.exists(fixture):

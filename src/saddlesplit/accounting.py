@@ -158,7 +158,8 @@ class RunResult:
 class Row:
     """One accuracy that a solver trajectory serves, known by position.
 
-    The row has its own `ledger`, so it sees what a run at its `epsilon`
+    The row has its own `ledger` and, while a trajectory serves it, its
+    own stop `test` (a `GapTest`), so it sees what a run at its `epsilon`
     alone would.  When it closes, `outcome` becomes that run's
     `RunResult`, or an exception, and `on_close(row)` is called.  The
     contract of a row:
@@ -181,6 +182,7 @@ class Row:
     ledger: OracleLedger
     on_close: object = None
     outcome: object = None
+    test: object = None
 
     def close(self, outcome):
         """Settle the row with `outcome` and call `on_close`."""
@@ -195,10 +197,10 @@ class Trajectory:
     Without `rows`, a single row at ``params.epsilon`` on `ledger` (a new
     one if None), whose outcome `close` returns.  The ledgers of the open
     rows stay in step: every query and every round closes on each of
-    them.  ``test(epsilon)`` makes a row's stop test (a `GapTest`): the
-    first open row's, whose `GapTest.at` makes the others', so each row
-    keeps the test its own run would and a candidate is evaluated once
-    for every row that asks.  ``cap(epsilon)`` is a row's round cap,
+    them.  ``test(epsilon)`` makes the first open row's stop test (a
+    `GapTest`), whose `GapTest.at` makes the others', so each row keeps
+    the test its own run would and a candidate is evaluated once for
+    every row that asks.  ``cap(epsilon)`` is a row's round cap,
     ``params.max_rounds`` without it; a row whose cap raises is closed
     with that exception before the run starts (a single row raises it).
     ``info(ledger)`` is the ``info`` of the result on a row's `ledger`,
@@ -215,7 +217,7 @@ class Trajectory:
         self.info = info
         # Per open row, the trajectory's own round count at which the
         # row's ledger reaches its cap.
-        self.open, self._ends = [], {}
+        self._ends = {}
         self._round = 0
         for row in rows:
             try:
@@ -226,20 +228,18 @@ class Trajectory:
                     raise
                 row.close(exc)
             else:
-                self.open.append(row)
                 self._ends[row] = cap_rounds - row.ledger.round
-        tests = [test(self.open[0].epsilon)] if self.open else []
-        tests += [tests[0].at(row.epsilon) for row in self.open[1:]]
-        self._tests = dict(zip(self.open, tests))
-        self._refresh()
+        self._refresh(tuple(self._ends))
+        for row in self.open:
+            row.test = (test(row.epsilon) if row is self.open[0]
+                        else self.open[0].test.at(row.epsilon))
 
-    def _refresh(self):
-        """Cache the open rows' ledgers and tests, and the first round one
-        row ends."""
-        self._ledgers = tuple(row.ledger for row in self.open)
-        self._open_tests = tuple((row, self._tests[row]) for row in self.open)
-        self._next_end = min((self._ends[row] for row in self.open),
-                             default=0)
+    def _refresh(self, rows):
+        """Make `rows` the open ones; cache their ledgers and the first
+        round one of them ends."""
+        self.open = rows
+        self._ledgers = tuple(row.ledger for row in rows)
+        self._next_end = min((self._ends[row] for row in rows), default=0)
 
     def bind(self, agent, fn):
         """`fn`, each call recorded on every open row's ledger.
@@ -262,7 +262,7 @@ class Trajectory:
         """Close, as budget_exhausted at `candidate`, each open row whose
         cap its rounds have reached; whether any row is still open."""
         if self._round >= self._next_end:
-            for row in list(self.open):
+            for row in self.open:
                 if self._round >= self._ends[row]:
                     self._finish(row, "budget_exhausted", candidate)
         return bool(self.open)
@@ -272,20 +272,19 @@ class Trajectory:
 
         Each row's test scores `candidate`, in row order.
         """
-        for row, test in self._open_tests:
-            if test(candidate):
+        for row in self.open:
+            if row.test(candidate):
                 self._finish(row, status, candidate)
 
     def close(self, status, candidate):
         """Close every open row with `status`; the single row's outcome."""
-        for row in list(self.open):
+        for row in self.open:
             self._finish(row, status, candidate)
         return None if self._single is None else self._single.outcome
 
     def _finish(self, row, status, candidate):
         result = RunResult(status=status, candidate=candidate,
-                           gap=self._tests.pop(row).finish(candidate, status),
+                           gap=row.test.finish(candidate, status),
                            ledger=row.ledger, info=self.info(row.ledger))
-        self.open.remove(row)
-        self._refresh()
+        self._refresh(tuple(r for r in self.open if r is not row))
         row.close(result)

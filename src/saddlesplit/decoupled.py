@@ -111,9 +111,10 @@ def scaled_prox_check(V_value, psi_prime, z_plus, anchor, lam, metric):
     assembled metric.  All arguments are joint vectors; the operator value
     is always supplied by the caller (reuse the exchanged one).
     """
+    step = np.asarray(z_plus) - anchor
     lhs = metric.dual_norm(np.asarray(V_value) + np.asarray(psi_prime)
-                           + lam * metric.apply(np.asarray(z_plus) - anchor))
-    rhs = lam * metric.norm(np.asarray(z_plus) - anchor)
+                           + lam * metric.apply(step))
+    rhs = lam * metric.norm(step)
     return lhs <= rhs + _CHECK_SLACK, lhs, rhs
 
 
@@ -472,6 +473,9 @@ def _decoupled_run(problem, bind, psis, metrics, L, d_hat, gradient,
               for i in range(K)]
     active = [i for i in range(K) if alphas[i] > 0]
     frozen = [i for i in range(K) if i not in active]
+    # Block i's Lipschitz constant in its own metric: ||g||_* <= ||g|| /
+    # sqrt(min P_i) and ||w|| <= ||w||_P / sqrt(min P_i).
+    lips = [float(L[i][i]) / float(metrics[i].weights.min()) for i in range(K)]
     for i in frozen:
         if any(L[j][i] != 0.0 for j in range(K) if j != i):
             raise ValueError(
@@ -530,7 +534,7 @@ def _decoupled_run(problem, bind, psis, metrics, L, d_hat, gradient,
         # the only target, as any gap left here would come out of theirs.
         task = BlockTask(operator=block_operator(i, tuple(full)), psi=psis[i],
                          anchor=full[i], metric=metrics[i],
-                         lipschitz=float(L[i][i]))
+                         lipschitz=lips[i])
         gap_ball = None if gap_set is None else (*gap_set[i][:2], eps / K)
         full[i] = residual_agd(task, xi=eps / (4.0 * d_hat[i] * d_hat[i]),
                                gap_ball=gap_ball).point
@@ -551,7 +555,7 @@ def _decoupled_run(problem, bind, psis, metrics, L, d_hat, gradient,
     act_alphas = [alphas[i] for i in active]
     act_psis = [psis[i] for i in active]
     act_metrics = [metrics[i] for i in active]
-    act_lips = [float(L[i][i]) for i in active]
+    act_lips = [lips[i] for i in active]
     coupling = vip_coupling([[float(L[i][j]) for j in active] for i in active],
                             act_alphas, [d_hat[i] for i in active])
     lam = params.lam

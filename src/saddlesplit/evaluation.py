@@ -19,11 +19,15 @@ flagged as an estimate.  `restricted_gap` makes the plan on every call;
 
 Solvers stop through `GapTest`, which answers "is the gap of this
 candidate at most epsilon" for one run, with the bound of the same plan;
-a trajectory that serves several accuracies keeps one test per row.
-A closed form's bound is its witness: the maximisers of the form at the
-last candidate the test evaluated give an affine minorant of the form,
-and the bound answers "no" wherever that minorant, less a rounding
-margin, stays above epsilon.  A saddle estimate's, with no psi left over
+a trajectory that serves several accuracies gives each row a test of
+its own (`accounting.Row.test`).  A closed form's bound is its witness:
+the maximisers of the form at the last candidate the test evaluated
+give an affine minorant of the form, and the bound answers "no"
+wherever that minorant, less a rounding margin, stays above epsilon.
+`_closed_form` writes each form's products once, for its value and its
+witness, and every witness is built through `_witness_anchor`, which
+computes the margin once per candidate and a witness once per
+anchoring candidate.  A saddle estimate's, with no psi left over
 and identity metrics, answers "no" whenever the estimator's first step
 does (projected gradient with step 1/L never moves back).  That is all a
 bound certifies: every "yes" and every reported gap is a
@@ -138,9 +142,9 @@ def restricted_gap(problem, candidate):
 
 
 def _gap_plan(p):
-    """``(method, exact, value, bound_maker)``: how the gap of `p` is computed.
+    """``(method, exact, value, make_anchor)``: how the gap of `p` is computed.
 
-    ``value(candidate)`` is the gap.  ``bound_maker(p)`` (or None) makes
+    ``value(candidate)`` is the gap.  ``make_anchor()`` (or None) makes
     `GapTest`'s anchor or None: ``anchor(candidate)``, asked after each
     evaluation and, with no candidate, when the test is built, returns a
     bound or None.  ``bound(c)`` is a number below the gap of ``c`` in dom
@@ -159,8 +163,8 @@ def _gap_plan(p):
     if plan is None and p.f_value is None:
         raise ValueError("gap estimation requires function values on the "
                          "instance")
-    return plan or (
-        "pga-estimate", False, lambda c: _saddle_gap(p, c), _first_step_bound)
+    return plan or ("pga-estimate", False, lambda c: _saddle_gap(p, c),
+                    lambda: _first_step_bound(p))
 
 
 def _gap_set(p):
@@ -189,13 +193,14 @@ def _gap_set(p):
 def _closed_form(p):
     """The closed form that gives the gap of saddle instance `p`, or None.
 
-    Returns its `_gap_plan` entry, with a witness anchor maker.
-    ``bilinear`` and ``quadratic_*`` instances have one when every psi
-    `_gap_set` leaves over is a ball or box indicator: B ∩ dom psi then
-    lies in the merged balls, so the form over them is an upper bound,
-    and exact when no psi is left.
-    A ``quadratic_*`` one also needs its system consistent, with the
-    minimiser inside the merged ball.
+    Returns its `_gap_plan` entry, whose anchor maker builds the form's
+    witness.  ``bilinear`` and ``quadratic_*`` instances have one when
+    every psi `_gap_set` leaves over is a ball or box indicator: B ∩ dom
+    psi then lies in the merged balls, so the form over them is an upper
+    bound, and exact when no psi is left.  A ``quadratic_*`` one also
+    needs its system consistent, with the minimiser inside the merged
+    ball.  Each form's products, ``A w - b`` and ``A^T y``, are defined
+    here once, and its value and its witness both call them.
     """
     st = p.structure or {}
     kind = st.get("kind")
@@ -207,22 +212,24 @@ def _closed_form(p):
                for psi in left):
         return None
     exact = not left
-    matvec, b = st["matvec"], st["b"]
+    matvec, rmatvec, b = st["matvec"], st["rmatvec"], st["b"]
+
+    def residual(w):
+        """``A w - b``: a bilinear's y-gradient, a quadratic's residual."""
+        return matvec(w) - b
 
     if kind == "bilinear":
         (xc, rx, _), (yc, ry, _) = gap_set
-        rmatvec = st["rmatvec"]
 
         def bilinear(candidate):
             xbar, ybar = _scored_blocks(p, candidate)
-            gy = matvec(xbar) - b              # gradient of y -> f(xbar, y)
-            max_side = _linear_ball_max(p.metric_y, yc, ry, gy)
-            gx = rmatvec(ybar)                 # gradient of x -> f(x, ybar)
-            # min over the x-ball of <gx, x> - <b, ybar>
-            min_side = -_linear_ball_max(p.metric_x, xc, rx, -gx) \
+            max_side = _linear_ball_max(p.metric_y, yc, ry, residual(xbar))
+            # min over the x-ball of <A^T ybar, x> - <b, ybar>
+            min_side = -_linear_ball_max(p.metric_x, xc, rx, -rmatvec(ybar)) \
                 - float(b.dot(ybar))
             return max_side - min_side
-        return "bilinear-closed-form", exact, bilinear, _bilinear_witness
+        return ("bilinear-closed-form", exact, bilinear,
+                lambda: _bilinear_witness(p, gap_set, residual, rmatvec))
 
     side = 0 if kind == "quadratic_x" else 1
     center, radius, _ = gap_set[side]
@@ -234,9 +241,9 @@ def _closed_form(p):
     def quadratic(candidate):
         # The inner extreme attains zero residual inside the ball, so
         # only the candidate's own residual remains.
-        resid = matvec(_scored_blocks(p, candidate)[side]) - b
-        return 0.5 * float(math.sqrt(resid.dot(resid)) ** 2)
-    return "quadratic-closed-form", exact, quadratic, _quadratic_witness
+        return 0.5 * _euclid(residual(_scored_blocks(p, candidate)[side])) ** 2
+    return ("quadratic-closed-form", exact, quadratic,
+            lambda: _quadratic_witness(p, side, residual, rmatvec))
 
 
 def _scored_blocks(p, candidate):
@@ -376,8 +383,42 @@ def _last_of(make):
     return cached
 
 
-def _bilinear_witness(p):
-    """Anchor maker for the bilinear closed form: the form's own maximisers.
+def _witness_anchor(margin, witness, finish=None):
+    """The anchor of a closed form, built from the form's witness.
+
+    ``witness(s)`` is the form's affine minorant ``l`` at an evaluated
+    candidate ``s`` (a function of the candidate, or None), and
+    ``margin(c)`` the rounding margin at candidate ``c``.  The bound is
+    ``l(c) - margin(c)``, or `finish` of it; with no evaluated candidate
+    there is none.  A witness is built once per anchoring candidate and
+    the margin computed once per candidate, for every witness of the
+    anchor, however many tests ask.
+    """
+    margin = _last_of(margin)
+
+    @_last_of
+    def anchored(s):
+        affine = witness(s)
+        if affine is None:
+            return None
+        if finish is None:
+            return lambda c: affine(c) - margin(c)
+        return lambda c: finish(affine(c) - margin(c))
+    return lambda candidate=None: (None if candidate is None
+                                   else anchored(candidate))
+
+
+def _ball_maximiser(metric, center, radius, g):
+    """The maximiser of ``<g, .>`` over the metric ball (its center for a
+    zero `g`)."""
+    dual = metric.dual_norm(g)
+    if not dual > 0.0:
+        return center
+    return center + (radius / dual) * metric.apply_inv(g)
+
+
+def _bilinear_witness(p, gap_set, residual, rmatvec):
+    """Anchor of the bilinear closed form: the form's own maximisers.
 
     At ``c = (x, y)`` the form is ``max_{y' in B_y} <A x - b, y'>
     - min_{x' in B_x} <A^T y, x'> + <b, y>`` over the merged balls of
@@ -388,7 +429,7 @@ def _bilinear_witness(p):
     (the center for a zero gradient).  Held at those points, they give the
     affine minorant
 
-        l(c) = <A^T yhat, x> + <b - A xhat, y> - <b, yhat>
+        l(c) = <A^T yhat, x> - <A xhat - b, y> - <b, yhat>
 
     of the form at every candidate, equal to it at ``s``.
 
@@ -400,16 +441,13 @@ def _bilinear_witness(p):
     of the form at ``c`` and of ``l(c)``.  Each of four roundings then
     moves the comparison by at most ``_ROUNDING_MARGIN size(c)``: the
     form's at ``c``; the computed ``yhat`` and ``xhat``, which may leave
-    their balls by a rounding; forming ``A^T yhat``, ``b - A xhat`` and
+    their balls by a rounding; forming ``A^T yhat``, ``A xhat - b`` and
     ``<b, yhat>``; and the dot products of ``l(c)``.  So the anchor's
     ``l(c) - 4 _ROUNDING_MARGIN size(c)``, computed, is below the
-    computed form; its own rounding fits in the margin's slack.  The
-    margin's two dot products are computed once per candidate for every
-    witness.
+    computed form; its own rounding fits in the margin's slack.
     """
-    st = p.structure
-    A, b, matvec, rmatvec = st["A"], st["b"], st["matvec"], st["rmatvec"]
-    (xc, rx, _), (yc, ry, _) = _gap_set(p)
+    A, b = p.structure["A"], p.structure["b"]
+    (xc, rx, _), (yc, ry, _) = gap_set
     nA, nb = _norm_bound(A), _euclid(b)
     nAy = _norm_bound(A, row_scale=1.0 / np.sqrt(p.metric_y.weights))
     nAx = _norm_bound(A, col_scale=1.0 / np.sqrt(p.metric_x.weights))
@@ -417,40 +455,19 @@ def _bilinear_witness(p):
     mx = scale * (nA * _euclid(yc) + ry * nAy)
     my = scale * (nA * _euclid(xc) + rx * nAx + nb)
     m0 = scale * (nb * _euclid(yc) + ry * p.metric_y.dual_norm(b))
-    sqrt = math.sqrt
-    # The last candidate a witness saw and its margin, shared by all.
-    last = margin = None
 
-    def extreme(metric, center, radius, g):
-        """The maximiser of ``<g, .>`` over the metric ball."""
-        dual = metric.dual_norm(g)
-        if not dual > 0.0:
-            return center
-        return center + (radius / dual) * metric.apply_inv(g)
-
-    @_last_of
     def witness(s):
         xs, ys = (np.asarray(w, dtype=float) for w in s)
-        yhat = extreme(p.metric_y, yc, ry, matvec(xs) - b)
-        xhat = extreme(p.metric_x, xc, rx, -rmatvec(ys))
-        sx, sy, by = rmatvec(yhat), b - matvec(xhat), float(b.dot(yhat))
-
-        def lower(c):
-            nonlocal last, margin
-            x, y = c
-            if c is not last:
-                margin = mx * sqrt(x.dot(x)) + my * sqrt(y.dot(y)) + m0
-                last = c
-            return sx.dot(x) + sy.dot(y) - by - margin
-        return lower
-
-    def anchor(candidate=None):
-        return None if candidate is None else witness(candidate)
-    return anchor
+        yhat = _ball_maximiser(p.metric_y, yc, ry, residual(xs))
+        xhat = _ball_maximiser(p.metric_x, xc, rx, -rmatvec(ys))
+        sx, sy, by = rmatvec(yhat), residual(xhat), float(b.dot(yhat))
+        return lambda c: sx.dot(c[0]) - sy.dot(c[1]) - by
+    return _witness_anchor(
+        lambda c: mx * _euclid(c[0]) + my * _euclid(c[1]) + m0, witness)
 
 
-def _quadratic_witness(p):
-    """Anchor maker for the one-sided quadratic closed form: the residual
+def _quadratic_witness(p, side, residual, rmatvec):
+    """Anchor of the one-sided quadratic closed form: the residual
     direction.
 
     The form is ``||r||^2 / 2`` with ``r = A w - b`` on the active block
@@ -465,44 +482,28 @@ def _quadratic_witness(p):
     ||w|| + ||b||)`` is below the computed residual norm, and squaring and
     halving that lose a relative ``_ROUNDING_MARGIN`` at most: the
     anchor's ``(1 - _ROUNDING_MARGIN) t^2 / 2`` for ``t > 0`` is below the
-    computed form.  The margin is computed once per candidate for every
-    witness.
+    computed form.
     """
-    st = p.structure
-    side = 0 if st["kind"] == "quadratic_x" else 1
-    matvec, rmatvec, b = st["matvec"], st["rmatvec"], st["b"]
+    b = p.structure["b"]
     scale = 4.0 * _ROUNDING_MARGIN
-    mw, m0 = scale * _norm_bound(st["A"]), scale * _euclid(b)
-    half, sqrt, below = 0.5 * (1.0 - _ROUNDING_MARGIN), math.sqrt, -math.inf
-    # The last candidate a witness saw and its margin, shared by all.
-    last = margin = None
+    mw, m0 = scale * _norm_bound(p.structure["A"]), scale * _euclid(b)
+    half = 0.5 * (1.0 - _ROUNDING_MARGIN)
 
-    @_last_of
     def witness(s):
-        r = matvec(np.asarray(s[side], dtype=float)) - b
+        r = residual(np.asarray(s[side], dtype=float))
         norm = _euclid(r)
         if not (norm > 0.0 and math.isfinite(norm)):
             return None
         u = r / norm
         su, ub = rmatvec(u), float(u.dot(b))
-
-        def lower(c):
-            nonlocal last, margin
-            w = c[side]
-            if c is not last:
-                margin = mw * sqrt(w.dot(w)) + m0
-                last = c
-            t = su.dot(w) - ub - margin
-            return half * t * t if t > 0.0 else below
-        return lower
-
-    def anchor(candidate=None):
-        return None if candidate is None else witness(candidate)
-    return anchor
+        return lambda c: su.dot(c[side]) - ub
+    return _witness_anchor(
+        lambda c: mw * _euclid(c[side]) + m0, witness,
+        lambda t: half * t * t if t > 0.0 else -math.inf)
 
 
 def _first_step_bound(p):
-    """Anchor maker for the estimated gap of saddle instance `p`, or None.
+    """The anchor of the estimated gap of saddle instance `p`, or None.
 
     For an instance `_closed_form` leaves to the estimator.  With no psi
     left over by `_gap_set` and identity metrics, each inner problem is an
@@ -527,24 +528,21 @@ def _first_step_bound(p):
         xbar, ybar = _scored_blocks(p, c)
         hi, lo = _pga_terms(p, xbar, ybar, gap_set, 1)
         return hi - lo - _ROUNDING_MARGIN * (abs(hi) + abs(lo))
-
-    def anchor(candidate=None):
-        return lower
-    return anchor
+    return lambda candidate=None: lower
 
 
 class _Evaluations:
     """The gap evaluations of one trajectory, which its rows' tests share.
 
-    It makes the plan's bound maker once, and keeps the last candidate it
+    It makes the plan's anchor once, and keeps the last candidate it
     evaluated with its result, so tests that ask for one candidate in turn
     evaluate it once.
     """
 
     def __init__(self, problem, evaluate):
         self.problem, self.evaluate = problem, evaluate
-        self.method, _, _, bound_maker = _gap_plan(problem)
-        self.anchor = bound_maker and bound_maker(problem)
+        self.method, _, _, make_anchor = _gap_plan(problem)
+        self.anchor = make_anchor and make_anchor()
         self.candidate = self.result = None
 
     def __call__(self, candidate):
@@ -571,8 +569,8 @@ class GapTest:
     A trajectory that serves several accuracies gives each row a test of
     its own, made by `at`, so each asks for exactly the evaluations, and
     keeps exactly the anchor, of its row's own run.  The tests share one
-    bound maker and their evaluations: a candidate several of them ask
-    for in turn is evaluated once.
+    anchor and their evaluations: a candidate several of them ask for in
+    turn is evaluated once.
 
     `evaluate` is the gap function, called as ``evaluate(problem,
     candidate)``; solvers pass the `restricted_gap` name of their
@@ -594,7 +592,7 @@ class GapTest:
         self._arm()
 
     def at(self, epsilon):
-        """A new test at `epsilon` that shares this one's bound maker and
+        """A new test at `epsilon` that shares this one's anchor and
         evaluations; it starts as a test made by the constructor does."""
         twin = copy.copy(self)
         twin._start(epsilon)

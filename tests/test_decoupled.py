@@ -497,6 +497,20 @@ def test_saddle_local_solve():
     assert abs(res.candidate[0][0] - 1.0) < 1e-3
 
 
+@pytest.mark.parametrize("weight", [0.5, 0.2])
+def test_local_solve_steps_in_the_block_metric(weight):
+    # Under metric weights P the block's Lipschitz constant is L / min P;
+    # with the Euclidean L the frozen block's local solve overflowed and
+    # raised FloatingPointError.
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((6, 4))
+    p = make_quadratic(A, A @ rng.standard_normal(4), side="x")
+    p = dataclasses.replace(p, metric_x=ScaledMetric(np.full(4, weight)))
+    res = decoupled_saddle_run(p, DecoupledParams(epsilon=1e-3))
+    assert res.status == "local_solve" and res.rounds == 2
+    assert math.isfinite(res.gap.value)
+
+
 def test_local_solve_stops_at_its_share_of_the_gap():
     # Uncoupled agents: each block stops at the first probe whose
     # Frank-Wolfe bound on its own gap is at most eps / 2.  The residual

@@ -694,11 +694,10 @@ def test_gap_test_evaluates_estimated_kinds_and_vis_every_time(monkeypatch):
         return GapResult(1.0, False, "stub")
 
     # No witness anchor is made for any of them.
-    def no_witness(problem):
-        raise AssertionError("a witness was made")
+    def no_witness(*args):
+        raise AssertionError("a witness anchor was made")
 
-    for maker in ("_bilinear_witness", "_quadratic_witness"):
-        monkeypatch.setattr(evaluation, maker, no_witness)
+    monkeypatch.setattr(evaluation, "_witness_anchor", no_witness)
     pairs = [(0.9 * k * np.ones(2), np.ones(2)) for k in range(5)]
     for p, evaluate, walk in (
             (poly, restricted_gap, [list(c) for c in pairs]),
@@ -715,6 +714,61 @@ def test_gap_test_evaluates_estimated_kinds_and_vis_every_time(monkeypatch):
             assert not test(c)
         assert len(calls) == len(walk)
         assert all(a is b for a, b in zip(calls, walk))
+
+
+@pytest.mark.parametrize("kind, solver", [
+    ("bilinear", "extragradient"), ("bilinear", "local_gda"),
+    ("quadratic_x", "extragradient")])
+def test_rows_share_each_witness_and_each_margin(monkeypatch, kind, solver):
+    # On a ladder of four accuracies served by one trajectory, a witness
+    # is built once per anchoring candidate and a margin computed once
+    # per candidate, however many rows' tests ask for them.
+    from collections import Counter
+
+    from saddlesplit import cli, evaluation
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((6, 4))
+    b = A @ (0.15 * rng.standard_normal(4))
+    p = (make_bilinear(A, b) if kind == "bilinear"
+         else make_quadratic(A, b, side="x"))
+    real = evaluation._witness_anchor
+    seen, margins, witnesses = [], Counter(), Counter()
+    anchored, bounded = Counter(), Counter()
+
+    def counted(margin, witness, finish=None):
+        def counted_margin(c):
+            seen.append(c)                  # keeps every id() distinct
+            margins[id(c)] += 1
+            return margin(c)
+
+        def counted_witness(s):
+            seen.append(s)
+            witnesses[id(s)] += 1
+            return witness(s)
+        anchor = real(counted_margin, counted_witness, finish)
+
+        def counted_anchor(candidate=None):
+            lower = anchor(candidate)
+            if lower is None:
+                return None
+            anchored[id(candidate)] += 1
+
+            def counted_lower(c):
+                seen.append(c)
+                bounded[id(c)] += 1
+                return lower(c)
+            return counted_lower
+        return counted_anchor
+
+    monkeypatch.setattr(evaluation, "_witness_anchor", counted)
+    ladder = (0.3, 0.1, 0.03, 0.01)
+    for _, outcome, _ in cli._runs(p, solver, ladder, {"max_rounds": 200},
+                                   lambda: 0.0):
+        assert not isinstance(outcome, Exception)
+    assert set(margins) == set(bounded) and max(margins.values()) == 1
+    assert max(bounded.values()) >= 2       # several rows bound one candidate
+    assert set(witnesses) == set(anchored) and max(witnesses.values()) == 1
+    assert max(anchored.values()) >= 2      # several tests anchor at one
 
 
 def test_gap_test_ignores_evaluations_other_than_its_closed_form():

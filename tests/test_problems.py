@@ -11,7 +11,7 @@ from saddlesplit.problems import (
     argmin_linear, spectral_norm,
     make_bilinear, make_quadratic, make_strongly_convex_concave,
     make_polymatrix, random_polymatrix, save_instance, load_instance,
-    TripletMatrix, _product_operand,
+    TripletMatrix, VipProblem, _product_operand,
 )
 from saddlesplit.hard_instances import make_hard_saddle
 
@@ -103,6 +103,20 @@ def test_argmin_linear():
                        [-1.0, 1.0])
     with pytest.raises(ValueError):
         argmin_linear(ZeroTerm(), m, np.array([1.0]))
+
+
+def test_argmin_linear_flat_regulariser_and_zero_covector():
+    # A flat anchor term leaves the base term's minimiser, and a ball
+    # meets a zero covector at (a copy of) its center.
+    m = ScaledMetric([1.0, 4.0])
+    ball = BallIndicator(np.array([0.5, -1.0]), 2.0)
+    cov = np.array([3.0, -1.0])
+    flat = RegularizedTerm(QuadraticReg(0.0, np.ones(2)), ball)
+    assert argmin_linear(flat, m, cov).tobytes() == \
+        argmin_linear(ball, m, cov).tobytes()
+    at_zero = argmin_linear(ball, m, np.zeros(2))
+    assert at_zero.tobytes() == ball.center.tobytes()
+    assert at_zero is not ball.center
 
 
 # -- generators -------------------------------------------------------------
@@ -256,6 +270,13 @@ def test_polymatrix_solution_and_monotone():
                          for i in range(p.K)])
     assert float(dV @ dz) >= -1e-9
     assert all(p.block_is_gradient)
+
+
+def test_vip_blocks_default_to_non_gradients():
+    p = VipProblem(operators=[lambda z: z[0], lambda z: z[1]],
+                   psis=[ZeroTerm(), ZeroTerm()],
+                   z0=[np.zeros(2), np.zeros(1)], L=np.eye(2), D=(1.0, 1.0))
+    assert p.block_is_gradient == [False, False]
 
 
 def test_spectral_norm_matches_svd():

@@ -48,9 +48,7 @@ from saddlesplit.evaluation import (
     GapTest, _gap_set, complexity_bounds, restricted_gap, theta_factor,
 )
 from saddlesplit.metrics import ProductMetric, all_finite
-from saddlesplit.problems import (
-    QuadraticReg, RegularizedTerm, ZeroTerm, argmin_linear,
-)
+from saddlesplit.problems import QuadraticReg, RegularizedTerm
 
 _ZERO_OPERATOR_TOL = 1e-14
 _CHECK_SLACK = 1e-10
@@ -200,19 +198,11 @@ def _counting_operator(task):
 def _solve_constant_operator(task, op, counter):
     """Constant-operator fast path: one probe fixes the whole subproblem."""
     c = op(task.anchor)
-    w = argmin_linear(task.psi, task.metric, c, fallback=task.anchor)
+    w = task.psi.argmin_linear(task.metric, c, fallback=task.anchor)
     # Optimality of the linear-plus-composite problem gives -c in the
     # subdifferential exactly, so the residual vanishes.
     return BlockSolveResult(point=w, subgrad=-c, queries=counter[0],
                             residual=0.0, operator_value=c, exit="constant")
-
-
-def _differentiable(psi):
-    if isinstance(psi, (ZeroTerm, QuadraticReg)):
-        return True
-    if isinstance(psi, RegularizedTerm):
-        return isinstance(psi.base, (ZeroTerm, QuadraticReg))
-    return False
 
 
 def residual_agd(task, xi, gap_ball=None):
@@ -225,17 +215,18 @@ def residual_agd(task, xi, gap_ball=None):
     Two certificates can end the run early, both implying the target:
     with a known strong-monotonicity modulus ``mu``, a residual below
     ``xi mu / (mu + xi) * ||w - v||`` suffices; with differentiable ``psi``
-    the first query gives ``r0 = ||grad at v||`` and a residual below
-    ``xi r0 / L_total`` suffices.  Both are tested at probes, and the run
-    returns the first probe that certifies.  With differentiable ``psi``
-    every query at an extrapolated point is a probe for free (``psi'`` is
-    its gradient there).  Probes at the prox outputs cost one counted
-    query each and run on a doubling schedule; they are the only ones a
-    nonsmooth ``psi`` has.  If nothing fires, the full stage plan runs to
-    completion, which guarantees the target on its own.  A query at the
-    point just queried (a stalled iterate, or a stage's second iteration
-    with no momentum yet) returns the held answer: a solve never pays
-    twice for one point.
+    (``psi.smooth``) the first query gives ``r0 = ||grad at v||`` and a
+    residual below ``xi r0 / L_total`` suffices, where ``L_total =
+    lipschitz + psi.modulus`` counts every quadratic in ``psi``.  Both are
+    tested at probes, and the run returns the first probe that certifies.
+    With differentiable ``psi`` every query at an extrapolated point is a
+    probe for free (``psi'`` is its gradient there).  Probes at the prox
+    outputs cost one counted query each and run on a doubling schedule;
+    they are the only ones a nonsmooth ``psi`` has.  If nothing fires,
+    the full stage plan runs to completion, which guarantees the target
+    on its own.  A query at the point just queried (a stalled iterate, or
+    a stage's second iteration with no momentum yet) returns the held
+    answer: a solve never pays twice for one point.
 
     ``gap_ball = (c, r, target)`` adds a third exit, ``certificate-gap``,
     for a block whose operator is monotone and ignores every other block:
@@ -248,10 +239,8 @@ def residual_agd(task, xi, gap_ball=None):
     if task.lipschitz == 0.0:
         return _solve_constant_operator(task, op, counter)
 
-    mu_quad = psi.quad.mu if isinstance(psi, RegularizedTerm) else (
-        psi.mu if isinstance(psi, QuadraticReg) else 0.0)
-    L_total = task.lipschitz + mu_quad
-    smooth_psi = _differentiable(psi)
+    L_total = task.lipschitz + psi.modulus
+    smooth_psi = psi.smooth
 
     g_anchor = op(v)
     start_sub = psi.subgradient(metric, v)
@@ -417,7 +406,7 @@ def split_prox_step(operators, psis, metrics, alphas, anchors, lam,
                 f"residual {r} > {thr}")
         # Remove the anchor regulariser's gradient to recover a subgradient
         # of the original composite term.
-        dereg = res.subgrad - mu * metrics[i].apply(res.point - anchors[i])
+        dereg = res.subgrad - reg.quad.subgradient(metrics[i], res.point)
         z_parts.append(res.point)
         sub_parts.append(dereg)
         diags.append(res)

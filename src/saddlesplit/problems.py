@@ -12,7 +12,9 @@ query accounting (see :mod:`saddlesplit.accounting`) stays faithful.
 
 Composite terms support exact prox steps in any diagonal metric, canonical
 subgradient selection, domain projection, and minimisation against a linear
-term; those four operations are everything the solvers need.
+term; those four operations are everything the solvers need.  Each term
+also states whether it is smooth and its strong-convexity modulus; a
+`RegularizedTerm` composes both from its summands.
 """
 
 import ast
@@ -36,16 +38,34 @@ _SPARSE_PRODUCT_RATIO = 64
 class CompositeTerm:
     """Interface for the nonsmooth part of one block.
 
-    Every term defines `prox`; the rest default to the indicator of the
-    set `contains` accepts: value 0 in it and infinity outside, the zero
-    subgradient, and the prox at step 1 as domain projection.
+    Every term defines `prox` and `argmin_linear`; the rest default to the
+    indicator of the set `contains` accepts: value 0 in it and infinity
+    outside, the zero subgradient, and the prox at step 1 as domain
+    projection.  Each term also states what the inner solves may assume
+    of it, so they never ask which class a psi is: ``smooth``, whether psi
+    is differentiable (its `subgradient` is then its gradient), and
+    ``modulus``, its known strong-convexity modulus in the block metric
+    (0 when none is known).
     """
+    smooth = False
+    modulus = 0.0
 
     def value(self, metric, w):
         return 0.0 if self.contains(metric, w) else _INF
 
     def prox(self, metric, v, step):
         """``argmin_w  psi(w) + 1/(2*step) * ||w - v||_P^2`` (exact)."""
+        raise NotImplementedError
+
+    def argmin_linear(self, metric, cov, fallback=None):
+        """``argmin_w  <cov, w> + psi(w)`` for an array_like covector.
+
+        Needed when a block operator is constant: the regularised
+        subproblem is then linear-plus-composite and solvable in closed
+        form.  Where every point of a flat direction minimises, `fallback`
+        (the caller's anchor) is taken if given; an objective unbounded
+        below raises ValueError.
+        """
         raise NotImplementedError
 
     def subgradient(self, metric, w):
@@ -62,19 +82,37 @@ class CompositeTerm:
 
 class ZeroTerm(CompositeTerm):
     """psi = 0, the indicator of the whole space."""
+    smooth = True
 
     def prox(self, metric, v, step):
         return np.array(v, dtype=float, copy=True)
 
+    def argmin_linear(self, metric, cov, fallback=None):
+        if np.linalg.norm(cov) <= 1e-14 and fallback is not None:
+            return np.array(fallback, dtype=float, copy=True)
+        raise ValueError("linear objective is unbounded below on a free block")
+
+
+def _finite_center(center):
+    """`center` as a float array; ValueError unless it is finite."""
+    center = np.asarray(center, dtype=float)
+    if not np.all(np.isfinite(center)):
+        raise ValueError("center must be finite")
+    return center
+
 
 class QuadraticReg(CompositeTerm):
-    """psi(w) = (mu/2) * ||w - center||_P^2 in the block metric."""
+    """psi(w) = (mu/2) * ||w - center||_P^2 in the block metric: smooth,
+    with modulus ``mu``, which must be finite and nonnegative; the center
+    must be finite."""
+    smooth = True
 
     def __init__(self, mu, center):
-        if mu < 0:
-            raise ValueError("quadratic modulus must be nonnegative")
-        self.mu = float(mu)
-        self.center = np.asarray(center, dtype=float)
+        if not (math.isfinite(mu) and mu >= 0):
+            raise ValueError(
+                f"quadratic modulus must be finite and nonnegative, got {mu!r}")
+        self.mu = self.modulus = float(mu)
+        self.center = _finite_center(center)
 
     def value(self, metric, w):
         return 0.5 * self.mu * metric.norm(np.asarray(w) - self.center) ** 2
@@ -84,6 +122,11 @@ class QuadraticReg(CompositeTerm):
         v = np.asarray(v, dtype=float)
         return (v + step * self.mu * self.center) / (1.0 + step * self.mu)
 
+    def argmin_linear(self, metric, cov, fallback=None):
+        if self.mu == 0:
+            raise ValueError("flat quadratic cannot absorb a linear term")
+        return self.center - metric.apply_inv(cov) / self.mu
+
     def subgradient(self, metric, w):
         return self.mu * metric.apply(np.asarray(w) - self.center)
 
@@ -92,16 +135,24 @@ class QuadraticReg(CompositeTerm):
 
 
 class BallIndicator(CompositeTerm):
-    """Indicator of the metric ball ``||w - center||_P <= radius``."""
+    """Indicator of the metric ball ``||w - center||_P <= radius``, with a
+    positive finite radius and a finite center."""
 
     def __init__(self, center, radius):
-        if radius <= 0:
-            raise ValueError("ball radius must be positive")
-        self.center = np.asarray(center, dtype=float)
+        if not (math.isfinite(radius) and radius > 0):
+            raise ValueError(
+                f"ball radius must be positive and finite, got {radius!r}")
+        self.center = _finite_center(center)
         self.radius = float(radius)
 
     def prox(self, metric, v, step):
         return ball_project(metric, self.center, self.radius, v)
+
+    def argmin_linear(self, metric, cov, fallback=None):
+        dual = metric.dual_norm(cov)
+        if dual == 0.0:
+            return np.array(self.center, copy=True)
+        return self.center - self.radius * metric.apply_inv(cov) / dual
 
     def contains(self, metric, w, tol=1e-9):
         return metric.norm(np.asarray(w) - self.center) <= self.radius + tol * (
@@ -109,11 +160,19 @@ class BallIndicator(CompositeTerm):
 
 
 class BoxIndicator(CompositeTerm):
-    """Indicator of the box ``lower <= w <= upper`` (coordinatewise)."""
+    """Indicator of the box ``lower <= w <= upper`` (coordinatewise).
+
+    A bound may be infinite but not NaN.  A covector entry that points
+    toward an infinite bound leaves `argmin_linear` unbounded below; a
+    zero entry takes the midpoint of two finite bounds, and otherwise the
+    fallback's entry.
+    """
 
     def __init__(self, lower, upper):
         self.lower = np.asarray(lower, dtype=float)
         self.upper = np.asarray(upper, dtype=float)
+        if np.isnan(self.lower).any() or np.isnan(self.upper).any():
+            raise ValueError("box bounds must not be NaN")
         if np.any(self.lower > self.upper):
             raise ValueError("box bounds are inconsistent")
 
@@ -121,10 +180,32 @@ class BoxIndicator(CompositeTerm):
         # Exact for diagonal metrics.
         return np.clip(np.asarray(v, dtype=float), self.lower, self.upper)
 
+    def argmin_linear(self, metric, cov, fallback=None):
+        cov = np.asarray(cov, dtype=float)
+        lower, upper = self.lower, self.upper
+        w = np.where(cov > 0, lower, upper)
+        flat = cov == 0
+        if not np.isfinite(w[~flat]).all():
+            raise ValueError("linear objective is unbounded below on the box")
+        middle = flat & np.isfinite(lower) & np.isfinite(upper)
+        w[middle] = 0.5 * (lower[middle] + upper[middle])
+        free = flat & ~middle
+        if free.any():
+            if fallback is None:
+                raise ValueError("a zero covector entry on an unbounded "
+                                 "side of the box has no unique minimiser")
+            w[free] = np.asarray(fallback, dtype=float)[free]
+        return w
+
     def contains(self, metric, w, tol=1e-9):
+        # The tolerance scales with the finite bounds only; an infinite
+        # one would accept every point.
         w = np.asarray(w, dtype=float)
-        scale = 1.0 + float(np.max(np.abs(np.concatenate([self.lower, self.upper]))))
-        return bool(np.all(w >= self.lower - tol * scale)
+        bounds = np.concatenate([self.lower, self.upper])
+        scale = 1.0 + float(np.max(np.abs(bounds[np.isfinite(bounds)]),
+                                   initial=0.0))
+        return bool(np.all(np.isfinite(w))
+                    and np.all(w >= self.lower - tol * scale)
                     and np.all(w <= self.upper + tol * scale))
 
 
@@ -132,7 +213,9 @@ class RegularizedTerm(CompositeTerm):
     """Sum of a quadratic and another term: ``psi = quad + base``.
 
     Used by the decoupled inner solves, where the anchor regulariser is added
-    on top of the block's own composite term.
+    on top of the block's own composite term.  The sum is as smooth as
+    ``base``, and its modulus counts both summands: ``quad.mu +
+    base.modulus``.
     """
 
     def __init__(self, quad, base):
@@ -142,6 +225,8 @@ class RegularizedTerm(CompositeTerm):
             raise TypeError("nested regularised terms are not supported")
         self.quad = quad
         self.base = base
+        self.smooth = base.smooth
+        self.modulus = quad.mu + base.modulus
 
     def value(self, metric, w):
         return self.quad.value(metric, w) + self.base.value(metric, w)
@@ -152,6 +237,12 @@ class RegularizedTerm(CompositeTerm):
         v = np.asarray(v, dtype=float)
         shrink = 1.0 + step * mu
         return self.base.prox(metric, (v + step * mu * c) / shrink, step / shrink)
+
+    def argmin_linear(self, metric, cov, fallback=None):
+        mu, c = self.quad.mu, self.quad.center
+        if mu == 0:
+            return self.base.argmin_linear(metric, cov, fallback)
+        return self.base.prox(metric, c - metric.apply_inv(cov) / mu, 1.0 / mu)
 
     def subgradient(self, metric, w):
         return self.quad.subgradient(metric, w) + self.base.subgradient(metric, w)
@@ -168,38 +259,6 @@ def ball_project(metric, center, radius, v):
     d = np.asarray(v, dtype=float) - center
     nrm = metric.norm(d)
     return center + (d if nrm <= radius else d * (radius / nrm))
-
-
-def argmin_linear(term, metric, cov, fallback=None):
-    """``argmin_w  <cov, w> + psi(w)`` for terms where this is well posed.
-
-    Needed when a block operator is constant: the regularised subproblem is
-    then linear-plus-composite and solvable in closed form.
-    """
-    cov = np.asarray(cov, dtype=float)
-    if isinstance(term, QuadraticReg):
-        if term.mu == 0:
-            raise ValueError("flat quadratic cannot absorb a linear term")
-        return term.center - metric.apply_inv(cov) / term.mu
-    if isinstance(term, RegularizedTerm):
-        mu, c = term.quad.mu, term.quad.center
-        if mu == 0:
-            return argmin_linear(term.base, metric, cov, fallback)
-        return term.base.prox(metric, c - metric.apply_inv(cov) / mu, 1.0 / mu)
-    if isinstance(term, BallIndicator):
-        dual = metric.dual_norm(cov)
-        if dual == 0.0:
-            return np.array(term.center, copy=True)
-        return term.center - term.radius * metric.apply_inv(cov) / dual
-    if isinstance(term, BoxIndicator):
-        return np.where(cov > 0, term.lower,
-                        np.where(cov < 0, term.upper,
-                                 0.5 * (term.lower + term.upper)))
-    if isinstance(term, ZeroTerm):
-        if np.linalg.norm(cov) <= 1e-14 and fallback is not None:
-            return np.array(fallback, dtype=float, copy=True)
-        raise ValueError("linear objective is unbounded below on a free block")
-    raise TypeError(f"unsupported term {type(term).__name__}")
 
 
 # ---------------------------------------------------------------------------

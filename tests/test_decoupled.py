@@ -16,8 +16,8 @@ from saddlesplit.decoupled import (
 from saddlesplit.hard_instances import make_hard_saddle
 from saddlesplit.metrics import ProductMetric, ScaledMetric
 from saddlesplit.problems import (
-    BallIndicator, QuadraticReg, RegularizedTerm, VipProblem, ZeroTerm,
-    make_bilinear, make_polymatrix, make_quadratic,
+    BallIndicator, BoxIndicator, QuadraticReg, RegularizedTerm, VipProblem,
+    ZeroTerm, make_bilinear, make_polymatrix, make_quadratic,
     make_strongly_convex_concave, random_polymatrix,
 )
 
@@ -222,19 +222,19 @@ def test_exchange_never_pays_twice_for_one_point():
     assert all(a != b for a, b in zip(ledger.x_points, ledger.x_points[1:]))
 
 
-@pytest.mark.parametrize("mu, xi", [(0.0, 0.01), (0.0, 0.1), (0.05, 0.05 / 3),
-                                    (0.2, 0.2 / 3)])
-def test_residual_agd_returns_the_first_certifying_query(mu, xi):
-    # With differentiable psi every queried point can certify.  Replay the
-    # certificates on each point the solve queried, with psi' its
-    # gradient: the solve returns the first that passes, and no query
-    # after it.  Doubling probes alone end these runs 2 to 27 queries later.
+_CERT_V = np.array([0.4, 0.4, -0.4, 0.4, -0.3])
+
+
+def _check_first_certifying_query(psi, mu, curvature, xi):
+    """Run `residual_agd` with differentiable `psi`, a quadratic whose
+    Hessian is ``curvature * I``, and strong modulus `mu`.  Replay the
+    certificates on each point the solve queried, with psi' its gradient:
+    the solve returns the first that passes, and no query after it, and
+    its residual meets ``xi ||v - w*||`` at the subproblem's minimiser."""
     Q = np.diag([4.0, 2.0, 1.0, 0.5, 0.01])
     w_opt = np.array([0.1, -0.2, 0.3, 0.1, 0.5])
-    v = np.array([0.4, 0.4, -0.4, 0.4, -0.3])
+    v = _CERT_V
     metric = ScaledMetric(5)
-    psi = (RegularizedTerm(QuadraticReg(mu, v), ZeroTerm()) if mu > 0
-           else ZeroTerm())
     queried = []
 
     def operator(w):
@@ -248,7 +248,7 @@ def test_residual_agd_returns_the_first_certifying_query(mu, xi):
     def residual(w):
         return np.linalg.norm(Q @ (w - w_opt) + psi.subgradient(metric, w))
 
-    lip_floor = xi * residual(v) / (4.0 + mu)
+    lip_floor = xi * residual(v) / (4.0 + curvature)
     first = next(
         j for j, w in enumerate(queried)
         if residual(w) <= lip_floor
@@ -257,7 +257,29 @@ def test_residual_agd_returns_the_first_certifying_query(mu, xi):
     assert res.exit in ("certificate-lip", "certificate-mu")
     assert res.queries == len(queried) == first + 1
     assert np.array_equal(res.point, queried[first])
-    assert res.residual <= xi * np.linalg.norm(v - w_opt)
+    # Q (w - w_opt) + curvature w + psi'(0) = 0 at the minimiser.
+    w_star = np.linalg.solve(Q + curvature * np.eye(5),
+                             Q @ w_opt - psi.subgradient(metric, np.zeros(5)))
+    assert res.residual <= xi * np.linalg.norm(v - w_star)
+
+
+@pytest.mark.parametrize("mu, xi", [(0.0, 0.01), (0.0, 0.1), (0.05, 0.05 / 3),
+                                    (0.2, 0.2 / 3)])
+def test_residual_agd_returns_the_first_certifying_query(mu, xi):
+    # With differentiable psi every queried point can certify.  Doubling
+    # probes alone end these runs 2 to 27 queries later.
+    psi = (RegularizedTerm(QuadraticReg(mu, _CERT_V), ZeroTerm()) if mu > 0
+           else ZeroTerm())
+    _check_first_certifying_query(psi, mu, mu, xi)
+
+
+def test_residual_agd_lip_certificate_counts_every_quadratic_in_psi():
+    # The smoothness constant of a composed psi counts its base's modulus
+    # too.  Counted short (the anchor term's 0.2 alone), the certificate
+    # fired after 4 queries at residual 0.171, above the target 0.0806.
+    c = np.array([-0.3, 0.2, 0.1, -0.2, 0.4])
+    psi = RegularizedTerm(QuadraticReg(0.2, _CERT_V), QuadraticReg(10.0, c))
+    _check_first_certifying_query(psi, 0.2, 10.2, 0.2 / 3)
 
 
 def test_relative_residual_check_frozen():
@@ -509,6 +531,20 @@ def test_local_solve_steps_in_the_block_metric(weight):
     res = decoupled_saddle_run(p, DecoupledParams(epsilon=1e-3))
     assert res.status == "local_solve" and res.rounds == 2
     assert math.isfinite(res.gap.value)
+
+
+def test_a_half_bounded_box_keeps_a_flat_block_at_its_start():
+    # The inert y block's operator is zero, so every point of y >= 0
+    # minimises its constant-operator subproblem and the solve keeps the
+    # anchor.  The box's midpoint, (inf, inf), was once returned as y.
+    p = make_quadratic(np.diag([1.0, 2.0]), b=(0.3, 0.2), side="x",
+                       other_dim=2)
+    p = dataclasses.replace(p, psi_y=BoxIndicator(np.zeros(2),
+                                                  np.full(2, np.inf)))
+    res = decoupled_saddle_run(p, DecoupledParams(epsilon=0.05))
+    assert res.status == "local_solve"
+    assert res.candidate[1].tobytes() == p.y0.tobytes()
+    assert res.gap.value <= 0.05
 
 
 def test_local_solve_stops_at_its_share_of_the_gap():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from saddlesplit.metrics import ScaledMetric
 from saddlesplit.problems import (
     ZeroTerm, QuadraticReg, BallIndicator, BoxIndicator, RegularizedTerm,
-    argmin_linear, spectral_norm,
+    spectral_norm,
     make_bilinear, make_quadratic, make_strongly_convex_concave,
     make_polymatrix, random_polymatrix, save_instance, load_instance,
     TripletMatrix, VipProblem, _product_operand,
@@ -94,15 +94,15 @@ def test_argmin_linear():
     m = ScaledMetric(1)
     q = QuadraticReg(2.0, np.array([1.0]))
     # argmin c*w + (w-1)^2 with c = 4: w = 1 - 4/2 = -1
-    assert argmin_linear(q, m, np.array([4.0])) == pytest.approx(np.array([-1.0]))
+    assert q.argmin_linear(m, np.array([4.0])) == pytest.approx(np.array([-1.0]))
     ball = BallIndicator(np.zeros(2), 2.0)
-    out = argmin_linear(ball, ScaledMetric(2), np.array([3.0, 0.0]))
+    out = ball.argmin_linear(ScaledMetric(2), np.array([3.0, 0.0]))
     assert np.allclose(out, [-2.0, 0.0], atol=1e-12)
     box = BoxIndicator(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-    assert np.allclose(argmin_linear(box, ScaledMetric(2), np.array([2.0, -3.0])),
+    assert np.allclose(box.argmin_linear(ScaledMetric(2), np.array([2.0, -3.0])),
                        [-1.0, 1.0])
     with pytest.raises(ValueError):
-        argmin_linear(ZeroTerm(), m, np.array([1.0]))
+        ZeroTerm().argmin_linear(m, np.array([1.0]))
 
 
 def test_argmin_linear_flat_regulariser_and_zero_covector():
@@ -112,11 +112,106 @@ def test_argmin_linear_flat_regulariser_and_zero_covector():
     ball = BallIndicator(np.array([0.5, -1.0]), 2.0)
     cov = np.array([3.0, -1.0])
     flat = RegularizedTerm(QuadraticReg(0.0, np.ones(2)), ball)
-    assert argmin_linear(flat, m, cov).tobytes() == \
-        argmin_linear(ball, m, cov).tobytes()
-    at_zero = argmin_linear(ball, m, np.zeros(2))
+    assert flat.argmin_linear(m, cov).tobytes() == \
+        ball.argmin_linear(m, cov).tobytes()
+    at_zero = ball.argmin_linear(m, np.zeros(2))
     assert at_zero.tobytes() == ball.center.tobytes()
     assert at_zero is not ball.center
+
+
+
+def _linear_objective(term, metric, cov, w):
+    return float(np.dot(cov, w)) + term.value(metric, w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cov=st.lists(st.floats(-5, 5), min_size=2, max_size=2),
+       mu=st.floats(0.05, 4), seed=st.integers(0, 10**6))
+def test_argmin_linear_is_minimiser(cov, mu, seed):
+    # Each class's linear minimiser beats every feasible perturbation, and
+    # each states its smoothness and modulus; a sum composes both.
+    rng = np.random.default_rng(seed)
+    metric = ScaledMetric(rng.uniform(0.5, 2.0, 2))
+    cov = np.array(cov)
+    inf = np.inf
+    half = np.abs(cov) * [1.0, -1.0]       # points away from each inf bound
+    anchor = np.array([0.2, -0.1])
+    cases = [   # (term, covector, smooth, modulus)
+        (ZeroTerm(), np.zeros(2), True, 0.0),
+        (QuadraticReg(mu, np.array([1.0, -0.5])), cov, True, mu),
+        (BallIndicator(np.array([0.5, 0.0]), 1.3), cov, False, 0.0),
+        (BoxIndicator(np.array([-1.0, -2.0]), np.array([2.0, 0.5])), cov,
+         False, 0.0),
+        (BoxIndicator(np.array([-1.0, -inf]), np.array([inf, 0.5])), half,
+         False, 0.0),
+        (RegularizedTerm(QuadraticReg(mu, np.zeros(2)),
+                         BallIndicator(np.zeros(2), 1.0)), cov, False, mu),
+        (RegularizedTerm(QuadraticReg(mu, np.zeros(2)),
+                         QuadraticReg(2.0, np.array([0.3, 0.1]))), cov, True,
+         mu + 2.0),
+    ]
+    for term, c, smooth, modulus in cases:
+        assert (term.smooth, term.modulus) == (smooth, modulus)
+        w = term.argmin_linear(metric, c, fallback=anchor)
+        assert term.contains(metric, w)
+        base = _linear_objective(term, metric, c, w)
+        for _ in range(8):
+            u = term.project_domain(metric, w + 0.3 * rng.standard_normal(2))
+            assert base <= _linear_objective(term, metric, c, u) + 1e-9
+
+
+def test_box_with_an_infinite_bound_holds_only_its_finite_points():
+    # The tolerance scales with the finite bounds: an infinite one once
+    # made it infinite and let every point in.
+    m = ScaledMetric(2)
+    half = BoxIndicator(np.zeros(2), np.full(2, np.inf))
+    assert half.value(m, [-5.0, -7.0]) == np.inf
+    assert half.value(m, [0.0, 3.0]) == 0.0
+    assert not half.contains(m, [np.inf, 1.0])
+    assert not half.contains(m, [np.nan, 1.0])
+    p = make_strongly_convex_concave(1.0, 1.0, 1.0, n=2)    # x0 ~ 0.707
+    with pytest.raises(ValueError, match="start of agent x lies outside"):
+        dataclasses.replace(p, psi_x=BoxIndicator(np.full(2, 5.0),
+                                                  np.full(2, np.inf)))
+
+
+def test_box_argmin_linear_on_infinite_bounds():
+    # An entry pointing toward an infinite bound has no minimiser; a zero
+    # entry takes the midpoint of two finite bounds, else the fallback's.
+    m = ScaledMetric(3)
+    box = BoxIndicator(np.array([-1.0, 0.0, -np.inf]),
+                       np.array([1.0, np.inf, np.inf]))
+    for cov in ([0.0, -1.0, 0.0], [0.0, 0.0, 2.0], [0.0, 0.0, -2.0]):
+        with pytest.raises(ValueError, match="unbounded below"):
+            box.argmin_linear(m, cov, fallback=np.zeros(3))
+    with pytest.raises(ValueError, match="no unique minimiser"):
+        box.argmin_linear(m, [0.0, 1.0, 0.0])
+    out = box.argmin_linear(m, [0.0, 0.0, 0.0], fallback=[0.5, 3.0, -4.0])
+    assert out.tolist() == [0.0, 3.0, -4.0]
+    assert box.argmin_linear(m, [-1.0, 1.0, 0.0],
+                             fallback=np.zeros(3)).tolist() == [1.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: QuadraticReg(np.nan, np.zeros(1)),
+    lambda: QuadraticReg(np.inf, np.zeros(1)),
+    lambda: QuadraticReg(-1.0, np.zeros(1)),
+    lambda: QuadraticReg(1.0, [np.nan]),
+    lambda: BallIndicator(np.zeros(1), np.nan),
+    lambda: BallIndicator(np.zeros(1), np.inf),
+    lambda: BallIndicator(np.zeros(1), 0.0),
+    lambda: BallIndicator([np.inf], 1.0),
+    lambda: BoxIndicator([np.nan], [1.0]),
+    lambda: BoxIndicator([0.0], [np.nan]),
+    lambda: BoxIndicator([1.0], [0.0]),
+], ids=["quad-mu-nan", "quad-mu-inf", "quad-mu-neg", "quad-center-nan",
+        "ball-radius-nan", "ball-radius-inf", "ball-radius-zero",
+        "ball-center-inf", "box-lower-nan", "box-upper-nan", "box-crossed"])
+def test_terms_reject_parameters_outside_their_range(build):
+    # Moduli and radii are finite, centers finite, and bounds not NaN.
+    with pytest.raises(ValueError):
+        build()
+    BoxIndicator([-np.inf], [np.inf])          # infinite bounds stay allowed
 
 
 # -- generators -------------------------------------------------------------

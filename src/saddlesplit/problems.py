@@ -93,12 +93,13 @@ class ZeroTerm(CompositeTerm):
         raise ValueError("linear objective is unbounded below on a free block")
 
 
-def _finite_center(center):
-    """`center` as a float array; ValueError unless it is finite."""
-    center = np.asarray(center, dtype=float)
-    if not np.all(np.isfinite(center)):
-        raise ValueError("center must be finite")
-    return center
+def _finite(name, values):
+    """`values` as a float array; ValueError naming `name` unless every
+    entry is finite."""
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} must be finite")
+    return values
 
 
 class QuadraticReg(CompositeTerm):
@@ -112,7 +113,7 @@ class QuadraticReg(CompositeTerm):
             raise ValueError(
                 f"quadratic modulus must be finite and nonnegative, got {mu!r}")
         self.mu = self.modulus = float(mu)
-        self.center = _finite_center(center)
+        self.center = _finite("center", center)
 
     def value(self, metric, w):
         return 0.5 * self.mu * metric.norm(np.asarray(w) - self.center) ** 2
@@ -142,7 +143,7 @@ class BallIndicator(CompositeTerm):
         if not (math.isfinite(radius) and radius > 0):
             raise ValueError(
                 f"ball radius must be positive and finite, got {radius!r}")
-        self.center = _finite_center(center)
+        self.center = _finite("center", center)
         self.radius = float(radius)
 
     def prox(self, metric, v, step):
@@ -277,8 +278,9 @@ def _check_agents(diameters, costs):
 
 
 def _check_starts(agents, psis, metrics, starts):
-    """Each agent's start block in the domain of its psi."""
+    """Each agent's start block finite and in the domain of its psi."""
     for agent, psi, metric, w in zip(agents, psis, metrics, starts):
+        _finite(f"the start of agent {agent}", w)
         if not math.isfinite(psi.value(metric, w)):
             raise ValueError(f"the start of agent {agent} lies outside "
                              "dom psi")
@@ -293,9 +295,9 @@ class SaddleProblem:
     problem has no operator method of its own: the monotone operator is
     ``V = (grad_x, -grad_y)``, and each solver writes the y sign once,
     where it forms ``V``.  ``D_x`` and ``D_y`` must be positive and
-    finite, ``costs`` finite and nonnegative, and each start block in the
-    domain of its psi (ValueError otherwise).  ``agents`` names the two
-    agents for an `OracleLedger`.
+    finite, ``costs`` finite and nonnegative, and each start block finite
+    and in the domain of its psi (ValueError otherwise).  ``agents``
+    names the two agents for an `OracleLedger`.
     """
     agents = ("x", "y")
 
@@ -352,7 +354,7 @@ class VipProblem:
     ``operators[i]`` maps a list of block vectors to the i-th operator
     block.  ``L[i][j]`` bounds the variation of block ``i`` against block
     ``j``; ``D[i]`` is the radius of the restriction ball of block ``i``.
-    Each block of ``z0`` must lie in the domain of its psi.
+    Each block of ``z0`` must be finite and lie in the domain of its psi.
     """
     operators: list
     psis: list
@@ -494,26 +496,34 @@ def spectral_norm(A):
 # saddle generators
 # ---------------------------------------------------------------------------
 
-def _linear_system(A, b, x_star):
-    """``(A, b, w, matvec, rmatvec)`` for the linear system ``A w = b``.
+def _linear_system(A, b, x_star, norm):
+    """``(A, b, w, norm, matvec, rmatvec)`` for the linear system ``A w = b``.
 
     `A` becomes the form its products multiply through (see
     `_product_operand`); `b` defaults to zero and must match the rows;
     ``w`` is `x_star`, which must match the columns, or else a
-    least-squares solution.
+    least-squares solution; ``norm`` is the given `norm` of `A`, or else
+    its `spectral_norm`.  A non-finite `A`, `b`, `x_star` or `norm`
+    raises ValueError naming it, before any LAPACK call.
     """
     A = _product_operand(A)
+    _finite("A", A.vals if isinstance(A, TripletMatrix) else A)
     m, n = A.shape
-    b = np.zeros(m) if b is None else np.asarray(b, dtype=float)
+    b = np.zeros(m) if b is None else _finite("b", b)
     if b.shape != (m,):
         raise ValueError("right-hand side does not match the row dimension")
-    if x_star is None:
-        w = np.linalg.lstsq(np.asarray(A), b, rcond=None)[0]
-    else:
-        w = np.array(x_star, dtype=float)
-        if w.shape != (n,):
+    if x_star is not None:
+        x_star = np.array(x_star, dtype=float)
+        if x_star.shape != (n,):
             raise ValueError("x_star does not match the column dimension")
-    return (A, b, w, *_matrix_products(A))
+        _finite("x_star", x_star)
+    if norm is None:
+        norm = spectral_norm(A)
+    else:
+        norm = float(_finite("norm", norm))
+    if x_star is None:
+        x_star = np.linalg.lstsq(np.asarray(A), b, rcond=None)[0]
+    return (A, b, x_star, norm, *_matrix_products(A))
 
 
 def make_bilinear(A, b=None, D_x=1.0, D_y=1.0, costs=(1.0, 1.0), name="bilinear",
@@ -527,7 +537,7 @@ def make_bilinear(A, b=None, D_x=1.0, D_y=1.0, costs=(1.0, 1.0), name="bilinear"
     array or a `TripletMatrix`; ``structure["A"]`` keeps it in the form
     its products multiply through (see `_product_operand`).
     """
-    A, b, xs, matvec, rmatvec = _linear_system(A, b, x_star)
+    A, b, xs, norm, matvec, rmatvec = _linear_system(A, b, x_star, norm)
     m, n = A.shape
 
     def grad_x(z):
@@ -548,7 +558,7 @@ def make_bilinear(A, b=None, D_x=1.0, D_y=1.0, costs=(1.0, 1.0), name="bilinear"
         psi_x=ZeroTerm(), psi_y=ZeroTerm(),
         x0=np.zeros(n), y0=np.zeros(m),
         L_x=0.0, L_y=0.0,
-        L_xy=spectral_norm(A) if norm is None else float(norm),
+        L_xy=norm,
         D_x=D_x, D_y=D_y, costs=costs, saddle=saddle,
         f_value=f_value,
         structure={"kind": "bilinear", "A": A, "b": b,
@@ -566,11 +576,20 @@ def make_quadratic(A, b=None, side="x", other_dim=1, D_x=1.0, D_y=1.0,
     saddle is a least-squares minimiser; a known one, `x_star`, skips the
     solve that would find it.  `norm` and `A` are as in `make_bilinear`;
     the active agent's constant is ``||A||^2``.
+
+    When `A` is dense (see `_product_operand`) with no more columns than
+    rows, ``n <= m``, the normal matrix ``G = A^T A`` (n x n, no larger
+    than `A`) and ``c = A^T b`` are formed once, and each active query
+    makes one product: ``G x - c`` on the x side, ``c - G y`` on the y
+    side.  A `TripletMatrix` or a wide dense `A`, where ``G`` would be
+    denser or larger than `A`, keeps two products per query,
+    ``A^T (A x - b)`` or ``A^T (b - A y)``.  The two forms agree up to
+    rounding; `f_value` and ``structure`` read `A` itself either way.
     """
     if side not in ("x", "y"):
         raise ValueError("side must be 'x' or 'y'")
-    A, b, ws, matvec, rmatvec = _linear_system(A, b, x_star)
-    n = A.shape[1]
+    A, b, ws, norm, matvec, rmatvec = _linear_system(A, b, x_star, norm)
+    m, n = A.shape
     structure = {
         "kind": f"quadratic_{side}", "A": A, "b": b, "other_dim": other_dim,
         "matvec": matvec, "rmatvec": rmatvec,
@@ -582,10 +601,18 @@ def make_quadratic(A, b=None, side="x", other_dim=1, D_x=1.0, D_y=1.0,
     def place(active, inert):
         return (active, inert) if side == "x" else (inert, active)
 
-    def active(z):
-        # b - A y is -(A y - b) bit for bit: rounding is symmetric in sign.
-        r = matvec(z[own])
-        return rmatvec(r - b if side == "x" else b - r)
+    # c - G y is -(G y - c), and b - A y is -(A y - b), bit for bit:
+    # rounding is symmetric in sign.
+    if isinstance(A, np.ndarray) and n <= m:
+        normal, c = (A.T @ A).dot, rmatvec(b)
+
+        def active(z):
+            g = normal(z[own])
+            return g - c if side == "x" else c - g
+    else:
+        def active(z):
+            r = matvec(z[own])
+            return rmatvec(r - b if side == "x" else b - r)
 
     # One read-only zero vector serves every inert query.
     zero = np.zeros(other_dim)
@@ -599,9 +626,7 @@ def make_quadratic(A, b=None, side="x", other_dim=1, D_x=1.0, D_y=1.0,
 
     grad_x, grad_y = place(active, inert)
     x0, y0 = place(np.zeros(n), np.zeros(other_dim))
-    if norm is None:
-        norm = spectral_norm(A)
-    L_x, L_y = place(float(norm) ** 2, 0.0)
+    L_x, L_y = place(norm ** 2, 0.0)
     return SaddleProblem(
         grad_x=grad_x, grad_y=grad_y,
         psi_x=ZeroTerm(), psi_y=ZeroTerm(), x0=x0, y0=y0,

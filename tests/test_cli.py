@@ -434,6 +434,21 @@ def test_bad_experiment_value_exits_2(tmp_path, capsys, key, value):
     assert err.startswith("config error:") and key in err
 
 
+@pytest.mark.parametrize("kind", ["bilinear", "quadratic_x"])
+def test_non_finite_matrix_exits_2_before_lapack(tmp_path, capfd, kind):
+    # An infinite entry of A used to reach LAPACK, which wrote "On entry to
+    # DLASCL parameter number 4 had an illegal value" six times (to the
+    # process's stdout) before the least-squares solve failed.
+    path = _write(tmp_path, "[experiment]\nepsilons = [0.1]\n\n[instance.a]\n"
+                  f"kind = {kind}\nA = [[1.0, 0.0], [0.0, 1e999]]\n")
+    assert cli.main(["run", "--config", path,
+                     "--out", str(tmp_path / "out")]) == 2
+    out, err = capfd.readouterr()
+    assert err == ("config error: cannot build instance [instance.a]: "
+                   "A must be finite\n")
+    assert "DLASCL" not in out + err
+
+
 def test_main_exit_codes(tmp_path):
     path = _write(tmp_path, SP_CONFIG)
     out = str(tmp_path / "run_out")

@@ -7,8 +7,9 @@ after a deliberate change of results, run this module as a script:
 
     PYTHONPATH=src python tests/test_golden.py
 
-It prints every moved row, with ``fixture -> got`` per column, before it
-rewrites a fixture.
+It prints every moved row, with ``fixture -> got`` per column, then the
+number of moved cells and the largest relative move in each numeric
+column, before it rewrites a fixture.
 
 Two fixtures hold the full benchmark grids, ``saddle_grid`` and
 ``chain_closed_form`` at seed 1, from the configs `bench/workloads.py`
@@ -18,6 +19,7 @@ on.
 
 import csv
 import importlib.util
+import math
 import os
 
 import pytest
@@ -144,6 +146,31 @@ def row_differences(got, want):
     return moved
 
 
+def move_summary(got, want):
+    """How far `got` moved from the fixture `want`: the number of moved
+    cells, then per moved numeric column its largest relative move,
+    ``|got - fixture| / |fixture|`` (infinite from a zero fixture cell)."""
+    got_rows = list(csv.reader(got.splitlines()))
+    want_rows = list(csv.reader(want.splitlines()))
+    header = want_rows[0]
+    cells = 0
+    largest = {}
+    for g, w in zip(got_rows[1:], want_rows[1:]):
+        for name, a, b in zip(header, w, g):
+            if a == b:
+                continue
+            cells += 1
+            try:
+                a, b = float(a), float(b)
+            except ValueError:
+                continue
+            move = abs(b - a) / abs(a) if a else math.inf
+            largest[name] = max(largest.get(name, 0.0), move)
+    return [f"{cells} moved cells"] + [
+        f"largest relative move of {name}: {move:.3g}"
+        for name, move in largest.items()]
+
+
 def first_difference(got, want):
     """Where `got` first departs from the fixture `want`."""
     return row_differences(got, want)[0]
@@ -194,6 +221,24 @@ def test_first_difference_names_the_row_and_its_columns():
         "{'rounds': '5 -> 6', 'gap': '0.125 -> 0.25'}"]
 
 
+def test_move_summary_counts_cells_and_the_largest_relative_moves():
+    want = ("instance_id,solver,epsilon,rounds,gap,status\n"
+            "a,decoupled,0.1,2,0.5,converged\n"
+            "b,decoupled,0.1,4,0.25,converged\n"
+            "c,decoupled,0.1,5,0,converged\n")
+    got = ("instance_id,solver,epsilon,rounds,gap,status\n"
+           "a,decoupled,0.1,2,0.5000000000000001,converged\n"
+           "b,decoupled,0.1,5,0.5,diverged\n"
+           "c,decoupled,0.1,5,0,converged\n")
+    assert move_summary(got, want) == [
+        "4 moved cells",
+        "largest relative move of gap: 1",
+        "largest relative move of rounds: 0.25"]
+    assert move_summary(want, want) == ["0 moved cells"]
+    zero = want.replace("c,decoupled,0.1,5,0,", "c,decoupled,0.1,5,1e-300,")
+    assert move_summary(zero, want)[-1] == "largest relative move of gap: inf"
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -210,6 +255,8 @@ if __name__ == "__main__":
             if text != old:
                 for line in row_differences(text, old):
                     print(line)
+            for line in move_summary(text, old):
+                print(line)
         with open(fixture, "w") as fh:
             fh.write(text)
         print(f"wrote {fixture}")

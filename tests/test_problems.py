@@ -13,6 +13,7 @@ from saddlesplit.problems import (
     make_polymatrix, random_polymatrix, save_instance, load_instance,
     TripletMatrix, VipProblem, _product_operand,
 )
+from saddlesplit import problems
 from saddlesplit.hard_instances import make_hard_saddle
 
 I1 = ScaledMetric(1)
@@ -318,6 +319,97 @@ def test_problems_reject_a_start_outside_dom_psi():
                             psis=[ZeroTerm(), box])
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_saddle_problem_rejects_a_non_finite_start(bad):
+    # psi = 0 holds every point, so the domain check let these through; a
+    # solver then ran from them to `diverged` or a NaN gap.
+    p = make_strongly_convex_concave(1.0, 1.0, 1.0, n=2)
+    with pytest.raises(ValueError, match="start of agent x must be finite"):
+        dataclasses.replace(p, x0=[bad, 0.0])
+    with pytest.raises(ValueError, match="start of agent y must be finite"):
+        dataclasses.replace(p, y0=[0.0, bad])
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_vip_problem_rejects_a_non_finite_start(bad):
+    poly = make_polymatrix([2, 2], [[None, np.eye(2)], [-np.eye(2), None]])
+    with pytest.raises(ValueError, match="start of agent 2 must be finite"):
+        dataclasses.replace(poly, z0=[np.zeros(2), np.array([0.0, bad])])
+
+
+@pytest.mark.parametrize("make", [make_bilinear, make_quadratic])
+@pytest.mark.parametrize("key, value", [
+    ("A", [[1.0, 0.0], [0.0, np.inf]]),
+    ("A", [[np.nan]]),
+    ("A", TripletMatrix((200, 2), np.array([0, 1]), np.array([0, 1]),
+                        np.array([1.0, -np.inf]))),
+    ("b", [np.inf, 0.0]),
+    ("x_star", [0.0, np.nan]),
+    ("norm", np.inf),
+    ("norm", np.nan),
+], ids=["A-dense-inf", "A-dense-nan", "A-triplet", "b", "x_star", "norm-inf",
+        "norm-nan"])
+def test_linear_system_generators_reject_non_finite_data(monkeypatch, make,
+                                                         key, value):
+    # Each used to build and run to `diverged` with a NaN gap, or (an
+    # infinite entry of A) to fail inside LAPACK.  The check comes first.
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("LAPACK called on non-finite data")
+
+    monkeypatch.setattr(problems, "spectral_norm", no_lapack)
+    monkeypatch.setattr(np.linalg, "lstsq", no_lapack)
+    with pytest.raises(ValueError, match=f"^{key} must be finite$"):
+        make(**{"A": np.eye(2), "b": np.ones(2), "norm": 1.0, key: value})
+
+
+def _quadratic_query(p, side, w):
+    """The active oracle's answer at `w`, the other block zero."""
+    z = (w, np.zeros(p.ny)) if side == "x" else (np.zeros(p.nx), w)
+    return (p.grad_x if side == "x" else p.grad_y)(z)
+
+
+@pytest.mark.parametrize("side", ["x", "y"])
+@pytest.mark.parametrize("shape", [(7, 4), (5, 5)], ids=["tall", "square"])
+def test_dense_quadratic_oracle_multiplies_by_its_normal_matrix(side, shape):
+    rng = np.random.default_rng(23)
+    A, b = rng.standard_normal(shape), rng.standard_normal(shape[0])
+    p = make_quadratic(A, b, side=side)
+    G, c = A.T @ A, A.T @ b
+    norm = np.linalg.norm(A, 2)
+    for _ in range(5):
+        w = rng.standard_normal(shape[1])
+        got = _quadratic_query(p, side, w)
+        Gw = G @ w
+        assert np.array_equal(got, Gw - c if side == "x" else c - Gw)
+        two = A.T @ (A @ w - b)
+        want = two if side == "x" else -two
+        assert (np.linalg.norm(got - want)
+                <= 1e-12 * (norm ** 2 * np.linalg.norm(w)
+                            + norm * np.linalg.norm(b)))
+
+
+@pytest.mark.parametrize("side", ["x", "y"])
+@pytest.mark.parametrize("A", [
+    np.random.default_rng(29).standard_normal((3, 6)),
+    TripletMatrix((130, 129), np.r_[np.arange(129), np.arange(1, 130)],
+                  np.r_[np.arange(129), np.arange(129)],
+                  np.r_[np.full(129, 0.5), np.full(129, -0.5)]),
+], ids=["wide", "triplet"])
+def test_wide_and_triplet_quadratic_oracles_keep_two_products(side, A):
+    # G = A^T A would be larger than a wide A, and denser than a chain.
+    rng = np.random.default_rng(31)
+    m, n = A.shape
+    b = rng.standard_normal(m)
+    p = make_quadratic(A, b, side=side)
+    assert type(p.structure["A"]) is type(A)
+    matvec, rmatvec = p.structure["matvec"], p.structure["rmatvec"]
+    for _ in range(5):
+        w = rng.standard_normal(n)
+        r = matvec(w)
+        assert np.array_equal(_quadratic_query(p, side, w),
+                              rmatvec(r - b if side == "x" else b - r))
+
+
 def _operator_full(p, z):
     return np.concatenate([p.grad_x(z), -p.grad_y(z)])
 
@@ -439,9 +531,11 @@ def test_instance_roundtrip(tmp_path, build):
             assert np.allclose(p.operators[i](z), q.operators[i](z), atol=1e-12)
         assert np.allclose(p.L, q.L, atol=1e-12)
     else:
+        # The file holds every float's repr, so the rebuilt saddle oracles
+        # (the dense quadratic's normal matrix included) answer bit for bit.
         z = (rng.standard_normal(p.nx), rng.standard_normal(p.ny))
-        assert np.allclose(p.grad_x(z), q.grad_x(z), atol=1e-12)
-        assert np.allclose(p.grad_y(z), q.grad_y(z), atol=1e-12)
+        assert np.array_equal(p.grad_x(z), q.grad_x(z))
+        assert np.array_equal(p.grad_y(z), q.grad_y(z))
         assert (q.L_x, q.L_y, q.L_xy) == pytest.approx((p.L_x, p.L_y, p.L_xy))
 
 

@@ -24,8 +24,9 @@ its own (`accounting.Row.test`).  A closed form's bound is its witness:
 the maximisers of the form at the last candidate the test evaluated
 give an affine minorant of the form, and the bound answers "no"
 wherever that minorant, less a rounding margin, stays above epsilon.
-`_closed_form` writes each form's products once, for its value and its
-witness, and every witness is built through `_witness_anchor`, which
+`_closed_form` writes each form's products once; its value returns
+those it computed, and its witness reuses them at the candidate it
+anchors at.  Every witness is built through `_witness_anchor`, which
 computes the margin once per candidate and a witness once per
 anchoring candidate.  A saddle estimate's, with no psi left over
 and identity metrics, answers "no" whenever the estimator's first step
@@ -37,7 +38,7 @@ candidate is evaluated, so statuses and gaps are unchanged.
 
 import copy
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -59,6 +60,9 @@ class GapResult:
     value: float
     exact: bool
     method: str
+    # A closed form's products at the candidate, which its witness reuses
+    # (None for other methods); no part of the result's value.
+    products: tuple = field(default=None, repr=False, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -138,33 +142,39 @@ def restricted_gap(problem, candidate):
         ``exact`` only for a closed form with no psi left over by `_gap_set`.
     """
     method, exact, value, _ = _gap_plan(problem)
-    return GapResult(value(candidate), exact, method)
+    gap, products = value(candidate)
+    return GapResult(gap, exact, method, products)
 
 
 def _gap_plan(p):
     """``(method, exact, value, make_anchor)``: how the gap of `p` is computed.
 
-    ``value(candidate)`` is the gap.  ``make_anchor()`` (or None) makes
-    `GapTest`'s anchor or None: ``anchor(candidate)``, asked after each
-    evaluation and, with no candidate, when the test is built, returns a
-    bound or None.  ``bound(c)`` is a number below the gap of ``c`` in dom
-    psi as ``value`` computes it (or NaN), so ``bound(c) > eps`` proves
-    that gap above ``eps``.  A VI
-    without polymatrix ``structure`` and an estimated saddle without
-    ``f_value`` have no plan: ValueError, raised when a run builds its
-    `GapTest`, before it spends any query.
+    ``value(candidate)`` is the pair of the gap and the closed form's
+    products at the candidate (None for an estimate).
+    ``make_anchor(evaluated)`` (or None) makes `GapTest`'s anchor or
+    None, given ``evaluated(s)``, the products of the evaluation of ``s``
+    if it was the last one, else None: ``anchor(candidate)``, asked after
+    each evaluation and, with no candidate, when the test is built,
+    returns a bound or None.  ``bound(c)`` is a number below the gap of
+    ``c`` in dom psi as ``value`` computes it (or NaN), so ``bound(c) >
+    eps`` proves that gap above ``eps``.  A VI without polymatrix
+    ``structure`` and an estimated saddle without ``f_value`` have no
+    plan: ValueError, raised when a run builds its `GapTest`, before it
+    spends any query.
     """
     if isinstance(p, VipProblem):
         if (p.structure or {}).get("kind") != "polymatrix":
             raise ValueError("weak-gap estimation needs affine operator "
                              "structure")
-        return "vip-pga-estimate", False, lambda c: _vip_gap(p, c), None
+        return ("vip-pga-estimate", False, lambda c: (_vip_gap(p, c), None),
+                None)
     plan = _closed_form(p)
     if plan is None and p.f_value is None:
         raise ValueError("gap estimation requires function values on the "
                          "instance")
-    return plan or ("pga-estimate", False, lambda c: _saddle_gap(p, c),
-                    lambda: _first_step_bound(p))
+    return plan or ("pga-estimate", False,
+                    lambda c: (_saddle_gap(p, c), None),
+                    lambda evaluated: _first_step_bound(p))
 
 
 def _gap_set(p):
@@ -200,7 +210,8 @@ def _closed_form(p):
     bound, and exact when no psi is left.  A ``quadratic_*`` one also
     needs its system consistent, with the minimiser inside the merged
     ball.  Each form's products, ``A w - b`` and ``A^T y``, are defined
-    here once, and its value and its witness both call them.
+    here once; its value returns those it computed, and its witness
+    reuses them at the evaluated candidate it anchors at.
     """
     st = p.structure or {}
     kind = st.get("kind")
@@ -223,13 +234,15 @@ def _closed_form(p):
 
         def bilinear(candidate):
             xbar, ybar = _scored_blocks(p, candidate)
-            max_side = _linear_ball_max(p.metric_y, yc, ry, residual(xbar))
+            products = residual(xbar), rmatvec(ybar)
+            max_side = _linear_ball_max(p.metric_y, yc, ry, products[0])
             # min over the x-ball of <A^T ybar, x> - <b, ybar>
-            min_side = -_linear_ball_max(p.metric_x, xc, rx, -rmatvec(ybar)) \
+            min_side = -_linear_ball_max(p.metric_x, xc, rx, -products[1]) \
                 - float(b.dot(ybar))
-            return max_side - min_side
+            return max_side - min_side, products
         return ("bilinear-closed-form", exact, bilinear,
-                lambda: _bilinear_witness(p, gap_set, residual, rmatvec))
+                lambda evaluated: _bilinear_witness(p, gap_set, residual,
+                                                    rmatvec, evaluated))
 
     side = 0 if kind == "quadratic_x" else 1
     center, radius, _ = gap_set[side]
@@ -241,9 +254,11 @@ def _closed_form(p):
     def quadratic(candidate):
         # The inner extreme attains zero residual inside the ball, so
         # only the candidate's own residual remains.
-        return 0.5 * _euclid(residual(_scored_blocks(p, candidate)[side])) ** 2
+        r = residual(_scored_blocks(p, candidate)[side])
+        return 0.5 * _euclid(r) ** 2, (r,)
     return ("quadratic-closed-form", exact, quadratic,
-            lambda: _quadratic_witness(p, side, residual, rmatvec))
+            lambda evaluated: _quadratic_witness(p, side, residual, rmatvec,
+                                                 evaluated))
 
 
 def _scored_blocks(p, candidate):
@@ -417,7 +432,7 @@ def _ball_maximiser(metric, center, radius, g):
     return center + (radius / dual) * metric.apply_inv(g)
 
 
-def _bilinear_witness(p, gap_set, residual, rmatvec):
+def _bilinear_witness(p, gap_set, residual, rmatvec, evaluated):
     """Anchor of the bilinear closed form: the form's own maximisers.
 
     At ``c = (x, y)`` the form is ``max_{y' in B_y} <A x - b, y'>
@@ -426,8 +441,9 @@ def _bilinear_witness(p, gap_set, residual, rmatvec):
     ``P``).  At an evaluated candidate ``s`` the extremes are attained at
     ``yhat = y_c + r_y P_y^{-1} g_y / ||g_y||_*`` for ``g_y = A x_s - b``
     and ``xhat = x_c - r_x P_x^{-1} g_x / ||g_x||_*`` for ``g_x = A^T y_s``
-    (the center for a zero gradient).  Held at those points, they give the
-    affine minorant
+    (the center for a zero gradient); ``g_y`` and ``A^T y_s`` are the
+    products of the evaluation of ``s``, from ``evaluated(s)``, or else
+    computed.  Held at those points, they give the affine minorant
 
         l(c) = <A^T yhat, x> - <A xhat - b, y> - <b, yhat>
 
@@ -457,24 +473,26 @@ def _bilinear_witness(p, gap_set, residual, rmatvec):
     m0 = scale * (nb * _euclid(yc) + ry * p.metric_y.dual_norm(b))
 
     def witness(s):
-        xs, ys = (np.asarray(w, dtype=float) for w in s)
-        yhat = _ball_maximiser(p.metric_y, yc, ry, residual(xs))
-        xhat = _ball_maximiser(p.metric_x, xc, rx, -rmatvec(ys))
+        gy, gx = evaluated(s) or (residual(np.asarray(s[0], dtype=float)),
+                                  rmatvec(np.asarray(s[1], dtype=float)))
+        yhat = _ball_maximiser(p.metric_y, yc, ry, gy)
+        xhat = _ball_maximiser(p.metric_x, xc, rx, -gx)
         sx, sy, by = rmatvec(yhat), residual(xhat), float(b.dot(yhat))
         return lambda c: sx.dot(c[0]) - sy.dot(c[1]) - by
     return _witness_anchor(
         lambda c: mx * _euclid(c[0]) + my * _euclid(c[1]) + m0, witness)
 
 
-def _quadratic_witness(p, side, residual, rmatvec):
+def _quadratic_witness(p, side, residual, rmatvec, evaluated):
     """Anchor of the one-sided quadratic closed form: the residual
     direction.
 
     The form is ``||r||^2 / 2`` with ``r = A w - b`` on the active block
     ``w`` (Euclidean), and ``||r||`` is the maximum of ``<u, r>`` over unit
     vectors ``u``.  At an evaluated candidate with residual ``r_s`` it is
-    attained at ``u = r_s / ||r_s||``, so ``l(w) = <A^T u, w> - <u, b>`` is
-    an affine minorant of the residual norm at every candidate.  As in
+    attained at ``u = r_s / ||r_s||`` (``r_s`` from ``evaluated(s)``, or
+    else computed), so ``l(w) = <A^T u, w> - <u, b>`` is an affine
+    minorant of the residual norm at every candidate.  As in
     `_bilinear_witness`, four roundings (the residual's at ``w``, the
     length of the computed ``u``, forming ``A^T u`` and ``<u, b>``, and the
     dot product of ``l(w)``) each move it by at most ``_ROUNDING_MARGIN
@@ -490,7 +508,7 @@ def _quadratic_witness(p, side, residual, rmatvec):
     half = 0.5 * (1.0 - _ROUNDING_MARGIN)
 
     def witness(s):
-        r = residual(np.asarray(s[side], dtype=float))
+        r, = evaluated(s) or (residual(np.asarray(s[side], dtype=float)),)
         norm = _euclid(r)
         if not (norm > 0.0 and math.isfinite(norm)):
             return None
@@ -542,7 +560,7 @@ class _Evaluations:
     def __init__(self, problem, evaluate):
         self.problem, self.evaluate = problem, evaluate
         self.method, _, _, make_anchor = _gap_plan(problem)
-        self.anchor = make_anchor and make_anchor()
+        self.anchor = make_anchor and make_anchor(self.products)
         self.candidate = self.result = None
 
     def __call__(self, candidate):
@@ -550,6 +568,15 @@ class _Evaluations:
             self.result = self.evaluate(self.problem, candidate)
             self.candidate = candidate
         return self.result
+
+    def products(self, candidate):
+        """The products of the last evaluation if it was of `candidate`,
+        for the witness anchored there; else None.  They are handed out
+        once and dropped from the result, which rows keep."""
+        if candidate is not self.candidate:
+            return None
+        products, self.result.products = self.result.products, None
+        return products
 
 
 class GapTest:

@@ -771,6 +771,50 @@ def test_rows_share_each_witness_and_each_margin(monkeypatch, kind, solver):
     assert max(anchored.values()) >= 2      # several tests anchor at one
 
 
+@pytest.mark.parametrize("kind, per_evaluation", [
+    ("bilinear", 4), ("quadratic_x", 2)])
+def test_witness_reuses_its_evaluations_products(kind, per_evaluation):
+    # The witness anchored at an evaluated candidate takes the products
+    # that evaluation formed (A x - b and A^T y for a bilinear form, the
+    # residual for a quadratic one) instead of forming them again: each
+    # anchoring evaluation makes 2 + 2 and 1 + 1 products, not 2 + 4 and
+    # 1 + 2.  Its bounds keep their bits.
+    from saddlesplit.evaluation import _closed_form
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((6, 4))
+    b = A @ (0.15 * rng.standard_normal(4))
+    p = (make_bilinear(A, b) if kind == "bilinear"
+         else make_quadratic(A, b, side="x"))
+    # Toward the saddle, so that the witnesses stop ruling candidates out.
+    walk = [tuple(w + 0.7 ** k * (1.0 - w) for w in p.saddle)
+            for k in range(40)]
+    _, _, value, make_anchor = _closed_form(p)
+    for s in walk[::10]:
+        _, products = value(s)
+        reused = make_anchor(lambda c: products if c is s else None)(s)
+        fresh = make_anchor(lambda c: None)(s)
+        assert [reused(c) for c in walk] == [fresh(c) for c in walk]
+
+    st = p.structure
+    products = []
+    for name in ("matvec", "rmatvec"):
+        def counted(v, product=st[name]):
+            products.append(v)
+            return product(v)
+        st[name] = counted
+    evaluations = []
+
+    def spy(problem, candidate):
+        evaluations.append(candidate)
+        return restricted_gap(problem, candidate)
+
+    test = GapTest(p, 1e-3, spy)
+    for c in walk:
+        test(c)
+    assert len(evaluations) >= 5
+    assert len(products) == per_evaluation * len(evaluations)
+
+
 def test_gap_test_ignores_evaluations_other_than_its_closed_form():
     # A gap function that is not the closed form (here, a stub) gives no
     # anchor: every scored candidate is evaluated.

@@ -525,14 +525,17 @@ def test_instance_roundtrip(tmp_path, build):
     save_instance(p, path)
     q = load_instance(path)
     rng = np.random.default_rng(11)
+    # The file holds every float's repr, so the rebuilt oracles answer bit
+    # for bit: the dense quadratic's normal matrix included, and the VI's
+    # blocks, which `make_polymatrix` keeps C-contiguous however they come
+    # (`random_polymatrix` passes each lower block as the view -M.T).
     if hasattr(p, "K"):
-        z = [rng.standard_normal(d) for d in p.dims]
-        for i in range(p.K):
-            assert np.allclose(p.operators[i](z), q.operators[i](z), atol=1e-12)
-        assert np.allclose(p.L, q.L, atol=1e-12)
+        for _ in range(100):
+            z = [rng.standard_normal(d) for d in p.dims]
+            for i in range(p.K):
+                assert np.array_equal(p.operators[i](z), q.operators[i](z))
+        assert np.array_equal(p.L, q.L)
     else:
-        # The file holds every float's repr, so the rebuilt saddle oracles
-        # (the dense quadratic's normal matrix included) answer bit for bit.
         z = (rng.standard_normal(p.nx), rng.standard_normal(p.ny))
         assert np.array_equal(p.grad_x(z), q.grad_x(z))
         assert np.array_equal(p.grad_y(z), q.grad_y(z))
@@ -627,6 +630,96 @@ def test_triplet_matrix_is_the_row_major_nonzero_scan():
     C = TripletMatrix((2, 2), np.array([0, 1]), np.array([0, 1]),
                       np.array([1.0, 2.0]))
     assert np.array_equal(_product_operand(C), np.diag([1.0, 2.0]))
+
+
+def _bincount_products(A):
+    """The products of triplet matrix `A` as ``np.bincount`` forms them."""
+    (m, n), rows, cols, vals = A.shape, A.rows, A.cols, A.vals
+    return (lambda x: np.bincount(rows, weights=vals * x[cols], minlength=m),
+            lambda y: np.bincount(cols, weights=vals * y[rows], minlength=n))
+
+
+def _zero_laden_vectors(rng, size):
+    """Gaussian vectors with scattered +0.0 and -0.0 entries, zero tails
+    of either sign (as a Krylov iterate has) and all-zero vectors."""
+    for start in (size // 2, 1, 0):
+        for zero in (0.0, -0.0):
+            v = rng.normal(size=size)
+            v[rng.integers(0, size, size // 5)] = 0.0
+            v[rng.integers(0, size, size // 5)] = -0.0
+            v[start:] = zero
+            yield v
+
+
+def _assert_products_match_bincount(A, rng):
+    matvec, rmatvec = problems._matrix_products(A)
+    ref_matvec, ref_rmatvec = _bincount_products(A)
+    m, n = A.shape
+    for x, y in zip(_zero_laden_vectors(rng, n), _zero_laden_vectors(rng, m)):
+        for got, want in ((matvec(x), ref_matvec(x)),
+                          (rmatvec(y), ref_rmatvec(y))):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()       # signed zeros too
+
+
+@pytest.mark.parametrize("pad", [0, 3], ids=["default", "padded"])
+@pytest.mark.parametrize("k", [63, 500])
+@pytest.mark.parametrize("scale", [4.0, 2.0], ids=["bilinear", "quadratic"])
+def test_diagonal_products_match_bincount_on_chains(monkeypatch, scale, k,
+                                                    pad):
+    # The chain's two diagonals, offsets 0 and -1, each fill one run, in
+    # a larger matrix too.  At k = 63, the smallest chain kept as
+    # triplets, the runs (127 entries) are below `_DIAGONAL_RUN`, so the
+    # bound is lowered to multiply it through the runs as well.
+    from saddlesplit.hard_instances import _chain
+    p, _, chain, _, _ = _chain(scale, 1.5, k)
+    A = TripletMatrix((p + 1 + pad, p + pad), chain.rows, chain.cols,
+                      chain.vals)
+    if k == 63:
+        assert problems._diagonal_runs(A) is None
+        monkeypatch.setattr(problems, "_DIAGONAL_RUN", 1)
+    runs = problems._diagonal_runs(A)
+    assert [(r.start, r.stop, c.start, c.stop) for r, c, _ in runs] == [
+        (1, p + 1, 0, p), (0, p, 0, p)]
+    _assert_products_match_bincount(A, np.random.default_rng(k + pad))
+
+
+def test_diagonal_products_match_bincount_on_a_banded_matrix():
+    rng = np.random.default_rng(3)
+    n = 800
+    dense = sum(np.diag(rng.normal(size=n - abs(o)), o) for o in (-1, 0, 2))
+    A = _product_operand(dense)
+    assert isinstance(A, TripletMatrix)
+    runs = problems._diagonal_runs(A)
+    assert [(r.start, c.start, v.size) for r, c, v in runs] == [
+        (1, 0, n - 1), (0, 0, n), (0, 2, n - 2)]
+    _assert_products_match_bincount(A, rng)
+    matvec, rmatvec = problems._matrix_products(A)
+    x = rng.normal(size=n)
+    assert np.allclose(matvec(x), dense @ x, rtol=1e-14, atol=1e-14)
+    assert np.allclose(rmatvec(x), dense.T @ x, rtol=1e-14, atol=1e-14)
+
+
+def test_other_triplet_matrices_keep_bincount():
+    # Scattered nonzeros, a diagonal with a gap, and triplets out of
+    # row-major order have no diagonal runs; their products are bincount's.
+    from saddlesplit.hard_instances import _chain
+    rng = np.random.default_rng(8)
+    m, n = 600, 500
+    flat = np.sort(rng.choice(m * n, size=(m * n) // 64, replace=False))
+    scattered = TripletMatrix((m, n), flat // n, flat % n,
+                              rng.standard_normal(flat.size))
+    _, _, chain, _, _ = _chain(1.0, 1.0, 500)
+    keep = np.arange(chain.vals.size) != 400                # entry (200, 200)
+    gapped = TripletMatrix(chain.shape, chain.rows[keep], chain.cols[keep],
+                           chain.vals[keep])
+    order = np.arange(chain.vals.size)
+    order[[10, 11]] = order[[11, 10]]
+    unordered = TripletMatrix(chain.shape, chain.rows[order],
+                              chain.cols[order], chain.vals[order])
+    for A in (scattered, gapped, unordered):
+        assert problems._diagonal_runs(A) is None
+        _assert_products_match_bincount(A, rng)
 
 
 def test_bilinear_known_solution():

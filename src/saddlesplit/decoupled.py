@@ -524,7 +524,7 @@ def _decoupled_run(problem, bind, psis, metrics, L, d_hat, gradient,
         task = BlockTask(operator=block_operator(i, tuple(full)), psi=psis[i],
                          anchor=full[i], metric=metrics[i],
                          lipschitz=lips[i])
-        gap_ball = None if gap_set is None else (*gap_set[i][:2], eps / K)
+        gap_ball = gap_set and (gap_set[i].center, gap_set[i].radius, eps / K)
         full[i] = residual_agd(task, xi=eps / (4.0 * d_hat[i] * d_hat[i]),
                                gap_ball=gap_ball).point
 

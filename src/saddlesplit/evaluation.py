@@ -10,12 +10,15 @@ inequalities the weak restricted gap
 
     gap(z') = sup_{z in B ∩ Q} <V(z), z' - z> + psi(z') - psi(z)
 
-is used.  `_gap_set` decides B ∩ Q, and `_gap_plan` how the gap is
-computed: by a closed form over its balls where `_closed_form` gives one
-(exact when no psi is left over, a certified upper bound, ``exact=False``,
-when only indicators are), else by projected-gradient inner maximisation,
-flagged as an estimate.  `restricted_gap` makes the plan on every call;
-``problem.structure`` keeps only the VI's operator matrix and constant.
+is used.  `_gap_set` gives B ∩ Q as one `GapBlock` per block, whose
+psi's `meet_ball` decides how it meets the block's ball; the block owns
+the ball's support, maximiser and projection.  `_gap_plan` decides how
+the gap is computed: by a closed form over the balls where `_closed_form`
+gives one (exact when no psi is left over, a certified upper bound,
+``exact=False``, when only ``indicator`` terms are), else by
+projected-gradient inner maximisation, flagged as an estimate.
+`restricted_gap` makes the plan on every call; ``problem.structure``
+keeps only the VI's operator matrix and constant.
 
 Solvers stop through `GapTest`, which answers "is the gap of this
 candidate at most epsilon" for one run, with the bound of the same plan;
@@ -24,16 +27,13 @@ its own (`accounting.Row.test`).  A closed form's bound is its witness:
 the maximisers of the form at the last candidate the test evaluated
 give an affine minorant of the form, and the bound answers "no"
 wherever that minorant, less a rounding margin, stays above epsilon.
-`_closed_form` writes each form's products once; its value returns
-those it computed, and its witness reuses them at the candidate it
-anchors at.  Every witness is built through `_witness_anchor`, which
-computes the margin once per candidate and a witness once per
-anchoring candidate.  A saddle estimate's, with no psi left over
-and identity metrics, answers "no" whenever the estimator's first step
-does (projected gradient with step 1/L never moves back).  That is all a
-bound certifies: every "yes" and every reported gap is a
-`restricted_gap` evaluation, at the same candidate as when every
-candidate is evaluated, so statuses and gaps are unchanged.
+The witness reuses that evaluation's products, and `_witness_anchor`
+builds it once per anchoring candidate.  A saddle estimate's, with no
+psi left over and identity metrics, answers "no" whenever the
+estimator's first step does (projected gradient with step 1/L never
+moves back).  That is all a bound certifies: every "yes" and every
+reported gap is a `restricted_gap` evaluation, at the same candidate as
+when every candidate is evaluated, so statuses and gaps are unchanged.
 """
 
 import copy
@@ -42,10 +42,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from saddlesplit.problems import (
-    BallIndicator, BoxIndicator, TripletMatrix, VipProblem, ZeroTerm,
-    ball_project, spectral_norm,
-)
+from saddlesplit.problems import (TripletMatrix, VipProblem, ball_project,
+                                  spectral_norm)
 
 # Iterations of the projected-gradient gap estimator (estimated paths only).
 PGA_STEPS = 500
@@ -69,31 +67,53 @@ class GapResult:
 # helpers
 # ---------------------------------------------------------------------------
 
-def _ball_project(metric, center, radius, v, psi_left):
-    """Project onto the metric ball, then onto dom `psi_left` unless None."""
-    out = ball_project(metric, center, radius, v)
-    if psi_left is not None:
-        out = psi_left.project_domain(metric, out)
-    return out
+class GapBlock:
+    """One block's share B_i ∩ dom psi_i of the gap set: the `metric` ball
+    of ``radius`` around `center` within dom ``psi_left`` (None: all of
+    it), as ``psi.meet_ball`` decides them from the block's `radius`."""
+
+    def __init__(self, metric, center, radius, psi):
+        self.metric, self.center = metric, np.asarray(center, dtype=float)
+        self.radius, self.psi_left = psi.meet_ball(self.center, float(radius))
+
+    def support(self, g):
+        """max over the ball of ``<g, .>``."""
+        dual = self.metric.dual_norm(g)
+        return float(g.dot(self.center)) + self.radius * dual
+
+    def maximiser(self, g):
+        """The maximiser of ``<g, .>`` over the ball (its center for a zero
+        or non-finite dual norm)."""
+        dual = self.metric.dual_norm(g)
+        if not 0.0 < dual < math.inf:
+            return self.center
+        return self.center + (self.radius / dual) * self.metric.apply_inv(g)
+
+    def project(self, v):
+        """Project onto the ball, then onto dom ``psi_left`` unless None."""
+        out = ball_project(self.metric, self.center, self.radius, v)
+        if self.psi_left is not None:
+            out = self.psi_left.project_domain(self.metric, out)
+        return out
+
+    def in_ball(self, w):
+        """Whether `w` lies in the ball, to 1e-9."""
+        d = np.asarray(w) - self.center
+        return self.metric.norm(d) <= self.radius + 1e-9
 
 
-def _linear_ball_max(metric, center, radius, g):
-    """max over the metric ball of <g, .>."""
-    return float(g.dot(center)) + radius * metric.dual_norm(g)
-
-
-def _pga_extreme(grad_fn, metric, center, radius, psi_left, lipschitz,
-                 steps, maximize=True):
-    """`steps` projected-gradient ascent/descent steps from the center for
-    the inner problem of the gap.
+def _pga_extreme(grad_fn, block, lipschitz, steps, maximize=True):
+    """`steps` projected-gradient ascent/descent steps from the center of
+    `block` for the inner problem of the gap.
 
     Each step is ``metric.apply_inv`` and `ball_project`'s arithmetic,
     operation for operation, on the metric's weights (skipped, bit for bit,
     on an identity metric), with one shape check of the gradient per step
     in place of theirs on every call.
     """
+    metric, center, radius = block.metric, block.center, block.radius
     weights, identity = metric.weights, metric.identity
-    w = center.copy()
+    w, psi_left = center.copy(), block.psi_left
     sign = 1.0 if maximize else -1.0
     for _ in range(steps):
         g = np.asarray(grad_fn(w), dtype=float)
@@ -178,26 +198,12 @@ def _gap_plan(p):
 
 
 def _gap_set(p):
-    """The gap set B ∩ dom psi: one ``(center, radius, psi_left)`` per block.
-
-    ``center`` and ``radius`` are the block's start point and ``D_i``.  A
-    `BallIndicator` whose center equals that start point (to 1e-12,
-    absolute) is merged into the ball, ``radius = min(D_i, psi.radius)``;
-    it and `ZeroTerm` leave ``psi_left = None``, and any other psi is
-    ``psi_left``.
-    """
+    """The gap set B ∩ dom psi: one `GapBlock` per block, around its start
+    point with radius ``D_i``."""
     if isinstance(p, VipProblem):
-        blocks = zip(p.z0, p.D, p.psis)
-    else:
-        blocks = [(p.x0, p.D_x, p.psi_x), (p.y0, p.D_y, p.psi_y)]
-
-    def merged(center, radius, psi):
-        center, radius = np.asarray(center, dtype=float), float(radius)
-        if isinstance(psi, BallIndicator) and np.allclose(
-                psi.center, center, rtol=0.0, atol=1e-12):
-            return center, min(radius, psi.radius), None
-        return center, radius, None if isinstance(psi, ZeroTerm) else psi
-    return [merged(*block) for block in blocks]
+        return list(map(GapBlock, p.metrics, p.z0, p.D, p.psis))
+    return [GapBlock(p.metric_x, p.x0, p.D_x, p.psi_x),
+            GapBlock(p.metric_y, p.y0, p.D_y, p.psi_y)]
 
 
 def _closed_form(p):
@@ -205,22 +211,21 @@ def _closed_form(p):
 
     Returns its `_gap_plan` entry, whose anchor maker builds the form's
     witness.  ``bilinear`` and ``quadratic_*`` instances have one when
-    every psi `_gap_set` leaves over is a ball or box indicator: B ∩ dom
-    psi then lies in the merged balls, so the form over them is an upper
+    every psi `_gap_set` leaves over is an ``indicator``: B ∩ dom psi
+    then lies in the blocks' balls, so the form over them is an upper
     bound, and exact when no psi is left.  A ``quadratic_*`` one also
-    needs its system consistent, with the minimiser inside the merged
-    ball.  Each form's products, ``A w - b`` and ``A^T y``, are defined
-    here once; its value returns those it computed, and its witness
-    reuses them at the evaluated candidate it anchors at.
+    needs its system consistent, with the minimiser inside the ball.
+    Each form's products, ``A w - b`` and ``A^T y``, are defined here
+    once; its value returns those it computed, and its witness reuses
+    them at the evaluated candidate it anchors at.
     """
     st = p.structure or {}
     kind = st.get("kind")
     if kind not in ("bilinear", "quadratic_x", "quadratic_y"):
         return None
     gap_set = _gap_set(p)
-    left = [psi for _, _, psi in gap_set if psi is not None]
-    if not all(isinstance(psi, (BallIndicator, BoxIndicator))
-               for psi in left):
+    left = {block.psi_left for block in gap_set} - {None}
+    if not all(psi.indicator for psi in left):
         return None
     exact = not left
     matvec, rmatvec, b = st["matvec"], st["rmatvec"], st["b"]
@@ -230,25 +235,21 @@ def _closed_form(p):
         return matvec(w) - b
 
     if kind == "bilinear":
-        (xc, rx, _), (yc, ry, _) = gap_set
+        bx, by = gap_set
 
         def bilinear(candidate):
             xbar, ybar = _scored_blocks(p, candidate)
             products = residual(xbar), rmatvec(ybar)
-            max_side = _linear_ball_max(p.metric_y, yc, ry, products[0])
+            max_side = by.support(products[0])
             # min over the x-ball of <A^T ybar, x> - <b, ybar>
-            min_side = -_linear_ball_max(p.metric_x, xc, rx, -products[1]) \
-                - float(b.dot(ybar))
+            min_side = -bx.support(-products[1]) - float(b.dot(ybar))
             return max_side - min_side, products
         return ("bilinear-closed-form", exact, bilinear,
                 lambda evaluated: _bilinear_witness(p, gap_set, residual,
                                                     rmatvec, evaluated))
 
     side = 0 if kind == "quadratic_x" else 1
-    center, radius, _ = gap_set[side]
-    metric = (p.metric_x, p.metric_y)[side]
-    if not (st["consistent"]
-            and metric.norm(p.saddle[side] - center) <= radius + 1e-9):
+    if not (st["consistent"] and gap_set[side].in_ball(p.saddle[side])):
         return None
 
     def quadratic(candidate):
@@ -265,11 +266,9 @@ def _scored_blocks(p, candidate):
     """The candidate's blocks as float vectors; ValueError outside dom psi."""
     xbar = np.asarray(candidate[0], dtype=float)
     ybar = np.asarray(candidate[1], dtype=float)
-    # Every path scores only candidates in dom psi; zero terms need no test.
-    for psi, metric, w in ((p.psi_x, p.metric_x, xbar),
-                           (p.psi_y, p.metric_y, ybar)):
-        if type(psi) is not ZeroTerm:
-            _psi_value(psi, metric, w)
+    # Every path scores only candidates in dom psi.
+    _psi_value(p.psi_x, p.metric_x, xbar)
+    _psi_value(p.psi_y, p.metric_y, ybar)
     return xbar, ybar
 
 
@@ -281,23 +280,20 @@ def _F_at(p, x, y):
 def _pga_terms(p, xbar, ybar, gap_set, steps):
     """The estimate's upper and lower terms after `steps` projected-gradient
     steps on each side: ``F(xbar, yhat)`` and ``F(xhat, ybar)``."""
-    (xc, rx, psi_x), (yc, ry, psi_y) = gap_set
-    yhat = _pga_extreme(lambda y: p.grad_y((xbar, y)), p.metric_y, yc, ry, psi_y, p.L_y, steps,
-                        maximize=True)
-    xhat = _pga_extreme(lambda x: p.grad_x((x, ybar)), p.metric_x, xc, rx, psi_x, p.L_x, steps,
-                        maximize=False)
+    yhat = _pga_extreme(lambda y: p.grad_y((xbar, y)), gap_set[1], p.L_y,
+                        steps)
+    xhat = _pga_extreme(lambda x: p.grad_x((x, ybar)), gap_set[0], p.L_x,
+                        steps, maximize=False)
     return _F_at(p, xbar, yhat), _F_at(p, xhat, ybar)
 
 
 def _saddle_gap(p, candidate):
     xbar, ybar = _scored_blocks(p, candidate)
-    gap_set = _gap_set(p)
-    hi, lo = _pga_terms(p, xbar, ybar, gap_set, PGA_STEPS)
+    bx, by = _gap_set(p)
+    hi, lo = _pga_terms(p, xbar, ybar, (bx, by), PGA_STEPS)
     # Probing the candidate itself keeps the estimate nonnegative whenever
     # the candidate is feasible (the probe pair contributes exactly zero).
-    (xc, rx, _), (yc, ry, _) = gap_set
-    if (p.metric_y.norm(ybar - yc) <= ry + 1e-9
-            and p.metric_x.norm(xbar - xc) <= rx + 1e-9):
+    if by.in_ball(ybar) and bx.in_ball(xbar):
         at_candidate = _F_at(p, xbar, ybar)
         hi, lo = max(hi, at_candidate), min(lo, at_candidate)
     return hi - lo
@@ -324,14 +320,12 @@ def _vip_gap(p, candidate):
     def grad(zflat):
         return Abar.T @ (zbar - zflat) - (Abar @ zflat - bflat)
 
-    z = np.concatenate([center for center, _, _ in gap_set])
+    z = np.concatenate([block.center for block in gap_set])
     for _ in range(PGA_STEPS):
         step = 1.0 / lip if lip > 1e-14 else 1.0
         z = z + step * grad(z)
-        z = np.concatenate([
-            _ball_project(metric, center, radius, w, psi_left)
-            for metric, (center, radius, psi_left), w
-            in zip(p.metrics, gap_set, split(z))])
+        z = np.concatenate([block.project(w)
+                            for block, w in zip(gap_set, split(z))])
 
     def objective(zflat):
         parts = split(zflat)
@@ -344,9 +338,7 @@ def _vip_gap(p, candidate):
     best = objective(z)
     # The candidate itself is a valid probe whenever feasible and contributes
     # exactly zero, keeping the estimated sup nonnegative there.
-    if all(metric.norm(np.asarray(c) - center) <= radius + 1e-9
-           for metric, c, (center, radius, _)
-           in zip(p.metrics, candidate, gap_set)):
+    if all(block.in_ball(c) for block, c in zip(gap_set, candidate)):
         best = max(best, objective(zbar))
     return best
 
@@ -423,27 +415,17 @@ def _witness_anchor(margin, witness, finish=None):
                                    else anchored(candidate))
 
 
-def _ball_maximiser(metric, center, radius, g):
-    """The maximiser of ``<g, .>`` over the metric ball (its center for a
-    zero `g`)."""
-    dual = metric.dual_norm(g)
-    if not dual > 0.0:
-        return center
-    return center + (radius / dual) * metric.apply_inv(g)
-
-
 def _bilinear_witness(p, gap_set, residual, rmatvec, evaluated):
     """Anchor of the bilinear closed form: the form's own maximisers.
 
     At ``c = (x, y)`` the form is ``max_{y' in B_y} <A x - b, y'>
-    - min_{x' in B_x} <A^T y, x'> + <b, y>`` over the merged balls of
-    `_gap_set` (centers ``x_c, y_c``, radii ``r_x, r_y``, metric weights
-    ``P``).  At an evaluated candidate ``s`` the extremes are attained at
-    ``yhat = y_c + r_y P_y^{-1} g_y / ||g_y||_*`` for ``g_y = A x_s - b``
-    and ``xhat = x_c - r_x P_x^{-1} g_x / ||g_x||_*`` for ``g_x = A^T y_s``
-    (the center for a zero gradient); ``g_y`` and ``A^T y_s`` are the
-    products of the evaluation of ``s``, from ``evaluated(s)``, or else
-    computed.  Held at those points, they give the affine minorant
+    - min_{x' in B_x} <A^T y, x'> + <b, y>`` over the balls of `_gap_set`
+    (centers ``x_c, y_c``, radii ``r_x, r_y``, metric weights ``P``).  At
+    an evaluated candidate ``s`` the extremes are the blocks' maximisers
+    ``yhat = y_c + r_y P_y^{-1} g_y / ||g_y||_*`` of ``g_y = A x_s - b``
+    and ``xhat = x_c - r_x P_x^{-1} g_x / ||g_x||_*`` of ``-g_x``, ``g_x =
+    A^T y_s``, the products of the evaluation of ``s`` (``evaluated(s)``,
+    or else computed).  Held there, they give the affine minorant
 
         l(c) = <A^T yhat, x> - <A xhat - b, y> - <b, yhat>
 
@@ -463,22 +445,22 @@ def _bilinear_witness(p, gap_set, residual, rmatvec, evaluated):
     computed form; its own rounding fits in the margin's slack.
     """
     A, b = p.structure["A"], p.structure["b"]
-    (xc, rx, _), (yc, ry, _) = gap_set
+    bx, by = gap_set
     nA, nb = _norm_bound(A), _euclid(b)
-    nAy = _norm_bound(A, row_scale=1.0 / np.sqrt(p.metric_y.weights))
-    nAx = _norm_bound(A, col_scale=1.0 / np.sqrt(p.metric_x.weights))
+    nAy = _norm_bound(A, row_scale=1.0 / np.sqrt(by.metric.weights))
+    nAx = _norm_bound(A, col_scale=1.0 / np.sqrt(bx.metric.weights))
     scale = 4.0 * _ROUNDING_MARGIN
-    mx = scale * (nA * _euclid(yc) + ry * nAy)
-    my = scale * (nA * _euclid(xc) + rx * nAx + nb)
-    m0 = scale * (nb * _euclid(yc) + ry * p.metric_y.dual_norm(b))
+    mx = scale * (nA * _euclid(by.center) + by.radius * nAy)
+    my = scale * (nA * _euclid(bx.center) + bx.radius * nAx + nb)
+    m0 = scale * (nb * _euclid(by.center)
+                  + by.radius * by.metric.dual_norm(b))
 
     def witness(s):
         gy, gx = evaluated(s) or (residual(np.asarray(s[0], dtype=float)),
                                   rmatvec(np.asarray(s[1], dtype=float)))
-        yhat = _ball_maximiser(p.metric_y, yc, ry, gy)
-        xhat = _ball_maximiser(p.metric_x, xc, rx, -gx)
-        sx, sy, by = rmatvec(yhat), residual(xhat), float(b.dot(yhat))
-        return lambda c: sx.dot(c[0]) - sy.dot(c[1]) - by
+        yhat, xhat = by.maximiser(gy), bx.maximiser(-gx)
+        sx, sy, byhat = rmatvec(yhat), residual(xhat), float(b.dot(yhat))
+        return lambda c: sx.dot(c[0]) - sy.dot(c[1]) - byhat
     return _witness_anchor(
         lambda c: mx * _euclid(c[0]) + my * _euclid(c[1]) + m0, witness)
 
@@ -537,8 +519,8 @@ def _first_step_bound(p):
     it is computed once per candidate for every accuracy.
     """
     gap_set = _gap_set(p)
-    if any(psi is not None for _, _, psi in gap_set) \
-            or not (p.metric_x.identity and p.metric_y.identity):
+    if not all(block.psi_left is None and block.metric.identity
+               for block in gap_set):
         return None
 
     @_last_of

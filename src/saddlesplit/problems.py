@@ -51,10 +51,17 @@ class CompositeTerm:
     of it, so they never ask which class a psi is: ``smooth``, whether psi
     is differentiable (its `subgradient` is then its gradient), and
     ``modulus``, its known strong-convexity modulus in the block metric
-    (0 when none is known).
+    (0 when none is known).  The gap side asks two more: ``indicator``,
+    whether psi is 0 on its domain, and `meet_ball`.
     """
     smooth = False
     modulus = 0.0
+    indicator = True
+
+    def meet_ball(self, center, radius):
+        """``(r, psi_left)``: the ball of `radius` around `center` within
+        dom psi is the ball of ``r`` within dom `psi_left` (None: all)."""
+        return radius, self
 
     def value(self, metric, w):
         return 0.0 if self.contains(metric, w) else _INF
@@ -90,6 +97,9 @@ class ZeroTerm(CompositeTerm):
     """psi = 0, the indicator of the whole space."""
     smooth = True
 
+    def meet_ball(self, center, radius):
+        return radius, None
+
     def prox(self, metric, v, step):
         return np.array(v, dtype=float, copy=True)
 
@@ -113,6 +123,7 @@ class QuadraticReg(CompositeTerm):
     with modulus ``mu``, which must be finite and nonnegative; the center
     must be finite."""
     smooth = True
+    indicator = False
 
     def __init__(self, mu, center):
         if not (math.isfinite(mu) and mu >= 0):
@@ -151,6 +162,12 @@ class BallIndicator(CompositeTerm):
                 f"ball radius must be positive and finite, got {radius!r}")
         self.center = _finite("center", center)
         self.radius = float(radius)
+
+    def meet_ball(self, center, radius):
+        # Merged when concentric with the ball, to 1e-12 absolute.
+        if np.allclose(self.center, center, rtol=0.0, atol=1e-12):
+            return min(radius, self.radius), None
+        return radius, self
 
     def prox(self, metric, v, step):
         return ball_project(metric, self.center, self.radius, v)
@@ -224,6 +241,7 @@ class RegularizedTerm(CompositeTerm):
     ``base``, and its modulus counts both summands: ``quad.mu +
     base.modulus``.
     """
+    indicator = False
 
     def __init__(self, quad, base):
         if not isinstance(quad, QuadraticReg):
@@ -467,7 +485,7 @@ def _product_operand(A):
 def _diagonal_runs(A):
     """The nonzeros of triplet matrix `A` as ``(rows, cols, vals)`` runs,
     one per diagonal (offset ``col - row``) by increasing offset, with
-    ``rows`` and ``cols`` slices; or None.
+    ``rows`` and ``cols`` slices (none for an empty `A`); or None.
 
     There are runs when the triplets are in strict row-major order and
     each diagonal's nonzeros fill one contiguous run, averaging at least
@@ -476,7 +494,7 @@ def _diagonal_runs(A):
     """
     (m, n), rows, cols = A.shape, A.rows, A.cols
     if rows.size == 0:
-        return None
+        return []       # float zeros: bincount would give integer ones
     dr, dc = np.diff(rows), np.diff(cols)
     if not (np.all((dr > 0) | ((dr == 0) & (dc > 0)))
             and rows[0] >= 0 and rows[-1] < m

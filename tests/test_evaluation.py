@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from saddlesplit.evaluation import (
-    GapResult, GapTest, complexity_bounds, restricted_gap, theta_factor,
+    GapBlock, GapResult, GapTest, complexity_bounds, restricted_gap,
+    theta_factor,
 )
 from saddlesplit.metrics import ScaledMetric
 from saddlesplit.problems import (
-    BallIndicator, BoxIndicator, QuadraticReg, SaddleProblem, TripletMatrix,
-    ZeroTerm, ball_project, make_bilinear, make_quadratic,
+    BallIndicator, BoxIndicator, QuadraticReg, RegularizedTerm, SaddleProblem,
+    TripletMatrix, ZeroTerm, ball_project, make_bilinear, make_quadratic,
     make_strongly_convex_concave, random_polymatrix,
 )
 
@@ -298,6 +299,105 @@ def test_ball_term_off_the_start_point_is_not_merged():
     on = dataclasses.replace(p, psi_x=BallIndicator(p.x0, 0.5))
     assert restricted_gap(on, cand) == restricted_gap(
         dataclasses.replace(p, D_x=0.5), cand)
+
+
+_CENTER = np.array([1.0, -2.0])
+
+
+@pytest.mark.parametrize("psi, radius, left, indicator", [
+    (ZeroTerm(), 1.0, False, True),
+    (BallIndicator(_CENTER, 0.5), 0.5, False, True),
+    (BallIndicator(_CENTER, 2.0), 1.0, False, True),
+    (BallIndicator(_CENTER + 5e-13, 0.5), 0.5, False, True),
+    (BallIndicator(_CENTER + 2e-12, 0.5), 1.0, True, True),
+    (BallIndicator(_CENTER * (1.0 + 1e-6), 0.5), 1.0, True, True),
+    (BoxIndicator([0.0, -3.0], [2.0, -1.5]), 1.0, True, True),
+    (QuadraticReg(0.5, _CENTER), 1.0, True, False),
+    (RegularizedTerm(QuadraticReg(0.5, _CENTER), BallIndicator(_CENTER, 0.5)),
+     1.0, True, False),
+], ids=["zero", "concentric", "concentric-wide", "concentric-to-1e-12",
+        "off-by-2e-12", "off-by-1e-6-relative", "box", "quadratic",
+        "regularized"])
+def test_each_psi_says_how_it_meets_the_ball(psi, radius, left, indicator):
+    # A unit ball around _CENTER: a ball term whose center is within 1e-12
+    # (absolute) of it merges and leaves nothing over; the zero term leaves
+    # nothing; every other term is left over whole.  Only the quadratic
+    # and regularized terms are not indicators.
+    assert psi.meet_ball(_CENTER, 1.0) == (radius, psi if left else None)
+    assert psi.indicator is indicator
+    block = GapBlock(ScaledMetric([2.0, 0.5]), list(_CENTER), 1, psi)
+    assert np.array_equal(block.center, _CENTER)
+    assert block.center.dtype == float
+    assert (block.radius, block.psi_left) == (radius, psi if left else None)
+
+
+def _sampled_ball(metric, center, radius, angles, rings):
+    """A dense polar sample of the metric ball, boundary included."""
+    t = np.linspace(0.0, 2.0 * np.pi, angles)
+    rho = np.linspace(0.0, 1.0, rings)
+    unit = np.stack([np.cos(t), np.sin(t)])
+    points = (rho[:, None, None] * unit[None]).transpose(1, 0, 2)
+    points = points.reshape(2, -1) / np.sqrt(metric.weights)[:, None]
+    return center[:, None] + radius * points
+
+
+@pytest.mark.parametrize("weights", [[1.0, 1.0], [2.0, 0.5], [10.0, 0.1]])
+def test_gap_block_support_and_maximiser_match_a_sampled_ball(weights):
+    metric = ScaledMetric(weights)
+    block = GapBlock(metric, _CENTER, 0.7, ZeroTerm())
+    ball = _sampled_ball(metric, _CENTER, 0.7, 20001, 11)
+    rng = np.random.default_rng(5)
+    for g in rng.standard_normal((6, 2)) * [[1.0], [1e-3], [1.0], [30.0],
+                                            [1.0], [1.0]]:
+        scale = abs(g @ _CENTER) + 0.7 * metric.dual_norm(g)
+        values = g @ ball
+        best = np.max(values)
+        # Attained, and not beaten by any sampled point.
+        assert best <= block.support(g) + 1e-12 * scale
+        assert best >= block.support(g) - 1e-7 * scale
+        w = block.maximiser(g)
+        assert metric.norm(w - _CENTER) == pytest.approx(0.7, rel=1e-12)
+        assert g @ w == pytest.approx(block.support(g), abs=1e-12 * scale)
+        assert metric.norm(w - ball[:, np.argmax(values)]) <= 1e-3
+    # A zero or non-finite gradient has no direction: the center.
+    for g in (np.zeros(2), np.array([np.inf, 1.0]), np.array([np.nan, 0.0])):
+        assert block.maximiser(g) is block.center
+
+
+@pytest.mark.parametrize("weights", [[1.0, 1.0], [2.0, 0.5]])
+@pytest.mark.parametrize("psi, exact", [
+    (ZeroTerm(), True), (BallIndicator(_CENTER, 0.4), True),
+    (BoxIndicator([-1.0, -4.0], [3.0, 0.0]), True),
+    (BallIndicator(_CENTER + 0.1, 3.0), True),
+    (BoxIndicator([0.8, -2.3], [1.5, -1.0]), False)], ids=[
+    "zero", "concentric", "box-around-the-ball", "ball-around-the-ball",
+    "box-cutting-the-ball"])
+def test_gap_block_project_matches_the_nearest_sampled_point(weights, psi,
+                                                             exact):
+    # The block projects onto its ball and then onto dom psi_left: the
+    # nearest point of B ∩ dom psi_left whenever dom psi_left holds the
+    # ball.  A box that holds the center but cuts the ball gets only a
+    # point of B ∩ box, which is all the estimator needs.
+    metric = ScaledMetric(weights)
+    block = GapBlock(metric, _CENTER, 0.7, psi)
+    sample = _sampled_ball(metric, _CENTER, block.radius, 2001, 201)
+    # dom psi_left is convex: it holds the sample if it holds the sampled
+    # boundary, the last 2001 points.
+    assert exact is (block.psi_left is None or all(
+        block.psi_left.contains(metric, w) for w in sample[:, -2001:].T))
+    rng = np.random.default_rng(6)
+    # Four points near the center, four mostly outside the ball.
+    for v in _CENTER + rng.standard_normal((8, 2)) * np.repeat([0.2, 1.5],
+                                                               4)[:, None]:
+        w = block.project(v)
+        assert block.in_ball(w) and psi.value(metric, w) == 0.0
+        if not exact:
+            continue
+        gaps = np.sqrt(np.sum(np.asarray(weights)[:, None]
+                              * (sample - v[:, None]) ** 2, axis=0))
+        nearest = sample[:, np.argmin(gaps)]
+        assert metric.norm(w - v) <= np.min(gaps) + 1e-12
+        assert metric.norm(w - nearest) <= 5e-3 * block.radius
 
 
 # -- certified stop test -----------------------------------------------------
@@ -813,6 +913,84 @@ def test_witness_reuses_its_evaluations_products(kind, per_evaluation):
         test(c)
     assert len(evaluations) >= 5
     assert len(products) == per_evaluation * len(evaluations)
+
+
+def test_evaluations_hand_out_the_last_candidates_products_once():
+    # Only the last evaluated candidate's products are handed out, and
+    # only once; a witness that gets None forms its own, with the bits of
+    # the evaluation's.
+    from saddlesplit.evaluation import _closed_form, _Evaluations
+    p = make_bilinear(np.array([[1.0, 0.5], [-0.4, 2.0]]),
+                      np.array([0.1, 0.2]))
+    walk = list(_bilinear_walk(p, steps=6))
+    s, other = walk[0], walk[1]
+    evaluations = _Evaluations(p, restricted_gap)
+    result = evaluations(s)
+    assert evaluations.products(other) is None
+    assert result.products is not None
+    products = evaluations.products(s)
+    assert result.products is None
+    assert evaluations.products(s) is None
+    _, formed = _closed_form(p)[2](s)
+    assert [v.tobytes() for v in products] == [v.tobytes() for v in formed]
+    make_anchor = _closed_form(p)[3]
+    reused = make_anchor(lambda c: products if c is s else None)(s)
+    fresh = make_anchor(evaluations.products)(s)
+    assert [reused(c).hex() for c in walk] == [fresh(c).hex() for c in walk]
+
+
+def test_a_zero_residual_leaves_the_next_candidate_to_be_evaluated():
+    # At the exact minimiser of a consistent quadratic the residual is 0.0,
+    # so the witness has no direction and the anchor no bound: the next
+    # candidate is evaluated although its gap is far above epsilon.  From
+    # a candidate with a residual, the same candidate is skipped.
+    A = np.array([[2.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    ws = np.array([0.25, -0.5])
+    p = make_quadratic(A, A @ ws, side="x")
+    assert p.structure["consistent"]
+    step = np.array([0.2, 0.1])
+    for start, evaluated in ((ws, 2), (ws + step, 1)):
+        calls = []
+
+        def spy(problem, candidate):
+            calls.append(candidate)
+            return restricted_gap(problem, candidate)
+
+        test = GapTest(p, 1e-6, spy)
+        first = (start, np.zeros(1))
+        far = (start + step, np.zeros(1))
+        assert test(first) is (evaluated == 2)
+        assert not test(far)
+        assert len(calls) == evaluated
+    assert restricted_gap(p, (ws, np.zeros(1))).value == 0.0
+
+
+def test_bilinear_witness_at_a_zero_gradient_holds_the_centers(monkeypatch):
+    # At s with A x_s = b and y_s = 0 both gradients of the form vanish, so
+    # the witness holds each side at its block's center:
+    # l(c) = <A^T y_c, x> - <A x_c - b, y> - <b, y_c>.
+    from saddlesplit import evaluation
+    A = np.array([[2.0, 1.0], [0.0, 1.0]])
+    xs = np.array([0.5, -0.25])
+    p = dataclasses.replace(make_bilinear(A, A @ xs),
+                            x0=np.array([0.5, 0.25]), y0=np.array([-1.0, 0.5]))
+    witnesses = []
+
+    def capture(margin, witness, finish=None):
+        witnesses.append(witness)
+        return real(margin, witness, finish)
+    real = evaluation._witness_anchor
+    monkeypatch.setattr(evaluation, "_witness_anchor", capture)
+    test = GapTest(p, 1e-6)
+    s = (xs, np.zeros(2))
+    assert test(s) and test.gap().value == 0.0
+    affine = witnesses[0](s)
+    st, b = p.structure, p.structure["b"]
+    sx = st["rmatvec"](p.y0)
+    sy = st["matvec"](p.x0) - b
+    for c in _bilinear_walk(p, steps=3):
+        want = sx.dot(c[0]) - sy.dot(c[1]) - float(b.dot(p.y0))
+        assert affine(c) == want
 
 
 def test_gap_test_ignores_evaluations_other_than_its_closed_form():

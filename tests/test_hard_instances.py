@@ -8,7 +8,8 @@ from saddlesplit.hard_instances import (
 )
 from saddlesplit.evaluation import restricted_gap
 from saddlesplit.problems import (
-    TripletMatrix, _matrix_products, make_bilinear, make_quadratic,
+    TripletMatrix, _diagonal_runs, _matrix_products, make_bilinear,
+    make_quadratic,
 )
 
 from krylov_reference import krylov_basis, krylov_min_residual
@@ -264,12 +265,20 @@ def test_chain_triplets_multiply_as_the_dense_matrix(kind, k, pad):
     st = prob.structure
     assert isinstance(st["A"], np.ndarray) == (k <= 50)
     assert np.array_equal(np.asarray(st["A"]), dense)
-    matvec, rmatvec = _matrix_products(dense)
+    # The reference is BLAS on the dense matrix: the same bits where the
+    # builder keeps it, else within the rounding of each entry's terms.
     rng = np.random.default_rng(k + pad)
     for _ in range(2):
         x, y = rng.normal(size=n), rng.normal(size=m)
-        assert np.array_equal(st["matvec"](x), matvec(x))
-        assert np.array_equal(st["rmatvec"](y), rmatvec(y))
+        for got, M, v in ((st["matvec"](x), dense, x),
+                          (st["rmatvec"](y), dense.T, y)):
+            want = M @ v
+            if k <= 50:
+                assert np.array_equal(got, want)
+            else:
+                assert got.shape == want.shape
+                assert np.all(np.abs(got - want)
+                              <= 1e-12 * (np.abs(M) @ np.abs(v)))
     # The chain's closed-form norm; the padded triplets, whose norm comes
     # from their dense matrix, have the same singular values.
     norm = chain_norm(scale, k)
@@ -289,6 +298,16 @@ def test_chain_triplets_multiply_as_the_dense_matrix(kind, k, pad):
         got, want = restricted_gap(prob, cand), restricted_gap(ref, cand)
         assert got.method == want.method == "quadratic-closed-form"
         assert got.value == want.value
+
+
+def test_empty_triplet_matrix_multiplies_to_zeros():
+    A = TripletMatrix((3, 4), np.zeros(0, dtype=np.intp),
+                      np.zeros(0, dtype=np.intp), np.zeros(0))
+    # No run, so the products are float zeros (bincount's are integers).
+    assert _diagonal_runs(A) == []
+    matvec, rmatvec = _matrix_products(A)
+    for got, size in ((matvec(np.ones(4)), 3), (rmatvec(np.ones(3)), 4)):
+        assert got.dtype == float and np.array_equal(got, np.zeros(size))
 
 
 def test_chain_gap_matches_dense_formula():

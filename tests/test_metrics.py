@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from saddlesplit.metrics import (
     ScaledMetric, ProductMetric, all_finite,
 )
-from saddlesplit.evaluation import _pga_extreme
-from saddlesplit.problems import ball_project
+from saddlesplit.evaluation import GapBlock, _pga_extreme
+from saddlesplit.problems import ZeroTerm, ball_project
 
 
 def test_single_block_zero_vector():
@@ -220,8 +220,9 @@ def test_pga_identity_path_matches_the_weighted_arithmetic(pairs, lipschitz,
     def grad(w):
         return g - 0.5 * w
     with np.errstate(all="ignore"):
-        got, want = (_pga_extreme(grad, metric, center, 1.0, None, lipschitz,
-                                  4, maximize)
+        got, want = (_pga_extreme(grad, GapBlock(metric, center, 1.0,
+                                                 ZeroTerm()),
+                                  lipschitz, 4, maximize)
                      for metric in (ScaledMetric(g.size), _UnitWeights(g.size)))
     assert _bits(got) == _bits(want)
 

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from saddlesplit.evaluation import GapTest
+
 CAPTURE_LEVELS = ("counts", "candidates")
 # Statuses of a run that reached its target accuracy.
 GOOD_STATUSES = ("converged", "solution_found", "local_solve")
@@ -46,8 +48,8 @@ class OracleLedger:
         if len(costs) != len(self.agents):
             raise ValueError("one cost per agent required")
         self.costs = {a: float(c) for a, c in zip(self.agents, costs)}
-        if any(c < 0 for c in self.costs.values()):
-            raise ValueError("oracle costs must be nonnegative")
+        if not all(0.0 <= c < np.inf for c in self.costs.values()):
+            raise ValueError("oracle costs must be finite and nonnegative")
         if capture not in CAPTURE_LEVELS:
             raise ValueError(f"capture must be one of {CAPTURE_LEVELS}, "
                              f"got {capture!r}")
@@ -197,17 +199,19 @@ class Trajectory:
     Without `rows`, a single row at ``params.epsilon`` on `ledger` (a new
     one if None), whose outcome `close` returns.  The ledgers of the open
     rows stay in step: every query and every round closes on each of
-    them.  ``test(epsilon)`` makes the first open row's stop test (a
-    `GapTest`), whose `GapTest.at` makes the others', so each row keeps
-    the test its own run would and a candidate is evaluated once for
-    every row that asks.  ``cap(epsilon)`` is a row's round cap,
+    them.  The first open row's stop test is a `GapTest` that scores
+    through ``evaluate(problem, candidate)``, the solver module's
+    `restricted_gap`, and its `GapTest.at` makes the others', so each row
+    keeps the test its own run would and a candidate is evaluated once
+    for every row that asks.  ``cap(epsilon)`` is a row's round cap,
     ``params.max_rounds`` without it; a row whose cap raises is closed
     with that exception before the run starts (a single row raises it).
     ``info(ledger)`` is the ``info`` of the result on a row's `ledger`,
     taken when the row closes.  See `Row` for what a row reports.
     """
 
-    def __init__(self, problem, params, ledger, rows, test, info, cap=None):
+    def __init__(self, problem, params, ledger, rows, evaluate, info,
+                 cap=None):
         self._single = None
         if rows is None:
             if ledger is None:
@@ -231,7 +235,8 @@ class Trajectory:
                 self._ends[row] = cap_rounds - row.ledger.round
         self._refresh(tuple(self._ends))
         for row in self.open:
-            row.test = (test(row.epsilon) if row is self.open[0]
+            row.test = (GapTest(problem, row.epsilon, evaluate)
+                        if row is self.open[0]
                         else self.open[0].test.at(row.epsilon))
 
     def _refresh(self, rows):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from saddlesplit.accounting import Trajectory
-from saddlesplit.evaluation import GapTest, restricted_gap
+from saddlesplit.evaluation import restricted_gap
 from saddlesplit.metrics import all_finite
 from saddlesplit.problems import ZeroTerm
 
@@ -121,8 +121,7 @@ def extragradient_run(problem, params, ledger=None, rows=None):
     """
     p = problem
     ax, ay = default_scaling(p, params.d_hat)
-    trajectory = Trajectory(p, params, ledger, rows,
-                             lambda eps: GapTest(p, eps, restricted_gap),
+    trajectory = Trajectory(p, params, ledger, rows, restricted_gap,
                              lambda ledger: {"alpha": (ax, ay)})
     ox, oy = (trajectory.bind(a, g)
               for a, g in zip(p.agents, (p.grad_x, p.grad_y)))
@@ -173,8 +172,7 @@ def local_gda_run(problem, params, ledger=None, rows=None):
     Ly_tot = p.L_y + p.L_xy
     eta_x = params.eta_x if params.eta_x is not None else 1.0 / (2.0 * max(Lx_tot, 1e-12))
     eta_y = params.eta_y if params.eta_y is not None else 1.0 / (2.0 * max(Ly_tot, 1e-12))
-    trajectory = Trajectory(p, params, ledger, rows,
-                             lambda eps: GapTest(p, eps, restricted_gap),
+    trajectory = Trajectory(p, params, ledger, rows, restricted_gap,
                              lambda ledger: {
                                  "eta": (eta_x, eta_y),
                                  "steps_per_round": params.steps_per_round})

@@ -45,7 +45,7 @@ import numpy as np
 
 from saddlesplit.accounting import Trajectory
 from saddlesplit.evaluation import (
-    GapTest, _gap_set, complexity_bounds, restricted_gap, theta_factor,
+    _gap_set, complexity_bounds, restricted_gap, theta_factor,
 )
 from saddlesplit.metrics import ProductMetric, all_finite
 from saddlesplit.problems import QuadraticReg, RegularizedTerm
@@ -499,8 +499,7 @@ def _decoupled_run(problem, bind, psis, metrics, L, d_hat, gradient,
                 "iterations": ledger.round // 2, "frozen_blocks": frozen,
                 "telescope_lhs": telescope_lhs, **info}
 
-    trajectory = Trajectory(problem, params, ledger, rows,
-                             lambda eps: GapTest(problem, eps, restricted_gap),
+    trajectory = Trajectory(problem, params, ledger, rows, restricted_gap,
                              run_info, cap)
     oracles = bind(trajectory)
 

@@ -27,18 +27,18 @@ its own (`accounting.Row.test`).  A closed form's bound is its witness:
 the maximisers of the form at the last candidate the test evaluated
 give an affine minorant of the form, and the bound answers "no"
 wherever that minorant, less a rounding margin, stays above epsilon.
-The witness reuses that evaluation's products, and `_witness_anchor`
-builds it once per anchoring candidate.  A saddle estimate's, with no
-psi left over and identity metrics, answers "no" whenever the
-estimator's first step does (projected gradient with step 1/L never
-moves back).  That is all a bound certifies: every "yes" and every
-reported gap is a `restricted_gap` evaluation, at the same candidate as
-when every candidate is evaluated, so statuses and gaps are unchanged.
+`_witness_anchor` builds the witness once per anchoring candidate, from
+products of its own.  A saddle estimate's, with no psi left over and
+identity metrics, answers "no" whenever the estimator's first step does
+(projected gradient with step 1/L never moves back).  That is all a
+bound certifies: every "yes" and every reported gap is a `restricted_gap`
+evaluation, at the same candidate as when every candidate is evaluated,
+so statuses and gaps are unchanged.
 """
 
 import copy
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -58,9 +58,6 @@ class GapResult:
     value: float
     exact: bool
     method: str
-    # A closed form's products at the candidate, which its witness reuses
-    # (None for other methods); no part of the result's value.
-    products: tuple = field(default=None, repr=False, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -162,39 +159,33 @@ def restricted_gap(problem, candidate):
         ``exact`` only for a closed form with no psi left over by `_gap_set`.
     """
     method, exact, value, _ = _gap_plan(problem)
-    gap, products = value(candidate)
-    return GapResult(gap, exact, method, products)
+    return GapResult(value(candidate), exact, method)
 
 
 def _gap_plan(p):
     """``(method, exact, value, make_anchor)``: how the gap of `p` is computed.
 
-    ``value(candidate)`` is the pair of the gap and the closed form's
-    products at the candidate (None for an estimate).
-    ``make_anchor(evaluated)`` (or None) makes `GapTest`'s anchor or
-    None, given ``evaluated(s)``, the products of the evaluation of ``s``
-    if it was the last one, else None: ``anchor(candidate)``, asked after
-    each evaluation and, with no candidate, when the test is built,
-    returns a bound or None.  ``bound(c)`` is a number below the gap of
-    ``c`` in dom psi as ``value`` computes it (or NaN), so ``bound(c) >
-    eps`` proves that gap above ``eps``.  A VI without polymatrix
-    ``structure`` and an estimated saddle without ``f_value`` have no
-    plan: ValueError, raised when a run builds its `GapTest`, before it
-    spends any query.
+    ``value(candidate)`` is the gap at the candidate, a float.
+    ``make_anchor()`` (or None) makes `GapTest`'s anchor or None:
+    ``anchor(candidate)``, asked after each evaluation and, with no
+    candidate, when the test starts, returns a bound or None.
+    ``bound(c)`` is a number below the gap of ``c`` in dom psi as
+    ``value`` computes it (or NaN), so ``bound(c) > eps`` proves that gap
+    above ``eps``.  A VI without polymatrix ``structure`` and an estimated
+    saddle without ``f_value`` have no plan: ValueError, raised when a run
+    builds its `GapTest`, before it spends any query.
     """
     if isinstance(p, VipProblem):
         if (p.structure or {}).get("kind") != "polymatrix":
             raise ValueError("weak-gap estimation needs affine operator "
                              "structure")
-        return ("vip-pga-estimate", False, lambda c: (_vip_gap(p, c), None),
-                None)
+        return "vip-pga-estimate", False, lambda c: _vip_gap(p, c), None
     plan = _closed_form(p)
     if plan is None and p.f_value is None:
         raise ValueError("gap estimation requires function values on the "
                          "instance")
-    return plan or ("pga-estimate", False,
-                    lambda c: (_saddle_gap(p, c), None),
-                    lambda evaluated: _first_step_bound(p))
+    return plan or ("pga-estimate", False, lambda c: _saddle_gap(p, c),
+                    lambda: _first_step_bound(p))
 
 
 def _gap_set(p):
@@ -216,8 +207,7 @@ def _closed_form(p):
     bound, and exact when no psi is left.  A ``quadratic_*`` one also
     needs its system consistent, with the minimiser inside the ball.
     Each form's products, ``A w - b`` and ``A^T y``, are defined here
-    once; its value returns those it computed, and its witness reuses
-    them at the evaluated candidate it anchors at.
+    once, for its value and its witness.
     """
     st = p.structure or {}
     kind = st.get("kind")
@@ -239,14 +229,12 @@ def _closed_form(p):
 
         def bilinear(candidate):
             xbar, ybar = _scored_blocks(p, candidate)
-            products = residual(xbar), rmatvec(ybar)
-            max_side = by.support(products[0])
+            max_side = by.support(residual(xbar))
             # min over the x-ball of <A^T ybar, x> - <b, ybar>
-            min_side = -bx.support(-products[1]) - float(b.dot(ybar))
-            return max_side - min_side, products
+            min_side = -bx.support(-rmatvec(ybar)) - float(b.dot(ybar))
+            return max_side - min_side
         return ("bilinear-closed-form", exact, bilinear,
-                lambda evaluated: _bilinear_witness(p, gap_set, residual,
-                                                    rmatvec, evaluated))
+                lambda: _bilinear_witness(p, gap_set, residual, rmatvec))
 
     side = 0 if kind == "quadratic_x" else 1
     if not (st["consistent"] and gap_set[side].in_ball(p.saddle[side])):
@@ -256,10 +244,9 @@ def _closed_form(p):
         # The inner extreme attains zero residual inside the ball, so
         # only the candidate's own residual remains.
         r = residual(_scored_blocks(p, candidate)[side])
-        return 0.5 * _euclid(r) ** 2, (r,)
+        return 0.5 * _euclid(r) ** 2
     return ("quadratic-closed-form", exact, quadratic,
-            lambda evaluated: _quadratic_witness(p, side, residual, rmatvec,
-                                                 evaluated))
+            lambda: _quadratic_witness(p, side, residual, rmatvec))
 
 
 def _scored_blocks(p, candidate):
@@ -415,7 +402,7 @@ def _witness_anchor(margin, witness, finish=None):
                                    else anchored(candidate))
 
 
-def _bilinear_witness(p, gap_set, residual, rmatvec, evaluated):
+def _bilinear_witness(p, gap_set, residual, rmatvec):
     """Anchor of the bilinear closed form: the form's own maximisers.
 
     At ``c = (x, y)`` the form is ``max_{y' in B_y} <A x - b, y'>
@@ -424,8 +411,8 @@ def _bilinear_witness(p, gap_set, residual, rmatvec, evaluated):
     an evaluated candidate ``s`` the extremes are the blocks' maximisers
     ``yhat = y_c + r_y P_y^{-1} g_y / ||g_y||_*`` of ``g_y = A x_s - b``
     and ``xhat = x_c - r_x P_x^{-1} g_x / ||g_x||_*`` of ``-g_x``, ``g_x =
-    A^T y_s``, the products of the evaluation of ``s`` (``evaluated(s)``,
-    or else computed).  Held there, they give the affine minorant
+    A^T y_s``, formed from ``s`` as the evaluation forms them.  Held there,
+    they give the affine minorant
 
         l(c) = <A^T yhat, x> - <A xhat - b, y> - <b, yhat>
 
@@ -456,8 +443,8 @@ def _bilinear_witness(p, gap_set, residual, rmatvec, evaluated):
                   + by.radius * by.metric.dual_norm(b))
 
     def witness(s):
-        gy, gx = evaluated(s) or (residual(np.asarray(s[0], dtype=float)),
-                                  rmatvec(np.asarray(s[1], dtype=float)))
+        gy = residual(np.asarray(s[0], dtype=float))
+        gx = rmatvec(np.asarray(s[1], dtype=float))
         yhat, xhat = by.maximiser(gy), bx.maximiser(-gx)
         sx, sy, byhat = rmatvec(yhat), residual(xhat), float(b.dot(yhat))
         return lambda c: sx.dot(c[0]) - sy.dot(c[1]) - byhat
@@ -465,16 +452,15 @@ def _bilinear_witness(p, gap_set, residual, rmatvec, evaluated):
         lambda c: mx * _euclid(c[0]) + my * _euclid(c[1]) + m0, witness)
 
 
-def _quadratic_witness(p, side, residual, rmatvec, evaluated):
+def _quadratic_witness(p, side, residual, rmatvec):
     """Anchor of the one-sided quadratic closed form: the residual
     direction.
 
     The form is ``||r||^2 / 2`` with ``r = A w - b`` on the active block
     ``w`` (Euclidean), and ``||r||`` is the maximum of ``<u, r>`` over unit
     vectors ``u``.  At an evaluated candidate with residual ``r_s`` it is
-    attained at ``u = r_s / ||r_s||`` (``r_s`` from ``evaluated(s)``, or
-    else computed), so ``l(w) = <A^T u, w> - <u, b>`` is an affine
-    minorant of the residual norm at every candidate.  As in
+    attained at ``u = r_s / ||r_s||``, so ``l(w) = <A^T u, w> - <u, b>``
+    is an affine minorant of the residual norm at every candidate.  As in
     `_bilinear_witness`, four roundings (the residual's at ``w``, the
     length of the computed ``u``, forming ``A^T u`` and ``<u, b>``, and the
     dot product of ``l(w)``) each move it by at most ``_ROUNDING_MARGIN
@@ -490,7 +476,7 @@ def _quadratic_witness(p, side, residual, rmatvec, evaluated):
     half = 0.5 * (1.0 - _ROUNDING_MARGIN)
 
     def witness(s):
-        r, = evaluated(s) or (residual(np.asarray(s[side], dtype=float)),)
+        r = residual(np.asarray(s[side], dtype=float))
         norm = _euclid(r)
         if not (norm > 0.0 and math.isfinite(norm)):
             return None
@@ -536,13 +522,15 @@ class _Evaluations:
 
     It makes the plan's anchor once, and keeps the last candidate it
     evaluated with its result, so tests that ask for one candidate in turn
-    evaluate it once.
+    evaluate it once.  Every open row scores each candidate in order, and
+    a run's final gap is that of the current candidate or the last scored
+    one, so the last evaluation is the only one a test asks for again.
     """
 
     def __init__(self, problem, evaluate):
         self.problem, self.evaluate = problem, evaluate
         self.method, _, _, make_anchor = _gap_plan(problem)
-        self.anchor = make_anchor and make_anchor(self.products)
+        self.anchor = make_anchor and make_anchor()
         self.candidate = self.result = None
 
     def __call__(self, candidate):
@@ -550,15 +538,6 @@ class _Evaluations:
             self.result = self.evaluate(self.problem, candidate)
             self.candidate = candidate
         return self.result
-
-    def products(self, candidate):
-        """The products of the last evaluation if it was of `candidate`,
-        for the witness anchored there; else None.  They are handed out
-        once and dropped from the result, which rows keep."""
-        if candidate is not self.candidate:
-            return None
-        products, self.result.products = self.result.products, None
-        return products
 
 
 class GapTest:
@@ -582,8 +561,9 @@ class GapTest:
     turn is evaluated once.
 
     `evaluate` is the gap function, called as ``evaluate(problem,
-    candidate)``; solvers pass the `restricted_gap` name of their
-    own module, so patches of that name see every evaluation.
+    candidate)``; solvers hand their `accounting.Trajectory` the
+    `restricted_gap` name of their own module, so patches of that name
+    see every evaluation.
     """
 
     def __init__(self, problem, epsilon, evaluate=None):
@@ -593,12 +573,11 @@ class GapTest:
 
     def _start(self, epsilon):
         self.epsilon = epsilon
-        # The evaluation the bound is anchored at: () before any, so a
-        # bound that needs none is armed now; None after one of another
-        # method than the plan's.
-        self._at = ()
-        self._scored = self._evaluated = self._result = None
-        self._arm()
+        self._scored = None
+        # The bound in force, a lower bound on the computed gap of a
+        # candidate, or None: before any evaluation, one that needs none.
+        anchor = self._evaluations.anchor
+        self._lower = anchor and anchor()
 
     def at(self, epsilon):
         """A new test at `epsilon` that shares this one's anchor and
@@ -606,13 +585,6 @@ class GapTest:
         twin = copy.copy(self)
         twin._start(epsilon)
         return twin
-
-    def _arm(self):
-        """Arm the bound in force: a lower bound on the computed gap of a
-        candidate, or None."""
-        anchor = self._evaluations.anchor
-        self._lower = (None if anchor is None or self._at is None
-                       else anchor(*self._at))
 
     def __call__(self, candidate):
         self._scored = candidate
@@ -626,18 +598,17 @@ class GapTest:
 
         Evaluated unless it is the last candidate this test, or the tests
         that share its evaluations, evaluated; None when no candidate is
-        given and none has been scored.
+        given and none has been scored.  An evaluation of the plan's
+        method anchors the bound at `candidate`; any other disarms it.
         """
         candidate = self._scored if candidate is None else candidate
         if candidate is None:
             return None
-        if candidate is self._evaluated:
-            return self._result
-        result = self._evaluations(candidate)
-        self._evaluated, self._result = candidate, result
-        self._at = ((candidate,)
-                    if result.method == self._evaluations.method else None)
-        self._arm()
+        evaluations = self._evaluations
+        result = evaluations(candidate)
+        self._lower = (evaluations.anchor(candidate)
+                       if evaluations.anchor is not None
+                       and result.method == evaluations.method else None)
         return result
 
     def finish(self, candidate, status):

@@ -1,4 +1,5 @@
 import gc
+import math
 import tracemalloc
 import weakref
 
@@ -63,8 +64,9 @@ def test_unknown_agent_and_bad_costs():
     led = OracleLedger(("x",))
     with pytest.raises(KeyError):
         led.record("z", 0, np.zeros(1))
-    with pytest.raises(ValueError):
-        OracleLedger(("x",), costs=(-1.0,))
+    for cost in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            OracleLedger(("x",), costs=(cost,))
     with pytest.raises(ValueError):
         OracleLedger(("x", "x"))
 

@@ -106,11 +106,19 @@ def test_gda_converges_weak_coupling():
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 6: the gap scores an "
                    "infeasible candidate like a feasible one")
-def test_gda_converged_candidate_lies_in_the_restriction_ball():
+@pytest.mark.parametrize("build, run", [
     # f = x y from (1, 1) with D = 1: the run ends `converged` after 2
     # rounds at (-0.25, 1.75), outside the x-ball, with an exact gap of 0.
-    p = _unit_bilinear_from_one()
-    res = local_gda_run(p, LocalGdaParams(epsilon=0.05))
+    (_unit_bilinear_from_one,
+     lambda p: local_gda_run(p, LocalGdaParams(epsilon=0.05))),
+    # f = -<b, y> from the origin with D = 1: the run ends `converged` with
+    # an exact gap of -5e10 at a y of norm 2.2e11, far outside its ball.
+    (lambda: make_bilinear(np.zeros((2, 2)), np.array([0.1, 0.2])),
+     lambda p: extragradient_run(p, ExtragradientParams(epsilon=0.1))),
+], ids=["local_gda", "extragradient"])
+def test_gda_converged_candidate_lies_in_the_restriction_ball(build, run):
+    p = build()
+    res = run(p)
     assert res.status == "converged"
     x, y = res.candidate
     assert np.linalg.norm(x - p.x0) <= p.D_x * (1.0 + 1e-12)

@@ -759,16 +759,16 @@ def test_round_candidates_shared_not_copied(monkeypatch):
     (The stop test scores every iteration's candidate but evaluates the
     gap only where its bound cannot rule the target out, so the spy sits
     on its input.)"""
-    from saddlesplit import decoupled
+    from saddlesplit import accounting
 
     seen = []
 
-    class SpyTest(decoupled.GapTest):
+    class SpyTest(accounting.GapTest):
         def __call__(self, candidate):
             seen.append([np.array(b) for b in candidate])
             return super().__call__(candidate)
 
-    monkeypatch.setattr(decoupled, "GapTest", SpyTest)
+    monkeypatch.setattr(accounting, "GapTest", SpyTest)
     p = make_hard_saddle("xy", 1.0, 1.0, 20)
     res = decoupled_saddle_run(
         p, DecoupledParams(epsilon=0.05),

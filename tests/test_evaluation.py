@@ -872,14 +872,13 @@ def test_rows_share_each_witness_and_each_margin(monkeypatch, kind, solver):
 
 
 @pytest.mark.parametrize("kind, per_evaluation", [
-    ("bilinear", 4), ("quadratic_x", 2)])
-def test_witness_reuses_its_evaluations_products(kind, per_evaluation):
-    # The witness anchored at an evaluated candidate takes the products
-    # that evaluation formed (A x - b and A^T y for a bilinear form, the
-    # residual for a quadratic one) instead of forming them again: each
-    # anchoring evaluation makes 2 + 2 and 1 + 1 products, not 2 + 4 and
-    # 1 + 2.  Its bounds keep their bits.
-    from saddlesplit.evaluation import _closed_form
+    ("bilinear", 2 + 4), ("quadratic_x", 1 + 2)])
+def test_witness_forms_its_own_products(kind, per_evaluation):
+    # An evaluation forms the form's products (A x - b and A^T y for a
+    # bilinear form, the residual for a quadratic one); the witness
+    # anchored there forms them again from the candidate, then its own
+    # (A^T yhat and A xhat - b, or A^T u): 2 + 4 and 1 + 2 products per
+    # anchoring evaluation.
     rng = np.random.default_rng(0)
     A = rng.standard_normal((6, 4))
     b = A @ (0.15 * rng.standard_normal(4))
@@ -888,13 +887,6 @@ def test_witness_reuses_its_evaluations_products(kind, per_evaluation):
     # Toward the saddle, so that the witnesses stop ruling candidates out.
     walk = [tuple(w + 0.7 ** k * (1.0 - w) for w in p.saddle)
             for k in range(40)]
-    _, _, value, make_anchor = _closed_form(p)
-    for s in walk[::10]:
-        _, products = value(s)
-        reused = make_anchor(lambda c: products if c is s else None)(s)
-        fresh = make_anchor(lambda c: None)(s)
-        assert [reused(c) for c in walk] == [fresh(c) for c in walk]
-
     st = p.structure
     products = []
     for name in ("matvec", "rmatvec"):
@@ -913,30 +905,6 @@ def test_witness_reuses_its_evaluations_products(kind, per_evaluation):
         test(c)
     assert len(evaluations) >= 5
     assert len(products) == per_evaluation * len(evaluations)
-
-
-def test_evaluations_hand_out_the_last_candidates_products_once():
-    # Only the last evaluated candidate's products are handed out, and
-    # only once; a witness that gets None forms its own, with the bits of
-    # the evaluation's.
-    from saddlesplit.evaluation import _closed_form, _Evaluations
-    p = make_bilinear(np.array([[1.0, 0.5], [-0.4, 2.0]]),
-                      np.array([0.1, 0.2]))
-    walk = list(_bilinear_walk(p, steps=6))
-    s, other = walk[0], walk[1]
-    evaluations = _Evaluations(p, restricted_gap)
-    result = evaluations(s)
-    assert evaluations.products(other) is None
-    assert result.products is not None
-    products = evaluations.products(s)
-    assert result.products is None
-    assert evaluations.products(s) is None
-    _, formed = _closed_form(p)[2](s)
-    assert [v.tobytes() for v in products] == [v.tobytes() for v in formed]
-    make_anchor = _closed_form(p)[3]
-    reused = make_anchor(lambda c: products if c is s else None)(s)
-    fresh = make_anchor(evaluations.products)(s)
-    assert [reused(c).hex() for c in walk] == [fresh(c).hex() for c in walk]
 
 
 def test_a_zero_residual_leaves_the_next_candidate_to_be_evaluated():

@@ -17,6 +17,7 @@ writes, so a performance change is checked on the bytes it is measured
 on.
 """
 
+import collections
 import csv
 import importlib.util
 import math
@@ -24,7 +25,7 @@ import os
 
 import pytest
 
-from saddlesplit import cli
+from saddlesplit import baselines, cli, decoupled
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "golden_results.csv")
 VI_FIXTURE = os.path.join(os.path.dirname(__file__), "data",
@@ -196,10 +197,29 @@ def test_chain_triplet_results_csv_matches_fixture(tmp_path):
                            CHAIN_FIXTURE)
 
 
+# Gap evaluations per method in one seed-1 pass of each benchmark grid.
+BENCH_GAP_EVALUATIONS = {
+    "saddle_grid": {"pga-estimate": 30, "bilinear-closed-form": 137},
+    "chain_closed_form": {"bilinear-closed-form": 237,
+                          "quadratic-closed-form": 84},
+}
+
+
 @pytest.mark.parametrize("workload", BENCH_WORKLOADS)
-def test_bench_grid_results_csv_matches_fixture(tmp_path, workload):
+def test_bench_grid_results_csv_matches_fixture(tmp_path, monkeypatch,
+                                                workload):
+    # The solvers look up their module's `restricted_gap` when a run
+    # starts, so these patches count every gap evaluation of the grid.
+    methods = collections.Counter()
+    for module in (baselines, decoupled):
+        def counted(problem, candidate, evaluate=module.restricted_gap):
+            result = evaluate(problem, candidate)
+            methods[result.method] += 1
+            return result
+        monkeypatch.setattr(module, "restricted_gap", counted)
     assert_matches_fixture(golden_csv(str(tmp_path), bench_config(workload)),
                            bench_fixture(workload))
+    assert methods == BENCH_GAP_EVALUATIONS[workload]
 
 
 def test_first_difference_names_the_row_and_its_columns():

@@ -53,13 +53,11 @@ class LocalGdaParams:
 
 
 def default_scaling(problem, d_hat=None):
-    """Per-agent metric weights making the scaled operator 1-Lipschitz."""
-    if d_hat is None:
-        d_hat = (problem.D_x, problem.D_y)
-    dx, dy = d_hat
-    ax = (problem.L_x * dx + problem.L_xy * dy) / dx
-    ay = (problem.L_y * dy + problem.L_xy * dx) / dy
-    return max(ax, 1e-12), max(ay, 1e-12)
+    """Per-agent metric weights making the scaled operator 1-Lipschitz:
+    ``alpha_i = sum_j L_ij Dhat_j / Dhat_i``, at least 1e-12."""
+    d_hat = problem.D if d_hat is None else d_hat
+    return tuple(max(sum(l * d for l, d in zip(row, d_hat)) / own, 1e-12)
+                 for row, own in zip(problem.L, d_hat))
 
 
 def _joint_space(p, step_x, step_y):
@@ -168,10 +166,9 @@ def local_gda_run(problem, params, ledger=None, rows=None):
     trajectory serves every row and the call returns None.
     """
     p = problem
-    Lx_tot = p.L_x + p.L_xy
-    Ly_tot = p.L_y + p.L_xy
-    eta_x = params.eta_x if params.eta_x is not None else 1.0 / (2.0 * max(Lx_tot, 1e-12))
-    eta_y = params.eta_y if params.eta_y is not None else 1.0 / (2.0 * max(Ly_tot, 1e-12))
+    # A step 1 / (2 L_i), with L_i block i's row sum of the Lipschitz matrix.
+    eta_x, eta_y = (1.0 / (2.0 * max(sum(row), 1e-12)) if eta is None else eta
+                    for eta, row in zip((params.eta_x, params.eta_y), p.L))
     trajectory = Trajectory(p, params, ledger, rows, restricted_gap,
                              lambda ledger: {
                                  "eta": (eta_x, eta_y),

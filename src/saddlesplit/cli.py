@@ -37,7 +37,7 @@ from saddlesplit.baselines import (
 from saddlesplit.decoupled import (
     DecoupledParams, decoupled_saddle_run, decoupled_vi_run,
 )
-from saddlesplit.evaluation import complexity_bounds
+from saddlesplit.evaluation import complexity_bounds, solver_bounds
 # Unused here; the benchmark tracer patches `cli.restricted_gap` by name.
 from saddlesplit.evaluation import restricted_gap  # noqa: F401
 from saddlesplit.hard_instances import make_hard_saddle
@@ -323,20 +323,6 @@ def _dispatch(problem, solver, params, rows):
     run(problem, p, rows=rows)
 
 
-def _bounds_for(problem, solver, eps, params):
-    """Communication/oracle bounds that apply to this cell, or Nones."""
-    if solver == "local_gda":
-        return None, None
-    report = complexity_bounds(problem, eps, d_hat=params.get("d_hat"))
-    if isinstance(problem, VipProblem):
-        if solver == "decoupled":
-            return report.dmvip_comm, None
-        return None, None
-    if solver == "decoupled":
-        return report.dmsp_comm, report.dmsp_oracle
-    return report.eg_comm, report.eg_oracle
-
-
 def _runs(problem, solver, epsilons, params, clock):
     """Yield ``(ledger, outcome, wall seconds)`` for each of `epsilons`.
 
@@ -380,7 +366,8 @@ def run_cell(instance_id, problem, solver, eps, params, check_bounds,
     bound_comm = bound_oracle = None
     compliant = ""
     if check_bounds:
-        bound_comm, bound_oracle = _bounds_for(problem, solver, eps, params)
+        bound_comm, bound_oracle = solver_bounds(problem, solver, eps,
+                                                 params.get("d_hat"))
         # A run that raised or stopped without the target accuracy
         # violates the bound just as surely as one that overruns the
         # counts, and a solver invariant that broke (AssertionError) fails

@@ -22,19 +22,21 @@ count independent of the single-agent conditioning.  A solve or exchange
 never pays twice for one point: each solve holds its last answer, and the
 exchange reuses a block's own answer when its point has not moved.
 
-Drivers.  One private function runs a block problem with coupling matrix
-``L``: scalings, frozen blocks, outer loop and `RunResult`s.  A two-agent
-saddle problem is the two-block case with ``V = (grad_x f, -grad_y f)``
-and ``L = [[L_x, L_xy], [L_xy, L_y]]``; `decoupled_saddle_run` binds its
-oracles and `decoupled_vi_run` those of a block VI.  The default round cap
-is the `complexity_bounds` round bound (the one ``run --check-bounds``
-applies) rounded up, plus two.  Blocks that no other block depends on are
-solved once locally and frozen.  When every block is frozen, the gap is
-the sum of the blocks' own gaps, and each local solve stops as soon as a
-Frank-Wolfe bound certifies its share ``eps / K``.  Without frozen blocks,
-one run serves several accuracies, as the baselines' trajectories do
-(`accounting.Row`): the inner tolerances of active blocks depend on lam,
-not on epsilon.
+Drivers.  One private function runs a block problem, read through its
+blocks (``psis``, ``metrics``, ``D``, the coupling matrix ``L`` and
+``block_is_gradient``): scalings, frozen blocks, outer loop and
+`RunResult`s.  A two-agent saddle problem is the two-block case, with
+``V = (grad_x f, -grad_y f)`` and ``L = ((L_x, L_xy), (L_xy, L_y))``;
+`decoupled_saddle_run` binds its oracles and `decoupled_vi_run` those of
+a block VI.  The default round cap is the `evaluation.solver_bounds`
+round bound, the one ``run --check-bounds`` judges the row by, rounded
+up, plus two.  Blocks that no other block depends on are solved once
+locally and frozen.  When every block is frozen, the gap is the sum of
+the blocks' own gaps, and each local solve stops as soon as a
+Frank-Wolfe bound certifies its share ``eps / K``.  Without frozen
+blocks, one run serves several accuracies, as the baselines'
+trajectories do (`accounting.Row`): the inner tolerances of active
+blocks depend on lam, not on epsilon.
 """
 
 import dataclasses
@@ -45,7 +47,7 @@ import numpy as np
 
 from saddlesplit.accounting import Trajectory
 from saddlesplit.evaluation import (
-    _gap_set, complexity_bounds, restricted_gap, theta_factor,
+    _gap_set, restricted_gap, solver_bounds, theta_factor,
 )
 from saddlesplit.metrics import ProductMetric, all_finite
 from saddlesplit.problems import QuadraticReg, RegularizedTerm
@@ -425,20 +427,22 @@ class DecoupledParams:
     max_rounds: int = None
 
 
-def _decoupled_run(problem, bind, psis, metrics, L, d_hat, gradient,
-                   params, comm_bound, ledger, rows, reference, info):
+def _decoupled_run(problem, bind, params, ledger, rows, reference, info):
     """The decoupled solver on a block problem; both drivers call this.
 
-    ``bind(sink)`` gives the oracles: block ``i``'s operator on the tuple
-    of all blocks, its queries recorded through ``sink.bind``.  ``L`` is
-    the block Lipschitz matrix.  Scalings ``alpha_i = sum_{j != i} L_ij
-    Dhat_j / Dhat_i`` balance the cross-coupling.  Blocks with
-    ``gradient[i]`` use the staged accelerated engine, the rest the
+    The problem's blocks give ``psis``, ``metrics``, the block Lipschitz
+    matrix ``L`` and ``block_is_gradient``; ``params.d_hat`` (default
+    ``problem.D``) has one entry per block.  ``bind(sink)`` gives the
+    oracles: block ``i``'s operator on the tuple of all blocks, its
+    queries recorded through ``sink.bind``.  Scalings ``alpha_i =
+    sum_{j != i} L_ij Dhat_j / Dhat_i`` balance the cross-coupling.
+    Gradient blocks use the staged accelerated engine, the rest the
     anchored extragradient loop; those with ``alpha_i = 0`` are solved
-    once by the former and frozen, so they must be gradients.
-    ``comm_bound(eps)`` sets the default round cap and ``reference`` (a
-    known solution or None) arms the telescoping check; ``d_hat`` has one
-    entry per block, and `info` holds entries added to every ``info``.
+    once by the former and frozen, so they must be gradients.  The
+    default round cap is the `solver_bounds` round bound rounded up, plus
+    two: the bound ``run --check-bounds`` judges the row by.
+    ``reference`` (a known solution or None) arms the telescoping check,
+    and `info` holds entries added to every ``info``.
     The anchor, the exchanged values and the ergodic sum are joint vectors
     over the active blocks (in the `ProductMetric` of their scalings), the
     blocks are views into them, and no array is written once a view of it
@@ -454,6 +458,9 @@ def _decoupled_run(problem, bind, psis, metrics, L, d_hat, gradient,
     depends on epsilon, so then the rows run one by one, each a run of its
     own, whose exception is its outcome.
     """
+    psis, metrics, L, gradient = (problem.psis, problem.metrics, problem.L,
+                                  problem.block_is_gradient)
+    d_hat = problem.D if params.d_hat is None else params.d_hat
     K = len(psis)
     if len(d_hat) != K:
         raise ValueError(f"d_hat has {len(d_hat)} entries but the problem "
@@ -478,16 +485,17 @@ def _decoupled_run(problem, bind, psis, metrics, L, d_hat, gradient,
         for row in rows:
             try:
                 outcome = _decoupled_run(
-                    problem, bind, psis, metrics, L, d_hat, gradient,
+                    problem, bind,
                     dataclasses.replace(params, epsilon=row.epsilon),
-                    comm_bound, row.ledger, None, reference, info)
+                    row.ledger, None, reference, info)
             except Exception as exc:         # the row's own run raises it
                 outcome = exc
             row.close(outcome)
         return None
 
     def cap(eps):
-        bound = comm_bound(eps)             # refuses a bad eps either way
+        # The bound refuses a bad eps either way.
+        bound = solver_bounds(problem, "decoupled", eps, params.d_hat)[0]
         return (math.ceil(bound) + 2 if params.max_rounds is None
                 else params.max_rounds)
 
@@ -634,17 +642,14 @@ def decoupled_saddle_run(problem, params, ledger=None, rows=None):
     and `ledger`, one run serves every row and the call returns None.
     """
     p = problem
-    d_hat = params.d_hat if params.d_hat is not None else (p.D_x, p.D_y)
+    d_hat = p.D if params.d_hat is None else params.d_hat
 
     def oracles(sink):
         ox, oy = (sink.bind(a, g)
                   for a, g in zip(p.agents, (p.grad_x, p.grad_y)))
         return [ox, lambda z: -oy(z)]
     return _decoupled_run(
-        p, oracles, [p.psi_x, p.psi_y], [p.metric_x, p.metric_y],
-        [[p.L_x, p.L_xy], [p.L_xy, p.L_y]], d_hat, [True, True], params,
-        lambda eps: complexity_bounds(p, eps, d_hat=d_hat).dmsp_comm,
-        ledger, rows, p.saddle,
+        p, oracles, params, ledger, rows, p.saddle,
         {"theta": theta_factor(p.D_x, p.D_y, d_hat[0], d_hat[1])})
 
 
@@ -661,8 +666,4 @@ def decoupled_vi_run(problem, params, ledger=None, rows=None):
     return _decoupled_run(
         p, lambda sink: [sink.bind(a, op)
                          for a, op in zip(p.agents, p.operators)],
-        p.psis, p.metrics, p.L,
-        params.d_hat if params.d_hat is not None else list(p.D),
-        p.block_is_gradient, params,
-        lambda eps: complexity_bounds(p, eps).dmvip_comm, ledger, rows,
-        p.solution, {})
+        params, ledger, rows, p.solution, {})

@@ -34,6 +34,10 @@ identity metrics, answers "no" whenever the estimator's first step does
 bound certifies: every "yes" and every reported gap is a `restricted_gap`
 evaluation, at the same candidate as when every candidate is evaluated,
 so statuses and gaps are unchanged.
+
+`complexity_bounds` evaluates an instance's closed-form bounds, and
+`solver_bounds` picks the pair each solver is held to: the decoupled
+solver's default round cap and ``run --check-bounds`` both read it.
 """
 
 import copy
@@ -191,10 +195,7 @@ def _gap_plan(p):
 def _gap_set(p):
     """The gap set B ∩ dom psi: one `GapBlock` per block, around its start
     point with radius ``D_i``."""
-    if isinstance(p, VipProblem):
-        return list(map(GapBlock, p.metrics, p.z0, p.D, p.psis))
-    return [GapBlock(p.metric_x, p.x0, p.D_x, p.psi_x),
-            GapBlock(p.metric_y, p.y0, p.D_y, p.psi_y)]
+    return list(map(GapBlock, p.metrics, p.z0, p.D, p.psis))
 
 
 def _closed_form(p):
@@ -693,8 +694,7 @@ def complexity_bounds(problem, eps, d_hat=None):
         )
 
     p = problem
-    if d_hat is None:
-        d_hat = (p.D_x, p.D_y)
+    d_hat = p.D if d_hat is None else d_hat
     cx, cy = p.costs
     th = theta_factor(p.D_x, p.D_y, d_hat[0], d_hat[1])
     cross = p.L_xy * p.D_x * p.D_y
@@ -722,3 +722,17 @@ def complexity_bounds(problem, eps, d_hat=None):
                          + cy / 3.0 * math.sqrt(3.0 * quad_y / (32.0 * eps))
                          - 2.0 * (cx + cy) / 3.0),
     )
+
+
+def solver_bounds(problem, solver, eps, d_hat=None):
+    """``(comm, oracle)``: the `complexity_bounds` entries at the solver's
+    own `d_hat` that bound `solver`'s rounds and weighted oracle cost on
+    `problem` at `eps`, None where none applies."""
+    if solver == "local_gda":
+        return None, None
+    report = complexity_bounds(problem, eps, d_hat=d_hat)
+    if isinstance(problem, VipProblem):
+        return (report.dmvip_comm if solver == "decoupled" else None), None
+    if solver == "decoupled":
+        return report.dmsp_comm, report.dmsp_oracle
+    return report.eg_comm, report.eg_oracle

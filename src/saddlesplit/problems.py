@@ -290,8 +290,9 @@ def ball_project(metric, center, radius, v):
 # problem containers
 # ---------------------------------------------------------------------------
 
-def _check_agents(diameters, costs):
-    """Positive finite diameters and one finite nonnegative cost each."""
+def _check_agents(diameters, costs, L):
+    """Positive finite diameters, one finite nonnegative cost each, and a
+    block Lipschitz matrix `L` of finite nonnegative entries."""
     for D in diameters:
         if not (math.isfinite(D) and D > 0):
             raise ValueError(f"diameters must be positive and finite, got {D!r}")
@@ -299,6 +300,10 @@ def _check_agents(diameters, costs):
             math.isfinite(c) and c >= 0 for c in costs):
         raise ValueError(f"costs must be {len(diameters)} finite nonnegative "
                          f"numbers, one per agent, got {costs!r}")
+    values = np.asarray(L, dtype=float)
+    if not np.all((values >= 0) & (values < _INF)):      # NaN fails both
+        raise ValueError("Lipschitz constants must be finite and "
+                         f"nonnegative, got {L!r}")
 
 
 def _check_starts(agents, psis, metrics, starts):
@@ -319,11 +324,17 @@ class SaddleProblem:
     problem has no operator method of its own: the monotone operator is
     ``V = (grad_x, -grad_y)``, and each solver writes the y sign once,
     where it forms ``V``.  ``D_x`` and ``D_y`` must be positive and
-    finite, ``costs`` finite and nonnegative, and each start block finite
-    and in the domain of its psi (ValueError otherwise).  ``agents``
-    names the two agents for an `OracleLedger`.
+    finite, the Lipschitz constants and ``costs`` finite and nonnegative,
+    and each start block finite and in the domain of its psi (ValueError
+    otherwise).  ``agents`` names the two agents for an `OracleLedger`.
+
+    The problem also reads as the two-block case of `VipProblem`:
+    ``psis``, ``metrics``, ``D``, ``z0``, ``block_is_gradient`` and the
+    block Lipschitz matrix ``L = ((L_x, L_xy), (L_xy, L_y))`` are views
+    of the fields, so code written for blocks needs no saddle branch.
     """
     agents = ("x", "y")
+    block_is_gradient = (True, True)
 
     grad_x: object
     grad_y: object
@@ -351,12 +362,8 @@ class SaddleProblem:
             self.metric_x = ScaledMetric(self.x0.size)
         if self.metric_y is None:
             self.metric_y = ScaledMetric(self.y0.size)
-        _check_agents((self.D_x, self.D_y), self.costs)
-        for L in (self.L_x, self.L_y, self.L_xy):
-            if L < 0:
-                raise ValueError("Lipschitz constants must be nonnegative")
-        _check_starts(self.agents, (self.psi_x, self.psi_y),
-                      (self.metric_x, self.metric_y), (self.x0, self.y0))
+        _check_agents(self.D, self.costs, self.L)
+        _check_starts(self.agents, self.psis, self.metrics, self.z0)
 
     @property
     def nx(self):
@@ -370,15 +377,22 @@ class SaddleProblem:
     def z0(self):
         return (self.x0.copy(), self.y0.copy())
 
+    # The two-block view, read-only.
+    psis = property(lambda self: (self.psi_x, self.psi_y))
+    metrics = property(lambda self: (self.metric_x, self.metric_y))
+    D = property(lambda self: (self.D_x, self.D_y))
+    L = property(lambda self: ((self.L_x, self.L_xy), (self.L_xy, self.L_y)))
+
 
 @dataclass
 class VipProblem:
     """K-agent monotone variational inequality with block oracles.
 
     ``operators[i]`` maps a list of block vectors to the i-th operator
-    block.  ``L[i][j]`` bounds the variation of block ``i`` against block
-    ``j``; ``D[i]`` is the radius of the restriction ball of block ``i``.
-    Each block of ``z0`` must be finite and lie in the domain of its psi.
+    block.  ``L[i][j]``, finite and nonnegative, bounds the variation of
+    block ``i`` against block ``j``; ``D[i]`` is the radius of the
+    restriction ball of block ``i``.  Each block of ``z0`` must be finite
+    and lie in the domain of its psi.
     """
     operators: list
     psis: list
@@ -400,13 +414,11 @@ class VipProblem:
             raise ValueError("inconsistent number of blocks")
         if self.L.shape != (K, K):
             raise ValueError("L must be a K x K matrix")
-        if np.any(self.L < 0):
-            raise ValueError("L entries must be nonnegative")
         if self.metrics is None:
             self.metrics = [ScaledMetric(b.size) for b in self.z0]
         if self.costs is None:
             self.costs = [1.0] * K
-        _check_agents(self.D, self.costs)
+        _check_agents(self.D, self.costs, self.L)
         _check_starts(self.agents, self.psis, self.metrics, self.z0)
         if self.block_is_gradient is None:
             self.block_is_gradient = [False] * K
@@ -894,14 +906,11 @@ def save_instance(problem, path):
     kind = source["kind"]
     if kind not in INSTANCE_KEYS:
         raise ValueError(f"unsupported kind {kind!r}")
-    vi = isinstance(problem, VipProblem)
-    psis = problem.psis if vi else (problem.psi_x, problem.psi_y)
-    metrics = problem.metrics if vi else (problem.metric_x, problem.metric_y)
-    if not all(type(t) is ZeroTerm for t in psis):
+    if not all(type(t) is ZeroTerm for t in problem.psis):
         raise ValueError("an instance file cannot hold a nonzero psi")
-    if not all(m.identity for m in metrics):
+    if not all(m.identity for m in problem.metrics):
         raise ValueError("an instance file cannot hold non-unit metric weights")
-    if vi and not all(problem.block_is_gradient):
+    if not all(problem.block_is_gradient):
         raise ValueError(
             "an instance file cannot hold a block_is_gradient entry False")
     cp = configparser.ConfigParser()

@@ -400,15 +400,13 @@ def test_a_decoupled_row_closes_at_its_own_cap(monkeypatch):
     # 8 (rounds come in pairs), before it converges (at 10 uncapped); the
     # rows at smaller epsilon run on to their own stops.
     from saddlesplit import decoupled
-    bounds = decoupled.complexity_bounds
+    bounds = decoupled.solver_bounds
 
-    def capped(p, eps, **kwargs):
-        report = bounds(p, eps, **kwargs)
-        if eps == 0.05:
-            report.dmsp_comm = 5.0
-        return report
+    def capped(p, solver, eps, d_hat=None):
+        comm, oracle = bounds(p, solver, eps, d_hat)
+        return (5.0 if eps == 0.05 else comm), oracle
 
-    monkeypatch.setattr(decoupled, "complexity_bounds", capped)
+    monkeypatch.setattr(decoupled, "solver_bounds", capped)
     p = _PROBE["scsc"]()
     rows = _shared(_decoupled, DecoupledParams, p, _LADDER)
     for row in rows:

@@ -449,6 +449,20 @@ def test_non_finite_matrix_exits_2_before_lapack(tmp_path, capfd, kind):
     assert "DLASCL" not in out + err
 
 
+def test_an_infinite_coupling_exits_2(tmp_path, capsys):
+    # `1e999` parses to inf.  The instance used to build, and its decoupled
+    # cell failed with an OverflowError from `math.ceil` of its round cap.
+    path = _write(tmp_path, BOUNDS_CONFIG.replace("coupling = 1.0",
+                                                  "coupling = 1e999"))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot build instance "
+                          "[instance.strong]: Lipschitz constants must be "
+                          "finite and nonnegative")
+    assert not out.exists()
+
+
 def test_main_exit_codes(tmp_path):
     path = _write(tmp_path, SP_CONFIG)
     out = str(tmp_path / "run_out")

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from saddlesplit.evaluation import (
     GapBlock, GapResult, GapTest, complexity_bounds, restricted_gap,
-    theta_factor,
+    solver_bounds, theta_factor,
 )
 from saddlesplit.metrics import ScaledMetric
 from saddlesplit.problems import (
@@ -167,6 +167,29 @@ def test_bounds_bad_eps():
     p = make_bilinear(np.array([[1.0]]))
     with pytest.raises(ValueError):
         complexity_bounds(p, 0.0)
+
+
+@pytest.mark.parametrize("solver", ["decoupled", "extragradient",
+                                    "local_gda"])
+def test_solver_bounds_give_each_solvers_pair(solver):
+    # The pair a decoupled cap and `run --check-bounds` both read: the
+    # saddle entries at the solver's d_hat, the VI's round bound for the
+    # decoupled solver only, and none for local GDA.
+    saddle = make_strongly_convex_concave(1.0, 2.0, 0.5, D_x=2.0)
+    vi = random_polymatrix([2, 2], np.random.default_rng(3))
+    r = complexity_bounds(saddle, 0.1, d_hat=(1.0, 3.0))
+    want = {"decoupled": (r.dmsp_comm, r.dmsp_oracle),
+            "extragradient": (r.eg_comm, r.eg_oracle),
+            "local_gda": (None, None)}[solver]
+    assert solver_bounds(saddle, solver, 0.1, (1.0, 3.0)) == want
+    assert solver_bounds(saddle, solver, 0.1) == solver_bounds(
+        saddle, solver, 0.1, saddle.D)
+    vi_comm = complexity_bounds(vi, 0.1).dmvip_comm
+    assert solver_bounds(vi, solver, 0.1) == (
+        (vi_comm, None) if solver == "decoupled" else (None, None))
+    if solver != "local_gda":
+        with pytest.raises(ValueError, match="accuracy"):
+            solver_bounds(saddle, solver, 0.0)
 
 
 def test_vip_gap_builds_constants_once(monkeypatch):
@@ -329,6 +352,21 @@ def test_each_psi_says_how_it_meets_the_ball(psi, radius, left, indicator):
     assert np.array_equal(block.center, _CENTER)
     assert block.center.dtype == float
     assert (block.radius, block.psi_left) == (radius, psi if left else None)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP items 6 and 7: GapBlock.project projects onto the ball, then "
+    "onto dom psi_left, which can leave the ball when dom psi_left does "
+    "not hold its center"))
+def test_gap_block_project_stays_in_the_ball_off_a_center_missing_box():
+    # The box x >= 0.9 meets the unit ball around 0 but misses its center:
+    # the ball step gives (0.243, 0.970), the box step (0.9, 0.970), at
+    # metric norm 1.323.
+    block = GapBlock(ScaledMetric(2), np.zeros(2), 1.0,
+                     BoxIndicator([0.9, -np.inf], [np.inf, np.inf]))
+    w = block.project(np.array([0.5, 2.0]))
+    assert block.psi_left.contains(block.metric, w)
+    assert block.in_ball(w)
 
 
 def _sampled_ball(metric, center, radius, angles, rings):

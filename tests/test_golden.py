@@ -25,7 +25,7 @@ import os
 
 import pytest
 
-from saddlesplit import baselines, cli, decoupled
+from saddlesplit import accounting, baselines, cli, decoupled
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "golden_results.csv")
 VI_FIXTURE = os.path.join(os.path.dirname(__file__), "data",
@@ -203,6 +203,13 @@ BENCH_GAP_EVALUATIONS = {
     "chain_closed_form": {"bilinear-closed-form": 237,
                           "quadratic-closed-form": 84},
 }
+# Oracle computations per agent and trajectory round ends in the same pass.
+# The ledgers' records and round ends are the CSV's query and round sums,
+# which the fixture pins already.
+BENCH_WORK = {
+    "saddle_grid": ({"x": 554, "y": 554}, 537),
+    "chain_closed_form": ({"x": 41963, "y": 41963}, 40988),
+}
 
 
 @pytest.mark.parametrize("workload", BENCH_WORKLOADS)
@@ -217,9 +224,28 @@ def test_bench_grid_results_csv_matches_fixture(tmp_path, monkeypatch,
             methods[result.method] += 1
             return result
         monkeypatch.setattr(module, "restricted_gap", counted)
+    # `Trajectory.bind` looks `OracleLedger.bind` up when a run starts, so
+    # this wrapper sees each oracle computation once, however many ledgers
+    # record it.
+    computed, rounds = collections.Counter(), [0]
+    bind = accounting.OracleLedger.bind
+    end_round = accounting.Trajectory.end_round
+
+    def counted_bind(sink, agent, fn):
+        def oracle(point):
+            computed[agent] += 1
+            return fn(point)
+        return bind(sink, agent, oracle)
+
+    def counted_end_round(trajectory, candidate):
+        rounds[0] += 1
+        return end_round(trajectory, candidate)
+    monkeypatch.setattr(accounting.OracleLedger, "bind", counted_bind)
+    monkeypatch.setattr(accounting.Trajectory, "end_round", counted_end_round)
     assert_matches_fixture(golden_csv(str(tmp_path), bench_config(workload)),
                            bench_fixture(workload))
     assert methods == BENCH_GAP_EVALUATIONS[workload]
+    assert (computed, rounds[0]) == BENCH_WORK[workload]
 
 
 def test_first_difference_names_the_row_and_its_columns():

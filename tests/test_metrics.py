@@ -153,6 +153,20 @@ def test_block_weights_must_be_finite():
             ProductMetric([block])
 
 
+def test_a_product_metric_is_the_scaled_metric_of_its_joint_weights():
+    m = ProductMetric([(ScaledMetric([1.0, 2.0]), 3.0),
+                       (ScaledMetric([0.5]), 2.0)])
+    assert isinstance(m, ScaledMetric)
+    assert m.weights.tolist() == [3.0, 6.0, 1.0] and m.dim == 3
+    assert m.dims == [2, 1] and m.offsets.tolist() == [0, 2, 3]
+    assert not m.identity and not m.weights.flags.writeable
+    # The bench's span tracer wraps these in ProductMetric's own namespace.
+    assert {"inner", "norm", "dual_norm", "apply", "apply_inv", "split",
+            "join"} <= set(vars(ProductMetric))
+    with pytest.raises(ValueError, match="positive and finite"):
+        ProductMetric([(ScaledMetric(1), 1.0), (ScaledMetric(1), -np.inf)])
+
+
 def test_metric_keeps_a_read_only_copy_of_its_weights():
     w = np.ones(2)
     m = ScaledMetric(w)

@@ -337,6 +337,51 @@ def test_vip_problem_rejects_a_non_finite_start(bad):
         dataclasses.replace(poly, z0=[np.zeros(2), np.array([0.0, bad])])
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_problems_reject_a_non_finite_lipschitz_constant(bad):
+    # NaN and +inf used to pass: on an infinite coupling the decoupled round
+    # cap raised OverflowError and extragradient ended `diverged` on a NaN
+    # gap.
+    p = make_strongly_convex_concave(1.0, 1.0, 1.0)
+    for key in ("L_x", "L_y", "L_xy"):
+        with pytest.raises(ValueError, match="Lipschitz constants must be "
+                                             "finite and nonnegative"):
+            dataclasses.replace(p, **{key: bad})
+    poly = make_polymatrix([1, 1], [[None, [[1.0]]], [[[-1.0]], None]])
+    L = poly.L.copy()
+    L[1, 0] = bad
+    with pytest.raises(ValueError, match="Lipschitz constants must be "
+                                         "finite and nonnegative"):
+        dataclasses.replace(poly, L=L)
+
+
+@pytest.mark.parametrize("mu_x, coupling", [(np.nan, 1.0), (1.0, np.inf),
+                                            (1.0, np.nan)])
+def test_scsc_generator_refuses_non_finite_constants(mu_x, coupling):
+    with pytest.raises(ValueError, match="Lipschitz constants"):
+        make_strongly_convex_concave(mu_x, 1.0, coupling)
+
+
+def test_a_saddle_reads_as_its_two_blocks():
+    p = make_strongly_convex_concave(0.7, 1.3, 0.4, n=2, D_x=1.5, D_y=2.5)
+    assert p.psis == (p.psi_x, p.psi_y)
+    assert p.metrics == (p.metric_x, p.metric_y)
+    assert p.D == (1.5, 2.5)
+    assert p.L == ((0.7, 0.4), (0.4, 1.3))
+    assert p.block_is_gradient == (True, True)
+    assert all(np.array_equal(z, w) for z, w in zip(p.z0, (p.x0, p.y0)))
+    # The view follows the fields, and is not a field of its own.
+    box, metric = BoxIndicator(np.full(2, -2.0), np.full(2, 2.0)), I2
+    q = dataclasses.replace(p, psi_y=box, metric_x=metric, L_xy=2.0, D_x=3.0)
+    assert q.psis == (p.psi_x, box) and q.metrics == (metric, p.metric_y)
+    assert q.L == ((0.7, 2.0), (2.0, 1.3)) and q.D == (3.0, 2.5)
+    assert not {"psis", "metrics", "D", "L", "block_is_gradient"} & {
+        f.name for f in dataclasses.fields(p)}
+    for name in ("psis", "metrics", "D", "L"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, None)
+
+
 @pytest.mark.parametrize("make", [make_bilinear, make_quadratic])
 @pytest.mark.parametrize("key, value", [
     ("A", [[1.0, 0.0], [0.0, np.inf]]),

@@ -82,8 +82,8 @@ class OracleLedger:
     def bind(self, agent, fn):
         """Wrap `fn` so every call is recorded under `agent`.
 
-        Only ``self.record`` is used, so a baseline trajectory binds its
-        oracles through here to record each call on several ledgers.
+        Only ``self.record`` is used, so a `Trajectory` binds its oracles
+        through here to record each call on several ledgers.
         """
         def recorded(point):
             response = fn(point)

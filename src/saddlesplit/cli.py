@@ -272,9 +272,10 @@ def parse_config(path, seed=None):
 def _solver_params(cp, instances):
     """``{solver: {key: value}}`` from the ``[solver.<name>]`` sections.
 
-    Each value must meet its `SOLVER_VALUE_RULES` entry.  A
-    ``[solver.decoupled] d_hat`` pair gives one distance estimate per
-    block, so every one of `instances` must have two blocks.
+    Each value must meet its `SOLVER_VALUE_RULES` entry.  A ``d_hat``
+    pair gives one distance estimate per block, and ``eta_x`` and
+    ``eta_y`` the steps of two blocks, so then every one of `instances`
+    must have two blocks.
     """
     solver_params = {}
     for section in cp.sections():
@@ -292,18 +293,21 @@ def _solver_params(cp, instances):
             if valid is not None and not valid(value):
                 raise ConfigError(f"{key} must be {what}, got {value!r} "
                                   f"in [{section}]")
-    _check_d_hat(solver_params.get("decoupled", {}).get("d_hat"), instances,
-                 "[solver.decoupled] d_hat")
+    for sname, params in solver_params.items():
+        for key in ("d_hat", "eta_x", "eta_y"):
+            if key in params:
+                _check_blocks(len(params[key]) if key == "d_hat" else 2,
+                              instances, f"[solver.{sname}] {key}")
     return solver_params
 
 
-def _check_d_hat(d_hat, instances, source):
-    """ConfigError, naming `source`, unless `d_hat` fits every instance."""
+def _check_blocks(blocks, instances, source):
+    """ConfigError, naming `source`, unless every instance has `blocks`
+    blocks."""
     for iid, problem in instances:
-        if d_hat is not None and len(problem.agents) != len(d_hat):
-            raise ConfigError(
-                f"{source} has {len(d_hat)} entries but instance {iid!r} "
-                f"has {len(problem.agents)} blocks")
+        if len(problem.agents) != blocks:
+            raise ConfigError(f"{source} is for {blocks} blocks but instance "
+                              f"{iid!r} has {len(problem.agents)}")
 
 
 # ---------------------------------------------------------------------------
@@ -312,15 +316,10 @@ def _check_d_hat(d_hat, instances, source):
 
 def _dispatch(problem, solver, params, rows):
     """Run `solver` on `problem` to serve each of `rows` (`Row`s)."""
-    is_vi = isinstance(problem, VipProblem)
-    if is_vi and solver != "decoupled":
-        raise ValueError(f"solver {solver!r} handles saddle problems only")
-    p = SOLVER_PARAMS[solver](epsilon=None, **params)
-    if solver == "decoupled":
-        run = decoupled_vi_run if is_vi else decoupled_saddle_run
-    else:
-        run = extragradient_run if solver == "extragradient" else local_gda_run
-    run(problem, p, rows=rows)
+    run = {"decoupled": decoupled_vi_run if isinstance(problem, VipProblem)
+           else decoupled_saddle_run, "extragradient": extragradient_run,
+           "local_gda": local_gda_run}[solver]
+    run(problem, SOLVER_PARAMS[solver](epsilon=None, **params), rows=rows)
 
 
 def _runs(problem, solver, epsilons, params, clock):
@@ -628,7 +627,8 @@ def _cmd_bounds(args):
         return 2
     try:
         d_hat = _parse_d_hat(args.d_hat)
-        _check_d_hat(d_hat, instances, "--d-hat")
+        if d_hat is not None:
+            _check_blocks(len(d_hat), instances, "--d-hat")
         # Every report before any output: a bad argument prints nothing.
         reports = [(iid, complexity_bounds(problem, args.epsilon, d_hat=d_hat))
                    for iid, problem in instances]

@@ -25,18 +25,18 @@ exchange reuses a block's own answer when its point has not moved.
 Drivers.  One private function runs a block problem, read through its
 blocks (``psis``, ``metrics``, ``D``, the coupling matrix ``L`` and
 ``block_is_gradient``): scalings, frozen blocks, outer loop and
-`RunResult`s.  A two-agent saddle problem is the two-block case, with
-``V = (grad_x f, -grad_y f)`` and ``L = ((L_x, L_xy), (L_xy, L_y))``;
-`decoupled_saddle_run` binds its oracles and `decoupled_vi_run` those of
-a block VI.  The default round cap is the `evaluation.solver_bounds`
-round bound, the one ``run --check-bounds`` judges the row by, rounded
-up, plus two.  Blocks that no other block depends on are solved once
-locally and frozen.  When every block is frozen, the gap is the sum of
-the blocks' own gaps, and each local solve stops as soon as a
-Frank-Wolfe bound certifies its share ``eps / K``.  Without frozen
-blocks, one run serves several accuracies, as the baselines'
-trajectories do (`accounting.Row`): the inner tolerances of active
-blocks depend on lam, not on epsilon.
+`RunResult`s; the problem's `oracles` give the blocks of ``V``.  A
+two-agent saddle problem is the two-block case, with ``V = (grad_x f,
+-grad_y f)`` and ``L = ((L_x, L_xy), (L_xy, L_y))``:
+`decoupled_saddle_run` runs it and `decoupled_vi_run` a block VI.  The
+default round cap is the `evaluation.solver_bounds` round bound, the one
+``run --check-bounds`` judges the row by, rounded up, plus two.  Blocks
+that no other block depends on are solved once locally and frozen.
+When every block is frozen, the gap is the sum of the blocks' own gaps,
+and each local solve stops as soon as a Frank-Wolfe bound certifies its
+share ``eps / K``.  Without frozen blocks, one run serves several
+accuracies, as the baselines' trajectories do (`accounting.Row`): the
+inner tolerances of active blocks depend on lam, not on epsilon.
 """
 
 import dataclasses
@@ -47,7 +47,8 @@ import numpy as np
 
 from saddlesplit.accounting import Trajectory
 from saddlesplit.evaluation import (
-    _gap_set, restricted_gap, solver_bounds, theta_factor,
+    _gap_set, block_scalings, resolve_d_hat, restricted_gap, solver_bounds,
+    theta_factor,
 )
 from saddlesplit.metrics import ProductMetric, all_finite
 from saddlesplit.problems import QuadraticReg, RegularizedTerm
@@ -427,18 +428,16 @@ class DecoupledParams:
     max_rounds: int = None
 
 
-def _decoupled_run(problem, bind, params, ledger, rows, reference, info):
+def _decoupled_run(problem, params, ledger, rows, reference, info):
     """The decoupled solver on a block problem; both drivers call this.
 
     The problem's blocks give ``psis``, ``metrics``, the block Lipschitz
-    matrix ``L`` and ``block_is_gradient``; ``params.d_hat`` (default
-    ``problem.D``) has one entry per block.  ``bind(sink)`` gives the
-    oracles: block ``i``'s operator on the tuple of all blocks, its
-    queries recorded through ``sink.bind``.  Scalings ``alpha_i =
-    sum_{j != i} L_ij Dhat_j / Dhat_i`` balance the cross-coupling.
-    Gradient blocks use the staged accelerated engine, the rest the
-    anchored extragradient loop; those with ``alpha_i = 0`` are solved
-    once by the former and frozen, so they must be gradients.  The
+    matrix ``L``, ``block_is_gradient`` and, through `oracles`, block
+    ``i``'s operator on the tuple of all blocks.  Cross scalings at
+    ``params.d_hat`` (`block_scalings`) balance the coupling.  Gradient
+    blocks use the staged accelerated engine, the rest the anchored
+    extragradient loop; those with ``alpha_i = 0`` are solved once by the
+    former and frozen, so they must be gradients.  The
     default round cap is the `solver_bounds` round bound rounded up, plus
     two: the bound ``run --check-bounds`` judges the row by.
     ``reference`` (a known solution or None) arms the telescoping check,
@@ -460,13 +459,9 @@ def _decoupled_run(problem, bind, params, ledger, rows, reference, info):
     """
     psis, metrics, L, gradient = (problem.psis, problem.metrics, problem.L,
                                   problem.block_is_gradient)
-    d_hat = problem.D if params.d_hat is None else params.d_hat
+    d_hat = resolve_d_hat(problem, params.d_hat)
+    alphas = block_scalings(problem, d_hat, cross=True)
     K = len(psis)
-    if len(d_hat) != K:
-        raise ValueError(f"d_hat has {len(d_hat)} entries but the problem "
-                         f"has {K} blocks")
-    alphas = [sum(L[i][j] * d_hat[j] for j in range(K) if j != i) / d_hat[i]
-              for i in range(K)]
     active = [i for i in range(K) if alphas[i] > 0]
     frozen = [i for i in range(K) if i not in active]
     # Block i's Lipschitz constant in its own metric: ||g||_* <= ||g|| /
@@ -485,8 +480,7 @@ def _decoupled_run(problem, bind, params, ledger, rows, reference, info):
         for row in rows:
             try:
                 outcome = _decoupled_run(
-                    problem, bind,
-                    dataclasses.replace(params, epsilon=row.epsilon),
+                    problem, dataclasses.replace(params, epsilon=row.epsilon),
                     row.ledger, None, reference, info)
             except Exception as exc:         # the row's own run raises it
                 outcome = exc
@@ -509,7 +503,7 @@ def _decoupled_run(problem, bind, params, ledger, rows, reference, info):
 
     trajectory = Trajectory(problem, params, ledger, rows, restricted_gap,
                              run_info, cap)
-    oracles = bind(trajectory)
+    oracles = problem.oracles(trajectory)
 
     def block_operator(i, base):
         """Block ``i``'s operator with the other blocks fixed at `base`."""
@@ -634,36 +628,25 @@ def decoupled_saddle_run(problem, params, ledger=None, rows=None):
     scaled coupling constant equal to one, so the default ``lam = 2`` meets
     the weak-coupling requirement with equality.  When the agents do not
     interact at all (``L_xy = 0``) the run is one local solve per agent and
-    a single exchange.  The y block of ``V`` is ``-grad_y``; the ledger
-    records the ``y`` agent's own responses, ``grad_y``.  The default
-    round cap comes from ``dmsp_comm``, and ``info["theta"]`` is the
-    diameter factor of the same report.  Gaps are over the instance's gap
-    set.  With `rows` (`accounting.Row`s) in place of ``params.epsilon``
-    and `ledger`, one run serves every row and the call returns None.
+    a single exchange.  The default round cap comes from ``dmsp_comm``,
+    and ``info["theta"]`` is the diameter factor of the same report.  Gaps
+    are over the instance's gap set.  With `rows` (`accounting.Row`s) in
+    place of ``params.epsilon`` and `ledger`, one run serves every row and
+    the call returns None.
     """
     p = problem
-    d_hat = p.D if params.d_hat is None else params.d_hat
-
-    def oracles(sink):
-        ox, oy = (sink.bind(a, g)
-                  for a, g in zip(p.agents, (p.grad_x, p.grad_y)))
-        return [ox, lambda z: -oy(z)]
-    return _decoupled_run(
-        p, oracles, params, ledger, rows, p.saddle,
-        {"theta": theta_factor(p.D_x, p.D_y, d_hat[0], d_hat[1])})
+    return _decoupled_run(p, params, ledger, rows, p.saddle, {
+        "theta": theta_factor(p.D_x, p.D_y, *resolve_d_hat(p, params.d_hat))})
 
 
 def decoupled_vi_run(problem, params, ledger=None, rows=None):
     """Decoupled solver for block variational inequalities.
 
-    See `_decoupled_run`; the default round cap comes from ``dmvip_comm``,
-    ``2 + 2 sum_{i != j} L_ij D_i D_j / eps``.  Gaps are over the
-    instance's gap set, balls of radius ``D[i]`` around ``z0`` in dom psi.
-    With `rows` (`accounting.Row`s) in place of ``params.epsilon`` and
-    `ledger`, one run serves every row and the call returns None.
+    See `_decoupled_run`; the default round cap comes from ``dmvip_comm``.
+    Gaps are over the instance's gap set, balls of radius ``D[i]`` around
+    ``z0`` in dom psi.  With `rows` (`accounting.Row`s) in place of
+    ``params.epsilon`` and `ledger`, one run serves every row and the call
+    returns None.
     """
-    p = problem
-    return _decoupled_run(
-        p, lambda sink: [sink.bind(a, op)
-                         for a, op in zip(p.agents, p.operators)],
-        params, ledger, rows, p.solution, {})
+    return _decoupled_run(problem, params, ledger, rows, problem.solution,
+                          {})

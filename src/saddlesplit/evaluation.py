@@ -623,6 +623,32 @@ class GapTest:
 # theta and closed-form bounds
 # ---------------------------------------------------------------------------
 
+def resolve_d_hat(problem, d_hat=None):
+    """`d_hat`, or ``problem.D`` when None: one distance estimate per
+    block (ValueError otherwise), as every solver and bound reads them."""
+    d_hat = problem.D if d_hat is None else d_hat
+    if len(d_hat) != len(problem.L):
+        raise ValueError(f"d_hat has {len(d_hat)} entries but the problem "
+                         f"has {len(problem.L)} blocks")
+    return d_hat
+
+
+def block_scalings(problem, d_hat=None, cross=False):
+    """Block metric weights ``alpha_i = sum_j L_ij Dhat_j / Dhat_i`` at
+    the estimates `resolve_d_hat` gives, the sum over ``j != i`` when
+    `cross` (the decoupled solver's scalings)."""
+    d_hat, L = resolve_d_hat(problem, d_hat), problem.L
+    K = len(d_hat)
+    return [sum(L[i][j] * d_hat[j] for j in range(K) if not (cross and j == i))
+            / d_hat[i] for i in range(K)]
+
+
+def default_scaling(problem, d_hat=None):
+    """Extragradient's block weights: `block_scalings` with the diagonal,
+    at least 1e-12, which make the scaled operator 1-Lipschitz."""
+    return tuple(max(a, 1e-12) for a in block_scalings(problem, d_hat))
+
+
 def theta_factor(D_x, D_y, Dhat_x, Dhat_y):
     """Robustness factor of the decoupled method to diameter estimates.
 
@@ -639,11 +665,8 @@ def theta_factor(D_x, D_y, Dhat_x, Dhat_y):
 class BoundsReport:
     """Closed-form complexity bounds for one instance at one accuracy.
 
-    Saddle instances fill the two-agent entries, VIPs fill `dmvip_comm`
-    plus the per-block conditioning terms ``A_i`` and ``B_i``.  The two
-    catalyst-style entries, `cat_eg_comm` and `catcat_comm`, are order-only
-    (leading expression times the log factors at the given accuracy, no
-    hidden constants) and never used in compliance checks.
+    Saddle instances fill every entry but `dmvip_comm`; VIPs fill
+    `dmvip_comm`, `eg_comm` and `eg_oracle`.
     """
     theta: float = None
     dmsp_comm: float = None
@@ -651,57 +674,45 @@ class BoundsReport:
     eg_comm: float = None
     eg_oracle: float = None
     dmvip_comm: float = None
-    cat_eg_comm: float = None
-    catcat_comm: float = None
     lower_comm: float = None
     lower_oracle: float = None
-    A_terms: list = None
-    B_terms: list = None
 
     def as_dict(self):
-        """The entries that apply, in declaration order; lists are copied."""
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if v is not None:
-                out[f.name] = list(v) if isinstance(v, list) else v
-        return out
+        """The entries that apply, in declaration order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if getattr(self, f.name) is not None}
 
 
 def complexity_bounds(problem, eps, d_hat=None):
-    """Evaluate every closed-form bound applicable to `problem` at `eps`.
+    """Every closed-form bound of `problem` at accuracy `eps` (positive
+    and finite) and the distance estimates `resolve_d_hat` gives.
 
-    Parameters
-    ----------
-    problem : SaddleProblem or VipProblem
-    eps : float
-        Target accuracy; must be positive and finite.
-    d_hat : pair of float, optional
-        Diameter estimates (saddle problems only).  Default: true diameters.
+    A VIP's round bounds are block forms of the saddle's, ``sum_i alpha_i
+    D_i^2 / eps`` at scalings for `d_hat`: the decoupled solver's cross
+    scalings in ``dmvip_comm = 2 + 2 (.)``, and extragradient's
+    `default_scaling` in ``eg_comm``, whose two-block case is the saddle's.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"accuracy must be positive and finite, got {eps!r}")
+    d_hat = resolve_d_hat(problem, d_hat)
     if isinstance(problem, VipProblem):
-        K = problem.K
-        L, D = problem.L, list(problem.D)
+        L, D, K = problem.L, problem.D, problem.K
+        # Pair by pair: rho_ij = (Dhat_j D_i) / (Dhat_i D_j) is 1.0 exactly
+        # at Dhat = D, where the sum is that of L_ij D_i D_j, bit for bit.
         cross = float(sum(L[i, j] * D[i] * D[j]
+                          * ((d_hat[j] * D[i]) / (d_hat[i] * D[j]))
                           for i in range(K) for j in range(K) if i != j))
-        return BoundsReport(
-            dmvip_comm=2.0 + 2.0 * cross / eps,
-            A_terms=[float(D[i] * sum(L[i, j] * D[j] for j in range(K)
-                                      if j != i)) for i in range(K)],
-            B_terms=[float(L[i, i] * D[i] ** 2) for i in range(K)],
-        )
+        eg_comm = float(sum(a * D[i] * D[i] for i, a in
+                            enumerate(default_scaling(problem, d_hat)))) / eps
+        return BoundsReport(dmvip_comm=2.0 + 2.0 * cross / eps, eg_comm=eg_comm,
+                            eg_oracle=float(sum(problem.costs)) * eg_comm)
 
     p = problem
-    d_hat = p.D if d_hat is None else d_hat
     cx, cy = p.costs
     th = theta_factor(p.D_x, p.D_y, d_hat[0], d_hat[1])
     cross = p.L_xy * p.D_x * p.D_y
     quad_x = p.L_x * p.D_x ** 2
     quad_y = p.L_y * p.D_y ** 2
-    log1 = max(math.log(1.0 / eps), 1.0)
-    Lmax = max(p.L_x, p.L_y, p.L_xy)
     return BoundsReport(
         theta=th,
         dmsp_comm=2.0 + 2.0 * th * cross / eps,
@@ -711,10 +722,6 @@ def complexity_bounds(problem, eps, d_hat=None):
                         + cy * math.sqrt(quad_y / eps))),
         eg_comm=th * cross / eps + quad_x / eps + quad_y / eps,
         eg_oracle=(cx + cy) * (th * cross / eps + quad_x / eps + quad_y / eps),
-        cat_eg_comm=((Lmax * d_hat[0] * d_hat[1] / eps
-                      + math.sqrt(p.L_x * d_hat[0] ** 2 / eps)
-                      + math.sqrt(p.L_y * d_hat[1] ** 2 / eps)) * log1 ** 2),
-        catcat_comm=(p.L_xy * d_hat[0] * d_hat[1] / eps) * log1 ** 3,
         # Lower bounds clamp at zero: a negative bound carries no information.
         lower_comm=max(0.0, (2.0 / 3.0) * cross / eps - 2.0),
         lower_oracle=max(0.0, (cx + cy) / 9.0 * cross / eps
@@ -731,8 +738,6 @@ def solver_bounds(problem, solver, eps, d_hat=None):
     if solver == "local_gda":
         return None, None
     report = complexity_bounds(problem, eps, d_hat=d_hat)
-    if isinstance(problem, VipProblem):
-        return (report.dmvip_comm if solver == "decoupled" else None), None
-    if solver == "decoupled":
-        return report.dmsp_comm, report.dmsp_oracle
+    if solver == "decoupled":       # a report fills dmsp_* or dmvip_comm
+        return report.dmsp_comm or report.dmvip_comm, report.dmsp_oracle
     return report.eg_comm, report.eg_oracle

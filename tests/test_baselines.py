@@ -281,6 +281,39 @@ def test_wrong_length_oracle_response_raises(solver, block):
         _run_pinned(solver, p)
 
 
+@pytest.mark.parametrize("d_hat", [(1.0,), (1.0, 1.0, 5.0)])
+def test_a_d_hat_of_the_wrong_length_is_rejected(d_hat):
+    # A short pair used to raise IndexError or an unpacking error, and a
+    # long one ran extragradient on its first two entries.
+    p = make_strongly_convex_concave(1.0, 1.0, 0.5, n=2)
+    match = f"d_hat has {len(d_hat)} entries but the problem has 2 blocks"
+    for run, params in ((extragradient_run, ExtragradientParams),
+                        (decoupled_saddle_run, DecoupledParams)):
+        with pytest.raises(ValueError, match=match):
+            run(p, params(epsilon=0.1, d_hat=d_hat))
+    with pytest.raises(ValueError, match=match):
+        complexity_bounds(p, 0.1, d_hat=d_hat)
+
+
+@pytest.mark.parametrize("run, params", [
+    (extragradient_run, ExtragradientParams), (local_gda_run, LocalGdaParams)])
+def test_a_one_block_vi_runs(run, params):
+    # One block: its view is the 1-tuple of the joint vector.
+    p = random_polymatrix([4], np.random.default_rng(1), diag=1.0)
+    res = run(p, params(epsilon=0.1))
+    assert res.status == "converged" and res.gap.value <= 0.1
+    assert len(res.candidate) == 1 and res.candidate[0].shape == (4,)
+
+
+def test_gda_steps_of_two_blocks_need_a_two_block_problem():
+    p = random_polymatrix([2, 2, 2], np.random.default_rng(3), diag=1.0)
+    with pytest.raises(ValueError, match="the problem has 3"):
+        local_gda_run(p, LocalGdaParams(epsilon=0.1, eta_x=0.1))
+    # Without them each block steps by 1 / (2 L_i), L_i its row sum of L.
+    res = local_gda_run(p, LocalGdaParams(epsilon=0.1, max_rounds=2))
+    assert res.info["eta"] == tuple(1.0 / (2.0 * sum(row)) for row in p.L)
+
+
 # -- certified stop test -----------------------------------------------------
 
 def _counted_gaps(monkeypatch, ledger=None):
@@ -341,7 +374,7 @@ _RUNS = {"extragradient": (extragradient_run, ExtragradientParams),
          "local_gda": (local_gda_run, LocalGdaParams),
          "decoupled": (_decoupled, DecoupledParams)}
 # hard_x has no coupling (L_xy = 0), so the decoupled method freezes both
-# blocks; poly3 is a 3-block VI, for the decoupled method only.
+# blocks; poly3 is a 3-block VI.
 _PROBE = {
     "hard_x": lambda: make_hard_saddle("x", 100.0, 1.0, 50),
     "hard_xy": lambda: make_hard_saddle("xy", 1.0, 1.0, 500),
@@ -375,8 +408,7 @@ def _shared(run, params, p, ladder):
 
 @pytest.mark.parametrize("instance, solver", [
     (instance, solver) for instance in sorted(_PROBE)
-    for solver in sorted(_RUNS)
-    if solver == "decoupled" or instance != "poly3"])
+    for solver in sorted(_RUNS)])
 def test_shared_rows_equal_their_standalone_runs(instance, solver):
     # Each row of one trajectory reports what a run at its epsilon alone
     # does: status, rounds, queries per agent and round, cost, candidate,

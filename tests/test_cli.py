@@ -165,12 +165,14 @@ eta_y = 0.5
     assert ",," in line             # gap field left empty
 
 
-def test_vip_grid_and_failure_rows(tmp_path):
+def test_vip_grid_rows_of_every_solver(tmp_path):
+    # Every solver runs a VI.  Each row of a grid is the row its cell alone
+    # makes, and extragradient meets its block bound.
     text = """
 [experiment]
-epsilons = [0.1]
-solvers = decoupled, extragradient
-seed = 5
+epsilons = [0.2, 0.1]
+solvers = decoupled, extragradient, local_gda
+seed = 3
 check_bounds = true
 
 [instance.game]
@@ -181,12 +183,16 @@ diag = 0.5
 """
     config = cli.parse_config(_write(tmp_path, text))
     rows = cli.run_experiment(config, clock=lambda: 0.0)
-    assert len(rows) == 2
-    dec = next(r for r in rows if r.solver == "decoupled")
-    eg = next(r for r in rows if r.solver == "extragradient")
-    assert dec.status == "converged" and dec.compliant == "true"
-    assert set(dec.queries) == {"1", "2", "3"}
-    assert eg.status.startswith("error:") and eg.compliant == ""
+    assert [(r.solver, r.epsilon) for r in rows] == [
+        (s, e) for s in ("decoupled", "extragradient", "local_gda")
+        for e in (0.1, 0.2)]
+    (iid, problem), = config.instances
+    for row in rows:
+        assert row == cli.run_cell(iid, problem, row.solver, row.epsilon, {},
+                                   True, clock=lambda: 0.0)
+        assert set(row.queries) == {"1", "2", "3"}
+        assert row.status == "converged"
+        assert row.compliant == ("" if row.solver == "local_gda" else "true")
     header = cli.rows_to_csv(rows).splitlines()[0]
     assert "queries_1,queries_2,queries_3" in header
 
@@ -651,11 +657,9 @@ def test_bounds_lines_parse(tmp_path, capsys):
     assert cli.main(["bounds", "--config", path, "--epsilon", "0.1"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert {ln.split(" = ", 1)[0] for ln in lines} == {
-        "dmvip_comm", "A_terms", "B_terms"}
+        "dmvip_comm", "eg_comm", "eg_oracle"}
     for ln in lines:
-        value = ast.literal_eval(ln.split(" = ", 1)[1])
-        assert all(isinstance(v, float) for v in
-                   (value if isinstance(value, list) else [value]))
+        assert isinstance(ast.literal_eval(ln.split(" = ", 1)[1]), float)
 
 
 BILINEAR_BODY = "kind = bilinear\na = [[1.0]]\nb = [0.0]\n"
@@ -986,9 +990,26 @@ def test_decoupled_d_hat_needs_two_blocks(tmp_path, capsys):
     path = _write(tmp_path, poly.format("[2, 2, 2]") + section)
     for code, err in _run_and_bounds(tmp_path, capsys, path):
         assert code == 2
-        assert err == ("config error: [solver.decoupled] d_hat has 2 entries "
-                       "but instance 'p' has 3 blocks\n")
+        assert err == ("config error: [solver.decoupled] d_hat is for 2 "
+                       "blocks but instance 'p' has 3\n")
     # A two-block VI takes the pair.
+    cli.parse_config(_write(tmp_path, poly.format("[2, 2]") + section))
+
+
+@pytest.mark.parametrize("solver, key, value", [
+    ("extragradient", "d_hat", "(1.0, 1.0)"),
+    ("local_gda", "eta_x", "0.1"),
+    ("local_gda", "eta_y", "0.1"),
+])
+def test_two_block_solver_keys_need_two_blocks(tmp_path, capsys, solver, key,
+                                               value):
+    section = f"\n[solver.{solver}]\n{key} = {value}\n"
+    poly = "[experiment]\n[instance.p]\nkind = random_polymatrix\ndims = {}\n"
+    path = _write(tmp_path, poly.format("[2, 2, 2]") + section)
+    for code, err in _run_and_bounds(tmp_path, capsys, path):
+        assert code == 2
+        assert err == (f"config error: [solver.{solver}] {key} is for 2 "
+                       "blocks but instance 'p' has 3\n")
     cli.parse_config(_write(tmp_path, poly.format("[2, 2]") + section))
 
 
@@ -999,7 +1020,6 @@ def test_bounds_d_hat_needs_one_entry_per_block(tmp_path, capsys):
     assert cli.main(argv + [_write(tmp_path, poly.format("[2, 2, 2]"))]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == ("error: --d-hat has 2 entries but instance 'p' has 3 "
-                   "blocks\n")
+    assert err == "error: --d-hat is for 2 blocks but instance 'p' has 3\n"
     assert cli.main(argv + [_write(tmp_path, poly.format("[2, 2]"))]) == 0
     assert "dmvip_comm = " in capsys.readouterr().out

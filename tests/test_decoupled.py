@@ -617,6 +617,26 @@ def test_vip_d_hat_of_the_wrong_length_is_rejected():
         decoupled_vi_run(p, DecoupledParams(epsilon=0.1, d_hat=(1.0, 1.0)))
 
 
+def test_vip_round_bound_honours_d_hat():
+    # The cap and `--check-bounds` read the estimates the scalings do.  At
+    # (3.0, 0.3) the bound used to stay at its d_hat = D value: 29.83
+    # rounds at 0.1, which the 32-round run broke, and a cap of 144 at
+    # 0.02, which ended the run short of its 194 rounds.
+    from saddlesplit.evaluation import solver_bounds
+    p = random_polymatrix([3, 3], np.random.default_rng(2), diag=0.2)
+    for eps, rounds, bound in ((0.1, 32, 142.55410814108265),
+                               (0.02, 194, 704.7705407054134)):
+        res = decoupled_vi_run(p, DecoupledParams(epsilon=eps,
+                                                  d_hat=(3.0, 0.3)))
+        assert (res.status, res.rounds) == ("converged", rounds)
+        comm, oracle = solver_bounds(p, "decoupled", eps, (3.0, 0.3))
+        assert comm == pytest.approx(bound, rel=1e-12) and oracle is None
+        assert res.rounds <= comm
+    # At d_hat = D it is 2 + 2 sum_{i != j} L_ij D_i D_j / eps, bit for bit.
+    assert solver_bounds(p, "decoupled", 0.1)[0] == 29.83249666160053
+    assert solver_bounds(p, "decoupled", 0.02)[0] == 141.16248330800263
+
+
 def test_vip_all_blocks_local():
     blocks = [[[[1.0]], None], [None, [[2.0]]]]
     p = make_polymatrix((1, 1), blocks, b=[[0.5], [1.0]])

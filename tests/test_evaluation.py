@@ -120,11 +120,11 @@ def test_bounds_frozen_values():
     assert r.dmsp_comm == pytest.approx(42.0)
     assert r.lower_comm == pytest.approx(2.0 / 0.3 - 2.0)
     assert r.theta == pytest.approx(2.0)
-    # L = D = 1 and log(1/eps) = 2.302585...: (1/eps) log^2, (1/eps) log^3
-    # and (2/9)/eps - 4/3.
-    assert r.cat_eg_comm == pytest.approx(53.01898110478399)
-    assert r.catcat_comm == pytest.approx(122.08071553760861)
+    # L = D = 1: (2/9)/eps - 4/3.
     assert r.lower_oracle == pytest.approx(8.0 / 9.0)
+    assert set(r.as_dict()) == {"theta", "dmsp_comm", "dmsp_oracle",
+                                "eg_comm", "eg_oracle", "lower_comm",
+                                "lower_oracle"}
 
 
 def test_eg_bound_frozen():
@@ -143,9 +143,7 @@ def test_bounds_ordering_and_signs():
                           D_x=rng.uniform(0.2, 3), D_y=rng.uniform(0.2, 3))
         eps = rng.uniform(0.01, 1.0)
         r = complexity_bounds(p, eps)
-        vals = r.as_dict()
-        assert all(np.isfinite(v) and v >= 0 for k, v in vals.items()
-                   if not isinstance(v, list))
+        assert all(np.isfinite(v) and v >= 0 for v in r.as_dict().values())
         assert r.dmsp_comm >= r.lower_comm
 
 
@@ -156,11 +154,28 @@ def test_vip_bounds_terms():
     K = 3
     cross = sum(p.L[i, j] * p.D[i] * p.D[j]
                 for i in range(K) for j in range(K) if i != j)
-    assert r.dmvip_comm == pytest.approx(2.0 + 2.0 * cross / 0.5)
-    for i in range(K):
-        Ai = p.D[i] * sum(p.L[i, j] * p.D[j] for j in range(K) if j != i)
-        assert r.A_terms[i] == pytest.approx(Ai)
-        assert r.B_terms[i] == pytest.approx(p.L[i, i] * p.D[i] ** 2)
+    assert r.dmvip_comm == 2.0 + 2.0 * float(cross) / 0.5
+    # Extragradient's scalings count the diagonal too.
+    own = sum(p.L[i, j] * p.D[i] * p.D[j] for i in range(K) for j in range(K))
+    assert r.eg_comm == pytest.approx(own / 0.5, rel=1e-14)
+    assert r.eg_oracle == pytest.approx(3.0 * own / 0.5, rel=1e-14)
+    assert set(r.as_dict()) == {"dmvip_comm", "eg_comm", "eg_oracle"}
+
+
+@pytest.mark.parametrize("d_hat", [None, (3.0, 0.3)])
+def test_two_block_vi_bounds_are_the_saddle_bounds(d_hat):
+    # sum_i alpha_i D_i^2 is theta L_xy D_x D_y + L_x D_x^2 + L_y D_y^2 at
+    # extragradient's scalings, and theta L_xy D_x D_y at the cross ones.
+    vi = random_polymatrix([2, 3], np.random.default_rng(5), diag=0.7,
+                           D=[0.5, 2.0])
+    (L_x, L_xy), (_, L_y) = vi.L
+    saddle = dataclasses.replace(
+        make_strongly_convex_concave(1.0, 1.0, 1.0), L_x=L_x, L_y=L_y,
+        L_xy=L_xy, D_x=0.5, D_y=2.0)
+    v, s = (complexity_bounds(p, 0.1, d_hat=d_hat) for p in (vi, saddle))
+    assert v.eg_comm == pytest.approx(s.eg_comm, rel=1e-14)
+    assert v.eg_oracle == pytest.approx(s.eg_oracle, rel=1e-14)
+    assert v.dmvip_comm == pytest.approx(s.dmsp_comm, rel=1e-14)
 
 
 def test_bounds_bad_eps():
@@ -174,7 +189,8 @@ def test_bounds_bad_eps():
 def test_solver_bounds_give_each_solvers_pair(solver):
     # The pair a decoupled cap and `run --check-bounds` both read: the
     # saddle entries at the solver's d_hat, the VI's round bound for the
-    # decoupled solver only, and none for local GDA.
+    # decoupled solver and its pair for extragradient, and none for local
+    # GDA.
     saddle = make_strongly_convex_concave(1.0, 2.0, 0.5, D_x=2.0)
     vi = random_polymatrix([2, 2], np.random.default_rng(3))
     r = complexity_bounds(saddle, 0.1, d_hat=(1.0, 3.0))
@@ -184,9 +200,11 @@ def test_solver_bounds_give_each_solvers_pair(solver):
     assert solver_bounds(saddle, solver, 0.1, (1.0, 3.0)) == want
     assert solver_bounds(saddle, solver, 0.1) == solver_bounds(
         saddle, solver, 0.1, saddle.D)
-    vi_comm = complexity_bounds(vi, 0.1).dmvip_comm
-    assert solver_bounds(vi, solver, 0.1) == (
-        (vi_comm, None) if solver == "decoupled" else (None, None))
+    v = complexity_bounds(vi, 0.1)
+    assert solver_bounds(vi, solver, 0.1) == {
+        "decoupled": (v.dmvip_comm, None),
+        "extragradient": (v.eg_comm, v.eg_oracle),
+        "local_gda": (None, None)}[solver]
     if solver != "local_gda":
         with pytest.raises(ValueError, match="accuracy"):
             solver_bounds(saddle, solver, 0.0)
